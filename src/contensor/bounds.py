@@ -19,7 +19,6 @@ from .ir import (
     LastStop, LetScalar, LimC, Plan, Probe, PVar, SumGuard, WhileCoiter,
 )
 from .limits import Limit
-from .looplets import static_pinpoint
 
 # Atom keys: ("c", val, eps) constants, ("e", tensor, level, side, pos,
 # eps_off, shift) piece endpoints, ("z", tensor, level, fiber, shift,
@@ -129,7 +128,7 @@ def _harvest(s, pv: _Prover, bindings):
         pv.fact(cur, ("b", s.range_slot))
         comps = [("b", s.range_slot)]
         for st in s.steppers:
-            pp = static_pinpoint(bindings[st.tensor].levels[st.level])
+            pp = bindings[st.tensor].levels[st.level].pinpoint
             pos = PVar(st.pos_slot, st.pos_name)
             right = ("e", st.tensor, st.level, "C" if pp else "R",
                      pos, 0, st.shift)

@@ -32,7 +32,6 @@ from .lang import (
     SAssign, SFor, SIf, SLet, affine_terms, validate,
 )
 from .limits import Limit
-from .looplets import static_pinpoint
 from .storage import ContTensor, DenseLevel
 from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
@@ -303,8 +302,7 @@ def _lower_cont(s: SFor, ctx):
     lo, hi = Limit(float(s.lo)), Limit(float(s.hi))
     cands = _participants(ctx, var)
     pinlike = [
-        k for k in cands
-        if static_pinpoint(ctx.accesses[k].tensor.levels[ctx.accesses[k].rank])
+        k for k in cands if ctx.accesses[k].tensor.levels[ctx.accesses[k].rank].pinpoint
     ]
     if pinlike:
         # one point-stepper pins the index; the rest get probed after the pin
@@ -375,7 +373,7 @@ def _lower_cont(s: SFor, ctx):
                 a = c3.accesses[key]
                 pv = PVar(pos_vars[key][0], pos_vars[key][1])
                 shift = _shift_expr(a.idx[a.rank], var, c3)
-                pp = static_pinpoint(a.tensor.levels[a.rank])
+                pp = a.tensor.levels[a.rank].pinpoint
                 side = "C" if pp else "L"
                 if in_piece:
                     s3.append(EndRef(a.tensor.name, a.rank, side, pv, 0, shift))
@@ -622,39 +620,7 @@ def _default_decl(assign, ctx):
             yield ("dense", int(loop.hi) + 1)
 
 
-def dump_looplets(program: Program, bindings) -> str:
-    """Readable per-access iteration templates over each continuous rank."""
-    from .looplets import unfurl
-
-    _, accesses, _, _ = _collect(program)
-    lines = []
-    seen = set()
-    for e in accesses:
-        t = bindings.get(e.tensor)
-        if t is None:
-            continue
-        for r, lv in enumerate(t.levels):
-            if not lv.continuous or (e.tensor, r) in seen:
-                continue
-            seen.add((e.tensor, r))
-            f = PVar(0, "f")
-            seq = unfurl(t, r, f)
-            cue = seq.phases[0].body
-            p = PVar(1, "p")
-            from .ir import render
-
-            lines.append(f"{e.tensor} rank {r} ({lv.kind}):")
-            lines.append(f"  span [-inf, {render(seq.phases[0].stop)}]: step entries p:")
-            lines.append(f"    gap   [.., {render(cue.gap_stop(p))}] -> fill")
-            lines.append(
-                f"    piece [{render(cue.left(p))}, {render(cue.right(p))}] -> descend"
-                + ("  (pinpoint)" if cue.pinpoint else "")
-            )
-            lines.append("  tail  (.., inf] -> fill")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 __all__ = [
     "CompileError", "ValidityError", "UnloweredError",
-    "compile_program", "dump_looplets",
+    "compile_program",
 ]

@@ -1,8 +1,9 @@
 """Plan execution.
 
 Statements compile once into Python closures over a flat slot
-environment; endpoint tables per tensor level are precomputed so that
-seeks and probes are binary searches over Limit tuples. The output is
+environment. Seeks, probes and endpoint reads go to each sparse level's
+``PieceTable``, which storage built and checked when the tensor was
+validated, so a run builds no per-piece data of its own. The output is
 gathered into a path-keyed store and rebuilt as a tensor at the end,
 with overlap checking and canonical merging of equal touching pieces.
 """
@@ -10,18 +11,17 @@ with overlap checking and canonical merging of equal touching pieces.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .intervals import Interval
-from .limits import EPS, Limit, BELOW
+from .limits import EPS, Limit
 from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
     EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
     LetScalar, LimC, Mul, Neg, Not, Num, Or, OutputDecl, PDense, PRoot, PVar,
     Pin, Plan, Probe, Sub, SumGuard, Var, WhileCoiter,
 )
-from .storage import ContTensor, DenseLevel, OverlapError, build_tensor, level_ptr
+from .storage import ContTensor, OverlapError, PieceTable, build_tensor
 
 
 class ExecError(RuntimeError):
@@ -49,49 +49,14 @@ _CMP = {
 }
 
 
-class _LevelRT:
-    """Sorted endpoint tables for one sparse level of one tensor."""
-
-    def __init__(self, tensor: ContTensor, level: int):
-        lv = tensor.levels[level]
-        self.ptr = level_ptr(lv, tensor.n_fibers(level))
-        n = self.ptr[-1]
-        ivs = [lv.interval(p) for p in range(n)]
-        self.lefts = [iv.start for iv in ivs]
-        self.rights = [iv.stop for iv in ivs]
-
-    def seek(self, f: int, target: Limit) -> int:
-        """First entry of fiber f whose right endpoint is >= target."""
-        return bisect_left(self.rights, target, self.ptr[f], self.ptr[f + 1])
-
-    def probe(self, f: int, x: float) -> int:
-        """Entry of fiber f containing coordinate x, or -1."""
-        if f < 0:
-            return -1
-        t = Limit(x)
-        p = bisect_left(self.rights, t, self.ptr[f], self.ptr[f + 1])
-        if p < self.ptr[f + 1] and self.lefts[p] <= t:
-            return p
-        return -1
-
-    def last_stop(self, f: int) -> Limit:
-        if f < 0 or self.ptr[f] == self.ptr[f + 1]:
-            return Limit(-math.inf, BELOW)
-        return self.rights[self.ptr[f + 1] - 1]
-
-
 class _Compiler:
-    def __init__(self, plan: Plan, tables=None):
+    def __init__(self, plan: Plan):
         self.plan = plan
         self.stats = ExecStats()
-        self.tables = tables if tables is not None else {}
         self.store = _Store(plan.output)
 
-    def table(self, tensor: str, level: int) -> _LevelRT:
-        key = (tensor, level)
-        if key not in self.tables:
-            self.tables[key] = _LevelRT(self.plan.bindings[tensor], level)
-        return self.tables[key]
+    def table(self, tensor: str, level: int) -> PieceTable:
+        return self.plan.bindings[tensor].levels[level].table
 
     # ---- position expressions: env -> entry index (or -1 for a miss)
 
@@ -195,7 +160,7 @@ class _Compiler:
             return lambda env: env[slot][1]
         if isinstance(e, EndRef):
             t = self.table(e.tensor, e.level)
-            side = t.lefts if e.side in ("L", "C") else t.rights
+            side = t.starts if e.side in ("L", "C") else t.stops
             pos = self.pexpr(e.pos)
             shift = self.expr(e.shift) if e.shift is not None else None
             off = e.eps_off
@@ -264,7 +229,7 @@ class _Compiler:
             coord = self.expr(s.coord)
 
             def probe(env):
-                env[slot] = t.probe(parent(env), coord(env))
+                env[slot] = t.probe(parent(env), Limit(coord(env)))
 
             return probe
         if isinstance(s, IntersectLet):
@@ -349,10 +314,10 @@ class _Compiler:
                 # comparison every later step uses; settle membership
                 # where the rest of the co-iteration lives
                 while p > t.ptr[f] and Limit(
-                        t.rights[p - 1].val - sh, t.rights[p - 1].eps) >= lo:
+                        t.stops[p - 1].val - sh, t.stops[p - 1].eps) >= lo:
                     p -= 1
                 while p < t.ptr[f + 1] and Limit(
-                        t.rights[p].val - sh, t.rights[p].eps) < lo:
+                        t.stops[p].val - sh, t.stops[p].eps) < lo:
                     p += 1
                 if p >= t.ptr[f + 1]:
                     raise ExecError("stepper sought past its fiber")
@@ -363,7 +328,7 @@ class _Compiler:
                 stats.segments_visited += 1
                 stop = hi
                 for slot, t, f, sh in live:
-                    r = t.rights[env[slot]]
+                    r = t.stops[env[slot]]
                     r = Limit(r.val - sh, r.eps)
                     if r < stop:
                         stop = r
@@ -371,7 +336,7 @@ class _Compiler:
                 env[curr_slot] = (cursor, stop)
                 body(env)
                 for slot, t, f, sh in live:
-                    r = t.rights[env[slot]]
+                    r = t.stops[env[slot]]
                     if Limit(r.val - sh, r.eps) == stop:
                         env[slot] += 1
                 nxt = stop + EPS

@@ -1,4 +1,4 @@
-"""Intervals over Limit endpoints, plus unit-scale affine index maps.
+"""Intervals over Limit endpoints.
 
 Every interval is stored closed on both Limit endpoints; openness of the
 underlying real interval lives in the endpoint eps tags. Intersection is
@@ -101,36 +101,3 @@ _KINDS = {
     "left_open": Interval.left_open,
     "open": Interval.open,
 }
-
-
-class AffineMap(NamedTuple):
-    """g(i) = scale*i + offset with scale restricted to +1 or -1.
-
-    Unit scales keep piecewise-constant structure piecewise-constant and
-    make preimages of intervals intervals again.
-    """
-
-    offset: float
-    scale: int = 1
-
-    def __call__(self, i: float) -> float:
-        if self.scale not in (1, -1):
-            raise ValueError("AffineMap scale must be +1 or -1")
-        return self.scale * i + self.offset
-
-    def inverse(self, x: float) -> float:
-        if self.scale not in (1, -1):
-            raise ValueError("AffineMap scale must be +1 or -1")
-        return (x - self.offset) * self.scale
-
-    def preimage(self, iv: Interval) -> Interval:
-        """The set of i with g(i) in iv.
-
-        For scale -1 the endpoints swap roles and their eps tags flip,
-        which Limit negation already does.
-        """
-        if self.scale == 1:
-            return Interval(iv.start - self.offset, iv.stop - self.offset)
-        if self.scale == -1:
-            return Interval(-(iv.stop - self.offset), -(iv.start - self.offset))
-        raise ValueError("AffineMap scale must be +1 or -1")

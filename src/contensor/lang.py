@@ -551,15 +551,10 @@ def _norm_kinds(bindings):
     out = {}
     for name, b in bindings.items():
         if hasattr(b, "levels"):  # a tensor
-            ks = []
-            for lv in b.levels:
-                if lv.kind == "dense":
-                    ks.append("dense")
-                elif lv.kind == "pinpoint" or (lv.kind == "regular" and lv.length == 0):
-                    ks.append("pinpoint")
-                else:
-                    ks.append("interval")
-            out[name] = tuple(ks)
+            out[name] = tuple(
+                "dense" if not lv.continuous else "pinpoint" if lv.pinpoint else "interval"
+                for lv in b.levels
+            )
         else:
             out[name] = tuple(
                 "pinpoint" if k in ("pinpoint", "point") else

@@ -10,6 +10,11 @@ Positions: level l is split into fibers, one per position of level l-1
 (the root has a single fiber, position 0). A sparse fiber f owns entries
 ptr[f]..ptr[f+1]; a dense fiber f owns positions f*size..(f+1)*size. Leaf
 positions index ``values``.
+
+Each sparse level keeps one endpoint table (``PieceTable``: ptr plus a
+start and a stop Limit per piece), built and checked once when a tensor
+is validated. Point lookups, fiber walks and the executor's seeks and
+probes all search that table; nothing else rebuilds piece endpoints.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ class DenseLevel:
 
     kind = "dense"
     continuous = False
+    pinpoint = False
 
     def validate(self, level: int, n_fibers: int) -> int:
         if self.size <= 0:
@@ -73,34 +79,95 @@ class DenseLevel:
         return n_fibers * self.size
 
 
+class PieceTable:
+    """The stored pieces of one sparse level, as endpoint columns.
+
+    Fiber f owns positions ptr[f]..ptr[f+1]; piece p covers the Limits
+    starts[p]..stops[p], so half-open ends are exact data. Construction
+    checks that every piece is non-empty and that each fiber's pieces are
+    sorted and pairwise disjoint; that is what lets ``seek`` binary-search
+    the stops. Validation builds one table per level and keeps it as the
+    level's ``table``: storage, the oracle's ``fiber_entries`` and the
+    executor all read pieces from there.
+    """
+
+    __slots__ = ("ptr", "starts", "stops")
+
+    def __init__(self, level: int, ptr: tuple, starts: tuple, stops: tuple):
+        for f in range(len(ptr) - 1):
+            lo = ptr[f]
+            for p in range(lo, ptr[f + 1]):
+                if starts[p] > stops[p]:
+                    raise InvalidPieceError(
+                        f"level {level} fiber {f}: piece at position {p} is empty "
+                        f"({Interval(starts[p], stops[p])})"
+                    )
+                if p > lo:
+                    if starts[p].val < starts[p - 1].val:
+                        raise UnsortedError(level, f, p)
+                    if not stops[p - 1] < starts[p]:
+                        raise OverlapError.stored(level, f, p - 1)
+        self.ptr, self.starts, self.stops = ptr, starts, stops
+
+    def span(self, f: int) -> tuple:
+        if not 0 <= f < len(self.ptr) - 1:
+            raise IndexError(f"fiber {f} out of range")
+        return self.ptr[f], self.ptr[f + 1]
+
+    def seek(self, f: int, target: Limit) -> int:
+        """First position of fiber f whose stop is >= target."""
+        return bisect_left(self.stops, target, self.ptr[f], self.ptr[f + 1])
+
+    def probe(self, f: int, x: Limit) -> int:
+        """Position of fiber f's piece containing x; -1 if none or f < 0."""
+        if f < 0:
+            return -1
+        p = self.seek(f, x)
+        if p < self.ptr[f + 1] and self.starts[p] <= x:
+            return p
+        return -1
+
+    def last_stop(self, f: int) -> Limit:
+        """Stop of fiber f's last piece; just below -inf when f has none.
+
+        The below--inf value makes a stored-span range empty, so an empty
+        or missing fiber falls through to the fill tail.
+        """
+        if f < 0 or self.ptr[f] == self.ptr[f + 1]:
+            return Limit(-math.inf, BELOW)
+        return self.stops[self.ptr[f + 1] - 1]
+
+
+class _SparseLevel:
+    """Validation shared by the pinpoint, interval and regular levels."""
+
+    continuous = True
+
+    def validate(self, level: int, n_fibers: int) -> int:
+        ptr, starts, stops = self._endpoints(level, n_fibers)
+        _check_ptr(ptr, level, n_fibers, len(starts))
+        object.__setattr__(self, "table", PieceTable(level, ptr, starts, stops))
+        return len(starts)
+
+
 @dataclass(frozen=True)
-class PinpointLevel:
+class PinpointLevel(_SparseLevel):
     ptr: tuple
     crd: tuple
 
     kind = "pinpoint"
-    continuous = True
+    pinpoint = True
 
-    def validate(self, level: int, n_fibers: int) -> int:
-        _check_ptr(self.ptr, level, n_fibers, len(self.crd))
-        for f in range(n_fibers):
-            lo, hi = self.ptr[f], self.ptr[f + 1]
-            for p in range(lo, hi):
-                if math.isnan(self.crd[p]) or math.isinf(self.crd[p]):
-                    raise InvalidPieceError(f"level {level}: bad coordinate {self.crd[p]!r}")
-                if p > lo:
-                    if self.crd[p] < self.crd[p - 1]:
-                        raise UnsortedError(level, f, p)
-                    if self.crd[p] == self.crd[p - 1]:
-                        raise OverlapError.stored(level, f, p - 1)
-        return len(self.crd)
-
-    def interval(self, p: int) -> Interval:
-        return Interval.pinpoint(self.crd[p])
+    def _endpoints(self, level: int, n_fibers: int):
+        for c in self.crd:
+            if not math.isfinite(c):
+                raise InvalidPieceError(f"level {level}: bad coordinate {c!r}")
+        points = tuple([Limit(float(c)) for c in self.crd])
+        return self.ptr, points, points
 
 
 @dataclass(frozen=True)
-class IntervalLevel:
+class IntervalLevel(_SparseLevel):
     ptr: tuple
     left: tuple
     right: tuple
@@ -108,40 +175,32 @@ class IntervalLevel:
     rclose: Union[bool, tuple] = True
 
     kind = "interval"
-    continuous = True
+    pinpoint = False
 
-    @property
-    def homogeneous(self) -> bool:
-        return isinstance(self.lclose, bool) and isinstance(self.rclose, bool)
-
-    def _lflag(self, p: int) -> bool:
-        return self.lclose if isinstance(self.lclose, bool) else self.lclose[p]
-
-    def _rflag(self, p: int) -> bool:
-        return self.rclose if isinstance(self.rclose, bool) else self.rclose[p]
-
-    def interval(self, p: int) -> Interval:
-        start = Limit(self.left[p], EXACT if self._lflag(p) else ABOVE)
-        stop = Limit(self.right[p], EXACT if self._rflag(p) else BELOW)
-        return Interval(start, stop)
-
-    def validate(self, level: int, n_fibers: int) -> int:
+    def _endpoints(self, level: int, n_fibers: int):
         n = len(self.left)
         if len(self.right) != n:
             raise InvalidPieceError(f"level {level}: left/right length mismatch")
         for flags in (self.lclose, self.rclose):
             if not isinstance(flags, bool) and len(flags) != n:
                 raise InvalidPieceError(f"level {level}: inclusiveness flag length mismatch")
-        _check_ptr(self.ptr, level, n_fibers, n)
         for v in (*self.left, *self.right):
             if math.isnan(v):
                 raise InvalidPieceError(f"level {level}: NaN endpoint")
-        _check_sorted_disjoint(self, level, n_fibers)
-        return n
+        return (self.ptr, _limits(self.left, self.lclose, ABOVE),
+                _limits(self.right, self.rclose, BELOW))
+
+
+def _limits(vals, flags, open_eps: int) -> tuple:
+    """Endpoint Limits: exact where the flag is set, else open_eps."""
+    if isinstance(flags, bool):
+        eps = EXACT if flags else open_eps
+        return tuple([Limit(v, eps) for v in vals])
+    return tuple([Limit(v, EXACT if c else open_eps) for v, c in zip(vals, flags)])
 
 
 @dataclass(frozen=True)
-class RegularLevel:
+class RegularLevel(_SparseLevel):
     """Evenly described pieces [stride*x, stride*x + length) for integer x.
 
     Observationally identical to the interval level it denotes; the xs
@@ -156,35 +215,38 @@ class RegularLevel:
     ptr: Optional[tuple] = None
 
     kind = "regular"
-    continuous = True
 
-    def spans(self, n_fibers: int) -> tuple:
-        if self.ptr is not None:
-            return self.ptr
-        return (0, len(self.xs))
+    @property
+    def pinpoint(self) -> bool:
+        return self.length == 0
 
-    def interval(self, p: int) -> Interval:
-        lo = self.stride * self.xs[p]
-        hi = lo + self.length
-        if self.length == 0:
-            return Interval.pinpoint(lo)
-        stop = Limit(hi, EXACT if self.rclose else BELOW)
-        return Interval(Limit(lo), stop)
-
-    def validate(self, level: int, n_fibers: int) -> int:
+    def _endpoints(self, level: int, n_fibers: int):
         if self.stride <= 0 or math.isnan(self.stride) or math.isinf(self.stride):
             raise InvalidPieceError(f"level {level}: regular stride must be positive and finite")
         if self.length < 0 or math.isnan(self.length):
             raise InvalidPieceError(f"level {level}: regular piece length must be >= 0")
-        ptr = self.spans(n_fibers)
         if self.ptr is None and n_fibers != 1:
             raise InvalidPieceError(f"level {level}: regular level needs ptr for {n_fibers} fibers")
-        _check_ptr(ptr, level, n_fibers, len(self.xs))
-        for x in self.xs:
-            if x != int(x):
-                raise InvalidPieceError(f"level {level}: regular xs must be integers")
-        _check_sorted_disjoint(self, level, n_fibers)
-        return len(self.xs)
+        ptr = self.ptr if self.ptr is not None else (0, len(self.xs))
+        lows = [self.stride * x for x in _int_xs(self.xs, f"level {level}")]
+        starts = tuple([Limit(lo) for lo in lows])
+        if self.length == 0:
+            return ptr, starts, starts
+        eps = EXACT if self.rclose else BELOW
+        return ptr, starts, tuple([Limit(lo + self.length, eps) for lo in lows])
+
+
+def _integral(x) -> bool:
+    """True for ints and for finite floats with no fractional part."""
+    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+
+
+def _int_xs(xs, where: str) -> tuple:
+    """xs as ints; a non-finite or fractional x is an InvalidPieceError."""
+    for x in xs:
+        if not _integral(x):
+            raise InvalidPieceError(f"{where}: regular xs must be integers, got {x!r}")
+    return tuple(int(x) for x in xs)
 
 
 Level = Union[DenseLevel, PinpointLevel, IntervalLevel, RegularLevel]
@@ -198,31 +260,6 @@ def _check_ptr(ptr, level: int, n_fibers: int, n_entries: int) -> None:
     for i in range(n_fibers):
         if ptr[i + 1] < ptr[i]:
             raise InvalidPieceError(f"level {level}: ptr not monotone at fiber {i}")
-
-
-def _check_sorted_disjoint(lv, level: int, n_fibers: int) -> None:
-    ptr = lv.spans(n_fibers) if isinstance(lv, RegularLevel) else lv.ptr
-    for f in range(n_fibers):
-        lo, hi = ptr[f], ptr[f + 1]
-        prev = None
-        for p in range(lo, hi):
-            iv = lv.interval(p)
-            if iv.is_empty:
-                raise InvalidPieceError(
-                    f"level {level} fiber {f}: piece at position {p} is empty ({iv})"
-                )
-            if prev is not None:
-                if iv.start.val < prev.start.val:
-                    raise UnsortedError(level, f, p)
-                if not (prev.stop < iv.start):
-                    raise OverlapError.stored(level, f, p - 1)
-            prev = iv
-
-
-def level_ptr(lv: Level, n_fibers: int) -> tuple:
-    if isinstance(lv, RegularLevel):
-        return lv.spans(n_fibers)
-    return lv.ptr
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +296,7 @@ class ContTensor:
         lv = self.levels[level]
         if isinstance(lv, DenseLevel):
             return self.n_fibers(level) * lv.size
-        return level_ptr(lv, self.n_fibers(level))[-1]
-
-    @property
-    def is_pinpoint_tensor(self) -> bool:
-        """True when every continuous rank stores zero-width pieces only."""
-        for lv in self.levels:
-            if isinstance(lv, (PinpointLevel,)):
-                continue
-            if isinstance(lv, DenseLevel):
-                continue
-            if isinstance(lv, RegularLevel) and lv.length == 0:
-                continue
-            return False
-        return True
+        return lv.table.ptr[-1]
 
     # -- access ----------------------------------------------------------
     def fiber_entries(self, level: int, fiber: int):
@@ -280,8 +304,9 @@ class ContTensor:
         lv = self.levels[level]
         if isinstance(lv, DenseLevel):
             raise TypeError("dense levels have no piece entries")
-        lo, hi = _span(lv, self.n_fibers(level), fiber)
-        return [(lv.interval(p), p) for p in range(lo, hi)]
+        t = lv.table
+        lo, hi = t.span(fiber)
+        return [(Interval(t.starts[p], t.stops[p]), p) for p in range(lo, hi)]
 
     def fiber_cover(self, level: int, fiber: int):
         """Entries plus reconstructed fill gaps, tiling the whole line.
@@ -309,29 +334,13 @@ class ContTensor:
         """Position of the stored piece containing x, or None."""
         if fiber is FILL:
             return FILL
-        lv = self.levels[level]
         lx = as_limit(x)
-        lo, hi = _span(lv, self.n_fibers(level), fiber)
-        if lo == hi:
-            return FILL
-        if isinstance(lv, PinpointLevel):
-            i = bisect_left(lv.crd, lx.val, lo, hi)
-            if i < hi and lv.crd[i] == lx.val and lx.eps == EXACT:
-                return i
-            return FILL
-        # first piece whose stop >= x, then containment check
-        i = lo
-        jlo, jhi = lo, hi
-        while jlo < jhi:
-            mid = (jlo + jhi) // 2
-            if lv.interval(mid).stop < lx:
-                jlo = mid + 1
-            else:
-                jhi = mid
-        i = jlo
-        if i < hi and lv.interval(i).contains(lx):
-            return i
-        return FILL
+        if math.isnan(lx.val):
+            raise ValueError(f"tensor {self.name} level {level}: coordinate {x!r} is NaN")
+        t = self.levels[level].table
+        t.span(fiber)  # IndexError for a fiber out of range
+        p = t.probe(fiber, lx)
+        return FILL if p < 0 else p
 
     def at(self, *coords):
         """Evaluate the tensor at one point; fill where nothing is stored."""
@@ -340,10 +349,9 @@ class ContTensor:
         pos = 0
         for level, (lv, c) in enumerate(zip(self.levels, coords)):
             if isinstance(lv, DenseLevel):
-                ci = int(c)
-                if ci != c or not (0 <= ci < lv.size):
+                if not (_integral(c) and 0 <= c < lv.size):
                     raise IndexError(f"coordinate {c!r} outside dense rank of size {lv.size}")
-                pos = pos * lv.size + ci
+                pos = pos * lv.size + int(c)
             else:
                 pos = self.locate(level, pos, c)
                 if pos is FILL:
@@ -380,13 +388,6 @@ class ContTensor:
         return tuple(
             Interval.full() if lv.continuous else None for lv in self.levels[level:]
         )
-
-
-def _span(lv, n_fibers: int, fiber: int):
-    ptr = level_ptr(lv, n_fibers)
-    if not (0 <= fiber < len(ptr) - 1):
-        raise IndexError(f"fiber {fiber} out of range")
-    return ptr[fiber], ptr[fiber + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +442,7 @@ def build_level(spec, fibers: Sequence[Sequence]):
         )
     if kind == "regular":
         _, stride, length, rclose = spec
-        xs = tuple(int(x) for f in fibers for x in f)
+        xs = _int_xs([x for f in fibers for x in f], "regular level")
         return RegularLevel(
             stride=float(stride), length=float(length), rclose=bool(rclose),
             xs=xs, ptr=tuple(ptr) if len(fibers) != 1 else None,

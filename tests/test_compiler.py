@@ -1,7 +1,7 @@
 import pytest
 
 from contensor.compiler import (
-    CompileError, UnloweredError, ValidityError, compile_program, dump_looplets,
+    CompileError, UnloweredError, ValidityError, compile_program,
 )
 from contensor.ir import (
     Accumulate, Block, Cond, EmitPiece, Guard, LenOf, Pin, Plan, Probe,
@@ -196,15 +196,6 @@ def test_pretty_renders_without_crashing():
     plan = compile_program(parse(DOT_INTEGRAL), {"A": A, "B": B})
     text = pretty(plan.body)
     assert "coiterate" in text and "guard" in text
-
-
-def test_dump_looplets_mentions_each_continuous_rank():
-    A = tensor_1d("A", [((1.0, 3.0), 2.0)], 0.0, kind="interval")
-    B = tensor_1d("B", [(2.0, 3.0)], 0.0)
-    out = dump_looplets(parse(DOT_SUM), {"A": A, "B": B})
-    assert "A rank 0 (interval)" in out
-    assert "B rank 0 (pinpoint)" in out
-    assert "tail" in out and "piece" in out
 
 
 def test_shifted_access_uses_scalar_shift():

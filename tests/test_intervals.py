@@ -2,9 +2,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
-from contensor.intervals import AffineMap, EmptyIntervalError, Interval
+from contensor.intervals import EmptyIntervalError, Interval
 from contensor.limits import ABOVE, BELOW, EXACT, Limit
 
 
@@ -68,40 +67,6 @@ def test_render():
     assert str(Interval.right_open(1, 3)) == "[1, 3)"
     assert str(Interval.left_open(1, 3)) == "(1, 3]"
     assert str(Interval.open(1, 3)) == "(1, 3)"
-
-
-def test_translation_preimage():
-    g = AffineMap(offset=1.0, scale=1)
-    assert g.preimage(Interval.right_open(1, 3)) == Interval.right_open(0, 2)
-    assert g(0.5) == 1.5
-    assert g.inverse(1.5) == 0.5
-
-
-def test_reflection_preimage_swaps_and_flips():
-    g = AffineMap(offset=0.0, scale=-1)
-    got = g.preimage(Interval.right_open(1, 3))
-    # preimage of [1,3) under i -> -i is (-3,-1]
-    assert got == Interval.left_open(-3, -1)
-    assert got.contains(-1.0)
-    assert not got.contains(-3.0)
-
-
-def test_bad_scale_rejected():
-    with pytest.raises(ValueError):
-        AffineMap(0.0, 2)(1.0)
-
-
-kinds = st.sampled_from(["closed", "right_open", "left_open", "open"])
-halves = st.integers(-20, 20).map(lambda n: n / 2)
-
-
-@given(halves, halves, kinds, halves, st.sampled_from([1, -1]), halves)
-def test_preimage_membership(a, b, kind, off, scale, x):
-    # half-integer grid keeps g(x) exact in floats
-    iv = Interval.from_kind(min(a, b), max(a, b), kind)
-    g = AffineMap(off, scale)
-    pre = g.preimage(iv)
-    assert pre.contains(x) == iv.contains(g(x))
 
 
 def test_intersection_membership_randomized():

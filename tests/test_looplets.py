@@ -1,16 +1,39 @@
+"""The looplet walk over one fiber of a sparse level.
+
+A compiled loop walks a fiber as a sequence of two phases: a stepper over
+the stored pieces up to the fiber's last stop (a fill gap before each piece
+whose start is not reached yet), then a fill run to +inf. ``looplet_walk``
+below performs that walk straight from the level's ``PieceTable`` columns;
+these tests check it against ``fiber_cover`` and ``at``.
+"""
+
 import math
 import random
 
-import pytest
-
 from contensor.intervals import Interval
 from contensor.limits import EPS, Limit
-from contensor.looplets import (
-    Descend, Phase, Run, Sequence, StepperCue, concrete_walk, last_stop_value,
-    seek_pos, static_pinpoint, unfurl,
-)
-from contensor.ir import EndRef, LastStop, LimC, PVar
-from contensor.storage import FILL, ContTensor, build_tensor, tensor_1d
+from contensor.storage import FILL, build_tensor, tensor_1d
+
+
+def looplet_walk(t, level, f):
+    """(Interval, payload) regions of fiber f, phase by phase."""
+    table = t.levels[level].table
+    out = []
+    cursor = Limit(-math.inf)
+    stop = table.last_stop(f)
+    if not Interval(cursor, stop).is_empty:
+        for p in range(table.seek(f, cursor), table.span(f)[1]):
+            gap_stop = table.starts[p] - EPS
+            if not Interval(cursor, gap_stop).is_empty:
+                out.append((Interval(cursor, gap_stop), FILL))
+                cursor = gap_stop + EPS
+            out.append((Interval(cursor, table.stops[p]), p))
+            cursor = table.stops[p] + EPS
+        assert cursor == stop + EPS, "stepper did not consume its phase range"
+    tail = Interval(cursor, Limit(math.inf))
+    if not tail.is_empty:
+        out.append((tail, FILL))
+    return out
 
 
 def fx():
@@ -30,73 +53,29 @@ def random_interval_fiber(rng, max_pieces=6):
     return out
 
 
-def test_unfurl_shape():
-    t = fx()
-    seq = unfurl(t, 0, PVar(0, "f"))
-    assert isinstance(seq, Sequence) and len(seq.phases) == 2
-    first, tail = seq.phases
-    assert isinstance(first.stop, LastStop)
-    assert isinstance(first.body, StepperCue)
-    assert not first.body.pinpoint
-    assert isinstance(tail.body, Run) and tail.body.payload is FILL
-    assert isinstance(tail.stop, LimC) and tail.stop.value == Limit(math.inf)
-
-
-def test_stepper_cue_endpoints():
-    t = fx()
-    cue = unfurl(t, 0, PVar(0, "f")).phases[0].body
-    p = PVar(1, "p")
-    assert cue.left(p) == EndRef("x", 0, "L", p, 0, None)
-    assert cue.gap_stop(p) == EndRef("x", 0, "L", p, -1, None)
-    gap, piece = cue.phases(p)
-    assert gap.body == Run(FILL)
-    assert piece.body == Run(Descend(p))
-    assert piece.stop == EndRef("x", 0, "R", p, 0, None)
-
-
-def test_pinpoint_cue_uses_coordinate_side():
-    t = tensor_1d("m", [(1.5, 1.0), (2.5, 1.0)])
-    seq = unfurl(t, 0, PVar(0, "f"))
-    cue = seq.phases[0].body
-    assert cue.pinpoint
-    p = PVar(1, "p")
-    assert cue.left(p).side == "C"
-    assert cue.right(p).side == "C"
-    assert cue.piece_phase(p).pinpoint
-
-
-def test_static_pinpoint_flags():
-    assert static_pinpoint(tensor_1d("a", [(1.0, 1.0)]).levels[0])
-    assert not static_pinpoint(fx().levels[0])
-    reg0 = build_tensor("r", [("regular", 0.5, 0.0, True)], [(2, 1.0)])
-    assert static_pinpoint(reg0.levels[0])
-    reg = build_tensor("r", [("regular", 0.5, 0.5, False)], [(2, 1.0)])
-    assert not static_pinpoint(reg.levels[0])
-
-
 def test_walk_matches_cover_on_fixture():
     t = fx()
-    assert concrete_walk(t, 0, 0) == t.fiber_cover(0, 0)
+    assert looplet_walk(t, 0, 0) == t.fiber_cover(0, 0)
 
 
 def test_walk_empty_fiber_is_one_full_gap():
     t = tensor_1d("e", [], kind="interval")
-    assert concrete_walk(t, 0, 0) == [(Interval.full(), FILL)]
-    assert last_stop_value(t, 0, 0) == Limit(-math.inf, -1)
+    assert looplet_walk(t, 0, 0) == [(Interval.full(), FILL)]
+    assert t.levels[0].table.last_stop(0) == Limit(-math.inf, -1)
 
 
 def test_last_stop_value():
     t = fx()
-    assert last_stop_value(t, 0, 0) == Limit(5.1)
+    assert t.levels[0].table.last_stop(0) == Limit(5.1)
     u = tensor_1d("u", [((0.0, 2.0, "right_open"), 1.0)], kind="interval")
-    assert last_stop_value(u, 0, 0) == Limit(2.0, -1)
+    assert u.levels[0].table.last_stop(0) == Limit(2.0, -1)
 
 
 def test_walk_matches_cover_randomized():
     rng = random.Random(11)
     for _ in range(200):
         t = tensor_1d("t", random_interval_fiber(rng), kind="interval")
-        assert concrete_walk(t, 0, 0) == t.fiber_cover(0, 0)
+        assert looplet_walk(t, 0, 0) == t.fiber_cover(0, 0)
 
 
 def test_walk_matches_cover_pinpoint_and_regular():
@@ -104,21 +83,21 @@ def test_walk_matches_cover_pinpoint_and_regular():
     for _ in range(100):
         crds = sorted({rng.randint(-20, 20) / 2 for _ in range(rng.randint(0, 6))})
         tp = tensor_1d("p", [(c, 1.0) for c in crds])
-        assert concrete_walk(tp, 0, 0) == tp.fiber_cover(0, 0)
+        assert looplet_walk(tp, 0, 0) == tp.fiber_cover(0, 0)
 
         xs = sorted({rng.randint(-10, 10) for _ in range(rng.randint(0, 5))})
         length = rng.choice([0.0, 0.25, 0.5])
         tr = build_tensor(
             "r", [("regular", 0.5, length, length == 0.0)], [(x, 1.0) for x in xs]
         )
-        assert concrete_walk(tr, 0, 0) == tr.fiber_cover(0, 0)
+        assert looplet_walk(tr, 0, 0) == tr.fiber_cover(0, 0)
 
 
 def test_walk_tiles_line_and_alternates():
     rng = random.Random(13)
     for _ in range(100):
         t = tensor_1d("t", random_interval_fiber(rng), kind="interval")
-        walk = concrete_walk(t, 0, 0)
+        walk = looplet_walk(t, 0, 0)
         assert walk[0][0].start == Limit(-math.inf)
         assert walk[-1][0].stop == Limit(math.inf)
         for (a, _), (b, _) in zip(walk, walk[1:]):
@@ -132,7 +111,7 @@ def test_walk_evaluates_like_at():
     rng = random.Random(14)
     for _ in range(50):
         t = tensor_1d("t", random_interval_fiber(rng), kind="interval")
-        walk = concrete_walk(t, 0, 0)
+        walk = looplet_walk(t, 0, 0)
         for _ in range(40):
             x = rng.randint(-60, 60) / 4
             val = next(
@@ -149,34 +128,7 @@ def test_walk_second_level_fibers():
         [("dense", 2), ("interval",)],
         [[((0.0, 1.0), 5.0)], []],
     )
-    w0 = concrete_walk(t, 1, 0)
+    w0 = looplet_walk(t, 1, 0)
     assert w0 == t.fiber_cover(1, 0)
     assert [p for _, p in w0 if p is not FILL] == [0]
-    assert concrete_walk(t, 1, 1) == [(Interval.full(), FILL)]
-
-
-def test_seek_pos():
-    t = tensor_1d(
-        "s",
-        [((0.0, 1.0), 1.0), ((2.0, 3.0), 1.0), ((5.0, 6.0), 1.0)],
-        kind="interval",
-    )
-    lv = t.levels[0]
-    for target, want in [
-        (Limit(-math.inf), 0),
-        (Limit(0.5), 0),
-        (Limit(1.0), 0),
-        (Limit(1.0, 1), 1),
-        (Limit(4.0), 2),
-        (Limit(6.0, 1), 3),
-    ]:
-        assert seek_pos(t, 0, 0, 3, target) == want
-        # agrees with a linear scan
-        lin = next((p for p in range(3) if not (lv.interval(p).stop < target)), 3)
-        assert lin == want
-
-
-def test_dense_levels_do_not_unfurl():
-    t = build_tensor("d", [("dense", 2)], [1.0, 2.0])
-    with pytest.raises(TypeError):
-        unfurl(t, 0, PVar(0, "f"))
+    assert looplet_walk(t, 1, 1) == [(Interval.full(), FILL)]

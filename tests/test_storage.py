@@ -21,6 +21,64 @@ from contensor.storage import (
 )
 
 
+KINDS = ["pinpoint", "interval", "regular"]
+
+
+def random_fiber(rng, kind):
+    """(key, value) pairs of one sorted, disjoint fiber at off-pitch floats."""
+    n = rng.randint(0, 6)
+    if kind == "pinpoint":
+        crds = sorted({rng.uniform(-5, 5) for _ in range(n)})
+        return [(c, rng.randint(1, 9) * 1.0) for c in crds]
+    if kind == "regular":
+        xs = sorted({rng.randint(-10, 10) for _ in range(n)})
+        return [(x, rng.randint(1, 9) * 1.0) for x in xs]
+    out = []
+    cursor, prev_rclose = rng.uniform(-5, 0), True
+    for _ in range(n):
+        touch = bool(out) and rng.random() < 0.3
+        a = cursor if touch else cursor + rng.uniform(0.01, 2)
+        lclose = not prev_rclose if touch else rng.random() < 0.5
+        if lclose and rng.random() < 0.2:
+            b, rclose = a, True
+        else:
+            b, rclose = a + rng.uniform(0.01, 2), rng.random() < 0.5
+        start = Limit(a) if lclose else Limit(a, 1)
+        stop = Limit(b) if rclose else Limit(b, -1)
+        out.append((Interval(start, stop), rng.randint(1, 9) * 1.0))
+        cursor, prev_rclose = b, rclose
+    return out
+
+
+def random_tensor(rng, kind):
+    """Two fibers of one sparse kind under a dense rank, so ptr offsets matter."""
+    if kind == "regular":
+        stride = rng.uniform(0.1, 1.0)
+        length = rng.choice([0.0, rng.uniform(0.0, 0.9 * stride)])
+        spec = ("regular", stride, length, rng.random() < 0.5)
+    else:
+        spec = (kind,)
+    root = [random_fiber(rng, kind), random_fiber(rng, kind)]
+    return build_tensor("t", [("dense", 2), spec], root, fill=-1.0)
+
+
+def probe_points(rng, t):
+    """Every stored endpoint nudged by -eps, 0 and +eps, plus random reals."""
+    pts = [Limit(rng.uniform(-12, 12)) for _ in range(10)]
+    for f in range(2):
+        for iv, _ in t.fiber_entries(1, f):
+            for end in (iv.start, iv.stop):
+                pts.extend(Limit(end.val, e) for e in (-1, 0, 1))
+    return pts + [Limit(-math.inf), Limit(math.inf)]
+
+
+def linear_seek(t, level, f, target):
+    """First position of fiber f whose stop is >= target, by a scan."""
+    entries = t.fiber_entries(level, f)
+    end = t.levels[level].table.span(f)[1]
+    return next((p for iv, p in entries if not iv.stop < target), end)
+
+
 def fx():
     # two stored pieces on an otherwise-zero line
     return tensor_1d("f", [(Interval.closed(1, 3), 1.0), (Interval.closed(4.1, 5.1), 2.0)])
@@ -48,10 +106,19 @@ def test_fx_cover_has_five_pieces():
 
 
 def test_cover_tiles_the_line():
-    t = fx()
-    cover = t.fiber_cover(0, 0)
-    for (a, _), (b, _) in zip(cover, cover[1:]):
-        assert b.start == a.stop + Limit(0.0, 1)
+    rng = random.Random(13)
+    tensors = [fx()] + [random_tensor(rng, kind) for kind in KINDS * 40]
+    tensors.append(build_tensor("g", [("dense", 2), ("interval",)], [[((0.0, 1.0), 5.0)], []]))
+    for t in tensors:
+        for f in range(t.n_fibers(t.ndim - 1)):
+            cover = t.fiber_cover(t.ndim - 1, f)
+            assert cover[0][0].start == Limit(-math.inf)
+            assert cover[-1][0].stop == Limit(math.inf)
+            for (a, pa), (b, pb) in zip(cover, cover[1:]):
+                assert b.start == a.stop + Limit(0.0, 1)
+                assert not (pa is FILL and pb is FILL)
+            stored = [p for _, p in cover if p is not FILL]
+            assert stored == [p for _, p in t.fiber_entries(t.ndim - 1, f)]
 
 
 def test_pieces_with_fill_match_eval():
@@ -103,14 +170,14 @@ def test_nan_endpoint_rejected():
         tensor_1d("a", [(Interval.closed(float("nan"), 1), 1.0)])
 
 
-def test_heterogeneous_flags_vs_homogeneous():
+def test_mixed_flags_vs_uniform_flags():
     hetero = tensor_1d(
         "a", [(Interval.right_open(0, 1), 1.0), (Interval.closed(2, 3), 2.0)]
     )
     lv = hetero.levels[0]
     assert lv.rclose == (False, True)
-    homo = tensor_1d("b", [(Interval.right_open(0, 1), 1.0), (Interval.right_open(2, 3), 2.0)])
-    assert homo.levels[0].rclose is False
+    uniform = tensor_1d("b", [(Interval.right_open(0, 1), 1.0), (Interval.right_open(2, 3), 2.0)])
+    assert uniform.levels[0].rclose is False
     for x in (0.0, 0.5, 1.0, 2.0, 3.0, 3.5):
         assert hetero.at(x) == {0.0: 1.0, 0.5: 1.0, 1.0: 0.0, 2.0: 2.0, 3.0: 2.0, 3.5: 0.0}[x]
 
@@ -143,7 +210,7 @@ def test_regular_zero_length_is_pinpoint():
     assert reg.at(1.0) == 1.0
     assert reg.at(2.0) == 2.0
     assert reg.at(1.5) == 0.0
-    assert reg.is_pinpoint_tensor
+    assert reg.levels[0].pinpoint
 
 
 def test_regular_multi_fiber_needs_ptr():
@@ -184,8 +251,9 @@ def test_multirank_build_and_eval():
     assert t.at(0, 2.5, 0.5) == 0.0
     assert t.at(1, 2.5, 5.5) == 4.0
     assert t.at(1, 3.5, 5.5) == 0.0
-    with pytest.raises(IndexError):
-        t.at(2, 0.0, 0.0)
+    for bad in (2, 0.5, math.inf, float("nan")):
+        with pytest.raises(IndexError):
+            t.at(bad, 0.0, 0.0)
 
 
 def test_values_length_checked():
@@ -193,30 +261,91 @@ def test_values_length_checked():
         ContTensor("a", (DenseLevel(3),), (1.0, 2.0))
 
 
-def test_pinpoint_tensor_flag():
-    assert tensor_1d("p", [(1.0, 2.0)]).is_pinpoint_tensor
-    assert not fx().is_pinpoint_tensor
-
-
 def test_eval_matches_cover_scan_randomized():
     rng = random.Random(17)
-    for _ in range(60):
-        pieces = []
-        cursor = rng.uniform(-10, -5)
-        for _ in range(rng.randint(0, 6)):
-            a = cursor + rng.uniform(0.1, 2)
-            b = a + rng.uniform(0, 2)
-            kind = rng.choice(["closed", "right_open", "left_open", "open"])
-            if kind in ("left_open", "open") and b == a:
-                b = a + 0.5
-            pieces.append((Interval.from_kind(a, b, kind), rng.randint(1, 9) * 1.0))
-            cursor = b + 0.05
-        t = tensor_1d("t", pieces, fill=0.0, kind="interval")
-        for _ in range(40):
-            x = rng.uniform(-11, cursor + 2)
-            by_cover = next(
-                (t.values[p] if p is not FILL else t.fill)
-                for iv, p in t.fiber_cover(0, 0)
-                if iv.contains(x)
-            )
-            assert t.at(x) == by_cover
+    for kind in KINDS * 30:
+        t = random_tensor(rng, kind)
+        for x in probe_points(rng, t):
+            for f in range(2):
+                by_cover = next(
+                    (t.values[p] if p is not FILL else t.fill)
+                    for iv, p in t.fiber_cover(1, f)
+                    if iv.contains(x)
+                )
+                assert t.at(f, x) == by_cover
+
+
+@pytest.mark.parametrize("level,want", [
+    (PinpointLevel(ptr=(0, 1), crd=(1.0,)), True),
+    (IntervalLevel(ptr=(0, 1), left=(1.0,), right=(1.0,)), False),
+    (RegularLevel(stride=0.5, length=0.0, rclose=True, xs=(2,)), True),
+    (RegularLevel(stride=0.5, length=0.0, rclose=False, xs=()), True),
+    (RegularLevel(stride=0.5, length=0.5, rclose=False, xs=(2,)), False),
+    (RegularLevel(stride=0.5, length=0.5, rclose=False, xs=()), False),
+    (DenseLevel(3), False),
+], ids=["pinpoint", "interval", "regular-0", "regular-0-empty", "regular", "regular-empty", "dense"])
+def test_pinpoint_level_attribute(level, want):
+    assert level.pinpoint is want
+
+
+def test_table_seek():
+    t = tensor_1d(
+        "s",
+        [((0.0, 1.0), 1.0), ((2.0, 3.0), 1.0), ((5.0, 6.0), 1.0)],
+        kind="interval",
+    )
+    table = t.levels[0].table
+    for target, want in [
+        (Limit(-math.inf), 0),
+        (Limit(0.5), 0),
+        (Limit(1.0), 0),
+        (Limit(1.0, 1), 1),
+        (Limit(4.0), 2),
+        (Limit(6.0, 1), 3),
+    ]:
+        assert table.seek(0, target) == want
+        assert linear_seek(t, 0, 0, target) == want
+
+
+def test_table_last_stop():
+    assert fx().levels[0].table.last_stop(0) == Limit(5.1)
+    u = tensor_1d("u", [((0.0, 2.0, "right_open"), 1.0)], kind="interval")
+    assert u.levels[0].table.last_stop(0) == Limit(2.0, -1)
+    e = tensor_1d("e", [], kind="interval")
+    assert e.levels[0].table.last_stop(0) == Limit(-math.inf, -1)
+    assert e.fiber_cover(0, 0) == [(Interval.full(), FILL)]
+    g = build_tensor("g", [("dense", 2), ("interval",)], [[((0.0, 1.0), 5.0)], []])
+    assert g.levels[1].table.last_stop(1) == Limit(-math.inf, -1)
+    assert g.levels[1].table.last_stop(-1) == Limit(-math.inf, -1)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, float("nan"), 2.5])
+def test_regular_xs_must_be_finite_integers(x):
+    with pytest.raises(InvalidPieceError):
+        ContTensor("r", (RegularLevel(stride=1.0, length=0.5, rclose=False, xs=(0, x)),), (1.0, 2.0))
+    with pytest.raises(InvalidPieceError):
+        build_level(("regular", 1.0, 0.5, False), [[0, x]])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_nan_coordinate_rejected(kind):
+    t = random_tensor(random.Random(5), kind)
+    with pytest.raises(ValueError, match="nan"):
+        t.at(0, float("nan"))
+    with pytest.raises(ValueError, match="nan"):
+        t.locate(1, 0, float("nan"))
+
+
+def test_locate_probe_seek_match_linear_scan():
+    rng = random.Random(2407)
+    for kind in KINDS * 150:
+        t = random_tensor(rng, kind)
+        table = t.levels[1].table
+        for x in probe_points(rng, t):
+            for f in range(2):
+                entries = t.fiber_entries(1, f)
+                want = next((p for iv, p in entries if iv.contains(x)), FILL)
+                assert t.locate(1, f, x) == want
+                assert table.probe(f, x) == (-1 if want is FILL else want)
+                assert table.seek(f, x) == linear_seek(t, 1, f, x)
+            assert table.probe(-1, x) == -1
