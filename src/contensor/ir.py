@@ -339,18 +339,25 @@ class Plan:
 
 
 class Namer:
-    """Allocates runtime slots with unique, stable display names."""
+    """Allocates runtime slots with unique, stable display names.
+
+    A base that is taken gets the first free numeric suffix. Names are
+    only ever added, so every suffix below a base's last one is still
+    taken, and the search resumes there.
+    """
 
     def __init__(self):
         self.names = []
         self._used = set()
+        self._next = {}  # base -> first suffix not yet tried
 
     def slot(self, base: str) -> tuple:
-        name = base
-        k = 0
+        k = self._next.get(base, 0)
+        name = f"{base}{k}" if k else base
         while name in self._used:
             k += 1
             name = f"{base}{k}"
+        self._next[base] = k + 1
         self._used.add(name)
         self.names.append(name)
         return len(self.names) - 1, name

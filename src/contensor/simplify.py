@@ -15,8 +15,8 @@ import operator
 from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
     EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
-    LetScalar, LimC, Mul, Neg, Not, Num, Or, PDense, PRoot, PVar, Pin, Plan,
-    Probe, StepperRT, Sub, SumGuard, Var, WhileCoiter,
+    LetScalar, Mul, Neg, Not, Num, Or, PDense, PVar, Pin, Plan, Probe, Sub,
+    SumGuard, Var, WhileCoiter,
 )
 
 _CMP = {

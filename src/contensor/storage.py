@@ -334,6 +334,8 @@ class ContTensor:
         """Position of the stored piece containing x, or None."""
         if fiber is FILL:
             return FILL
+        if isinstance(self.levels[level], DenseLevel):
+            raise TypeError("dense levels have no piece entries")
         lx = as_limit(x)
         if math.isnan(lx.val):
             raise ValueError(f"tensor {self.name} level {level}: coordinate {x!r} is NaN")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Union
 
 from .storage import (
     ContTensor,

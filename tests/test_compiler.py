@@ -1,11 +1,11 @@
+import random
+
 import pytest
 
-from contensor.compiler import (
-    CompileError, UnloweredError, ValidityError, compile_program,
-)
+from contensor.compiler import CompileError, ValidityError, compile_program
 from contensor.ir import (
-    Accumulate, Block, Cond, EmitPiece, Guard, LenOf, Pin, Plan, Probe,
-    WhileCoiter, pretty,
+    Accumulate, Block, EmitPiece, LenOf, Namer, Pin, Plan, Probe, WhileCoiter,
+    pretty,
 )
 from contensor.lang import parse
 from contensor.storage import build_tensor, tensor_1d
@@ -217,3 +217,41 @@ end
     plan = compile_program(prog, {"A": A})
     text = pretty(plan.body)
     assert "max(0" in text and "min(10" in text
+
+
+def _old_slot(self, base):
+    """The quadratic search Namer.slot replaced: retry base, base1, ... from 0."""
+    name, k = base, 0
+    while name in self._used:
+        k += 1
+        name = f"{base}{k}"
+    self._used.add(name)
+    self.names.append(name)
+    return len(self.names) - 1, name
+
+
+def test_namer_gives_the_old_names_when_bases_collide():
+    rng = random.Random(11)
+    bases = ["iv", "iv1", "iv2", "iv11", "r", "r1", "cur"]
+    calls = [rng.choice(bases) for _ in range(300)]
+    new, old = Namer(), Namer()
+    assert [new.slot(b) for b in calls] == [_old_slot(old, b) for b in calls]
+    # a loop variable named iv1 takes the name the second iv would have had
+    n = Namer()
+    assert [n.slot(b)[1] for b in ("iv", "iv1", "iv", "iv")] == ["iv", "iv1", "iv2", "iv3"]
+
+
+def test_namer_fix_keeps_the_kway_plans(monkeypatch):
+    k = 7
+    src = "for i = -inf:inf\n  s += " + " * ".join(f"A{j}[i]" for j in range(k)) + " * d(i)\nend\n"
+    binds = {f"A{j}": tensor_1d(f"A{j}", [((-1.0 - j, 1.0 + j), 1.0 + j)], 0.0, kind="interval")
+             for j in range(k)}
+
+    def plans():
+        st = {}
+        compile_program(parse(src), binds, stages=st)
+        return pretty(st["plan"].body), pretty(st["post-simplify"].body)
+
+    new = plans()
+    monkeypatch.setattr(Namer, "slot", _old_slot)
+    assert plans() == new

@@ -1,11 +1,18 @@
 import math
+import random
 
 import pytest
 
+from contensor import executor, kernels, oracle
 from contensor.compiler import compile_program
-from contensor.executor import ExecError, run
+from contensor.executor import ExecError, kernel_source, run
 from contensor.intervals import Interval
+from contensor.ir import (
+    Block, EndRef, IntersectLet, LetScalar, LimC, Num, OutputDecl, Pin, Plan,
+    Probe, PRoot, PVar,
+)
 from contensor.lang import parse
+from contensor.limits import Limit
 from contensor.storage import OverlapError, build_tensor, tensor_1d
 
 
@@ -345,3 +352,137 @@ end
 """, {"Query": Query, "Data": Data})
     got = [(p[3], v) for p, v in res.output.pieces()]
     assert got == [(Interval.closed(1.0, 2.0), True), (Interval.closed(4.0, 5.0), True)]
+
+
+# ---------------------------------------------------------------------------
+# generated kernels
+
+
+@pytest.mark.parametrize("name", sorted(kernels.KERNELS))
+def test_kernel_source_is_deterministic_and_compiles(name):
+    k = kernels.get(name)
+    a = compile_program(k.program(), k.canonical())
+    b = compile_program(k.program(), k.canonical())
+    src = kernel_source(a)
+    assert src == kernel_source(a) == kernel_source(b)
+    compile(src, f"<{name} kernel>", "exec")
+
+
+def test_equal_plans_share_one_kernel(monkeypatch):
+    k = kernels.get("dot_integral")
+    binds = k.random_instance(random.Random(3))
+    first = compile_program(k.program(), k.canonical())
+    other = compile_program(k.program(), binds)
+    assert kernel_source(first) == kernel_source(other)
+    executor._kernel.cache_clear()
+    run(first)
+
+    def no_compile(*args):
+        raise AssertionError("a cached kernel was compiled again")
+
+    monkeypatch.setattr(executor, "compile", no_compile, raising=False)
+    res = run(other)
+    assert res.output == pytest.approx(oracle.evaluate(k.program(), binds))
+
+
+def test_fill_true_and_one_get_separate_kernels():
+    # each point of M probes A; a probe that misses reads A's fill
+    prog = parse("""
+for i = -inf:inf
+  Out[i] |= M[i] && A[i]
+end
+""")
+    M = tensor_1d("M", [(0.5, True), (2.0, True)], False)
+
+    def plan(fill):
+        return compile_program(prog, {"M": M, "A": tensor_1d("A", [((0.0, 1.0), True)], fill,
+                                                             kind="interval")})
+
+    as_bool, as_float = plan(True), plan(1.0)
+    assert as_bool == as_float  # dataclass equality cannot tell True from 1.0
+    assert kernel_source(as_bool) != kernel_source(as_float)
+    assert executor._kernel(kernel_source(as_bool)) is not executor._kernel(kernel_source(as_float))
+    assert [v for _, v in run(as_bool).output.pieces()] == [True, True]
+
+
+def test_signed_zero_constants_get_separate_sources():
+    def plan(zero):
+        return Plan(LetScalar(0, "z", Num(zero)), OutputDecl("s", (), 0.0), 1)
+
+    assert plan(0.0) == plan(-0.0)
+    assert kernel_source(plan(0.0)) != kernel_source(plan(-0.0))
+
+
+def test_outputs_keep_their_value_types():
+    k = kernels.get("genomic_overlap")
+    res = run(compile_program(k.program(), k.canonical()))
+    assert res.output.values and all(v is True for v in res.output.values)
+    # a product of bools is a float, as a Mul that starts from 1.0 gives
+    A = tensor_1d("A", [((0.0, 2.0), True)], False, kind="interval")
+    B = tensor_1d("B", [((1.0, 3.0), True)], False, kind="interval")
+    res = compile_run("""
+for x = -inf:inf
+  Out[x] = A[x] * B[x]
+end
+""", {"A": A, "B": B})
+    assert [type(v) for v in res.output.values] == [float]
+    assert list(res.output.pieces()) == [((Interval.closed(1.0, 2.0),), 1.0)]
+
+
+def test_plan_names_that_are_python_words_or_not_ascii():
+    A = tensor_1d("A", [((0.0, 2.0), 3.0)], 0.0, kind="interval")
+    B = tensor_1d("B", [((1.0, 3.0), 2.0)], 0.0, kind="interval")
+    res = compile_run("""
+for lambda = -inf:inf
+  range += def[lambda] * café[lambda] * d(lambda)
+end
+""", {"def": A, "café": B})
+    assert res.output == 6.0
+
+
+def test_pin_of_a_wide_region_raises():
+    plan = Plan(Block((
+        IntersectLet(0, "iv", (LimC(Limit(0.0)),), (LimC(Limit(1.0)),)),
+        Pin(1, "x", 0, "iv"),
+    )), OutputDecl("s", (), 0.0), 2)
+    with pytest.raises(ExecError, match=r"pin of a non-degenerate region \[0, 1\]"):
+        run(plan)
+
+
+def test_endpoint_of_a_missing_entry_raises():
+    A = tensor_1d("A", [((0.0, 1.0), 1.0)], 0.0, kind="interval")
+    plan = Plan(Block((
+        Probe(0, "q", "A", 0, PRoot(), Num(5.0)),  # 5 is in a gap: q = -1
+        IntersectLet(1, "r", (EndRef("A", 0, "L", PVar(0, "q")),), (LimC(Limit(9.0)),)),
+    )), OutputDecl("s", (), 0.0), 2, {"A": A})
+    with pytest.raises(ExecError, match="endpoint of a missing entry"):
+        run(plan)
+
+
+def test_touching_equal_subtrees_merge_above_the_last_rank():
+    A = tensor_1d("A", [((0.0, 1.0, "right_open"), 1.0), ((1.0, 2.0), 1.0)], 0.0,
+                  kind="interval")
+    res = compile_run("""
+for i = -inf:inf
+  for j = 0:1
+    Out[i, j] = A[i]
+  end
+end
+""", {"A": A})
+    assert list(res.output.pieces()) == [
+        ((Interval.closed(0.0, 2.0), 0), 1.0), ((Interval.closed(0.0, 2.0), 1), 1.0)]
+
+
+def test_plan_names_cannot_shadow_generated_ones():
+    # slot 0 is the loop over _A; its local must not be tensor A's table,
+    # which the probe at each point of P reads
+    P = tensor_1d("P", [(0.5, 2.0), (4.0, 1.0)], 0.0)
+    A = tensor_1d("A", [((0.0, 2.0), 3.0)], 0.0, kind="interval")
+    res = compile_run("""
+for _A = 0:1
+  for x = -inf:inf
+    Out[_A] += P[x] * A[x]
+  end
+end
+""", {"P": P, "A": A})
+    assert list(res.output.values) == [6.0, 6.0]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from contensor.intervals import EmptyIntervalError, Interval
-from contensor.limits import ABOVE, BELOW, EXACT, Limit
+from contensor.limits import ABOVE, BELOW, Limit
 
 
 def test_endpoint_encodings():

@@ -1,8 +1,8 @@
 import pytest
 
 from contensor.lang import (
-    Diag, EAccess, EBin, EDif, ENum, EVar, LangError, Program, SAssign, SFor,
-    affine_terms, parse, to_source, tokenize, validate,
+    EBin, EDif, LangError, SAssign, SFor, affine_terms, parse, to_source,
+    tokenize, validate,
 )
 
 DOT_INTEGRAL = """\

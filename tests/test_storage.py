@@ -336,6 +336,14 @@ def test_nan_coordinate_rejected(kind):
         t.locate(1, 0, float("nan"))
 
 
+def test_locate_on_dense_level_is_a_type_error():
+    t = build_tensor("d", [("dense", 2)], [1.0, 2.0])
+    with pytest.raises(TypeError, match="dense levels have no piece entries"):
+        t.locate(0, 0, 1.0)
+    with pytest.raises(TypeError, match="dense levels have no piece entries"):
+        t.fiber_entries(0, 0)
+
+
 def test_locate_probe_seek_match_linear_scan():
     rng = random.Random(2407)
     for kind in KINDS * 150:
