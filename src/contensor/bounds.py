@@ -16,9 +16,9 @@ from dataclasses import replace as dc_replace
 
 from .ir import (
     Block, Cond, DiscLoop, EndRef, Guard, IntersectLet, IvStart, IvStop,
-    LastStop, LetScalar, LimC, Plan, Probe, PVar, SumGuard, WhileCoiter,
+    LastStop, LimC, Plan, PVar, SumGuard, WhileCoiter,
 )
-from .limits import Limit
+from .limits import ABOVE, BELOW, Limit, _clamp
 
 # Atom keys: ("c", val, eps) constants, ("e", tensor, level, side, pos,
 # eps_off, shift) piece endpoints, ("z", tensor, level, fiber, shift,
@@ -50,11 +50,38 @@ def _eps_variants(a, b):
     return same and a[4] == b[4] and a[5] <= b[5]
 
 
+def _least(x):
+    """The least value atom x can take.  Stored ends lie in [-inf, inf]; a
+    last stop is also just below -inf when its fiber is empty."""
+    if x[0] == "c":
+        return Limit(x[1], x[2])
+    if x[0] == "e":
+        return Limit(-math.inf, _clamp(x[5]))
+    if x[0] == "z":
+        return Limit(-math.inf, _clamp(x[5] - 1))
+    return Limit(-math.inf, BELOW)
+
+
+def _most(x):
+    """The greatest value atom x can take."""
+    if x[0] == "c":
+        return Limit(x[1], x[2])
+    if x[0] in ("e", "z"):
+        return Limit(math.inf, _clamp(x[5]))
+    return Limit(math.inf, ABOVE)
+
+
 class _Prover:
     def __init__(self):
         self.edges = {}   # atom -> set of atoms known >= it
         self.maxes = {}   # slot -> start atoms (value is their max)
         self.mins = {}    # slot -> stop atoms (value is their min)
+
+    def copy(self):
+        pv = _Prover()
+        pv.edges = {a: set(bs) for a, bs in self.edges.items()}
+        pv.maxes, pv.mins = dict(self.maxes), dict(self.mins)
+        return pv
 
     def fact(self, a, b):
         if a is None or b is None:
@@ -70,12 +97,9 @@ class _Prover:
         if a == b or (a, b) in seen:
             return a == b
         seen = seen | {(a, b)}
-        if a[0] == "c":
-            if a[1] == -math.inf:
-                return True
-            if b[0] == "c":
-                return Limit(a[1], a[2]) <= Limit(b[1], b[2])
-        if b[0] == "c" and b[1] == math.inf:
+        if a[0] == "c" and b[0] == "c":
+            return Limit(a[1], a[2]) <= Limit(b[1], b[2])
+        if _most(a) <= _least(b):
             return True
         if _eps_variants(a, b):
             return True
@@ -102,10 +126,11 @@ class _Prover:
         return False
 
 
-def _harvest(s, pv: _Prover, bindings):
+def _harvest(s, pv: _Prover):
+    """Record what every region's definition says, wherever it is bound."""
     if isinstance(s, Block):
         for c in s.stmts:
-            _harvest(c, pv, bindings)
+            _harvest(c, pv)
     elif isinstance(s, IntersectLet):
         sa = [_atom(e) for e in s.starts]
         sb = [_atom(e) for e in s.stops]
@@ -120,33 +145,35 @@ def _harvest(s, pv: _Prover, bindings):
     elif isinstance(s, Guard):
         # the guard's own start <= stop is deliberately NOT a fact: a
         # query about the guard would close the loop through it
-        _harvest(s.body, pv, bindings)
-    elif isinstance(s, WhileCoiter):
-        cur = ("a", s.curr_slot)
-        stop = ("b", s.curr_slot)
-        pv.fact(("a", s.range_slot), cur)
-        pv.fact(cur, ("b", s.range_slot))
-        comps = [("b", s.range_slot)]
-        for st in s.steppers:
-            pp = bindings[st.tensor].levels[st.level].pinpoint
-            pos = PVar(st.pos_slot, st.pos_name)
-            right = ("e", st.tensor, st.level, "C" if pp else "R",
-                     pos, 0, st.shift)
-            last = ("z", st.tensor, st.level, st.fiber, st.shift, 0)
-            pv.fact(cur, right)     # seek: cursor never passes a right end
-            pv.fact(right, last)    # rights are sorted within a fiber
-            if not pp:
-                left = ("e", st.tensor, st.level, "L", pos, 0, st.shift)
-                pv.fact(left, right)
-            comps.append(right)
-        pv.mins[s.curr_slot] = comps
-        for c in comps:
-            pv.fact(stop, c)
-        _harvest(s.body, pv, bindings)
-    elif isinstance(s, (DiscLoop, Cond, SumGuard)):
-        _harvest(s.body, pv, bindings)
-    elif isinstance(s, (LetScalar, Probe)):
-        pass
+        _harvest(s.body, pv)
+    elif isinstance(s, (WhileCoiter, DiscLoop, Cond, SumGuard)):
+        _harvest(s.body, pv)
+
+
+def _coiter_facts(s: WhileCoiter, pv: _Prover, bindings):
+    """Facts that hold inside a co-iteration's body, and only there: the
+    body runs only on a non-empty range and a non-empty fiber, so outside
+    it they would prove the tail region past the fiber non-empty."""
+    cur = ("a", s.curr_slot)
+    stop = ("b", s.curr_slot)
+    pv.fact(("a", s.range_slot), cur)
+    pv.fact(cur, ("b", s.range_slot))
+    comps = [("b", s.range_slot)]
+    for st in s.steppers:
+        pp = bindings[st.tensor].levels[st.level].pinpoint
+        pos = PVar(st.pos_slot, st.pos_name)
+        right = ("e", st.tensor, st.level, "C" if pp else "R",
+                 pos, 0, st.shift)
+        last = ("z", st.tensor, st.level, st.fiber, st.shift, 0)
+        pv.fact(cur, right)     # seek: cursor never passes a right end
+        pv.fact(right, last)    # rights are sorted within a fiber
+        if not pp:
+            left = ("e", st.tensor, st.level, "L", pos, 0, st.shift)
+            pv.fact(left, right)
+        comps.append(right)
+    pv.mins[s.curr_slot] = comps
+    for c in comps:
+        pv.fact(stop, c)
 
 
 def _guard_state(s: Guard, pv: _Prover):
@@ -188,11 +215,11 @@ def _prune_operands(s: IntersectLet, pv: _Prover):
     return s
 
 
-def _rewrite(s, pv: _Prover):
+def _rewrite(s, pv: _Prover, bindings):
     if isinstance(s, Block):
         out = []
         for c in s.stmts:
-            c = _rewrite(c, pv)
+            c = _rewrite(c, pv, bindings)
             if isinstance(c, Block):
                 out.extend(c.stmts)
             else:
@@ -204,16 +231,20 @@ def _rewrite(s, pv: _Prover):
         state = _guard_state(s, pv)
         if state == "impossible":
             return Block()
-        body = _rewrite(s.body, pv)
+        body = _rewrite(s.body, pv, bindings)
         if state == "proven":
             return body
         return dc_replace(s, body=body)
-    if isinstance(s, (DiscLoop, Cond, SumGuard, WhileCoiter)):
-        return dc_replace(s, body=_rewrite(s.body, pv))
+    if isinstance(s, WhileCoiter):
+        inner = pv.copy()
+        _coiter_facts(s, inner, bindings)
+        return dc_replace(s, body=_rewrite(s.body, inner, bindings))
+    if isinstance(s, (DiscLoop, Cond, SumGuard)):
+        return dc_replace(s, body=_rewrite(s.body, pv, bindings))
     return s
 
 
 def prune_bounds(plan: Plan) -> Plan:
     pv = _Prover()
-    _harvest(plan.body, pv, plan.bindings)
-    return dc_replace(plan, body=_rewrite(plan.body, pv))
+    _harvest(plan.body, pv)
+    return dc_replace(plan, body=_rewrite(plan.body, pv, plan.bindings))

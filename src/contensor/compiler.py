@@ -2,23 +2,31 @@
 
 The strategy, per continuous loop:
 
-1. Find the accesses the loop index drives next (its participants).
-2. Case-split each participant into stored span versus fill tail; every
-   combination becomes a clipped region (IntersectLet + Guard).
+1. Find the accesses the loop index drives next (its participants), and
+   which of them annihilate: wherever such an access misses, its fill
+   makes every write of the loop body a no-op (0 under ``*``, false
+   under ``&&``).
+2. Case-split the participants into stored span versus fill tail; every
+   combination becomes a clipped region (IntersectLet + Guard). An
+   annihilating participant only has its span.
 3. Inside span regions, co-iterate the participants' pieces with one
-   while loop, splitting each step into gap/piece combinations the same
-   way.
+   while loop, splitting each step into piece/gap combinations the same
+   way; an annihilating participant only has its piece.
 4. A region known to be a single point pins the index to a scalar,
    which unlocks probes into the remaining accesses; otherwise the index
    stays regional and the assignment collapses it (an emitted piece, a
    length factor for d(idx), or nothing for idempotent ops).
 
-When one participant stores only isolated points, it alone is stepped
-and the others are probed after pinning; their values in gap regions
-are unresolvable then, which is sound only when the pinning tensor's
-fill annihilates them. Simplification performs that annihilation; any
-survivor is reported as an internal lowering failure rather than being
-guessed at.
+So an intersection lowers to one region, and only unions (``+``, ``||``)
+pay for every combination. When an annihilating participant stores only
+isolated points, it alone is stepped and the others are probed after
+pinning; its gaps write nothing, so the others are never needed there.
+
+Every lowering function emits a statement only when a write lies below
+it, and folds constants as it builds each expression, so the plan needs
+no cleanup beyond dropping binders nothing reads. A value that still
+depends on unresolved structure is reported as an internal lowering
+failure rather than being guessed at.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .lang import (
     EAccess, EBin, EBool, EDif, ENum, EUn, EVar, IDEMPOTENT_OPS, Program,
     SAssign, SFor, SIf, SLet, affine_terms, validate,
 )
-from .limits import Limit
+from .limits import ABOVE, BELOW, EXACT, Limit
 from .storage import ContTensor, DenseLevel
 from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
@@ -39,7 +47,7 @@ from .ir import (
     LetScalar, LimC, Mul, Namer, Neg, Not, Num, Or, OutputDecl, PDense, PRoot,
     PVar, Pin, Plan, Probe, StepperRT, Sub, SumGuard, Var, WhileCoiter,
 )
-from .simplify import simplify_expr, simplify_plan, _write_is_noop
+from .simplify import simplify_expr, simplify_plan, used_slots, _write_is_noop
 
 
 class CompileError(ValueError):
@@ -101,27 +109,27 @@ def _walk_lang_exprs(e, acc):
             _walk_lang_exprs(ix, acc)
 
 
+def _walk_lang_stmts(body, loops, exprs, assign):
+    for s in body:
+        if isinstance(s, SFor):
+            loops[s.var] = s
+            _walk_lang_stmts(s.body, loops, exprs, assign)
+        elif isinstance(s, SIf):
+            _walk_lang_exprs(s.cond, exprs)
+            _walk_lang_stmts(s.body, loops, exprs, assign)
+        elif isinstance(s, SLet):
+            _walk_lang_exprs(s.expr, exprs)
+        elif isinstance(s, SAssign):
+            assign[0] = s
+            _walk_lang_exprs(s.rhs, exprs)
+
+
 def _collect(program):
     """All input accesses, loops, differentials and the assignment."""
     loops = {}
     exprs = []
     assign = [None]
-
-    def stmts(body):
-        for s in body:
-            if isinstance(s, SFor):
-                loops[s.var] = s
-                stmts(s.body)
-            elif isinstance(s, SIf):
-                _walk_lang_exprs(s.cond, exprs)
-                stmts(s.body)
-            elif isinstance(s, SLet):
-                _walk_lang_exprs(s.expr, exprs)
-            elif isinstance(s, SAssign):
-                assign[0] = s
-                _walk_lang_exprs(s.rhs, exprs)
-
-    stmts(program.body)
+    _walk_lang_stmts(program.body, loops, exprs, assign)
     accesses = [e for e in exprs if isinstance(e, EAccess)]
     difs = {e.index for e in exprs if isinstance(e, EDif)}
     return loops, accesses, difs, assign[0]
@@ -195,14 +203,45 @@ def _flatten_mul(e):
 
 
 def _summand_value(rhs, ctx):
-    """Assignment value with d() factors stripped; returns (expr, leaf count)."""
+    """Assignment value with d() factors stripped and constants folded;
+    returns (expr, leaf count)."""
     leaves = []
     factors = [f for f in _flatten_mul(rhs) if not isinstance(f, EDif)]
     if not factors:
         return Num(1.0), 0
     built = [_build_value(f, ctx, leaves) for f in factors]
     value = built[0] if len(built) == 1 else Mul(tuple(built))
-    return value, len(leaves)
+    return simplify_expr(value), len(leaves)
+
+
+def _test(cond, ctx):
+    """An if-test as an expression, or a bool when constants decide it.
+    Numeric conditions follow truthiness, like the kernel."""
+    test = simplify_expr(_build_value(cond, ctx, []))
+    return bool(test.value) if isinstance(test, (BoolC, Num)) else test
+
+
+def _writes_nothing(stmts, ctx) -> bool:
+    """Whether constants alone show that no assignment below stmts writes."""
+    for s in stmts:
+        if isinstance(s, SFor):
+            if not _writes_nothing(s.body, ctx):
+                return False
+        elif isinstance(s, SIf):
+            if _test(s.cond, ctx) is not False and not _writes_nothing(s.body, ctx):
+                return False
+        elif isinstance(s, SAssign):
+            value, _ = _summand_value(s.rhs, ctx)
+            if not _write_is_noop(s.op, value, _op_fill(s.op, value)):
+                return False
+    return True
+
+
+def _annihilates(s: SFor, key, ctx) -> bool:
+    """Whether the loop body writes nothing wherever this access misses."""
+    c = ctx.fork()
+    c.accesses[key] = dc_replace(c.accesses[key], miss=True)
+    return _writes_nothing(s.body, c)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +258,21 @@ def _advance(ctx, out):
             const, vars = a.idx[a.rank]
             if not all(v in ctx.scalars for v in vars):
                 continue
-            coord = _affine_expr(const, vars, ctx)
             lv = a.tensor.levels[a.rank]
             if isinstance(lv, DenseLevel):
-                pos = PDense(a.pos, lv.size, coord)
+                pos = PDense(a.pos, lv.size, _affine_expr(const, vars, ctx))
             else:
+                # a pinned loop index is looked up in its own space, with
+                # the stored ends shifted back, as steppers compare them
+                pinned = [v for v in ctx.scalars if v in vars and v in ctx.loops
+                          and ctx.loops[v].continuous]
+                if pinned:
+                    coord = ctx.scalars[pinned[-1]]
+                    shift = _shift_expr((const, vars), pinned[-1], ctx) or Num(0.0)
+                else:
+                    coord, shift = simplify_expr(_affine_expr(const, vars, ctx)), Num(0.0)
                 slot, name = ctx.namer.slot(f"q_{a.tensor.name}{a.rank}")
-                out.append(Probe(slot, name, a.tensor.name, a.rank, a.pos, coord))
+                out.append(Probe(slot, name, a.tensor.name, a.rank, a.pos, coord, shift))
                 pos = PVar(slot, name)
             ctx.accesses[key] = dc_replace(a, pos=pos, rank=a.rank + 1)
             changed = True
@@ -236,48 +283,45 @@ def _advance(ctx, out):
 
 
 def _lower_block(stmts, ctx):
+    """The lowered statements, or [] when no write lies below them."""
     out = []
     for s in stmts:
         if isinstance(s, SFor):
-            if s.continuous:
-                out.extend(_lower_cont(s, ctx))
-            else:
-                out.extend(_lower_disc(s, ctx))
+            out.extend((_lower_cont if s.continuous else _lower_disc)(s, ctx))
         elif isinstance(s, SIf):
             c2 = ctx.fork()
-            leaves = []
-            test = simplify_expr(_build_value(s.cond, c2, leaves))
-            # numeric conditions follow truthiness, like the interpreter
-            if test == BoolC(False) or test == Num(0.0):
+            test = _test(s.cond, c2)
+            if test is False:
                 continue  # this region misses the condition's tensor entirely
             inner = _lower_block(s.body, c2)
-            if not inner:
-                continue
-            if test == BoolC(True) or (isinstance(test, Num) and test.value):
+            if inner and test is True:
                 out.extend(inner)
-            else:
+            elif inner:
                 out.append(Cond(test, Block(tuple(inner))))
         elif isinstance(s, SLet):
             slot, name = ctx.namer.slot(s.name)
-            leaves = []
-            out.append(LetScalar(slot, name, _build_value(s.expr, ctx, leaves)))
+            out.append(LetScalar(slot, name, simplify_expr(_build_value(s.expr, ctx, []))))
             ctx.scalars[s.name] = Var(slot, name)
             _advance(ctx, out)
         elif isinstance(s, SAssign):
             out.extend(_lower_assign(s, ctx))
         else:
             raise UnloweredError(f"unhandled statement {s!r}")
-    return out
+    return out if any(not isinstance(x, (LetScalar, Probe)) for x in out) else []
 
 
 def _lower_disc(s: SFor, ctx):
+    if s.lo > s.hi:
+        return []
     slot, name = ctx.namer.slot(s.var)
     c2 = ctx.fork()
     c2.scalars[s.var] = Var(slot, name)
-    inner = []
-    _advance(c2, inner)
-    inner += _lower_block(s.body, c2)
-    return [DiscLoop(slot, name, int(s.lo), int(s.hi), Block(tuple(inner)))]
+    probes = []
+    _advance(c2, probes)
+    body = _lower_block(s.body, c2)
+    if not body:
+        return []
+    return [DiscLoop(slot, name, int(s.lo), int(s.hi), Block(tuple(probes + body)))]
 
 
 def _participants(ctx, var):
@@ -299,30 +343,30 @@ def _fiber_weight(a: _Access):
 
 def _lower_cont(s: SFor, ctx):
     var = s.var
-    lo, hi = Limit(float(s.lo)), Limit(float(s.hi))
+    # no real number lies at -inf or inf, so a loop end there is open
+    lo = Limit(float(s.lo), ABOVE if s.lo == -math.inf else EXACT)
+    hi = Limit(float(s.hi), BELOW if s.hi == math.inf else EXACT)
     cands = _participants(ctx, var)
+    annihilating = {k for k in cands if _annihilates(s, k, ctx)}
     pinlike = [
-        k for k in cands if ctx.accesses[k].tensor.levels[ctx.accesses[k].rank].pinpoint
+        k for k in cands
+        if k in annihilating and ctx.accesses[k].tensor.levels[ctx.accesses[k].rank].pinpoint
     ]
     if pinlike:
-        # one point-stepper pins the index; the rest get probed after the pin
+        # one point-stepper pins the index; the rest get probed after the
+        # pin, and are never needed in its gaps, where nothing is written
         best = min(pinlike, key=lambda k: _fiber_weight(ctx.accesses[k]))
         steppable = [best]
     else:
         steppable = cands
     rest = [k for k in cands if k not in steppable]
+
+    def cases(keys):
+        # where an annihilating access misses, nothing is written
+        return product(*[(True,) if k in annihilating else (True, False) for k in keys])
+
     out = []
-
-    if not cands:
-        slot, name = ctx.namer.slot("iv")
-        out.append(IntersectLet(slot, name, (LimC(lo),), (LimC(hi),)))
-        c2 = ctx.fork()
-        inner = _finish_region(s, slot, name, False, c2, rest)
-        if inner:
-            out.append(Guard(slot, name, Block(tuple(inner))))
-        return out
-
-    for combo in product((True, False), repeat=len(steppable)):
+    for combo in cases(steppable):
         c2 = ctx.fork()
         starts = [] if lo.val == -math.inf else [LimC(lo)]
         stops = [] if hi.val == math.inf else [LimC(hi)]
@@ -337,17 +381,13 @@ def _lower_cont(s: SFor, ctx):
             else:
                 starts.append(dc_replace(last, eps_off=1))
                 c2.accesses[key] = dc_replace(a, miss=True)
-        if not starts:
-            starts = [LimC(Limit(-math.inf))]
-        if not stops:
-            stops = [LimC(Limit(math.inf))]
         rslot, rname = ctx.namer.slot("iv")
-        out.append(IntersectLet(rslot, rname, tuple(starts), tuple(stops)))
+        region = IntersectLet(rslot, rname, tuple(starts or [LimC(lo)]), tuple(stops or [LimC(hi)]))
 
         if not steppers:
             inner = _finish_region(s, rslot, rname, False, c2, rest)
             if inner:
-                out.append(Guard(rslot, rname, Block(tuple(inner))))
+                out += [region, Guard(rslot, rname, Block(tuple(inner)))]
             continue
 
         cur_slot, cur_name = ctx.namer.slot("cur")
@@ -364,7 +404,7 @@ def _lower_cont(s: SFor, ctx):
             pos_vars[key] = (pslot, pname)
 
         sub_stmts = []
-        for sub in product((True, False), repeat=len(steppers)):
+        for sub in cases(steppers):
             c3 = c2.fork()
             s3 = [IvStart(seg_slot, seg_name)]
             t3 = [IvStop(seg_slot, seg_name)]
@@ -383,19 +423,21 @@ def _lower_cont(s: SFor, ctx):
                     t3.append(EndRef(a.tensor.name, a.rank, side, pv, -1, shift))
                     c3.accesses[key] = dc_replace(a, miss=True)
             sslot, sname = ctx.namer.slot("r")
-            sub_stmts.append(IntersectLet(sslot, sname, tuple(s3), tuple(t3), pinflag))
             inner = _finish_region(s, sslot, sname, pinflag, c3, rest)
             if inner:
-                sub_stmts.append(Guard(sslot, sname, Block(tuple(inner))))
-        out.append(WhileCoiter(
-            rslot, rname, cur_slot, cur_name, seg_slot, seg_name,
-            tuple(rts), Block(tuple(sub_stmts)),
-        ))
+                sub_stmts += [IntersectLet(sslot, sname, tuple(s3), tuple(t3), pinflag),
+                              Guard(sslot, sname, Block(tuple(inner)))]
+        if sub_stmts:
+            out += [region, WhileCoiter(
+                rslot, rname, cur_slot, cur_name, seg_slot, seg_name,
+                tuple(rts), Block(tuple(sub_stmts)),
+            )]
     return out
 
 
 def _finish_region(s: SFor, iv_slot, iv_name, pinpoint, ctx, rest):
-    """Lower the loop body inside one region of the loop's index."""
+    """Lower the loop body inside one region of the loop's index; [] when
+    nothing is written there."""
     var = s.var
     if pinpoint:
         if var in ctx.difs:
@@ -404,8 +446,8 @@ def _finish_region(s: SFor, iv_slot, iv_name, pinpoint, ctx, rest):
         ctx.scalars[var] = Var(slot, name)
         stmts = [Pin(slot, name, iv_slot, iv_name)]
         _advance(ctx, stmts)
-        stmts += _lower_block(s.body, ctx)
-        return stmts
+        body = _lower_block(s.body, ctx)
+        return stmts + body if body else []
     for key in rest:
         ctx.accesses[key] = dc_replace(ctx.accesses[key], poison=True)
     ctx.pending[var] = (iv_slot, iv_name)
@@ -431,7 +473,6 @@ def _op_fill(op, value):
 
 def _lower_assign(s: SAssign, ctx):
     value, nleaves = _summand_value(s.rhs, ctx)
-    value = simplify_expr(value)
     fill = _op_fill(s.op, value)
     if _write_is_noop(s.op, value, fill):
         return []
@@ -474,6 +515,7 @@ def _lower_assign(s: SAssign, ctx):
             sum_iv = (slot, name)
         else:
             raise UnloweredError(f"cannot collapse {v!r} under {s.op!r}")
+    value = simplify_expr(value)
 
     d = OutputDecl(s.target, tuple(decl), fill)
     if ctx.shared["decl"] is None:
@@ -498,63 +540,13 @@ def _lower_assign(s: SAssign, ctx):
 # entry
 
 
-def _check_lowered(stmt):
-    bad = []
-
-    def expr(e):
-        if isinstance(e, LeafVal):
-            pexpr(e.pos)
-        elif isinstance(e, Var) and e.slot < 0:
-            bad.append(e)
-        elif isinstance(e, (Add, Mul, And, Or)):
-            for a in e.args:
-                expr(a)
-        elif isinstance(e, (Sub, Div)):
-            expr(e.a)
-            expr(e.b)
-        elif isinstance(e, (Neg, Not)):
-            expr(e.a)
-        elif isinstance(e, Cmp):
-            expr(e.a)
-            expr(e.b)
-
-    def pexpr(p):
-        if isinstance(p, PVar) and p.slot < 0:
-            bad.append(p)
-        elif isinstance(p, PDense):
-            pexpr(p.parent)
-
-    def walk(x):
-        if isinstance(x, Block):
-            for y in x.stmts:
-                walk(y)
-        elif isinstance(x, (DiscLoop, Guard, Cond, WhileCoiter, SumGuard)):
-            if isinstance(x, Cond):
-                expr(x.test)
-            walk(x.body)
-        elif isinstance(x, LetScalar):
-            expr(x.expr)
-        elif isinstance(x, Probe):
-            pexpr(x.parent)
-            expr(x.coord)
-        elif isinstance(x, (Accumulate, EmitPiece)):
-            for c in (x.path if isinstance(x, Accumulate) else [p[1] for p in x.path if p[0] != "iv"]):
-                expr(c)
-            expr(x.value)
-
-    walk(stmt)
-    if bad:
-        raise UnloweredError(
-            "a value depending on unresolved structure survived simplification"
-        )
-
-
 def compile_program(program: Program, bindings, *, sum_guard=False,
                     opt_bounds=False, stages=None) -> Plan:
     """Lower a program against concrete tensors.
 
-    stages, if given, is a dict filled with the pre-simplification plan
-    under "plan" (the final plan goes under "post-simplify").
+    stages, if given, is a dict filled with the plan as lowered under
+    "plan" and the final plan, with unread binders dropped (and bounds
+    pruned under opt_bounds), under "post-simplify".
     """
     for name, t in bindings.items():
         if not isinstance(t, ContTensor):
@@ -585,13 +577,12 @@ def compile_program(program: Program, bindings, *, sum_guard=False,
 
     top = []
     _advance(ctx, top)
-    top += _lower_block(program.body, ctx)
+    body = _lower_block(program.body, ctx)
+    top = top + body if body else []
     if ctx.shared["decl"] is None:
         # every region proved write-free; the output is all fill
-        leaves = []
-        c2 = ctx.fork()
         try:
-            v = simplify_expr(_build_value(assign.rhs, c2, leaves))
+            v = simplify_expr(_build_value(assign.rhs, ctx.fork(), []))
         except UnloweredError:
             v = Num(0.0)
         ctx.shared["decl"] = OutputDecl(
@@ -605,7 +596,8 @@ def compile_program(program: Program, bindings, *, sum_guard=False,
         from .bounds import prune_bounds
 
         plan = simplify_plan(prune_bounds(plan))
-    _check_lowered(plan.body)
+    if any(slot < 0 for slot in used_slots(plan.body)):
+        raise UnloweredError("a value depending on unresolved structure survived lowering")
     if stages is not None:
         stages["post-simplify"] = plan
     return plan

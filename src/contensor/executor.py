@@ -102,12 +102,24 @@ def _seek(table, f: int, lo: tuple, sh) -> int:
     return p
 
 
+def _probe(table, f: int, x: float, sh) -> int:
+    """Position of fiber f's piece holding x once its ends are shifted back
+    by sh, compared as steppers compare them; -1 if none or f < 0."""
+    if f < 0:
+        return -1
+    last = table.ptr[f + 1] - 1
+    if last < table.ptr[f] or (table.stops[last][0] - sh, table.stops[last][1]) < (x, 0):
+        return -1  # every shifted stop lies below x: _seek would pass the fiber
+    p = _seek(table, f, (x, 0), sh)
+    return p if (table.starts[p][0] - sh, table.starts[p][1]) <= (x, 0) else -1
+
+
 def _pin_error(a, b):
     raise ExecError(f"pin of a non-degenerate region [{_limit(a)}, {_limit(b)}]")
 
 
 _GLOBALS = {
-    "_seek": _seek, "_piece": _piece, "_point": _point, "_missing": _missing,
+    "_seek": _seek, "_probe": _probe, "_piece": _piece, "_point": _point, "_missing": _missing,
     "_pin_error": _pin_error, "_ExecError": ExecError, "_INF": math.inf, "_NAN": math.nan,
 }
 # Every name the generator makes ends in a suffix no other kind of name
@@ -365,9 +377,15 @@ class _Source:
                           f"{pad}{self.var(s.slot, s.name)} = {lo}[0]")
 
     def probe(self, s: Probe, pad: str):
-        t = self.table(s.tensor, s.level)
-        self.lines.append(f"{pad}{self.var(s.slot, s.name)} = "
-                          f"{t}_table.probe({self.pexpr(s.parent)}, ({self.expr(s.coord)}, 0))")
+        t, f, x = self.table(s.tensor, s.level), self.pexpr(s.parent), self.expr(s.coord)
+        if s.shift == Num(0.0):
+            # at shift 0 the table's own probe finds the same position without
+            # _probe's shifted comparisons (genomic's grid kernel ran 8% slower
+            # with every probe through _probe)
+            find = f"{t}_table.probe({f}, ({x}, 0))"
+        else:
+            find = f"_probe({t}_table, {f}, {x}, {self.expr(s.shift)})"
+        self.lines.append(f"{pad}{self.var(s.slot, s.name)} = {find}")
 
     def intersect(self, s: IntersectLet, pad: str):
         """Region = [max(starts), min(stops)]; ties keep the first, as max/min do."""

@@ -215,7 +215,11 @@ class LetScalar:
 
 @dataclass(frozen=True)
 class Probe:
-    """Find the piece containing a pinned coordinate; -1 when in a gap."""
+    """Find the piece containing a pinned coordinate; -1 when in a gap.
+
+    The stored ends are shifted back by shift before they are compared
+    with coord, so a pinned loop index is looked up in its own space.
+    """
 
     slot: int
     name: str
@@ -223,6 +227,7 @@ class Probe:
     level: int
     parent: PExpr
     coord: SExpr
+    shift: SExpr
 
 
 @dataclass(frozen=True)
@@ -467,8 +472,8 @@ def pretty(stmt, indent: int = 0) -> str:
         return f"{pad}let {stmt.name} = {render(stmt.expr)}"
     if isinstance(stmt, Probe):
         return (
-            f"{pad}probe {stmt.name} = {stmt.tensor}.lvl{stmt.level}"
-            f"[{stmt.parent.render()}].find({render(stmt.coord)})"
+            f"{pad}probe {stmt.name} = ({stmt.tensor}.lvl{stmt.level}"
+            f"[{stmt.parent.render()}] - {render(stmt.shift)}).find({render(stmt.coord)})"
         )
     if isinstance(stmt, IntersectLet):
         starts = ", ".join(render(a) for a in stmt.starts)

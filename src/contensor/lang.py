@@ -524,23 +524,17 @@ def affine_terms(e):
     """
     const = 0.0
     names = []
-
-    def go(x):
-        nonlocal const
+    todo = [e]  # left to right; a recursive closure would leave a cycle per call
+    while todo:
+        x = todo.pop()
         if isinstance(x, ENum):
             const += x.value
-            return True
-        if isinstance(x, EVar):
-            if x.name in names:
-                return False
+        elif isinstance(x, EVar) and x.name not in names:
             names.append(x.name)
-            return True
-        if isinstance(x, EBin) and x.op == "+":
-            return go(x.a) and go(x.b)
-        return False
-
-    if not go(e):
-        return None
+        elif isinstance(x, EBin) and x.op == "+":
+            todo += (x.b, x.a)
+        else:
+            return None
     return const, tuple(names)
 
 

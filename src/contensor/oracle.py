@@ -561,8 +561,11 @@ class _Eval:
             if not value:
                 return  # an annihilated summand contributes nothing anywhere
             weight = 1.0
+            # an output index is not summed over: each of its points or
+            # regions is a cell of its own
+            outs = {ix.name for ix in s.indices}
             for name, reg in env.items():
-                if not (reg.loop and reg.kind in ("pt", "iv")):
+                if name in outs or not (reg.loop and reg.kind in ("pt", "iv")):
                     continue
                 if name in difs:
                     weight *= 0.0 if reg.kind == "pt" else reg.b - reg.a

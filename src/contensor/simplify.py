@@ -1,16 +1,17 @@
-"""Plan cleanup: constant folding, identity writes, dead bindings.
+"""Expression folding and dead-binder removal.
 
-Lowering a continuous loop enumerates every combination of stored span
-versus fill tail, so most generated regions compute the fill value and
-write an identity. Every rule here strictly shrinks the tree, and the
-driver runs them to a fixpoint, which is what collapses that blowup
-back down to the regions that can matter.
+Lowering folds every expression it builds with ``simplify_expr`` and
+leaves out the writes ``_write_is_noop`` finds to be no-ops, so the
+plans it emits hold only live regions. ``simplify_plan`` then drops the
+binders nothing reads: pins of loop indices that no access or write
+uses, and whatever ``bounds.prune_bounds`` leaves unread.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from dataclasses import replace
 
 from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
@@ -126,72 +127,6 @@ def _write_is_noop(op, value, fill):
     return False
 
 
-def _empty(s) -> bool:
-    return isinstance(s, Block) and not s.stmts
-
-
-def simplify_stmt(s, fill):
-    if isinstance(s, Block):
-        out = []
-        for x in s.stmts:
-            x = simplify_stmt(x, fill)
-            if isinstance(x, Block):
-                out.extend(x.stmts)
-            else:
-                out.append(x)
-        return Block(tuple(out))
-    if isinstance(s, DiscLoop):
-        body = simplify_stmt(s.body, fill)
-        if _empty(body) or s.lo > s.hi:
-            return Block()
-        return DiscLoop(s.slot, s.name, s.lo, s.hi, body)
-    if isinstance(s, LetScalar):
-        return LetScalar(s.slot, s.name, simplify_expr(s.expr))
-    if isinstance(s, Probe):
-        return Probe(s.slot, s.name, s.tensor, s.level, s.parent, simplify_expr(s.coord))
-    if isinstance(s, IntersectLet):
-        return IntersectLet(s.slot, s.name, s.starts, s.stops, s.pinpoint)
-    if isinstance(s, Guard):
-        body = simplify_stmt(s.body, fill)
-        if _empty(body):
-            return Block()
-        return Guard(s.slot, s.name, body)
-    if isinstance(s, Cond):
-        test = simplify_expr(s.test)
-        body = simplify_stmt(s.body, fill)
-        if isinstance(test, BoolC):
-            return body if test.value else Block()
-        if _empty(body):
-            return Block()
-        return Cond(test, body)
-    if isinstance(s, Pin):
-        return s
-    if isinstance(s, WhileCoiter):
-        body = simplify_stmt(s.body, fill)
-        if _empty(body):
-            return Block()
-        return WhileCoiter(
-            s.range_slot, s.range_name, s.cursor_slot, s.cursor_name,
-            s.curr_slot, s.curr_name, s.steppers, body,
-        )
-    if isinstance(s, Accumulate):
-        value = simplify_expr(s.value)
-        if _write_is_noop(s.op, value, fill):
-            return Block()
-        return Accumulate(s.output, s.path, s.op, value, s.two_tensor)
-    if isinstance(s, EmitPiece):
-        value = simplify_expr(s.value)
-        if _write_is_noop(s.op, value, fill):
-            return Block()
-        return EmitPiece(s.output, s.path, s.op, value, s.two_tensor)
-    if isinstance(s, SumGuard):
-        body = simplify_stmt(s.body, fill)
-        if _empty(body):
-            return Block()
-        return SumGuard(s.iv_slot, s.iv_name, body)
-    raise TypeError(f"cannot simplify {s!r}")
-
-
 # ---------------------------------------------------------------------------
 # dead binding elimination
 
@@ -240,29 +175,24 @@ def _uses_expr(e, acc):
     # Num, BoolC, Dif: nothing
 
 
-def used_slots(s, acc=None):
-    """Slots referenced anywhere below s, not counting binding positions."""
-    if acc is None:
-        acc = set()
-    if isinstance(s, Block):
-        for x in s.stmts:
-            used_slots(x, acc)
-    elif isinstance(s, DiscLoop):
-        used_slots(s.body, acc)
-    elif isinstance(s, LetScalar):
+_NESTED = (DiscLoop, Guard, Cond, WhileCoiter, SumGuard)
+
+
+def _reads(s, acc):
+    """Add the slots statement s reads itself, not counting its body."""
+    if isinstance(s, LetScalar):
         _uses_expr(s.expr, acc)
     elif isinstance(s, Probe):
         _uses_pexpr(s.parent, acc)
         _uses_expr(s.coord, acc)
+        _uses_expr(s.shift, acc)
     elif isinstance(s, IntersectLet):
         for a in s.starts + s.stops:
             _uses_lexpr(a, acc)
     elif isinstance(s, Guard):
         acc.add(s.slot)
-        used_slots(s.body, acc)
     elif isinstance(s, Cond):
         _uses_expr(s.test, acc)
-        used_slots(s.body, acc)
     elif isinstance(s, Pin):
         acc.add(s.iv_slot)
     elif isinstance(s, WhileCoiter):
@@ -271,7 +201,6 @@ def used_slots(s, acc=None):
             _uses_pexpr(st.fiber, acc)
             if st.shift is not None:
                 _uses_expr(st.shift, acc)
-        used_slots(s.body, acc)
     elif isinstance(s, Accumulate):
         for p in s.path:
             _uses_expr(p, acc)
@@ -285,46 +214,39 @@ def used_slots(s, acc=None):
         _uses_expr(s.value, acc)
     elif isinstance(s, SumGuard):
         acc.add(s.iv_slot)
+
+
+def used_slots(s, acc=None):
+    """Slots referenced anywhere below s, not counting binding positions."""
+    if acc is None:
+        acc = set()
+    if isinstance(s, Block):
+        for x in s.stmts:
+            used_slots(x, acc)
+        return acc
+    _reads(s, acc)
+    if isinstance(s, _NESTED):
         used_slots(s.body, acc)
     return acc
 
 
-def _drop_dead(s, used):
-    """Remove binders whose slot is never read; one sweep."""
+def _drop_dead(s, live):
+    """s without the binders that nothing after them reads, or None when
+    nothing is left of it. One backward sweep: live holds the slots read
+    by what follows s, and gains those s reads."""
     if isinstance(s, Block):
-        out = []
-        for x in s.stmts:
-            x = _drop_dead(x, used)
-            if not _empty(x):
-                out.append(x)
-        return Block(tuple(out))
-    if isinstance(s, (LetScalar, Probe, IntersectLet, Pin)) and s.slot not in used:
-        return Block()
-    if isinstance(s, DiscLoop):
-        return DiscLoop(s.slot, s.name, s.lo, s.hi, _drop_dead(s.body, used))
-    if isinstance(s, Guard):
-        return Guard(s.slot, s.name, _drop_dead(s.body, used))
-    if isinstance(s, Cond):
-        return Cond(s.test, _drop_dead(s.body, used))
-    if isinstance(s, WhileCoiter):
-        return WhileCoiter(
-            s.range_slot, s.range_name, s.cursor_slot, s.cursor_name,
-            s.curr_slot, s.curr_name, s.steppers, _drop_dead(s.body, used),
-        )
-    if isinstance(s, SumGuard):
-        return SumGuard(s.iv_slot, s.iv_name, _drop_dead(s.body, used))
+        kept = [x for x in (_drop_dead(x, live) for x in reversed(s.stmts)) if x is not None]
+        return Block(tuple(reversed(kept))) if kept else None
+    if isinstance(s, (LetScalar, Probe, IntersectLet, Pin)) and s.slot not in live:
+        return None
+    if isinstance(s, _NESTED):
+        body = _drop_dead(s.body, live)
+        if body is None:
+            return None
+        s = replace(s, body=body)
+    _reads(s, live)
     return s
 
 
-def simplify_body(body, fill):
-    while True:
-        nxt = simplify_stmt(body, fill)
-        nxt = _drop_dead(nxt, used_slots(nxt))
-        if nxt == body:
-            return body
-        body = nxt
-
-
 def simplify_plan(plan: Plan) -> Plan:
-    body = simplify_body(plan.body, plan.output.fill)
-    return Plan(body=body, output=plan.output, n_slots=plan.n_slots, bindings=plan.bindings)
+    return replace(plan, body=_drop_dead(plan.body, set()) or Block())

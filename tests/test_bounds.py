@@ -1,11 +1,14 @@
 """Static bound analysis: guard deletion and max/min operand pruning."""
 
+import math
+
 from contensor.bounds import _Prover, prune_bounds
 from contensor.compiler import compile_program
 from contensor.executor import run
 from contensor.ir import Guard, IntersectLet, Pin, PRoot, WhileCoiter
 from contensor.lang import parse
-from contensor.storage import tensor_1d
+from contensor.oracle import evaluate
+from contensor.storage import build_tensor, tensor_1d
 
 MASS = """
 for i = -inf:inf
@@ -103,9 +106,10 @@ def test_pinpoint_region_prunes_cursor_and_guard():
 def test_child_region_stays_inside_parent_range():
     plan = compile_program(parse(MASS), {"x": _x()})
     pv = _Prover()
-    from contensor.bounds import _harvest
-    _harvest(plan.body, pv, plan.bindings)
+    from contensor.bounds import _coiter_facts, _harvest
+    _harvest(plan.body, pv)
     (co,) = _nodes(plan.body, WhileCoiter)
+    _coiter_facts(co, pv, plan.bindings)
     (sub,) = [iv for iv in _nodes(co.body, IntersectLet)]
     assert pv.le(("b", sub.slot), ("b", co.range_slot))
     assert pv.le(("a", co.range_slot), ("a", co.curr_slot))
@@ -157,3 +161,30 @@ def test_prune_is_stable_when_nothing_applies():
     B = tensor_1d("B", [((2.0, 5.1), 1.0)], 0.0, kind="interval")
     plan = compile_program(parse(DOT), {"A": A, "B": B})
     assert prune_bounds(plan).body == prune_bounds(prune_bounds(plan)).body
+
+
+def test_infinite_constants_bound_only_what_storage_allows():
+    pv = _Prover()
+    inf = float("inf")
+    last = ("z", "A", 0, PRoot(), None, 0)
+    past_last = ("z", "A", 0, PRoot(), None, 1)
+    La = ("e", "A", 0, "L", PRoot(), 0, None)
+    # a last stop open at inf, plus eps, lies past a loop end open at inf
+    assert not pv.le(past_last, ("c", inf, -1))
+    assert pv.le(past_last, ("c", inf, 1))
+    # an empty fiber's last stop lies just below -inf
+    assert not pv.le(("c", -inf, 0), last)
+    assert pv.le(("c", -inf, -1), last)
+    # a stored piece may be closed at -inf or inf
+    assert not pv.le(("c", -inf, 1), La)
+    assert pv.le(La, ("c", inf, 0))
+
+
+def test_a_coiteration_proves_nothing_past_its_body():
+    # inside the co-iteration the range is non-empty and the cursor lies
+    # below A's last stop; the tail region past that stop may still be
+    # empty, so its start keeps the loop's lower bound 0.15
+    A = build_tensor("A", [("interval",)], [((-math.inf, 0.9547, "right_open"), False)], fill=True)
+    program = parse("for i = 0.15:1.6\n  Out[i] |= A[i + 2.0]\nend\n")
+    opt = compile_program(program, {"A": A}, opt_bounds=True)
+    assert list(run(opt).output.pieces()) == list(evaluate(program, {"A": A}).pieces())

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,9 @@ from contensor.ir import (
     Accumulate, Block, EmitPiece, LenOf, Namer, Pin, Plan, Probe, WhileCoiter,
     pretty,
 )
+from contensor.kernels import KERNELS
 from contensor.lang import parse
+from contensor.simplify import used_slots
 from contensor.storage import build_tensor, tensor_1d
 
 
@@ -58,10 +61,10 @@ def test_dot_integral_collapses_to_one_region():
     A = tensor_1d("A", [((1.0, 3.0), 2.0)], 0.0, kind="interval")
     B = tensor_1d("B", [((2.0, 5.0), 3.0)], 0.0, kind="interval")
     stages = {}
-    plan = compile_program(parse(DOT_INTEGRAL), {"A": A, "B": B}, stages=stages)
-    # before cleanup: every span/tail and piece/gap combination is present
-    assert len(collect(stages["plan"].body, WhileCoiter)) == 3
-    # after: a single co-iteration with a single guarded accumulate
+    compile_program(parse(DOT_INTEGRAL), {"A": A, "B": B}, stages=stages)
+    # both fills annihilate the product, so lowering itself emits a single
+    # co-iteration with a single guarded accumulate
+    plan = stages["plan"]
     loops = collect(plan.body, WhileCoiter)
     assert len(loops) == 1
     assert len(loops[0].steppers) == 2
@@ -241,17 +244,54 @@ def test_namer_gives_the_old_names_when_bases_collide():
     assert [n.slot(b)[1] for b in ("iv", "iv1", "iv", "iv")] == ["iv", "iv1", "iv2", "iv3"]
 
 
-def test_namer_fix_keeps_the_kway_plans(monkeypatch):
-    k = 7
+def kway_product(k):
     src = "for i = -inf:inf\n  s += " + " * ".join(f"A{j}[i]" for j in range(k)) + " * d(i)\nend\n"
     binds = {f"A{j}": tensor_1d(f"A{j}", [((-1.0 - j, 1.0 + j), 1.0 + j)], 0.0, kind="interval")
              for j in range(k)}
+    return parse(src), binds
+
+
+def test_namer_fix_keeps_the_kway_plans(monkeypatch):
+    program, binds = kway_product(7)
 
     def plans():
         st = {}
-        compile_program(parse(src), binds, stages=st)
+        compile_program(program, binds, stages=st)
         return pretty(st["plan"].body), pretty(st["post-simplify"].body)
 
     new = plans()
     monkeypatch.setattr(Namer, "slot", _old_slot)
     assert plans() == new
+
+
+def test_a_kway_product_lowers_to_one_region():
+    # every factor annihilates, so lowering visits only where all are stored:
+    # the range, the co-iteration (header, k steppers, segment), one region,
+    # its guard and the accumulate
+    k = 10
+    stages = {}
+    compile_program(*kway_product(k), stages=stages)
+    assert len(pretty(stages["plan"].body).splitlines()) == k + 6
+    assert stages["plan"] == stages["post-simplify"]
+
+
+def without_pins(stmt, slots):
+    """stmt with the pins of the given slots removed."""
+    if isinstance(stmt, Block):
+        return Block(tuple(without_pins(x, slots) for x in stmt.stmts
+                           if not (isinstance(x, Pin) and x.slot in slots)))
+    if hasattr(stmt, "body"):
+        return dataclasses.replace(stmt, body=without_pins(stmt.body, slots))
+    return stmt
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_simplify_only_drops_unused_pins(name):
+    kernel = KERNELS[name]
+    stages = {}
+    compile_program(kernel.program(), kernel.canonical(), stages=stages)
+    lowered = stages["plan"].body
+    unused = {p.slot for p in collect(lowered, Pin)} - used_slots(lowered)
+    assert stages["post-simplify"].body == without_pins(lowered, unused)
+    # genomic_overlap pins jd at each data id but reads Data through its stepper
+    assert bool(unused) == (name == "genomic_overlap")

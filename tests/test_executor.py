@@ -452,7 +452,7 @@ def test_pin_of_a_wide_region_raises():
 def test_endpoint_of_a_missing_entry_raises():
     A = tensor_1d("A", [((0.0, 1.0), 1.0)], 0.0, kind="interval")
     plan = Plan(Block((
-        Probe(0, "q", "A", 0, PRoot(), Num(5.0)),  # 5 is in a gap: q = -1
+        Probe(0, "q", "A", 0, PRoot(), Num(5.0), Num(0.0)),  # 5 is in a gap: q = -1
         IntersectLet(1, "r", (EndRef("A", 0, "L", PVar(0, "q")),), (LimC(Limit(9.0)),)),
     )), OutputDecl("s", (), 0.0), 2, {"A": A})
     with pytest.raises(ExecError, match="endpoint of a missing entry"):
@@ -486,3 +486,13 @@ for _A = 0:1
 end
 """, {"P": P, "A": A})
     assert list(res.output.values) == [6.0, 6.0]
+
+
+def test_an_unshifted_probe_is_the_tables_probe():
+    # the kernel renders a probe at shift 0 as PieceTable.probe
+    t = build_tensor("A", [("interval",)], [
+        ((0.0, 1.0, "right_open"), 1.0), ((1.0, 2.0, "left_open"), 2.0),
+        ((2.5, 2.5, "closed"), 3.0), ((3.0, math.inf, "open"), 4.0)]).levels[0].table
+    for x in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.25, 2.5, 3.0, 7.0):
+        for f in (0, -1):
+            assert executor._probe(t, f, x, 0.0) == t.probe(f, Limit(x))

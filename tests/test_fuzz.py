@@ -237,13 +237,14 @@ def pointwise_reference(got, program, binds):
 # xfail test below: lowering gives up on these valid programs.
 KNOWN_UNLOWERED = (
     "regions disagree about the output's shape",
-    "unresolved structure survived simplification",
+    "unresolved structure",
     "cannot collapse",
 )
 
 
 def test_random_programs_agree_with_the_oracle():
-    """Every valid program the strategy draws agrees with the oracle.
+    """Every valid program the strategy draws agrees with the oracle, and
+    compiles to the same output with bound pruning.
 
     Two known oracle faults (xfail below) change what agreeing means: a
     reduction whose pieces overlap, which the oracle cannot combine, is
@@ -270,6 +271,9 @@ def test_random_programs_agree_with_the_oracle():
         except OracleError:
             assume(False)  # outside what the oracle evaluates
         got = outcome(lambda: run(plan).output)
+        # bound pruning deletes only guards and operands that change nothing
+        pruned = outcome(lambda: run(compile_program(program, binds, opt_bounds=True)).output)
+        assert repr(pruned) == repr(got), src
         if want is OverlapError and _op(program) != "=":
             assert hasattr(got, "levels"), src
             tally["pointwise" if pointwise_reference(got, program, binds) else "unchecked"] += 1
@@ -317,12 +321,29 @@ def test_known_fault_output_shape_of_nonzero_fill_points():
     both("for i = -inf:inf\n  Out[i] = A[i]\nend\n", {"A": A})
 
 
+@pytest.mark.parametrize("src, a, b", [
+    # only B's fill annihilates: B pins i and A is probed at B's points
+    ("for i = -inf:inf\n  Out |= A[i] && B[i]\nend\n",
+     ([(0.5, False), (1.5, True)], True), ([(0.5, False), (2.5, True)], False)),
+    # neither fill annihilates a sum: both point inputs are co-iterated
+    ("for i = -inf:inf\n  Out += (A[i] + B[i]) * d(i)\nend\n",
+     ([(0.5, 1.0), (1.5, 2.0)], 0.0), ([(0.5, 1.0), (2.5, 2.0)], 0.0)),
+], ids=["and", "sum"])
+def test_only_an_annihilating_point_input_pins_the_index(src, a, b):
+    A = build_tensor("A", [("pinpoint",)], a[0], fill=a[1])
+    B = build_tensor("B", [("pinpoint",)], b[0], fill=b[1])
+    got, want = both(src, {"A": A, "B": B})
+    assert outputs_match(got, want)
+
+
 @pytest.mark.xfail(strict=True, raises=UnloweredError,
-                   reason="lowering: steps the point input whose fill does not annihilate")
-def test_known_fault_point_stepper_choice():
-    A = build_tensor("A", [("pinpoint",)], [(0.5, False)], fill=True)
-    B = build_tensor("B", [("pinpoint",)], [(0.5, False)], fill=False)
-    both("for i = -inf:inf\n  Out |= A[i] && B[i]\nend\n", {"A": A, "B": B})
+                   reason="lowering: C's points pin i for the validator, but C's fill does "
+                   "not annihilate, so lowering leaves i regional and A[i + j] unresolved")
+def test_known_fault_shift_by_an_index_only_the_validator_pins():
+    A = build_tensor("A", [("interval",)], [((0.0, 1.0), 3.0)])
+    C = build_tensor("C", [("pinpoint",)], [(0.5, 2.0)], fill=1.0)
+    both("for i = -inf:inf\n  for j = -inf:inf\n    Out max= A[i + j] * C[i]\n  end\nend\n",
+         {"A": A, "C": C})
 
 
 @pytest.mark.xfail(strict=True, raises=UnloweredError,
@@ -435,3 +456,44 @@ def test_closed_and_open_ends_at_infinity_write_one_piece(lo, hi):
     for run_one in (lambda p: run(compile_program(p, {"A": A})), lambda p: evaluate(p, {"A": A})):
         with pytest.raises(OverlapError):
             run_one(parse(src.format("=")))
+
+
+@pytest.mark.parametrize("src, key, fill, value", [
+    ("for i = -0.4:inf\n  Out |= A[i]\nend\n", (-0.4003, INF, "open"), True, False),
+    ("for i = -inf:0.2\n  Out |= A[i]\nend\n", (-INF, 0.5, "open"), True, False),
+    ("for i = -inf:inf\n  Out min= A[i]\nend\n", (-INF, INF, "open"), 1.0, 5.0),
+], ids=["to_inf", "from_-inf", "whole_line"])
+@pytest.mark.parametrize("opt_bounds", [False, True], ids=["plain", "bounds"])
+def test_a_loop_end_at_infinity_is_open(src, key, fill, value, opt_bounds):
+    # A covers the whole loop; a closed end at -inf or inf would add a
+    # point there that reads A's fill, and so would a fill region that
+    # the bound analysis wrongly proves non-empty
+    binds = {"A": build_tensor("A", [("interval",)], [(key, value)], fill=fill)}
+    program = parse(src)
+    got = run(compile_program(program, binds, opt_bounds=opt_bounds)).output
+    assert got == evaluate(program, binds) == value
+
+
+@pytest.mark.parametrize("src, binds", [
+    ("for i = -inf:inf\n  Out = A[i + 0.37] * B[i + 0.37]\nend\n",
+     {"A": [(0.0007, 1.0)], "B": [(0.0007, 1.0)]}),
+    ("for i = -inf:inf\n  Out = (A[i] + B[i + 0.37]) * C[i]\nend\n",
+     {"A": [], "B": [((0.0017, 0.3857), 1.0)], "C": [(0.0157, 1.0)]}),
+], ids=["stored_point", "past_the_end"])
+def test_a_shifted_probe_compares_in_the_loops_space(src, binds):
+    # adding the shift back to a pinned i need not give the stored end:
+    # (0.0007 - 0.37) + 0.37 != 0.0007, and 0.0157 + 0.37 == 0.3857 though
+    # 0.3857 - 0.37 < 0.0157; a probe compares stored ends minus the shift
+    # with i, as the stepper and the oracle do
+    tensors = {n: build_tensor(n, [("interval",) if v and isinstance(v[0][0], tuple)
+                                   else ("pinpoint",)], v) for n, v in binds.items()}
+    got, want = both(src, tensors)
+    assert got == want
+
+
+def test_a_sum_into_a_continuous_output_rank_agrees_with_the_oracle():
+    # the oracle does not weigh the output's own index as a summed one
+    A = build_tensor("A", [("interval",)], [((0.25, 0.5), 2.0), ((0.75, 1.5), 3.0)])
+    got, want = both("for j = 0.0:1.0\n  Out[j] += A[j]\nend\n", {"A": A})
+    assert outputs_match(got, want)
+    assert [v for _, v in got.pieces()] == [2.0, 3.0]
