@@ -64,6 +64,14 @@ class UnloweredError(RuntimeError):
     """Internal invariant breach: the plan would not be finite/faithful."""
 
 
+# The most regions one continuous loop may lower. A union of u accesses
+# that do not annihilate lowers about 3**u of them (every span/tail
+# combination, and inside each co-iteration every piece/gap one), so
+# this admits a 7-way union (2314 regions) and stops an 8-way one (6816)
+# before lowering starts.
+MAX_REGIONS = 4096
+
+
 @dataclass(frozen=True)
 class _Access:
     tensor: ContTensor
@@ -360,6 +368,16 @@ def _lower_cont(s: SFor, ctx):
     else:
         steppable = cands
     rest = [k for k in cands if k not in steppable]
+    # each span/tail combination is one region, and one with j steppers
+    # that do not annihilate co-iterates 2**j piece/gap regions: summed
+    # over the combinations, 2**u + 3**u, less the stepper-free one's
+    u = sum(1 for k in steppable if k not in annihilating)
+    n_regions = 2 ** u + 3 ** u - (u == len(steppable))
+    if n_regions > MAX_REGIONS:
+        raise CompileError(
+            f"loop over {var!r} would lower {n_regions} regions, more than "
+            f"MAX_REGIONS = {MAX_REGIONS}: a union of {u} accesses that do not annihilate"
+        )
 
     def cases(keys):
         # where an annihilating access misses, nothing is written

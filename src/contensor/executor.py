@@ -5,34 +5,44 @@ every plan slot is a local, every co-iteration one ``while`` loop with
 its steppers written out as int locals, and endpoints are compared
 inline as ``(val, eps)`` tuples, which order exactly as the ``Limit``
 entries of each sparse level's ``PieceTable`` do. The function reads
-those tables and the leaf values from the bindings, keeps the
-``ExecStats`` counters in local ints and sends every write to the
-output store. Compiled kernels are cached by their source text, so a
-plan run again (or an equal plan over new data) pays no ``compile()``,
-while plans that equality would merge but that render differently
-(fill ``True`` vs ``1.0``) keep separate kernels.
+those tables and the leaf values from the bindings and keeps the
+``ExecStats`` counters in local ints. Compiled kernels are cached by
+their source text, so a plan run again (or an equal plan over new data)
+pays no ``compile()``, while plans that equality would merge but that
+render differently (fill ``True`` vs ``1.0``) keep separate kernels.
 
-Writes are gathered into a path-keyed store and rebuilt as a tensor at
-the end, with overlap checking, reductions combined over overlapping
-pieces and canonical merging of equal touching pieces.
+Writes are rendered for the plan's one assignment operator. A path is
+a tuple with an int per dense rank, the pinned coordinate per pinpoint
+rank and a ``(start, stop)`` pair of ``(val, eps)`` tuples per interval
+rank, made canonical where it is written: an end at -inf or inf is open,
+and a set holding no real number is not written. Under ``=`` the kernel
+appends one ``(*path, value)`` record per write that is not the fill;
+a reduction combines where it writes, into a dict by path (or a local
+for a rank-0 output). ``_Store.finalize`` sorts the records once and
+builds the tensor in one pass per rank: it raises ``OverlapError`` for a
+cell assigned twice or overlapping pieces under ``=``, splits and
+combines a reduction's overlapping pieces, merges touching pieces with
+equal contents at every rank, and hands ``build_tensor`` the nested
+fibers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .intervals import Interval
-from .limits import ABOVE, BELOW, EPS, Limit
+from .limits import ABOVE, BELOW, Limit
 from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
     EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
     LetScalar, LimC, Mul, Neg, Not, Num, Or, OutputDecl, PDense, PRoot,
     PVar, Pin, Plan, Probe, Sub, SumGuard, Var, WhileCoiter,
 )
-from .storage import ContTensor, OverlapError, build_tensor
+from .storage import OverlapError, build_tensor
 
 
 class ExecError(RuntimeError):
@@ -56,28 +66,9 @@ class ExecResult:
 # ---------------------------------------------------------------------------
 # what generated kernels see besides their arguments
 
-_new_tuple = tuple.__new__
-_NEG_OPEN = Limit(-math.inf, ABOVE)
-_POS_OPEN = Limit(math.inf, BELOW)
-
-
-def _limit(t) -> Limit:
-    """A (val, eps) pair as a Limit; table entries pass through unchanged."""
-    return t if type(t) is Limit else _new_tuple(Limit, t)
-
-
-def _piece(lo, hi):
-    """A written region as a (start, stop) Limit pair in the form the oracle
-    writes: an end at -inf or inf is open, since no real number lies
-    there. None when no real number lies in it at all (a point at -inf
-    or inf), so equal sets always give equal keys."""
-    lo = _NEG_OPEN if lo[0] == -math.inf else _limit(lo)
-    hi = _POS_OPEN if hi[0] == math.inf else _limit(hi)
-    return (lo, hi) if lo <= hi else None
-
-
-def _point(v) -> tuple:
-    return Limit(v), Limit(v)
+# the canonical ends of a written piece at -inf and inf
+_NEG_OPEN = (-math.inf, ABOVE)
+_POS_OPEN = (math.inf, BELOW)
 
 
 def _missing():
@@ -115,21 +106,36 @@ def _probe(table, f: int, x: float, sh) -> int:
 
 
 def _pin_error(a, b):
-    raise ExecError(f"pin of a non-degenerate region [{_limit(a)}, {_limit(b)}]")
+    raise ExecError(f"pin of a non-degenerate region [{Limit(*a)}, {Limit(*b)}]")
 
 
 _GLOBALS = {
-    "_seek": _seek, "_probe": _probe, "_piece": _piece, "_point": _point, "_missing": _missing,
-    "_pin_error": _pin_error, "_ExecError": ExecError, "_INF": math.inf, "_NAN": math.nan,
+    "_seek": _seek, "_probe": _probe, "_missing": _missing, "_pin_error": _pin_error,
+    "_ExecError": ExecError, "_INF": math.inf, "_NAN": math.nan,
+    "_NEG_OPEN": _NEG_OPEN, "_POS_OPEN": _POS_OPEN,
 }
 # Every name the generator makes ends in a suffix no other kind of name
 # has, and slot locals end in "_<slot>". The kernel's temporaries (_e, _n,
-# _d, _p, _t, _v, and _k<n> for the n-th region in a write's path) are
-# each consumed right after they are set, before any other use of the
-# same name can run, so one of each serves the kernel.
+# _d, _p, _t, _v, _val, _key, and _lo<n>/_hi<n> for the n-th region in a
+# write's path) are each consumed right after they are set, before any
+# other use of the same name can run, so one of each serves the kernel.
+# The output is _out: a record list under "=" (appended through _add), a
+# dict by path under a reduction (read through _get), or the value itself
+# for a rank-0 reduction.
 _CLAMP = {
     1: "(_v[1] + 1 if _v[1] < 1 else 1)",
     -1: "(_v[1] - 1 if _v[1] > -1 else -1)",
+}
+# A reduction's combine of the value already in a cell with a new one:
+# rendered inline where a kernel writes, and called where finalize
+# combines overlapping pieces. The first write combines with the fill,
+# the operator's identity.
+_REDUCE = {
+    "+=": ("{} + {}", operator.add),
+    "max=": ("max({}, {})", max),
+    "min=": ("min({}, {})", min),
+    "|=": ("{} or {}", lambda a, b: a or b),
+    "&=": ("{} and {}", lambda a, b: a and b),
 }
 
 
@@ -158,12 +164,14 @@ _IND = "    "
 
 
 class _Source:
-    """Renders one plan as the source of ``kernel(_b, _put)``.
+    """Renders one plan as the source of ``kernel(_b)``.
 
-    ``_b`` maps tensor names to bound tensors and ``_put`` is the output
-    store's ``put``; the kernel returns its (segments, multiplies,
-    pieces emitted) counters. A region slot becomes two locals (its
-    start and stop), every other slot one. Each rendering means exactly
+    ``_b`` maps tensor names to bound tensors; the kernel returns its
+    (segments, multiplies, pieces emitted) counters and what it wrote,
+    which ``_Store.finalize`` turns into the output. Once the source is
+    rendered, ``op`` is the plan's assignment operator ("=" for a plan
+    that writes nothing). A region slot becomes two locals (its start
+    and stop), every other slot one. Each rendering means exactly
     what its plan node means, down to value types: a ``Mul`` starts from
     1.0, ``And``/``Or`` give bools, ``Add`` is ``sum``, and a shift
     subtracts from the stored value the way ``Limit`` arithmetic does.
@@ -176,18 +184,26 @@ class _Source:
         self.values = {}  # tensor -> "_<tag>_vals"
         self.dense = 0  # dense positions rendered so far
         self.leaf_pos = None  # positions of the leaves of the value being written
+        self.op = None  # a plan writes with one operator
         self.lines = []
 
     def source(self) -> str:
         self.stmt(self.plan.body, _IND)
-        head = ["def kernel(_b, _put):"]
+        self.op = self.op or "="
+        head = ["def kernel(_b):"]
         for (tensor, level), t in self.tables.items():
             head.append(f"    {t}_table = _b[{tensor!r}].levels[{level}].table\n"
                         f"    {t}_starts, {t}_stops = {t}_table.starts, {t}_table.stops")
         for tensor, vals in self.values.items():
             head.append(f"    {vals} = _b[{tensor!r}].values")
+        if self.op == "=":
+            head.append("    _out = []\n    _add = _out.append")
+        elif self.plan.output.comps:
+            head.append("    _out = {}\n    _get = _out.get")
+        else:
+            head.append(f"    _out = {_lit(self.plan.output.fill)}")
         head.append("    _seg = _mul = _emit = 0")
-        return "\n".join([*head, *self.lines, "    return _seg, _mul, _emit", ""])
+        return "\n".join([*head, *self.lines, "    return _seg, _mul, _emit, _out", ""])
 
     # ---- names: a slot's local is "<name>_<slot>" (or "v_<slot>" for a
     # name that is not plain ASCII), so the slot number keeps it unique
@@ -441,22 +457,26 @@ class _Source:
 
     def write(self, s, pad: str):
         add = self.lines.append
-        # a region's key is None where its set is empty; such a write is
-        # dropped, after it is counted
-        key, present = [], []
+        if self.op not in (None, s.op):
+            raise ExecError(f"plan writes with both {self.op!r} and {s.op!r}")
+        self.op = s.op
+        # a region's ends are made canonical where it is written, and a
+        # write whose set is empty is dropped, after it is counted
+        comps, present = [], []
         if type(s) is Accumulate:
-            key = [f"int({self.expr(c)})" for c in s.path]
+            comps = [f"int({self.expr(c)})" for c in s.path]
         else:
             for c in s.path:
                 if c[0] == "d":
-                    key.append(f"int({self.expr(c[1])})")
+                    comps.append(f"int({self.expr(c[1])})")
                 elif c[0] == "p":
-                    key.append(f"_point({self.expr(c[1])})")
+                    comps.append(self.expr(c[1]))
                 else:
-                    k = f"_k{len(present)}"
-                    present.append("({} := _piece({}, {})) is not None".format(
-                        k, *self.region(c[1], c[2])))
-                    key.append(k)
+                    n = len(present)
+                    lo, hi = self.region(c[1], c[2])
+                    present.append(f"(_lo{n} := _NEG_OPEN if {lo} < _NEG_OPEN else {lo}) <= "
+                                   f"(_hi{n} := _POS_OPEN if {hi} > _POS_OPEN else {hi})")
+                    comps.append(f"(_lo{n}, _hi{n})")
         self.leaf_pos = []
         value = self.expr(s.value)
         leaves, self.leaf_pos = self.leaf_pos, None
@@ -466,11 +486,24 @@ class _Source:
             add(f"{pad}if {tests}:\n{pad}{_IND}_mul += 1" if tests else f"{pad}_mul += 1")
         if type(s) is EmitPiece:
             add(f"{pad}_emit += 1")
-        path = f"({', '.join(key)},)" if key else "()"
         if present:
             add(f"{pad}if {' and '.join(present)}:")
             pad += _IND
-        add(f"{pad}_put({path}, {s.op!r}, {value})")
+        fill = _lit(self.plan.output.fill)
+        if s.op == "=":
+            # assigning the fill leaves the cell as it is
+            add(f"{pad}if (_val := {value}) != {fill}:\n"
+                f"{pad}{_IND}_add(({', '.join([*comps, '_val'])},))")
+            return
+        if s.op not in _REDUCE:
+            raise ExecError(f"bad assignment operator {s.op!r}")
+        combine = _REDUCE[s.op][0]
+        add(f"{pad}_val = {value}")
+        if comps:
+            add(f"{pad}_key = ({', '.join(comps)},)\n"
+                f"{pad}_out[_key] = {combine.format(f'_get(_key, {fill})', '_val')}")
+        else:
+            add(f"{pad}_out = {combine.format('_out', '_val')}")
 
 
 _EXPR = {
@@ -503,65 +536,85 @@ def _kernel(source: str):
 # output store
 
 
-def _apply(op, old, new, path):
-    if op == "+=":
-        return old + new
-    if op == "|=":
-        return old or new
-    if op == "&=":
-        return old and new
-    if op == "max=":
-        return max(old, new)
-    if op == "min=":
-        return min(old, new)
-    raise OverlapError(f"output cell {path} assigned twice")
+# a (val, eps) tuple as a Limit, and a pair of Limits as an Interval
+_limit_of = functools.partial(tuple.__new__, Limit)
+_interval_of = functools.partial(tuple.__new__, Interval)
+
+
+def _above(t) -> tuple:
+    """t + EPS, as Limit arithmetic gives it."""
+    return t[0] + 0.0, t[1] + 1 if t[1] < 1 else 1
+
+
+def _below(t) -> tuple:
+    """t - EPS, as Limit arithmetic gives it."""
+    return t[0] - 0.0, t[1] - 1 if t[1] > -1 else -1
 
 
 class _Store:
-    """Accumulates writes by full output path, then rebuilds a tensor.
+    """Builds the output from what a kernel wrote (see the module notes).
 
-    Path components are ints for dense ranks and (start, stop) Limit
-    pairs for continuous ranks, written in one form per set (``_piece``),
-    so writes to the same set have identical paths and combine through
-    the reduction operator. Overlapping but non-identical pieces are a
-    layout fault under "=". Under a reduction they are split where any
-    of them ends and combined through it: a loop outside a continuous
-    output rank cuts each iteration's pieces differently. Finalize
-    merges touching pieces with equal contents at every level, as the
-    oracle does.
+    Records are ``(*path, value)`` tuples. Under ``=`` they are sorted
+    once, so every fiber's records are contiguous and in order; equal
+    paths are a cell assigned twice and overlapping pieces a layout
+    fault. A reduction's cells keep their first-write order, the order
+    in which overlapping pieces combine: a loop outside a continuous
+    output rank cuts each iteration's pieces differently, and they are
+    split where any of them ends and combined through the operator.
+    Touching pieces with equal contents merge at every rank, as the
+    oracle's do.
     """
 
-    def __init__(self, decl: OutputDecl):
-        self.decl = decl
-        self.op = "="  # a plan writes with one operator
-        self.cells = {}
+    def __init__(self, decl: OutputDecl, op: str):
+        self.decl, self.op = decl, op
+        self.records = []  # as written, for the error of a cell assigned twice
+        self.nan = False  # whether a NaN reached a leaf
 
-    def put(self, path: tuple, op: str, value):
-        self.op = op
-        if op == "=" and value == self.decl.fill:
-            return  # assigning the fill leaves the cell as it is
-        old = self.cells.get(path)
-        if old is None:
-            self.cells[path] = value if op == "=" else _apply(op, self.decl.fill, value, path)
-        else:
-            self.cells[path] = _apply(op, old, value, path)
-
-    def finalize(self):
+    def finalize(self, out):
+        """The output from the kernel's record list, cell dict or value."""
         decl = self.decl
-        if not decl.comps:
-            vals = list(self.cells.values())
-            if len(vals) > 1:
-                raise ExecError("scalar output written under distinct paths")
-            return vals[0] if vals else decl.fill
-        live = {k: v for k, v in self.cells.items() if v != decl.fill}
-        root = self._fiber(live, 0)
-        specs = []
-        for comp in decl.comps:
-            if comp[0] == "dense":
-                specs.append(("dense", comp[1]))
-            else:
-                specs.append((comp[0],))
-        return build_tensor(decl.name, specs, root, fill=decl.fill)
+        if self.op != "=":
+            if not decl.comps:
+                self.nan = out != out
+                return out
+            recs = [(*path, v) for path, v in out.items() if v != decl.fill]
+        else:
+            self.records = out
+            if not decl.comps:
+                if len(out) > 1:
+                    self._assigned_twice()
+                value = out[0][0] if out else decl.fill
+                self.nan = value != value
+                return value
+            recs = sorted(out)
+        specs = [("dense", c[1]) if c[0] == "dense" else (c[0],) for c in decl.comps]
+        return build_tensor(decl.name, specs, self._fiber(recs, 0), fill=decl.fill)
+
+    def _assigned_twice(self):
+        """Raise OverlapError for the first cell written twice, if any."""
+        seen = set()
+        for r in self.records:
+            path = r[:-1]
+            if path in seen:
+                raise OverlapError(f"output cell {self._shown(path)} assigned twice")
+            seen.add(path)
+
+    def _overlap(self, message: str):
+        # a cell written twice is reported first, as the kernel's own
+        # check would have stopped there
+        self._assigned_twice()
+        raise OverlapError(message)
+
+    def _shown(self, path) -> tuple:
+        """A path with its continuous components as Limit pairs."""
+        out = []
+        for comp, c in zip(self.decl.comps, path):
+            if comp[0] == "interval":
+                c = (Limit(*c[0]), Limit(*c[1]))
+            elif comp[0] == "pinpoint":
+                c = (Limit(c), Limit(c))
+            out.append(c)
+        return tuple(out)
 
     def _default(self, depth):
         """Shape of an untouched subtree at this depth."""
@@ -572,79 +625,113 @@ class _Store:
             return [self._default(depth + 1) for _ in range(comp[1])]
         return []
 
-    @staticmethod
-    def _group(cells, depth) -> dict:
-        """Cells by their component at depth."""
-        groups = {}
-        for path, v in cells.items():
-            groups.setdefault(path[depth], {})[path] = v
-        return groups
-
-    def _overlay(self, cells, depth) -> dict:
-        """Cells with their pieces at depth split into the elementary pieces
-        all their ends cut the line into, combined through the operator."""
-        # a cut is the first endpoint of what follows it
-        cuts = sorted({c for path in cells for c in (path[depth][0], path[depth][1] + EPS)})
-        out = {}
-        for path, v in cells.items():
-            start, stop = path[depth]
-            for k in range(bisect_left(cuts, start), bisect_left(cuts, stop + EPS)):
-                sub = (*path[:depth], (cuts[k], cuts[k + 1] - EPS), *path[depth + 1:])
-                out[sub] = v if sub not in out else _apply(self.op, out[sub], v, sub)
-        return out
-
-    def _fiber(self, cells, depth):
-        comp = self.decl.comps[depth]
-        last = depth == len(self.decl.comps) - 1
-        groups = self._group(cells, depth)
-
-        def child(sub):
-            if last:
-                (v,) = sub.values()
-                return v
-            return self._fiber(sub, depth + 1)
-
-        if comp[0] == "dense":
-            out = [self._default(depth + 1) for _ in range(comp[1])]
+    def _fiber(self, recs, depth):
+        """The nested fiber of recs, the records under one path prefix."""
+        kind = self.decl.comps[depth][0]
+        if depth == len(self.decl.comps) - 1:
+            return self._leaves(kind, recs, depth)
+        groups = _groups(recs, depth)
+        if kind == "dense":
+            out = self._default(depth)
             for k in sorted(groups):
-                out[k] = child(groups[k])
+                out[k] = self._fiber(groups[k], depth + 1)
             return out
-
-        keys = sorted(groups)  # (start, stop) Limit pairs sort correctly
-        if self.op != "=" and any(b[0] <= a[1] for a, b in zip(keys, keys[1:])):
-            groups = self._group(self._overlay(cells, depth), depth)
+        keys = sorted(groups)
+        if kind == "interval" and self.op != "=" and _overlaps(keys):
+            groups = _groups(self._overlay(recs, depth), depth)
             keys = sorted(groups)
-        merged = []
-        for key in keys:
-            iv = Interval(*key)
-            node = child(groups[key])
-            if merged:
-                piv, pnode = merged[-1]
-                if iv.start <= piv.stop:
-                    raise OverlapError(
-                        f"output pieces {piv} and {iv} overlap on {self.decl.name}"
-                    )
-                if pnode == node and piv.touches_below(iv):
-                    merged[-1] = (Interval(piv.start, iv.stop), pnode)
-                    continue
-            merged.append((iv, node))
-        out = []
-        for iv, node in merged:
-            key = iv.start.val if comp[0] == "pinpoint" else iv
-            out.append((key, node))
+        pairs = ((k, self._fiber(groups[k], depth + 1)) for k in keys)
+        return self._line(pairs, 0) if kind == "interval" else list(pairs)
+
+    def _leaves(self, kind, recs, depth):
+        """The last rank: one record per key, its value the leaf."""
+        if self.op != "=":
+            # cells in first-write order, which overlapping pieces combine in
+            ordered = sorted(recs)
+            if kind == "interval" and _overlaps([r[depth] for r in ordered]):
+                ordered = sorted(self._overlay(recs, depth))
+            recs = ordered
+        if any(r[-1] != r[-1] for r in recs):
+            self.nan = True  # a NaN is never merged away, so it reaches a leaf
+        if kind == "interval":
+            return self._line(recs, depth)
+        keys = [r[depth] for r in recs]
+        if any(a == b for a, b in zip(keys, keys[1:])):
+            self._assigned_twice()
+        if kind == "pinpoint":
+            return [(k, r[-1]) for k, r in zip(keys, recs)]
+        out = self._default(depth)
+        for k, r in zip(keys, recs):
+            out[k] = r[-1]
         return out
+
+    def _line(self, items, at: int) -> list:
+        """One interval fiber from items sorted by their piece, item[at];
+        item[-1] is its node. Equal touching pieces merge, and an overlap
+        under "=" is raised."""
+        los, his, nodes = [], [], []
+        hi = None
+        for r in items:
+            lo2, hi2 = r[at]
+            node = r[-1]
+            if hi is not None:
+                if lo2 <= hi:
+                    self._overlap(
+                        f"output pieces {Interval(Limit(*los[-1]), Limit(*hi))} and "
+                        f"{Interval(Limit(*lo2), Limit(*hi2))} overlap on {self.decl.name}")
+                if lo2[0] == hi[0] and lo2[1] == hi[1] + 1 and node == nodes[-1]:
+                    his[-1] = hi = hi2  # lo2 is hi + EPS: one piece
+                    continue
+            los.append(lo2)
+            his.append(hi2)
+            nodes.append(node)
+            hi = hi2
+        ivs = map(_interval_of, zip(map(_limit_of, los), map(_limit_of, his)))
+        return list(zip(ivs, nodes))
+
+    def _overlay(self, recs, depth) -> list:
+        """recs with their pieces at depth split into the elementary pieces
+        all their ends cut the line into, combined through the operator in
+        the order of recs."""
+        # a cut is the first endpoint of what follows it
+        cuts = sorted({c for r in recs for c in (r[depth][0], _above(r[depth][1]))})
+        combine = _REDUCE[self.op][1]
+        out = {}
+        for r in recs:
+            start, stop = r[depth]
+            v = r[-1]
+            for k in range(bisect_left(cuts, start), bisect_left(cuts, _above(stop))):
+                sub = (*r[:depth], (cuts[k], _below(cuts[k + 1])), *r[depth + 1:-1])
+                out[sub] = v if sub not in out else combine(out[sub], v)
+        return [(*path, v) for path, v in out.items()]
+
+
+def _groups(recs, depth) -> dict:
+    """recs by their component at depth, each group in the order of recs."""
+    groups = {}
+    for r in recs:
+        g = groups.get(r[depth])
+        if g is None:
+            groups[r[depth]] = [r]
+        else:
+            g.append(r)
+    return groups
+
+
+def _overlaps(pieces) -> bool:
+    """Whether any of these sorted (start, stop) pieces overlaps the next."""
+    return any(b[0] <= a[1] for a, b in zip(pieces, pieces[1:]))
 
 
 def run(plan: Plan) -> ExecResult:
-    store = _Store(plan.output)
-    segments, multiplies, emitted = _kernel(kernel_source(plan))(plan.bindings, store.put)
+    source = _Source(plan)
+    text = source.source()
+    segments, multiplies, emitted, out = _kernel(text)(plan.bindings)
     stats = ExecStats(multiplies=multiplies, segments_visited=segments,
                       pieces_emitted=emitted)
-    out = store.finalize()
-    diags = []
-    leaves = out.values if isinstance(out, ContTensor) else (out,)
-    if any(isinstance(v, float) and math.isnan(v) for v in leaves):
-        diags.append(f"output {plan.output.name} contains NaN values")
+    store = _Store(plan.output, source.op)
+    out = store.finalize(out)
+    diags = [f"output {plan.output.name} contains NaN values"] if store.nan else []
     return ExecResult(out, stats, diags)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .intervals import Interval
@@ -184,11 +185,13 @@ class IntervalLevel(_SparseLevel):
         for flags in (self.lclose, self.rclose):
             if not isinstance(flags, bool) and len(flags) != n:
                 raise InvalidPieceError(f"level {level}: inclusiveness flag length mismatch")
-        for v in (*self.left, *self.right):
-            if math.isnan(v):
-                raise InvalidPieceError(f"level {level}: NaN endpoint")
-        return (self.ptr, _limits(self.left, self.lclose, ABOVE),
-                _limits(self.right, self.rclose, BELOW))
+        if any(map(math.isnan, self.left)) or any(map(math.isnan, self.right)):
+            raise InvalidPieceError(f"level {level}: NaN endpoint")
+        # build_level hands over the Limits its keys already held
+        ends = self.__dict__.get("_ends")
+        if ends is None:
+            ends = (_limits(self.left, self.lclose, ABOVE), _limits(self.right, self.rclose, BELOW))
+        return (self.ptr, *ends)
 
 
 def _limits(vals, flags, open_eps: int) -> tuple:
@@ -408,6 +411,17 @@ def _as_interval(key) -> Interval:
     raise TypeError(f"cannot read {key!r} as an interval")
 
 
+_START = _VAL = itemgetter(0)  # of an Interval, of a Limit
+_STOP = _EPS = itemgetter(1)
+
+
+def _closed_flags(ends, eps: set):
+    """Closed-end flags of ends: one bool when all agree (True for none)."""
+    if len(eps) <= 1:
+        return EXACT in eps or not eps
+    return tuple([e[1] == EXACT for e in ends])
+
+
 def build_level(spec, fibers: Sequence[Sequence]):
     """Assemble one level from per-fiber key lists, validating as we go.
 
@@ -426,22 +440,22 @@ def build_level(spec, fibers: Sequence[Sequence]):
         crd = tuple(float(c) for f in fibers for c in f)
         return PinpointLevel(ptr=tuple(ptr), crd=crd)
     if kind == "interval":
-        ivs = [_as_interval(k) for f in fibers for k in f]
-        left, right, lflags, rflags = [], [], [], []
-        for iv in ivs:
-            if iv.start.eps not in (EXACT, ABOVE) or iv.stop.eps not in (EXACT, BELOW):
-                raise InvalidPieceError(f"cannot store {iv} in an interval level")
-            left.append(iv.start.val)
-            right.append(iv.stop.val)
-            lflags.append(iv.start.eps == EXACT)
-            rflags.append(iv.stop.eps == EXACT)
-        lclose = lflags[0] if lflags and all(x == lflags[0] for x in lflags) else tuple(lflags)
-        rclose = rflags[0] if rflags and all(x == rflags[0] for x in rflags) else tuple(rflags)
-        if not lflags:
-            lclose, rclose = True, True
-        return IntervalLevel(
-            ptr=tuple(ptr), left=tuple(left), right=tuple(right), lclose=lclose, rclose=rclose
+        ivs = [k if type(k) is Interval else _as_interval(k) for f in fibers for k in f]
+        starts = tuple(map(_START, ivs))
+        stops = tuple(map(_STOP, ivs))
+        leps, reps = set(map(_EPS, starts)), set(map(_EPS, stops))
+        if not leps <= {EXACT, ABOVE} or not reps <= {EXACT, BELOW}:
+            bad = next(iv for iv in ivs if iv.start.eps not in (EXACT, ABOVE)
+                       or iv.stop.eps not in (EXACT, BELOW))
+            raise InvalidPieceError(f"cannot store {bad} in an interval level")
+        level = IntervalLevel(
+            ptr=tuple(ptr), left=tuple(map(_VAL, starts)), right=tuple(map(_VAL, stops)),
+            lclose=_closed_flags(starts, leps), rclose=_closed_flags(stops, reps),
         )
+        # validation reads these Limits rather than rebuilding them from
+        # left/right and the flags
+        object.__setattr__(level, "_ends", (starts, stops))
+        return level
     if kind == "regular":
         _, stride, length, rclose = spec
         xs = _int_xs([x for f in fibers for x in f], "regular level")

@@ -38,10 +38,17 @@ class SchemaError(ValueError):
         self.path = path
 
 
+def _too_large(x: int, path) -> SchemaError:
+    return SchemaError(path, f"integer of {x.bit_length()} bits is too large for a float")
+
+
 def _num(x, path):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(path, f"expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise _too_large(x, path) from None
 
 
 def _num_list(x, path):
@@ -102,11 +109,16 @@ def level_from_json(obj, path: str):
         )
     if kind == "regular":
         ptr = obj.get("ptr")
+        stride = _num(_require(obj, "stride", path), f"{path}.stride")
+        length = _num(_require(obj, "len", path), f"{path}.len")
+        rclose = _require(obj, "rclose", path)
+        if not isinstance(rclose, bool):
+            raise SchemaError(f"{path}.rclose", f"expected a boolean, got {rclose!r}")
+        xs = _int_list(_require(obj, "xs", path), f"{path}.xs")
+        for i, x in enumerate(xs):
+            _num(x, f"{path}.xs[{i}]")  # the level scales each x by the stride
         return RegularLevel(
-            stride=_num(_require(obj, "stride", path), f"{path}.stride"),
-            length=_num(_require(obj, "len", path), f"{path}.len"),
-            rclose=bool(_require(obj, "rclose", path)),
-            xs=_int_list(_require(obj, "xs", path), f"{path}.xs"),
+            stride=stride, length=length, rclose=rclose, xs=xs,
             ptr=_int_list(ptr, f"{path}.ptr") if ptr is not None else None,
         )
     raise SchemaError(f"{path}.kind", f"unknown level kind {kind!r}")
@@ -158,7 +170,10 @@ def tensor_from_json(obj, path: str = "$") -> ContTensor:
         if isinstance(v, bool):
             values.append(v)
         elif isinstance(v, (int, float)):
-            values.append(float(v))
+            try:
+                values.append(float(v))
+            except OverflowError:
+                raise _too_large(v, f"{path}.values[{i}]") from None
         else:
             raise SchemaError(f"{path}.values[{i}]", f"expected a number or boolean, got {v!r}")
     try:
@@ -166,7 +181,7 @@ def tensor_from_json(obj, path: str = "$") -> ContTensor:
             name=name,
             levels=levels,
             values=tuple(values),
-            fill=fill if isinstance(fill, bool) else float(fill),
+            fill=fill if isinstance(fill, bool) else _num(fill, f"{path}.fill"),
         )
     except StorageError as e:
         raise SchemaError(path, str(e)) from e

@@ -1,9 +1,10 @@
 import dataclasses
 import random
+from time import perf_counter
 
 import pytest
 
-from contensor.compiler import CompileError, ValidityError, compile_program
+from contensor.compiler import MAX_REGIONS, CompileError, ValidityError, compile_program
 from contensor.ir import (
     Accumulate, Block, EmitPiece, LenOf, Namer, Pin, Plan, Probe, WhileCoiter,
     pretty,
@@ -273,6 +274,31 @@ def test_a_kway_product_lowers_to_one_region():
     compile_program(*kway_product(k), stages=stages)
     assert len(pretty(stages["plan"].body).splitlines()) == k + 6
     assert stages["plan"] == stages["post-simplify"]
+
+
+def kway_union(k):
+    src = "for i = -inf:inf\n  s += (" + " + ".join(f"A{j}[i]" for j in range(k)) + ") * d(i)\nend\n"
+    binds = {f"A{j}": tensor_1d(f"A{j}", [((-1.0 - j, 1.0 + j), 1.0 + j)], 0.0, kind="interval")
+             for j in range(k)}
+    return parse(src), binds
+
+
+def test_a_union_lowers_every_span_and_piece_combination():
+    # no summand annihilates: 2**k span/tail regions, and 2**j piece/gap
+    # regions inside each co-iteration of j steppers
+    k = 6
+    stages = {}
+    compile_program(*kway_union(k), stages=stages)
+    plan = stages["plan"].body
+    assert len(collect(plan, WhileCoiter)) == 2 ** k - 1
+    assert 2 ** k + 3 ** k - 1 <= MAX_REGIONS
+
+
+def test_a_union_past_the_region_limit_is_a_compile_error():
+    t0 = perf_counter()
+    with pytest.raises(CompileError, match="loop over 'i' would lower 535536 regions"):
+        compile_program(*kway_union(12))
+    assert perf_counter() - t0 < 0.5
 
 
 def without_pins(stmt, slots):

@@ -1,17 +1,22 @@
-"""Source hygiene: no module under src/ or tests/ imports a name it never uses.
+"""Source hygiene, checked by AST scans since no linter ships with the project.
 
-No linter ships with the project, so this AST scan is the gate. A name
-counts as used when the module reads it anywhere (including inside
-string annotations) or lists it in ``__all__``.
+- No module under src/ or tests/ imports a name it never uses. A name
+  counts as used when the module reads it anywhere (including inside
+  string annotations) or lists it in ``__all__``.
+- No top-level ``_``-prefixed function or class in src/contensor goes
+  unreferenced by the package outside its own definition: what only
+  tests reach, or nothing, is dead code.
 """
 
 import ast
+import collections
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+SRC = sorted((ROOT / "src" / "contensor").rglob("*.py"))
 
 
 def imported_names(tree):
@@ -53,3 +58,47 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     src = "import os\nfrom math import pi, tau\nfrom typing import List\nx: 'List' = pi\n"
     assert unused_imports(src) == [("os", 1), ("tau", 2)]
+
+
+def referenced_names(tree) -> collections.Counter:
+    """How often each name is read, as a plain name, as an attribute
+    (``mod._f``, ``_Cls.meth``) or by ``from ... import``."""
+    refs = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def unreferenced_private(sources: dict) -> list:
+    """(module, name) of each top-level private function or class in
+    sources (module -> text) that no module references outside the
+    definition itself."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    refs = sum((referenced_names(t) for t in trees.values()), collections.Counter())
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and refs[node.name] == referenced_names(node)[node.name]):
+                out.append((mod, node.name))
+    return out
+
+
+def test_every_private_function_and_class_is_used():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SRC}
+    assert unreferenced_private(sources) == []
+
+
+def test_scan_flags_an_unused_private_function():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _dead(n):\n    return _dead(n - 1)\n"
+                "class _Table:\n    pass\nT = {'f': _used}\n",
+        "b.py": "from a import _Table\n",
+    }
+    assert unreferenced_private(sources) == [("a.py", "_dead")]

@@ -1,0 +1,193 @@
+"""The output store, fed random write sequences through hand-built plans.
+
+Each plan is a block of writes with constant paths and values, so the
+kernel's own write code (canonical ends at -inf and inf, skipped fill
+writes under "=", reductions combined where written) and finalize see
+exactly the sequence drawn, with no lowering in between. The finalized
+tensor is compared as a function with a fold of the writes.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from contensor.executor import run
+from contensor.ir import Block, BoolC, EmitPiece, IntersectLet, LimC, Num, OutputDecl, Plan
+from contensor.limits import Limit
+from contensor.storage import OverlapError
+
+INF = math.inf
+INTERVAL, PINPOINT, DENSE = ("interval",), ("pinpoint",), ("dense", 3)
+SHAPES = [(INTERVAL,), (PINPOINT,), (DENSE, INTERVAL), (DENSE, PINPOINT), (DENSE,), ()]
+# each operator with its fill, as lowering gives them, and the values it writes
+# (the fill among them); numbers are halves, so every sum is exact
+NUMS = [-1.5, -1.0, 0.0, 0.5, 1.0, 2.0]
+OPS = {
+    "=": (0.0, NUMS),
+    "+=": (0.0, NUMS),
+    "max=": (-INF, NUMS + [-INF]),
+    "min=": (INF, NUMS + [INF]),
+    "|=": (False, [False, True]),
+    "&=": (True, [False, True]),
+}
+REDUCE = {
+    "+=": lambda a, b: a + b, "max=": max, "min=": min,
+    "|=": lambda a, b: a or b, "&=": lambda a, b: a and b,
+}
+# finite ends off each other's pitch, plus both infinities
+ENDS = [-INF, -1.0, 0.0, 0.25, 1.0, 2.5, INF]
+
+
+@st.composite
+def pieces(draw):
+    """A region's (start, stop) as lowering makes them: a start is exact or
+    just above its value, a stop exact or just below. Empty ones included."""
+    a, b = sorted(draw(st.lists(st.sampled_from(ENDS), min_size=2, max_size=2)))
+    return (a, draw(st.sampled_from([0, 1]))), (b, draw(st.sampled_from([-1, 0])))
+
+
+def components(comp):
+    if comp is DENSE:
+        return st.integers(0, comp[1] - 1)
+    if comp is PINPOINT:
+        return st.sampled_from([-1.0, 0.0, 0.25, 2.5])
+    return pieces()
+
+
+@st.composite
+def cases(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    op = draw(st.sampled_from(sorted(OPS)))
+    fill, values = OPS[op]
+    # a few distinct paths written again and again: repeated cells
+    paths = draw(st.lists(st.tuples(*map(components, shape)), min_size=1, max_size=4))
+    writes = draw(st.lists(st.tuples(st.sampled_from(paths), st.sampled_from(values)),
+                           max_size=8))
+    return shape, op, fill, writes
+
+
+def plan_of(shape, op, fill, writes) -> Plan:
+    """A plan that makes exactly these writes, in order."""
+    stmts = []
+    for path, value in writes:
+        comps = []
+        for comp, c in zip(shape, path):
+            if comp is DENSE:
+                comps.append(("d", Num(c)))
+            elif comp is PINPOINT:
+                comps.append(("p", Num(c)))
+            else:
+                slot = len(stmts)
+                stmts.append(IntersectLet(slot, "r", (LimC(Limit(*c[0])),), (LimC(Limit(*c[1])),)))
+                comps.append(("iv", slot, "r"))
+        leaf = BoolC(value) if isinstance(value, bool) else Num(value)
+        stmts.append(EmitPiece("Out", tuple(comps), op, leaf))
+    return Plan(Block(tuple(stmts)), OutputDecl("Out", shape, fill), len(stmts))
+
+
+def holds(comp, c, x) -> bool:
+    if comp is INTERVAL:
+        return c[0] <= (x, 0) <= c[1]
+    return c == x
+
+
+def disjoint(comp, a, b) -> bool:
+    if comp is INTERVAL:
+        return max(a[0], b[0]) > min(a[1], b[1])
+    return a != b
+
+
+def samples(shape, writes, rank):
+    """Every finite end written along the rank, a point between each two
+    neighbours and one beyond each side; every dense position."""
+    if shape[rank] is DENSE:
+        return range(DENSE[1])
+    ends = {x for path, _ in writes for x in (
+        (path[rank][0][0], path[rank][1][0]) if shape[rank] is INTERVAL else (path[rank],))
+        if math.isfinite(x)}
+    ends = sorted(ends) or [0.0]
+    return sorted({ends[0] - 1.0, *ends, ends[-1] + 1.0,
+                   *((a + b) / 2 for a, b in zip(ends, ends[1:]))})
+
+
+def assigned_twice(shape, fill, writes) -> bool:
+    """Under "=": two writes of other than the fill that meet where their
+    paths first differ (or never differ)."""
+    live = [path for path, v in writes if v != fill
+            and all(comp is not INTERVAL or c[0] <= c[1] for comp, c in zip(shape, path))]
+    for i, a in enumerate(live):
+        for b in live[:i]:
+            first = next((r for r in range(len(shape)) if a[r] != b[r]), None)
+            if first is None or not disjoint(shape[first], a[first], b[first]):
+                return True
+    return False
+
+
+def expected(shape, op, fill, writes, point):
+    """The fold of the writes whose path holds point, in write order, from the fill."""
+    acc = fill
+    for path, v in writes:
+        if all(holds(comp, c, x) for comp, c, x in zip(shape, path, point)):
+            acc = v if op == "=" else REDUCE[op](acc, v)
+    return acc
+
+
+def canonical(out) -> bool:
+    """At the last rank every piece holds a real number (an end at -inf or
+    inf is open), and no two touching pieces of a fiber hold equal values."""
+    last = out.ndim - 1
+    for f in range(out.n_fibers(last)):
+        entries = out.fiber_entries(last, f)
+        for iv, _ in entries:
+            if iv.start < Limit(-INF, 1) or iv.stop > Limit(INF, -1) or iv.is_empty:
+                return False
+        for (a, p), (b, q) in zip(entries, entries[1:]):
+            if a.touches_below(b) and out.values[p] == out.values[q]:
+                return False
+    return True
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cases())
+def test_finalized_output_is_the_fold_of_the_writes(case):
+    shape, op, fill, writes = case
+    plan = plan_of(shape, op, fill, writes)
+    if op == "=" and assigned_twice(shape, fill, writes):
+        with pytest.raises(OverlapError):
+            run(plan)
+        return
+    out = run(plan).output
+    if not shape:
+        want = expected(shape, op, fill, writes, ())
+        assert out == want and type(out) is type(want)
+        return
+    assert out.fill == fill
+    if shape[-1] is not DENSE:
+        assert canonical(out), out
+    grid = [samples(shape, writes, r) for r in range(len(shape))]
+    points = [()]
+    for axis in grid:
+        points = [(*p, x) for p in points for x in axis]
+    for pt in points:
+        got, want = out.at(*pt), expected(shape, op, fill, writes, pt)
+        assert got == want and type(got) is type(want), (pt, got, want)
+
+
+def test_assigning_a_cell_twice_or_overlapping_pieces_raises():
+    piece = ((0.0, 0), (1.0, 0))
+    for shape, first, second in [
+        ((INTERVAL,), (piece,), (piece,)),  # one cell twice
+        ((INTERVAL,), (piece,), (((0.5, 1), (2.5, -1)),)),  # overlapping pieces
+        ((PINPOINT,), (0.25,), (0.25,)),
+        ((DENSE, INTERVAL), (1, piece), (1, ((1.0, 0), (2.5, 0)))),  # meet at 1.0
+        ((DENSE,), (2,), (2,)),
+        ((), (), ()),
+    ]:
+        with pytest.raises(OverlapError):
+            run(plan_of(shape, "=", 0.0, [(first, 1.0), (second, 2.0)]))
+        # the same writes under a reduction combine
+        run(plan_of(shape, "+=", 0.0, [(first, 1.0), (second, 2.0)]))
+    # a fill write changes nothing, so it cannot collide
+    out = run(plan_of((INTERVAL,), "=", 0.0, [((piece,), 1.0), ((piece,), 0.0)])).output
+    assert out.at(0.5) == 1.0

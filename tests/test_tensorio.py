@@ -101,3 +101,46 @@ def test_load_rejects_overlap():
     obj["levels"][0]["right"] = [3.0, 5.1]
     with pytest.raises(SchemaError):
         tensor_from_json(obj)
+
+
+def regular_json(**level):
+    lv = {"kind": "regular", "stride": 1.0, "len": 1.0, "rclose": False, "xs": [0, 2]}
+    return {"name": "r", "fill": 0.0, "levels": [{**lv, **level}], "values": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("flag", ["no", [], 0, 1, None])
+def test_regular_rclose_must_be_a_boolean(flag):
+    with pytest.raises(SchemaError) as e:
+        tensor_from_json(regular_json(rclose=flag))
+    assert e.value.path == "$.levels[0].rclose"
+    assert tensor_from_json(regular_json(rclose=True)).levels[0].rclose is True
+
+
+HUGE = 10 ** 400  # an integer JSON may hold, beyond any float
+
+
+@pytest.mark.parametrize("where, path", [
+    (("levels", 0, "crd", 1), "$.levels[0].crd[1]"),
+    (("levels", 1, "left", 0), "$.levels[1].left[0]"),
+    (("levels", 1, "right", 0), "$.levels[1].right[0]"),
+    (("levels", 2, "stride"), "$.levels[2].stride"),
+    (("levels", 2, "len"), "$.levels[2].len"),
+    (("levels", 2, "xs", 0), "$.levels[2].xs[0]"),
+    (("values", 0), "$.values[0]"),
+    (("fill",), "$.fill"),
+])
+def test_an_integer_too_large_for_a_float_is_a_schema_error(where, path):
+    obj = {"name": "t", "fill": 0.0, "values": [1.0], "levels": [
+        {"kind": "pinpoint", "ptr": [0, 2], "crd": [0.5, 1.5]},
+        {"kind": "interval", "ptr": [0, 1, 1], "left": [0.0], "right": [1.0]},
+        {"kind": "regular", "stride": 1.0, "len": 1.0, "rclose": False, "xs": [3],
+         "ptr": [0, 1]},
+    ]}
+    tensor_from_json(obj)
+    node = obj
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = HUGE
+    with pytest.raises(SchemaError) as e:
+        tensor_from_json(obj)
+    assert e.value.path == path
