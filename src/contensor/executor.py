@@ -3,13 +3,14 @@
 ``kernel_source`` renders a plan as the source of one Python function:
 every plan slot is a local, every co-iteration one ``while`` loop with
 its steppers written out as int locals, and endpoints are compared
-inline as ``(val, eps)`` tuples, which order exactly as the ``Limit``
-entries of each sparse level's ``PieceTable`` do. The function reads
-those tables and the leaf values from the bindings and keeps the
-``ExecStats`` counters in local ints. Compiled kernels are cached by
-their source text, so a plan run again (or an equal plan over new data)
-pays no ``compile()``, while plans that equality would merge but that
-render differently (fill ``True`` vs ``1.0``) keep separate kernels.
+inline as ``(val, eps)`` tuples, the form in which each sparse level's
+``PieceTable`` stores them and which orders exactly as ``Limit`` does.
+The function reads those tables and the leaf values from the bindings
+and keeps the ``ExecStats`` counters in local ints. Compiled kernels are
+cached by their source text, so a plan run again (or an equal plan over
+new data) pays no ``compile()``, while plans that equality would merge
+but that render differently (fill ``True`` vs ``1.0``) keep separate
+kernels.
 
 Writes are rendered for the plan's one assignment operator. A path is
 a tuple with an int per dense rank, the pinned coordinate per pinpoint
@@ -23,7 +24,7 @@ builds the tensor in one pass per rank: it raises ``OverlapError`` for a
 cell assigned twice or overlapping pieces under ``=``, splits and
 combines a reduction's overlapping pieces, merges touching pieces with
 equal contents at every rank, and hands ``build_tensor`` the nested
-fibers.
+fibers, an interval piece keyed by its pair of ``(val, eps)`` ends.
 """
 
 from __future__ import annotations
@@ -536,11 +537,6 @@ def _kernel(source: str):
 # output store
 
 
-# a (val, eps) tuple as a Limit, and a pair of Limits as an Interval
-_limit_of = functools.partial(tuple.__new__, Limit)
-_interval_of = functools.partial(tuple.__new__, Interval)
-
-
 def _above(t) -> tuple:
     """t + EPS, as Limit arithmetic gives it."""
     return t[0] + 0.0, t[1] + 1 if t[1] < 1 else 1
@@ -669,25 +665,23 @@ class _Store:
         """One interval fiber from items sorted by their piece, item[at];
         item[-1] is its node. Equal touching pieces merge, and an overlap
         under "=" is raised."""
-        los, his, nodes = [], [], []
-        hi = None
+        out = []  # (piece, node) pairs
+        hi = None  # the stop of the last piece in out
         for r in items:
-            lo2, hi2 = r[at]
-            node = r[-1]
+            piece, node = r[at], r[-1]
+            lo2 = piece[0]
             if hi is not None:
                 if lo2 <= hi:
                     self._overlap(
-                        f"output pieces {Interval(Limit(*los[-1]), Limit(*hi))} and "
-                        f"{Interval(Limit(*lo2), Limit(*hi2))} overlap on {self.decl.name}")
-                if lo2[0] == hi[0] and lo2[1] == hi[1] + 1 and node == nodes[-1]:
-                    his[-1] = hi = hi2  # lo2 is hi + EPS: one piece
+                        f"output pieces {Interval(Limit(*out[-1][0][0]), Limit(*hi))} and "
+                        f"{Interval(Limit(*lo2), Limit(*piece[1]))} overlap on {self.decl.name}")
+                if lo2[0] == hi[0] and lo2[1] == hi[1] + 1 and node == out[-1][1]:
+                    hi = piece[1]  # lo2 is hi + EPS: one piece
+                    out[-1] = ((out[-1][0][0], hi), node)
                     continue
-            los.append(lo2)
-            his.append(hi2)
-            nodes.append(node)
-            hi = hi2
-        ivs = map(_interval_of, zip(map(_limit_of, los), map(_limit_of, his)))
-        return list(zip(ivs, nodes))
+            out.append((piece, node))
+            hi = piece[1]
+        return out
 
     def _overlay(self, recs, depth) -> list:
         """recs with their pieces at depth split into the elementary pieces

@@ -457,8 +457,10 @@ def _emit_comp(c) -> str:
 
 
 def pretty(stmt, indent: int = 0) -> str:
-    """Readable indented form of a plan statement tree."""
+    """Readable indented form of a plan statement tree; a Plan prints its body."""
     pad = "  " * indent
+    if isinstance(stmt, Plan):
+        return pretty(stmt.body, indent)
     if isinstance(stmt, Block):
         if not stmt.stmts:
             return pad + "pass"

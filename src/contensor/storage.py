@@ -12,17 +12,26 @@ ptr[f]..ptr[f+1]; a dense fiber f owns positions f*size..(f+1)*size. Leaf
 positions index ``values``.
 
 Each sparse level keeps one endpoint table (``PieceTable``: ptr plus a
-start and a stop Limit per piece), built and checked once when a tensor
-is validated. Point lookups, fiber walks and the executor's seeks and
-probes all search that table; nothing else rebuilds piece endpoints.
+start and a stop per piece), built and checked once when a tensor is
+validated. A stored endpoint is a plain ``(val, eps)`` tuple, which
+orders exactly as the ``Limit`` it stands for; ``fiber_entries`` and
+``pieces`` hand out ``Interval``s of ``Limit``s. Point lookups, fiber
+walks and the executor's seeks and probes all search that table; nothing
+else rebuilds piece endpoints.
+
+Validation makes whole-column passes (``map``, ``zip``, ``all``) and
+looks at single elements only once one of them fails, to name the first
+bad element in the error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from bisect import bisect_left
-from operator import itemgetter
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, eq, ge, itemgetter, le, mul, truth
 from typing import Iterator, Optional, Sequence, Union
 
 from .intervals import Interval
@@ -83,31 +92,25 @@ class DenseLevel:
 class PieceTable:
     """The stored pieces of one sparse level, as endpoint columns.
 
-    Fiber f owns positions ptr[f]..ptr[f+1]; piece p covers the Limits
-    starts[p]..stops[p], so half-open ends are exact data. Construction
-    checks that every piece is non-empty and that each fiber's pieces are
-    sorted and pairwise disjoint; that is what lets ``seek`` binary-search
-    the stops. Validation builds one table per level and keeps it as the
-    level's ``table``: storage, the oracle's ``fiber_entries`` and the
-    executor all read pieces from there.
+    Fiber f owns positions ptr[f]..ptr[f+1]; piece p covers the endpoints
+    starts[p]..stops[p], plain ``(val, eps)`` tuples ordered as Limits
+    are, so half-open ends are exact data. Construction checks that every
+    piece is non-empty and that each fiber's pieces are sorted and
+    pairwise disjoint; that is what lets ``seek`` binary-search the stops.
+    Validation builds one table per level and keeps it as the level's
+    ``table``: storage, the oracle's ``fiber_entries`` and the executor
+    all read pieces from there.
     """
 
     __slots__ = ("ptr", "starts", "stops")
 
     def __init__(self, level: int, ptr: tuple, starts: tuple, stops: tuple):
-        for f in range(len(ptr) - 1):
-            lo = ptr[f]
-            for p in range(lo, ptr[f + 1]):
-                if starts[p] > stops[p]:
-                    raise InvalidPieceError(
-                        f"level {level} fiber {f}: piece at position {p} is empty "
-                        f"({Interval(starts[p], stops[p])})"
-                    )
-                if p > lo:
-                    if starts[p].val < starts[p - 1].val:
-                        raise UnsortedError(level, f, p)
-                    if not stops[p - 1] < starts[p]:
-                        raise OverlapError.stored(level, f, p - 1)
+        # every piece non-empty, and below the next one except where a
+        # fiber begins: non-empty and disjoint imply sorted, so this
+        # accepts exactly what _first_fault's scan accepts
+        not_below_next = compress(range(1, len(starts)), map(ge, stops, islice(starts, 1, None)))
+        if not all(map(le, starts, stops)) or not set(not_below_next) <= set(ptr):
+            _first_fault(level, ptr, starts, stops)
         self.ptr, self.starts, self.stops = ptr, starts, stops
 
     def span(self, f: int) -> tuple:
@@ -115,11 +118,11 @@ class PieceTable:
             raise IndexError(f"fiber {f} out of range")
         return self.ptr[f], self.ptr[f + 1]
 
-    def seek(self, f: int, target: Limit) -> int:
+    def seek(self, f: int, target: tuple) -> int:
         """First position of fiber f whose stop is >= target."""
         return bisect_left(self.stops, target, self.ptr[f], self.ptr[f + 1])
 
-    def probe(self, f: int, x: Limit) -> int:
+    def probe(self, f: int, x: tuple) -> int:
         """Position of fiber f's piece containing x; -1 if none or f < 0."""
         if f < 0:
             return -1
@@ -128,15 +131,39 @@ class PieceTable:
             return p
         return -1
 
-    def last_stop(self, f: int) -> Limit:
+    def last_stop(self, f: int) -> tuple:
         """Stop of fiber f's last piece; just below -inf when f has none.
 
         The below--inf value makes a stored-span range empty, so an empty
         or missing fiber falls through to the fill tail.
         """
         if f < 0 or self.ptr[f] == self.ptr[f + 1]:
-            return Limit(-math.inf, BELOW)
+            return _NO_STOP
         return self.stops[self.ptr[f + 1] - 1]
+
+
+_NO_STOP = (-math.inf, BELOW)
+
+# a (val, eps) tuple as a Limit, and a pair of Limits as an Interval
+_limit_of = functools.partial(tuple.__new__, Limit)
+_interval_of = functools.partial(tuple.__new__, Interval)
+
+
+def _first_fault(level: int, ptr, starts, stops):
+    """Raise the error for the first empty, unsorted or overlapping piece."""
+    for f in range(len(ptr) - 1):
+        lo = ptr[f]
+        for p in range(lo, ptr[f + 1]):
+            if starts[p] > stops[p]:
+                raise InvalidPieceError(
+                    f"level {level} fiber {f}: piece at position {p} is empty "
+                    f"({Interval(Limit(*starts[p]), Limit(*stops[p]))})"
+                )
+            if p > lo:
+                if starts[p][0] < starts[p - 1][0]:
+                    raise UnsortedError(level, f, p)
+                if not stops[p - 1] < starts[p]:
+                    raise OverlapError.stored(level, f, p - 1)
 
 
 class _SparseLevel:
@@ -160,10 +187,13 @@ class PinpointLevel(_SparseLevel):
     pinpoint = True
 
     def _endpoints(self, level: int, n_fibers: int):
-        for c in self.crd:
-            if not math.isfinite(c):
-                raise InvalidPieceError(f"level {level}: bad coordinate {c!r}")
-        points = tuple([Limit(float(c)) for c in self.crd])
+        crd = self.crd
+        if not all(map(math.isfinite, crd)):
+            c = next(c for c in crd if not math.isfinite(c))
+            raise InvalidPieceError(f"level {level}: bad coordinate {c!r}")
+        if not set(map(type, crd)) <= {float}:
+            crd = tuple(map(float, crd))
+        points = tuple(zip(crd, repeat(EXACT)))
         return self.ptr, points, points
 
 
@@ -187,19 +217,15 @@ class IntervalLevel(_SparseLevel):
                 raise InvalidPieceError(f"level {level}: inclusiveness flag length mismatch")
         if any(map(math.isnan, self.left)) or any(map(math.isnan, self.right)):
             raise InvalidPieceError(f"level {level}: NaN endpoint")
-        # build_level hands over the Limits its keys already held
-        ends = self.__dict__.get("_ends")
-        if ends is None:
-            ends = (_limits(self.left, self.lclose, ABOVE), _limits(self.right, self.rclose, BELOW))
-        return (self.ptr, *ends)
+        return (self.ptr, _column(self.left, self.lclose, ABOVE),
+                _column(self.right, self.rclose, BELOW))
 
 
-def _limits(vals, flags, open_eps: int) -> tuple:
-    """Endpoint Limits: exact where the flag is set, else open_eps."""
+def _column(vals, flags, open_eps: int) -> tuple:
+    """Endpoint tuples: exact where the flag is set, else open_eps."""
     if isinstance(flags, bool):
-        eps = EXACT if flags else open_eps
-        return tuple([Limit(v, eps) for v in vals])
-    return tuple([Limit(v, EXACT if c else open_eps) for v, c in zip(vals, flags)])
+        return tuple(zip(vals, repeat(EXACT if flags else open_eps)))
+    return tuple(zip(vals, map((open_eps, EXACT).__getitem__, map(truth, flags))))
 
 
 @dataclass(frozen=True)
@@ -231,12 +257,12 @@ class RegularLevel(_SparseLevel):
         if self.ptr is None and n_fibers != 1:
             raise InvalidPieceError(f"level {level}: regular level needs ptr for {n_fibers} fibers")
         ptr = self.ptr if self.ptr is not None else (0, len(self.xs))
-        lows = [self.stride * x for x in _int_xs(self.xs, f"level {level}")]
-        starts = tuple([Limit(lo) for lo in lows])
+        lows = tuple(map(mul, repeat(self.stride), _int_xs(self.xs, f"level {level}")))
+        starts = tuple(zip(lows, repeat(EXACT)))
         if self.length == 0:
             return ptr, starts, starts
-        eps = EXACT if self.rclose else BELOW
-        return ptr, starts, tuple([Limit(lo + self.length, eps) for lo in lows])
+        highs = map(add, lows, repeat(self.length))
+        return ptr, starts, tuple(zip(highs, repeat(EXACT if self.rclose else BELOW)))
 
 
 def _integral(x) -> bool:
@@ -246,10 +272,12 @@ def _integral(x) -> bool:
 
 def _int_xs(xs, where: str) -> tuple:
     """xs as ints; a non-finite or fractional x is an InvalidPieceError."""
+    if set(map(type, xs)) <= {int}:
+        return tuple(xs)
     for x in xs:
         if not _integral(x):
             raise InvalidPieceError(f"{where}: regular xs must be integers, got {x!r}")
-    return tuple(int(x) for x in xs)
+    return tuple(map(int, xs))
 
 
 Level = Union[DenseLevel, PinpointLevel, IntervalLevel, RegularLevel]
@@ -260,9 +288,9 @@ def _check_ptr(ptr, level: int, n_fibers: int, n_entries: int) -> None:
         raise InvalidPieceError(
             f"level {level}: ptr must run 0..{n_entries} over {n_fibers} fibers, got {list(ptr)}"
         )
-    for i in range(n_fibers):
-        if ptr[i + 1] < ptr[i]:
-            raise InvalidPieceError(f"level {level}: ptr not monotone at fiber {i}")
+    if not all(map(le, ptr, islice(ptr, 1, None))):
+        i = next(i for i in range(n_fibers) if ptr[i + 1] < ptr[i])
+        raise InvalidPieceError(f"level {level}: ptr not monotone at fiber {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +337,9 @@ class ContTensor:
             raise TypeError("dense levels have no piece entries")
         t = lv.table
         lo, hi = t.span(fiber)
-        return [(Interval(t.starts[p], t.stops[p]), p) for p in range(lo, hi)]
+        starts = map(_limit_of, t.starts[lo:hi])
+        stops = map(_limit_of, t.stops[lo:hi])
+        return list(zip(map(_interval_of, zip(starts, stops)), range(lo, hi)))
 
     def fiber_cover(self, level: int, fiber: int):
         """Entries plus reconstructed fill gaps, tiling the whole line.
@@ -403,6 +433,8 @@ def _as_interval(key) -> Interval:
     if isinstance(key, Interval):
         return key
     if isinstance(key, tuple) and len(key) == 2:
+        if isinstance(key[0], tuple) and isinstance(key[1], tuple):
+            return Interval(Limit(*key[0]), Limit(*key[1]))
         return Interval.closed(*key)
     if isinstance(key, tuple) and len(key) == 3:
         return Interval.from_kind(key[0], key[1], key[2])
@@ -411,15 +443,27 @@ def _as_interval(key) -> Interval:
     raise TypeError(f"cannot read {key!r} as an interval")
 
 
-_START = _VAL = itemgetter(0)  # of an Interval, of a Limit
+_START = _VAL = itemgetter(0)  # of an Interval, of an endpoint
 _STOP = _EPS = itemgetter(1)
+
+
+def _ends(keys):
+    """(starts, stops) of keys that are all Intervals or (start, stop)
+    pairs of (val, eps) tuples; None when any key is another form."""
+    if not (set(map(type, keys)) <= {Interval, tuple} and set(map(len, keys)) <= {2}):
+        return None
+    starts, stops = tuple(map(_START, keys)), tuple(map(_STOP, keys))
+    if not (set(map(type, chain(starts, stops))) <= {Limit, tuple}
+            and set(map(len, chain(starts, stops))) <= {2}):
+        return None
+    return starts, stops
 
 
 def _closed_flags(ends, eps: set):
     """Closed-end flags of ends: one bool when all agree (True for none)."""
     if len(eps) <= 1:
         return EXACT in eps or not eps
-    return tuple([e[1] == EXACT for e in ends])
+    return tuple(map(eq, map(_EPS, ends), repeat(EXACT)))
 
 
 def build_level(spec, fibers: Sequence[Sequence]):
@@ -427,41 +471,38 @@ def build_level(spec, fibers: Sequence[Sequence]):
 
     spec: ("dense", size) | ("pinpoint",) | ("interval",)
         | ("regular", stride, length, rclose)
-    fibers: for sparse kinds, one key list per fiber (coords, intervals,
-        or integer xs). Dense ignores fibers.
+    fibers: for sparse kinds, one key list per fiber (coords, interval
+        keys, or integer xs). An interval key is an Interval, a (start,
+        stop) pair of (val, eps) tuples, or a form ``_as_interval`` reads.
+        Dense ignores fibers.
     """
     kind = spec[0]
     if kind == "dense":
         return DenseLevel(size=spec[1])
-    ptr = [0]
-    for f in fibers:
-        ptr.append(ptr[-1] + len(f))
+    ptr = tuple(accumulate(map(len, fibers), initial=0))
+    keys = list(chain.from_iterable(fibers))
     if kind == "pinpoint":
-        crd = tuple(float(c) for f in fibers for c in f)
-        return PinpointLevel(ptr=tuple(ptr), crd=crd)
+        return PinpointLevel(ptr=ptr, crd=tuple(map(float, keys)))
     if kind == "interval":
-        ivs = [k if type(k) is Interval else _as_interval(k) for f in fibers for k in f]
-        starts = tuple(map(_START, ivs))
-        stops = tuple(map(_STOP, ivs))
+        ends = _ends(keys)
+        if ends is None:
+            ivs = list(map(_as_interval, keys))
+            ends = tuple(map(_START, ivs)), tuple(map(_STOP, ivs))
+        starts, stops = ends
         leps, reps = set(map(_EPS, starts)), set(map(_EPS, stops))
         if not leps <= {EXACT, ABOVE} or not reps <= {EXACT, BELOW}:
-            bad = next(iv for iv in ivs if iv.start.eps not in (EXACT, ABOVE)
-                       or iv.stop.eps not in (EXACT, BELOW))
+            bad = next(Interval(Limit(*a), Limit(*b)) for a, b in zip(starts, stops)
+                       if a[1] not in (EXACT, ABOVE) or b[1] not in (EXACT, BELOW))
             raise InvalidPieceError(f"cannot store {bad} in an interval level")
-        level = IntervalLevel(
-            ptr=tuple(ptr), left=tuple(map(_VAL, starts)), right=tuple(map(_VAL, stops)),
+        return IntervalLevel(
+            ptr=ptr, left=tuple(map(_VAL, starts)), right=tuple(map(_VAL, stops)),
             lclose=_closed_flags(starts, leps), rclose=_closed_flags(stops, reps),
         )
-        # validation reads these Limits rather than rebuilding them from
-        # left/right and the flags
-        object.__setattr__(level, "_ends", (starts, stops))
-        return level
     if kind == "regular":
         _, stride, length, rclose = spec
-        xs = _int_xs([x for f in fibers for x in f], "regular level")
         return RegularLevel(
             stride=float(stride), length=float(length), rclose=bool(rclose),
-            xs=xs, ptr=tuple(ptr) if len(fibers) != 1 else None,
+            xs=_int_xs(keys, "regular level"), ptr=ptr if len(fibers) != 1 else None,
         )
     raise ValueError(f"unknown level kind {kind!r}")
 

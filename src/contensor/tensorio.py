@@ -12,7 +12,9 @@ The on-disk shape mirrors the in-memory levels one to one:
 
 Regular levels additionally carry "ptr" only when they hold more than one
 fiber. Saves are canonical (fixed key order, two-space indent, trailing
-newline) so a load/save round trip is byte stable.
+newline) so a load/save round trip is byte stable. Loads check each array
+in whole-array passes and walk it element by element only once a pass
+fails, so the ``SchemaError`` path names the first bad element.
 """
 
 from __future__ import annotations
@@ -51,30 +53,57 @@ def _num(x, path):
         raise _too_large(x, path) from None
 
 
-def _num_list(x, path):
+def _value(v, path):
+    if isinstance(v, bool):
+        return v
+    if isinstance(v, (int, float)):
+        return _num(v, path)
+    raise SchemaError(path, f"expected a number or boolean, got {v!r}")
+
+
+def _array(x, path):
     if not isinstance(x, list):
         raise SchemaError(path, f"expected an array, got {x!r}")
-    return tuple(_num(v, f"{path}[{i}]") for i, v in enumerate(x))
+    return x
+
+
+def _floats(x, kept=()):
+    """x as a tuple with its ints made floats, when every element is a
+    float, an int that fits one, or of a type in kept; None otherwise."""
+    types = set(map(type, x))
+    if types <= {float, *kept}:
+        return tuple(x)
+    if types <= {float, int}:
+        try:
+            return tuple(map(float, x))
+        except OverflowError:
+            pass
+    return None
+
+
+def _num_list(x, path):
+    out = _floats(_array(x, path))
+    if out is None:
+        out = tuple(_num(v, f"{path}[{i}]") for i, v in enumerate(x))
+    return out
 
 
 def _int_list(x, path):
-    out = []
-    if not isinstance(x, list):
-        raise SchemaError(path, f"expected an array, got {x!r}")
+    if set(map(type, _array(x, path))) <= {int}:
+        return tuple(x)
     for i, v in enumerate(x):
         if isinstance(v, bool) or not isinstance(v, int):
             raise SchemaError(f"{path}[{i}]", f"expected an integer, got {v!r}")
-        out.append(v)
-    return tuple(out)
+    return tuple(x)
 
 
 def _flags(x, path):
     if isinstance(x, bool):
         return x
     if isinstance(x, list):
-        for i, v in enumerate(x):
-            if not isinstance(v, bool):
-                raise SchemaError(f"{path}[{i}]", f"expected a boolean, got {v!r}")
+        if not set(map(type, x)) <= {bool}:
+            i, v = next((i, v) for i, v in enumerate(x) if not isinstance(v, bool))
+            raise SchemaError(f"{path}[{i}]", f"expected a boolean, got {v!r}")
         return tuple(x)
     raise SchemaError(path, f"expected boolean or boolean array, got {x!r}")
 
@@ -115,8 +144,9 @@ def level_from_json(obj, path: str):
         if not isinstance(rclose, bool):
             raise SchemaError(f"{path}.rclose", f"expected a boolean, got {rclose!r}")
         xs = _int_list(_require(obj, "xs", path), f"{path}.xs")
-        for i, x in enumerate(xs):
-            _num(x, f"{path}.xs[{i}]")  # the level scales each x by the stride
+        if _floats(xs) is None:  # the level scales each x by the stride
+            for i, x in enumerate(xs):
+                _num(x, f"{path}.xs[{i}]")
         return RegularLevel(
             stride=stride, length=length, rclose=rclose, xs=xs,
             ptr=_int_list(ptr, f"{path}.ptr") if ptr is not None else None,
@@ -165,22 +195,14 @@ def tensor_from_json(obj, path: str = "$") -> ContTensor:
     values_json = _require(obj, "values", path)
     if not isinstance(values_json, list):
         raise SchemaError(f"{path}.values", "expected an array")
-    values = []
-    for i, v in enumerate(values_json):
-        if isinstance(v, bool):
-            values.append(v)
-        elif isinstance(v, (int, float)):
-            try:
-                values.append(float(v))
-            except OverflowError:
-                raise _too_large(v, f"{path}.values[{i}]") from None
-        else:
-            raise SchemaError(f"{path}.values[{i}]", f"expected a number or boolean, got {v!r}")
+    values = _floats(values_json, kept={bool})
+    if values is None:
+        values = tuple(_value(v, f"{path}.values[{i}]") for i, v in enumerate(values_json))
     try:
         return ContTensor(
             name=name,
             levels=levels,
-            values=tuple(values),
+            values=values,
             fill=fill if isinstance(fill, bool) else _num(fill, f"{path}.fill"),
         )
     except StorageError as e:

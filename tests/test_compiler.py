@@ -202,6 +202,12 @@ def test_pretty_renders_without_crashing():
     assert "coiterate" in text and "guard" in text
 
 
+def test_pretty_prints_a_plan_as_its_body():
+    A = tensor_1d("A", [((1.0, 3.0), 2.0)], 0.0, kind="interval")
+    plan = compile_program(parse(DOT_INTEGRAL), {"A": A, "B": A})
+    assert pretty(plan) == pretty(plan.body)
+
+
 def test_shifted_access_uses_scalar_shift():
     Mask = tensor_1d("Mask", [(0.0, True)], False)
     A = tensor_1d("A", [((0.0, 2.0), 1.0)], 0.0, kind="interval")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from contensor.intervals import Interval
-from contensor.limits import Limit
+from contensor.limits import EPS, Limit
 from contensor.storage import (
     FILL,
     ContTensor,
@@ -14,6 +14,7 @@ from contensor.storage import (
     OverlapError,
     PinpointLevel,
     RegularLevel,
+    StorageError,
     UnsortedError,
     build_level,
     build_tensor,
@@ -357,3 +358,217 @@ def test_locate_probe_seek_match_linear_scan():
                 assert table.probe(f, x) == (-1 if want is FILL else want)
                 assert table.seek(f, x) == linear_seek(t, 1, f, x)
             assert table.probe(-1, x) == -1
+
+
+def looplet_walk(t, level, f):
+    """(Interval, payload) regions of fiber f as a compiled loop walks them:
+    a stepper over the stored pieces up to the fiber's last stop, with a
+    fill gap before each piece whose start is not reached yet, then a
+    fill run to +inf. Read straight from the level's PieceTable columns."""
+    table = t.levels[level].table
+    out = []
+    cursor = Limit(-math.inf)
+    stop = Limit(*table.last_stop(f))
+    if not Interval(cursor, stop).is_empty:
+        for p in range(table.seek(f, cursor), table.span(f)[1]):
+            gap_stop = Limit(*table.starts[p]) - EPS
+            if not Interval(cursor, gap_stop).is_empty:
+                out.append((Interval(cursor, gap_stop), FILL))
+                cursor = gap_stop + EPS
+            out.append((Interval(cursor, Limit(*table.stops[p])), p))
+            cursor = Limit(*table.stops[p]) + EPS
+        assert cursor == stop + EPS, "stepper did not consume its phase range"
+    tail = Interval(cursor, Limit(math.inf))
+    if not tail.is_empty:
+        out.append((tail, FILL))
+    return out
+
+
+def random_interval_fiber(rng, max_pieces=6):
+    kinds = ["closed", "right_open", "left_open", "open"]
+    out = []
+    cursor = rng.randint(-40, 0) / 4
+    for _ in range(rng.randint(0, max_pieces)):
+        a = cursor + rng.randint(1, 8) / 4
+        b = a + rng.randint(0, 8) / 4
+        kind = rng.choice(kinds) if b > a else "closed"
+        out.append(((a, b, kind), rng.randint(1, 9) * 1.0))
+        cursor = b
+    return out
+
+
+def test_walk_matches_cover_randomized():
+    assert looplet_walk(fx(), 0, 0) == fx().fiber_cover(0, 0)
+    rng = random.Random(11)
+    for _ in range(200):
+        t = tensor_1d("t", random_interval_fiber(rng), kind="interval")
+        assert looplet_walk(t, 0, 0) == t.fiber_cover(0, 0)
+
+
+def test_walk_matches_cover_pinpoint_and_regular():
+    rng = random.Random(12)
+    for _ in range(100):
+        crds = sorted({rng.randint(-20, 20) / 2 for _ in range(rng.randint(0, 6))})
+        tp = tensor_1d("p", [(c, 1.0) for c in crds])
+        assert looplet_walk(tp, 0, 0) == tp.fiber_cover(0, 0)
+
+        xs = sorted({rng.randint(-10, 10) for _ in range(rng.randint(0, 5))})
+        length = rng.choice([0.0, 0.25, 0.5])
+        tr = build_tensor(
+            "r", [("regular", 0.5, length, length == 0.0)], [(x, 1.0) for x in xs]
+        )
+        assert looplet_walk(tr, 0, 0) == tr.fiber_cover(0, 0)
+
+
+def test_walk_second_level_fibers():
+    t = build_tensor(
+        "g",
+        [("dense", 2), ("interval",)],
+        [[((0.0, 1.0), 5.0)], []],
+    )
+    w0 = looplet_walk(t, 1, 0)
+    assert w0 == t.fiber_cover(1, 0)
+    assert [p for _, p in w0 if p is not FILL] == [0]
+    assert looplet_walk(t, 1, 1) == [(Interval.full(), FILL)]
+
+
+# --- whole-column validation: same verdict and error as the per-piece scan
+
+N, FIBERS = 1000, 10  # 100 pieces in each fiber under a dense rank
+PTR = tuple(range(0, N + 1, N // FIBERS))
+AT = (0, 500, 999)  # first, middle and last piece
+
+
+def big_level(kind, ptr=PTR, **cols):
+    """A 1000-piece level of this kind, its columns overridden by cols."""
+    if kind == "pinpoint":
+        return PinpointLevel(ptr=ptr, crd=cols.get("crd", tuple(j + 0.125 for j in range(N))))
+    if kind == "interval":
+        return IntervalLevel(
+            ptr=ptr,
+            left=cols.get("left", tuple(j + 0.125 for j in range(N))),
+            right=cols.get("right", tuple(j + 0.5 for j in range(N))),
+            lclose=cols.get("lclose", tuple(j % 2 == 0 for j in range(N))),
+            rclose=cols.get("rclose", tuple(j % 3 != 0 for j in range(N))))
+    return RegularLevel(stride=0.5, length=0.25, rclose=True, ptr=ptr,
+                        xs=cols.get("xs", tuple(range(0, 2 * N, 2))))
+
+
+def big_tensor(level):
+    return ContTensor("t", (DenseLevel(FIBERS), level), tuple(j % 7 + 0.5 for j in range(N)))
+
+
+def replaced(kind, field, at, bad):
+    col = list(getattr(big_level(kind), field))
+    col[at] = bad
+    return tuple(col)
+
+
+@pytest.mark.parametrize("kind, field, bad, message", [
+    ("pinpoint", "crd", float("nan"), "level 1: bad coordinate nan"),
+    ("pinpoint", "crd", math.inf, "level 1: bad coordinate inf"),
+    ("pinpoint", "crd", -math.inf, "level 1: bad coordinate -inf"),
+    ("interval", "left", float("nan"), "level 1: NaN endpoint"),
+    ("interval", "right", float("nan"), "level 1: NaN endpoint"),
+    ("regular", "xs", 2.5, "level 1: regular xs must be integers, got 2.5"),
+    ("regular", "xs", float("nan"), "level 1: regular xs must be integers, got nan"),
+    ("regular", "xs", math.inf, "level 1: regular xs must be integers, got inf"),
+])
+def test_a_bad_element_anywhere_is_rejected(kind, field, bad, message):
+    big_tensor(big_level(kind))
+    for at in AT:
+        with pytest.raises(InvalidPieceError) as e:
+            big_tensor(big_level(kind, **{field: replaced(kind, field, at, bad)}))
+        assert str(e.value) == message
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_ptr_running_backwards_is_rejected(kind):
+    ptr = list(PTR)
+    ptr[5] = 0
+    with pytest.raises(InvalidPieceError) as e:
+        big_tensor(big_level(kind, ptr=tuple(ptr)))
+    assert str(e.value) == "level 1: ptr not monotone at fiber 4"
+
+
+def swapped(col, k):
+    col = list(col)
+    col[k], col[k + 1] = col[k + 1], col[k]
+    return tuple(col)
+
+
+# (kind, columns with a fault planted in fiber 3, error, (level, fiber, pos), message)
+PIECE_FAULTS = [
+    ("interval", {"left": replaced("interval", "left", 340, 341.0)}, InvalidPieceError, None,
+     "level 1 fiber 3: piece at position 340 is empty ([341, 340.5])"),
+    ("interval", {"left": swapped(big_level("interval").left, 340),
+                  "right": swapped(big_level("interval").right, 340)},
+     UnsortedError, (1, 3, 341), "level 1 fiber 3: pieces out of order at position 341"),
+    ("interval", {"right": replaced("interval", "right", 340, 341.25)},
+     OverlapError, (1, 3, 340), "level 1 fiber 3: pieces at positions 340 and 341 overlap"),
+    ("pinpoint", {"crd": swapped(big_level("pinpoint").crd, 340)},
+     UnsortedError, (1, 3, 341), "level 1 fiber 3: pieces out of order at position 341"),
+    ("pinpoint", {"crd": replaced("pinpoint", "crd", 341, 340.125)},
+     OverlapError, (1, 3, 340), "level 1 fiber 3: pieces at positions 340 and 341 overlap"),
+    ("regular", {"xs": swapped(big_level("regular").xs, 340)},
+     UnsortedError, (1, 3, 341), "level 1 fiber 3: pieces out of order at position 341"),
+    ("regular", {"xs": replaced("regular", "xs", 341, 680)},
+     OverlapError, (1, 3, 340), "level 1 fiber 3: pieces at positions 340 and 341 overlap"),
+    # two faults: the one at the lower position is reported
+    ("interval", {"left": replaced("interval", "left", 360, 361.0),
+                  "right": replaced("interval", "right", 340, 341.25)},
+     OverlapError, (1, 3, 340), "level 1 fiber 3: pieces at positions 340 and 341 overlap"),
+    ("interval", {"left": replaced("interval", "left", 740, 741.0),
+                  "right": replaced("interval", "right", 999, 0.0)}, InvalidPieceError, None,
+     "level 1 fiber 7: piece at position 740 is empty ([741, 740.5])"),
+]
+
+
+@pytest.mark.parametrize("kind, cols, error, where, message", PIECE_FAULTS,
+                         ids=[f"{c[0]}-{c[2].__name__}-{i}" for i, c in enumerate(PIECE_FAULTS)])
+def test_a_planted_piece_fault_is_reported_where_it_is(kind, cols, error, where, message):
+    with pytest.raises(StorageError) as e:
+        big_tensor(big_level(kind, **cols))
+    assert type(e.value) is error
+    assert str(e.value) == message
+    if where is not None:
+        assert (e.value.level, e.value.fiber, e.value.pos) == where
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pieces_may_descend_across_a_fiber_boundary(kind):
+    # fibers 0 and 1 swap places, and fiber 2 is empty: each fiber stays
+    # sorted, so this is valid although the column is not
+    order = list(range(100, 200)) + list(range(100)) + list(range(200, N))
+    ptr = (0, 100, 200, 200) + PTR[3:]
+    base = big_level(kind)
+    cols = {f: tuple(getattr(base, f)[j] for j in order)
+            for f in ("crd", "left", "right", "lclose", "rclose", "xs")
+            if isinstance(getattr(base, f, None), tuple)}
+    t = ContTensor("t", (DenseLevel(FIBERS + 1), big_level(kind, ptr=ptr, **cols)),
+                   tuple(j % 7 + 0.5 for j in range(N)))
+    entries = big_tensor(base).fiber_entries
+    assert t.fiber_entries(1, 0) == [(iv, p - 100) for iv, p in entries(1, 1)]
+    assert t.fiber_entries(1, 1) == [(iv, p + 100) for iv, p in entries(1, 0)]
+    assert t.fiber_entries(1, 2) == []
+
+
+def test_interval_keys_as_endpoint_pairs_build_the_same_level():
+    ivs = [Interval(Limit(0.5), Limit(1.0, -1)), Interval(Limit(1.0), Limit(2.0)),
+           Interval(Limit(3.0, 1), Limit(4.0, -1))]
+    pairs = [(tuple(iv.start), tuple(iv.stop)) for iv in ivs]
+    by_iv = build_tensor("t", [("interval",)], [(iv, 1.0) for iv in ivs])
+    by_pair = build_tensor("t", [("interval",)], [(k, 1.0) for k in pairs])
+    assert by_pair == by_iv
+    assert by_pair.levels[0].table.starts == tuple(pairs[i][0] for i in range(3))
+    assert type(by_pair.levels[0].table.starts[0]) is tuple
+    assert list(by_pair.pieces()) == [((iv,), 1.0) for iv in ivs]
+
+
+@pytest.mark.parametrize("key", [
+    Interval(Limit(1.0, -1), Limit(2.0)),
+    ((1.0, 0), (2.0, 1)),
+])
+def test_an_end_an_interval_level_cannot_hold_is_rejected(key):
+    with pytest.raises(InvalidPieceError, match="cannot store .* in an interval level"):
+        build_tensor("t", [("interval",)], [(((0.0, 0), (0.5, 0)), 1.0), (key, 2.0)])

@@ -3,7 +3,15 @@ import json
 import pytest
 
 from contensor.intervals import Interval
-from contensor.storage import DenseLevel, RegularLevel, ContTensor, tensor_1d
+from contensor.storage import (
+    ContTensor,
+    DenseLevel,
+    InvalidPieceError,
+    OverlapError,
+    RegularLevel,
+    UnsortedError,
+    tensor_1d,
+)
 from contensor.tensorio import (
     SchemaError,
     dumps_tensor,
@@ -144,3 +152,126 @@ def test_an_integer_too_large_for_a_float_is_a_schema_error(where, path):
     with pytest.raises(SchemaError) as e:
         tensor_from_json(obj)
     assert e.value.path == path
+
+
+# --- the whole-column fast path names the same element as the per-element path
+
+N, FIBERS = 1000, 10  # 100 pieces in each fiber under a dense rank
+AT = (0, 500, 999)  # first, middle and last piece
+
+
+def big_json(kind):
+    """A 1000-piece tensor: dense 10 over one sparse level of this kind."""
+    ptr = list(range(0, N + 1, N // FIBERS))
+    if kind == "pinpoint":
+        level = {"kind": "pinpoint", "ptr": ptr, "crd": [j + 0.125 for j in range(N)]}
+    elif kind == "interval":
+        level = {"kind": "interval", "ptr": ptr,
+                 "left": [j + 0.125 for j in range(N)], "right": [j + 0.5 for j in range(N)],
+                 "lclose": [j % 2 == 0 for j in range(N)],
+                 "rclose": [j % 3 != 0 for j in range(N)]}
+    else:
+        level = {"kind": "regular", "stride": 0.5, "len": 0.25, "rclose": True,
+                 "ptr": ptr, "xs": list(range(N))}
+    return {"name": "t", "fill": 0.0, "values": [j % 7 + 0.5 for j in range(N)],
+            "levels": [{"kind": "dense", "size": FIBERS}, level]}
+
+
+HUGE_INT = 2 ** 1100
+NAN, INF = float("nan"), float("inf")
+# (kind, field, bad elements, the message each gets at the element's path)
+ELEMENT_CASES = [
+    ("interval", "ptr", [True, "x", None, NAN, INF], "expected an integer"),
+    ("pinpoint", "crd", [True, "x", None], "expected a number"),
+    ("pinpoint", "crd", [HUGE_INT], "integer of 1101 bits is too large for a float"),
+    ("interval", "left", [False, "x", None], "expected a number"),
+    ("interval", "left", [HUGE_INT], "integer of 1101 bits is too large for a float"),
+    ("interval", "right", [True, "x", None], "expected a number"),
+    ("interval", "right", [HUGE_INT], "integer of 1101 bits is too large for a float"),
+    ("interval", "lclose", ["x", None, HUGE_INT, NAN, INF, 1], "expected a boolean"),
+    ("interval", "rclose", ["x", None, HUGE_INT, NAN, INF, 0], "expected a boolean"),
+    ("regular", "xs", [True, "x", None, NAN, INF, 2.0], "expected an integer"),
+    ("regular", "xs", [HUGE_INT], "integer of 1101 bits is too large for a float"),
+    ("interval", "values", ["x", None], "expected a number or boolean"),
+    ("interval", "values", [HUGE_INT], "integer of 1101 bits is too large for a float"),
+]
+
+
+def planted(kind, field, at, bad):
+    obj = big_json(kind)
+    arr = obj["values"] if field == "values" else obj["levels"][1][field]
+    arr[at] = bad
+    return obj
+
+
+@pytest.mark.parametrize("kind, field, bads, message", ELEMENT_CASES,
+                         ids=[f"{c[0]}-{c[1]}-{i}" for i, c in enumerate(ELEMENT_CASES)])
+def test_a_bad_element_is_named_by_its_path(kind, field, bads, message):
+    tensor_from_json(big_json(kind))
+    base = "$.values" if field == "values" else f"$.levels[1].{field}"
+    for at in AT if field != "ptr" else (0, 5, 10):
+        for bad in bads:
+            with pytest.raises(SchemaError) as e:
+                tensor_from_json(planted(kind, field, at, bad))
+            assert e.value.path == f"{base}[{at}]", (at, bad)
+            assert message in str(e.value), (at, bad)
+
+
+@pytest.mark.parametrize("kind, field, bad, message", [
+    ("pinpoint", "crd", NAN, "level 1: bad coordinate nan"),
+    ("pinpoint", "crd", INF, "level 1: bad coordinate inf"),
+    ("pinpoint", "crd", -INF, "level 1: bad coordinate -inf"),
+    ("interval", "left", NAN, "level 1: NaN endpoint"),
+    ("interval", "right", NAN, "level 1: NaN endpoint"),
+])
+def test_a_non_finite_element_the_level_rejects_is_a_load_error(kind, field, bad, message):
+    for at in AT:
+        with pytest.raises(SchemaError) as e:
+            tensor_from_json(planted(kind, field, at, bad))
+        assert e.value.path == "$"
+        assert str(e.value) == f"$: {message}"
+
+
+@pytest.mark.parametrize("at, message", [
+    (0, "level 1: ptr must run 0..1000 over 10 fibers"),
+    (5, "level 1: ptr not monotone at fiber 5"),
+    (10, "level 1: ptr must run 0..1000 over 10 fibers"),
+])
+def test_a_huge_ptr_entry_is_a_load_error(at, message):
+    with pytest.raises(SchemaError) as e:
+        tensor_from_json(planted("interval", "ptr", at, HUGE_INT))
+    assert e.value.path == "$"
+    assert str(e.value).startswith(f"$: {message}")
+
+
+def interval_fault(fault):
+    """The interval tensor with one fault planted at position 340 (fiber 3)."""
+    obj = big_json("interval")
+    lv = obj["levels"][1]
+    k = 340
+    if fault == "empty":
+        lv["left"][k], lv["right"][k] = lv["right"][k], lv["left"][k]
+    elif fault == "swapped":
+        for f in ("left", "right", "lclose", "rclose"):
+            lv[f][k], lv[f][k + 1] = lv[f][k + 1], lv[f][k]
+    else:
+        lv["right"][k] = lv["left"][k + 1] + 0.25
+    return obj
+
+
+@pytest.mark.parametrize("fault, error, where, message", [
+    ("empty", InvalidPieceError, None,
+     "level 1 fiber 3: piece at position 340 is empty ([340.5, 340.125])"),
+    ("swapped", UnsortedError, (1, 3, 341),
+     "level 1 fiber 3: pieces out of order at position 341"),
+    ("overlapping", OverlapError, (1, 3, 340),
+     "level 1 fiber 3: pieces at positions 340 and 341 overlap"),
+])
+def test_a_planted_piece_fault_keeps_its_error(fault, error, where, message):
+    with pytest.raises(SchemaError) as e:
+        tensor_from_json(interval_fault(fault))
+    cause = e.value.__cause__
+    assert type(cause) is error
+    assert str(cause) == message
+    if where is not None:
+        assert (cause.level, cause.fiber, cause.pos) == where
