@@ -3,8 +3,10 @@
 A compiled loop walks a fiber as a sequence of two phases: a stepper over
 the stored pieces up to the fiber's last stop (a fill gap before each piece
 whose start is not reached yet), then a fill run to +inf. ``looplet_walk``
-below performs that walk straight from the level's ``PieceTable`` columns;
-these tests check it against ``fiber_cover`` and ``at``.
+below performs that walk straight from the level's ``PieceTable`` columns,
+which hold plain ``(val, eps)`` tuples, so it wraps each end in a ``Limit``
+before stepping by ``EPS``; these tests check it against ``fiber_cover``
+and ``at``.
 """
 
 import math
@@ -20,15 +22,15 @@ def looplet_walk(t, level, f):
     table = t.levels[level].table
     out = []
     cursor = Limit(-math.inf)
-    stop = table.last_stop(f)
+    stop = Limit(*table.last_stop(f))
     if not Interval(cursor, stop).is_empty:
         for p in range(table.seek(f, cursor), table.span(f)[1]):
-            gap_stop = table.starts[p] - EPS
+            gap_stop = Limit(*table.starts[p]) - EPS
             if not Interval(cursor, gap_stop).is_empty:
                 out.append((Interval(cursor, gap_stop), FILL))
                 cursor = gap_stop + EPS
-            out.append((Interval(cursor, table.stops[p]), p))
-            cursor = table.stops[p] + EPS
+            out.append((Interval(cursor, Limit(*table.stops[p])), p))
+            cursor = Limit(*table.stops[p]) + EPS
         assert cursor == stop + EPS, "stepper did not consume its phase range"
     tail = Interval(cursor, Limit(math.inf))
     if not tail.is_empty:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from contensor.intervals import Interval
-from contensor.limits import EPS, Limit
+from contensor.limits import Limit
 from contensor.storage import (
     FILL,
     ContTensor,
@@ -358,78 +358,6 @@ def test_locate_probe_seek_match_linear_scan():
                 assert table.probe(f, x) == (-1 if want is FILL else want)
                 assert table.seek(f, x) == linear_seek(t, 1, f, x)
             assert table.probe(-1, x) == -1
-
-
-def looplet_walk(t, level, f):
-    """(Interval, payload) regions of fiber f as a compiled loop walks them:
-    a stepper over the stored pieces up to the fiber's last stop, with a
-    fill gap before each piece whose start is not reached yet, then a
-    fill run to +inf. Read straight from the level's PieceTable columns."""
-    table = t.levels[level].table
-    out = []
-    cursor = Limit(-math.inf)
-    stop = Limit(*table.last_stop(f))
-    if not Interval(cursor, stop).is_empty:
-        for p in range(table.seek(f, cursor), table.span(f)[1]):
-            gap_stop = Limit(*table.starts[p]) - EPS
-            if not Interval(cursor, gap_stop).is_empty:
-                out.append((Interval(cursor, gap_stop), FILL))
-                cursor = gap_stop + EPS
-            out.append((Interval(cursor, Limit(*table.stops[p])), p))
-            cursor = Limit(*table.stops[p]) + EPS
-        assert cursor == stop + EPS, "stepper did not consume its phase range"
-    tail = Interval(cursor, Limit(math.inf))
-    if not tail.is_empty:
-        out.append((tail, FILL))
-    return out
-
-
-def random_interval_fiber(rng, max_pieces=6):
-    kinds = ["closed", "right_open", "left_open", "open"]
-    out = []
-    cursor = rng.randint(-40, 0) / 4
-    for _ in range(rng.randint(0, max_pieces)):
-        a = cursor + rng.randint(1, 8) / 4
-        b = a + rng.randint(0, 8) / 4
-        kind = rng.choice(kinds) if b > a else "closed"
-        out.append(((a, b, kind), rng.randint(1, 9) * 1.0))
-        cursor = b
-    return out
-
-
-def test_walk_matches_cover_randomized():
-    assert looplet_walk(fx(), 0, 0) == fx().fiber_cover(0, 0)
-    rng = random.Random(11)
-    for _ in range(200):
-        t = tensor_1d("t", random_interval_fiber(rng), kind="interval")
-        assert looplet_walk(t, 0, 0) == t.fiber_cover(0, 0)
-
-
-def test_walk_matches_cover_pinpoint_and_regular():
-    rng = random.Random(12)
-    for _ in range(100):
-        crds = sorted({rng.randint(-20, 20) / 2 for _ in range(rng.randint(0, 6))})
-        tp = tensor_1d("p", [(c, 1.0) for c in crds])
-        assert looplet_walk(tp, 0, 0) == tp.fiber_cover(0, 0)
-
-        xs = sorted({rng.randint(-10, 10) for _ in range(rng.randint(0, 5))})
-        length = rng.choice([0.0, 0.25, 0.5])
-        tr = build_tensor(
-            "r", [("regular", 0.5, length, length == 0.0)], [(x, 1.0) for x in xs]
-        )
-        assert looplet_walk(tr, 0, 0) == tr.fiber_cover(0, 0)
-
-
-def test_walk_second_level_fibers():
-    t = build_tensor(
-        "g",
-        [("dense", 2), ("interval",)],
-        [[((0.0, 1.0), 5.0)], []],
-    )
-    w0 = looplet_walk(t, 1, 0)
-    assert w0 == t.fiber_cover(1, 0)
-    assert [p for _, p in w0 if p is not FILL] == [0]
-    assert looplet_walk(t, 1, 1) == [(Interval.full(), FILL)]
 
 
 # --- whole-column validation: same verdict and error as the per-piece scan
