@@ -3,11 +3,11 @@
 ``kernel_source`` renders a plan as the source of one Python function:
 every plan slot is a local, every co-iteration one ``while`` loop with
 its steppers written out as int locals, and endpoints are compared
-inline as ``(val, eps)`` tuples, the form in which each sparse level's
-``PieceTable`` stores them and which orders exactly as ``Limit`` does.
-The function reads those tables and the leaf values from the bindings
-and keeps the ``ExecStats`` counters in local ints. Compiled kernels are
-cached by their source text, so a plan run again (or an equal plan over
+inline as ``(val, eps)`` tuples, the form in which each ``SparseLevel``
+stores them and which orders exactly as ``Limit`` does. The function
+reads those levels and the leaf values from the bindings and keeps the
+``ExecStats`` counters in local ints. Compiled kernels are cached by
+their source text, so a plan run again (or an equal plan over
 new data) pays no ``compile()``, while plans that equality would merge
 but that render differently (fill ``True`` vs ``1.0``) keep separate
 kernels.
@@ -76,11 +76,11 @@ def _missing():
     raise ExecError("endpoint of a missing entry")
 
 
-def _seek(table, f: int, lo: tuple, sh) -> int:
+def _seek(lv, f: int, lo: tuple, sh) -> int:
     """A stepper's first position in fiber f: the first piece whose stop,
     shifted back by sh, is at or past lo."""
-    p = table.seek(f, (lo[0] + sh, lo[1]))
-    ptr, stops = table.ptr, table.stops
+    p = lv.seek(f, (lo[0] + sh, lo[1]))
+    ptr, stops = lv.ptr, lv.stops
     beg, end = ptr[f], ptr[f + 1]
     # the shifted target can be an ulp off the loop-space comparison
     # every later step uses; settle membership where the rest of the
@@ -94,16 +94,16 @@ def _seek(table, f: int, lo: tuple, sh) -> int:
     return p
 
 
-def _probe(table, f: int, x: float, sh) -> int:
+def _probe(lv, f: int, x: float, sh) -> int:
     """Position of fiber f's piece holding x once its ends are shifted back
     by sh, compared as steppers compare them; -1 if none or f < 0."""
     if f < 0:
         return -1
-    last = table.ptr[f + 1] - 1
-    if last < table.ptr[f] or (table.stops[last][0] - sh, table.stops[last][1]) < (x, 0):
+    last = lv.ptr[f + 1] - 1
+    if last < lv.ptr[f] or (lv.stops[last][0] - sh, lv.stops[last][1]) < (x, 0):
         return -1  # every shifted stop lies below x: _seek would pass the fiber
-    p = _seek(table, f, (x, 0), sh)
-    return p if (table.starts[p][0] - sh, table.starts[p][1]) <= (x, 0) else -1
+    p = _seek(lv, f, (x, 0), sh)
+    return p if (lv.starts[p][0] - sh, lv.starts[p][1]) <= (x, 0) else -1
 
 
 def _pin_error(a, b):
@@ -181,7 +181,7 @@ class _Source:
     def __init__(self, plan: Plan):
         self.plan = plan
         self.slots = {}  # slot -> local, or (lo, hi) locals for a region
-        self.tables = {}  # (tensor, level) -> "_<tag>_<level>"
+        self.levels = {}  # (tensor, level) -> "_<tag>_<level>"
         self.values = {}  # tensor -> "_<tag>_vals"
         self.dense = 0  # dense positions rendered so far
         self.leaf_pos = None  # positions of the leaves of the value being written
@@ -192,8 +192,8 @@ class _Source:
         self.stmt(self.plan.body, _IND)
         self.op = self.op or "="
         head = ["def kernel(_b):"]
-        for (tensor, level), t in self.tables.items():
-            head.append(f"    {t}_table = _b[{tensor!r}].levels[{level}].table\n"
+        for (tensor, level), t in self.levels.items():
+            head.append(f"    {t}_table = _b[{tensor!r}].levels[{level}]\n"
                         f"    {t}_starts, {t}_stops = {t}_table.starts, {t}_table.stops")
         for tensor, vals in self.values.items():
             head.append(f"    {vals} = _b[{tensor!r}].values")
@@ -223,12 +223,12 @@ class _Source:
             pair = self.slots[slot] = (f"{v}_lo", f"{v}_hi")
         return pair
 
-    def table(self, tensor: str, level: int) -> str:
-        """Prefix of the locals of a level's PieceTable: <prefix>_table, and
-        its columns <prefix>_starts and _stops."""
-        t = self.tables.get((tensor, level))
+    def level(self, tensor: str, level: int) -> str:
+        """Prefix of the locals of a stored level: <prefix>_table (the
+        level), and its columns <prefix>_starts and _stops."""
+        t = self.levels.get((tensor, level))
         if t is None:
-            t = self.tables[(tensor, level)] = f"_{_ident(tensor, len(self.tables))}_{level}"
+            t = self.levels[(tensor, level)] = f"_{_ident(tensor, len(self.levels))}_{level}"
         return t
 
     def vals(self, tensor: str) -> str:
@@ -323,7 +323,7 @@ class _Source:
     def lexpr(self, e) -> str:
         t = type(e)
         if t is EndRef:
-            col = self.table(e.tensor, e.level) + ("_starts" if e.side in ("L", "C") else "_stops")
+            col = self.level(e.tensor, e.level) + ("_starts" if e.side in ("L", "C") else "_stops")
             p = self.pexpr(e.pos)
             if _simple(p):
                 base = f"({col}[{p}] if {p} >= 0 else _missing())"
@@ -337,7 +337,7 @@ class _Source:
         if t is IvStop:
             return self.region(e.slot, e.name)[1]
         if t is LastStop:
-            base = f"{self.table(e.tensor, e.level)}_table.last_stop({self.pexpr(e.fiber)})"
+            base = f"{self.level(e.tensor, e.level)}_table.last_stop({self.pexpr(e.fiber)})"
             return self.adjust(base, e.shift, e.eps_off)
         if t is LimC:
             return f"({_lit(e.value.val)}, {e.value.eps})"
@@ -394,9 +394,9 @@ class _Source:
                           f"{pad}{self.var(s.slot, s.name)} = {lo}[0]")
 
     def probe(self, s: Probe, pad: str):
-        t, f, x = self.table(s.tensor, s.level), self.pexpr(s.parent), self.expr(s.coord)
+        t, f, x = self.level(s.tensor, s.level), self.pexpr(s.parent), self.expr(s.coord)
         if s.shift == Num(0.0):
-            # at shift 0 the table's own probe finds the same position without
+            # at shift 0 the level's own probe finds the same position without
             # _probe's shifted comparisons (genomic's grid kernel ran 8% slower
             # with every probe through _probe)
             find = f"{t}_table.probe({f}, ({x}, 0))"
@@ -428,7 +428,7 @@ class _Source:
         steppers = []
         for st in s.steppers:
             p = self.var(st.pos_slot, st.pos_name)
-            t = self.table(st.tensor, st.level)
+            t = self.level(st.tensor, st.level)
             sh, shift = None, "0.0"
             if st.shift is not None:
                 sh = f"_{p}_sh"

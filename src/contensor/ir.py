@@ -131,14 +131,7 @@ class LenOf:
     name: str
 
 
-@dataclass(frozen=True)
-class Dif:
-    """Differential marker d(i); consumed by loop collapse, never executed."""
-
-    index: str
-
-
-SExpr = Union[Num, BoolC, Var, LeafVal, Add, Mul, And, Or, Sub, Div, Neg, Not, Cmp, LenOf, Dif]
+SExpr = Union[Num, BoolC, Var, LeafVal, Add, Mul, And, Or, Sub, Div, Neg, Not, Cmp, LenOf]
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +409,6 @@ def render(e) -> str:
         return f"({render(e.a)} {e.op} {render(e.b)})"
     if isinstance(e, LenOf):
         return f"len({e.name})"
-    if isinstance(e, Dif):
-        return f"d({e.index})"
     if isinstance(e, LimC):
         return str(e.value)
     if isinstance(e, EndRef):
@@ -513,7 +504,7 @@ def pretty(stmt, indent: int = 0) -> str:
 __all__ = [
     "PRoot", "PVar", "PDense", "PExpr",
     "Num", "BoolC", "Var", "LeafVal", "Add", "Mul", "And", "Or", "Sub", "Div",
-    "Neg", "Not", "Cmp", "LenOf", "Dif", "SExpr",
+    "Neg", "Not", "Cmp", "LenOf", "SExpr",
     "LimC", "EndRef", "LastStop", "IvStart", "IvStop", "LExpr",
     "Block", "DiscLoop", "LetScalar", "Probe", "IntersectLet", "Guard", "Cond",
     "Pin", "StepperRT", "WhileCoiter", "Accumulate", "EmitPiece", "SumGuard",

@@ -12,9 +12,7 @@ means "just above", so eps stays in {-1, 0, +1} and ordering stays total.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Union
-
-Real = Union[int, float]
+from typing import NamedTuple
 
 BELOW = -1
 EXACT = 0
@@ -86,8 +84,6 @@ class Limit(NamedTuple):
 
 
 EPS = Limit(0.0, ABOVE)
-NEG_INF = Limit(-math.inf)
-POS_INF = Limit(math.inf)
 
 
 def as_limit(x) -> Limit:

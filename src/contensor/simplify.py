@@ -172,7 +172,7 @@ def _uses_expr(e, acc):
     elif isinstance(e, Cmp):
         _uses_expr(e.a, acc)
         _uses_expr(e.b, acc)
-    # Num, BoolC, Dif: nothing
+    # Num, BoolC: nothing
 
 
 _NESTED = (DiscLoop, Guard, Cond, WhileCoiter, SumGuard)

@@ -1,9 +1,9 @@
 """Fibertree storage for piecewise-constant tensors over real indices.
 
-A tensor is a list of per-rank level descriptors plus one flat leaf value
-array. Discrete ranks use dense levels; continuous ranks use pinpoint,
-interval or regular levels whose entries are sorted, pairwise disjoint
-pieces. Everything not covered by a stored piece takes the tensor's fill
+A tensor is a list of per-rank levels plus one flat leaf value array.
+Discrete ranks use dense levels; a continuous rank stores sorted,
+pairwise disjoint pieces (points, intervals, or intervals on a regular
+grid). Everything not covered by a stored piece takes the tensor's fill
 value, which is how finite data denotes a function on the whole line.
 
 Positions: level l is split into fibers, one per position of level l-1
@@ -11,13 +11,15 @@ Positions: level l is split into fibers, one per position of level l-1
 ptr[f]..ptr[f+1]; a dense fiber f owns positions f*size..(f+1)*size. Leaf
 positions index ``values``.
 
-Each sparse level keeps one endpoint table (``PieceTable``: ptr plus a
-start and a stop per piece), built and checked once when a tensor is
-validated. A stored endpoint is a plain ``(val, eps)`` tuple, which
-orders exactly as the ``Limit`` it stands for; ``fiber_entries`` and
+Each continuous rank stores one ``SparseLevel``: ptr plus a start and a
+stop column, whose entries are plain ``(val, eps)`` tuples that order
+exactly as the ``Limit``s they stand for; ``fiber_entries`` and
 ``pieces`` hand out ``Interval``s of ``Limit``s. Point lookups, fiber
-walks and the executor's seeks and probes all search that table; nothing
-else rebuilds piece endpoints.
+walks and the executor's seeks and probes all search those columns.
+``PinpointLevel``, ``IntervalLevel`` and ``RegularLevel`` are input
+descriptors in the shape of the JSON schema: a ``ContTensor`` decodes
+each once, with its level index, into the ``SparseLevel`` it keeps, and
+a ``SparseLevel`` given directly gets only the column checks.
 
 Validation makes whole-column passes (``map``, ``zip``, ``all``) and
 looks at single elements only once one of them fails, to name the first
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, eq, ge, itemgetter, le, mul, truth
+from operator import add, ge, itemgetter, le, mul, truth
 from typing import Iterator, Optional, Sequence, Union
 
 from .intervals import Interval
@@ -72,46 +74,64 @@ FILL = None  # payload marker for gap pieces in covers
 
 
 # ---------------------------------------------------------------------------
-# level descriptors
+# stored levels
 
 
 @dataclass(frozen=True)
 class DenseLevel:
     size: int
 
-    kind = "dense"
     continuous = False
     pinpoint = False
 
-    def validate(self, level: int, n_fibers: int) -> int:
+    def decode(self, level: int, n_fibers: int) -> "DenseLevel":
         if self.size <= 0:
             raise InvalidPieceError(f"level {level}: dense size must be positive")
-        return n_fibers * self.size
+        return self
 
 
-class PieceTable:
-    """The stored pieces of one sparse level, as endpoint columns.
+@dataclass(frozen=True, slots=True)
+class SparseLevel:
+    """The stored pieces of one continuous level, as endpoint columns.
 
-    Fiber f owns positions ptr[f]..ptr[f+1]; piece p covers the endpoints
-    starts[p]..stops[p], plain ``(val, eps)`` tuples ordered as Limits
-    are, so half-open ends are exact data. Construction checks that every
-    piece is non-empty and that each fiber's pieces are sorted and
-    pairwise disjoint; that is what lets ``seek`` binary-search the stops.
-    Validation builds one table per level and keeps it as the level's
-    ``table``: storage, the oracle's ``fiber_entries`` and the executor
-    all read pieces from there.
+    Fiber f owns positions ptr[f]..ptr[f+1]; piece p covers starts[p]..
+    stops[p], plain ``(val, eps)`` tuples ordered as Limits are (a
+    pinpoint level shares one tuple for both). The format fields say that
+    every piece is a point (``pinpoint``) and, for a level declared
+    regular, give its ``(stride, length, rclose)``, which it saves as.
     """
 
-    __slots__ = ("ptr", "starts", "stops")
+    ptr: tuple
+    starts: tuple
+    stops: tuple
+    pinpoint: bool = False
+    regular: Optional[tuple] = None
 
-    def __init__(self, level: int, ptr: tuple, starts: tuple, stops: tuple):
-        # every piece non-empty, and below the next one except where a
-        # fiber begins: non-empty and disjoint imply sorted, so this
-        # accepts exactly what _first_fault's scan accepts
+    continuous = True
+
+    def decode(self, level: int, n_fibers: int) -> "SparseLevel":
+        """Check the columns and return the level: every end a number, no
+        piece starting at inf or stopping at -inf (it holds no real number),
+        and each fiber's pieces non-empty, sorted and pairwise disjoint,
+        which lets ``seek`` binary-search the stops."""
+        ptr, starts, stops = self.ptr, self.starts, self.stops
+        if len(stops) != len(starts):
+            raise InvalidPieceError(f"level {level}: starts/stops length mismatch")
+        # a finite sum rules out NaN and infinite ends in one pass
+        finite = math.isfinite(sum(map(_VAL, starts))) and (
+            stops is starts or math.isfinite(sum(map(_VAL, stops))))
+        if not finite and any(map(math.isnan, map(_VAL, chain(starts, stops)))):
+            raise InvalidPieceError(f"level {level}: NaN endpoint")
+        _check_ptr(ptr, level, n_fibers, len(starts))
+        # every piece non-empty and real, and below the next one except
+        # where a fiber begins: non-empty and disjoint imply sorted, so
+        # this accepts exactly what _first_fault's scan accepts
         not_below_next = compress(range(1, len(starts)), map(ge, stops, islice(starts, 1, None)))
-        if not all(map(le, starts, stops)) or not set(not_below_next) <= set(ptr):
+        if (not all(map(le, starts, stops)) or not set(not_below_next) <= set(ptr)
+                or not finite and (math.inf in map(_VAL, starts)
+                                   or -math.inf in map(_VAL, stops))):
             _first_fault(level, ptr, starts, stops)
-        self.ptr, self.starts, self.stops = ptr, starts, stops
+        return self
 
     def span(self, f: int) -> tuple:
         if not 0 <= f < len(self.ptr) - 1:
@@ -147,16 +167,20 @@ _NO_STOP = (-math.inf, BELOW)
 # a (val, eps) tuple as a Limit, and a pair of Limits as an Interval
 _limit_of = functools.partial(tuple.__new__, Limit)
 _interval_of = functools.partial(tuple.__new__, Interval)
+_START = _VAL = itemgetter(0)  # of an Interval, of an endpoint
+_STOP = _EPS = itemgetter(1)
 
 
 def _first_fault(level: int, ptr, starts, stops):
-    """Raise the error for the first empty, unsorted or overlapping piece."""
+    """Raise the error for the first empty, unreal, unsorted or
+    overlapping piece."""
     for f in range(len(ptr) - 1):
         lo = ptr[f]
         for p in range(lo, ptr[f + 1]):
-            if starts[p] > stops[p]:
+            if starts[p] > stops[p] or starts[p][0] == math.inf or stops[p][0] == -math.inf:
+                fault = "is empty" if starts[p] > stops[p] else "holds no real number"
                 raise InvalidPieceError(
-                    f"level {level} fiber {f}: piece at position {p} is empty "
+                    f"level {level} fiber {f}: piece at position {p} {fault} "
                     f"({Interval(Limit(*starts[p]), Limit(*stops[p]))})"
                 )
             if p > lo:
@@ -166,27 +190,17 @@ def _first_fault(level: int, ptr, starts, stops):
                     raise OverlapError.stored(level, f, p - 1)
 
 
-class _SparseLevel:
-    """Validation shared by the pinpoint, interval and regular levels."""
-
-    continuous = True
-
-    def validate(self, level: int, n_fibers: int) -> int:
-        ptr, starts, stops = self._endpoints(level, n_fibers)
-        _check_ptr(ptr, level, n_fibers, len(starts))
-        object.__setattr__(self, "table", PieceTable(level, ptr, starts, stops))
-        return len(starts)
+# ---------------------------------------------------------------------------
+# input descriptors: the sparse levels in the shape of the JSON schema,
+# each decoded once into a SparseLevel by the tensor that holds it
 
 
 @dataclass(frozen=True)
-class PinpointLevel(_SparseLevel):
+class PinpointLevel:
     ptr: tuple
     crd: tuple
 
-    kind = "pinpoint"
-    pinpoint = True
-
-    def _endpoints(self, level: int, n_fibers: int):
+    def decode(self, level: int, n_fibers: int) -> SparseLevel:
         crd = self.crd
         if not all(map(math.isfinite, crd)):
             c = next(c for c in crd if not math.isfinite(c))
@@ -194,31 +208,27 @@ class PinpointLevel(_SparseLevel):
         if not set(map(type, crd)) <= {float}:
             crd = tuple(map(float, crd))
         points = tuple(zip(crd, repeat(EXACT)))
-        return self.ptr, points, points
+        return SparseLevel(self.ptr, points, points, pinpoint=True).decode(level, n_fibers)
 
 
 @dataclass(frozen=True)
-class IntervalLevel(_SparseLevel):
+class IntervalLevel:
     ptr: tuple
     left: tuple
     right: tuple
     lclose: Union[bool, tuple] = True
     rclose: Union[bool, tuple] = True
 
-    kind = "interval"
-    pinpoint = False
-
-    def _endpoints(self, level: int, n_fibers: int):
+    def decode(self, level: int, n_fibers: int) -> SparseLevel:
         n = len(self.left)
         if len(self.right) != n:
             raise InvalidPieceError(f"level {level}: left/right length mismatch")
         for flags in (self.lclose, self.rclose):
             if not isinstance(flags, bool) and len(flags) != n:
                 raise InvalidPieceError(f"level {level}: inclusiveness flag length mismatch")
-        if any(map(math.isnan, self.left)) or any(map(math.isnan, self.right)):
-            raise InvalidPieceError(f"level {level}: NaN endpoint")
-        return (self.ptr, _column(self.left, self.lclose, ABOVE),
-                _column(self.right, self.rclose, BELOW))
+        starts = _column(self.left, self.lclose, ABOVE)
+        stops = _column(self.right, self.rclose, BELOW)
+        return SparseLevel(self.ptr, starts, stops).decode(level, n_fibers)
 
 
 def _column(vals, flags, open_eps: int) -> tuple:
@@ -229,12 +239,12 @@ def _column(vals, flags, open_eps: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class RegularLevel(_SparseLevel):
+class RegularLevel:
     """Evenly described pieces [stride*x, stride*x + length) for integer x.
 
-    Observationally identical to the interval level it denotes; the xs
-    array is the only per-entry storage. ``ptr`` may be omitted for the
-    single-fiber case.
+    Decodes to the interval level it denotes (a pinpoint one for length
+    0) that remembers its stride, length and rclose, so it saves as
+    regular. ``ptr`` may be omitted for the single-fiber case.
     """
 
     stride: float
@@ -243,13 +253,7 @@ class RegularLevel(_SparseLevel):
     xs: tuple
     ptr: Optional[tuple] = None
 
-    kind = "regular"
-
-    @property
-    def pinpoint(self) -> bool:
-        return self.length == 0
-
-    def _endpoints(self, level: int, n_fibers: int):
+    def decode(self, level: int, n_fibers: int) -> SparseLevel:
         if self.stride <= 0 or math.isnan(self.stride) or math.isinf(self.stride):
             raise InvalidPieceError(f"level {level}: regular stride must be positive and finite")
         if self.length < 0 or math.isnan(self.length):
@@ -259,10 +263,13 @@ class RegularLevel(_SparseLevel):
         ptr = self.ptr if self.ptr is not None else (0, len(self.xs))
         lows = tuple(map(mul, repeat(self.stride), _int_xs(self.xs, f"level {level}")))
         starts = tuple(zip(lows, repeat(EXACT)))
-        if self.length == 0:
-            return ptr, starts, starts
-        highs = map(add, lows, repeat(self.length))
-        return ptr, starts, tuple(zip(highs, repeat(EXACT if self.rclose else BELOW)))
+        stops = starts
+        if self.length != 0:
+            highs = map(add, lows, repeat(self.length))
+            stops = tuple(zip(highs, repeat(EXACT if self.rclose else BELOW)))
+        fmt = (self.stride, self.length, self.rclose)
+        return SparseLevel(ptr, starts, stops, pinpoint=self.length == 0,
+                           regular=fmt).decode(level, n_fibers)
 
 
 def _integral(x) -> bool:
@@ -278,9 +285,6 @@ def _int_xs(xs, where: str) -> tuple:
         if not _integral(x):
             raise InvalidPieceError(f"{where}: regular xs must be integers, got {x!r}")
     return tuple(map(int, xs))
-
-
-Level = Union[DenseLevel, PinpointLevel, IntervalLevel, RegularLevel]
 
 
 def _check_ptr(ptr, level: int, n_fibers: int, n_entries: int) -> None:
@@ -306,14 +310,17 @@ class ContTensor:
 
     def __post_init__(self):
         n = 1
-        fibers = []
+        fibers, levels = [], []
         for i, lv in enumerate(self.levels):
             fibers.append(n)
-            n = lv.validate(i, n)
+            lv = lv.decode(i, n)
+            levels.append(lv)
+            n = n * lv.size if isinstance(lv, DenseLevel) else lv.ptr[-1]
         if len(self.values) != n:
             raise InvalidPieceError(
                 f"tensor {self.name}: expected {n} leaf values, got {len(self.values)}"
             )
+        object.__setattr__(self, "levels", tuple(levels))
         object.__setattr__(self, "_fiber_counts", tuple(fibers))
 
     @property
@@ -327,7 +334,7 @@ class ContTensor:
         lv = self.levels[level]
         if isinstance(lv, DenseLevel):
             return self.n_fibers(level) * lv.size
-        return lv.table.ptr[-1]
+        return lv.ptr[-1]
 
     # -- access ----------------------------------------------------------
     def fiber_entries(self, level: int, fiber: int):
@@ -335,10 +342,9 @@ class ContTensor:
         lv = self.levels[level]
         if isinstance(lv, DenseLevel):
             raise TypeError("dense levels have no piece entries")
-        t = lv.table
-        lo, hi = t.span(fiber)
-        starts = map(_limit_of, t.starts[lo:hi])
-        stops = map(_limit_of, t.stops[lo:hi])
+        lo, hi = lv.span(fiber)
+        starts = map(_limit_of, lv.starts[lo:hi])
+        stops = map(_limit_of, lv.stops[lo:hi])
         return list(zip(map(_interval_of, zip(starts, stops)), range(lo, hi)))
 
     def fiber_cover(self, level: int, fiber: int):
@@ -367,14 +373,14 @@ class ContTensor:
         """Position of the stored piece containing x, or None."""
         if fiber is FILL:
             return FILL
-        if isinstance(self.levels[level], DenseLevel):
+        lv = self.levels[level]
+        if isinstance(lv, DenseLevel):
             raise TypeError("dense levels have no piece entries")
         lx = as_limit(x)
         if math.isnan(lx.val):
             raise ValueError(f"tensor {self.name} level {level}: coordinate {x!r} is NaN")
-        t = self.levels[level].table
-        t.span(fiber)  # IndexError for a fiber out of range
-        p = t.probe(fiber, lx)
+        lv.span(fiber)  # IndexError for a fiber out of range
+        p = lv.probe(fiber, lx)
         return FILL if p < 0 else p
 
     def at(self, *coords):
@@ -443,31 +449,24 @@ def _as_interval(key) -> Interval:
     raise TypeError(f"cannot read {key!r} as an interval")
 
 
-_START = _VAL = itemgetter(0)  # of an Interval, of an endpoint
-_STOP = _EPS = itemgetter(1)
-
-
 def _ends(keys):
-    """(starts, stops) of keys that are all Intervals or (start, stop)
-    pairs of (val, eps) tuples; None when any key is another form."""
+    """(starts, stops) as plain (val, eps) tuples, of keys that are all
+    Intervals or (start, stop) pairs of (val, eps) tuples; None when any
+    key is another form."""
     if not (set(map(type, keys)) <= {Interval, tuple} and set(map(len, keys)) <= {2}):
         return None
     starts, stops = tuple(map(_START, keys)), tuple(map(_STOP, keys))
-    if not (set(map(type, chain(starts, stops))) <= {Limit, tuple}
-            and set(map(len, chain(starts, stops))) <= {2}):
+    types = set(map(type, chain(starts, stops)))
+    if not (types <= {Limit, tuple} and set(map(len, chain(starts, stops))) <= {2}):
         return None
+    if Limit in types:
+        starts, stops = tuple(map(tuple, starts)), tuple(map(tuple, stops))
     return starts, stops
 
 
-def _closed_flags(ends, eps: set):
-    """Closed-end flags of ends: one bool when all agree (True for none)."""
-    if len(eps) <= 1:
-        return EXACT in eps or not eps
-    return tuple(map(eq, map(_EPS, ends), repeat(EXACT)))
-
-
 def build_level(spec, fibers: Sequence[Sequence]):
-    """Assemble one level from per-fiber key lists, validating as we go.
+    """Assemble one level from per-fiber key lists; the tensor that takes
+    it checks the pieces.
 
     spec: ("dense", size) | ("pinpoint",) | ("interval",)
         | ("regular", stride, length, rclose)
@@ -484,25 +483,18 @@ def build_level(spec, fibers: Sequence[Sequence]):
     if kind == "pinpoint":
         return PinpointLevel(ptr=ptr, crd=tuple(map(float, keys)))
     if kind == "interval":
-        ends = _ends(keys)
-        if ends is None:
-            ivs = list(map(_as_interval, keys))
-            ends = tuple(map(_START, ivs)), tuple(map(_STOP, ivs))
-        starts, stops = ends
-        leps, reps = set(map(_EPS, starts)), set(map(_EPS, stops))
-        if not leps <= {EXACT, ABOVE} or not reps <= {EXACT, BELOW}:
+        starts, stops = _ends(keys) or _ends(list(map(_as_interval, keys)))
+        if (not set(map(_EPS, starts)) <= {EXACT, ABOVE}
+                or not set(map(_EPS, stops)) <= {EXACT, BELOW}):
             bad = next(Interval(Limit(*a), Limit(*b)) for a, b in zip(starts, stops)
                        if a[1] not in (EXACT, ABOVE) or b[1] not in (EXACT, BELOW))
             raise InvalidPieceError(f"cannot store {bad} in an interval level")
-        return IntervalLevel(
-            ptr=ptr, left=tuple(map(_VAL, starts)), right=tuple(map(_VAL, stops)),
-            lclose=_closed_flags(starts, leps), rclose=_closed_flags(stops, reps),
-        )
+        return SparseLevel(ptr, starts, stops)
     if kind == "regular":
         _, stride, length, rclose = spec
         return RegularLevel(
             stride=float(stride), length=float(length), rclose=bool(rclose),
-            xs=_int_xs(keys, "regular level"), ptr=ptr if len(fibers) != 1 else None,
+            xs=_int_xs(keys, "regular level"), ptr=ptr,
         )
     raise ValueError(f"unknown level kind {kind!r}")
 

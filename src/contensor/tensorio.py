@@ -1,6 +1,6 @@
 """JSON serialization of tensors.
 
-The on-disk shape mirrors the in-memory levels one to one:
+The on-disk shape of a level is that of its input descriptor:
 
     {"name": ..., "fill": ..., "levels": [
         {"kind": "dense", "size": N},
@@ -10,26 +10,34 @@ The on-disk shape mirrors the in-memory levels one to one:
         {"kind": "regular", "stride": s, "len": l, "rclose": b, "xs": [...]}
      ], "values": [...]}
 
-Regular levels additionally carry "ptr" only when they hold more than one
-fiber. Saves are canonical (fixed key order, two-space indent, trailing
-newline) so a load/save round trip is byte stable. Loads check each array
-in whole-array passes and walk it element by element only once a pass
-fails, so the ``SchemaError`` path names the first bad element.
+Regular levels additionally carry "ptr" only when they hold other than
+one fiber. Loads build descriptors, checking each array in whole-array
+passes and walking it element by element only once a pass fails, so the
+``SchemaError`` path names the first bad element. Saves rebuild the
+schema from the stored columns (a regular level's xs as start / stride)
+and are canonical (fixed key order, two-space indent, trailing newline),
+so a load/save round trip is byte stable.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
+from operator import itemgetter, mul, truediv
 
+from .limits import EXACT
 from .storage import (
     ContTensor,
     DenseLevel,
     IntervalLevel,
     PinpointLevel,
     RegularLevel,
+    SparseLevel,
     StorageError,
 )
+
+_VAL, _EPS = itemgetter(0), itemgetter(1)
 
 
 class SchemaError(ValueError):
@@ -155,26 +163,35 @@ def level_from_json(obj, path: str):
 
 
 def level_to_json(lv) -> dict:
+    """The schema of a stored level, rebuilt from its columns."""
     if isinstance(lv, DenseLevel):
         return {"kind": "dense", "size": lv.size}
-    if isinstance(lv, PinpointLevel):
-        return {"kind": "pinpoint", "ptr": list(lv.ptr), "crd": list(lv.crd)}
-    if isinstance(lv, IntervalLevel):
-        return {
-            "kind": "interval",
-            "ptr": list(lv.ptr),
-            "left": list(lv.left),
-            "right": list(lv.right),
-            "lclose": lv.lclose if isinstance(lv.lclose, bool) else list(lv.lclose),
-            "rclose": lv.rclose if isinstance(lv.rclose, bool) else list(lv.rclose),
-        }
-    if isinstance(lv, RegularLevel):
-        out = {"kind": "regular", "stride": lv.stride, "len": lv.length,
-               "rclose": lv.rclose, "xs": list(lv.xs)}
-        if lv.ptr is not None:
+    if not isinstance(lv, SparseLevel):
+        raise TypeError(f"not a stored level: {lv!r}")
+    starts = list(map(_VAL, lv.starts))
+    if lv.regular is not None:
+        stride, length, rclose = lv.regular
+        xs = list(map(round, map(truediv, starts, repeat(stride))))
+        if list(map(mul, repeat(stride), xs)) != starts:
+            bad = next(a for a, x in zip(starts, xs) if stride * x != a)
+            raise ValueError(f"regular level: start {bad!r} is off stride {stride!r}")
+        out = {"kind": "regular", "stride": stride, "len": length, "rclose": rclose, "xs": xs}
+        if len(lv.ptr) != 2:
             out["ptr"] = list(lv.ptr)
         return out
-    raise TypeError(f"not a level: {lv!r}")
+    if lv.pinpoint:
+        return {"kind": "pinpoint", "ptr": list(lv.ptr), "crd": starts}
+    return {"kind": "interval", "ptr": list(lv.ptr), "left": starts,
+            "right": list(map(_VAL, lv.stops)),
+            "lclose": _closed_flags(lv.starts), "rclose": _closed_flags(lv.stops)}
+
+
+def _closed_flags(ends):
+    """Whether each end is closed; one bool when all agree (True for none)."""
+    eps = set(map(_EPS, ends))
+    if len(eps) <= 1:
+        return EXACT in eps or not eps
+    return [e == EXACT for e in map(_EPS, ends)]
 
 
 def tensor_from_json(obj, path: str = "$") -> ContTensor:

@@ -489,10 +489,10 @@ end
 
 
 def test_an_unshifted_probe_is_the_tables_probe():
-    # the kernel renders a probe at shift 0 as PieceTable.probe
+    # the kernel renders a probe at shift 0 as SparseLevel.probe
     t = build_tensor("A", [("interval",)], [
         ((0.0, 1.0, "right_open"), 1.0), ((1.0, 2.0, "left_open"), 2.0),
-        ((2.5, 2.5, "closed"), 3.0), ((3.0, math.inf, "open"), 4.0)]).levels[0].table
+        ((2.5, 2.5, "closed"), 3.0), ((3.0, math.inf, "open"), 4.0)]).levels[0]
     for x in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.25, 2.5, 3.0, 7.0):
         for f in (0, -1):
             assert executor._probe(t, f, x, 0.0) == t.probe(f, Limit(x))

@@ -3,7 +3,7 @@
 A compiled loop walks a fiber as a sequence of two phases: a stepper over
 the stored pieces up to the fiber's last stop (a fill gap before each piece
 whose start is not reached yet), then a fill run to +inf. ``looplet_walk``
-below performs that walk straight from the level's ``PieceTable`` columns,
+below performs that walk straight from the stored level's columns,
 which hold plain ``(val, eps)`` tuples, so it wraps each end in a ``Limit``
 before stepping by ``EPS``; these tests check it against ``fiber_cover``
 and ``at``.
@@ -19,7 +19,7 @@ from contensor.storage import FILL, build_tensor, tensor_1d
 
 def looplet_walk(t, level, f):
     """(Interval, payload) regions of fiber f, phase by phase."""
-    table = t.levels[level].table
+    table = t.levels[level]
     out = []
     cursor = Limit(-math.inf)
     stop = Limit(*table.last_stop(f))
@@ -63,14 +63,14 @@ def test_walk_matches_cover_on_fixture():
 def test_walk_empty_fiber_is_one_full_gap():
     t = tensor_1d("e", [], kind="interval")
     assert looplet_walk(t, 0, 0) == [(Interval.full(), FILL)]
-    assert t.levels[0].table.last_stop(0) == Limit(-math.inf, -1)
+    assert t.levels[0].last_stop(0) == Limit(-math.inf, -1)
 
 
 def test_last_stop_value():
     t = fx()
-    assert t.levels[0].table.last_stop(0) == Limit(5.1)
+    assert t.levels[0].last_stop(0) == Limit(5.1)
     u = tensor_1d("u", [((0.0, 2.0, "right_open"), 1.0)], kind="interval")
-    assert u.levels[0].table.last_stop(0) == Limit(2.0, -1)
+    assert u.levels[0].last_stop(0) == Limit(2.0, -1)
 
 
 def test_walk_matches_cover_randomized():

@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import math
 import random
 
 import pytest
 
 from contensor.intervals import Interval
+from contensor.kernels import KERNELS, build_genomic_grid, random_genomic
 from contensor.limits import Limit
 from contensor.storage import (
     FILL,
@@ -14,12 +17,14 @@ from contensor.storage import (
     OverlapError,
     PinpointLevel,
     RegularLevel,
+    SparseLevel,
     StorageError,
     UnsortedError,
     build_level,
     build_tensor,
     tensor_1d,
 )
+from contensor.tensorio import SchemaError, dumps_tensor, tensor_from_json, tensor_to_json
 
 
 KINDS = ["pinpoint", "interval", "regular"]
@@ -76,7 +81,7 @@ def probe_points(rng, t):
 def linear_seek(t, level, f, target):
     """First position of fiber f whose stop is >= target, by a scan."""
     entries = t.fiber_entries(level, f)
-    end = t.levels[level].table.span(f)[1]
+    end = t.levels[level].span(f)[1]
     return next((p for iv, p in entries if not iv.stop < target), end)
 
 
@@ -175,10 +180,10 @@ def test_mixed_flags_vs_uniform_flags():
     hetero = tensor_1d(
         "a", [(Interval.right_open(0, 1), 1.0), (Interval.closed(2, 3), 2.0)]
     )
-    lv = hetero.levels[0]
-    assert lv.rclose == (False, True)
+    lv = tensor_to_json(hetero)["levels"][0]
+    assert lv["rclose"] == [False, True]
     uniform = tensor_1d("b", [(Interval.right_open(0, 1), 1.0), (Interval.right_open(2, 3), 2.0)])
-    assert uniform.levels[0].rclose is False
+    assert tensor_to_json(uniform)["levels"][0]["rclose"] is False
     for x in (0.0, 0.5, 1.0, 2.0, 3.0, 3.5):
         assert hetero.at(x) == {0.0: 1.0, 0.5: 1.0, 1.0: 0.0, 2.0: 2.0, 3.0: 2.0, 3.5: 0.0}[x]
 
@@ -286,7 +291,7 @@ def test_eval_matches_cover_scan_randomized():
     (DenseLevel(3), False),
 ], ids=["pinpoint", "interval", "regular-0", "regular-0-empty", "regular", "regular-empty", "dense"])
 def test_pinpoint_level_attribute(level, want):
-    assert level.pinpoint is want
+    assert level.decode(0, 1).pinpoint is want
 
 
 def test_table_seek():
@@ -295,7 +300,7 @@ def test_table_seek():
         [((0.0, 1.0), 1.0), ((2.0, 3.0), 1.0), ((5.0, 6.0), 1.0)],
         kind="interval",
     )
-    table = t.levels[0].table
+    table = t.levels[0]
     for target, want in [
         (Limit(-math.inf), 0),
         (Limit(0.5), 0),
@@ -309,15 +314,15 @@ def test_table_seek():
 
 
 def test_table_last_stop():
-    assert fx().levels[0].table.last_stop(0) == Limit(5.1)
+    assert fx().levels[0].last_stop(0) == Limit(5.1)
     u = tensor_1d("u", [((0.0, 2.0, "right_open"), 1.0)], kind="interval")
-    assert u.levels[0].table.last_stop(0) == Limit(2.0, -1)
+    assert u.levels[0].last_stop(0) == Limit(2.0, -1)
     e = tensor_1d("e", [], kind="interval")
-    assert e.levels[0].table.last_stop(0) == Limit(-math.inf, -1)
+    assert e.levels[0].last_stop(0) == Limit(-math.inf, -1)
     assert e.fiber_cover(0, 0) == [(Interval.full(), FILL)]
     g = build_tensor("g", [("dense", 2), ("interval",)], [[((0.0, 1.0), 5.0)], []])
-    assert g.levels[1].table.last_stop(1) == Limit(-math.inf, -1)
-    assert g.levels[1].table.last_stop(-1) == Limit(-math.inf, -1)
+    assert g.levels[1].last_stop(1) == Limit(-math.inf, -1)
+    assert g.levels[1].last_stop(-1) == Limit(-math.inf, -1)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, float("nan"), 2.5])
@@ -349,7 +354,7 @@ def test_locate_probe_seek_match_linear_scan():
     rng = random.Random(2407)
     for kind in KINDS * 150:
         t = random_tensor(rng, kind)
-        table = t.levels[1].table
+        table = t.levels[1]
         for x in probe_points(rng, t):
             for f in range(2):
                 entries = t.fiber_entries(1, f)
@@ -488,8 +493,8 @@ def test_interval_keys_as_endpoint_pairs_build_the_same_level():
     by_iv = build_tensor("t", [("interval",)], [(iv, 1.0) for iv in ivs])
     by_pair = build_tensor("t", [("interval",)], [(k, 1.0) for k in pairs])
     assert by_pair == by_iv
-    assert by_pair.levels[0].table.starts == tuple(pairs[i][0] for i in range(3))
-    assert type(by_pair.levels[0].table.starts[0]) is tuple
+    assert by_pair.levels[0].starts == tuple(pairs[i][0] for i in range(3))
+    assert type(by_pair.levels[0].starts[0]) is tuple
     assert list(by_pair.pieces()) == [((iv,), 1.0) for iv in ivs]
 
 
@@ -500,3 +505,104 @@ def test_interval_keys_as_endpoint_pairs_build_the_same_level():
 def test_an_end_an_interval_level_cannot_hold_is_rejected(key):
     with pytest.raises(InvalidPieceError, match="cannot store .* in an interval level"):
         build_tensor("t", [("interval",)], [(((0.0, 0), (0.5, 0)), 1.0), (key, 2.0)])
+
+
+# --- a stored piece must hold a real number
+
+
+@pytest.mark.parametrize("end", ["1e309", "-1e309"])  # JSON for inf and -inf
+def test_a_piece_holding_no_real_number_is_rejected(end):
+    x = float(end)
+    message = f"level 0 fiber 0: piece at position 1 holds no real number ([{x}, {x}])"
+    text = ('{"name": "A", "fill": 0.0, "values": [1.0, 5.0], "levels": [{"kind": "interval", '
+            f'"ptr": [0, 2], "left": [0.0, {end}], "right": [1.0, {end}]}}]}}')
+    with pytest.raises(SchemaError) as e:
+        tensor_from_json(json.loads(text))
+    assert str(e.value) == f"$: {message}"
+    with pytest.raises(InvalidPieceError) as e:
+        build_tensor("A", [("interval",)], [((0.0, 1.0), 1.0), ((x, x), 5.0)])
+    assert str(e.value) == message
+    with pytest.raises(InvalidPieceError) as e:
+        ContTensor("A", (IntervalLevel(ptr=(0, 2), left=(0.0, x), right=(1.0, x)),), (1.0, 5.0))
+    assert str(e.value) == message
+
+
+def test_a_regular_piece_whose_start_overflows_is_rejected():
+    x = 2 ** 1000  # stride * x is inf
+    with pytest.raises(InvalidPieceError,
+                       match="level 0 fiber 0: piece at position 1 holds no real number"):
+        ContTensor("A", (RegularLevel(stride=1e10, length=1.0, rclose=True, xs=(0, x)),),
+                   (1.0, 5.0))
+    with pytest.raises(InvalidPieceError, match="level 0 fiber 0: piece at position 1 is empty"):
+        build_tensor("A", [("regular", 1e10, 1.0, False)], [(0, 1.0), (x, 5.0)])
+    obj = {"name": "A", "fill": 0.0, "values": [1.0, 5.0], "levels": [
+        {"kind": "regular", "stride": 1e10, "len": 0.0, "rclose": True, "xs": [0, x]}]}
+    with pytest.raises(SchemaError, match="position 1 holds no real number"):
+        tensor_from_json(obj)
+
+
+def test_a_piece_reaching_to_infinity_stays_legal():
+    t = tensor_1d("A", [((-math.inf, 0.0, "open"), 2.0), ((1.0, math.inf), 5.0)])
+    assert t.at(1e300) == 5.0 and t.at(-1e300) == 2.0 and t.at(0.5) == 0.0
+    assert tensor_from_json(tensor_to_json(t)) == t
+
+
+# --- save/load symmetry
+
+
+def assert_round_trips(t):
+    text = dumps_tensor(t)
+    back = tensor_from_json(json.loads(text))
+    assert back == t
+    assert dumps_tensor(back) == text
+
+
+def test_random_tensors_round_trip():
+    rng = random.Random(71)
+    for kind in KINDS * 30:
+        assert_round_trips(random_tensor(rng, kind))
+
+
+def test_kernel_fixtures_round_trip():
+    # the trilinear fixture is the regular x regular x regular x dense 2 grid
+    for k in KERNELS.values():
+        for t in k.canonical().values():
+            assert_round_trips(t)
+    assert_round_trips(build_genomic_grid(random_genomic(random.Random(4))["Data"]))
+
+
+def test_a_regular_level_given_float_xs_saves_int_xs():
+    t = ContTensor("r", (RegularLevel(stride=1.0, length=1.0, rclose=False, xs=(0, 2.0)),),
+                   (1.0, 2.0))
+    assert tensor_to_json(t)["levels"][0]["xs"] == [0, 2]
+    assert_round_trips(t)
+
+
+def test_a_regular_level_with_a_start_off_its_stride_does_not_save():
+    t = ContTensor("r", (SparseLevel((0, 1), ((0.3, 0),), ((0.3, 0),), pinpoint=True,
+                                     regular=(0.5, 0.0, True)),), (1.0,))
+    with pytest.raises(ValueError, match="start 0.3 is off stride 0.5"):
+        tensor_to_json(t)
+
+
+# --- a stored sparse level keeps only ptr, starts and stops per piece
+
+
+def stored_levels(t):
+    return [lv for lv in t.levels if not isinstance(lv, DenseLevel)]
+
+
+def test_a_stored_level_keeps_only_its_columns():
+    tensors = [random_tensor(random.Random(9), kind) for kind in KINDS]
+    tensors.append(tensor_from_json(tensor_to_json(fx())))
+    for k in KERNELS.values():
+        tensors.extend(k.canonical().values())
+    tensors.append(build_genomic_grid(random_genomic(random.Random(4))["Data"]))
+    for t in tensors:
+        for lv in stored_levels(t):
+            assert type(lv) is SparseLevel
+            assert not hasattr(lv, "__dict__")
+            assert [f.name for f in dataclasses.fields(lv)] == [
+                "ptr", "starts", "stops", "pinpoint", "regular"]
+            assert isinstance(lv.pinpoint, bool)
+            assert lv.regular is None or len(lv.regular) == 3

@@ -121,7 +121,7 @@ def test_regular_rclose_must_be_a_boolean(flag):
     with pytest.raises(SchemaError) as e:
         tensor_from_json(regular_json(rclose=flag))
     assert e.value.path == "$.levels[0].rclose"
-    assert tensor_from_json(regular_json(rclose=True)).levels[0].rclose is True
+    assert tensor_to_json(tensor_from_json(regular_json(rclose=True)))["levels"][0]["rclose"] is True
 
 
 HUGE = 10 ** 400  # an integer JSON may hold, beyond any float
