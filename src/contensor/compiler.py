@@ -449,6 +449,7 @@ def _lower_cont(s: SFor, ctx):
             out += [region, WhileCoiter(
                 rslot, rname, cur_slot, cur_name, seg_slot, seg_name,
                 tuple(rts), Block(tuple(sub_stmts)),
+                intersection=all(k in annihilating for k in steppers),
             )]
     return out
 

@@ -12,6 +12,19 @@ new data) pays no ``compile()``, while plans that equality would merge
 but that render differently (fill ``True`` vs ``1.0``) keep separate
 kernels.
 
+A co-iteration renders in one of two loop shapes, chosen by lowering.
+Where every stepper annihilates (``WhileCoiter.intersection``), the body
+writes only where all of them are in a piece, and the loop is a finger
+loop: each iteration is the overlap of the current pieces, the fingers
+at the least stop move on, and the loop ends when that stop is the
+range's. It keeps no cursor unless a stepper is shifted, reads its
+fingers' pieces unguarded, and starts each unshifted finger at its
+fiber's first piece when the range starts at the open -inf. Any other
+co-iteration walks the segments between consecutive stops, gaps
+included, with a cursor that must advance each step. Both shapes end
+each iteration at the same least stop, so ``segments_visited`` counts
+loop iterations in either.
+
 Writes are rendered for the plan's one assignment operator. A path is
 a tuple with an int per dense rank, the pinned coordinate per pinpoint
 rank and a ``(start, stop)`` pair of ``(val, eps)`` tuples per interval
@@ -162,6 +175,8 @@ def _simple(code: str) -> bool:
 
 
 _IND = "    "
+# the start of a loop that runs from -inf
+_OPEN_START = LimC(Limit(-math.inf, ABOVE))
 
 
 class _Source:
@@ -185,6 +200,8 @@ class _Source:
         self.values = {}  # tensor -> "_<tag>_vals"
         self.dense = 0  # dense positions rendered so far
         self.leaf_pos = None  # positions of the leaves of the value being written
+        self.open_lo = set()  # region slots whose start is the open -inf
+        self.fingers = frozenset()  # position locals that hold a stored piece here
         self.op = None  # a plan writes with one operator
         self.lines = []
 
@@ -274,8 +291,8 @@ class _Source:
         p = self.pexpr(e.pos)
         if self.leaf_pos is not None:
             self.leaf_pos.append(p)
-        if p == "0":
-            return f"{vals}[0]"
+        if p == "0" or p in self.fingers:
+            return f"{vals}[{p}]"
         if _simple(p):
             return f"({vals}[{p}] if {p} >= 0 else {_lit(e.fill)})"
         return f"({vals}[_t] if (_t := {p}) >= 0 else {_lit(e.fill)})"
@@ -325,7 +342,9 @@ class _Source:
         if t is EndRef:
             col = self.level(e.tensor, e.level) + ("_starts" if e.side in ("L", "C") else "_stops")
             p = self.pexpr(e.pos)
-            if _simple(p):
+            if p in self.fingers:
+                base = f"{col}[{p}]"
+            elif _simple(p):
                 base = f"({col}[{p}] if {p} >= 0 else _missing())"
             else:
                 base = f"({col}[_t] if (_t := {p}) >= 0 else _missing())"
@@ -409,6 +428,8 @@ class _Source:
         if not s.starts or not s.stops:
             raise ExecError(f"region {s.name} has no start or no stop")
         lo, hi = self.region(s.slot, s.name)
+        if s.starts == (_OPEN_START,):
+            self.open_lo.add(s.slot)
         lexpr = self.lexpr
         out = []
         for target, ops, cmp in ((lo, s.starts, ">"), (hi, s.stops, "<")):
@@ -418,9 +439,31 @@ class _Source:
         self.lines.append("\n".join(out))
 
     def coiter(self, s: WhileCoiter, pad: str):
+        """One co-iteration, as a walk or a finger loop (see the module notes).
+
+        A walk's segment starts at the cursor, just past the last stop. A
+        finger loop's starts at the range's start: a finger that moved on
+        starts past the stop it left, so max(range start, starts) is the
+        walk's max(cursor, starts). A shifted stepper keeps the cursor, as
+        a shift can round a piece's start onto the previous piece's
+        shifted stop and only the cursor keeps that point in one piece. A
+        finger at an open -inf start begins at its fiber's first piece: no
+        stored stop is -inf, and the range is empty for an empty or
+        missing fiber, as its last stop is.
+        """
+        walk = not s.intersection
         lo, hi = self.region(s.range_slot, s.range_name)
-        cur = self.var(s.cursor_slot, s.cursor_name)
-        seg_lo, stop = self.region(s.curr_slot, s.curr_name)
+        cursor = walk or any(st.shift is not None for st in s.steppers)
+        cur = self.var(s.cursor_slot, s.cursor_name) if cursor else lo
+        if walk:
+            seg_lo, stop = self.region(s.curr_slot, s.curr_name)
+        else:
+            stop = f"{self.var(s.curr_slot, s.curr_name)}_hi"
+            self.slots[s.curr_slot] = (cur, stop)
+        from_fiber = not walk and s.range_slot in self.open_lo
+        # subtracting 0.0 gives a stored stop the type a shifted stop has;
+        # a finger loop needs that only where it can write the segment's stop
+        typed = walk or _writes_stop(s.body, s.curr_slot)
         add = self.lines.append
         add(f"{pad}if not {lo} > {hi}:")
         pad += _IND
@@ -433,28 +476,39 @@ class _Source:
             if st.shift is not None:
                 sh = f"_{p}_sh"
                 shift = f"({sh} := {self.expr(st.shift)})"
-            add(f"{pad}{p} = _seek({t}_table, {self.pexpr(st.fiber)}, {lo}, {shift})")
+            if from_fiber and sh is None:
+                add(f"{pad}{p} = {t}_table.ptr[{self.pexpr(st.fiber)}]")
+            else:
+                add(f"{pad}{p} = _seek({t}_table, {self.pexpr(st.fiber)}, {lo}, {shift})")
             steppers.append((p, t, sh, f"_{p}_stop"))
-        add(f"{pad}{cur} = {lo}\n{pad}while {cur} <= {hi}:\n{i}_seg += 1\n{i}{stop} = {hi}")
+        if cursor:
+            add(f"{pad}{cur} = {lo}")
+        add(f"{pad}while {f'{cur} <= {hi}' if walk else 'True'}:\n{i}_seg += 1\n{i}{stop} = {hi}")
         pad, i = i, i + _IND
         for p, t, sh, r in steppers:
-            if sh is None:
-                # the stored stop in value; subtracting 0.0 gives it the
-                # type a shifted stop has
-                add(f"{pad}{r} = {t}_stops[{p}]\n{pad}if {r} < {stop}:\n"
-                    f"{i}{stop} = ({r}[0] - 0.0, {r}[1])")
-            else:
-                add(f"{pad}{r} = {t}_stops[{p}]\n{pad}{r} = ({r}[0] - {sh}, {r}[1])\n"
-                    f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
-        add(f"{pad}{seg_lo} = {cur}")
+            add(f"{pad}{r} = {t}_stops[{p}]")
+            if sh is not None:
+                add(f"{pad}{r} = ({r}[0] - {sh}, {r}[1])")
+            least = f"({r}[0] - 0.0, {r}[1])" if typed and sh is None else r
+            add(f"{pad}if {r} < {stop}:\n{i}{stop} = {least}")
+        if walk:
+            add(f"{pad}{seg_lo} = {cur}")
+        # a walk's steppers can sit in a gap, so its body guards their reads
+        outer = self.fingers
+        self.fingers = frozenset() if walk else outer | {p for p, _, _, _ in steppers}
         self.stmt(s.body, pad)
+        self.fingers = outer
+        if not walk:
+            # the stop is the range's own until a stepper's falls below it
+            add(f"{pad}if {stop} is {hi}:\n{i}break")
         for p, t, sh, r in steppers:
             add(f"{pad}if {r} == {stop}:\n{i}{p} += 1")
-        # the cursor moves to stop + EPS, the first endpoint past the segment
-        add(f"{pad}_n = ({stop}[0] + 0.0, {stop}[1] + 1 if {stop}[1] < 1 else 1)\n"
-            f"{pad}if not _n > {cur}:\n"
-            f'{i}raise _ExecError("co-iteration failed to advance")\n'
-            f"{pad}{cur} = _n")
+        if cursor:
+            # the cursor moves to stop + EPS, the first endpoint past the segment
+            add(f"{pad}_n = ({stop}[0] + 0.0, {stop}[1] + 1 if {stop}[1] < 1 else 1)\n"
+                f"{pad}if not _n > {cur}:\n"
+                f'{i}raise _ExecError("co-iteration failed to advance")\n'
+                f"{pad}{cur} = _n")
 
     def write(self, s, pad: str):
         add = self.lines.append
@@ -483,7 +537,8 @@ class _Source:
         leaves, self.leaf_pos = self.leaf_pos, None
         if s.two_tensor and leaves:
             # a multiply is counted where every leaf is stored, not fill
-            tests = " and ".join(f"{p} >= 0" for p in leaves if p != "0")
+            tests = " and ".join(f"{p} >= 0" for p in leaves
+                                 if p != "0" and p not in self.fingers)
             add(f"{pad}if {tests}:\n{pad}{_IND}_mul += 1" if tests else f"{pad}_mul += 1")
         if type(s) is EmitPiece:
             add(f"{pad}_emit += 1")
@@ -505,6 +560,31 @@ class _Source:
                 f"{pad}_out[_key] = {combine.format(f'_get(_key, {fill})', '_val')}")
         else:
             add(f"{pad}_out = {combine.format('_out', '_val')}")
+
+
+def _writes_stop(body, seg: int) -> bool:
+    """Whether body writes an end that segment seg's stop can become: a
+    region whose stops read it, or that of a loop over such a region."""
+    slots = {seg}
+    todo = [body]
+    while todo:
+        s = todo.pop()
+        t = type(s)
+        if t is Block:
+            todo.extend(reversed(s.stmts))
+        elif t is IntersectLet:
+            if any(type(e) is IvStop and e.slot in slots for e in s.stops):
+                slots.add(s.slot)
+        elif t is WhileCoiter:
+            if s.range_slot in slots:
+                slots.add(s.curr_slot)
+            todo.append(s.body)
+        elif t is EmitPiece:
+            if any(c[0] == "iv" and c[1] in slots for c in s.path):
+                return True
+        elif t in (DiscLoop, Guard, Cond, SumGuard):
+            todo.append(s.body)
+    return False
 
 
 _EXPR = {

@@ -275,6 +275,9 @@ class WhileCoiter:
     curr_name: str
     steppers: tuple  # tuple[StepperRT]
     body: "Stmt"
+    # every stepper annihilates: the body runs only where all of them are
+    # in a piece, so the executor walks the pieces alone
+    intersection: bool = False
 
 
 @dataclass(frozen=True)
@@ -480,7 +483,8 @@ def pretty(stmt, indent: int = 0) -> str:
     if isinstance(stmt, Pin):
         return f"{pad}pin {stmt.name} = {stmt.iv_name}.start"
     if isinstance(stmt, WhileCoiter):
-        lines = [f"{pad}coiterate {stmt.cursor_name} over {stmt.range_name}:"]
+        shape = " (intersection)" if stmt.intersection else ""
+        lines = [f"{pad}coiterate {stmt.cursor_name} over {stmt.range_name}{shape}:"]
         for s in stmt.steppers:
             shift = f" - {render(s.shift)}" if s.shift is not None else ""
             lines.append(

@@ -26,7 +26,8 @@ import math
 from itertools import repeat
 from operator import itemgetter, mul, truediv
 
-from .limits import EXACT
+from .intervals import Interval
+from .limits import ABOVE, BELOW, EXACT, Limit
 from .storage import (
     ContTensor,
     DenseLevel,
@@ -168,6 +169,7 @@ def level_to_json(lv) -> dict:
         return {"kind": "dense", "size": lv.size}
     if not isinstance(lv, SparseLevel):
         raise TypeError(f"not a stored level: {lv!r}")
+    _check_saved_ends(lv)
     starts = list(map(_VAL, lv.starts))
     if lv.regular is not None:
         stride, length, rclose = lv.regular
@@ -184,6 +186,28 @@ def level_to_json(lv) -> dict:
     return {"kind": "interval", "ptr": list(lv.ptr), "left": starts,
             "right": list(map(_VAL, lv.stops)),
             "lclose": _closed_flags(lv.starts), "rclose": _closed_flags(lv.stops)}
+
+
+def _check_saved_ends(lv: SparseLevel) -> None:
+    """Raise ValueError naming the first piece with an end whose eps the
+    level's format cannot save: it saves a point's ends and a regular
+    start as exact, a regular stop as its rclose says, and an interval
+    end as closed or open inwards."""
+    kind = "pinpoint" if lv.pinpoint else "interval"
+    saved_starts, saved_stops = {EXACT}, {EXACT}
+    if lv.regular is not None:
+        kind = "regular"
+        if not lv.pinpoint and not lv.regular[2]:
+            saved_stops = {BELOW}
+    elif not lv.pinpoint:
+        saved_starts, saved_stops = {EXACT, ABOVE}, {EXACT, BELOW}
+    if set(map(_EPS, lv.starts)) <= saved_starts and set(map(_EPS, lv.stops)) <= saved_stops:
+        return
+    for p, (a, b) in enumerate(zip(lv.starts, lv.stops)):
+        if a[1] not in saved_starts or b[1] not in saved_stops:
+            side = "start" if a[1] not in saved_starts else "stop"
+            raise ValueError(f"{kind} level: piece {p} {Interval(Limit(*a), Limit(*b))} "
+                             f"has a {side} its format cannot save")
 
 
 def _closed_flags(ends):

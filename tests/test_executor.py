@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,7 +10,7 @@ from contensor.executor import ExecError, kernel_source, run
 from contensor.intervals import Interval
 from contensor.ir import (
     Block, EndRef, IntersectLet, LetScalar, LimC, Num, OutputDecl, Pin, Plan,
-    Probe, PRoot, PVar,
+    Probe, PRoot, PVar, pretty,
 )
 from contensor.lang import parse
 from contensor.limits import Limit
@@ -70,7 +71,9 @@ def test_segments_bounded_by_entry_counts():
         A, na = vec("A")
         B, nb = vec("B")
         res = compile_run(DOT_INTEGRAL, {"A": A, "B": B})
-        assert res.stats.segments_visited <= na + nb + 1
+        # each segment ends at a distinct stop, and the larger last stop is
+        # past the range
+        assert res.stats.segments_visited <= max(0, na + nb - 1)
 
 
 def test_copy_kernel_reproduces_pieces():
@@ -496,3 +499,62 @@ def test_an_unshifted_probe_is_the_tables_probe():
     for x in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.25, 2.5, 3.0, 7.0):
         for f in (0, -1):
             assert executor._probe(t, f, x, 0.0) == t.probe(f, Limit(x))
+
+
+# ---------------------------------------------------------------------------
+# loop shapes: an intersection walks the pieces alone, a union the segments
+
+
+def test_an_intersection_renders_a_finger_loop():
+    k = kernels.get("dot_integral")
+    plan = compile_program(k.program(), k.canonical())
+    assert "coiterate cur over iv (intersection):" in pretty(plan)
+    src = kernel_source(plan)
+    # no cursor, no advance check, and steppers start at their fiber
+    assert "co-iteration failed to advance" not in src
+    assert "_seek(" not in src and "cur_" not in src
+    assert "p_A0_3 = _A_0_table.ptr[0]" in src
+    assert "while True:" in src and "if seg_2_hi is iv_0_hi:" in src
+    # the steppers are always in a piece, so their reads are unguarded
+    assert "_missing()" not in src and ">= 0" not in src
+
+
+UNION = """
+for i = -inf:inf
+  Out[i] = A[i] + B[i]
+end
+"""
+
+
+def test_a_union_keeps_the_segment_walk():
+    A = tensor_1d("A", [((1.0, 2.0), 5.0), ((2.0000000000000004, 3.0), 7.0)], 0.0,
+                  kind="interval")
+    B = tensor_1d("B", [((1.5, 4.0), 2.0)], 0.0, kind="interval")
+    plan = compile_program(parse(UNION), {"A": A, "B": B})
+    assert "(intersection)" not in pretty(plan)
+    src = kernel_source(plan)
+    assert src.count("raise _ExecError(\"co-iteration failed to advance\")") == 3
+    # byte for byte the source the walk rendered before intersections had
+    # a loop shape of their own
+    assert hashlib.sha256(src.encode()).hexdigest() == (
+        "bd9b58d4cf37dc330e4ecf9363dac532d66123a6561d940200839c2d7cd8178b")
+
+
+def test_a_shift_that_rounds_a_start_onto_the_previous_stop():
+    # shifted back by 1000, both 2.0 and the next float round to -998.0:
+    # the second piece starts where the first stops, and only the cursor
+    # keeps -998 in the first
+    A = tensor_1d("A", [((1.0, 2.0), 5.0), ((2.0000000000000004, 3.0), 7.0)], 0.0,
+                  kind="interval")
+    B = tensor_1d("B", [((-1500.0, 0.0), 2.0)], 0.0, kind="interval")
+    first = Interval(Limit(-999.0), Limit(-998.0))
+    second = Interval(Limit(-998.0, 1), Limit(-997.0))
+    res = compile_run("for i = -inf:inf\n  Out[i] = A[i + 1000.0]\nend\n", {"A": A})
+    assert list(res.output.pieces()) == [((first,), 5.0), ((second,), 7.0)]
+    assert (res.stats.segments_visited, res.stats.pieces_emitted) == (2, 2)
+    res = compile_run("for i = -inf:inf\n  Out[i] = A[i + 1000.0] * B[i]\nend\n",
+                      {"A": A, "B": B})
+    assert list(res.output.pieces()) == [((first,), 10.0), ((second,), 14.0)]
+    assert (res.stats.segments_visited, res.stats.multiplies) == (2, 2)
+    res = compile_run("for i = -inf:inf\n  s += A[i + 1000.0] * d(i)\nend\n", {"A": A})
+    assert res.output == 12.0

@@ -253,7 +253,7 @@ def test_random_programs_agree_with_the_oracle():
     there. What neither check covers is counted and must stay rare."""
     tally = collections.Counter()
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
+    @settings(max_examples=1000, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(programs())
     def check(case):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -582,6 +583,25 @@ def test_a_regular_level_with_a_start_off_its_stride_does_not_save():
     t = ContTensor("r", (SparseLevel((0, 1), ((0.3, 0),), ((0.3, 0),), pinpoint=True,
                                      regular=(0.5, 0.0, True)),), (1.0,))
     with pytest.raises(ValueError, match="start 0.3 is off stride 0.5"):
+        tensor_to_json(t)
+
+
+@pytest.mark.parametrize("level, message", [
+    # a start just below 0 would save as open, i.e. just above it
+    (SparseLevel((0, 1), ((0.0, -1),), ((1.0, 0),)),
+     "interval level: piece 0 [0-eps, 1] has a start its format cannot save"),
+    (SparseLevel((0, 2), ((0.0, 0), (2.0, 1)), ((1.0, -1), (3.0, 1))),
+     "interval level: piece 1 [2+eps, 3+eps] has a stop its format cannot save"),
+    (SparseLevel((0, 1), ((0.5, 1),), ((0.5, 1),), pinpoint=True),
+     "pinpoint level: piece 0 [0.5+eps, 0.5+eps] has a start its format cannot save"),
+    (SparseLevel((0, 1), ((0.0, 1),), ((1.0, -1),), regular=(1.0, 1.0, False)),
+     "regular level: piece 0 (0, 1) has a start its format cannot save"),
+    (SparseLevel((0, 1), ((0.0, 0),), ((1.0, 0),), regular=(1.0, 1.0, False)),
+     "regular level: piece 0 [0, 1] has a stop its format cannot save"),
+])
+def test_an_end_the_format_cannot_save_does_not_save(level, message):
+    t = ContTensor("a", (level,), (1.0,) * (len(level.ptr) and level.ptr[-1]))
+    with pytest.raises(ValueError, match=re.escape(message)):
         tensor_to_json(t)
 
 
