@@ -12,18 +12,17 @@ new data) pays no ``compile()``, while plans that equality would merge
 but that render differently (fill ``True`` vs ``1.0``) keep separate
 kernels.
 
-A co-iteration renders in one of two loop shapes, chosen by lowering.
-Where every stepper annihilates (``WhileCoiter.intersection``), the body
-writes only where all of them are in a piece, and the loop is a finger
-loop: each iteration is the overlap of the current pieces, the fingers
-at the least stop move on, and the loop ends when that stop is the
-range's. It keeps no cursor unless a stepper is shifted, reads its
-fingers' pieces unguarded, and starts each unshifted finger at its
-fiber's first piece when the range starts at the open -inf. Any other
-co-iteration walks the segments between consecutive stops, gaps
-included, with a cursor that must advance each step. Both shapes end
-each iteration at the same least stop, so ``segments_visited`` counts
-loop iterations in either.
+A co-iteration renders in one of two loop shapes. Where lowering marks
+every stepper annihilating (``WhileCoiter.intersection``) and none is
+shifted, the body writes only where all of them are in a piece, and the
+loop is a finger loop: each iteration is the overlap of the current
+pieces, the fingers at the least stop move on, and the loop ends when
+that stop is the range's. It keeps no cursor, reads its fingers' pieces
+unguarded, and starts each finger at its fiber's first piece when the
+range starts at the open -inf. Any other co-iteration walks the segments
+between consecutive stops, gaps included, with a cursor that must
+advance each step. Both shapes end each iteration at the same least
+stop, so ``segments_visited`` counts loop iterations in either.
 
 Writes are rendered for the plan's one assignment operator. A path is
 a tuple with an int per dense rank, the pinned coordinate per pinpoint
@@ -444,26 +443,22 @@ class _Source:
         A walk's segment starts at the cursor, just past the last stop. A
         finger loop's starts at the range's start: a finger that moved on
         starts past the stop it left, so max(range start, starts) is the
-        walk's max(cursor, starts). A shifted stepper keeps the cursor, as
-        a shift can round a piece's start onto the previous piece's
-        shifted stop and only the cursor keeps that point in one piece. A
-        finger at an open -inf start begins at its fiber's first piece: no
-        stored stop is -inf, and the range is empty for an empty or
-        missing fiber, as its last stop is.
+        walk's max(cursor, starts). A shifted stepper keeps the walk, as a
+        shift can round a piece's start onto the previous piece's shifted
+        stop and only the cursor keeps that point in one piece. A finger at
+        an open -inf start begins at its fiber's first piece: no stored
+        stop is -inf, and the range is empty for an empty or missing
+        fiber, as its last stop is.
         """
-        walk = not s.intersection
+        walk = not s.intersection or any(st.shift is not None for st in s.steppers)
         lo, hi = self.region(s.range_slot, s.range_name)
-        cursor = walk or any(st.shift is not None for st in s.steppers)
-        cur = self.var(s.cursor_slot, s.cursor_name) if cursor else lo
         if walk:
+            cur = self.var(s.cursor_slot, s.cursor_name)
             seg_lo, stop = self.region(s.curr_slot, s.curr_name)
         else:
-            stop = f"{self.var(s.curr_slot, s.curr_name)}_hi"
+            cur, stop = lo, f"{self.var(s.curr_slot, s.curr_name)}_hi"
             self.slots[s.curr_slot] = (cur, stop)
         from_fiber = not walk and s.range_slot in self.open_lo
-        # subtracting 0.0 gives a stored stop the type a shifted stop has;
-        # a finger loop needs that only where it can write the segment's stop
-        typed = walk or _writes_stop(s.body, s.curr_slot)
         add = self.lines.append
         add(f"{pad}if not {lo} > {hi}:")
         pad += _IND
@@ -476,21 +471,28 @@ class _Source:
             if st.shift is not None:
                 sh = f"_{p}_sh"
                 shift = f"({sh} := {self.expr(st.shift)})"
-            if from_fiber and sh is None:
+            if from_fiber:
                 add(f"{pad}{p} = {t}_table.ptr[{self.pexpr(st.fiber)}]")
             else:
                 add(f"{pad}{p} = _seek({t}_table, {self.pexpr(st.fiber)}, {lo}, {shift})")
             steppers.append((p, t, sh, f"_{p}_stop"))
-        if cursor:
-            add(f"{pad}{cur} = {lo}")
-        add(f"{pad}while {f'{cur} <= {hi}' if walk else 'True'}:\n{i}_seg += 1\n{i}{stop} = {hi}")
+        if walk:
+            add(f"{pad}{cur} = {lo}\n{pad}while {cur} <= {hi}:")
+        else:
+            add(f"{pad}while True:")
+        add(f"{i}_seg += 1\n{i}{stop} = {hi}")
         pad, i = i, i + _IND
         for p, t, sh, r in steppers:
-            add(f"{pad}{r} = {t}_stops[{p}]")
             if sh is not None:
-                add(f"{pad}{r} = ({r}[0] - {sh}, {r}[1])")
-            least = f"({r}[0] - 0.0, {r}[1])" if typed and sh is None else r
-            add(f"{pad}if {r} < {stop}:\n{i}{stop} = {least}")
+                add(f"{pad}{r} = {t}_stops[{p}]\n{pad}{r} = ({r}[0] - {sh}, {r}[1])\n"
+                    f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
+            elif walk:
+                # the stored stop in value; subtracting 0.0 gives it the
+                # type a shifted stop has
+                add(f"{pad}{r} = {t}_stops[{p}]\n{pad}if {r} < {stop}:\n"
+                    f"{i}{stop} = ({r}[0] - 0.0, {r}[1])")
+            else:
+                add(f"{pad}{r} = {t}_stops[{p}]\n{pad}if {r} < {stop}:\n{i}{stop} = {r}")
         if walk:
             add(f"{pad}{seg_lo} = {cur}")
         # a walk's steppers can sit in a gap, so its body guards their reads
@@ -503,7 +505,7 @@ class _Source:
             add(f"{pad}if {stop} is {hi}:\n{i}break")
         for p, t, sh, r in steppers:
             add(f"{pad}if {r} == {stop}:\n{i}{p} += 1")
-        if cursor:
+        if walk:
             # the cursor moves to stop + EPS, the first endpoint past the segment
             add(f"{pad}_n = ({stop}[0] + 0.0, {stop}[1] + 1 if {stop}[1] < 1 else 1)\n"
                 f"{pad}if not _n > {cur}:\n"
@@ -560,31 +562,6 @@ class _Source:
                 f"{pad}_out[_key] = {combine.format(f'_get(_key, {fill})', '_val')}")
         else:
             add(f"{pad}_out = {combine.format('_out', '_val')}")
-
-
-def _writes_stop(body, seg: int) -> bool:
-    """Whether body writes an end that segment seg's stop can become: a
-    region whose stops read it, or that of a loop over such a region."""
-    slots = {seg}
-    todo = [body]
-    while todo:
-        s = todo.pop()
-        t = type(s)
-        if t is Block:
-            todo.extend(reversed(s.stmts))
-        elif t is IntersectLet:
-            if any(type(e) is IvStop and e.slot in slots for e in s.stops):
-                slots.add(s.slot)
-        elif t is WhileCoiter:
-            if s.range_slot in slots:
-                slots.add(s.curr_slot)
-            todo.append(s.body)
-        elif t is EmitPiece:
-            if any(c[0] == "iv" and c[1] in slots for c in s.path):
-                return True
-        elif t in (DiscLoop, Guard, Cond, SumGuard):
-            todo.append(s.body)
-    return False
 
 
 _EXPR = {

@@ -276,7 +276,8 @@ class WhileCoiter:
     steppers: tuple  # tuple[StepperRT]
     body: "Stmt"
     # every stepper annihilates: the body runs only where all of them are
-    # in a piece, so the executor walks the pieces alone
+    # in a piece, so the executor walks the pieces alone (unless a stepper
+    # is shifted)
     intersection: bool = False
 
 
