@@ -16,7 +16,7 @@ from dataclasses import replace as dc_replace
 
 from .ir import (
     Block, Cond, DiscLoop, EndRef, Guard, IntersectLet, IvStart, IvStop,
-    LastStop, LimC, Plan, PVar, SumGuard, WhileCoiter,
+    LastStop, LimC, Plan, PVar, WhileCoiter,
 )
 from .limits import ABOVE, BELOW, Limit, _clamp
 
@@ -146,7 +146,7 @@ def _harvest(s, pv: _Prover):
         # the guard's own start <= stop is deliberately NOT a fact: a
         # query about the guard would close the loop through it
         _harvest(s.body, pv)
-    elif isinstance(s, (WhileCoiter, DiscLoop, Cond, SumGuard)):
+    elif isinstance(s, (WhileCoiter, DiscLoop, Cond)):
         _harvest(s.body, pv)
 
 
@@ -239,7 +239,7 @@ def _rewrite(s, pv: _Prover, bindings):
         inner = pv.copy()
         _coiter_facts(s, inner, bindings)
         return dc_replace(s, body=_rewrite(s.body, inner, bindings))
-    if isinstance(s, (DiscLoop, Cond, SumGuard)):
+    if isinstance(s, (DiscLoop, Cond)):
         return dc_replace(s, body=_rewrite(s.body, pv, bindings))
     return s
 

@@ -45,7 +45,7 @@ from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
     EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
     LetScalar, LimC, Mul, Namer, Neg, Not, Num, Or, OutputDecl, PDense, PRoot,
-    PVar, Pin, Plan, Probe, StepperRT, Sub, SumGuard, Var, WhileCoiter,
+    PVar, Pin, Plan, Probe, StepperRT, Sub, Var, WhileCoiter,
 )
 from .simplify import simplify_expr, simplify_plan, used_slots, _write_is_noop
 
@@ -522,7 +522,6 @@ def _lower_assign(s: SAssign, ctx):
         else:
             raise UnloweredError(f"output index {v!r} is neither scalar nor regional")
 
-    sum_iv = None
     for v, (slot, name) in ctx.pending.items():
         if v in used_pending:
             continue
@@ -530,8 +529,6 @@ def _lower_assign(s: SAssign, ctx):
             value = Mul((value, LenOf(slot, name)))
         elif s.op in IDEMPOTENT_OPS:
             pass  # constant over the region; one write stands for all of it
-        elif s.op == "+=":
-            sum_iv = (slot, name)
         else:
             raise UnloweredError(f"cannot collapse {v!r} under {s.op!r}")
     value = simplify_expr(value)
@@ -550,8 +547,6 @@ def _lower_assign(s: SAssign, ctx):
         node = EmitPiece(s.target, tuple(path), s.op, value, two)
     else:
         node = Accumulate(s.target, tuple(c[1] for c in path), s.op, value, two)
-    if sum_iv is not None:
-        node = SumGuard(sum_iv[0], sum_iv[1], node)
     return [node]
 
 
@@ -559,8 +554,8 @@ def _lower_assign(s: SAssign, ctx):
 # entry
 
 
-def compile_program(program: Program, bindings, *, sum_guard=False,
-                    opt_bounds=False, stages=None) -> Plan:
+def compile_program(program: Program, bindings, *, opt_bounds=False,
+                    stages=None) -> Plan:
     """Lower a program against concrete tensors.
 
     stages, if given, is a dict filled with the plan as lowered under
@@ -575,13 +570,11 @@ def compile_program(program: Program, bindings, *, sum_guard=False,
         name: t if t.name == name else dc_replace(t, name=name)
         for name, t in bindings.items()
     }
-    diags = validate(program, bindings, sum_guard=sum_guard)
+    diags = validate(program, bindings)
     if diags:
         raise ValidityError(diags)
 
     loops, accesses, difs, assign = _collect(program)
-    if assign is None:
-        raise CompileError("program has no assignment")
     namer = Namer()
     ctx = _Ctx(namer, bindings, difs, loops, {"decl": None})
     for e in accesses:

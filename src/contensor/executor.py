@@ -53,7 +53,7 @@ from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
     EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
     LetScalar, LimC, Mul, Neg, Not, Num, Or, OutputDecl, PDense, PRoot,
-    PVar, Pin, Plan, Probe, Sub, SumGuard, Var, WhileCoiter,
+    PVar, Pin, Plan, Probe, Sub, Var, WhileCoiter,
 )
 from .storage import OverlapError, build_tensor
 
@@ -396,10 +396,6 @@ class _Source:
     def cond(self, s: Cond, pad: str):
         self.nested(f"if {self.expr(s.test)}:", s.body, pad)
 
-    def sum_guard(self, s: SumGuard, pad: str):
-        lo, hi = self.region(s.iv_slot, s.iv_name)
-        self.nested(f"if {hi}[0] - {lo}[0] == 0.0:", s.body, pad)
-
     def disc_loop(self, s: DiscLoop, pad: str):
         self.nested(f"for {self.var(s.slot, s.name)} in range({s.lo}, {s.hi + 1}):", s.body, pad)
 
@@ -574,7 +570,7 @@ _STMT = {
     Block: _Source.block, IntersectLet: _Source.intersect, Guard: _Source.guard,
     Accumulate: _Source.write, EmitPiece: _Source.write, WhileCoiter: _Source.coiter,
     DiscLoop: _Source.disc_loop, LetScalar: _Source.let, Probe: _Source.probe,
-    Cond: _Source.cond, Pin: _Source.pin, SumGuard: _Source.sum_guard,
+    Cond: _Source.cond, Pin: _Source.pin,
 }
 
 

@@ -14,10 +14,6 @@ from typing import NamedTuple
 from .limits import ABOVE, BELOW, EPS, EXACT, Limit, as_limit, lim_cmp
 
 
-class EmptyIntervalError(ValueError):
-    pass
-
-
 class Interval(NamedTuple):
     start: Limit
     stop: Limit
@@ -61,12 +57,6 @@ class Interval(NamedTuple):
     def is_empty(self) -> bool:
         return self.start > self.stop
 
-    @property
-    def is_pinpoint(self) -> bool:
-        if self.is_empty:
-            raise EmptyIntervalError("empty interval has no pinpoint status")
-        return self.start == self.stop and self.start.eps == EXACT
-
     def contains(self, x) -> bool:
         lx = as_limit(x)
         return lim_cmp(self.start, lx) <= 0 and lim_cmp(lx, self.stop) <= 0
@@ -74,13 +64,6 @@ class Interval(NamedTuple):
     # -- algebra ---------------------------------------------------------
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.start, other.start), min(self.stop, other.stop))
-
-    def length(self) -> float:
-        """Plain-real measure of the interval; eps widths do not count."""
-        if self.is_empty:
-            raise EmptyIntervalError(f"length of empty interval {self}")
-        raw = self.stop.val - self.start.val
-        return max(raw, 0.0)
 
     def touches_below(self, other: "Interval") -> bool:
         """True when other starts exactly one eps after self ends."""

@@ -305,23 +305,9 @@ class EmitPiece:
     two_tensor: bool = False
 
 
-@dataclass(frozen=True)
-class SumGuard:
-    """Apply a reduction only where the region has zero length.
-
-    Emitted for += over a continuum without a differential when the
-    caller opts into guard semantics; the validator rejects that shape
-    otherwise, so there is no runtime-fault variant.
-    """
-
-    iv_slot: int
-    iv_name: str
-    body: Union[Accumulate, EmitPiece]
-
-
 Stmt = Union[
     Block, DiscLoop, LetScalar, Probe, IntersectLet, Guard, Cond, Pin,
-    WhileCoiter, Accumulate, EmitPiece, SumGuard,
+    WhileCoiter, Accumulate, EmitPiece,
 ]
 
 
@@ -501,8 +487,6 @@ def pretty(stmt, indent: int = 0) -> str:
     if isinstance(stmt, EmitPiece):
         path = ", ".join(_emit_comp(c) for c in stmt.path)
         return f"{pad}emit {stmt.output}[{path}] {stmt.op} {render(stmt.value)}"
-    if isinstance(stmt, SumGuard):
-        return f"{pad}when len({stmt.iv_name}) == 0:\n" + pretty(stmt.body, indent + 1)
     raise TypeError(f"cannot pretty-print {stmt!r}")
 
 
@@ -512,6 +496,6 @@ __all__ = [
     "Neg", "Not", "Cmp", "LenOf", "SExpr",
     "LimC", "EndRef", "LastStop", "IvStart", "IvStop", "LExpr",
     "Block", "DiscLoop", "LetScalar", "Probe", "IntersectLet", "Guard", "Cond",
-    "Pin", "StepperRT", "WhileCoiter", "Accumulate", "EmitPiece", "SumGuard",
+    "Pin", "StepperRT", "WhileCoiter", "Accumulate", "EmitPiece",
     "Stmt", "OutputDecl", "Plan", "Namer", "render", "pretty", "replace",
 ]

@@ -20,8 +20,9 @@ programs with any. Rule ids:
   R-PIN    a continuous index may be used as a scalar, or share an index
            expression with another live index, only where stored
            structure pins it to isolated points
-  R-SUM    collapsing a continuous index needs an idempotent operator or
-           += with a d() factor; d() is only meaningful there
+  R-SUM    collapsing a continuous index that stored points do not pin
+           needs an idempotent operator or += with a d() factor; d() is
+           only meaningful there
   R-ARITY  accesses must match the tensor's rank and level kinds
   R-FORM   structure: one assignment, plain-variable output indices,
            defined names, no self-reads
@@ -750,12 +751,8 @@ def _pinned_fixpoint(ctx: _Ctx, output: str):
     return pinned
 
 
-def validate(program: Program, bindings=None, sum_guard: bool = False):
-    """Check the executability rules; an empty result means valid.
-
-    With sum_guard, += over a continuum without a d() factor is allowed;
-    the compiler then applies such sums only on zero-length regions.
-    """
+def validate(program: Program, bindings=None):
+    """Check the executability rules; an empty result means valid."""
     ctx = _Ctx(_norm_kinds(bindings))
     for s in program.body:
         _walk_stmt(s, ctx)
@@ -841,7 +838,7 @@ def validate(program: Program, bindings=None, sum_guard: bool = False):
             continue
         if assign.op in IDEMPOTENT_OPS:
             continue
-        if assign.op == "+=" and (name in dif_names or sum_guard):
+        if assign.op == "+=" and name in dif_names:
             continue
         ctx.err(
             "R-SUM",

@@ -63,7 +63,7 @@ class Limit(NamedTuple):
         return Limit(-self.val, -self.eps)
 
     def __mul__(self, other):  # pragma: no cover - guard rail
-        raise TypeError("Limit does not support multiplication; drop_eps first")
+        raise TypeError("Limit does not support multiplication; take .val first")
 
     __rmul__ = __mul__
 
@@ -104,9 +104,3 @@ def lim_cmp(a, b) -> int:
         return 0
     return -1 if la < lb else 1
 
-
-def drop_eps(x) -> float:
-    """Forget the infinitesimal part; plain numbers pass through."""
-    if isinstance(x, Limit):
-        return x.val
-    return float(x)

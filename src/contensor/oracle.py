@@ -17,7 +17,7 @@ from .lang import (
     EAccess, EBin, EBool, EDif, ENum, EUn, EVar, Program, SAssign, SFor,
     SIf, SLet,
 )
-from .limits import ABOVE, BELOW, EXACT, Limit
+from .limits import ABOVE, BELOW, Limit
 from .storage import ContTensor, DenseLevel, OverlapError, build_tensor
 
 
@@ -34,7 +34,6 @@ class _Reg:
     b: float = 0.0
     size: int = 0        # dense extent for ints
     loop: bool = False   # bound by a for (as opposed to a let)
-    pinched: bool = False  # pt only: {value} is a maximal uniform region
 
     def rep(self):
         """A sample coordinate; inputs are constant across the region."""
@@ -235,21 +234,12 @@ def _at(t, parts):
 
 
 def _level_edges(pieces, k, s0):
-    """Per-coordinate (opens, closes) flags for one level under one shift.
-
-    A closed stop (or a start strictly above p) closes a region at p; a
-    closed start (or a stop strictly below p) opens one there.
-    """
-    edges = {}
+    """The coordinates of one level's piece ends under one shift."""
+    edges = set()
     for path, _v in pieces:
         comp = path[k]
-        if not isinstance(comp, Interval):
-            continue
-        a, b = comp.start, comp.stop
-        for p, o, c in ((a.val - s0, a.eps == EXACT, a.eps > EXACT),
-                        (b.val - s0, b.eps < EXACT, b.eps == EXACT)):
-            po, pc = edges.get(p, (False, False))
-            edges[p] = (po or o, pc or c)
+        if isinstance(comp, Interval):
+            edges.update((comp.start.val - s0, comp.stop.val - s0))
     return edges
 
 
@@ -280,19 +270,18 @@ def _exprs(e):
         yield from _exprs(e.a)
 
 
-def _regions(lo, hi, pinch):
+def _regions(lo, hi, cuts):
     if hi < lo:
         return
 
-    def pin(p, forced=False):
-        return _Reg("pt", value=p, loop=True,
-                    pinched=forced or pinch.get(p, False))
+    def pin(p):
+        return _Reg("pt", value=p, loop=True)
 
     if lo == hi:
         if math.isfinite(lo):
-            yield pin(lo, forced=True)  # the loop itself pinches
+            yield pin(lo)
         return
-    inner = [p for p in sorted(pinch) if lo < p < hi]
+    inner = [p for p in sorted(cuts) if lo < p < hi]
     if math.isfinite(lo):
         yield pin(lo)
     prev = lo
@@ -422,9 +411,8 @@ class _OStore:
 
 
 class _Eval:
-    def __init__(self, program, binds, sum_guard):
+    def __init__(self, program, binds):
         self.binds = binds
-        self.sum_guard = sum_guard
         assigns = list(self._find_assigns(program.body))
         if len(assigns) != 1:
             raise OracleError("expected exactly one assignment")
@@ -447,7 +435,7 @@ class _Eval:
         self.store = _OStore(self.assign.op, dense)
         self.indet = 0  # depth of conditions that vary across the region
         self._pieces = {}  # id(tensor) -> enumerated pieces
-        self._edges = {}   # (id(tensor), level, shift) -> edge flags
+        self._edges = {}   # (id(tensor), level, shift) -> edge coordinates
 
     def _find_assigns(self, stmts):
         for s in stmts:
@@ -497,20 +485,15 @@ class _Eval:
                 e2[s.var] = _Reg("int", value=i, size=size, loop=True)
                 self._block(s.body, e2)
             return
-        pinch = self._breaks(s.body, s.var, env)
-        for reg in _regions(float(s.lo), float(s.hi), pinch):
+        cuts = self._breaks(s.body, s.var, env)
+        for reg in _regions(float(s.lo), float(s.hi), cuts):
             e2 = dict(env)
             e2[s.var] = reg
             self._block(s.body, e2)
 
     def _breaks(self, stmts, var, env):
-        """Coordinates where some input's pieces change along `var`.
-
-        Returns {coordinate: pinched}; pinched means the piece edges
-        pinch the point from both sides, making {p} a maximal uniform
-        region of its own -- the only pins a guarded sum may credit.
-        """
-        opens, closes = {}, {}
+        """Coordinates where some input's pieces change along `var`."""
+        cuts = set()
         for acc in _walk_accesses(stmts):
             t = self.binds.get(acc.tensor)
             if t is None:
@@ -535,11 +518,8 @@ class _Eval:
                     if pieces is None:
                         pieces = self._pieces[id(t)] = list(t.pieces())
                     edges = self._edges[key] = _level_edges(pieces, k, s0)
-                for p, (o, c) in edges.items():
-                    opens[p] = opens.get(p, False) or o
-                    closes[p] = closes.get(p, False) or c
-        return {p: opens.get(p, False) and closes.get(p, False)
-                for p in set(opens) | set(closes)}
+                cuts |= edges
+        return cuts
 
     def _write(self, s, env):
         if s.op == "+=":
@@ -570,14 +550,8 @@ class _Eval:
                 if name in difs:
                     weight *= 0.0 if reg.kind == "pt" else reg.b - reg.a
                 elif reg.kind == "iv":
-                    if self.sum_guard:
-                        return
                     raise OracleError(
                         "summing over a positive-length region diverges")
-                elif self.sum_guard and not reg.pinched:
-                    # this pin sits inside a positive-length uniform
-                    # region, which a guarded sum skips as a whole
-                    return
             if weight == 0.0:
                 return
             self._live_write()
@@ -627,9 +601,9 @@ class _Eval:
         return tuple(comps)
 
 
-def evaluate(program: Program, bindings, *, sum_guard=False):
+def evaluate(program: Program, bindings):
     """Reference result: a bare scalar, or a tensor of output pieces."""
-    ev = _Eval(program, bindings, sum_guard)
+    ev = _Eval(program, bindings)
     return ev.run(program)
 
 

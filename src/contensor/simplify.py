@@ -17,7 +17,7 @@ from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
     EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
     LetScalar, Mul, Neg, Not, Num, Or, PDense, PVar, Pin, Plan, Probe, Sub,
-    SumGuard, Var, WhileCoiter,
+    Var, WhileCoiter,
 )
 
 _CMP = {
@@ -175,7 +175,7 @@ def _uses_expr(e, acc):
     # Num, BoolC: nothing
 
 
-_NESTED = (DiscLoop, Guard, Cond, WhileCoiter, SumGuard)
+_NESTED = (DiscLoop, Guard, Cond, WhileCoiter)
 
 
 def _reads(s, acc):
@@ -212,8 +212,6 @@ def _reads(s, acc):
             else:
                 _uses_expr(c[1], acc)
         _uses_expr(s.value, acc)
-    elif isinstance(s, SumGuard):
-        acc.add(s.iv_slot)
 
 
 def used_slots(s, acc=None):

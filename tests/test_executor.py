@@ -17,8 +17,8 @@ from contensor.limits import Limit
 from contensor.storage import OverlapError, build_tensor, tensor_1d
 
 
-def compile_run(src, bindings, **kw):
-    return run(compile_program(parse(src), bindings, **kw))
+def compile_run(src, bindings):
+    return run(compile_program(parse(src), bindings))
 
 
 DOT_INTEGRAL = """
@@ -225,19 +225,6 @@ end
     assert all(v == 1.0 for v in res.output.values)
 
 
-def test_sum_guard_mode_skips_positive_length_regions():
-    A = tensor_1d("A", [((0.0, 2.0), 5.0)], 0.0, kind="interval")
-    B = tensor_1d("B", [((0.0, 2.0), 1.0), (3.0, 4.0)], 0.0, kind="interval")
-    res = compile_run("""
-for i = -inf:inf
-  s += A[i] * B[i]
-end
-""", {"A": A, "B": B}, sum_guard=True)
-    # the [0,2]x[0,2] overlap has positive length and is skipped; no
-    # zero-length co-piece exists, so the sum stays at fill
-    assert res.output == 0.0
-
-
 def test_scalar_output_defaults_to_fill_on_empty_input():
     A = build_tensor("A", [("interval",)], [], fill=0.0)
     B = build_tensor("B", [("interval",)], [], fill=0.0)
@@ -250,13 +237,6 @@ def test_nan_output_is_diagnosed():
     A = tensor_1d("A", [((0.0, 1.0), math.inf)], 0.0, kind="interval")
     # an explicitly stored 0.0 is legal; inf * 0.0 is where NaN sneaks in
     B = tensor_1d("B", [((0.0, 1.0), 0.0)], 0.0, kind="interval")
-    res = compile_run("""
-for i = -inf:inf
-  s += A[i] * B[i]
-end
-""", {"A": A, "B": B}, sum_guard=True)
-    assert res.diagnostics == []  # no write happens, nothing to flag
-
     res = compile_run(DOT_INTEGRAL, {"A": A, "B": B})
     assert math.isnan(res.output)
     assert any("NaN" in d for d in res.diagnostics)

@@ -19,7 +19,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from contensor.compiler import CompileError, UnloweredError, compile_program
+from contensor.compiler import CompileError, UnloweredError, ValidityError, compile_program
 from contensor.executor import run
 from contensor.lang import parse
 from contensor.limits import Limit
@@ -344,6 +344,16 @@ def test_known_fault_shift_by_an_index_only_the_validator_pins():
     C = build_tensor("C", [("pinpoint",)], [(0.5, 2.0)], fill=1.0)
     both("for i = -inf:inf\n  for j = -inf:inf\n    Out max= A[i + j] * C[i]\n  end\nend\n",
          {"A": A, "C": C})
+
+
+@pytest.mark.xfail(strict=True, raises=UnloweredError,
+                   reason="validation: C's points pin i, so R-SUM passes a += without d(i), "
+                   "but C's fill does not annihilate and the sum over i diverges")
+def test_known_fault_sum_over_a_continuum_only_the_validator_pins():
+    A = build_tensor("A", [("interval",)], [((0.0, 2.0), 3.0)])
+    C = build_tensor("C", [("pinpoint",)], [(0.5, 2.0)], fill=1.0)
+    with pytest.raises(ValidityError):
+        compile_program(parse("for i = -inf:inf\n  s += A[i] * C[i]\nend\n"), {"A": A, "C": C})
 
 
 @pytest.mark.xfail(strict=True, raises=UnloweredError,

@@ -6,6 +6,9 @@
 - No top-level ``_``-prefixed function or class in src/contensor goes
   unreferenced by the package outside its own definition: what only
   tests reach, or nothing, is dead code.
+- Every keyword-only parameter of a public top-level function in
+  src/contensor is passed by name, to a call of that function, somewhere
+  in src/ or perfbench/: an option only tests set is dead code too.
 """
 
 import ast
@@ -18,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")),
                 *(ROOT / "perfbench").glob("*.py")])
 SRC = sorted((ROOT / "src" / "contensor").rglob("*.py"))
+CALLERS = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
 def imported_names(tree):
@@ -103,3 +107,44 @@ def test_scan_flags_an_unused_private_function():
         "b.py": "from a import _Table\n",
     }
     assert unreferenced_private(sources) == [("a.py", "_dead")]
+
+
+def keyword_options(tree):
+    """(function, parameter) for each keyword-only parameter of a public
+    top-level function."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")):
+            for a in node.args.kwonlyargs:
+                yield node.name, a.arg
+
+
+def keywords_passed(tree):
+    """(callee, keyword) for each keyword a call passes by name, the
+    callee keyed by its name whether called bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            yield from ((callee, k.arg) for k in node.keywords if k.arg is not None)
+
+
+def unpassed_options(defining: dict, calling: dict) -> list:
+    """(module, function, parameter) of each keyword-only option defined
+    in defining (module -> text) that no call in calling passes."""
+    passed = {kw for text in calling.values() for kw in keywords_passed(ast.parse(text))}
+    return [(mod, *opt) for mod, text in defining.items()
+            for opt in keyword_options(ast.parse(text)) if opt not in passed]
+
+
+def test_every_keyword_option_is_passed_outside_tests():
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in SRC}
+    calling = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
+    assert unpassed_options(defining, calling) == []
+
+
+def test_scan_flags_an_unpassed_option():
+    defining = {"a.py": "def run(x, *, fast=False, trace=None):\n    pass\n"
+                        "def _helper(*, quiet=False):\n    pass\n"}
+    calling = {"b.py": "import a\na.run(1, trace=print)\nother(fast=True)\n"}
+    assert unpassed_options(defining, calling) == [("a.py", "run", "fast")]

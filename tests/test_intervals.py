@@ -1,9 +1,6 @@
-import math
 import random
 
-import pytest
-
-from contensor.intervals import EmptyIntervalError, Interval
+from contensor.intervals import Interval
 from contensor.limits import ABOVE, BELOW, Limit
 
 
@@ -43,23 +40,6 @@ def test_intersection():
     # touching closed/open endpoints meet in a pinpoint or nothing
     assert Interval.closed(0, 3).intersect(Interval.closed(3, 9)) == Interval.pinpoint(3)
     assert Interval.right_open(0, 3).intersect(Interval.closed(3, 9)).is_empty
-
-
-def test_length():
-    assert Interval.closed(1, 3).length() == 2.0
-    assert Interval.right_open(1, 3).length() == 2.0
-    assert Interval.open(1, 3).length() == 2.0
-    assert Interval.pinpoint(4.1).length() == 0.0
-    assert Interval.full().length() == math.inf
-    with pytest.raises(EmptyIntervalError):
-        Interval.open(1, 1).length()
-
-
-def test_pinpoint_flag():
-    assert Interval.pinpoint(2).is_pinpoint
-    assert not Interval.closed(1, 2).is_pinpoint
-    with pytest.raises(EmptyIntervalError):
-        Interval.open(2, 2).is_pinpoint
 
 
 def test_render():

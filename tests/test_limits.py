@@ -11,7 +11,6 @@ from contensor.limits import (
     EXACT,
     Limit,
     as_limit,
-    drop_eps,
     lim_cmp,
 )
 
@@ -50,11 +49,6 @@ def test_rendering():
     assert str(Limit(3.0, ABOVE)) == "3+eps"
     assert str(Limit(4.1, BELOW)) == "4.1-eps"
     assert str(Limit(-math.inf)) == "-inf"
-
-
-def test_drop_eps():
-    assert drop_eps(Limit(2.5, ABOVE)) == 2.5
-    assert drop_eps(7) == 7.0
 
 
 def test_nan_comparison_rejected():

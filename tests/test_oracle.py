@@ -36,9 +36,9 @@ end
 """
 
 
-def both(src, binds, **kw):
-    ex = run(compile_program(parse(src), binds, **kw)).output
-    orc = evaluate(parse(src), binds, **kw)
+def both(src, binds):
+    ex = run(compile_program(parse(src), binds)).output
+    orc = evaluate(parse(src), binds)
     return ex, orc
 
 
@@ -116,7 +116,7 @@ end
         evaluate(parse(src), {"Q": Q, "A": A})
 
 
-def test_divergent_sum_refused_and_sum_guard_agrees():
+def test_divergent_sum_refused():
     A = tensor_1d("A", [((0.0, 4.0), 5.0)], 0.0, kind="interval")
     B = tensor_1d("B", [((0.0, 2.0), 1.0), (3.0, 4.0)], 0.0, kind="interval")
     src = """
@@ -126,9 +126,6 @@ end
 """
     with pytest.raises(OracleError, match="diverges"):
         evaluate(parse(src), {"A": A, "B": B})
-    ex, orc = both(src, {"A": A, "B": B}, sum_guard=True)
-    # only the zero-length co-piece at 3.0 survives: 5 * 4
-    assert ex == orc == 20.0
 
 
 def test_dif_outside_a_sum_is_rejected():
@@ -297,12 +294,9 @@ def mixed_tensor(draw, name):
 @settings(max_examples=40, deadline=None)
 @given(mixed_tensor("A"), mixed_tensor("B"))
 def test_random_guarded_sums_agree(A, B):
-    # no d(): only zero-length co-pieces may contribute
-    ex, orc = both("""
-for i = -inf:inf
-  s += A[i] * B[i]
-end
-""", {"A": A, "B": B}, sum_guard=True)
+    # an integral over intervals and points interleaved on one rank: the
+    # points weigh nothing, the intervals their length
+    ex, orc = both(DOT_INTEGRAL, {"A": A, "B": B})
     assert outputs_match(ex, orc, rel=1e-9)
 
 
