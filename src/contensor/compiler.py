@@ -26,7 +26,8 @@ Every lowering function emits a statement only when a write lies below
 it, and folds constants as it builds each expression, so the plan needs
 no cleanup beyond dropping binders nothing reads. A value that still
 depends on unresolved structure is reported as an internal lowering
-failure rather than being guessed at.
+failure rather than being guessed at. Each write records its path, and
+the output's form is decided once from all of them (``_output_decl``).
 """
 
 from __future__ import annotations
@@ -79,22 +80,20 @@ class _Access:
     pos: object = PRoot()
     rank: int = 0
     miss: bool = False
-    poison: bool = False
 
 
 class _Ctx:
-    def __init__(self, namer, bindings, difs, loops, shared):
+    def __init__(self, namer, difs, loops, paths):
         self.namer = namer
-        self.bindings = bindings
         self.difs = difs
         self.loops = loops  # var -> SFor
-        self.shared = shared  # {"decl": OutputDecl|None, "op": str}
+        self.paths = paths  # the path of every write lowered, shared by forks
         self.scalars = {}  # var -> Var
         self.accesses = {}  # id(EAccess) -> _Access
         self.pending = {}  # var -> (iv_slot, iv_name)
 
     def fork(self):
-        c = _Ctx(self.namer, self.bindings, self.difs, self.loops, self.shared)
+        c = _Ctx(self.namer, self.difs, self.loops, self.paths)
         c.scalars = dict(self.scalars)
         c.accesses = dict(self.accesses)
         c.pending = dict(self.pending)
@@ -184,7 +183,7 @@ def _build_value(e, ctx, leaves):
         a = ctx.accesses[id(e)]
         if a.miss:
             return _fill_const(a.tensor)
-        if a.poison or a.rank != a.tensor.ndim:
+        if a.rank != a.tensor.ndim:
             return LeafVal(a.tensor.name, PVar(-1, "unresolved"), a.tensor.fill)
         leaves.append(a.pos)
         return LeafVal(a.tensor.name, a.pos, a.tensor.fill)
@@ -240,7 +239,7 @@ def _writes_nothing(stmts, ctx) -> bool:
                 return False
         elif isinstance(s, SAssign):
             value, _ = _summand_value(s.rhs, ctx)
-            if not _write_is_noop(s.op, value, _op_fill(s.op, value)):
+            if not _write_is_noop(value, _op_fill(s.op, value)):
                 return False
     return True
 
@@ -261,7 +260,7 @@ def _advance(ctx, out):
     while changed:
         changed = False
         for key, a in list(ctx.accesses.items()):
-            if a.miss or a.poison or a.rank >= a.tensor.ndim:
+            if a.miss or a.rank >= a.tensor.ndim:
                 continue
             const, vars = a.idx[a.rank]
             if not all(v in ctx.scalars for v in vars):
@@ -335,7 +334,7 @@ def _lower_disc(s: SFor, ctx):
 def _participants(ctx, var):
     cands = []
     for key, a in ctx.accesses.items():
-        if a.miss or a.poison or a.rank >= a.tensor.ndim:
+        if a.miss or a.rank >= a.tensor.ndim:
             continue
         const, vars = a.idx[a.rank]
         if var in vars and all(v in ctx.scalars for v in vars if v != var):
@@ -367,7 +366,6 @@ def _lower_cont(s: SFor, ctx):
         steppable = [best]
     else:
         steppable = cands
-    rest = [k for k in cands if k not in steppable]
     # each span/tail combination is one region, and one with j steppers
     # that do not annihilate co-iterates 2**j piece/gap regions: summed
     # over the combinations, 2**u + 3**u, less the stepper-free one's
@@ -403,7 +401,7 @@ def _lower_cont(s: SFor, ctx):
         region = IntersectLet(rslot, rname, tuple(starts or [LimC(lo)]), tuple(stops or [LimC(hi)]))
 
         if not steppers:
-            inner = _finish_region(s, rslot, rname, False, c2, rest)
+            inner = _finish_region(s, rslot, rname, False, c2)
             if inner:
                 out += [region, Guard(rslot, rname, Block(tuple(inner)))]
             continue
@@ -441,7 +439,7 @@ def _lower_cont(s: SFor, ctx):
                     t3.append(EndRef(a.tensor.name, a.rank, side, pv, -1, shift))
                     c3.accesses[key] = dc_replace(a, miss=True)
             sslot, sname = ctx.namer.slot("r")
-            inner = _finish_region(s, sslot, sname, pinflag, c3, rest)
+            inner = _finish_region(s, sslot, sname, pinflag, c3)
             if inner:
                 sub_stmts += [IntersectLet(sslot, sname, tuple(s3), tuple(t3), pinflag),
                               Guard(sslot, sname, Block(tuple(inner)))]
@@ -454,7 +452,7 @@ def _lower_cont(s: SFor, ctx):
     return out
 
 
-def _finish_region(s: SFor, iv_slot, iv_name, pinpoint, ctx, rest):
+def _finish_region(s: SFor, iv_slot, iv_name, pinpoint, ctx):
     """Lower the loop body inside one region of the loop's index; [] when
     nothing is written there."""
     var = s.var
@@ -467,8 +465,6 @@ def _finish_region(s: SFor, iv_slot, iv_name, pinpoint, ctx, rest):
         _advance(ctx, stmts)
         body = _lower_block(s.body, ctx)
         return stmts + body if body else []
-    for key in rest:
-        ctx.accesses[key] = dc_replace(ctx.accesses[key], poison=True)
     ctx.pending[var] = (iv_slot, iv_name)
     return _lower_block(s.body, ctx)
 
@@ -492,38 +488,27 @@ def _op_fill(op, value):
 
 def _lower_assign(s: SAssign, ctx):
     value, nleaves = _summand_value(s.rhs, ctx)
-    fill = _op_fill(s.op, value)
-    if _write_is_noop(s.op, value, fill):
+    if _write_is_noop(value, _op_fill(s.op, value)):
         return []
 
     path = []
-    decl = []
-    used_pending = set()
-    for ix in s.indices:
-        v = ix.name
+    outs = [ix.name for ix in s.indices]
+    for v in outs:
         if v in ctx.scalars:
             loop = ctx.loops[v]
-            if loop.continuous:
-                path.append(("p", ctx.scalars[v]))
-                decl.append(("pinpoint",))
-            else:
-                if loop.lo < 0:
-                    raise CompileError(
-                        f"output index {v!r} runs from {int(loop.lo)}; dense "
-                        "output ranks start at 0"
-                    )
-                path.append(("d", ctx.scalars[v]))
-                decl.append(("dense", int(loop.hi) + 1))
+            if not loop.continuous and loop.lo < 0:
+                raise CompileError(
+                    f"output index {v!r} runs from {int(loop.lo)}; dense "
+                    "output ranks start at 0"
+                )
+            path.append(("p" if loop.continuous else "d", ctx.scalars[v]))
         elif v in ctx.pending:
-            slot, name = ctx.pending[v]
-            path.append(("iv", slot, name))
-            decl.append(("interval",))
-            used_pending.add(v)
+            path.append(("iv", *ctx.pending[v]))
         else:
             raise UnloweredError(f"output index {v!r} is neither scalar nor regional")
 
     for v, (slot, name) in ctx.pending.items():
-        if v in used_pending:
+        if v in outs:
             continue
         if v in ctx.difs:
             value = Mul((value, LenOf(slot, name)))
@@ -533,15 +518,7 @@ def _lower_assign(s: SAssign, ctx):
             raise UnloweredError(f"cannot collapse {v!r} under {s.op!r}")
     value = simplify_expr(value)
 
-    d = OutputDecl(s.target, tuple(decl), fill)
-    if ctx.shared["decl"] is None:
-        ctx.shared["decl"] = d
-    elif ctx.shared["decl"] != d:
-        raise UnloweredError(
-            "regions disagree about the output's shape; a mask whose fill "
-            "does not annihilate the summand cannot be lowered"
-        )
-
+    ctx.paths.append(path)
     two = nleaves >= 2
     if any(c[0] != "d" for c in path):
         node = EmitPiece(s.target, tuple(path), s.op, value, two)
@@ -576,7 +553,7 @@ def compile_program(program: Program, bindings, *, opt_bounds=False,
 
     loops, accesses, difs, assign = _collect(program)
     namer = Namer()
-    ctx = _Ctx(namer, bindings, difs, loops, {"decl": None})
+    ctx = _Ctx(namer, difs, loops, [])
     for e in accesses:
         if e.tensor not in bindings:
             raise CompileError(f"tensor {e.tensor!r} is not bound")
@@ -591,16 +568,7 @@ def compile_program(program: Program, bindings, *, opt_bounds=False,
     _advance(ctx, top)
     body = _lower_block(program.body, ctx)
     top = top + body if body else []
-    if ctx.shared["decl"] is None:
-        # every region proved write-free; the output is all fill
-        try:
-            v = simplify_expr(_build_value(assign.rhs, ctx.fork(), []))
-        except UnloweredError:
-            v = Num(0.0)
-        ctx.shared["decl"] = OutputDecl(
-            assign.target, tuple(_default_decl(assign, ctx)), _op_fill(assign.op, v)
-        )
-    plan = Plan(Block(tuple(top)), ctx.shared["decl"], namer.count, dict(bindings))
+    plan = Plan(Block(tuple(top)), _output_decl(assign, ctx), namer.count, dict(bindings))
     if stages is not None:
         stages["plan"] = plan
     plan = simplify_plan(plan)
@@ -615,13 +583,19 @@ def compile_program(program: Program, bindings, *, opt_bounds=False,
     return plan
 
 
-def _default_decl(assign, ctx):
-    for ix in assign.indices:
+def _output_decl(assign, ctx) -> OutputDecl:
+    """The output's form, from every write lowering made: a continuous
+    rank holds points when every write pins its index (so when nothing
+    is written), and intervals otherwise."""
+    comps = []
+    for k, ix in enumerate(assign.indices):
         loop = ctx.loops[ix.name]
-        if loop.continuous:
-            yield ("pinpoint",)
+        if not loop.continuous:
+            comps.append(("dense", int(loop.hi) + 1))
         else:
-            yield ("dense", int(loop.hi) + 1)
+            comps.append(("pinpoint",) if all(p[k][0] == "p" for p in ctx.paths) else ("interval",))
+    value, _ = _summand_value(assign.rhs, ctx)
+    return OutputDecl(assign.target, tuple(comps), _op_fill(assign.op, value))
 
 
 __all__ = [

@@ -28,8 +28,10 @@ Writes are rendered for the plan's one assignment operator. A path is
 a tuple with an int per dense rank, the pinned coordinate per pinpoint
 rank and a ``(start, stop)`` pair of ``(val, eps)`` tuples per interval
 rank, made canonical where it is written: an end at -inf or inf is open,
-and a set holding no real number is not written. Under ``=`` the kernel
-appends one ``(*path, value)`` record per write that is not the fill;
+and a set holding no real number is not written. A pinned coordinate x
+written into an interval rank (where other writes leave the index a
+region) is the closed point piece ``((x, 0), (x, 0))``. Under ``=`` the
+kernel appends one ``(*path, value)`` record per write that is not the fill;
 a reduction combines where it writes, into a dict by path (or a local
 for a rank-0 output). ``_Store.finalize`` sorts the records once and
 builds the tensor in one pass per rank: it raises ``OverlapError`` for a
@@ -519,11 +521,14 @@ class _Source:
         if type(s) is Accumulate:
             comps = [f"int({self.expr(c)})" for c in s.path]
         else:
-            for c in s.path:
+            for c, kind in zip(s.path, self.plan.output.comps):
                 if c[0] == "d":
                     comps.append(f"int({self.expr(c[1])})")
                 elif c[0] == "p":
-                    comps.append(self.expr(c[1]))
+                    # a pinned coordinate is a local; at an interval rank
+                    # it is the closed point piece
+                    x = self.expr(c[1])
+                    comps.append(x if kind[0] == "pinpoint" else f"(({x}, 0), ({x}, 0))")
                 else:
                     n = len(present)
                     lo, hi = self.region(c[1], c[2])

@@ -540,6 +540,8 @@ class _Eval:
                 value = value * _value(f, env, self.binds)
             if not value:
                 return  # an annihilated summand contributes nothing anywhere
+            if any(env[dn].kind == "pt" for dn in difs):
+                return  # a point contributes nothing to an integral over it
             weight = 1.0
             # an output index is not summed over: each of its points or
             # regions is a cell of its own
@@ -548,7 +550,7 @@ class _Eval:
                 if name in outs or not (reg.loop and reg.kind in ("pt", "iv")):
                     continue
                 if name in difs:
-                    weight *= 0.0 if reg.kind == "pt" else reg.b - reg.a
+                    weight *= reg.b - reg.a
                 elif reg.kind == "iv":
                     raise OracleError(
                         "summing over a positive-length region diverges")

@@ -109,22 +109,12 @@ def simplify_expr(e):
     return e
 
 
-_IDENTITY = {"+=": 0.0, "max=": -math.inf, "min=": math.inf}
-_BOOL_IDENTITY = {"|=": False, "&=": True}
-
-
-def _write_is_noop(op, value, fill):
+def _write_is_noop(value, fill):
+    """Whether writing value leaves a cell that holds fill, the
+    operator's identity or the output's fill under "=", as it is."""
     if isinstance(value, Num):
-        if op in _IDENTITY and value.value == _IDENTITY[op]:
-            return True
-        if op == "=" and not isinstance(fill, bool) and value.value == fill:
-            return True
-    if isinstance(value, BoolC):
-        if op in _BOOL_IDENTITY and value.value == _BOOL_IDENTITY[op]:
-            return True
-        if op == "=" and isinstance(fill, bool) and value.value == fill:
-            return True
-    return False
+        return not isinstance(fill, bool) and value.value == fill
+    return isinstance(value, BoolC) and isinstance(fill, bool) and value.value == fill
 
 
 # ---------------------------------------------------------------------------

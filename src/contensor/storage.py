@@ -19,7 +19,7 @@ walks and the executor's seeks and probes all search those columns.
 ``PinpointLevel``, ``IntervalLevel`` and ``RegularLevel`` are input
 descriptors in the shape of the JSON schema: a ``ContTensor`` decodes
 each once, with its level index, into the ``SparseLevel`` it keeps, and
-a ``SparseLevel`` given directly gets only the column checks.
+a ``SparseLevel`` given directly must also have the ends they make.
 
 Validation makes whole-column passes (``map``, ``zip``, ``all``) and
 looks at single elements only once one of them fails, to name the first
@@ -110,6 +110,20 @@ class SparseLevel:
     continuous = True
 
     def decode(self, level: int, n_fibers: int) -> "SparseLevel":
+        """A level given directly: its starts must be exact or open above
+        and its stops exact or open below, the only ends the descriptors
+        make and the executor handles; then the column checks."""
+        starts, stops = self.starts, self.stops
+        if not (set(map(_EPS, starts)) <= {EXACT, ABOVE}
+                and set(map(_EPS, stops)) <= {EXACT, BELOW}):
+            p = next(p for p, (a, b) in enumerate(zip(starts, stops))
+                     if a[1] not in (EXACT, ABOVE) or b[1] not in (EXACT, BELOW))
+            piece = Interval(Limit(*starts[p]), Limit(*stops[p]))
+            raise InvalidPieceError(f"level {level}: cannot store piece {p} {piece} in "
+                                    f"{'a pinpoint' if self.pinpoint else 'an interval'} level")
+        return self.checked(level, n_fibers)
+
+    def checked(self, level: int, n_fibers: int) -> "SparseLevel":
         """Check the columns and return the level: every end a number, no
         piece starting at inf or stopping at -inf (it holds no real number),
         and each fiber's pieces non-empty, sorted and pairwise disjoint,
@@ -208,7 +222,7 @@ class PinpointLevel:
         if not set(map(type, crd)) <= {float}:
             crd = tuple(map(float, crd))
         points = tuple(zip(crd, repeat(EXACT)))
-        return SparseLevel(self.ptr, points, points, pinpoint=True).decode(level, n_fibers)
+        return SparseLevel(self.ptr, points, points, pinpoint=True).checked(level, n_fibers)
 
 
 @dataclass(frozen=True)
@@ -228,7 +242,7 @@ class IntervalLevel:
                 raise InvalidPieceError(f"level {level}: inclusiveness flag length mismatch")
         starts = _column(self.left, self.lclose, ABOVE)
         stops = _column(self.right, self.rclose, BELOW)
-        return SparseLevel(self.ptr, starts, stops).decode(level, n_fibers)
+        return SparseLevel(self.ptr, starts, stops).checked(level, n_fibers)
 
 
 def _column(vals, flags, open_eps: int) -> tuple:
@@ -269,7 +283,7 @@ class RegularLevel:
             stops = tuple(zip(highs, repeat(EXACT if self.rclose else BELOW)))
         fmt = (self.stride, self.length, self.rclose)
         return SparseLevel(ptr, starts, stops, pinpoint=self.length == 0,
-                           regular=fmt).decode(level, n_fibers)
+                           regular=fmt).checked(level, n_fibers)
 
 
 def _integral(x) -> bool:
@@ -484,11 +498,6 @@ def build_level(spec, fibers: Sequence[Sequence]):
         return PinpointLevel(ptr=ptr, crd=tuple(map(float, keys)))
     if kind == "interval":
         starts, stops = _ends(keys) or _ends(list(map(_as_interval, keys)))
-        if (not set(map(_EPS, starts)) <= {EXACT, ABOVE}
-                or not set(map(_EPS, stops)) <= {EXACT, BELOW}):
-            bad = next(Interval(Limit(*a), Limit(*b)) for a, b in zip(starts, stops)
-                       if a[1] not in (EXACT, ABOVE) or b[1] not in (EXACT, BELOW))
-            raise InvalidPieceError(f"cannot store {bad} in an interval level")
         return SparseLevel(ptr, starts, stops)
     if kind == "regular":
         _, stride, length, rclose = spec

@@ -27,7 +27,7 @@ from itertools import repeat
 from operator import itemgetter, mul, truediv
 
 from .intervals import Interval
-from .limits import ABOVE, BELOW, EXACT, Limit
+from .limits import BELOW, EXACT, Limit
 from .storage import (
     ContTensor,
     DenseLevel,
@@ -190,17 +190,16 @@ def level_to_json(lv) -> dict:
 
 def _check_saved_ends(lv: SparseLevel) -> None:
     """Raise ValueError naming the first piece with an end whose eps the
-    level's format cannot save: it saves a point's ends and a regular
-    start as exact, a regular stop as its rclose says, and an interval
-    end as closed or open inwards."""
-    kind = "pinpoint" if lv.pinpoint else "interval"
+    level's format cannot save. An interval level saves every end a
+    stored level holds (closed, or open inwards: ``SparseLevel.decode``);
+    a point's ends and a regular start save as exact, and a regular stop
+    as its rclose says."""
+    if lv.regular is None and not lv.pinpoint:
+        return
+    kind = "pinpoint" if lv.regular is None else "regular"
     saved_starts, saved_stops = {EXACT}, {EXACT}
-    if lv.regular is not None:
-        kind = "regular"
-        if not lv.pinpoint and not lv.regular[2]:
-            saved_stops = {BELOW}
-    elif not lv.pinpoint:
-        saved_starts, saved_stops = {EXACT, ABOVE}, {EXACT, BELOW}
+    if not lv.pinpoint and not lv.regular[2]:
+        saved_stops = {BELOW}
     if set(map(_EPS, lv.starts)) <= saved_starts and set(map(_EPS, lv.stops)) <= saved_stops:
         return
     for p, (a, b) in enumerate(zip(lv.starts, lv.stops)):

@@ -2,13 +2,15 @@
 
 The strategy draws programs of the shape the validator accepts: one or
 two nested loops (continuous or discrete), accesses whose indices are
-shifts ``i + j + c``, right-hand sides joined by ``*`` and ``+`` (numeric)
-or ``&&`` and ``||`` (boolean), every assignment operator, and inputs
-with pinpoint, interval, regular and dense levels, fills and off-pitch
-float endpoints. A program the validator rejects is skipped; one it
-accepts must not reach the internal errors (``UnloweredError``,
-``ExecError``) and must agree with ``oracle.evaluate``, apart from the
-known faults outside the executor that the strict xfail tests below pin.
+shifts ``i + j + c``, right-hand sides joined by ``*``, ``+`` and ``-``
+(numeric, an operand negated or divided by a nonzero constant) or ``&&``
+and ``||`` (boolean, an operand negated or ``true``/``false`` joined in),
+every assignment operator, and inputs with pinpoint, interval, regular
+and dense levels, fills and off-pitch float endpoints. A program the
+validator rejects is skipped; one it accepts must not reach the internal
+errors (``UnloweredError``, ``ExecError``) and must agree with
+``oracle.evaluate``, apart from the known faults outside the executor
+that the strict xfail tests below pin.
 """
 
 import collections
@@ -31,6 +33,7 @@ CONT_BOUNDS = [(-INF, INF), (-INF, INF), (-INF, 0.9), (-0.4, INF),
                (-1.3, 2.7), (0.15, 1.6), (-2.25, 0.61)]
 SHIFTS = [0.0, 0.0, 0.37, -1.1, 2.0]
 NUM_VALUES = [1.0, 2.0, -1.5, 0.5, 3.0, 0.0]
+DIVISORS = [2.0, -0.5, 3.0]  # never 0: "/" by 0 raises ZeroDivisionError on both sides
 INTERVAL_KINDS = ["closed", "open", "left_open", "right_open"]
 # finite, off the 0.05 pitch the shipped generators use
 ENDPOINTS = st.integers(-3000, 3000).map(lambda k: k / 1000 + 0.0007)
@@ -93,7 +96,7 @@ def programs(draw):
         joins, values = ["&&", "||"], st.booleans()
     else:
         op = draw(st.sampled_from(["=", "+=", "max=", "min="]))
-        joins, values = ["*", "+"], st.sampled_from(NUM_VALUES)
+        joins, values = ["*", "+", "-"], st.sampled_from(NUM_VALUES)
     out_vars = [l for l in loops if draw(st.booleans())]
     integral = op == "+=" and any(l[1] and l not in out_vars and INF in (-l[2], l[3])
                                   for l in loops)
@@ -122,7 +125,15 @@ def programs(draw):
             # an integral over the whole line is only finite with fill 0
             fill = 0.0 if integral else draw(st.sampled_from([0.0, 0.0, 1.0, -2.0]))
         binds[name] = build_tensor(name, specs, draw(fiber(specs, values)), fill=fill)
-        accesses.append(f"{name}[{', '.join(indices)}]")
+        access = f"{name}[{', '.join(indices)}]"
+        form = draw(st.integers(0, 5))
+        if form == 0:
+            access = ("!" if boolean else "-") + access
+        elif form == 1 and not boolean:
+            access = f"({access} / {draw(st.sampled_from(DIVISORS))})"
+        accesses.append(access)
+    if boolean and draw(st.integers(0, 3)) == 0:
+        accesses.append(draw(st.sampled_from(["true", "false"])))
 
     rhs = accesses[0]
     for a in accesses[1:]:
@@ -236,7 +247,6 @@ def pointwise_reference(got, program, binds):
 # Faults the fuzzer found outside the executor, each pinned by a strict
 # xfail test below: lowering gives up on these valid programs.
 KNOWN_UNLOWERED = (
-    "regions disagree about the output's shape",
     "unresolved structure",
     "cannot collapse",
 )
@@ -246,11 +256,10 @@ def test_random_programs_agree_with_the_oracle():
     """Every valid program the strategy draws agrees with the oracle, and
     compiles to the same output with bound pruning.
 
-    Two known oracle faults (xfail below) change what agreeing means: a
+    A known oracle fault (xfail below) changes what agreeing means: a
     reduction whose pieces overlap, which the oracle cannot combine, is
-    checked against the oracle at each sample point instead; a NaN from
-    the oracle's 0 * inf weight is accepted where the executor gives 0
-    there. What neither check covers is counted and must stay rare."""
+    checked against the oracle at each sample point instead. What that
+    check does not cover is counted and must stay rare."""
     tally = collections.Counter()
 
     @settings(max_examples=1000, deadline=None, derandomize=True,
@@ -283,23 +292,16 @@ def test_random_programs_agree_with_the_oracle():
         else:
             if hasattr(got, "levels") and hasattr(want, "levels"):
                 assert (got.ndim, got.fill) == (want.ndim, want.fill), src
-            wrong = [(g, w) for g, w in pairs(got, want) if not outputs_match(g, w, rel=1e-9)]
-            assert all(_is_nan(w) for _, w in wrong), (src, wrong)
-            if not wrong:
-                tally["compared"] += 1
-            elif all(g == 0 for g, _ in wrong):
-                tally["nan_as_zero"] += 1
-            else:
-                tally["unchecked"] += 1
+            # a divergent integral (inf - inf) is NaN on both sides
+            wrong = [(g, w) for g, w in pairs(got, want)
+                     if not (outputs_match(g, w, rel=1e-9) or g != g and w != w)]
+            assert not wrong, (src, wrong)
+            tally["compared"] += 1
 
     check()
-    checked = tally["compared"] + tally["pointwise"] + tally["nan_as_zero"]
+    checked = tally["compared"] + tally["pointwise"]
     assert checked >= 100, tally
     assert tally["unchecked"] <= checked // 50, tally
-
-
-def _is_nan(v):
-    return isinstance(v, float) and math.isnan(v)
 
 
 def _op(program):
@@ -314,11 +316,35 @@ def both(src, binds):
     return run(compile_program(program, binds)).output, evaluate(program, binds)
 
 
-@pytest.mark.xfail(strict=True, raises=UnloweredError,
-                   reason="lowering: a pinpoint input whose fill is not annihilating")
-def test_known_fault_output_shape_of_nonzero_fill_points():
+def test_output_shape_of_nonzero_fill_points():
+    # the fill tail writes intervals, so A's points join them as point pieces
     A = build_tensor("A", [("pinpoint",)], [(0.5, False)], fill=True)
-    both("for i = -inf:inf\n  Out[i] = A[i]\nend\n", {"A": A})
+    got, want = both("for i = -inf:inf\n  Out[i] = A[i]\nend\n", {"A": A})
+    assert outputs_match(got, want)
+    assert [v for _, v in got.pieces()] == [True, True]
+
+
+@pytest.mark.parametrize("src, pieces", [
+    ("for i = -inf:inf\n  Out[i] = !P[i]\nend\n",
+     # the point at 2.0 is written true and merges with the gaps beside it
+     [((-INF, 1), (0.5, -1), True), ((0.5, 1), (1.5, -1), True),
+      ((1.5, 1), (3.0, -1), True), ((3.0, 1), (INF, -1), True)]),
+    ("for i = -inf:inf\n  Out[i] = P[i] || A[i]\nend\n",
+     [((0.0, 0), (1.0, 0), True), ((1.5, 0), (1.5, 0), True), ((3.0, 0), (3.0, 0), True)]),
+], ids=["not", "or"])
+def test_points_and_intervals_share_an_output_rank(src, pieces):
+    # some regions pin i and others leave it an interval: the pinned
+    # writes become point pieces of the interval rank
+    P = build_tensor("P", [("pinpoint",)], [(0.5, True), (1.5, True), (2.0, False),
+                                           (3.0, True)], fill=False)
+    A = build_tensor("A", [("interval",)], [((0.0, 1.0), True), ((1.5, 2.5, "open"), False)],
+                     fill=False)
+    program = parse(src)
+    plan = compile_program(program, {"P": P, "A": A})
+    assert plan.output.comps == (("interval",),)
+    got, want = run(plan).output, evaluate(program, {"P": P, "A": A})
+    assert outputs_match(got, want)
+    assert [(*(tuple(x) for x in path[0]), v) for path, v in got.pieces()] == pieces
 
 
 @pytest.mark.parametrize("src, a, b", [
@@ -383,9 +409,8 @@ def test_known_fault_oracle_overlapping_reduction():
          "  end\nend\n", {"A": A, "B": B})
 
 
-@pytest.mark.xfail(strict=True, reason="the oracle's weight for d(i) at a pinned i times an "
-                   "infinite region is 0 * inf = NaN")
-def test_known_fault_oracle_zero_times_infinite_weight():
+def test_a_point_adds_nothing_to_an_integral_over_an_infinite_region():
+    # d(i) at a pinned i weighs 0, even beside d(j) over the whole line
     A = build_tensor("A", [("pinpoint",)], [(-2.0563, 2.0)])
     got, want = both("for i = -2.25:0.61\n  for j = -inf:inf\n    Out += A[i] * d(i) * d(j)\n"
                      "  end\nend\n", {"A": A})
@@ -428,6 +453,24 @@ def test_reductions_over_an_outer_loop_combine_overlapping_pieces():
     assert outputs_match(got, want)
     # A's fill 0.0 beats the output fill -inf off A's pieces
     assert [v for _, v in got.pieces()] == [0.0, 1.0, 5.0, 0.0]
+
+
+def test_reductions_combine_overlapping_pieces_above_the_last_rank():
+    # each k cuts i differently, so the pieces of Out's outer rank overlap:
+    # they are split where any of them ends and combined before the rank
+    # below is built; the oracle cuts i at every k's ends and does not merge
+    # pieces above the last rank (xfail above), so it agrees as a function
+    A = build_tensor("A", [("dense", 2), ("interval",)],
+                     [[((0.0, 2.0), 1.0)], [((1.0, 3.0), 5.0)]])
+    B = build_tensor("B", [("dense", 2)], [1.0, 2.0])
+    got, want = both("for k = 0:1\n  for i = -inf:inf\n    for c = 0:1\n"
+                     "      Out[i, c] += A[k, i] * B[c]\n    end\n  end\nend\n", {"A": A, "B": B})
+    assert same_function(got, want)
+    assert [(tuple(i.start), tuple(i.stop), c, v) for (i, c), v in got.pieces()] == [
+        ((0.0, 0), (1.0, -1), 0, 1.0), ((0.0, 0), (1.0, -1), 1, 2.0),
+        ((1.0, 0), (2.0, 0), 0, 6.0), ((1.0, 0), (2.0, 0), 1, 12.0),
+        ((2.0, 1), (3.0, 0), 0, 5.0), ((2.0, 1), (3.0, 0), 1, 10.0),
+    ]
 
 
 def test_assigning_the_fill_twice_is_not_a_double_assignment():

@@ -587,20 +587,27 @@ def test_a_regular_level_with_a_start_off_its_stride_does_not_save():
 
 
 @pytest.mark.parametrize("level, message", [
-    # a start just below 0 would save as open, i.e. just above it
+    # a start just below 0 is no closed or open start: open means just above
     (SparseLevel((0, 1), ((0.0, -1),), ((1.0, 0),)),
-     "interval level: piece 0 [0-eps, 1] has a start its format cannot save"),
+     "level 0: cannot store piece 0 [0-eps, 1] in an interval level"),
     (SparseLevel((0, 2), ((0.0, 0), (2.0, 1)), ((1.0, -1), (3.0, 1))),
-     "interval level: piece 1 [2+eps, 3+eps] has a stop its format cannot save"),
+     "level 0: cannot store piece 1 [2+eps, 3+eps] in an interval level"),
     (SparseLevel((0, 1), ((0.5, 1),), ((0.5, 1),), pinpoint=True),
-     "pinpoint level: piece 0 [0.5+eps, 0.5+eps] has a start its format cannot save"),
+     "level 0: cannot store piece 0 [0.5+eps, 0.5+eps] in a pinpoint level"),
+], ids=["interval_start", "interval_stop", "pinpoint"])
+def test_an_end_no_level_can_hold_is_rejected_when_stored(level, message):
+    with pytest.raises(InvalidPieceError, match=re.escape(message)):
+        ContTensor("a", (level,), (1.0,) * level.ptr[-1])
+
+
+@pytest.mark.parametrize("level, message", [
     (SparseLevel((0, 1), ((0.0, 1),), ((1.0, -1),), regular=(1.0, 1.0, False)),
      "regular level: piece 0 (0, 1) has a start its format cannot save"),
     (SparseLevel((0, 1), ((0.0, 0),), ((1.0, 0),), regular=(1.0, 1.0, False)),
      "regular level: piece 0 [0, 1] has a stop its format cannot save"),
 ])
 def test_an_end_the_format_cannot_save_does_not_save(level, message):
-    t = ContTensor("a", (level,), (1.0,) * (len(level.ptr) and level.ptr[-1]))
+    t = ContTensor("a", (level,), (1.0,) * level.ptr[-1])
     with pytest.raises(ValueError, match=re.escape(message)):
         tensor_to_json(t)
 
