@@ -91,12 +91,20 @@ class _Prover:
     def le(self, a, b):
         if a is None or b is None:
             return False
-        return self._le(a, b, frozenset())
+        return self._le(a, b, {})
 
-    def _le(self, a, b, seen):
-        if a == b or (a, b) in seen:
-            return a == b
-        seen = seen | {(a, b)}
+    def _le(self, a, b, memo):
+        """Whether a <= b follows; memo holds each pair searched in this
+        query, False while its search runs, so a cycle proves nothing and
+        no pair is searched twice."""
+        if a == b:
+            return True
+        if (a, b) not in memo:
+            memo[(a, b)] = False
+            memo[(a, b)] = self._search(a, b, memo)
+        return memo[(a, b)]
+
+    def _search(self, a, b, memo):
         if a[0] == "c" and b[0] == "c":
             return Limit(a[1], a[2]) <= Limit(b[1], b[2])
         if _most(a) <= _least(b):
@@ -104,15 +112,15 @@ class _Prover:
         if _eps_variants(a, b):
             return True
         for s in self.edges.get(a, ()):
-            if self._le(s, b, seen):
+            if self._le(s, b, memo):
                 return True
         if a[0] == "a" and a[1] in self.maxes:
             comps = self.maxes[a[1]]
-            if all(self._le(c, b, seen) for c in comps):
+            if all(self._le(c, b, memo) for c in comps):
                 return True
         if b[0] == "b" and b[1] in self.mins:
             comps = self.mins[b[1]]
-            if comps and all(self._le(a, c, seen) for c in comps):
+            if comps and all(self._le(a, c, memo) for c in comps):
                 return True
         return False
 

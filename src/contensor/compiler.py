@@ -24,10 +24,13 @@ pinning; its gaps write nothing, so the others are never needed there.
 
 Every lowering function emits a statement only when a write lies below
 it, and folds constants as it builds each expression, so the plan needs
-no cleanup beyond dropping binders nothing reads. A value that still
-depends on unresolved structure is reported as an internal lowering
-failure rather than being guessed at. Each write records its path, and
-the output's form is decided once from all of them (``_output_decl``).
+no cleanup beyond dropping binders nothing reads. Each write records its
+path, and the output's form is decided once from all of them
+(``_output_decl``). Lowering is the one judge of the rules storage
+decides: a collapse of a continuous index that no d() factor, idempotent
+operator or pinning makes finite is R-SUM, and a value still read once
+unread binders are dropped that needs an index no stored points pin is
+R-PIN (``ValidityError``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, replace as dc_replace
 from itertools import product
 
 from .lang import (
-    EAccess, EBin, EBool, EDif, ENum, EUn, EVar, IDEMPOTENT_OPS, Program,
+    Diag, EAccess, EBin, EBool, EDif, ENum, EUn, EVar, IDEMPOTENT_OPS, Program,
     SAssign, SFor, SIf, SLet, affine_terms, validate,
 )
 from .limits import ABOVE, BELOW, EXACT, Limit
@@ -83,17 +86,18 @@ class _Access:
 
 
 class _Ctx:
-    def __init__(self, namer, difs, loops, paths):
+    def __init__(self, namer, difs, loops, paths, marks):
         self.namer = namer
         self.difs = difs
         self.loops = loops  # var -> SFor
         self.paths = paths  # the path of every write lowered, shared by forks
+        self.marks = marks  # id(expr) -> (negative slot, R-PIN Diag), shared by forks
         self.scalars = {}  # var -> Var
         self.accesses = {}  # id(EAccess) -> _Access
         self.pending = {}  # var -> (iv_slot, iv_name)
 
     def fork(self):
-        c = _Ctx(self.namer, self.difs, self.loops, self.paths)
+        c = _Ctx(self.namer, self.difs, self.loops, self.paths, self.marks)
         c.scalars = dict(self.scalars)
         c.accesses = dict(self.accesses)
         c.pending = dict(self.pending)
@@ -171,20 +175,32 @@ def _fill_const(t: ContTensor):
 _BIN = {"+": Add, "*": Mul, "&&": And, "||": Or}
 
 
+def _mark(e, ctx):
+    """A slot no binder fills, for a value of e that needs an index no
+    stored points pin; compile_program reports R-PIN if a read survives."""
+    mark = ctx.marks.get(id(e))
+    if mark is None:
+        msg = (f"{e.name!r} ranges over a continuum here; only stored points can give "
+               "it a scalar value" if isinstance(e, EVar) else
+               f"{e.tensor!r} is read where an index of one of its ranks ranges over a "
+               "continuum that no stored points pin")
+        mark = ctx.marks[id(e)] = (-1 - len(ctx.marks), Diag("R-PIN", msg, *e.pos))
+    return mark[0]
+
+
 def _build_value(e, ctx, leaves):
     if isinstance(e, ENum):
         return Num(e.value)
     if isinstance(e, EBool):
         return BoolC(e.value)
     if isinstance(e, EVar):
-        # unresolved names can only survive in regions a fill constant kills
-        return ctx.scalars.get(e.name) or Var(-1, e.name)
+        return ctx.scalars.get(e.name) or Var(_mark(e, ctx), e.name)
     if isinstance(e, EAccess):
         a = ctx.accesses[id(e)]
         if a.miss:
             return _fill_const(a.tensor)
         if a.rank != a.tensor.ndim:
-            return LeafVal(a.tensor.name, PVar(-1, "unresolved"), a.tensor.fill)
+            return LeafVal(a.tensor.name, PVar(_mark(e, ctx), "unresolved"), a.tensor.fill)
         leaves.append(a.pos)
         return LeafVal(a.tensor.name, a.pos, a.tensor.fill)
     if isinstance(e, EBin):
@@ -515,7 +531,10 @@ def _lower_assign(s: SAssign, ctx):
         elif s.op in IDEMPOTENT_OPS:
             pass  # constant over the region; one write stands for all of it
         else:
-            raise UnloweredError(f"cannot collapse {v!r} under {s.op!r}")
+            raise ValidityError([Diag(
+                "R-SUM", f"collapsing {v!r} over a continuum needs |=, &=, max=, min=, "
+                f"or += with a d({v}) factor, or stored points that pin it", *s.pos,
+            )])
     value = simplify_expr(value)
 
     ctx.paths.append(path)
@@ -553,7 +572,7 @@ def compile_program(program: Program, bindings, *, opt_bounds=False,
 
     loops, accesses, difs, assign = _collect(program)
     namer = Namer()
-    ctx = _Ctx(namer, difs, loops, [])
+    ctx = _Ctx(namer, difs, loops, [], {})
     for e in accesses:
         if e.tensor not in bindings:
             raise CompileError(f"tensor {e.tensor!r} is not bound")
@@ -572,12 +591,13 @@ def compile_program(program: Program, bindings, *, opt_bounds=False,
     if stages is not None:
         stages["plan"] = plan
     plan = simplify_plan(plan)
+    unpinned = {slot for slot in used_slots(plan.body) if slot < 0}
+    if unpinned:
+        raise ValidityError([d for slot, d in ctx.marks.values() if slot in unpinned])
     if opt_bounds:
         from .bounds import prune_bounds
 
         plan = simplify_plan(prune_bounds(plan))
-    if any(slot < 0 for slot in used_slots(plan.body)):
-        raise UnloweredError("a value depending on unresolved structure survived lowering")
     if stages is not None:
         stages["post-simplify"] = plan
     return plan

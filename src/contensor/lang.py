@@ -11,21 +11,26 @@ Loop bounds written as decimals or inf make the loop continuous; plain
 integers make it discrete (inclusive on both ends). ``d(i)`` is the
 differential that turns a sum over a continuum into an integral.
 
-``validate`` checks the rules that make a program executable under the
-piecewise-constant model and returns diagnostics; the compiler refuses
-programs with any. Rule ids:
+Rule ids of the diagnostics (``Diag``) a program is rejected with:
 
   R-INV    index expressions must be sums of distinct variables plus
            constants (unit coefficients only)
   R-PIN    a continuous index may be used as a scalar, or share an index
            expression with another live index, only where stored
-           structure pins it to isolated points
+           structure pins it to isolated points; no index may drive two
+           ranks of one access
   R-SUM    collapsing a continuous index that stored points do not pin
            needs an idempotent operator or += with a d() factor; d() is
            only meaningful there
   R-ARITY  accesses must match the tensor's rank and level kinds
   R-FORM   structure: one assignment, plain-variable output indices,
            defined names, no self-reads
+
+``validate`` checks what the program text decides, with the level kinds
+(dense or continuous) when bindings are given: R-INV, R-ARITY, R-FORM,
+the d() part of R-SUM and an index driving two ranks. Whether stored
+points pin an index depends on storage, so ``compiler.compile_program``
+decides the rest of R-PIN and R-SUM as it lowers.
 """
 
 from __future__ import annotations
@@ -521,7 +526,8 @@ def affine_terms(e):
     """Decompose an index expression into (constant, variable names).
 
     Returns None when the expression is not a sum of distinct variables
-    and numeric constants with unit coefficients.
+    and numeric constants with unit coefficients; a constant may be
+    subtracted or negated.
     """
     const = 0.0
     names = []
@@ -530,33 +536,28 @@ def affine_terms(e):
         x = todo.pop()
         if isinstance(x, ENum):
             const += x.value
+        elif isinstance(x, EUn) and x.op == "-" and isinstance(x.a, ENum):
+            const -= x.a.value
         elif isinstance(x, EVar) and x.name not in names:
             names.append(x.name)
         elif isinstance(x, EBin) and x.op == "+":
             todo += (x.b, x.a)
+        elif isinstance(x, EBin) and x.op == "-" and isinstance(x.b, ENum):
+            todo += (EUn("-", x.b), x.a)
         else:
             return None
     return const, tuple(names)
 
 
 def _norm_kinds(bindings):
-    """Per-tensor level kind tuples; entries are dense/pinpoint/interval."""
+    """Per-tensor tuples telling continuous ranks (True) from dense ones."""
     if bindings is None:
         return None
-    out = {}
-    for name, b in bindings.items():
-        if hasattr(b, "levels"):  # a tensor
-            out[name] = tuple(
-                "dense" if not lv.continuous else "pinpoint" if lv.pinpoint else "interval"
-                for lv in b.levels
-            )
-        else:
-            out[name] = tuple(
-                "pinpoint" if k in ("pinpoint", "point") else
-                "dense" if k == "dense" else "interval"
-                for k in b
-            )
-    return out
+    return {
+        name: tuple(lv.continuous for lv in b.levels) if hasattr(b, "levels")  # a tensor
+        else tuple(k != "dense" for k in b)
+        for name, b in bindings.items()
+    }
 
 
 class _Ctx:
@@ -566,8 +567,7 @@ class _Ctx:
         self.loops = {}  # name -> continuous flag
         self.lets = set()
         self.assigns = []
-        self.inputs = []  # (EAccess, [(const, vars, pos)])
-        self.scalar_uses = []  # (name, pos)
+        self.inputs = []  # EAccess
         self.difs = []  # list[EDif] found as proper summand factors
         self.arity = {}  # tensor -> (rank, pos of first sighting)
 
@@ -580,12 +580,8 @@ def _walk_expr(e, ctx: _Ctx, difs_ok: bool):
     if isinstance(e, (ENum, EBool)):
         return
     if isinstance(e, EVar):
-        if e.name in ctx.lets:
-            return
-        if e.name in ctx.loops:
-            ctx.scalar_uses.append((e.name, e.pos))
-            return
-        ctx.err("R-FORM", f"undefined name {e.name!r}", e.pos)
+        if e.name not in ctx.lets and e.name not in ctx.loops:
+            ctx.err("R-FORM", f"undefined name {e.name!r}", e.pos)
         return
     if isinstance(e, EDif):
         ctx.err("R-SUM", "d() is only meaningful as a factor of a += summand", e.pos)
@@ -681,7 +677,26 @@ def _walk_access(e: EAccess, ctx: _Ctx):
                 f"{e.tensor!r} has rank {len(ks)}, access has {rank} indices",
                 e.pos,
             )
-    ctx.inputs.append((e, idx))
+        for r, (continuous, entry) in enumerate(zip(ks, idx)):
+            if entry is None:
+                continue
+            cont_vars = [n for n in entry[1] if ctx.loops.get(n)]
+            disc_vars = [n for n in entry[1] if n in ctx.loops and not ctx.loops[n]]
+            if not continuous and cont_vars:
+                ctx.err(
+                    "R-ARITY",
+                    f"rank {r} of {e.tensor!r} is discrete; index uses "
+                    f"continuous {cont_vars[0]!r}",
+                    e.pos,
+                )
+            if continuous and disc_vars:
+                ctx.err(
+                    "R-ARITY",
+                    f"rank {r} of {e.tensor!r} is continuous; index uses "
+                    f"discrete {disc_vars[0]!r}",
+                    e.pos,
+                )
+    ctx.inputs.append(e)
 
 
 def _walk_stmt(s, ctx: _Ctx):
@@ -704,7 +719,7 @@ def _walk_stmt(s, ctx: _Ctx):
         ctx.lets.add(s.name)
         return
     if isinstance(s, SAssign):
-        ctx.assigns.append((s, dict(ctx.loops)))
+        ctx.assigns.append(s)
         for ix in s.indices:
             if not isinstance(ix, EVar) or ix.name not in ctx.loops:
                 ctx.err(
@@ -720,132 +735,28 @@ def _walk_stmt(s, ctx: _Ctx):
     raise TypeError(f"unhandled statement {s!r}")
 
 
-def _pinned_fixpoint(ctx: _Ctx, output: str):
-    """Continuous loop vars nailed to isolated points by stored structure.
-
-    A var is pinned when some input access index holds it (alone among
-    unpinned vars) over a pinpoint-kind rank. Unknown tensors are
-    assumed pinpoint so unbound programs validate optimistically.
-    """
-    pinned = set()
-    changed = True
-    while changed:
-        changed = False
-        for acc, idx in ctx.inputs:
-            if acc.tensor == output:
-                continue
-            ks = ctx.kinds.get(acc.tensor) if ctx.kinds else None
-            for r, entry in enumerate(idx):
-                if entry is None:
-                    continue
-                kind = ks[r] if ks and r < len(ks) else "pinpoint"
-                if kind != "pinpoint":
-                    continue
-                live = [
-                    n for n in entry[1]
-                    if n in ctx.loops and ctx.loops[n] and n not in pinned
-                ]
-                if len(live) == 1:
-                    pinned.add(live[0])
-                    changed = True
-    return pinned
-
-
 def validate(program: Program, bindings=None):
-    """Check the executability rules; an empty result means valid."""
+    """Check the rules the program text and the level kinds decide (see
+    the module docstring); an empty result means none is broken."""
     ctx = _Ctx(_norm_kinds(bindings))
     for s in program.body:
         _walk_stmt(s, ctx)
 
     if len(ctx.assigns) != 1:
-        pos = ctx.assigns[1][0].pos if len(ctx.assigns) > 1 else (1, 1)
+        pos = ctx.assigns[1].pos if len(ctx.assigns) > 1 else (1, 1)
         ctx.err("R-FORM", f"need exactly one assignment, found {len(ctx.assigns)}", pos)
         return ctx.diags
-    assign, loops_at_assign = ctx.assigns[0]
+    assign = ctx.assigns[0]
     out_vars = tuple(
         ix.name for ix in assign.indices if isinstance(ix, EVar) and ix.name in ctx.loops
     )
     if len(set(out_vars)) != len(out_vars):
         ctx.err("R-FORM", "output indices must be distinct", assign.pos)
 
-    for acc, _ in ctx.inputs:
+    for acc in ctx.inputs:
         if acc.tensor == assign.target:
             ctx.err("R-FORM", f"{assign.target!r} is written and read in one program", acc.pos)
 
-    pinned = _pinned_fixpoint(ctx, assign.target)
-
-    # scalar use of a continuous index requires pinning
-    for name, pos in ctx.scalar_uses:
-        if ctx.loops.get(name) and name not in pinned:
-            ctx.err(
-                "R-PIN",
-                f"{name!r} ranges over a continuum here; only stored points "
-                "can give it a scalar value",
-                pos,
-            )
-
-    for acc, idx in ctx.inputs:
-        ks = ctx.kinds.get(acc.tensor) if ctx.kinds else None
-        depths = []
-        loop_order = list(loops_at_assign)
-        for r, entry in enumerate(idx):
-            if entry is None:
-                continue
-            live = [
-                n for n in entry[1]
-                if n in ctx.loops and ctx.loops[n] and n not in pinned
-            ]
-            if len(live) > 1:
-                ctx.err(
-                    "R-PIN",
-                    f"indices {live[0]!r} and {live[1]!r} co-range over one "
-                    f"rank of {acc.tensor!r}",
-                    acc.pos,
-                )
-            if ks and r < len(ks):
-                cont_vars = [n for n in entry[1] if ctx.loops.get(n)]
-                disc_vars = [n for n in entry[1] if n in ctx.loops and not ctx.loops[n]]
-                if ks[r] == "dense" and cont_vars:
-                    ctx.err(
-                        "R-ARITY",
-                        f"rank {r} of {acc.tensor!r} is discrete; index uses "
-                        f"continuous {cont_vars[0]!r}",
-                        acc.pos,
-                    )
-                if ks[r] != "dense" and disc_vars:
-                    ctx.err(
-                        "R-ARITY",
-                        f"rank {r} of {acc.tensor!r} is continuous; index uses "
-                        f"discrete {disc_vars[0]!r}",
-                        acc.pos,
-                    )
-            # only co-iterated ranks constrain ordering; dense and pinned
-            # ranks are random access
-            ds = [loop_order.index(n) for n in live if n in loop_order]
-            if ds:
-                depths.append(max(ds))
-        if depths != sorted(depths):
-            ctx.err(
-                "R-PIN",
-                f"rank order of {acc.tensor!r} conflicts with the loop nest",
-                acc.pos,
-            )
-
-    # collapsing a continuous loop over the rhs
-    dif_names = {d.index for d in ctx.difs}
-    for name, continuous in ctx.loops.items():
-        if not continuous or name in out_vars or name in pinned:
-            continue
-        if assign.op in IDEMPOTENT_OPS:
-            continue
-        if assign.op == "+=" and name in dif_names:
-            continue
-        ctx.err(
-            "R-SUM",
-            f"collapsing {name!r} over a continuum needs |=, &=, max=, min=, "
-            f"or += with a d({name}) factor",
-            assign.pos,
-        )
     for d in ctx.difs:
         if d.index in out_vars:
             ctx.err("R-SUM", f"d({d.index}) integrates along an output index", d.pos)

@@ -120,6 +120,22 @@ def test_validity_failure_carries_diags():
     assert any(d.code == "R-SUM" for d in e.value.diags)
 
 
+@pytest.mark.parametrize("assign, kinds, code", [
+    ("Out[i, j] = A[i, j]", ("pinpoint", "pinpoint"), "R-PIN"),
+    ("Out[i, j] = A[i, j]", ("pinpoint", "interval"), "R-PIN"),
+    ("s += A[i, j]", ("pinpoint", "pinpoint"), "R-SUM"),
+], ids=["point_point", "point_interval", "sum"])
+def test_a_rank_order_the_loop_nest_does_not_follow_is_rejected(assign, kinds, code):
+    # j is looped first, but A's points can only pin it once i is known
+    keys = {"pinpoint": [1.0, 2.0], "interval": [(1.0, 1.5), (2.0, 2.5)]}
+    A = build_tensor("A", [(k,) for k in kinds],
+                     [(x, [(y, 1.0) for y in keys[kinds[1]]]) for x in keys[kinds[0]]])
+    src = f"for j = -inf:inf\n  for i = -inf:inf\n    {assign}\n  end\nend\n"
+    with pytest.raises(ValidityError) as e:
+        compile_program(parse(src), {"A": A})
+    assert [d.code for d in e.value.diags] == [code]
+
+
 def test_missing_binding_is_a_compile_error():
     A = tensor_1d("A", [(1.0, 1.0)], 0.0)
     with pytest.raises(CompileError, match="B"):

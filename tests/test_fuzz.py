@@ -7,10 +7,11 @@ shifts ``i + j + c``, right-hand sides joined by ``*``, ``+`` and ``-``
 and ``||`` (boolean, an operand negated or ``true``/``false`` joined in),
 every assignment operator, and inputs with pinpoint, interval, regular
 and dense levels, fills and off-pitch float endpoints. A program the
-validator rejects is skipped; one it accepts must not reach the internal
-errors (``UnloweredError``, ``ExecError``) and must agree with
-``oracle.evaluate``, apart from the known faults outside the executor
-that the strict xfail tests below pin.
+compiler rejects with a ``CompileError`` (a ``ValidityError`` among
+them) is skipped; one it accepts must not reach the internal errors
+(``UnloweredError``, ``ExecError``) and must agree with
+``oracle.evaluate``, apart from the known oracle faults that the strict
+xfail tests below pin.
 """
 
 import collections
@@ -21,7 +22,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from contensor.compiler import CompileError, UnloweredError, ValidityError, compile_program
+from contensor.compiler import CompileError, ValidityError, compile_program
 from contensor.executor import run
 from contensor.lang import parse
 from contensor.limits import Limit
@@ -244,14 +245,6 @@ def pointwise_reference(got, program, binds):
     return True
 
 
-# Faults the fuzzer found outside the executor, each pinned by a strict
-# xfail test below: lowering gives up on these valid programs.
-KNOWN_UNLOWERED = (
-    "unresolved structure",
-    "cannot collapse",
-)
-
-
 def test_random_programs_agree_with_the_oracle():
     """Every valid program the strategy draws agrees with the oracle, and
     compiles to the same output with bound pruning.
@@ -272,9 +265,6 @@ def test_random_programs_agree_with_the_oracle():
             plan = compile_program(program, binds)
         except CompileError:  # includes ValidityError
             assume(False)
-        except UnloweredError as e:
-            assume(not any(m in str(e) for m in KNOWN_UNLOWERED))
-            raise
         try:
             want = outcome(lambda: evaluate(program, binds))
         except OracleError:
@@ -362,33 +352,34 @@ def test_only_an_annihilating_point_input_pins_the_index(src, a, b):
     assert outputs_match(got, want)
 
 
-@pytest.mark.xfail(strict=True, raises=UnloweredError,
-                   reason="lowering: C's points pin i for the validator, but C's fill does "
-                   "not annihilate, so lowering leaves i regional and A[i + j] unresolved")
-def test_known_fault_shift_by_an_index_only_the_validator_pins():
+def rejected(src, binds):
+    """The rule codes compile_program rejects the program with."""
+    with pytest.raises(ValidityError) as e:
+        compile_program(parse(src), binds)
+    return [d.code for d in e.value.diags]
+
+
+def test_a_point_input_whose_fill_does_not_annihilate_pins_nothing():
+    # C's fill 1.0 leaves A[i + j] readable off C's points, so i stays a
+    # continuum there and A's rank is never resolved
     A = build_tensor("A", [("interval",)], [((0.0, 1.0), 3.0)])
     C = build_tensor("C", [("pinpoint",)], [(0.5, 2.0)], fill=1.0)
-    both("for i = -inf:inf\n  for j = -inf:inf\n    Out max= A[i + j] * C[i]\n  end\nend\n",
-         {"A": A, "C": C})
+    assert rejected("for i = -inf:inf\n  for j = -inf:inf\n    Out max= A[i + j] * C[i]\n"
+                    "  end\nend\n", {"A": A, "C": C}) == ["R-PIN"]
 
 
-@pytest.mark.xfail(strict=True, raises=UnloweredError,
-                   reason="validation: C's points pin i, so R-SUM passes a += without d(i), "
-                   "but C's fill does not annihilate and the sum over i diverges")
-def test_known_fault_sum_over_a_continuum_only_the_validator_pins():
+def test_a_sum_over_a_continuum_needs_points_whose_fill_annihilates():
+    # off C's points the summand is A's 3.0 times C's fill 1.0: the sum over i diverges
     A = build_tensor("A", [("interval",)], [((0.0, 2.0), 3.0)])
     C = build_tensor("C", [("pinpoint",)], [(0.5, 2.0)], fill=1.0)
-    with pytest.raises(ValidityError):
-        compile_program(parse("for i = -inf:inf\n  s += A[i] * C[i]\nend\n"), {"A": A, "C": C})
+    assert rejected("for i = -inf:inf\n  s += A[i] * C[i]\nend\n", {"A": A, "C": C}) == ["R-SUM"]
 
 
-@pytest.mark.xfail(strict=True, raises=UnloweredError,
-                   reason="an empty point input pins j for the validator but not for lowering")
-def test_known_fault_empty_pinning_input():
+def test_an_empty_point_input_pins_nothing():
     A = build_tensor("A", [("dense", 1)], [1.0])
     C = build_tensor("C", [("pinpoint",)], [])
-    both("for i = 0:0\n  for j = -inf:inf\n    Out = A[i] + C[j]\n  end\nend\n",
-         {"A": A, "C": C})
+    assert rejected("for i = 0:0\n  for j = -inf:inf\n    Out = A[i] + C[j]\n  end\nend\n",
+                    {"A": A, "C": C}) == ["R-SUM"]
 
 
 @pytest.mark.xfail(strict=True, reason="the oracle does not merge pieces above the last rank")
@@ -542,6 +533,15 @@ def test_a_shifted_probe_compares_in_the_loops_space(src, binds):
                                    else ("pinpoint",)], v) for n, v in binds.items()}
     got, want = both(src, tensors)
     assert got == want
+
+
+@pytest.mark.parametrize("index", ["i - 1.1", "i + -1.1"])
+def test_an_index_may_subtract_a_constant(index):
+    A = build_tensor("A", [("interval",)], [((0.25, 0.5), 2.0), ((0.75, 1.5), 3.0)])
+    got, want = both(f"for i = -inf:inf\n  Out[i] = A[{index}]\nend\n", {"A": A})
+    assert outputs_match(got, want)
+    assert [(tuple(iv.start), tuple(iv.stop), v) for (iv,), v in got.pieces()] == [
+        ((1.35, 0), (1.6, 0), 2.0), ((1.85, 0), (2.6, 0), 3.0)]
 
 
 def test_a_sum_into_a_continuous_output_rank_agrees_with_the_oracle():

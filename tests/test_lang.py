@@ -1,9 +1,11 @@
 import pytest
 
+from contensor.compiler import ValidityError, compile_program
 from contensor.lang import (
     EBin, EDif, LangError, SAssign, SFor, affine_terms, parse, to_source,
     tokenize, validate,
 )
+from contensor.storage import build_tensor, tensor_1d
 
 DOT_INTEGRAL = """\
 for i = -inf:inf
@@ -126,6 +128,9 @@ def test_affine_terms():
     assert affine_terms(i("i * i")) is None
     assert affine_terms(i("2 * i")) is None
     assert affine_terms(i("i - j")) is None
+    assert affine_terms(i("i - 1.1")) == affine_terms(i("i + -1.1")) == (-1.1, ("i",))
+    assert affine_terms(i("-0.5 + i - 2")) == (-2.5, ("i",))
+    assert affine_terms(i("i - -1.1")) is None
     assert affine_terms(i("i + i")) is None
 
 
@@ -154,23 +159,32 @@ def test_reject_nonaffine_index():
     assert "R-INV" in codes(d)
 
 
+def compile_diags(src, binds):
+    """The diagnostics compile_program rejects a program with; whether
+    stored points pin an index is decided against storage, in lowering."""
+    with pytest.raises(ValidityError) as e:
+        compile_program(parse(src), binds)
+    return e.value.diags
+
+
 def test_reject_scalar_use_of_continuum():
-    d = validate(parse("for i = 0.0:10.0\n  A[i] += i\nend\n"))
+    d = compile_diags("for i = 0.0:10.0\n  A[i] += i\nend\n", {})
     assert codes(d) == ["R-PIN"]
 
 
 def test_reject_sum_over_interval_kind():
-    prog = parse(DOT_SUM)
-    d = validate(prog, {"x": ("interval",), "y": ("interval",)})
+    def binds(keys):
+        return {"x": tensor_1d("x", keys), "y": tensor_1d("y", keys)}
+
+    d = compile_diags(DOT_SUM, binds([((0.0, 1.0), 2.0)]))
     assert codes(d) == ["R-SUM"]
     # pinpoint storage makes the same program fine
-    assert validate(prog, {"x": ("pinpoint",), "y": ("pinpoint",)}) == []
+    compile_program(parse(DOT_SUM), binds([(0.5, 2.0)]))
 
 
 def test_reject_plain_assign_collapse():
-    d = validate(
-        parse("for i = -inf:inf\n  s = x[i]\nend\n"), {"x": ("interval",)}
-    )
+    x = tensor_1d("x", [((0.0, 1.0), 2.0)])
+    d = compile_diags("for i = -inf:inf\n  s = x[i]\nend\n", {"x": x})
     assert codes(d) == ["R-SUM"]
 
 
@@ -215,8 +229,9 @@ def test_reject_arity_mismatch():
 
 def test_reject_rank_order_conflict():
     src = "for i = -inf:inf\n  for j = -inf:inf\n    s |= A[j, i]\nend\nend\n"
-    d = validate(parse(src), {"A": ("interval", "interval")})
-    assert "R-PIN" in codes(d)
+    A = build_tensor("A", [("interval",), ("interval",)], [((0.0, 1.0), [((0.0, 1.0), True)])],
+                     fill=False)
+    assert "R-PIN" in codes(compile_diags(src, {"A": A}))
 
 
 def test_trilinear_style_pinning():
@@ -244,6 +259,6 @@ def test_trilinear_style_pinning():
 
 
 def test_diag_carries_position():
-    d = validate(parse("for i = 0.0:10.0\n  A[i] += i\nend\n"))
+    d = compile_diags("for i = 0.0:10.0\n  A[i] += i\nend\n", {})
     assert d[0].line == 2
     assert str(d[0]).startswith("R-PIN 2:")
