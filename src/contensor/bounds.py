@@ -18,11 +18,11 @@ from .ir import (
     Block, Cond, DiscLoop, EndRef, Guard, IntersectLet, IvStart, IvStop,
     LastStop, LimC, Plan, PVar, WhileCoiter,
 )
-from .limits import ABOVE, BELOW, Limit, _clamp
+from .limits import ABOVE, BELOW, EXACT, Limit, _clamp
 
 # Atom keys: ("c", val, eps) constants, ("e", tensor, level, side, pos,
-# eps_off, shift) piece endpoints, ("z", tensor, level, fiber, shift,
-# eps_off) last stored stops, ("a"|"b", slot) interval slot start/stop.
+# eps_off, shift) piece endpoints, ("z", tensor, level, fiber, shift) last
+# stored stops, ("a"|"b", slot) interval slot start/stop.
 
 
 def _atom(e):
@@ -31,7 +31,7 @@ def _atom(e):
     if isinstance(e, EndRef):
         return ("e", e.tensor, e.level, e.side, e.pos, e.eps_off, e.shift)
     if isinstance(e, LastStop):
-        return ("z", e.tensor, e.level, e.fiber, e.shift, e.eps_off)
+        return ("z", e.tensor, e.level, e.fiber, e.shift)
     if isinstance(e, IvStart):
         return ("a", e.slot)
     if isinstance(e, IvStop):
@@ -41,13 +41,7 @@ def _atom(e):
 
 def _eps_variants(a, b):
     # same endpoint shifted by epsilon: x - eps <= x <= x + eps
-    if a[0] != b[0] or a[0] not in ("e", "z"):
-        return False
-    if a[0] == "e":
-        same = a[1:5] == b[1:5] and a[6] == b[6]
-        return same and a[5] <= b[5]
-    same = a[1:4] == b[1:4]
-    return same and a[4] == b[4] and a[5] <= b[5]
+    return a[0] == b[0] == "e" and a[1:5] == b[1:5] and a[6] == b[6] and a[5] <= b[5]
 
 
 def _least(x):
@@ -57,18 +51,17 @@ def _least(x):
         return Limit(x[1], x[2])
     if x[0] == "e":
         return Limit(-math.inf, _clamp(x[5]))
-    if x[0] == "z":
-        return Limit(-math.inf, _clamp(x[5] - 1))
     return Limit(-math.inf, BELOW)
 
 
 def _most(x):
-    """The greatest value atom x can take."""
+    """The greatest value atom x can take.  A stepper past its fiber's
+    last piece reads every end as inf + eps."""
     if x[0] == "c":
         return Limit(x[1], x[2])
-    if x[0] in ("e", "z"):
-        return Limit(math.inf, _clamp(x[5]))
-    return Limit(math.inf, ABOVE)
+    if x[0] == "e":
+        return Limit(math.inf, _clamp(x[5] + 1))
+    return Limit(math.inf, EXACT if x[0] == "z" else ABOVE)
 
 
 class _Prover:
@@ -160,8 +153,8 @@ def _harvest(s, pv: _Prover):
 
 def _coiter_facts(s: WhileCoiter, pv: _Prover, bindings):
     """Facts that hold inside a co-iteration's body, and only there: the
-    body runs only on a non-empty range and a non-empty fiber, so outside
-    it they would prove the tail region past the fiber non-empty."""
+    body runs only on a non-empty range, and only a stepper that runs out
+    leaves its fiber (to read inf + eps, past its last stop)."""
     cur = ("a", s.curr_slot)
     stop = ("b", s.curr_slot)
     pv.fact(("a", s.range_slot), cur)
@@ -172,9 +165,9 @@ def _coiter_facts(s: WhileCoiter, pv: _Prover, bindings):
         pos = PVar(st.pos_slot, st.pos_name)
         right = ("e", st.tensor, st.level, "C" if pp else "R",
                  pos, 0, st.shift)
-        last = ("z", st.tensor, st.level, st.fiber, st.shift, 0)
         pv.fact(cur, right)     # seek: cursor never passes a right end
-        pv.fact(right, last)    # rights are sorted within a fiber
+        if not st.runs_out:     # rights are sorted within a fiber
+            pv.fact(right, ("z", st.tensor, st.level, st.fiber, st.shift))
         if not pp:
             left = ("e", st.tensor, st.level, "L", pos, 0, st.shift)
             pv.fact(left, right)

@@ -6,12 +6,14 @@ The strategy, per continuous loop:
    which of them annihilate: wherever such an access misses, its fill
    makes every write of the loop body a no-op (0 under ``*``, false
    under ``&&``).
-2. Case-split the participants into stored span versus fill tail; every
-   combination becomes a clipped region (IntersectLet + Guard). An
-   annihilating participant only has its span.
-3. Inside span regions, co-iterate the participants' pieces with one
-   while loop, splitting each step into piece/gap combinations the same
-   way; an annihilating participant only has its piece.
+2. Lower the loop to one range and one co-iteration of the participants'
+   pieces over it. The range ends where the first annihilating one's
+   fiber does. Every other one reads as a gap out to +inf past its last
+   piece; where all of those are gaps and nothing is written, the range
+   ends where the last of their fibers does too.
+3. Each participant that does not annihilate splits every segment of the
+   co-iteration into its piece and the gap before it, so u of them lower
+   2**u regions; an annihilating one only has its piece.
 4. A region known to be a single point pins the index to a scalar,
    which unlocks probes into the remaining accesses; otherwise the index
    stays regional and the assignment collapses it (an emitted piece, a
@@ -28,9 +30,10 @@ no cleanup beyond dropping binders nothing reads. Each write records its
 path, and the output's form is decided once from all of them
 (``_output_decl``). Lowering is the one judge of the rules storage
 decides: a collapse of a continuous index that no d() factor, idempotent
-operator or pinning makes finite is R-SUM, and a value still read once
+operator or pinning makes finite is R-SUM, a value still read once
 unread binders are dropped that needs an index no stored points pin is
-R-PIN (``ValidityError``).
+R-PIN, and one that divides by a divisor that folds to 0 (a literal 0,
+or the fill 0 of an access where it misses) is R-DIV (``ValidityError``).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .storage import ContTensor, DenseLevel
 from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
     EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
-    LetScalar, LimC, Mul, Namer, Neg, Not, Num, Or, OutputDecl, PDense, PRoot,
+    LetScalar, LimC, MaxOf, Mul, Namer, Neg, Not, Num, Or, OutputDecl, PDense, PRoot,
     PVar, Pin, Plan, Probe, StepperRT, Sub, Var, WhileCoiter,
 )
 from .simplify import simplify_expr, simplify_plan, used_slots, _write_is_noop
@@ -68,12 +71,12 @@ class UnloweredError(RuntimeError):
     """Internal invariant breach: the plan would not be finite/faithful."""
 
 
-# The most regions one continuous loop may lower. A union of u accesses
-# that do not annihilate lowers about 3**u of them (every span/tail
-# combination, and inside each co-iteration every piece/gap one), so
-# this admits a 7-way union (2314 regions) and stops an 8-way one (6816)
-# before lowering starts.
-MAX_REGIONS = 4096
+# The most regions one continuous loop may lower. Each of u steppers that
+# do not annihilate splits every segment of the loop's co-iteration into
+# piece and gap, so a union of u such accesses lowers 2**u regions. This
+# admits an 11-way union (2048 regions; C[i] = A0[i] + ... + A10[i] is a
+# plan of 6155 lines) and stops a 12-way one (4096) before lowering starts.
+MAX_REGIONS = 2048
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ class _Ctx:
         self.difs = difs
         self.loops = loops  # var -> SFor
         self.paths = paths  # the path of every write lowered, shared by forks
-        self.marks = marks  # id(expr) -> (negative slot, R-PIN Diag), shared by forks
+        self.marks = marks  # id(expr) -> (negative slot, R-PIN or R-DIV Diag), shared by forks
         self.scalars = {}  # var -> Var
         self.accesses = {}  # id(EAccess) -> _Access
         self.pending = {}  # var -> (iv_slot, iv_name)
@@ -176,15 +179,22 @@ _BIN = {"+": Add, "*": Mul, "&&": And, "||": Or}
 
 
 def _mark(e, ctx):
-    """A slot no binder fills, for a value of e that needs an index no
-    stored points pin; compile_program reports R-PIN if a read survives."""
+    """A slot no binder fills, for a value of e no kernel can compute: one
+    that needs an index no stored points pin (R-PIN), or a division whose
+    divisor folds to 0 (R-DIV). compile_program reports the rule if a read
+    of the slot survives."""
     mark = ctx.marks.get(id(e))
     if mark is None:
-        msg = (f"{e.name!r} ranges over a continuum here; only stored points can give "
-               "it a scalar value" if isinstance(e, EVar) else
-               f"{e.tensor!r} is read where an index of one of its ranks ranges over a "
-               "continuum that no stored points pin")
-        mark = ctx.marks[id(e)] = (-1 - len(ctx.marks), Diag("R-PIN", msg, *e.pos))
+        if isinstance(e, EBin):
+            code, msg = "R-DIV", ("the divisor is the constant 0 here: a literal 0, or the "
+                                  "fill 0 of an access where it misses")
+        elif isinstance(e, EVar):
+            code, msg = "R-PIN", (f"{e.name!r} ranges over a continuum here; only stored "
+                                  "points can give it a scalar value")
+        else:
+            code, msg = "R-PIN", (f"{e.tensor!r} is read where an index of one of its ranks "
+                                  "ranges over a continuum that no stored points pin")
+        mark = ctx.marks[id(e)] = (-1 - len(ctx.marks), Diag(code, msg, *e.pos))
     return mark[0]
 
 
@@ -211,6 +221,9 @@ def _build_value(e, ctx, leaves):
         if e.op == "-":
             return Sub(a, b)
         if e.op == "/":
+            zero = simplify_expr(b)
+            if isinstance(zero, (Num, BoolC)) and zero.value == 0:
+                b = Var(_mark(e, ctx), "zero")
             return Div(a, b)
         return Cmp(e.op, a, b)
     if isinstance(e, EUn):
@@ -371,101 +384,77 @@ def _lower_cont(s: SFor, ctx):
     hi = Limit(float(s.hi), BELOW if s.hi == math.inf else EXACT)
     cands = _participants(ctx, var)
     annihilating = {k for k in cands if _annihilates(s, k, ctx)}
-    pinlike = [
-        k for k in cands
-        if k in annihilating and ctx.accesses[k].tensor.levels[ctx.accesses[k].rank].pinpoint
-    ]
-    if pinlike:
-        # one point-stepper pins the index; the rest get probed after the
-        # pin, and are never needed in its gaps, where nothing is written
-        best = min(pinlike, key=lambda k: _fiber_weight(ctx.accesses[k]))
-        steppable = [best]
-    else:
-        steppable = cands
-    # each span/tail combination is one region, and one with j steppers
-    # that do not annihilate co-iterates 2**j piece/gap regions: summed
-    # over the combinations, 2**u + 3**u, less the stepper-free one's
-    u = sum(1 for k in steppable if k not in annihilating)
-    n_regions = 2 ** u + 3 ** u - (u == len(steppable))
-    if n_regions > MAX_REGIONS:
+    pinlike = [k for k in cands if k in annihilating
+               and ctx.accesses[k].tensor.levels[ctx.accesses[k].rank].pinpoint]
+    # one point-stepper pins the index; the rest get probed after the pin,
+    # and are never needed in its gaps, where nothing is written
+    steppers = [min(pinlike, key=lambda k: _fiber_weight(ctx.accesses[k]))] if pinlike else cands
+    # each stepper that does not annihilate splits every segment into
+    # piece and gap: 2**u regions
+    u = sum(1 for k in steppers if k not in annihilating)
+    if 2 ** u > MAX_REGIONS:
         raise CompileError(
-            f"loop over {var!r} would lower {n_regions} regions, more than "
+            f"loop over {var!r} would lower {2 ** u} regions, more than "
             f"MAX_REGIONS = {MAX_REGIONS}: a union of {u} accesses that do not annihilate"
         )
 
-    def cases(keys):
-        # where an annihilating access misses, nothing is written
-        return product(*[(True,) if k in annihilating else (True, False) for k in keys])
+    def last(key):
+        a = ctx.accesses[key]
+        return LastStop(a.tensor.name, a.rank, a.pos, _shift_expr(a.idx[a.rank], var, ctx))
 
-    out = []
-    for combo in cases(steppable):
-        c2 = ctx.fork()
-        starts = [] if lo.val == -math.inf else [LimC(lo)]
-        stops = [] if hi.val == math.inf else [LimC(hi)]
-        steppers = []
-        for key, in_span in zip(steppable, combo):
-            a = c2.accesses[key]
-            shift = _shift_expr(a.idx[a.rank], var, c2)
-            last = LastStop(a.tensor.name, a.rank, a.pos, shift)
-            if in_span:
-                stops.append(last)
-                steppers.append(key)
+    # the loop ends where the first annihilating stepper's fiber does: past
+    # it nothing is written. The others read as a gap past their last piece
+    stops = [] if hi.val == math.inf else [LimC(hi)]
+    stops += [last(k) for k in steppers if k in annihilating]
+    rslot, rname = ctx.namer.slot("iv")
+    if not steppers:
+        inner = _finish_region(s, rslot, rname, False, ctx.fork())
+        return [IntersectLet(rslot, rname, (LimC(lo),), (LimC(hi),)),
+                Guard(rslot, rname, Block(tuple(inner)))] if inner else []
+
+    cur_slot, cur_name = ctx.namer.slot("cur")
+    seg_slot, seg_name = ctx.namer.slot("seg")
+    rts = {}
+    for key in steppers:
+        a = ctx.accesses[key]
+        rts[key] = StepperRT(*ctx.namer.slot(f"p_{a.tensor.name}{a.rank}"), a.tensor.name,
+                             a.rank, a.pos, _shift_expr(a.idx[a.rank], var, ctx),
+                             runs_out=key not in annihilating)
+
+    sub_stmts = []
+    # where an annihilating access misses, nothing is written
+    for sub in product(*[(True,) if k in annihilating else (True, False) for k in steppers]):
+        c3 = ctx.fork()
+        s3 = [IvStart(seg_slot, seg_name)]
+        t3 = [IvStop(seg_slot, seg_name)]
+        pinflag = False
+        for key, in_piece in zip(steppers, sub):
+            a, rt = c3.accesses[key], rts[key]
+            pv = PVar(rt.pos_slot, rt.pos_name)
+            pp = a.tensor.levels[a.rank].pinpoint
+            end = EndRef(a.tensor.name, a.rank, "C" if pp else "L", pv, 0, rt.shift)
+            if in_piece:
+                s3.append(end)
+                pinflag = pinflag or pp
+                c3.accesses[key] = dc_replace(a, pos=pv, rank=a.rank + 1)
             else:
-                starts.append(dc_replace(last, eps_off=1))
-                c2.accesses[key] = dc_replace(a, miss=True)
-        rslot, rname = ctx.namer.slot("iv")
-        region = IntersectLet(rslot, rname, tuple(starts or [LimC(lo)]), tuple(stops or [LimC(hi)]))
-
-        if not steppers:
-            inner = _finish_region(s, rslot, rname, False, c2)
-            if inner:
-                out += [region, Guard(rslot, rname, Block(tuple(inner)))]
-            continue
-
-        cur_slot, cur_name = ctx.namer.slot("cur")
-        seg_slot, seg_name = ctx.namer.slot("seg")
-        rts = []
-        pos_vars = {}
-        for key in steppers:
-            a = c2.accesses[key]
-            pslot, pname = ctx.namer.slot(f"p_{a.tensor.name}{a.rank}")
-            rts.append(StepperRT(
-                pslot, pname, a.tensor.name, a.rank, a.pos,
-                _shift_expr(a.idx[a.rank], var, c2),
-            ))
-            pos_vars[key] = (pslot, pname)
-
-        sub_stmts = []
-        for sub in cases(steppers):
-            c3 = c2.fork()
-            s3 = [IvStart(seg_slot, seg_name)]
-            t3 = [IvStop(seg_slot, seg_name)]
-            pinflag = False
-            for key, in_piece in zip(steppers, sub):
-                a = c3.accesses[key]
-                pv = PVar(pos_vars[key][0], pos_vars[key][1])
-                shift = _shift_expr(a.idx[a.rank], var, c3)
-                pp = a.tensor.levels[a.rank].pinpoint
-                side = "C" if pp else "L"
-                if in_piece:
-                    s3.append(EndRef(a.tensor.name, a.rank, side, pv, 0, shift))
-                    pinflag = pinflag or pp
-                    c3.accesses[key] = dc_replace(a, pos=pv, rank=a.rank + 1)
-                else:
-                    t3.append(EndRef(a.tensor.name, a.rank, side, pv, -1, shift))
-                    c3.accesses[key] = dc_replace(a, miss=True)
-            sslot, sname = ctx.namer.slot("r")
-            inner = _finish_region(s, sslot, sname, pinflag, c3)
-            if inner:
-                sub_stmts += [IntersectLet(sslot, sname, tuple(s3), tuple(t3), pinflag),
-                              Guard(sslot, sname, Block(tuple(inner)))]
-        if sub_stmts:
-            out += [region, WhileCoiter(
-                rslot, rname, cur_slot, cur_name, seg_slot, seg_name,
-                tuple(rts), Block(tuple(sub_stmts)),
-                intersection=all(k in annihilating for k in steppers),
-            )]
-    return out
+                t3.append(dc_replace(end, eps_off=-1))
+                c3.accesses[key] = dc_replace(a, miss=True)
+        sslot, sname = ctx.namer.slot("r")
+        inner = _finish_region(s, sslot, sname, pinflag, c3)
+        if inner:
+            sub_stmts += [IntersectLet(sslot, sname, tuple(s3), tuple(t3), pinflag),
+                          Guard(sslot, sname, Block(tuple(inner)))]
+        elif u and not any(p for k, p in zip(steppers, sub) if k not in annihilating):
+            # where every stepper that runs out is a gap nothing is written,
+            # so the loop also ends where the last of them does
+            stops.append(MaxOf(tuple(last(k) for k in steppers if k not in annihilating)))
+    if not sub_stmts:
+        return []
+    return [IntersectLet(rslot, rname, (LimC(lo),), tuple(stops or [LimC(hi)])), WhileCoiter(
+        rslot, rname, cur_slot, cur_name, seg_slot, seg_name,
+        tuple(rts.values()), Block(tuple(sub_stmts)), intersection=u == 0,
+    )]
 
 
 def _finish_region(s: SFor, iv_slot, iv_name, pinpoint, ctx):

@@ -21,8 +21,12 @@ that stop is the range's. It keeps no cursor, reads its fingers' pieces
 unguarded, and starts each finger at its fiber's first piece when the
 range starts at the open -inf. Any other co-iteration walks the segments
 between consecutive stops, gaps included, with a cursor that must
-advance each step. Both shapes end each iteration at the same least
-stop, so ``segments_visited`` counts loop iterations in either.
+advance each step. At its fiber's end (an empty or missing fiber, or a
+range or step past its last piece) a walk's stepper that does not
+annihilate (``StepperRT.runs_out``) reads every end as inf + eps: its
+piece is empty and its gap reaches past the range. Both shapes end each
+iteration at the same least stop, so ``segments_visited`` counts loop
+iterations in either, a walk's final all-gap segment included.
 
 Writes are rendered for the plan's one assignment operator. A path is
 a tuple with an int per dense rank, the pinned coordinate per pinpoint
@@ -54,7 +58,7 @@ from .limits import ABOVE, BELOW, Limit
 from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
     EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
-    LetScalar, LimC, Mul, Neg, Not, Num, Or, OutputDecl, PDense, PRoot,
+    LetScalar, LimC, MaxOf, Mul, Neg, Not, Num, Or, OutputDecl, PDense, PRoot,
     PVar, Pin, Plan, Probe, Sub, Var, WhileCoiter,
 )
 from .storage import OverlapError, build_tensor
@@ -84,6 +88,8 @@ class ExecResult:
 # the canonical ends of a written piece at -inf and inf
 _NEG_OPEN = (-math.inf, ABOVE)
 _POS_OPEN = (math.inf, BELOW)
+# every end a stepper past its fiber's last piece reads: above any loop's stop
+_PAST = (math.inf, ABOVE)
 
 
 def _missing():
@@ -92,9 +98,12 @@ def _missing():
 
 def _seek(lv, f: int, lo: tuple, sh) -> int:
     """A stepper's first position in fiber f: the first piece whose stop,
-    shifted back by sh, is at or past lo."""
-    p = lv.seek(f, (lo[0] + sh, lo[1]))
+    shifted back by sh, is at or past lo, or the fiber's end, ptr[f + 1],
+    where there is none (at once for a missing fiber, f = -1)."""
     ptr, stops = lv.ptr, lv.stops
+    if f < 0:
+        return ptr[0]
+    p = lv.seek(f, (lo[0] + sh, lo[1]))
     beg, end = ptr[f], ptr[f + 1]
     # the shifted target can be an ulp off the loop-space comparison
     # every later step uses; settle membership where the rest of the
@@ -103,21 +112,14 @@ def _seek(lv, f: int, lo: tuple, sh) -> int:
         p -= 1
     while p < end and (stops[p][0] - sh, stops[p][1]) < lo:
         p += 1
-    if p >= end:
-        raise ExecError("stepper sought past its fiber")
     return p
 
 
 def _probe(lv, f: int, x: float, sh) -> int:
     """Position of fiber f's piece holding x once its ends are shifted back
     by sh, compared as steppers compare them; -1 if none or f < 0."""
-    if f < 0:
-        return -1
-    last = lv.ptr[f + 1] - 1
-    if last < lv.ptr[f] or (lv.stops[last][0] - sh, lv.stops[last][1]) < (x, 0):
-        return -1  # every shifted stop lies below x: _seek would pass the fiber
     p = _seek(lv, f, (x, 0), sh)
-    return p if (lv.starts[p][0] - sh, lv.starts[p][1]) <= (x, 0) else -1
+    return p if p < lv.ptr[f + 1] and (lv.starts[p][0] - sh, lv.starts[p][1]) <= (x, 0) else -1
 
 
 def _pin_error(a, b):
@@ -127,7 +129,7 @@ def _pin_error(a, b):
 _GLOBALS = {
     "_seek": _seek, "_probe": _probe, "_missing": _missing, "_pin_error": _pin_error,
     "_ExecError": ExecError, "_INF": math.inf, "_NAN": math.nan,
-    "_NEG_OPEN": _NEG_OPEN, "_POS_OPEN": _POS_OPEN,
+    "_NEG_OPEN": _NEG_OPEN, "_POS_OPEN": _POS_OPEN, "_PAST": _PAST,
 }
 # Every name the generator makes ends in a suffix no other kind of name
 # has, and slot locals end in "_<slot>". The kernel's temporaries (_e, _n,
@@ -137,10 +139,7 @@ _GLOBALS = {
 # The output is _out: a record list under "=" (appended through _add), a
 # dict by path under a reduction (read through _get), or the value itself
 # for a rank-0 reduction.
-_CLAMP = {
-    1: "(_v[1] + 1 if _v[1] < 1 else 1)",
-    -1: "(_v[1] - 1 if _v[1] > -1 else -1)",
-}
+_CLAMP = {-1: "(_v[1] - 1 if _v[1] > -1 else -1)"}
 # A reduction's combine of the value already in a cell with a new one:
 # rendered inline where a kernel writes, and called where finalize
 # combines overlapping pieces. The first write combines with the fill,
@@ -203,6 +202,7 @@ class _Source:
         self.leaf_pos = None  # positions of the leaves of the value being written
         self.open_lo = set()  # region slots whose start is the open -inf
         self.fingers = frozenset()  # position locals that hold a stored piece here
+        self.ends = {}  # position local of a stepper that runs out -> its fiber's end
         self.op = None  # a plan writes with one operator
         self.lines = []
 
@@ -292,7 +292,8 @@ class _Source:
         p = self.pexpr(e.pos)
         if self.leaf_pos is not None:
             self.leaf_pos.append(p)
-        if p == "0" or p in self.fingers:
+        if p == "0" or p in self.fingers or p in self.ends:
+            # a stepper that runs out is read only where it is in a piece
             return f"{vals}[{p}]"
         if _simple(p):
             return f"({vals}[{p}] if {p} >= 0 else {_lit(e.fill)})"
@@ -343,14 +344,14 @@ class _Source:
         if t is EndRef:
             col = self.level(e.tensor, e.level) + ("_starts" if e.side in ("L", "C") else "_stops")
             p = self.pexpr(e.pos)
-            if p in self.fingers:
+            if p in self.ends:
+                base = f"({col}[{p}] if {p} < {self.ends[p]} else _PAST)"
+            elif p in self.fingers:
                 base = f"{col}[{p}]"
             elif _simple(p):
                 base = f"({col}[{p}] if {p} >= 0 else _missing())"
             else:
                 base = f"({col}[_t] if (_t := {p}) >= 0 else _missing())"
-            if e.shift is None and not e.eps_off:
-                return base
             return self.adjust(base, e.shift, e.eps_off)
         if t is IvStart:
             return self.region(e.slot, e.name)[0]
@@ -358,12 +359,14 @@ class _Source:
             return self.region(e.slot, e.name)[1]
         if t is LastStop:
             base = f"{self.level(e.tensor, e.level)}_table.last_stop({self.pexpr(e.fiber)})"
-            return self.adjust(base, e.shift, e.eps_off)
+            return self.adjust(base, e.shift)
+        if t is MaxOf:
+            return f"max({', '.join(map(self.lexpr, e.ends))})"
         if t is LimC:
             return f"({_lit(e.value.val)}, {e.value.eps})"
         raise ExecError(f"bad endpoint {e!r}")
 
-    def adjust(self, base: str, shift, off: int) -> str:
+    def adjust(self, base: str, shift, off: int = 0) -> str:
         """Shift an endpoint back through the access map, then nudge its eps."""
         if shift is None and not off:
             return base
@@ -462,6 +465,7 @@ class _Source:
         pad += _IND
         i = pad + _IND
         steppers = []
+        ends = dict(self.ends)
         for st in s.steppers:
             p = self.var(st.pos_slot, st.pos_name)
             t = self.level(st.tensor, st.level)
@@ -469,39 +473,46 @@ class _Source:
             if st.shift is not None:
                 sh = f"_{p}_sh"
                 shift = f"({sh} := {self.expr(st.shift)})"
+            f = self.pexpr(st.fiber)
             if from_fiber:
-                add(f"{pad}{p} = {t}_table.ptr[{self.pexpr(st.fiber)}]")
+                add(f"{pad}{p} = {t}_table.ptr[{f}]")
             else:
-                add(f"{pad}{p} = _seek({t}_table, {self.pexpr(st.fiber)}, {lo}, {shift})")
-            steppers.append((p, t, sh, f"_{p}_stop"))
+                add(f"{pad}{p} = _seek({t}_table, {f}, {lo}, {shift})")
+            read = f"{t}_stops[{p}]"
+            if st.runs_out:
+                e = ends[p] = f"_{p}_end"
+                add(f"{pad}{e} = {t}_table.ptr[{1 if f == '0' else f + ' + 1'}]")
+                read = f"{read} if {p} < {e} else _PAST"
+            steppers.append((p, read, sh, f"_{p}_stop"))
         if walk:
             add(f"{pad}{cur} = {lo}\n{pad}while {cur} <= {hi}:")
         else:
             add(f"{pad}while True:")
         add(f"{i}_seg += 1\n{i}{stop} = {hi}")
         pad, i = i, i + _IND
-        for p, t, sh, r in steppers:
+        for p, read, sh, r in steppers:
             if sh is not None:
-                add(f"{pad}{r} = {t}_stops[{p}]\n{pad}{r} = ({r}[0] - {sh}, {r}[1])\n"
+                add(f"{pad}{r} = {read}\n{pad}{r} = ({r}[0] - {sh}, {r}[1])\n"
                     f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
             elif walk:
                 # the stored stop in value; subtracting 0.0 gives it the
                 # type a shifted stop has
-                add(f"{pad}{r} = {t}_stops[{p}]\n{pad}if {r} < {stop}:\n"
+                add(f"{pad}{r} = {read}\n{pad}if {r} < {stop}:\n"
                     f"{i}{stop} = ({r}[0] - 0.0, {r}[1])")
             else:
-                add(f"{pad}{r} = {t}_stops[{p}]\n{pad}if {r} < {stop}:\n{i}{stop} = {r}")
+                add(f"{pad}{r} = {read}\n{pad}if {r} < {stop}:\n{i}{stop} = {r}")
         if walk:
             add(f"{pad}{seg_lo} = {cur}")
         # a walk's steppers can sit in a gap, so its body guards their reads
-        outer = self.fingers
-        self.fingers = frozenset() if walk else outer | {p for p, _, _, _ in steppers}
+        outer = self.fingers, self.ends
+        self.fingers = frozenset() if walk else outer[0] | {p for p, _, _, _ in steppers}
+        self.ends = ends
         self.stmt(s.body, pad)
-        self.fingers = outer
+        self.fingers, self.ends = outer
         if not walk:
             # the stop is the range's own until a stepper's falls below it
             add(f"{pad}if {stop} is {hi}:\n{i}break")
-        for p, t, sh, r in steppers:
+        for p, _, _, r in steppers:
             add(f"{pad}if {r} == {stop}:\n{i}{p} += 1")
         if walk:
             # the cursor moves to stop + EPS, the first endpoint past the segment
@@ -541,7 +552,7 @@ class _Source:
         if s.two_tensor and leaves:
             # a multiply is counted where every leaf is stored, not fill
             tests = " and ".join(f"{p} >= 0" for p in leaves
-                                 if p != "0" and p not in self.fingers)
+                                 if p != "0" and p not in self.fingers and p not in self.ends)
             add(f"{pad}if {tests}:\n{pad}{_IND}_mul += 1" if tests else f"{pad}_mul += 1")
         if type(s) is EmitPiece:
             add(f"{pad}_emit += 1")

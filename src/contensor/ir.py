@@ -163,7 +163,13 @@ class LastStop:
     level: int
     fiber: PExpr
     shift: Optional[SExpr] = None
-    eps_off: int = 0
+
+
+@dataclass(frozen=True)
+class MaxOf:
+    """The greatest of several endpoints."""
+
+    ends: tuple  # tuple[LExpr]
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ class IvStop:
     name: str
 
 
-LExpr = Union[LimC, EndRef, LastStop, IvStart, IvStop]
+LExpr = Union[LimC, EndRef, LastStop, MaxOf, IvStart, IvStop]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +269,7 @@ class StepperRT:
     level: int
     fiber: PExpr
     shift: Optional[SExpr] = None
+    runs_out: bool = False  # not annihilating: past its last piece, a gap to +inf
 
 
 @dataclass(frozen=True)
@@ -406,20 +413,14 @@ def render(e) -> str:
         s = f"{e.tensor}.{side}[{e.pos.render()}]"
         if e.shift is not None:
             s = f"({s} - {render(e.shift)})"
-        if e.eps_off > 0:
-            s += "+eps" * e.eps_off
-        if e.eps_off < 0:
-            s += "-eps" * (-e.eps_off)
-        return s
+        return s + ("+eps" if e.eps_off > 0 else "-eps") * abs(e.eps_off)
     if isinstance(e, LastStop):
         s = f"{e.tensor}.last_stop(lvl{e.level}, {e.fiber.render()})"
         if e.shift is not None:
             s = f"({s} - {render(e.shift)})"
-        if e.eps_off > 0:
-            s += "+eps" * e.eps_off
-        if e.eps_off < 0:
-            s += "-eps" * (-e.eps_off)
         return s
+    if isinstance(e, MaxOf):
+        return f"max({', '.join(render(a) for a in e.ends)})"
     if isinstance(e, IvStart):
         return f"{e.name}.start"
     if isinstance(e, IvStop):
@@ -474,9 +475,10 @@ def pretty(stmt, indent: int = 0) -> str:
         lines = [f"{pad}coiterate {stmt.cursor_name} over {stmt.range_name}{shape}:"]
         for s in stmt.steppers:
             shift = f" - {render(s.shift)}" if s.shift is not None else ""
+            tail = ", then gap" if s.runs_out else ""
             lines.append(
                 f"{pad}  stepper {s.pos_name}: {s.tensor}.lvl{s.level}"
-                f"[{s.fiber.render()}]{shift}"
+                f"[{s.fiber.render()}]{shift}{tail}"
             )
         lines.append(f"{pad}  {stmt.curr_name} = [{stmt.cursor_name}, min stops]")
         lines.append(pretty(stmt.body, indent + 1))
@@ -494,7 +496,7 @@ __all__ = [
     "PRoot", "PVar", "PDense", "PExpr",
     "Num", "BoolC", "Var", "LeafVal", "Add", "Mul", "And", "Or", "Sub", "Div",
     "Neg", "Not", "Cmp", "LenOf", "SExpr",
-    "LimC", "EndRef", "LastStop", "IvStart", "IvStop", "LExpr",
+    "LimC", "EndRef", "LastStop", "MaxOf", "IvStart", "IvStop", "LExpr",
     "Block", "DiscLoop", "LetScalar", "Probe", "IntersectLet", "Guard", "Cond",
     "Pin", "StepperRT", "WhileCoiter", "Accumulate", "EmitPiece",
     "Stmt", "OutputDecl", "Plan", "Namer", "render", "pretty", "replace",

@@ -25,12 +25,15 @@ Rule ids of the diagnostics (``Diag``) a program is rejected with:
   R-ARITY  accesses must match the tensor's rank and level kinds
   R-FORM   structure: one assignment, plain-variable output indices,
            defined names, no self-reads
+  R-DIV    no value the kernel computes may divide by the constant 0,
+           a literal 0 or the fill 0 of an access where it misses
 
 ``validate`` checks what the program text decides, with the level kinds
 (dense or continuous) when bindings are given: R-INV, R-ARITY, R-FORM,
 the d() part of R-SUM and an index driving two ranks. Whether stored
 points pin an index depends on storage, so ``compiler.compile_program``
-decides the rest of R-PIN and R-SUM as it lowers.
+decides the rest of R-PIN and R-SUM as it lowers, and R-DIV, since a
+divisor folds to 0 only in the regions where its accesses miss.
 """
 
 from __future__ import annotations
@@ -513,7 +516,7 @@ def to_source(p: Program) -> str:
 
 @dataclass(frozen=True)
 class Diag:
-    code: str  # R-INV R-PIN R-SUM R-ARITY R-FORM
+    code: str  # R-INV R-PIN R-SUM R-ARITY R-FORM R-DIV
     msg: str
     line: int
     col: int

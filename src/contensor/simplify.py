@@ -16,7 +16,7 @@ from dataclasses import replace
 from .ir import (
     Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
     EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
-    LetScalar, Mul, Neg, Not, Num, Or, PDense, PVar, Pin, Plan, Probe, Sub,
+    LetScalar, MaxOf, Mul, Neg, Not, Num, Or, PDense, PVar, Pin, Plan, Probe, Sub,
     Var, WhileCoiter,
 )
 
@@ -141,6 +141,9 @@ def _uses_lexpr(e, acc):
         _uses_pexpr(e.fiber, acc)
         if e.shift is not None:
             _uses_expr(e.shift, acc)
+    elif isinstance(e, MaxOf):
+        for a in e.ends:
+            _uses_lexpr(a, acc)
     # LimC: nothing
 
 

@@ -166,11 +166,8 @@ class SparseLevel:
         return -1
 
     def last_stop(self, f: int) -> tuple:
-        """Stop of fiber f's last piece; just below -inf when f has none.
-
-        The below--inf value makes a stored-span range empty, so an empty
-        or missing fiber falls through to the fill tail.
-        """
+        """Stop of fiber f's last piece; just below -inf when f has none,
+        so a loop range that ends there is empty."""
         if f < 0 or self.ptr[f] == self.ptr[f + 1]:
             return _NO_STOP
         return self.stops[self.ptr[f + 1] - 1]

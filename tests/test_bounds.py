@@ -166,18 +166,19 @@ def test_prune_is_stable_when_nothing_applies():
 def test_infinite_constants_bound_only_what_storage_allows():
     pv = _Prover()
     inf = float("inf")
-    last = ("z", "A", 0, PRoot(), None, 0)
-    past_last = ("z", "A", 0, PRoot(), None, 1)
+    last = ("z", "A", 0, PRoot(), None)
     La = ("e", "A", 0, "L", PRoot(), 0, None)
-    # a last stop open at inf, plus eps, lies past a loop end open at inf
-    assert not pv.le(past_last, ("c", inf, -1))
-    assert pv.le(past_last, ("c", inf, 1))
+    # a last stop may be closed at inf, past a loop end open at inf
+    assert not pv.le(last, ("c", inf, -1))
+    assert pv.le(last, ("c", inf, 0))
     # an empty fiber's last stop lies just below -inf
     assert not pv.le(("c", -inf, 0), last)
     assert pv.le(("c", -inf, -1), last)
-    # a stored piece may be closed at -inf or inf
+    # a stored piece may be closed at -inf or inf, and a stepper past its
+    # fiber's last piece reads every end as inf + eps
     assert not pv.le(("c", -inf, 1), La)
-    assert pv.le(La, ("c", inf, 0))
+    assert not pv.le(La, ("c", inf, 0))
+    assert pv.le(La, ("c", inf, 1))
 
 
 def test_a_coiteration_proves_nothing_past_its_body():

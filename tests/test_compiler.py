@@ -5,12 +5,14 @@ from time import perf_counter
 import pytest
 
 from contensor.compiler import MAX_REGIONS, CompileError, ValidityError, compile_program
+from contensor.executor import run
 from contensor.ir import (
-    Accumulate, Block, EmitPiece, LenOf, Namer, Pin, Plan, Probe, WhileCoiter,
-    pretty,
+    Accumulate, Block, EmitPiece, IntersectLet, LenOf, Namer, Pin, Plan, Probe,
+    WhileCoiter, pretty,
 )
 from contensor.kernels import KERNELS
 from contensor.lang import parse
+from contensor.oracle import evaluate, outputs_match
 from contensor.simplify import used_slots
 from contensor.storage import build_tensor, tensor_1d
 
@@ -301,20 +303,23 @@ def kway_union(k):
     return parse(src), binds
 
 
-def test_a_union_lowers_every_span_and_piece_combination():
-    # no summand annihilates: 2**k span/tail regions, and 2**j piece/gap
-    # regions inside each co-iteration of j steppers
+def test_a_union_lowers_one_coiteration_of_every_piece_and_gap_combination():
+    # no summand annihilates: one co-iteration of all k steppers, whose
+    # segments split into 2**k piece/gap regions; where all k are gaps the
+    # summand is 0 and nothing is written
     k = 6
     stages = {}
     compile_program(*kway_union(k), stages=stages)
     plan = stages["plan"].body
-    assert len(collect(plan, WhileCoiter)) == 2 ** k - 1
-    assert 2 ** k + 3 ** k - 1 <= MAX_REGIONS
+    [coiter] = collect(plan, WhileCoiter)
+    assert len(coiter.steppers) == k and all(st.runs_out for st in coiter.steppers)
+    assert len(collect(coiter.body, IntersectLet)) == 2 ** k - 1
+    assert 2 ** 11 <= MAX_REGIONS < 2 ** 12
 
 
 def test_a_union_past_the_region_limit_is_a_compile_error():
     t0 = perf_counter()
-    with pytest.raises(CompileError, match="loop over 'i' would lower 535536 regions"):
+    with pytest.raises(CompileError, match="loop over 'i' would lower 4096 regions"):
         compile_program(*kway_union(12))
     assert perf_counter() - t0 < 0.5
 
@@ -339,3 +344,35 @@ def test_simplify_only_drops_unused_pins(name):
     assert stages["post-simplify"].body == without_pins(lowered, unused)
     # genomic_overlap pins jd at each data id but reads Data through its stepper
     assert bool(unused) == (name == "genomic_overlap")
+
+
+DIV_A = tensor_1d("A", [((0.0, 1.0), 2.0)], 0.0, kind="interval")
+
+
+@pytest.mark.parametrize("op, col", [("=", 17), ("max=", 20)])
+def test_dividing_by_a_zero_fill_is_rejected(op, col):
+    # where B misses, A[i] / B[i] divides by B's fill 0
+    B = tensor_1d("B", [((0.5, 2.0), 4.0)], 0.0, kind="interval")
+    src = f"for i = -inf:inf\n  Out[i] {op} A[i] / B[i]\nend\n"
+    with pytest.raises(ValidityError) as err:
+        compile_program(parse(src), {"A": DIV_A, "B": B})
+    assert [(d.code, d.line, d.col) for d in err.value.diags] == [("R-DIV", 2, col)]
+
+
+@pytest.mark.parametrize("src", [
+    "for i = -inf:inf\n  Out[i] = A[i] / 0\nend\n",
+    "for i = -inf:inf\n  if A[i] / (B[i] - 1) > 1\n    Out[i] = A[i]\n  end\nend\n",
+    "for i = -inf:inf\n  s += A[i] / (1 - B[i] / 1) * d(i)\nend\n",
+])
+def test_a_divisor_that_folds_to_zero_is_rejected(src):
+    B = tensor_1d("B", [((0.5, 2.0), 4.0)], 1.0, kind="interval")
+    with pytest.raises(ValidityError, match="R-DIV"):
+        compile_program(parse(src), {"A": DIV_A, "B": B})
+
+
+def test_dividing_by_a_nonzero_fill_compiles():
+    B = tensor_1d("B", [((0.5, 2.0), 4.0)], 2.0, kind="interval")
+    program = parse("for i = -inf:inf\n  Out[i] = A[i] / B[i]\nend\n")
+    got = run(compile_program(program, {"A": DIV_A, "B": B})).output
+    assert outputs_match(got, evaluate(program, {"A": DIV_A, "B": B}))
+    assert [v for _, v in got.pieces()] == [1.0, 0.5]

@@ -506,7 +506,9 @@ end
 """
 
 
-# a union keeps the segment walk: its source, pinned byte for byte
+# a union keeps the segment walk: its source, pinned byte for byte. Both
+# summands run out, and where both are gaps nothing is written, so the
+# walk ends at the later of their last stops
 UNION_WALK = """\
 def kernel(_b):
     _A_0_table = _b['A'].levels[0]
@@ -519,64 +521,62 @@ def kernel(_b):
     _add = _out.append
     _seg = _mul = _emit = 0
     iv_0_lo = ((-_INF), 1)
-    iv_0_hi = _A_0_table.last_stop(0)
-    _e = _B_0_table.last_stop(0)
-    if _e < iv_0_hi:
-        iv_0_hi = _e
+    iv_0_hi = max(_A_0_table.last_stop(0), _B_0_table.last_stop(0))
     if not iv_0_lo > iv_0_hi:
         p_A0_3 = _seek(_A_0_table, 0, iv_0_lo, 0.0)
+        _p_A0_3_end = _A_0_table.ptr[1]
         p_B0_4 = _seek(_B_0_table, 0, iv_0_lo, 0.0)
+        _p_B0_4_end = _B_0_table.ptr[1]
         cur_1 = iv_0_lo
         while cur_1 <= iv_0_hi:
             _seg += 1
             seg_2_hi = iv_0_hi
-            _p_A0_3_stop = _A_0_stops[p_A0_3]
+            _p_A0_3_stop = _A_0_stops[p_A0_3] if p_A0_3 < _p_A0_3_end else _PAST
             if _p_A0_3_stop < seg_2_hi:
                 seg_2_hi = (_p_A0_3_stop[0] - 0.0, _p_A0_3_stop[1])
-            _p_B0_4_stop = _B_0_stops[p_B0_4]
+            _p_B0_4_stop = _B_0_stops[p_B0_4] if p_B0_4 < _p_B0_4_end else _PAST
             if _p_B0_4_stop < seg_2_hi:
                 seg_2_hi = (_p_B0_4_stop[0] - 0.0, _p_B0_4_stop[1])
             seg_2_lo = cur_1
             r_5_lo = seg_2_lo
-            _e = (_A_0_starts[p_A0_3] if p_A0_3 >= 0 else _missing())
+            _e = (_A_0_starts[p_A0_3] if p_A0_3 < _p_A0_3_end else _PAST)
             if _e > r_5_lo:
                 r_5_lo = _e
-            _e = (_B_0_starts[p_B0_4] if p_B0_4 >= 0 else _missing())
+            _e = (_B_0_starts[p_B0_4] if p_B0_4 < _p_B0_4_end else _PAST)
             if _e > r_5_lo:
                 r_5_lo = _e
             r_5_hi = seg_2_hi
             if r_5_lo <= r_5_hi:
-                if p_A0_3 >= 0 and p_B0_4 >= 0:
-                    _mul += 1
+                _mul += 1
                 _emit += 1
                 if (_lo0 := _NEG_OPEN if r_5_lo < _NEG_OPEN else r_5_lo) <= (_hi0 := _POS_OPEN if r_5_hi > _POS_OPEN else r_5_hi):
-                    if (_val := sum(((_A_vals[p_A0_3] if p_A0_3 >= 0 else 0.0), (_B_vals[p_B0_4] if p_B0_4 >= 0 else 0.0),))) != 0.0:
+                    if (_val := sum((_A_vals[p_A0_3], _B_vals[p_B0_4],))) != 0.0:
                         _add(((_lo0, _hi0), _val,))
             r1_6_lo = seg_2_lo
-            _e = (_A_0_starts[p_A0_3] if p_A0_3 >= 0 else _missing())
+            _e = (_A_0_starts[p_A0_3] if p_A0_3 < _p_A0_3_end else _PAST)
             if _e > r1_6_lo:
                 r1_6_lo = _e
             r1_6_hi = seg_2_hi
-            _e = ((_v := (_B_0_starts[p_B0_4] if p_B0_4 >= 0 else _missing()))[0], (_v[1] - 1 if _v[1] > -1 else -1))
+            _e = ((_v := (_B_0_starts[p_B0_4] if p_B0_4 < _p_B0_4_end else _PAST))[0], (_v[1] - 1 if _v[1] > -1 else -1))
             if _e < r1_6_hi:
                 r1_6_hi = _e
             if r1_6_lo <= r1_6_hi:
                 _emit += 1
                 if (_lo0 := _NEG_OPEN if r1_6_lo < _NEG_OPEN else r1_6_lo) <= (_hi0 := _POS_OPEN if r1_6_hi > _POS_OPEN else r1_6_hi):
-                    if (_val := (_A_vals[p_A0_3] if p_A0_3 >= 0 else 0.0)) != 0.0:
+                    if (_val := _A_vals[p_A0_3]) != 0.0:
                         _add(((_lo0, _hi0), _val,))
             r2_7_lo = seg_2_lo
-            _e = (_B_0_starts[p_B0_4] if p_B0_4 >= 0 else _missing())
+            _e = (_B_0_starts[p_B0_4] if p_B0_4 < _p_B0_4_end else _PAST)
             if _e > r2_7_lo:
                 r2_7_lo = _e
             r2_7_hi = seg_2_hi
-            _e = ((_v := (_A_0_starts[p_A0_3] if p_A0_3 >= 0 else _missing()))[0], (_v[1] - 1 if _v[1] > -1 else -1))
+            _e = ((_v := (_A_0_starts[p_A0_3] if p_A0_3 < _p_A0_3_end else _PAST))[0], (_v[1] - 1 if _v[1] > -1 else -1))
             if _e < r2_7_hi:
                 r2_7_hi = _e
             if r2_7_lo <= r2_7_hi:
                 _emit += 1
                 if (_lo0 := _NEG_OPEN if r2_7_lo < _NEG_OPEN else r2_7_lo) <= (_hi0 := _POS_OPEN if r2_7_hi > _POS_OPEN else r2_7_hi):
-                    if (_val := (_B_vals[p_B0_4] if p_B0_4 >= 0 else 0.0)) != 0.0:
+                    if (_val := _B_vals[p_B0_4]) != 0.0:
                         _add(((_lo0, _hi0), _val,))
             if _p_A0_3_stop == seg_2_hi:
                 p_A0_3 += 1
@@ -586,62 +586,6 @@ def kernel(_b):
             if not _n > cur_1:
                 raise _ExecError("co-iteration failed to advance")
             cur_1 = _n
-    iv1_9_lo = ((_v := _B_0_table.last_stop(0))[0], (_v[1] + 1 if _v[1] < 1 else 1))
-    iv1_9_hi = _A_0_table.last_stop(0)
-    if not iv1_9_lo > iv1_9_hi:
-        p_A01_12 = _seek(_A_0_table, 0, iv1_9_lo, 0.0)
-        cur1_10 = iv1_9_lo
-        while cur1_10 <= iv1_9_hi:
-            _seg += 1
-            seg1_11_hi = iv1_9_hi
-            _p_A01_12_stop = _A_0_stops[p_A01_12]
-            if _p_A01_12_stop < seg1_11_hi:
-                seg1_11_hi = (_p_A01_12_stop[0] - 0.0, _p_A01_12_stop[1])
-            seg1_11_lo = cur1_10
-            r4_13_lo = seg1_11_lo
-            _e = (_A_0_starts[p_A01_12] if p_A01_12 >= 0 else _missing())
-            if _e > r4_13_lo:
-                r4_13_lo = _e
-            r4_13_hi = seg1_11_hi
-            if r4_13_lo <= r4_13_hi:
-                _emit += 1
-                if (_lo0 := _NEG_OPEN if r4_13_lo < _NEG_OPEN else r4_13_lo) <= (_hi0 := _POS_OPEN if r4_13_hi > _POS_OPEN else r4_13_hi):
-                    if (_val := (_A_vals[p_A01_12] if p_A01_12 >= 0 else 0.0)) != 0.0:
-                        _add(((_lo0, _hi0), _val,))
-            if _p_A01_12_stop == seg1_11_hi:
-                p_A01_12 += 1
-            _n = (seg1_11_hi[0] + 0.0, seg1_11_hi[1] + 1 if seg1_11_hi[1] < 1 else 1)
-            if not _n > cur1_10:
-                raise _ExecError("co-iteration failed to advance")
-            cur1_10 = _n
-    iv2_15_lo = ((_v := _A_0_table.last_stop(0))[0], (_v[1] + 1 if _v[1] < 1 else 1))
-    iv2_15_hi = _B_0_table.last_stop(0)
-    if not iv2_15_lo > iv2_15_hi:
-        p_B01_18 = _seek(_B_0_table, 0, iv2_15_lo, 0.0)
-        cur2_16 = iv2_15_lo
-        while cur2_16 <= iv2_15_hi:
-            _seg += 1
-            seg2_17_hi = iv2_15_hi
-            _p_B01_18_stop = _B_0_stops[p_B01_18]
-            if _p_B01_18_stop < seg2_17_hi:
-                seg2_17_hi = (_p_B01_18_stop[0] - 0.0, _p_B01_18_stop[1])
-            seg2_17_lo = cur2_16
-            r6_19_lo = seg2_17_lo
-            _e = (_B_0_starts[p_B01_18] if p_B01_18 >= 0 else _missing())
-            if _e > r6_19_lo:
-                r6_19_lo = _e
-            r6_19_hi = seg2_17_hi
-            if r6_19_lo <= r6_19_hi:
-                _emit += 1
-                if (_lo0 := _NEG_OPEN if r6_19_lo < _NEG_OPEN else r6_19_lo) <= (_hi0 := _POS_OPEN if r6_19_hi > _POS_OPEN else r6_19_hi):
-                    if (_val := (_B_vals[p_B01_18] if p_B01_18 >= 0 else 0.0)) != 0.0:
-                        _add(((_lo0, _hi0), _val,))
-            if _p_B01_18_stop == seg2_17_hi:
-                p_B01_18 += 1
-            _n = (seg2_17_hi[0] + 0.0, seg2_17_hi[1] + 1 if seg2_17_hi[1] < 1 else 1)
-            if not _n > cur2_16:
-                raise _ExecError("co-iteration failed to advance")
-            cur2_16 = _n
     return _seg, _mul, _emit, _out
 """
 
@@ -677,3 +621,115 @@ def test_a_shift_that_rounds_a_start_onto_the_previous_stop():
     assert (res.stats.segments_visited, res.stats.multiplies) == (2, 2)
     res = compile_run("for i = -inf:inf\n  s += A[i + 1000.0] * d(i)\nend\n", {"A": A})
     assert res.output == 12.0
+
+
+# ---------------------------------------------------------------------------
+# fiber ends: a stepper that does not annihilate reads as a gap past its
+# last piece, out to +inf
+
+
+def against_oracle(src, bindings):
+    """The compiled program's result, once its output equals the oracle's."""
+    program = parse(src)
+    res = run(compile_program(program, bindings))
+    want = oracle.evaluate(program, bindings)
+    assert oracle.outputs_match(res.output, want), (src, res.output, want)
+    return res
+
+
+def test_a_union_whose_fibers_end_apart_writes_past_both():
+    # fill 1: where both summands are gaps, 2 is written
+    A = tensor_1d("A", [((0.0, 1.0), 2.0)], 1.0, kind="interval")
+    B = tensor_1d("B", [((0.5, 3.0), 4.0)], 1.0, kind="interval")
+    res = against_oracle(UNION, {"A": A, "B": B})
+    assert [v for _, v in res.output.pieces()] == [2.0, 3.0, 6.0, 5.0, 2.0]
+    # up to A's stop, up to B's, then the final segment, where both are gaps
+    assert res.stats.segments_visited == 3
+
+
+@pytest.mark.parametrize("fill", [0.0, 1.0])
+@pytest.mark.parametrize("lo, hi, segments", [
+    (-2.0, -1.0, {0.0: 1, 1.0: 1}),  # before every piece
+    # past every piece: both steppers start at their fiber's end, and with
+    # fill 0 the range ends at the later of the last stops, before lo
+    (4.0, 5.0, {0.0: 0, 1.0: 1}),
+    (0.6, 0.9, {0.0: 1, 1.0: 1}),  # inside a piece of each
+])
+def test_a_union_over_a_finite_range(lo, hi, segments, fill):
+    A = tensor_1d("A", [((0.0, 1.0), 2.0)], fill, kind="interval")
+    B = tensor_1d("B", [((0.5, 3.0), 4.0)], fill, kind="interval")
+    res = against_oracle(f"for i = {lo}:{hi}\n  Out[i] = A[i] + B[i]\nend\n", {"A": A, "B": B})
+    assert res.stats.segments_visited == segments[fill]
+
+
+@pytest.mark.parametrize("fill", [0.0, 1.0])
+def test_an_empty_fiber_runs_out_at_once(fill):
+    A = tensor_1d("A", [((0.0, 1.0), 2.0)], fill, kind="interval")
+    B = build_tensor("B", [("dense", 2), ("interval",)], [[((0.5, 3.0), 4.0)], []], fill=fill)
+    src = "for j = 0:1\n  for i = -inf:inf\n    Out[j, i] = A[i] + B[j, i]\n  end\nend\n"
+    res = against_oracle(src, {"A": A, "B": B})
+    assert [v for (j, _), v in res.output.pieces() if j == 1] == ([2.0] if fill == 0 else
+                                                                   [2.0, 3.0, 2.0])
+
+
+@pytest.mark.parametrize("fill", [0.0, 1.0])
+def test_a_missed_probe_is_a_fiber_that_runs_out_at_once(fill):
+    # at x = 2 the probe into B's first level misses, so B's stepper over
+    # the second starts at fiber -1
+    P = tensor_1d("P", [(0.5, 1.0), (2.0, 1.0)], 0.0)
+    A = tensor_1d("A", [((0.0, 1.0), 2.0)], fill, kind="interval")
+    B = build_tensor("B", [("pinpoint",), ("interval",)], [(0.5, [((0.0, 3.0), 4.0)])],
+                     fill=fill)
+    src = "for x = -inf:inf\n  for i = -inf:inf\n    Out[x, i] = P[x] * (A[i] + B[x, i])\n  end\nend\n"
+    plan = compile_program(parse(src), {"P": P, "A": A, "B": B})
+    assert re.search(r"stepper p_B1: B\.lvl1\[q_B0\], then gap", pretty(plan))
+    res = against_oracle(src, {"P": P, "A": A, "B": B})
+    at_two = [v for (x, _), v in res.output.pieces() if x.start.val == 2.0]
+    assert at_two == ([2.0] if fill == 0 else [2.0, 3.0, 2.0])
+
+
+def test_a_shift_that_moves_the_last_piece_past_the_loop_end():
+    # in the loop's space A's pieces are [0.5, 1] and [3, 4]: the last lies past hi
+    A = tensor_1d("A", [((-2.5, -2.0), 2.0), ((0.0, 1.0), 3.0)], 1.0, kind="interval")
+    B = tensor_1d("B", [((0.0, 1.5), 4.0)], 0.0, kind="interval")
+    res = against_oracle("for i = 0.0:2.0\n  Out[i] = A[i - 3.0] + B[i]\nend\n",
+                         {"A": A, "B": B})
+    assert [v for _, v in res.output.pieces()] == [5.0, 6.0, 5.0, 1.0]
+
+
+@pytest.mark.parametrize("a, segments", [
+    # the annihilating A ends before B and C do, and so does the loop
+    ([((0.0, 1.0), 2.0)], 1),
+    # A runs on past both; where B and C are gaps nothing is written, so the
+    # loop ends at C's last stop, 2, and visits none of A's pieces past it
+    ([((k, k + 0.5), 2.0) for k in range(10)], 4),
+])
+def test_an_annihilating_factor_over_a_union(a, segments):
+    A = tensor_1d("A", a, 0.0, kind="interval")
+    B = tensor_1d("B", [((0.5, 1.0), 1.0)], 0.0, kind="interval")
+    C = tensor_1d("C", [((0.25, 2.0), 5.0)], 0.0, kind="interval")
+    res = against_oracle("for i = -inf:inf\n  Out[i] = A[i] * (B[i] + C[i])\nend\n",
+                         {"A": A, "B": B, "C": C})
+    assert res.stats.segments_visited == segments
+
+
+@pytest.mark.parametrize("lo, sh, stop, step", [
+    # stop < lo + 0.1 in the stored space, but stop - 0.1 == lo: seek steps back
+    (-0.12, 0.1, -0.019999999999999993, -1),
+    # stop >= lo + 0.37 in the stored space, but stop - 0.37 < lo: seek steps on
+    (0.7, 0.37, 1.0699999999999998, 1),
+])
+def test_a_shifted_loop_start_that_rounds_onto_a_stored_stop(lo, sh, stop, step):
+    A = tensor_1d("A", [((stop - 0.5, stop), 2.0), ((stop + 0.25, stop + 0.5), 3.0)], 0.0,
+                  kind="interval")
+    level = A.levels[0]
+    assert executor._seek(level, 0, (lo, 0), sh) == level.seek(0, (lo + sh, 0)) + step
+    B = tensor_1d("B", [((0.0, 5.0), 1.0)], 0.0, kind="interval")
+    res = against_oracle(f"for i = {lo}:{lo + 1.0}\n  Out[i] = A[i + {sh}] + B[i]\nend\n",
+                         {"A": A, "B": B})
+    # A's first piece reaches the loop only where its stop meets lo, at lo
+    first = next(iter(res.output.pieces()))
+    if step < 0:
+        assert first == ((Interval.closed(lo, lo),), 2.0)
+    else:
+        assert first[1] == 1.0  # B alone
