@@ -1,5 +1,10 @@
 """Lowering: a validated program plus tensor bindings becomes a Plan.
 
+Lowering reads the program and each input's format (level kinds, dense
+sizes, fill), never its stored data, so inputs of one format get equal
+plans; an input that stores nothing is stepped like any other, in a loop
+that runs zero times. The executor renders the loops as lowered.
+
 The strategy, per continuous loop:
 
 1. Find the accesses the loop index drives next (its participants), and
@@ -8,10 +13,10 @@ The strategy, per continuous loop:
    under ``&&``).
 2. Lower the loop to one range and one co-iteration of the participants'
    pieces over it. The range ends where the first annihilating one's
-   fiber does. Every other one reads as a gap out to +inf past its last
-   piece; where all of those are gaps and nothing is written, the range
-   ends where the last of their fibers does too.
-3. Each participant that does not annihilate splits every segment of the
+   fiber does. Every other one runs out: it reads as a gap out to +inf
+   past its last piece; where all of those are gaps and nothing is
+   written, the range ends where the last of their fibers does too.
+3. Each participant that runs out splits every segment of the
    co-iteration into its piece and the gap before it, so u of them lower
    2**u regions; an annihilating one only has its piece.
 4. A region known to be a single point pins the index to a scalar,
@@ -20,15 +25,22 @@ The strategy, per continuous loop:
    length factor for d(idx), or nothing for idempotent ops).
 
 So an intersection lowers to one region, and only unions (``+``, ``||``)
-pay for every combination. When an annihilating participant stores only
-isolated points, it alone is stepped and the others are probed after
-pinning; its gaps write nothing, so the others are never needed there.
+pay for every combination. Where some annihilating participants store
+only isolated points, one of those alone is stepped and the others are
+probed after pinning; its gaps write nothing, so the others are never
+needed there. The format picks it: the deepest rank, then the first in program
+order (so write the sparser of two tied point inputs first). A
+co-iteration walks the segments between consecutive stops
+(``WhileCoiter.walk``) when a stepper runs out or is shifted, and steps
+fingers over the pieces alone otherwise. A stepper's reads follow its
+kind (``StepperRT.runs_out``): an annihilating one never leaves its fiber
+inside the range.
 
 Every lowering function emits a statement only when a write lies below
 it, and folds constants as it builds each expression, so the plan needs
 no cleanup beyond dropping binders nothing reads. Each write records its
 path, and the output's form is decided once from all of them
-(``_output_decl``). Lowering is the one judge of the rules storage
+(``_output_decl``). Lowering is the one judge of the rules the format
 decides: a collapse of a continuous index that no d() factor, idempotent
 operator or pinning makes finite is R-SUM, a value still read once
 unread binders are dropped that needs an index no stored points pin is
@@ -49,10 +61,10 @@ from .lang import (
 from .limits import ABOVE, BELOW, EXACT, Limit
 from .storage import ContTensor, DenseLevel
 from .ir import (
-    Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
-    EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
-    LetScalar, LimC, MaxOf, Mul, Namer, Neg, Not, Num, Or, OutputDecl, PDense, PRoot,
-    PVar, Pin, Plan, Probe, StepperRT, Sub, Var, WhileCoiter,
+    Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EndRef, Guard, IntersectLet,
+    IvStart, IvStop, LastStop, LeafVal, LenOf, LetScalar, LimC, MaxOf, Mul, Namer,
+    Neg, Not, Num, Or, OutputDecl, PDense, PRoot, PVar, Pin, Plan, Probe, StepperRT,
+    Sub, Var, WhileCoiter, Write,
 )
 from .simplify import simplify_expr, simplify_plan, used_slots, _write_is_noop
 
@@ -371,12 +383,6 @@ def _participants(ctx, var):
     return cands
 
 
-def _fiber_weight(a: _Access):
-    # average entries per fiber; prefer stepping the sparsest level
-    n = a.tensor.n_entries(a.rank)
-    return n / max(1, a.tensor.n_fibers(a.rank))
-
-
 def _lower_cont(s: SFor, ctx):
     var = s.var
     # no real number lies at -inf or inf, so a loop end there is open
@@ -387,8 +393,9 @@ def _lower_cont(s: SFor, ctx):
     pinlike = [k for k in cands if k in annihilating
                and ctx.accesses[k].tensor.levels[ctx.accesses[k].rank].pinpoint]
     # one point-stepper pins the index; the rest get probed after the pin,
-    # and are never needed in its gaps, where nothing is written
-    steppers = [min(pinlike, key=lambda k: _fiber_weight(ctx.accesses[k]))] if pinlike else cands
+    # and are never needed in its gaps, where nothing is written. The format
+    # alone picks it: the deepest rank, then the first in program order
+    steppers = [max(pinlike, key=lambda k: ctx.accesses[k].rank)] if pinlike else cands
     # each stepper that does not annihilate splits every segment into
     # piece and gap: 2**u regions
     u = sum(1 for k in steppers if k not in annihilating)
@@ -453,7 +460,10 @@ def _lower_cont(s: SFor, ctx):
         return []
     return [IntersectLet(rslot, rname, (LimC(lo),), tuple(stops or [LimC(hi)])), WhileCoiter(
         rslot, rname, cur_slot, cur_name, seg_slot, seg_name,
-        tuple(rts.values()), Block(tuple(sub_stmts)), intersection=u == 0,
+        tuple(rts.values()), Block(tuple(sub_stmts)),
+        # only a cursor steps past a gap, or keeps a point in one piece where
+        # a shift rounds a piece's start onto the previous piece's stop
+        walk=any(rt.runs_out or rt.shift is not None for rt in rts.values()),
     )]
 
 
@@ -527,12 +537,7 @@ def _lower_assign(s: SAssign, ctx):
     value = simplify_expr(value)
 
     ctx.paths.append(path)
-    two = nleaves >= 2
-    if any(c[0] != "d" for c in path):
-        node = EmitPiece(s.target, tuple(path), s.op, value, two)
-    else:
-        node = Accumulate(s.target, tuple(c[1] for c in path), s.op, value, two)
-    return [node]
+    return [Write(s.target, tuple(path), s.op, value, nleaves >= 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +571,7 @@ def compile_program(program: Program, bindings, *, opt_bounds=False,
         if e.tensor not in bindings:
             raise CompileError(f"tensor {e.tensor!r} is not bound")
         t = bindings[e.tensor]
-        idx = tuple(affine_terms(ix) for ix in e.indices)
-        # a tensor with no stored pieces is its fill everywhere
-        ctx.accesses[id(e)] = _Access(tensor=t, idx=idx, miss=not t.values)
+        ctx.accesses[id(e)] = _Access(t, tuple(affine_terms(ix) for ix in e.indices))
     if assign.target in bindings:
         raise CompileError(f"output {assign.target!r} is also bound as an input")
 

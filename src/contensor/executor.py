@@ -12,19 +12,22 @@ new data) pays no ``compile()``, while plans that equality would merge
 but that render differently (fill ``True`` vs ``1.0``) keep separate
 kernels.
 
-A co-iteration renders in one of two loop shapes. Where lowering marks
-every stepper annihilating (``WhileCoiter.intersection``) and none is
-shifted, the body writes only where all of them are in a piece, and the
-loop is a finger loop: each iteration is the overlap of the current
-pieces, the fingers at the least stop move on, and the loop ends when
-that stop is the range's. It keeps no cursor, reads its fingers' pieces
-unguarded, and starts each finger at its fiber's first piece when the
-range starts at the open -inf. Any other co-iteration walks the segments
-between consecutive stops, gaps included, with a cursor that must
-advance each step. At its fiber's end (an empty or missing fiber, or a
-range or step past its last piece) a walk's stepper that does not
-annihilate (``StepperRT.runs_out``) reads every end as inf + eps: its
-piece is empty and its gap reaches past the range. Both shapes end each
+A co-iteration renders in the loop shape lowering chose; the renderer
+decides nothing again. A finger loop (``WhileCoiter.walk`` unset: no
+stepper runs out or is shifted) writes only where all its steppers are
+in a piece: each iteration is the overlap of the current pieces, the
+fingers at the least stop move on, and the loop ends when that stop is
+the range's. It keeps no cursor, and starts each finger at its fiber's
+first piece when the range starts at the open -inf. A walk steps the
+segments between consecutive stops, gaps included, with a cursor that
+must advance each step. A stepper's reads follow its kind, in either
+shape. One that annihilates, in its loop or an enclosing one, is read
+unguarded: the range ends at its last stop, so it never leaves its
+fiber. One that runs out (``StepperRT.runs_out``) reads every end as
+inf + eps at its fiber's end (an empty or missing fiber, or a range or
+step past its last piece): its piece is empty and its gap reaches past
+the range. An endpoint of any other position is a plan fault, raised
+as ``ExecError`` when the kernel is rendered. Both shapes end each
 iteration at the same least stop, so ``segments_visited`` counts loop
 iterations in either, a walk's final all-gap segment included.
 
@@ -56,10 +59,10 @@ from dataclasses import dataclass, field
 from .intervals import Interval
 from .limits import ABOVE, BELOW, Limit
 from .ir import (
-    Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
-    EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
-    LetScalar, LimC, MaxOf, Mul, Neg, Not, Num, Or, OutputDecl, PDense, PRoot,
-    PVar, Pin, Plan, Probe, Sub, Var, WhileCoiter,
+    Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EndRef, Guard, IntersectLet,
+    IvStart, IvStop, LastStop, LeafVal, LenOf, LetScalar, LimC, MaxOf, Mul, Neg, Not,
+    Num, Or, OutputDecl, PDense, PRoot, PVar, Pin, Plan, Probe, Sub, Var, WhileCoiter,
+    Write, render,
 )
 from .storage import OverlapError, build_tensor
 
@@ -90,10 +93,6 @@ _NEG_OPEN = (-math.inf, ABOVE)
 _POS_OPEN = (math.inf, BELOW)
 # every end a stepper past its fiber's last piece reads: above any loop's stop
 _PAST = (math.inf, ABOVE)
-
-
-def _missing():
-    raise ExecError("endpoint of a missing entry")
 
 
 def _seek(lv, f: int, lo: tuple, sh) -> int:
@@ -127,7 +126,7 @@ def _pin_error(a, b):
 
 
 _GLOBALS = {
-    "_seek": _seek, "_probe": _probe, "_missing": _missing, "_pin_error": _pin_error,
+    "_seek": _seek, "_probe": _probe, "_pin_error": _pin_error,
     "_ExecError": ExecError, "_INF": math.inf, "_NAN": math.nan,
     "_NEG_OPEN": _NEG_OPEN, "_POS_OPEN": _POS_OPEN, "_PAST": _PAST,
 }
@@ -201,8 +200,8 @@ class _Source:
         self.dense = 0  # dense positions rendered so far
         self.leaf_pos = None  # positions of the leaves of the value being written
         self.open_lo = set()  # region slots whose start is the open -inf
-        self.fingers = frozenset()  # position locals that hold a stored piece here
-        self.ends = {}  # position local of a stepper that runs out -> its fiber's end
+        self.fingers = frozenset()  # position locals of the annihilating steppers in scope
+        self.ends = {}  # position local of a stepper in scope that runs out -> its fiber's end
         self.op = None  # a plan writes with one operator
         self.lines = []
 
@@ -293,7 +292,7 @@ class _Source:
         if self.leaf_pos is not None:
             self.leaf_pos.append(p)
         if p == "0" or p in self.fingers or p in self.ends:
-            # a stepper that runs out is read only where it is in a piece
+            # a stepper's value is read only where it is in a piece
             return f"{vals}[{p}]"
         if _simple(p):
             return f"({vals}[{p}] if {p} >= 0 else {_lit(e.fill)})"
@@ -348,10 +347,8 @@ class _Source:
                 base = f"({col}[{p}] if {p} < {self.ends[p]} else _PAST)"
             elif p in self.fingers:
                 base = f"{col}[{p}]"
-            elif _simple(p):
-                base = f"({col}[{p}] if {p} >= 0 else _missing())"
             else:
-                base = f"({col}[_t] if (_t := {p}) >= 0 else _missing())"
+                raise ExecError(f"endpoint {render(e)}: {p} is not a stepper in scope")
             return self.adjust(base, e.shift, e.eps_off)
         if t is IvStart:
             return self.region(e.slot, e.name)[0]
@@ -439,19 +436,17 @@ class _Source:
         self.lines.append("\n".join(out))
 
     def coiter(self, s: WhileCoiter, pad: str):
-        """One co-iteration, as a walk or a finger loop (see the module notes).
+        """One co-iteration, as the walk or finger loop lowering chose (see
+        the module notes).
 
         A walk's segment starts at the cursor, just past the last stop. A
         finger loop's starts at the range's start: a finger that moved on
         starts past the stop it left, so max(range start, starts) is the
-        walk's max(cursor, starts). A shifted stepper keeps the walk, as a
-        shift can round a piece's start onto the previous piece's shifted
-        stop and only the cursor keeps that point in one piece. A finger at
-        an open -inf start begins at its fiber's first piece: no stored
-        stop is -inf, and the range is empty for an empty or missing
-        fiber, as its last stop is.
+        walk's max(cursor, starts). A finger at an open -inf start begins
+        at its fiber's first piece: no stored stop is -inf, and the range
+        is empty for an empty or missing fiber, as its last stop is.
         """
-        walk = not s.intersection or any(st.shift is not None for st in s.steppers)
+        walk = s.walk
         lo, hi = self.region(s.range_slot, s.range_name)
         if walk:
             cur = self.var(s.cursor_slot, s.cursor_name)
@@ -465,7 +460,7 @@ class _Source:
         pad += _IND
         i = pad + _IND
         steppers = []
-        ends = dict(self.ends)
+        fingers, ends = set(self.fingers), dict(self.ends)
         for st in s.steppers:
             p = self.var(st.pos_slot, st.pos_name)
             t = self.level(st.tensor, st.level)
@@ -483,6 +478,8 @@ class _Source:
                 e = ends[p] = f"_{p}_end"
                 add(f"{pad}{e} = {t}_table.ptr[{1 if f == '0' else f + ' + 1'}]")
                 read = f"{read} if {p} < {e} else _PAST"
+            else:
+                fingers.add(p)
             steppers.append((p, read, sh, f"_{p}_stop"))
         if walk:
             add(f"{pad}{cur} = {lo}\n{pad}while {cur} <= {hi}:")
@@ -503,10 +500,8 @@ class _Source:
                 add(f"{pad}{r} = {read}\n{pad}if {r} < {stop}:\n{i}{stop} = {r}")
         if walk:
             add(f"{pad}{seg_lo} = {cur}")
-        # a walk's steppers can sit in a gap, so its body guards their reads
         outer = self.fingers, self.ends
-        self.fingers = frozenset() if walk else outer[0] | {p for p, _, _, _ in steppers}
-        self.ends = ends
+        self.fingers, self.ends = fingers, ends
         self.stmt(s.body, pad)
         self.fingers, self.ends = outer
         if not walk:
@@ -529,23 +524,20 @@ class _Source:
         # a region's ends are made canonical where it is written, and a
         # write whose set is empty is dropped, after it is counted
         comps, present = [], []
-        if type(s) is Accumulate:
-            comps = [f"int({self.expr(c)})" for c in s.path]
-        else:
-            for c, kind in zip(s.path, self.plan.output.comps):
-                if c[0] == "d":
-                    comps.append(f"int({self.expr(c[1])})")
-                elif c[0] == "p":
-                    # a pinned coordinate is a local; at an interval rank
-                    # it is the closed point piece
-                    x = self.expr(c[1])
-                    comps.append(x if kind[0] == "pinpoint" else f"(({x}, 0), ({x}, 0))")
-                else:
-                    n = len(present)
-                    lo, hi = self.region(c[1], c[2])
-                    present.append(f"(_lo{n} := _NEG_OPEN if {lo} < _NEG_OPEN else {lo}) <= "
-                                   f"(_hi{n} := _POS_OPEN if {hi} > _POS_OPEN else {hi})")
-                    comps.append(f"(_lo{n}, _hi{n})")
+        for c, kind in zip(s.path, self.plan.output.comps):
+            if c[0] == "d":
+                comps.append(f"int({self.expr(c[1])})")
+            elif c[0] == "p":
+                # a pinned coordinate is a local; at an interval rank it is
+                # the closed point piece
+                x = self.expr(c[1])
+                comps.append(x if kind[0] == "pinpoint" else f"(({x}, 0), ({x}, 0))")
+            else:
+                n = len(present)
+                lo, hi = self.region(c[1], c[2])
+                present.append(f"(_lo{n} := _NEG_OPEN if {lo} < _NEG_OPEN else {lo}) <= "
+                               f"(_hi{n} := _POS_OPEN if {hi} > _POS_OPEN else {hi})")
+                comps.append(f"(_lo{n}, _hi{n})")
         self.leaf_pos = []
         value = self.expr(s.value)
         leaves, self.leaf_pos = self.leaf_pos, None
@@ -554,7 +546,7 @@ class _Source:
             tests = " and ".join(f"{p} >= 0" for p in leaves
                                  if p != "0" and p not in self.fingers and p not in self.ends)
             add(f"{pad}if {tests}:\n{pad}{_IND}_mul += 1" if tests else f"{pad}_mul += 1")
-        if type(s) is EmitPiece:
+        if s.emits:
             add(f"{pad}_emit += 1")
         if present:
             add(f"{pad}if {' and '.join(present)}:")
@@ -584,7 +576,7 @@ _EXPR = {
 }
 _STMT = {
     Block: _Source.block, IntersectLet: _Source.intersect, Guard: _Source.guard,
-    Accumulate: _Source.write, EmitPiece: _Source.write, WhileCoiter: _Source.coiter,
+    Write: _Source.write, WhileCoiter: _Source.coiter,
     DiscLoop: _Source.disc_loop, LetScalar: _Source.let, Probe: _Source.probe,
     Cond: _Source.cond, Pin: _Source.pin,
 }

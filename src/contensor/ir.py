@@ -282,24 +282,15 @@ class WhileCoiter:
     curr_name: str
     steppers: tuple  # tuple[StepperRT]
     body: "Stmt"
-    # every stepper annihilates: the body runs only where all of them are
-    # in a piece, so the executor walks the pieces alone (unless a stepper
-    # is shifted)
-    intersection: bool = False
+    # the loop's shape, which lowering decides: a walk over the segments
+    # between consecutive stops, gaps included, where a stepper runs out
+    # or is shifted; otherwise fingers over the pieces alone
+    walk: bool
 
 
 @dataclass(frozen=True)
-class Accumulate:
-    output: str
-    path: tuple  # tuple[SExpr], discrete coordinates
-    op: str  # = += |= &= max= min=
-    value: SExpr
-    two_tensor: bool = False
-
-
-@dataclass(frozen=True)
-class EmitPiece:
-    """Write along a continuous output rank.
+class Write:
+    """One write of the assignment into the output.
 
     Path components: ("d", SExpr) discrete, ("p", SExpr) pinpoint,
     ("iv", slot, name) an interval region variable.
@@ -307,14 +298,19 @@ class EmitPiece:
 
     output: str
     path: tuple
-    op: str
+    op: str  # = += |= &= max= min=
     value: SExpr
     two_tensor: bool = False
+
+    @property
+    def emits(self) -> bool:
+        """Whether the write emits a piece: a path part is continuous."""
+        return any(c[0] != "d" for c in self.path)
 
 
 Stmt = Union[
     Block, DiscLoop, LetScalar, Probe, IntersectLet, Guard, Cond, Pin,
-    WhileCoiter, Accumulate, EmitPiece,
+    WhileCoiter, Write,
 ]
 
 
@@ -471,8 +467,8 @@ def pretty(stmt, indent: int = 0) -> str:
     if isinstance(stmt, Pin):
         return f"{pad}pin {stmt.name} = {stmt.iv_name}.start"
     if isinstance(stmt, WhileCoiter):
-        shape = " (intersection)" if stmt.intersection else ""
-        lines = [f"{pad}coiterate {stmt.cursor_name} over {stmt.range_name}{shape}:"]
+        shape = "walk" if stmt.walk else "fingers"
+        lines = [f"{pad}coiterate {stmt.cursor_name} over {stmt.range_name} ({shape}):"]
         for s in stmt.steppers:
             shift = f" - {render(s.shift)}" if s.shift is not None else ""
             tail = ", then gap" if s.runs_out else ""
@@ -483,12 +479,10 @@ def pretty(stmt, indent: int = 0) -> str:
         lines.append(f"{pad}  {stmt.curr_name} = [{stmt.cursor_name}, min stops]")
         lines.append(pretty(stmt.body, indent + 1))
         return "\n".join(lines)
-    if isinstance(stmt, Accumulate):
-        path = ", ".join(render(p) for p in stmt.path)
-        return f"{pad}{stmt.output}[{path}] {stmt.op} {render(stmt.value)}"
-    if isinstance(stmt, EmitPiece):
+    if isinstance(stmt, Write):
         path = ", ".join(_emit_comp(c) for c in stmt.path)
-        return f"{pad}emit {stmt.output}[{path}] {stmt.op} {render(stmt.value)}"
+        emit = "emit " if stmt.emits else ""
+        return f"{pad}{emit}{stmt.output}[{path}] {stmt.op} {render(stmt.value)}"
     raise TypeError(f"cannot pretty-print {stmt!r}")
 
 
@@ -498,6 +492,6 @@ __all__ = [
     "Neg", "Not", "Cmp", "LenOf", "SExpr",
     "LimC", "EndRef", "LastStop", "MaxOf", "IvStart", "IvStop", "LExpr",
     "Block", "DiscLoop", "LetScalar", "Probe", "IntersectLet", "Guard", "Cond",
-    "Pin", "StepperRT", "WhileCoiter", "Accumulate", "EmitPiece",
+    "Pin", "StepperRT", "WhileCoiter", "Write",
     "Stmt", "OutputDecl", "Plan", "Namer", "render", "pretty", "replace",
 ]

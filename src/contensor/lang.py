@@ -31,9 +31,10 @@ Rule ids of the diagnostics (``Diag``) a program is rejected with:
 ``validate`` checks what the program text decides, with the level kinds
 (dense or continuous) when bindings are given: R-INV, R-ARITY, R-FORM,
 the d() part of R-SUM and an index driving two ranks. Whether stored
-points pin an index depends on storage, so ``compiler.compile_program``
-decides the rest of R-PIN and R-SUM as it lowers, and R-DIV, since a
-divisor folds to 0 only in the regions where its accesses miss.
+points pin an index depends on the inputs' format, so
+``compiler.compile_program`` decides the rest of R-PIN and R-SUM as it
+lowers, and R-DIV, since a divisor folds to 0 only in the regions where
+its accesses miss.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ import operator
 from dataclasses import replace
 
 from .ir import (
-    Accumulate, Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EmitPiece,
-    EndRef, Guard, IntersectLet, IvStart, IvStop, LastStop, LeafVal, LenOf,
-    LetScalar, MaxOf, Mul, Neg, Not, Num, Or, PDense, PVar, Pin, Plan, Probe, Sub,
-    Var, WhileCoiter,
+    Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EndRef, Guard, IntersectLet,
+    IvStart, IvStop, LastStop, LeafVal, LenOf, LetScalar, MaxOf, Mul, Neg, Not, Num,
+    Or, PDense, PVar, Pin, Plan, Probe, Sub, Var, WhileCoiter, Write,
 )
 
 _CMP = {
@@ -194,11 +193,7 @@ def _reads(s, acc):
             _uses_pexpr(st.fiber, acc)
             if st.shift is not None:
                 _uses_expr(st.shift, acc)
-    elif isinstance(s, Accumulate):
-        for p in s.path:
-            _uses_expr(p, acc)
-        _uses_expr(s.value, acc)
-    elif isinstance(s, EmitPiece):
+    elif isinstance(s, Write):
         for c in s.path:
             if c[0] == "iv":
                 acc.add(c[1])

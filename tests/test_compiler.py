@@ -7,8 +7,7 @@ import pytest
 from contensor.compiler import MAX_REGIONS, CompileError, ValidityError, compile_program
 from contensor.executor import run
 from contensor.ir import (
-    Accumulate, Block, EmitPiece, IntersectLet, LenOf, Namer, Pin, Plan, Probe,
-    WhileCoiter, pretty,
+    Block, IntersectLet, LenOf, Namer, Pin, Plan, Probe, WhileCoiter, Write, pretty,
 )
 from contensor.kernels import KERNELS
 from contensor.lang import parse
@@ -71,7 +70,7 @@ def test_dot_integral_collapses_to_one_region():
     loops = collect(plan.body, WhileCoiter)
     assert len(loops) == 1
     assert len(loops[0].steppers) == 2
-    accs = collect(plan.body, Accumulate)
+    accs = collect(plan.body, Write)
     assert len(accs) == 1
     assert accs[0].op == "+="
     assert accs[0].two_tensor
@@ -84,7 +83,7 @@ def test_dot_sum_pins_one_side_and_probes_the_other():
     plan = compile_program(parse(DOT_SUM), {"A": A, "B": B})
     assert len(collect(plan.body, Pin)) == 1
     assert len(collect(plan.body, Probe)) == 1
-    (acc,) = collect(plan.body, Accumulate)
+    (acc,) = collect(plan.body, Write)
     # a sum at isolated points carries no region-length factor
     assert not any(isinstance(a, LenOf) for a in getattr(acc.value, "args", ()))
 
@@ -101,18 +100,24 @@ def test_masked_conv_shape():
     assert len(inner) == 1
     shifts = [st.shift for st in inner[0].steppers]
     assert sum(s is not None for s in shifts) == 1
-    (emit,) = collect(plan.body, EmitPiece)
+    (emit,) = collect(plan.body, Write)
     assert emit.path[0][0] == "p"  # output written at the pinned point
     assert plan.output.comps == (("pinpoint",),)
 
 
 def test_all_fill_input_gives_empty_body():
+    # lowering reads no data: inputs that store nothing get the plan of
+    # stored ones, whose loop runs zero times
     A = build_tensor("A", [("interval",)], [], fill=0.0)
     B = build_tensor("B", [("interval",)], [], fill=0.0)
     plan = compile_program(parse(DOT_INTEGRAL), {"A": A, "B": B})
-    assert plan.body == Block()
+    stored = {"A": iv_tensors([((1.0, 3.0), 2.0)]), "B": iv_tensors([((2.0, 5.0), 3.0)])}
+    assert plan == compile_program(parse(DOT_INTEGRAL), stored)
     assert plan.output.comps == ()
     assert plan.output.fill == 0.0
+    res = run(plan)
+    assert res.output == 0.0
+    assert (res.stats.segments_visited, res.stats.multiplies) == (0, 0)
 
 
 def test_validity_failure_carries_diags():
@@ -161,7 +166,7 @@ for i = -inf:inf
 end
 """)
     plan = compile_program(prog, {"A": A, "B": B})
-    (acc,) = collect(plan.body, Accumulate)
+    (acc,) = collect(plan.body, Write)
     assert acc.op == "|="
     assert not collect(plan.body, Pin)
 
@@ -183,7 +188,7 @@ end
 """)
     plan = compile_program(prog, {"Q": Q, "D": D})
     assert plan.output.comps == (("interval",),)
-    (emit,) = collect(plan.body, EmitPiece)
+    (emit,) = collect(plan.body, Write)
     assert emit.path[0][0] == "iv"
 
 

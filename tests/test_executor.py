@@ -433,13 +433,14 @@ def test_pin_of_a_wide_region_raises():
 
 
 def test_endpoint_of_a_missing_entry_raises():
+    # only a stepper's position has ends to read; a probe's can be -1
     A = tensor_1d("A", [((0.0, 1.0), 1.0)], 0.0, kind="interval")
     plan = Plan(Block((
         Probe(0, "q", "A", 0, PRoot(), Num(5.0), Num(0.0)),  # 5 is in a gap: q = -1
         IntersectLet(1, "r", (EndRef("A", 0, "L", PVar(0, "q")),), (LimC(Limit(9.0)),)),
     )), OutputDecl("s", (), 0.0), 2, {"A": A})
-    with pytest.raises(ExecError, match="endpoint of a missing entry"):
-        run(plan)
+    with pytest.raises(ExecError, match="not a stepper in scope"):
+        kernel_source(plan)
 
 
 def test_touching_equal_subtrees_merge_above_the_last_rank():
@@ -488,7 +489,7 @@ def test_an_unshifted_probe_is_the_tables_probe():
 def test_an_intersection_renders_a_finger_loop():
     k = kernels.get("dot_integral")
     plan = compile_program(k.program(), k.canonical())
-    assert "coiterate cur over iv (intersection):" in pretty(plan)
+    assert "coiterate cur over iv (fingers):" in pretty(plan)
     src = kernel_source(plan)
     # no cursor, no advance check, and steppers start at their fiber
     assert "co-iteration failed to advance" not in src
@@ -496,7 +497,7 @@ def test_an_intersection_renders_a_finger_loop():
     assert re.search(r"\bp_A0_\d+ = _A_0_table\.ptr\[0\]", src)
     assert "while True:" in src and re.search(r"if seg_\d+_hi is iv_\d+_hi:", src)
     # the steppers are always in a piece, so their reads are unguarded
-    assert "_missing()" not in src and ">= 0" not in src
+    assert ">= 0" not in src and "_PAST" not in src
 
 
 UNION = """
@@ -595,7 +596,7 @@ def test_a_union_keeps_the_segment_walk():
                   kind="interval")
     B = tensor_1d("B", [((1.5, 4.0), 2.0)], 0.0, kind="interval")
     plan = compile_program(parse(UNION), {"A": A, "B": B})
-    assert "(intersection)" not in pretty(plan)
+    assert "coiterate cur over iv (walk):" in pretty(plan)
     assert kernel_source(plan) == UNION_WALK
 
 
@@ -613,9 +614,12 @@ def test_a_shift_that_rounds_a_start_onto_the_previous_stop():
     assert (res.stats.segments_visited, res.stats.pieces_emitted) == (2, 2)
     plan = compile_program(parse("for i = -inf:inf\n  Out[i] = A[i + 1000.0] * B[i]\nend\n"),
                            {"A": A, "B": B})
-    # an intersection with a shifted stepper keeps the walk
-    assert "(intersection)" in pretty(plan)
-    assert "co-iteration failed to advance" in kernel_source(plan)
+    # an intersection with a shifted stepper keeps the walk, and reads
+    # its annihilating steppers unguarded, as the range ends with them
+    assert "coiterate cur over iv (walk):" in pretty(plan)
+    src = kernel_source(plan)
+    assert "co-iteration failed to advance" in src
+    assert ">= 0" not in src and "_PAST" not in src
     res = run(plan)
     assert list(res.output.pieces()) == [((first,), 10.0), ((second,), 14.0)]
     assert (res.stats.segments_visited, res.stats.multiplies) == (2, 2)

@@ -401,10 +401,11 @@ def test_known_fault_oracle_pieces_above_the_last_rank():
 @pytest.mark.xfail(strict=True, raises=OverlapError,
                    reason="the oracle cannot combine overlapping pieces of a reduction")
 def test_known_fault_oracle_overlapping_reduction():
-    A = build_tensor("A", [("regular", 1.25, 0.0, False)], [(-1, 3.0)], fill=1.0)
-    B = build_tensor("B", [("regular", 1.25, 0.0, False)], [], fill=0.0)
-    both("for i = -2.25:0.61\n  for j = -inf:inf\n    Out[j] max= A[i + j] * B[j]\n"
-         "  end\nend\n", {"A": A, "B": B})
+    # each point of P shifts A's pieces along j differently
+    A = build_tensor("A", [("interval",)], [((0.0, 2.0), 3.0)], fill=1.0)
+    P = build_tensor("P", [("pinpoint",)], [(0.0, True), (1.0, True)], fill=False)
+    both("for i = -inf:inf\n  if P[i]\n    for j = -inf:inf\n      Out[j] max= A[j + i]\n"
+         "    end\n  end\nend\n", {"A": A, "P": P})
 
 
 def test_a_point_adds_nothing_to_an_integral_over_an_infinite_region():
@@ -417,15 +418,15 @@ def test_a_point_adds_nothing_to_an_integral_over_an_infinite_region():
 
 
 def test_overlapping_reduction_pieces_agree_with_the_oracle_pointwise():
-    # the oracle cannot combine the first program's pieces (xfail above);
-    # run once per sample point with j pinned, it can
-    A = build_tensor("A", [("regular", 1.25, 0.0, False)], [(-1, 3.0)], fill=1.0)
-    B = build_tensor("B", [("regular", 1.25, 0.0, False)], [], fill=0.0)
-    program = parse("for i = -2.25:0.61\n  for j = -inf:inf\n    Out[j] max= A[i + j] * B[j]\n"
+    # the oracle cannot combine the first program's pieces (the fault the
+    # xfail above pins); run once per sample point with j pinned, it can
+    A = build_tensor("A", [("interval",)], [((0.0, 2.0), 3.0)], fill=1.0)
+    P = build_tensor("P", [("pinpoint",)], [(0.0, 1.0), (1.0, 2.0)], fill=0.0)
+    program = parse("for i = -inf:inf\n  for j = -inf:inf\n    Out[j] += P[i] * A[j + i]\n"
                     "  end\nend\n")
-    got = run(compile_program(program, {"A": A, "B": B})).output
-    assert pointwise_reference(got, program, {"A": A, "B": B})
-    assert [v for _, v in got.pieces()] == [0.0]
+    got = run(compile_program(program, {"A": A, "P": P})).output
+    assert pointwise_reference(got, program, {"A": A, "P": P})
+    assert [v for _, v in got.pieces()] == [3.0, 7.0, 9.0, 5.0, 3.0]
     C = build_tensor("C", [("dense", 2), ("interval",)],
                      [[((-INF, 2.0, "left_open"), 1.0)], [((1.0, INF, "right_open"), 5.0)]])
     program = parse("for i = 0:1\n  for j = -inf:inf\n    Out[j] min= C[i, j]\n  end\nend\n")

@@ -9,6 +9,9 @@
 - Every keyword-only parameter of a public top-level function in
   src/contensor is passed by name, to a call of that function, somewhere
   in src/ or perfbench/: an option only tests set is dead code too.
+- compiler.py reads no stored data, only the format: it calls none of a
+  tensor's or level's lookups and reads none of their data columns, so a
+  plan cannot depend on what an input stores.
 """
 
 import ast
@@ -148,3 +151,42 @@ def test_scan_flags_an_unpassed_option():
                         "def _helper(*, quiet=False):\n    pass\n"}
     calling = {"b.py": "import a\na.run(1, trace=print)\nother(fast=True)\n"}
     assert unpassed_options(defining, calling) == [("a.py", "run", "fast")]
+
+
+# what a lowering that reads the format alone may not touch: a tensor's or
+# level's lookups (called) and its data columns (read as attributes; a
+# call such as a dict's .values() is not a column)
+DATA_CALLS = {"n_entries", "n_fibers", "last_stop", "seek", "probe"}
+DATA_COLUMNS = {"values", "ptr", "starts", "stops"}
+
+
+def data_reads(source: str) -> list:
+    """(name, line) of each lookup call and data column read in source."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in DATA_CALLS:
+                out.append((name, node.lineno))
+        elif (isinstance(node, ast.Attribute) and node.attr in DATA_COLUMNS
+              and id(node) not in called):
+            out.append((node.attr, node.lineno))
+    return sorted(out, key=lambda r: r[1])
+
+
+def test_lowering_reads_no_stored_data():
+    assert data_reads((ROOT / "src" / "contensor" / "compiler.py").read_text()) == []
+
+
+def test_scan_flags_a_read_of_stored_data():
+    src = ("def _fiber_weight(a):\n"
+           "    n = a.tensor.n_entries(a.rank)\n"
+           "    return n / max(1, a.tensor.n_fibers(a.rank))\n"
+           "acc = _Access(tensor=t, idx=idx, miss=not t.values)\n"
+           "names = [str(v) for v in marks.values()]\n"
+           "first = lv.starts[lv.ptr[f]]\n")
+    assert data_reads(src) == [("n_entries", 2), ("n_fibers", 3), ("values", 4),
+                               ("starts", 6), ("ptr", 6)]

@@ -1,15 +1,17 @@
 """The shipped corpus: canonical fixtures and random-instance validity."""
 
+import dataclasses
 import math
 from random import Random
 
 import pytest
 
 from contensor.compiler import compile_program
-from contensor.executor import run
+from contensor.executor import ExecStats, run
 from contensor.kernels import KERNELS, build_genomic_grid, get, random_genomic
 from contensor.lang import validate
 from contensor.oracle import evaluate, outputs_match
+from contensor.storage import ContTensor
 
 
 def run_kernel(name, binds, **kw):
@@ -106,3 +108,55 @@ def test_grid_builder_accelerated_equivalence_on_random_datasets():
         naive = run_kernel("genomic_overlap", {k: binds[k] for k in ("Query", "Data")})
         grid = run_kernel("genomic_overlap_grid", binds)
         assert list(naive.output.pieces()) == list(grid.output.pieces()), seed
+
+
+def format_signature(binds):
+    """Per tensor: its level kinds with the dense sizes, and its fill with
+    the fill's type; what lowering may read."""
+    def kind(lv):
+        if not lv.continuous:
+            return ("dense", lv.size)
+        return "regular" if lv.regular else "pinpoint" if lv.pinpoint else "interval"
+    return tuple(sorted((name, tuple(map(kind, t.levels)), t.fill, type(t.fill))
+                        for name, t in binds.items()))
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_a_plan_depends_only_on_the_format(name):
+    k = get(name)
+    prog = k.program()
+    plans, shared = {}, 0
+    for binds in [k.canonical(), *(k.random_instance(Random(seed)) for seed in range(30))]:
+        plan = compile_program(prog, binds)
+        first = plans.setdefault(format_signature(binds), plan)
+        assert plan == first, name
+        shared += first is not plan
+    assert shared, "no two instances share a format"
+
+
+def emptied(t):
+    """A tensor of t's format that stores nothing."""
+    levels, n = [], 1
+    for lv in t.levels:
+        if lv.continuous:
+            lv, n = dataclasses.replace(lv, ptr=(0,) * (n + 1), starts=(), stops=()), 0
+        else:
+            n *= lv.size
+        levels.append(lv)
+    return ContTensor(t.name, tuple(levels), (t.fill,) * n, t.fill)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_an_input_that_stores_nothing_gets_the_plan_of_a_stored_one(name):
+    k = get(name)
+    prog, binds = k.program(), k.canonical()
+    plan = compile_program(prog, binds)
+    cases = [{**binds, t: emptied(binds[t])} for t in k.inputs]
+    cases.append({t: emptied(binds[t]) for t in k.inputs})
+    for some in cases:
+        got = compile_program(prog, some)
+        assert got == plan
+        res = run(got)
+        assert outputs_match(res.output, evaluate(prog, some), rel=k.rel)
+    # with every input empty, every loop over a continuum runs zero times
+    assert res.stats == ExecStats(0, 0, 0)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contensor.executor import run
-from contensor.ir import Block, BoolC, EmitPiece, IntersectLet, LimC, Num, OutputDecl, Plan
+from contensor.ir import Block, BoolC, IntersectLet, LimC, Num, OutputDecl, Plan, Write
 from contensor.limits import Limit
 from contensor.storage import OverlapError
 
@@ -82,7 +82,7 @@ def plan_of(shape, op, fill, writes) -> Plan:
                 stmts.append(IntersectLet(slot, "r", (LimC(Limit(*c[0])),), (LimC(Limit(*c[1])),)))
                 comps.append(("iv", slot, "r"))
         leaf = BoolC(value) if isinstance(value, bool) else Num(value)
-        stmts.append(EmitPiece("Out", tuple(comps), op, leaf))
+        stmts.append(Write("Out", tuple(comps), op, leaf))
     return Plan(Block(tuple(stmts)), OutputDecl("Out", shape, fill), len(stmts))
 
 
