@@ -101,18 +101,21 @@ class _Access:
 
 
 class _Ctx:
-    def __init__(self, namer, difs, loops, paths, marks):
+    def __init__(self, namer, difs, loops, paths, marks, keys):
         self.namer = namer
         self.difs = difs
         self.loops = loops  # var -> SFor
         self.paths = paths  # the path of every write lowered, shared by forks
         self.marks = marks  # id(expr) -> (negative slot, R-PIN or R-DIV Diag), shared by forks
+        self.keys = keys  # id(EAccess) -> its access's key, shared by forks
         self.scalars = {}  # var -> Var
-        self.accesses = {}  # id(EAccess) -> _Access
+        # (tensor, index maps) -> _Access: equal accesses read the same
+        # value everywhere, so they share one stepper or probe
+        self.accesses = {}
         self.pending = {}  # var -> (iv_slot, iv_name)
 
     def fork(self):
-        c = _Ctx(self.namer, self.difs, self.loops, self.paths, self.marks)
+        c = _Ctx(self.namer, self.difs, self.loops, self.paths, self.marks, self.keys)
         c.scalars = dict(self.scalars)
         c.accesses = dict(self.accesses)
         c.pending = dict(self.pending)
@@ -218,7 +221,7 @@ def _build_value(e, ctx, leaves):
     if isinstance(e, EVar):
         return ctx.scalars.get(e.name) or Var(_mark(e, ctx), e.name)
     if isinstance(e, EAccess):
-        a = ctx.accesses[id(e)]
+        a = ctx.accesses[ctx.keys[id(e)]]
         if a.miss:
             return _fill_const(a.tensor)
         if a.rank != a.tensor.ndim:
@@ -566,12 +569,13 @@ def compile_program(program: Program, bindings, *, opt_bounds=False,
 
     loops, accesses, difs, assign = _collect(program)
     namer = Namer()
-    ctx = _Ctx(namer, difs, loops, [], {})
+    ctx = _Ctx(namer, difs, loops, [], {}, {})
     for e in accesses:
         if e.tensor not in bindings:
             raise CompileError(f"tensor {e.tensor!r} is not bound")
-        t = bindings[e.tensor]
-        ctx.accesses[id(e)] = _Access(t, tuple(affine_terms(ix) for ix in e.indices))
+        key = ctx.keys[id(e)] = (e.tensor, tuple(affine_terms(ix) for ix in e.indices))
+        if key not in ctx.accesses:
+            ctx.accesses[key] = _Access(bindings[e.tensor], key[1])
     if assign.target in bindings:
         raise CompileError(f"output {assign.target!r} is also bound as an input")
 

@@ -7,10 +7,13 @@ inline as ``(val, eps)`` tuples, the form in which each ``SparseLevel``
 stores them and which orders exactly as ``Limit`` does. The function
 reads those levels and the leaf values from the bindings and keeps the
 ``ExecStats`` counters in local ints. Compiled kernels are cached by
-their source text, so a plan run again (or an equal plan over
-new data) pays no ``compile()``, while plans that equality would merge
-but that render differently (fill ``True`` vs ``1.0``) keep separate
-kernels.
+``Plan.key``, the plan without its bindings, before anything is
+rendered: a plan run again, or an equal plan over new data of one
+format, pays neither rendering nor ``compile()``. The key is the repr of
+body and output, so plans that equality would merge but that render
+differently (fill ``True`` vs ``1`` vs ``1.0``, a constant ``0.0`` vs
+``-0.0``) keep separate kernels, and it holds no tensor, so a cached
+kernel keeps no input alive.
 
 A co-iteration renders in the loop shape lowering chose; the renderer
 decides nothing again. A finger loop (``WhileCoiter.walk`` unset: no
@@ -50,7 +53,6 @@ fibers, an interval piece keyed by its pair of ``(val, eps)`` ends.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from bisect import bisect_left
@@ -542,8 +544,9 @@ class _Source:
         value = self.expr(s.value)
         leaves, self.leaf_pos = self.leaf_pos, None
         if s.two_tensor and leaves:
-            # a multiply is counted where every leaf is stored, not fill
-            tests = " and ".join(f"{p} >= 0" for p in leaves
+            # a multiply is counted where every leaf is stored, not fill;
+            # an access written twice reads one position
+            tests = " and ".join(f"{p} >= 0" for p in dict.fromkeys(leaves)
                                  if p != "0" and p not in self.fingers and p not in self.ends)
             add(f"{pad}if {tests}:\n{pad}{_IND}_mul += 1" if tests else f"{pad}_mul += 1")
         if s.emits:
@@ -587,11 +590,31 @@ def kernel_source(plan: Plan) -> str:
     return _Source(plan).source()
 
 
-@functools.lru_cache(maxsize=128)
-def _kernel(source: str):
-    namespace = dict(_GLOBALS)
-    exec(compile(source, "<contensor kernel>", "exec"), namespace)
-    return namespace["kernel"]
+@dataclass(frozen=True)
+class _Kernel:
+    fn: object  # the compiled kernel(_b)
+    op: str  # the plan's assignment operator, as _Source found it
+    source: str  # the text fn was compiled from
+
+
+_KERNELS = {}  # Plan.key -> _Kernel, the least recently run first
+_MAX_KERNELS = 128
+
+
+def _kernel(plan: Plan) -> _Kernel:
+    """The plan's compiled kernel, rendered and compiled only on a miss."""
+    key = plan.key
+    k = _KERNELS.pop(key, None)
+    if k is None:
+        render = _Source(plan)
+        source = render.source()
+        namespace = dict(_GLOBALS)
+        exec(compile(source, "<contensor kernel>", "exec"), namespace)
+        k = _Kernel(namespace["kernel"], render.op, source)
+        if len(_KERNELS) >= _MAX_KERNELS:
+            del _KERNELS[next(iter(_KERNELS))]
+    _KERNELS[key] = k
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -779,12 +802,11 @@ def _overlaps(pieces) -> bool:
 
 
 def run(plan: Plan) -> ExecResult:
-    source = _Source(plan)
-    text = source.source()
-    segments, multiplies, emitted, out = _kernel(text)(plan.bindings)
+    kernel = _kernel(plan)
+    segments, multiplies, emitted, out = kernel.fn(plan.bindings)
     stats = ExecStats(multiplies=multiplies, segments_visited=segments,
                       pieces_emitted=emitted)
-    store = _Store(plan.output, source.op)
+    store = _Store(plan.output, kernel.op)
     out = store.finalize(out)
     diags = [f"output {plan.output.name} contains NaN values"] if store.nan else []
     return ExecResult(out, stats, diags)

@@ -12,6 +12,7 @@ Execution lives in executor.py; nothing here evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Union
 
 from .limits import Limit
@@ -327,6 +328,15 @@ class Plan:
     output: OutputDecl
     n_slots: int
     bindings: dict = field(compare=False, default_factory=dict)
+
+    @cached_property
+    def key(self) -> str:
+        """What the plan's kernel depends on: body and output, bindings
+        excluded, in their repr, which tells apart what == merges (True,
+        1 and 1.0; 0.0 and -0.0). Plans with equal keys render one kernel
+        source. Built on first use and kept with the plan object; a str
+        keeps its own hash, so a lookup by it hashes nothing again."""
+        return repr((self.body, self.output))
 
 
 class Namer:

@@ -6,6 +6,7 @@ import pytest
 
 from contensor.compiler import MAX_REGIONS, CompileError, ValidityError, compile_program
 from contensor.executor import run
+from contensor.intervals import Interval
 from contensor.ir import (
     Block, IntersectLet, LenOf, Namer, Pin, Plan, Probe, WhileCoiter, Write, pretty,
 )
@@ -381,3 +382,42 @@ def test_dividing_by_a_nonzero_fill_compiles():
     got = run(compile_program(program, {"A": DIV_A, "B": B})).output
     assert outputs_match(got, evaluate(program, {"A": DIV_A, "B": B}))
     assert [v for _, v in got.pieces()] == [1.0, 0.5]
+
+
+def steppers_of(plan) -> list:
+    return [st.pos_name for w in collect(plan.body, WhileCoiter) for st in w.steppers]
+
+
+def test_a_divisor_written_again_as_a_factor_is_read_only_where_it_is_stored():
+    # both B[i] are one access: its one stepper annihilates, so A / B is
+    # never read in B's gap, where it would divide by B's fill 0. The
+    # oracle divides there and raises, so the value is worked by hand:
+    # on [0.5, 1] B * (A / B) = 4 * (2 / 4), and on (1, 2] it is the fill
+    B = tensor_1d("B", [((0.5, 2.0), 4.0)], 0.0, kind="interval")
+    program = parse("for i = -inf:inf\n  Out[i] = B[i] * (A[i] / B[i])\nend\n")
+    plan = compile_program(program, {"A": DIV_A, "B": B})
+    assert steppers_of(plan) == ["p_B0", "p_A0"]
+    got = run(plan).output
+    assert [(path[0], v) for path, v in got.pieces()] == [(Interval.closed(0.5, 1.0), 2.0)]
+
+
+REPEAT_A = tensor_1d("A", [((0.0, 1.0), 2.0), ((1.5, 3.0), -0.5)], 0.0, kind="interval")
+REPEAT_P = tensor_1d("P", [(0.5, 3.0), (2.0, 1.0), (4.0, 2.0)], 0.0)
+
+
+@pytest.mark.parametrize("src, steppers, probes", [
+    ("for i = -inf:inf\n  s += A[i] * A[i] * d(i)\nend\n", ["p_A0"], 0),
+    ("for i = -inf:inf\n  Out[i] = A[i] * A[i]\nend\n", ["p_A0"], 0),
+    ("for i = -inf:inf\n  Out[i] = A[i] + A[i]\nend\n", ["p_A0"], 0),
+    ("for i = -inf:inf\n  Out[i] = A[i] + P[i] * A[i]\nend\n", ["p_A0", "p_P0"], 0),
+    ("for i = -inf:inf\n  s += P[i] * A[i] * A[i]\nend\n", ["p_P0"], 1),
+    # a different index map is a different access
+    ("for i = -inf:inf\n  Out[i] = A[i] * A[i + 0.5]\nend\n", ["p_A0", "p_A01"], 0),
+])
+def test_an_access_written_twice_is_stepped_once(src, steppers, probes):
+    program = parse(src)
+    binds = {"A": REPEAT_A, "P": REPEAT_P} if "P[" in src else {"A": REPEAT_A}
+    plan = compile_program(program, binds)
+    assert steppers_of(plan) == steppers
+    assert len(collect(plan.body, Probe)) == probes
+    assert outputs_match(run(plan).output, evaluate(program, binds))

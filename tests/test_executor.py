@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import re
+import weakref
 
 import pytest
 
@@ -356,8 +358,8 @@ def test_equal_plans_share_one_kernel(monkeypatch):
     binds = k.random_instance(random.Random(3))
     first = compile_program(k.program(), k.canonical())
     other = compile_program(k.program(), binds)
-    assert kernel_source(first) == kernel_source(other)
-    executor._kernel.cache_clear()
+    assert first.key == other.key
+    monkeypatch.setattr(executor, "_KERNELS", {})
     run(first)
 
     def no_compile(*args):
@@ -366,9 +368,50 @@ def test_equal_plans_share_one_kernel(monkeypatch):
     monkeypatch.setattr(executor, "compile", no_compile, raising=False)
     res = run(other)
     assert res.output == pytest.approx(oracle.evaluate(k.program(), binds))
+    assert executor._kernel(other) is executor._kernel(first)
 
 
-def test_fill_true_and_one_get_separate_kernels():
+def test_a_rerun_and_an_equal_plan_render_nothing(monkeypatch):
+    # every render, kernel_source's and run's, goes through _Source.source
+    renders = []
+    source = executor._Source.source
+
+    def counted(self):
+        renders.append(self.plan)
+        return source(self)
+
+    monkeypatch.setattr(executor, "_KERNELS", {})
+    monkeypatch.setattr(executor._Source, "source", counted)
+    k = kernels.get("masked_conv")
+    plan = compile_program(k.program(), k.canonical())
+    first = run(plan)
+    assert renders == [plan]
+    again = run(plan)
+    assert repr(again.output) == repr(first.output) and again.stats == first.stats
+    binds = k.random_instance(random.Random(5))
+    other = compile_program(k.program(), binds)
+    assert other is not plan and other.key == plan.key
+    res = run(other)
+    assert renders == [plan]
+    assert oracle.outputs_match(res.output, oracle.evaluate(k.program(), binds), rel=k.rel)
+    assert executor._kernel(other).source == kernel_source(other)
+    assert len(renders) == 2  # kernel_source itself always renders
+
+
+def test_the_kernel_cache_keeps_no_input_alive(monkeypatch):
+    monkeypatch.setattr(executor, "_KERNELS", {})
+    A = tensor_1d("A", [((1.0, 3.0), 1.0)], 0.0, kind="interval")
+    B = tensor_1d("B", [((2.0, 5.0), 2.0)], 0.0, kind="interval")
+    gone = weakref.ref(A)
+    plan = compile_program(parse(DOT_INTEGRAL), {"A": A, "B": B})
+    assert run(plan).output == pytest.approx(2.0)
+    assert len(executor._KERNELS) == 1
+    del plan, A, B
+    gc.collect()
+    assert gone() is None
+
+
+def test_fill_true_and_one_get_separate_kernels(monkeypatch):
     # each point of M probes A; a probe that misses reads A's fill
     prog = parse("""
 for i = -inf:inf
@@ -381,19 +424,30 @@ end
         return compile_program(prog, {"M": M, "A": tensor_1d("A", [((0.0, 1.0), True)], fill,
                                                              kind="interval")})
 
+    monkeypatch.setattr(executor, "_KERNELS", {})
     as_bool, as_float = plan(True), plan(1.0)
     assert as_bool == as_float  # dataclass equality cannot tell True from 1.0
-    assert kernel_source(as_bool) != kernel_source(as_float)
-    assert executor._kernel(kernel_source(as_bool)) is not executor._kernel(kernel_source(as_float))
+    assert as_bool.key != as_float.key
     assert [v for _, v in run(as_bool).output.pieces()] == [True, True]
+    run(as_float)
+    assert len(executor._KERNELS) == 2
+    for p in (as_bool, as_float):
+        assert executor._kernel(p).source == kernel_source(p)
+    assert executor._kernel(as_bool).source != executor._kernel(as_float).source
 
 
-def test_signed_zero_constants_get_separate_sources():
+def test_signed_zero_constants_get_separate_sources(monkeypatch):
     def plan(zero):
         return Plan(LetScalar(0, "z", Num(zero)), OutputDecl("s", (), 0.0), 1)
 
-    assert plan(0.0) == plan(-0.0)
-    assert kernel_source(plan(0.0)) != kernel_source(plan(-0.0))
+    monkeypatch.setattr(executor, "_KERNELS", {})
+    pos, neg = plan(0.0), plan(-0.0)
+    assert pos == neg
+    assert pos.key != neg.key
+    for p in (pos, neg):
+        assert run(p).output == 0.0
+        assert executor._kernel(p).source == kernel_source(p)
+    assert executor._kernel(pos).source != executor._kernel(neg).source
 
 
 def test_outputs_keep_their_value_types():

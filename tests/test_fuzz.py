@@ -22,8 +22,9 @@ import math
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from contensor import executor
 from contensor.compiler import CompileError, ValidityError, compile_program
-from contensor.executor import run
+from contensor.executor import kernel_source, run
 from contensor.lang import parse
 from contensor.limits import Limit
 from contensor.oracle import OracleError, evaluate, outputs_match
@@ -247,7 +248,8 @@ def pointwise_reference(got, program, binds):
 
 def test_random_programs_agree_with_the_oracle():
     """Every valid program the strategy draws agrees with the oracle, and
-    compiles to the same output with bound pruning.
+    compiles to the same output with bound pruning; the kernel it ran is
+    the one a fresh render of its plan gives.
 
     A known oracle fault (xfail below) changes what agreeing means: a
     reduction whose pieces overlap, which the oracle cannot combine, is
@@ -275,6 +277,8 @@ def test_random_programs_agree_with_the_oracle():
         except OracleError:
             assume(False)  # outside what the oracle evaluates
         got = outcome(lambda: run(plan).output)
+        # the kernel cache's key tells apart every pair of plans that render differently
+        assert executor._kernel(plan).source == kernel_source(plan), src
         # bound pruning deletes only guards and operands that change nothing
         pruned = outcome(lambda: run(compile_program(program, binds, opt_bounds=True)).output)
         assert repr(pruned) == repr(got), src
