@@ -154,27 +154,32 @@ def _harvest(s, pv: _Prover):
 def _coiter_facts(s: WhileCoiter, pv: _Prover, bindings):
     """Facts that hold inside a co-iteration's body, and only there: the
     body runs only on a non-empty range, and only a stepper that runs out
-    leaves its fiber (to read inf + eps, past its last stop)."""
+    leaves its fiber (to read inf + eps, past its last stop). A pieces
+    loop over its whole fiber has no range or segment, only its pieces."""
+    ranged = s.range_slot is not None
     cur = ("a", s.curr_slot)
     stop = ("b", s.curr_slot)
-    pv.fact(("a", s.range_slot), cur)
-    pv.fact(cur, ("b", s.range_slot))
+    if ranged:
+        pv.fact(("a", s.range_slot), cur)
+        pv.fact(cur, ("b", s.range_slot))
     comps = [("b", s.range_slot)]
     for st in s.steppers:
         pp = bindings[st.tensor].levels[st.level].pinpoint
         pos = PVar(st.pos_slot, st.pos_name)
         right = ("e", st.tensor, st.level, "C" if pp else "R",
                  pos, 0, st.shift)
-        pv.fact(cur, right)     # seek: cursor never passes a right end
+        if ranged:
+            pv.fact(cur, right)     # seek: cursor never passes a right end
         if not st.runs_out:     # rights are sorted within a fiber
             pv.fact(right, ("z", st.tensor, st.level, st.fiber, st.shift))
         if not pp:
             left = ("e", st.tensor, st.level, "L", pos, 0, st.shift)
             pv.fact(left, right)
         comps.append(right)
-    pv.mins[s.curr_slot] = comps
-    for c in comps:
-        pv.fact(stop, c)
+    if ranged:
+        pv.mins[s.curr_slot] = comps
+        for c in comps:
+            pv.fact(stop, c)
 
 
 def _guard_state(s: Guard, pv: _Prover):

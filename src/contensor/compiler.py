@@ -15,7 +15,8 @@ The strategy, per continuous loop:
    pieces over it. The range ends where the first annihilating one's
    fiber does. Every other one runs out: it reads as a gap out to +inf
    past its last piece; where all of those are gaps and nothing is
-   written, the range ends where the last of their fibers does too.
+   written, the range ends where the last of their fibers does too. A
+   lone stepper over the whole line needs no range: its fiber is one.
 3. Each participant that runs out splits every segment of the
    co-iteration into its piece and the gap before it, so u of them lower
    2**u regions; an annihilating one only has its piece.
@@ -29,12 +30,16 @@ pay for every combination. Where some annihilating participants store
 only isolated points, one of those alone is stepped and the others are
 probed after pinning; its gaps write nothing, so the others are never
 needed there. The format picks it: the deepest rank, then the first in program
-order (so write the sparser of two tied point inputs first). A
-co-iteration walks the segments between consecutive stops
-(``WhileCoiter.walk``) when a stepper runs out or is shifted, and steps
-fingers over the pieces alone otherwise. A stepper's reads follow its
-kind (``StepperRT.runs_out``): an annihilating one never leaves its fiber
-inside the range.
+order (so write the sparser of two tied point inputs first). Lowering
+picks each co-iteration's shape (``WhileCoiter.shape``): a walk over the
+segments between consecutive stops when a stepper runs out or is
+shifted; pieces, the lone stepper's pieces by position, when one stepper
+annihilates and is unshifted; fingers over the pieces alone otherwise.
+A pieces loop over the whole line emits each stored piece as its region,
+unclipped and unguarded, as no stored piece is empty; a stored point
+pins the index to its coordinate, with no region at all. A stepper's
+reads follow its kind (``StepperRT.runs_out``): an annihilating one
+never leaves its fiber inside the range.
 
 Every lowering function emits a statement only when a write lies below
 it, and folds constants as it builds each expression, so the plan needs
@@ -45,7 +50,8 @@ decides: a collapse of a continuous index that no d() factor, idempotent
 operator or pinning makes finite is R-SUM, a value still read once
 unread binders are dropped that needs an index no stored points pin is
 R-PIN, and one that divides by a divisor that folds to 0 (a literal 0,
-or the fill 0 of an access where it misses) is R-DIV (``ValidityError``).
+or the fill 0 of an access where it misses) is R-DIV (``ValidityError``,
+its diagnostics in source order).
 """
 
 from __future__ import annotations
@@ -416,27 +422,37 @@ def _lower_cont(s: SFor, ctx):
     # it nothing is written. The others read as a gap past their last piece
     stops = [] if hi.val == math.inf else [LimC(hi)]
     stops += [last(k) for k in steppers if k in annihilating]
-    rslot, rname = ctx.namer.slot("iv")
     if not steppers:
-        inner = _finish_region(s, rslot, rname, False, ctx.fork())
+        rslot, rname = ctx.namer.slot("iv")
+        inner = _finish_region(s, (rslot, rname), ctx.fork())
         return [IntersectLet(rslot, rname, (LimC(lo),), (LimC(hi),)),
                 Guard(rslot, rname, Block(tuple(inner)))] if inner else []
 
-    cur_slot, cur_name = ctx.namer.slot("cur")
-    seg_slot, seg_name = ctx.namer.slot("seg")
+    shifts = {k: _shift_expr(ctx.accesses[k].idx[ctx.accesses[k].rank], var, ctx)
+              for k in steppers}
+    # only a cursor steps past a gap, or keeps a point in one piece where a
+    # shift rounds a piece's start onto the previous piece's stop. A lone
+    # stepper steps its pieces by position; over the whole line its fiber
+    # is the range, and each piece the region
+    shape = ("walk" if u or any(sh is not None for sh in shifts.values())
+             else "pieces" if len(steppers) == 1 else "fingers")
+    whole = shape == "pieces" and s.lo == -math.inf and s.hi == math.inf
+    if not whole:
+        rslot, rname = ctx.namer.slot("iv")
+        cur_slot, cur_name = ctx.namer.slot("cur")
+        seg_slot, seg_name = ctx.namer.slot("seg")
     rts = {}
     for key in steppers:
         a = ctx.accesses[key]
         rts[key] = StepperRT(*ctx.namer.slot(f"p_{a.tensor.name}{a.rank}"), a.tensor.name,
-                             a.rank, a.pos, _shift_expr(a.idx[a.rank], var, ctx),
-                             runs_out=key not in annihilating)
+                             a.rank, a.pos, shifts[key], runs_out=key not in annihilating)
 
     sub_stmts = []
     # where an annihilating access misses, nothing is written
     for sub in product(*[(True,) if k in annihilating else (True, False) for k in steppers]):
         c3 = ctx.fork()
-        s3 = [IvStart(seg_slot, seg_name)]
-        t3 = [IvStop(seg_slot, seg_name)]
+        s3 = [] if whole else [IvStart(seg_slot, seg_name)]
+        t3 = [] if whole else [IvStop(seg_slot, seg_name)]
         pinflag = False
         for key, in_piece in zip(steppers, sub):
             a, rt = c3.accesses[key], rts[key]
@@ -445,45 +461,55 @@ def _lower_cont(s: SFor, ctx):
             end = EndRef(a.tensor.name, a.rank, "C" if pp else "L", pv, 0, rt.shift)
             if in_piece:
                 s3.append(end)
+                if whole:
+                    t3.append(dc_replace(end, side="C" if pp else "R"))
                 pinflag = pinflag or pp
                 c3.accesses[key] = dc_replace(a, pos=pv, rank=a.rank + 1)
             else:
                 t3.append(dc_replace(end, eps_off=-1))
                 c3.accesses[key] = dc_replace(a, miss=True)
+        if whole and pinflag:
+            # a stored point is its own region: the pin reads its coordinate
+            sub_stmts += _finish_region(s, None, c3, pin=s3[0])
+            continue
         sslot, sname = ctx.namer.slot("r")
-        inner = _finish_region(s, sslot, sname, pinflag, c3)
-        if inner:
-            sub_stmts += [IntersectLet(sslot, sname, tuple(s3), tuple(t3), pinflag),
-                          Guard(sslot, sname, Block(tuple(inner)))]
+        inner = _finish_region(s, (sslot, sname), c3,
+                               pin=IvStart(sslot, sname) if pinflag else None)
+        region = IntersectLet(sslot, sname, tuple(s3), tuple(t3), pinflag)
+        if inner and whole:
+            # a stored piece is never empty
+            sub_stmts += [region, *inner]
+        elif inner:
+            sub_stmts += [region, Guard(sslot, sname, Block(tuple(inner)))]
         elif u and not any(p for k, p in zip(steppers, sub) if k not in annihilating):
             # where every stepper that runs out is a gap nothing is written,
             # so the loop also ends where the last of them does
             stops.append(MaxOf(tuple(last(k) for k in steppers if k not in annihilating)))
     if not sub_stmts:
         return []
+    if whole:
+        return [WhileCoiter(tuple(rts.values()), Block(tuple(sub_stmts)), shape)]
     return [IntersectLet(rslot, rname, (LimC(lo),), tuple(stops or [LimC(hi)])), WhileCoiter(
+        tuple(rts.values()), Block(tuple(sub_stmts)), shape,
         rslot, rname, cur_slot, cur_name, seg_slot, seg_name,
-        tuple(rts.values()), Block(tuple(sub_stmts)),
-        # only a cursor steps past a gap, or keeps a point in one piece where
-        # a shift rounds a piece's start onto the previous piece's stop
-        walk=any(rt.runs_out or rt.shift is not None for rt in rts.values()),
     )]
 
 
-def _finish_region(s: SFor, iv_slot, iv_name, pinpoint, ctx):
-    """Lower the loop body inside one region of the loop's index; [] when
-    nothing is written there."""
+def _finish_region(s: SFor, region, ctx, pin=None):
+    """Lower the loop body inside one region of the loop's index, a
+    (slot, name) pair; with pin, the endpoint it holds, the region is that
+    one point and the index is pinned there. [] when nothing is written."""
     var = s.var
-    if pinpoint:
+    if pin is not None:
         if var in ctx.difs:
             return []  # a d(var) factor makes a zero-length region contribute 0
         slot, name = ctx.namer.slot(var)
         ctx.scalars[var] = Var(slot, name)
-        stmts = [Pin(slot, name, iv_slot, iv_name)]
+        stmts = [Pin(slot, name, pin)]
         _advance(ctx, stmts)
         body = _lower_block(s.body, ctx)
         return stmts + body if body else []
-    ctx.pending[var] = (iv_slot, iv_name)
+    ctx.pending[var] = region
     return _lower_block(s.body, ctx)
 
 
@@ -589,7 +615,9 @@ def compile_program(program: Program, bindings, *, opt_bounds=False,
     plan = simplify_plan(plan)
     unpinned = {slot for slot in used_slots(plan.body) if slot < 0}
     if unpinned:
-        raise ValidityError([d for slot, d in ctx.marks.values() if slot in unpinned])
+        # in source order, whatever order lowering met them in
+        raise ValidityError(sorted((d for slot, d in ctx.marks.values() if slot in unpinned),
+                                   key=lambda d: (d.line, d.col)))
     if opt_bounds:
         from .bounds import prune_bounds
 

@@ -1,8 +1,8 @@
 """Plan execution by generated code.
 
 ``kernel_source`` renders a plan as the source of one Python function:
-every plan slot is a local, every co-iteration one ``while`` loop with
-its steppers written out as int locals, and endpoints are compared
+every plan slot is a local, every co-iteration one ``while`` or ``for``
+loop with its steppers written out as int locals, and endpoints are compared
 inline as ``(val, eps)`` tuples, the form in which each ``SparseLevel``
 stores them and which orders exactly as ``Limit`` does. The function
 reads those levels and the leaf values from the bindings and keeps the
@@ -15,24 +15,34 @@ differently (fill ``True`` vs ``1`` vs ``1.0``, a constant ``0.0`` vs
 ``-0.0``) keep separate kernels, and it holds no tensor, so a cached
 kernel keeps no input alive.
 
-A co-iteration renders in the loop shape lowering chose; the renderer
-decides nothing again. A finger loop (``WhileCoiter.walk`` unset: no
-stepper runs out or is shifted) writes only where all its steppers are
-in a piece: each iteration is the overlap of the current pieces, the
-fingers at the least stop move on, and the loop ends when that stop is
-the range's. It keeps no cursor, and starts each finger at its fiber's
-first piece when the range starts at the open -inf. A walk steps the
-segments between consecutive stops, gaps included, with a cursor that
-must advance each step. A stepper's reads follow its kind, in either
-shape. One that annihilates, in its loop or an enclosing one, is read
-unguarded: the range ends at its last stop, so it never leaves its
-fiber. One that runs out (``StepperRT.runs_out``) reads every end as
-inf + eps at its fiber's end (an empty or missing fiber, or a range or
-step past its last piece): its piece is empty and its gap reaches past
-the range. An endpoint of any other position is a plan fault, raised
-as ``ExecError`` when the kernel is rendered. Both shapes end each
-iteration at the same least stop, so ``segments_visited`` counts loop
-iterations in either, a walk's final all-gap segment included.
+A co-iteration renders in the loop shape lowering chose
+(``WhileCoiter.shape``); the renderer decides nothing again. A finger
+loop (no stepper runs out or is shifted) writes only where all its
+steppers are in a piece: each iteration is the overlap of the current
+pieces, the fingers at the least stop move on, and the loop ends when
+that stop is the range's. It keeps no cursor, and starts each finger at
+its fiber's first piece when the range starts at the open -inf. A pieces
+loop is the finger loop of a lone stepper, run as ``for p in range(...)``
+over its positions: over its whole fiber (no range) each piece is the
+region and its segments are counted once, before the loop; over a range
+it starts at ``_seek``, clips each piece to the range and breaks at the
+first that reaches the range's stop. A walk steps the segments between
+consecutive stops, gaps included, with a cursor that must advance each
+step. A fiber's last stop is read inline from ``ptr`` and the stop
+column (through ``SparseLevel.last_stop`` at the root), with an ``f >= 0``
+test only where the fiber can be -1: a probe's result or a guarded dense
+index. A stepper's reads follow its kind, in every shape. One that
+annihilates, in its loop or an enclosing one, is read unguarded: the
+range ends at its last stop, so it never leaves its fiber. One that runs
+out (``StepperRT.runs_out``) reads every end as inf + eps at its fiber's
+end (an empty or missing fiber, or a range or step past its last piece):
+its piece is empty and its gap reaches past the range. An endpoint of
+any other position is a plan fault, raised as ``ExecError`` when the
+kernel is rendered. Walks and finger loops end each iteration at the
+same least stop, so ``segments_visited`` counts their iterations, a
+walk's final all-gap segment included; in a pieces loop it counts the
+pieces visited, which is what a finger loop over the same stepper
+iterates.
 
 Writes are rendered for the plan's one assignment operator. A path is
 a tuple with an int per dense rank, the pinned coordinate per pinpoint
@@ -66,7 +76,7 @@ from .ir import (
     Num, Or, OutputDecl, PDense, PRoot, PVar, Pin, Plan, Probe, Sub, Var, WhileCoiter,
     Write, render,
 )
-from .storage import OverlapError, build_tensor
+from .storage import _NO_STOP, OverlapError, build_tensor
 
 
 class ExecError(RuntimeError):
@@ -130,12 +140,12 @@ def _pin_error(a, b):
 _GLOBALS = {
     "_seek": _seek, "_probe": _probe, "_pin_error": _pin_error,
     "_ExecError": ExecError, "_INF": math.inf, "_NAN": math.nan,
-    "_NEG_OPEN": _NEG_OPEN, "_POS_OPEN": _POS_OPEN, "_PAST": _PAST,
+    "_NEG_OPEN": _NEG_OPEN, "_POS_OPEN": _POS_OPEN, "_PAST": _PAST, "_NO_STOP": _NO_STOP,
 }
 # Every name the generator makes ends in a suffix no other kind of name
 # has, and slot locals end in "_<slot>". The kernel's temporaries (_e, _n,
-# _d, _p, _t, _v, _val, _key, and _lo<n>/_hi<n> for the n-th region in a
-# write's path) are each consumed right after they are set, before any
+# _d, _p, _t, _v, _f, _q, _val, _key, and _lo<n>/_hi<n> for the n-th region
+# in a write's path) are each consumed right after they are set, before any
 # other use of the same name can run, so one of each serves the kernel.
 # The output is _out: a record list under "=" (appended through _add), a
 # dict by path under a reduction (read through _get), or the value itself
@@ -198,12 +208,14 @@ class _Source:
         self.plan = plan
         self.slots = {}  # slot -> local, or (lo, hi) locals for a region
         self.levels = {}  # (tensor, level) -> "_<tag>_<level>"
+        self.ptrs = set()  # levels whose ptr column is a local, <prefix>_ptr
         self.values = {}  # tensor -> "_<tag>_vals"
         self.dense = 0  # dense positions rendered so far
         self.leaf_pos = None  # positions of the leaves of the value being written
         self.open_lo = set()  # region slots whose start is the open -inf
         self.fingers = frozenset()  # position locals of the annihilating steppers in scope
         self.ends = {}  # position local of a stepper in scope that runs out -> its fiber's end
+        self.probed = set()  # position locals a probe sets: -1 where it misses
         self.op = None  # a plan writes with one operator
         self.lines = []
 
@@ -214,6 +226,8 @@ class _Source:
         for (tensor, level), t in self.levels.items():
             head.append(f"    {t}_table = _b[{tensor!r}].levels[{level}]\n"
                         f"    {t}_starts, {t}_stops = {t}_table.starts, {t}_table.stops")
+            if t in self.ptrs:
+                head.append(f"    {t}_ptr = {t}_table.ptr")
         for tensor, vals in self.values.items():
             head.append(f"    {vals} = _b[{tensor!r}].values")
         if self.op == "=":
@@ -249,6 +263,12 @@ class _Source:
         if t is None:
             t = self.levels[(tensor, level)] = f"_{_ident(tensor, len(self.levels))}_{level}"
         return t
+
+    def ptr(self, tensor: str, level: int) -> str:
+        """The local of a stored level's ptr column."""
+        t = self.level(tensor, level)
+        self.ptrs.add(t)
+        return f"{t}_ptr"
 
     def vals(self, tensor: str) -> str:
         v = self.values.get(tensor)
@@ -357,13 +377,32 @@ class _Source:
         if t is IvStop:
             return self.region(e.slot, e.name)[1]
         if t is LastStop:
-            base = f"{self.level(e.tensor, e.level)}_table.last_stop({self.pexpr(e.fiber)})"
-            return self.adjust(base, e.shift)
+            return self.adjust(self.last_stop(e), e.shift)
         if t is MaxOf:
             return f"max({', '.join(map(self.lexpr, e.ends))})"
         if t is LimC:
             return f"({_lit(e.value.val)}, {e.value.eps})"
         raise ExecError(f"bad endpoint {e!r}")
+
+    def last_stop(self, e: LastStop) -> str:
+        """The stop of a fiber's last piece, or _NO_STOP when it has none
+        (or f = -1), read inline except at the root."""
+        t, f = self.level(e.tensor, e.level), self.pexpr(e.fiber)
+        if f == "0":
+            return f"{t}_table.last_stop(0)"
+        ptr = self.ptr(e.tensor, e.level)
+        test = ""
+        if self.can_miss(e.fiber, f):
+            if _simple(f):
+                test = f"{f} >= 0 and "
+            else:
+                test, f = f"(_f := {f}) >= 0 and ", "_f"
+        return f"({t}_stops[_q - 1] if {test}{ptr}[{f}] < (_q := {ptr}[{f} + 1]) else _NO_STOP)"
+
+    def can_miss(self, fiber, f: str) -> bool:
+        """Whether a fiber position can be -1: a guarded dense index or a
+        probe's result; a stepper's position is always in its fiber."""
+        return type(fiber) is PDense or f in self.probed
 
     def adjust(self, base: str, shift, off: int = 0) -> str:
         """Shift an endpoint back through the access map, then nudge its eps."""
@@ -407,9 +446,14 @@ class _Source:
         self.lines.append(f"{pad}{self.var(s.slot, s.name)} = {self.expr(s.expr)}")
 
     def pin(self, s: Pin, pad: str):
-        lo, hi = self.region(s.iv_slot, s.iv_name)
-        self.lines.append(f"{pad}if {lo} != {hi}:\n{pad}{_IND}_pin_error({lo}, {hi})\n"
-                          f"{pad}{self.var(s.slot, s.name)} = {lo}[0]")
+        x = self.var(s.slot, s.name)
+        if type(s.at) is IvStart:
+            lo, hi = self.region(s.at.slot, s.at.name)
+            self.lines.append(f"{pad}if {lo} != {hi}:\n{pad}{_IND}_pin_error({lo}, {hi})\n"
+                              f"{pad}{x} = {lo}[0]")
+        else:
+            # a stored point's coordinate
+            self.lines.append(f"{pad}{x} = {self.lexpr(s.at)}[0]")
 
     def probe(self, s: Probe, pad: str):
         t, f, x = self.level(s.tensor, s.level), self.pexpr(s.parent), self.expr(s.coord)
@@ -420,7 +464,9 @@ class _Source:
             find = f"{t}_table.probe({f}, ({x}, 0))"
         else:
             find = f"_probe({t}_table, {f}, {x}, {self.expr(s.shift)})"
-        self.lines.append(f"{pad}{self.var(s.slot, s.name)} = {find}")
+        q = self.var(s.slot, s.name)
+        self.probed.add(q)
+        self.lines.append(f"{pad}{q} = {find}")
 
     def intersect(self, s: IntersectLet, pad: str):
         """Region = [max(starts), min(stops)]; ties keep the first, as max/min do."""
@@ -437,9 +483,16 @@ class _Source:
             out.extend(f"{pad}_e = {lexpr(a)}{tail}" for a in ops[1:])
         self.lines.append("\n".join(out))
 
+    def scoped(self, body, pad: str, fingers, ends):
+        """Render body with these steppers in scope."""
+        outer = self.fingers, self.ends
+        self.fingers, self.ends = fingers, ends
+        self.stmt(body, pad)
+        self.fingers, self.ends = outer
+
     def coiter(self, s: WhileCoiter, pad: str):
-        """One co-iteration, as the walk or finger loop lowering chose (see
-        the module notes).
+        """One co-iteration, in the shape lowering chose (see the module
+        notes); a pieces loop is ``pieces``'s.
 
         A walk's segment starts at the cursor, just past the last stop. A
         finger loop's starts at the range's start: a finger that moved on
@@ -448,7 +501,10 @@ class _Source:
         at its fiber's first piece: no stored stop is -inf, and the range
         is empty for an empty or missing fiber, as its last stop is.
         """
-        walk = s.walk
+        if s.shape == "pieces":
+            self.pieces(s, pad)
+            return
+        walk = s.shape == "walk"
         lo, hi = self.region(s.range_slot, s.range_name)
         if walk:
             cur = self.var(s.cursor_slot, s.cursor_name)
@@ -472,7 +528,10 @@ class _Source:
                 shift = f"({sh} := {self.expr(st.shift)})"
             f = self.pexpr(st.fiber)
             if from_fiber:
-                add(f"{pad}{p} = {t}_table.ptr[{f}]")
+                # off the root the ptr column is a local, which the
+                # range's inline last stop reads too
+                col = f"{t}_table.ptr" if f == "0" else self.ptr(st.tensor, st.level)
+                add(f"{pad}{p} = {col}[{f}]")
             else:
                 add(f"{pad}{p} = _seek({t}_table, {f}, {lo}, {shift})")
             read = f"{t}_stops[{p}]"
@@ -502,10 +561,7 @@ class _Source:
                 add(f"{pad}{r} = {read}\n{pad}if {r} < {stop}:\n{i}{stop} = {r}")
         if walk:
             add(f"{pad}{seg_lo} = {cur}")
-        outer = self.fingers, self.ends
-        self.fingers, self.ends = fingers, ends
-        self.stmt(s.body, pad)
-        self.fingers, self.ends = outer
+        self.scoped(s.body, pad, fingers, ends)
         if not walk:
             # the stop is the range's own until a stepper's falls below it
             add(f"{pad}if {stop} is {hi}:\n{i}break")
@@ -517,6 +573,45 @@ class _Source:
                 f"{pad}if not _n > {cur}:\n"
                 f'{i}raise _ExecError("co-iteration failed to advance")\n'
                 f"{pad}{cur} = _n")
+
+    def pieces(self, s: WhileCoiter, pad: str):
+        """A pieces loop: the lone stepper's positions, in a for loop.
+
+        Over its whole fiber (no range) every piece is a region, so the
+        segments are counted once, before the loop; a fiber that can be
+        -1 is tested first. Over a range the loop starts at the first
+        piece that reaches it, and each piece is clipped to it, as a finger
+        loop's are, until one reaches the range's stop: the range ends at
+        or before the fiber's last stop, so the loop breaks before it ends.
+        """
+        (st,) = s.steppers
+        add = self.lines.append
+        p = self.var(st.pos_slot, st.pos_name)
+        t, ptr = self.level(st.tensor, st.level), self.ptr(st.tensor, st.level)
+        f = self.pexpr(st.fiber)
+        end = f"_{p}_end"
+        fingers = self.fingers | {p}
+        if s.range_slot is None:
+            if self.can_miss(st.fiber, f):
+                add(f"{pad}if {f if _simple(f) else f'(_f := {f})'} >= 0:")
+                pad += _IND
+                f = f if _simple(f) else "_f"
+            add(f"{pad}{p} = {ptr}[{f}]\n{pad}{end} = {ptr}[{1 if f == '0' else f + ' + 1'}]\n"
+                f"{pad}_seg += {end} - {p}\n{pad}for {p} in range({p}, {end}):")
+            self.scoped(s.body, pad + _IND, fingers, self.ends)
+            return
+        lo, hi = self.region(s.range_slot, s.range_name)
+        stop, r = f"{self.var(s.curr_slot, s.curr_name)}_hi", f"_{p}_stop"
+        self.slots[s.curr_slot] = (lo, stop)
+        i = pad + 2 * _IND
+        add(f"{pad}if not {lo} > {hi}:\n"
+            f"{pad}{_IND}{end} = {ptr}[{1 if f == '0' else f + ' + 1'}]\n"
+            f"{pad}{_IND}for {p} in range(_seek({t}_table, {f}, {lo}, 0.0), {end}):\n"
+            f"{i}_seg += 1\n{i}{stop} = {hi}\n"
+            f"{i}{r} = {t}_stops[{p}]\n{i}if {r} < {stop}:\n{i}{_IND}{stop} = {r}")
+        self.scoped(s.body, i, fingers, self.ends)
+        # the stop is the range's own once the piece reaches it
+        add(f"{i}if {stop} is {hi}:\n{i}{_IND}break")
 
     def write(self, s, pad: str):
         add = self.lines.append

@@ -254,12 +254,14 @@ class Cond:
 
 @dataclass(frozen=True)
 class Pin:
-    """Collapse a loop over a pinpoint region to a scalar binding."""
+    """Collapse a loop over a pinpoint region to a scalar binding: the
+    start of a region (``IvStart``), which must equal its stop, or a
+    stored point's coordinate (an ``EndRef`` of side "C"), which is one
+    point by construction."""
 
     slot: int
     name: str
-    iv_slot: int
-    iv_name: str
+    at: "LExpr"
 
 
 @dataclass(frozen=True)
@@ -275,18 +277,22 @@ class StepperRT:
 
 @dataclass(frozen=True)
 class WhileCoiter:
-    range_slot: int
-    range_name: str
-    cursor_slot: int
-    cursor_name: str
-    curr_slot: int
-    curr_name: str
     steppers: tuple  # tuple[StepperRT]
     body: "Stmt"
-    # the loop's shape, which lowering decides: a walk over the segments
+    # the loop's shape, which lowering decides: "walk" over the segments
     # between consecutive stops, gaps included, where a stepper runs out
-    # or is shifted; otherwise fingers over the pieces alone
-    walk: bool
+    # or is shifted; "pieces", one stepper's pieces by position, where it
+    # is the only stepper, annihilates and is unshifted; "fingers" over
+    # the pieces alone otherwise
+    shape: str
+    # the range, cursor and current segment; a pieces loop over its whole
+    # fiber has none: every piece lies in the range, and is the region
+    range_slot: Optional[int] = None
+    range_name: Optional[str] = None
+    cursor_slot: Optional[int] = None
+    cursor_name: Optional[str] = None
+    curr_slot: Optional[int] = None
+    curr_name: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -475,10 +481,11 @@ def pretty(stmt, indent: int = 0) -> str:
     if isinstance(stmt, Cond):
         return f"{pad}if {render(stmt.test)}:\n" + pretty(stmt.body, indent + 1)
     if isinstance(stmt, Pin):
-        return f"{pad}pin {stmt.name} = {stmt.iv_name}.start"
+        return f"{pad}pin {stmt.name} = {render(stmt.at)}"
     if isinstance(stmt, WhileCoiter):
-        shape = "walk" if stmt.walk else "fingers"
-        lines = [f"{pad}coiterate {stmt.cursor_name} over {stmt.range_name} ({shape}):"]
+        over = ("over its fiber" if stmt.range_slot is None
+                else f"{stmt.cursor_name} over {stmt.range_name}")
+        lines = [f"{pad}coiterate {over} ({stmt.shape}):"]
         for s in stmt.steppers:
             shift = f" - {render(s.shift)}" if s.shift is not None else ""
             tail = ", then gap" if s.runs_out else ""
@@ -486,7 +493,8 @@ def pretty(stmt, indent: int = 0) -> str:
                 f"{pad}  stepper {s.pos_name}: {s.tensor}.lvl{s.level}"
                 f"[{s.fiber.render()}]{shift}{tail}"
             )
-        lines.append(f"{pad}  {stmt.curr_name} = [{stmt.cursor_name}, min stops]")
+        if stmt.curr_slot is not None:
+            lines.append(f"{pad}  {stmt.curr_name} = [{stmt.cursor_name}, min stops]")
         lines.append(pretty(stmt.body, indent + 1))
         return "\n".join(lines)
     if isinstance(stmt, Write):

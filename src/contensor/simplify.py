@@ -186,9 +186,10 @@ def _reads(s, acc):
     elif isinstance(s, Cond):
         _uses_expr(s.test, acc)
     elif isinstance(s, Pin):
-        acc.add(s.iv_slot)
+        _uses_lexpr(s.at, acc)
     elif isinstance(s, WhileCoiter):
-        acc.add(s.range_slot)
+        if s.range_slot is not None:
+            acc.add(s.range_slot)
         for st in s.steppers:
             _uses_pexpr(st.fiber, acc)
             if st.shift is not None:

@@ -5,7 +5,7 @@ import math
 from contensor.bounds import _Prover, prune_bounds
 from contensor.compiler import compile_program
 from contensor.executor import run
-from contensor.ir import Guard, IntersectLet, Pin, PRoot, WhileCoiter
+from contensor.ir import EndRef, Guard, IntersectLet, Pin, PRoot, PVar, WhileCoiter
 from contensor.lang import parse
 from contensor.oracle import evaluate
 from contensor.storage import build_tensor, tensor_1d
@@ -55,8 +55,12 @@ def _x():
 
 
 def test_single_tensor_integral_loses_its_guard():
-    plain = compile_program(parse(MASS), {"x": _x()})
-    opt = compile_program(parse(MASS), {"x": _x()}, opt_bounds=True)
+    # over the whole line lowering itself emits each stored piece
+    # unguarded; shifted, the walk's guard is the prover's to delete
+    assert _nodes(compile_program(parse(MASS), {"x": _x()}).body, Guard) == []
+    src = MASS.replace("x[i]", "x[i + 1.0]")
+    plain = compile_program(parse(src), {"x": _x()})
+    opt = compile_program(parse(src), {"x": _x()}, opt_bounds=True)
     assert len(_nodes(plain.body, Guard)) == 1
     assert _nodes(opt.body, Guard) == []
     assert run(plain).output == run(opt).output == 4.0
@@ -85,8 +89,14 @@ def test_pinpoint_region_prunes_cursor_and_guard():
     A = tensor_1d("A", [((0.0, 4.0), 1.0)], 0.0, kind="interval")
     B = tensor_1d("B", [((-0.5, 0.5), 1.0)], 0.0, kind="interval")
     binds = {"Mask": Mask, "A": A, "B": B}
-    plain = compile_program(parse(MASKED), binds)
-    opt = compile_program(parse(MASKED), binds, opt_bounds=True)
+    # over the whole line lowering pins i to Mask's coordinate itself, with
+    # no point region and no guard; shifted, Mask's loop walks
+    plan = compile_program(parse(MASKED), binds)
+    assert [p.at for p in _nodes(plan.body, Pin)] == [EndRef("Mask", 0, "C", PVar(0, "p_Mask0"))]
+    assert len(_nodes(plan.body, Guard)) == 1
+    src = MASKED.replace("Mask[i]", "Mask[i + 1.0]")
+    plain = compile_program(parse(src), binds)
+    opt = compile_program(parse(src), binds, opt_bounds=True)
 
     # the point region's start is its coordinate alone; the cursor can
     # never pass it, so max(cursor, crd) == crd
@@ -104,7 +114,8 @@ def test_pinpoint_region_prunes_cursor_and_guard():
 
 
 def test_child_region_stays_inside_parent_range():
-    plan = compile_program(parse(MASS), {"x": _x()})
+    # a loop over the whole line has no range: its regions are its pieces
+    plan = compile_program(parse(MASS.replace("-inf:inf", "0.0:2.0")), {"x": _x()})
     pv = _Prover()
     from contensor.bounds import _coiter_facts, _harvest
     _harvest(plan.body, pv)

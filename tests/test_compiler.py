@@ -376,6 +376,21 @@ def test_a_divisor_that_folds_to_zero_is_rejected(src):
         compile_program(parse(src), {"A": DIV_A, "B": B})
 
 
+def test_a_validity_error_lists_its_diagnostics_in_source_order():
+    # lowering meets the R-DIV of A / A (3:22) first, then marks the
+    # accesses no stored points pin: A twice (3:14, 3:24) and B (3:36)
+    A = build_tensor("A", [("interval",), ("interval",)],
+                     [((0.0, 1.0), [((0.0, 1.0), 1.0)])], fill=0.0)
+    B = build_tensor("B", [("interval",)], [((0.0, 1.0), True)], fill=False)
+    src = ("for j = -inf:inf\n  for i = -inf:inf\n"
+           "    Out |= ((A[i, j] / A[i, j]) && B[i + j])\n  end\nend\n")
+    with pytest.raises(ValidityError) as err:
+        compile_program(parse(src), {"A": A, "B": B})
+    assert [(d.code, d.line, d.col) for d in err.value.diags] == [
+        ("R-PIN", 3, 14), ("R-DIV", 3, 22), ("R-PIN", 3, 24), ("R-PIN", 3, 36)]
+    assert str(err.value).startswith("R-PIN 3:14: ")
+
+
 def test_dividing_by_a_nonzero_fill_compiles():
     B = tensor_1d("B", [((0.5, 2.0), 4.0)], 2.0, kind="interval")
     program = parse("for i = -inf:inf\n  Out[i] = A[i] / B[i]\nend\n")

@@ -8,10 +8,10 @@ import pytest
 
 from contensor import executor, kernels, oracle
 from contensor.compiler import compile_program
-from contensor.executor import ExecError, kernel_source, run
+from contensor.executor import ExecError, ExecStats, kernel_source, run
 from contensor.intervals import Interval
 from contensor.ir import (
-    Block, EndRef, IntersectLet, LetScalar, LimC, Num, OutputDecl, Pin, Plan,
+    Block, EndRef, IntersectLet, IvStart, LetScalar, LimC, Num, OutputDecl, Pin, Plan,
     Probe, PRoot, PVar, pretty,
 )
 from contensor.lang import parse
@@ -480,7 +480,7 @@ end
 def test_pin_of_a_wide_region_raises():
     plan = Plan(Block((
         IntersectLet(0, "iv", (LimC(Limit(0.0)),), (LimC(Limit(1.0)),)),
-        Pin(1, "x", 0, "iv"),
+        Pin(1, "x", IvStart(0, "iv")),
     )), OutputDecl("s", (), 0.0), 2)
     with pytest.raises(ExecError, match=r"pin of a non-degenerate region \[0, 1\]"):
         run(plan)
@@ -679,6 +679,94 @@ def test_a_shift_that_rounds_a_start_onto_the_previous_stop():
     assert (res.stats.segments_visited, res.stats.multiplies) == (2, 2)
     res = compile_run("for i = -inf:inf\n  s += A[i + 1000.0] * d(i)\nend\n", {"A": A})
     assert res.output == 12.0
+
+
+# ---------------------------------------------------------------------------
+# pieces loops: a lone stepper that annihilates and is unshifted steps its
+# pieces by position. Each case's segments_visited is the one the finger
+# loop it replaces counted, one per piece visited
+
+
+def test_a_lone_stepper_renders_a_pieces_loop():
+    k = kernels.get("genomic_overlap")
+    plan = compile_program(k.program(), k.canonical())
+    text = pretty(plan)
+    # the id and jd loops run over their whole fibers; the x loop meets two
+    assert text.count("coiterate over its fiber (pieces):") == 2
+    assert text.count("coiterate cur over iv (fingers):") == 1
+    assert "guard r.start" in text and text.count("guard") == 1
+    src = kernel_source(plan)
+    assert re.search(r"for p_Query1_\d+ in range\(p_Query1_\d+, _p_Query1_\d+_end\):", src)
+    assert re.search(r"for p_Data1_\d+ in range\(p_Data1_\d+, _p_Data1_\d+_end\):", src)
+    assert src.count("while True:") == 1 and "_seek(" not in src
+    # the id is read off the stored point, with no region to check
+    assert re.search(r"id_\d+ = _Query_1_starts\[p_Query1_\d+\]\[0\]", src)
+    assert "_pin_error" not in src and ".last_stop(" not in src
+    assert run(plan).stats == ExecStats(multiplies=4, segments_visited=22, pieces_emitted=4)
+
+
+A_TWO = tensor_1d("A", [((0.0, 1.0), 2.0), ((2.0, 3.0), 5.0)], 0.0, kind="interval")
+P_FIVE = tensor_1d("P", [(0.0, 1.0), (0.5, 2.0), (1.0, 3.0), (2.5, 4.0), (3.0, 5.0)], 0.0)
+
+
+@pytest.mark.parametrize("src, binds, segments", [
+    # A's pieces straddle both ends of the range
+    ("for i = 0.5:2.5\n  Out[i] = A[i]\nend\n", {"A": A_TWO}, 2),
+    ("for i = 0.5:2.5\n  s += A[i] * d(i)\nend\n", {"A": A_TWO}, 2),
+    ("for i = -inf:2.5\n  Out[i] = A[i]\nend\n", {"A": A_TWO}, 2),
+    ("for i = 0.5:inf\n  Out[i] = A[i]\nend\n", {"A": A_TWO}, 2),
+    ("for i = 3.5:4.0\n  Out[i] = A[i]\nend\n", {"A": A_TWO}, 0),
+    # points on the range's ends, and past them
+    ("for i = 0.5:2.5\n  Out[i] = P[i]\nend\n", {"P": P_FIVE}, 3),
+    ("for i = 1.0:2.5\n  s += P[i]\nend\n", {"P": P_FIVE}, 2),
+    ("for i = 0.5:0.5\n  Out[i] = P[i]\nend\n", {"P": P_FIVE}, 1),
+], ids=["straddle", "integral", "to_2.5", "from_0.5", "past", "points", "sum", "one_point"])
+def test_a_pieces_loop_over_a_range_clips_each_piece(src, binds, segments):
+    plan = compile_program(parse(src), binds)
+    assert "coiterate cur over iv (pieces):" in pretty(plan)
+    assert "_seek(" in kernel_source(plan)
+    res = against_oracle(src, binds)
+    assert res.stats.segments_visited == segments
+
+
+E_EMPTY = build_tensor("E", [("interval",)], [], fill=0.0)
+# the piece (2, 3) of M's rank 0 holds an empty fiber
+M_TWO = build_tensor("M", [("interval",), ("interval",)],
+                     [((0.0, 1.0), [((0.0, 1.0), 3.0), ((2.0, 3.0), 4.0)]), ((2.0, 3.0), [])],
+                     fill=0.0)
+Q_TWO = build_tensor("Q", [("pinpoint",)], [(0.5, 1.0), (1.5, 2.0)], fill=0.0)
+D_TWO = build_tensor("D", [("dense", 2), ("interval",)],
+                     [[((0.0, 1.0), 1.0)], [((1.0, 2.0), 2.0)]], fill=0.0)
+
+
+@pytest.mark.parametrize("src, binds, guard, stats", [
+    ("for i = -inf:inf\n  Out[i] = E[i]\nend\n", {"E": E_EMPTY}, None, (0, 0, 0)),
+    ("for i = -inf:inf\n  for j = -inf:inf\n    s += M[i, j] * d(i) * d(j)\n  end\nend\n",
+     {"M": M_TWO}, None, (4, 0, 0)),
+    # Q's point 1.5 misses M's rank 0: the probe gives -1
+    ("for i = -inf:inf\n  for j = -inf:inf\n    Out[i, j] = Q[i] * M[i, j]\n  end\nend\n",
+     {"Q": Q_TWO, "M": M_TWO}, r"if q_M0_\d+ >= 0:", (4, 2, 2)),
+    # ... and as one of two fingers, the range's inline last stop tests it
+    ("for i = -inf:inf\n  for j = -inf:inf\n    Out[i, j] = Q[i] * M[i, j] * A[j]\n  end\n"
+     "end\n", {"Q": Q_TWO, "M": M_TWO, "A": A_TWO},
+     r"if q_M0_(\d+) >= 0 and _M_1_ptr\[q_M0_\1\] <", (4, 2, 2)),
+    # k = 2 is past D's dense rank: the guarded index gives -1
+    ("for k = 0:2\n  for j = -inf:inf\n    Out[k, j] = D[k, j]\n  end\nend\n",
+     {"D": D_TWO}, r"if \(_f := \(_i\d+ if 0 <= ", (2, 0, 2)),
+    ("for k = 0:2\n  for j = -inf:inf\n    Out[k, j] = D[k, j] * A[j]\n  end\nend\n",
+     {"D": D_TWO, "A": A_TWO}, r"if \(_f := \(_i\d+ if 0 <= .* >= 0 and _D_1_ptr\[_f\] <",
+     (3, 3, 3)),
+], ids=["empty_root", "empty_child", "missed_probe", "missed_probe_fingers", "dense_past",
+        "dense_past_fingers"])
+def test_an_empty_or_missing_fiber_runs_no_piece(src, binds, guard, stats):
+    source = kernel_source(compile_program(parse(src), binds))
+    if guard is None:
+        assert ">= 0" not in source
+    else:
+        assert re.search(guard, source)
+    res = against_oracle(src, binds)
+    s = res.stats
+    assert (s.segments_visited, s.multiplies, s.pieces_emitted) == stats
 
 
 # ---------------------------------------------------------------------------
