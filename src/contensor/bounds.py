@@ -155,7 +155,7 @@ def _coiter_facts(s: WhileCoiter, pv: _Prover, bindings):
     """Facts that hold inside a co-iteration's body, and only there: the
     body runs only on a non-empty range, and only a stepper that runs out
     leaves its fiber (to read inf + eps, past its last stop). A pieces
-    loop over its whole fiber has no range or segment, only its pieces."""
+    loop has no range or segment, only its pieces."""
     ranged = s.range_slot is not None
     cur = ("a", s.curr_slot)
     stop = ("b", s.curr_slot)

@@ -34,12 +34,12 @@ order (so write the sparser of two tied point inputs first). Lowering
 picks each co-iteration's shape (``WhileCoiter.shape``): a walk over the
 segments between consecutive stops when a stepper runs out or is
 shifted; pieces, the lone stepper's pieces by position, when one stepper
-annihilates and is unshifted; fingers over the pieces alone otherwise.
-A pieces loop over the whole line emits each stored piece as its region,
-unclipped and unguarded, as no stored piece is empty; a stored point
-pins the index to its coordinate, with no region at all. A stepper's
-reads follow its kind (``StepperRT.runs_out``): an annihilating one
-never leaves its fiber inside the range.
+annihilates, is unshifted and the loop runs over the whole line; fingers
+over the pieces alone otherwise. A pieces loop emits each stored piece
+as its region, unclipped and unguarded, as no stored piece is empty; a
+stored point pins the index to its coordinate, with no region at all.
+A stepper's reads follow its kind (``StepperRT.runs_out``): an
+annihilating one never leaves its fiber inside the range.
 
 Every lowering function emits a statement only when a write lies below
 it, and folds constants as it builds each expression, so the plan needs
@@ -432,11 +432,12 @@ def _lower_cont(s: SFor, ctx):
               for k in steppers}
     # only a cursor steps past a gap, or keeps a point in one piece where a
     # shift rounds a piece's start onto the previous piece's stop. A lone
-    # stepper steps its pieces by position; over the whole line its fiber
+    # stepper over the whole line steps its pieces by position: its fiber
     # is the range, and each piece the region
     shape = ("walk" if u or any(sh is not None for sh in shifts.values())
-             else "pieces" if len(steppers) == 1 else "fingers")
-    whole = shape == "pieces" and s.lo == -math.inf and s.hi == math.inf
+             else "pieces" if len(steppers) == 1 and s.lo == -math.inf and s.hi == math.inf
+             else "fingers")
+    whole = shape == "pieces"
     if not whole:
         rslot, rname = ctx.namer.slot("iv")
         cur_slot, cur_name = ctx.namer.slot("cur")

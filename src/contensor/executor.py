@@ -22,21 +22,20 @@ steppers are in a piece: each iteration is the overlap of the current
 pieces, the fingers at the least stop move on, and the loop ends when
 that stop is the range's. It keeps no cursor, and starts each finger at
 its fiber's first piece when the range starts at the open -inf. A pieces
-loop is the finger loop of a lone stepper, run as ``for p in range(...)``
-over its positions: over its whole fiber (no range) each piece is the
-region and its segments are counted once, before the loop; over a range
-it starts at ``_seek``, clips each piece to the range and breaks at the
-first that reaches the range's stop. A walk steps the segments between
-consecutive stops, gaps included, with a cursor that must advance each
-step. A fiber's last stop is read inline from ``ptr`` and the stop
-column (through ``SparseLevel.last_stop`` at the root), with an ``f >= 0``
-test only where the fiber can be -1: a probe's result or a guarded dense
-index. A stepper's reads follow its kind, in every shape. One that
-annihilates, in its loop or an enclosing one, is read unguarded: the
-range ends at its last stop, so it never leaves its fiber. One that runs
-out (``StepperRT.runs_out``) reads every end as inf + eps at its fiber's
-end (an empty or missing fiber, or a range or step past its last piece):
-its piece is empty and its gap reaches past the range. An endpoint of
+loop is the finger loop of a lone stepper over the whole line, run as
+``for p in range(...)`` over its positions: its fiber is the range, each
+piece the region, and its segments are counted once, before the loop. A
+walk steps the segments between consecutive stops, gaps included, with
+a cursor that must advance each step. A fiber's ends are read inline
+from the ``ptr`` column (and its last stop from the stop column), with
+an ``f >= 0`` test only where the fiber can be -1: a probe's result or a
+guarded dense index. A stepper's reads follow its kind, in every shape.
+One that annihilates, in its loop or an enclosing one, is read
+unguarded: the range ends at its last stop, so it never leaves its
+fiber. One that runs out (``StepperRT.runs_out``) reads every end as
+inf + eps at its fiber's end (an empty or missing fiber, or a range or
+step past its last piece): its piece is empty and its gap reaches past
+the range. An endpoint of
 any other position is a plan fault, raised as ``ExecError`` when the
 kernel is rendered. Walks and finger loops end each iteration at the
 same least stop, so ``segments_visited`` counts their iterations, a
@@ -185,6 +184,11 @@ def _simple(code: str) -> bool:
     return code.isidentifier() or code.isdigit()
 
 
+def _end(t: str, f: str) -> str:
+    """The position just past the last piece of fiber f of level prefix t."""
+    return f"{t}_ptr[{1 if f == '0' else f + ' + 1'}]"
+
+
 _IND = "    "
 # the start of a loop that runs from -inf
 _OPEN_START = LimC(Limit(-math.inf, ABOVE))
@@ -208,7 +212,6 @@ class _Source:
         self.plan = plan
         self.slots = {}  # slot -> local, or (lo, hi) locals for a region
         self.levels = {}  # (tensor, level) -> "_<tag>_<level>"
-        self.ptrs = set()  # levels whose ptr column is a local, <prefix>_ptr
         self.values = {}  # tensor -> "_<tag>_vals"
         self.dense = 0  # dense positions rendered so far
         self.leaf_pos = None  # positions of the leaves of the value being written
@@ -225,9 +228,8 @@ class _Source:
         head = ["def kernel(_b):"]
         for (tensor, level), t in self.levels.items():
             head.append(f"    {t}_table = _b[{tensor!r}].levels[{level}]\n"
-                        f"    {t}_starts, {t}_stops = {t}_table.starts, {t}_table.stops")
-            if t in self.ptrs:
-                head.append(f"    {t}_ptr = {t}_table.ptr")
+                        f"    {t}_starts, {t}_stops, {t}_ptr = "
+                        f"{t}_table.starts, {t}_table.stops, {t}_table.ptr")
         for tensor, vals in self.values.items():
             head.append(f"    {vals} = _b[{tensor!r}].values")
         if self.op == "=":
@@ -258,17 +260,11 @@ class _Source:
 
     def level(self, tensor: str, level: int) -> str:
         """Prefix of the locals of a stored level: <prefix>_table (the
-        level), and its columns <prefix>_starts and _stops."""
+        level), and its columns <prefix>_starts, _stops and _ptr."""
         t = self.levels.get((tensor, level))
         if t is None:
             t = self.levels[(tensor, level)] = f"_{_ident(tensor, len(self.levels))}_{level}"
         return t
-
-    def ptr(self, tensor: str, level: int) -> str:
-        """The local of a stored level's ptr column."""
-        t = self.level(tensor, level)
-        self.ptrs.add(t)
-        return f"{t}_ptr"
 
     def vals(self, tensor: str) -> str:
         v = self.values.get(tensor)
@@ -386,18 +382,15 @@ class _Source:
 
     def last_stop(self, e: LastStop) -> str:
         """The stop of a fiber's last piece, or _NO_STOP when it has none
-        (or f = -1), read inline except at the root."""
+        (or f = -1), read inline."""
         t, f = self.level(e.tensor, e.level), self.pexpr(e.fiber)
-        if f == "0":
-            return f"{t}_table.last_stop(0)"
-        ptr = self.ptr(e.tensor, e.level)
         test = ""
         if self.can_miss(e.fiber, f):
             if _simple(f):
                 test = f"{f} >= 0 and "
             else:
                 test, f = f"(_f := {f}) >= 0 and ", "_f"
-        return f"({t}_stops[_q - 1] if {test}{ptr}[{f}] < (_q := {ptr}[{f} + 1]) else _NO_STOP)"
+        return f"({t}_stops[_q - 1] if {test}{t}_ptr[{f}] < (_q := {_end(t, f)}) else _NO_STOP)"
 
     def can_miss(self, fiber, f: str) -> bool:
         """Whether a fiber position can be -1: a guarded dense index or a
@@ -528,16 +521,13 @@ class _Source:
                 shift = f"({sh} := {self.expr(st.shift)})"
             f = self.pexpr(st.fiber)
             if from_fiber:
-                # off the root the ptr column is a local, which the
-                # range's inline last stop reads too
-                col = f"{t}_table.ptr" if f == "0" else self.ptr(st.tensor, st.level)
-                add(f"{pad}{p} = {col}[{f}]")
+                add(f"{pad}{p} = {t}_ptr[{f}]")
             else:
                 add(f"{pad}{p} = _seek({t}_table, {f}, {lo}, {shift})")
             read = f"{t}_stops[{p}]"
             if st.runs_out:
                 e = ends[p] = f"_{p}_end"
-                add(f"{pad}{e} = {t}_table.ptr[{1 if f == '0' else f + ' + 1'}]")
+                add(f"{pad}{e} = {_end(t, f)}")
                 read = f"{read} if {p} < {e} else _PAST"
             else:
                 fingers.add(p)
@@ -575,43 +565,20 @@ class _Source:
                 f"{pad}{cur} = _n")
 
     def pieces(self, s: WhileCoiter, pad: str):
-        """A pieces loop: the lone stepper's positions, in a for loop.
-
-        Over its whole fiber (no range) every piece is a region, so the
-        segments are counted once, before the loop; a fiber that can be
-        -1 is tested first. Over a range the loop starts at the first
-        piece that reaches it, and each piece is clipped to it, as a finger
-        loop's are, until one reaches the range's stop: the range ends at
-        or before the fiber's last stop, so the loop breaks before it ends.
-        """
+        """A pieces loop: the lone stepper's positions, in a for loop. Every
+        piece is a region, so the segments are counted once, before the
+        loop; a fiber that can be -1 is tested first."""
         (st,) = s.steppers
         add = self.lines.append
         p = self.var(st.pos_slot, st.pos_name)
-        t, ptr = self.level(st.tensor, st.level), self.ptr(st.tensor, st.level)
-        f = self.pexpr(st.fiber)
-        end = f"_{p}_end"
-        fingers = self.fingers | {p}
-        if s.range_slot is None:
-            if self.can_miss(st.fiber, f):
-                add(f"{pad}if {f if _simple(f) else f'(_f := {f})'} >= 0:")
-                pad += _IND
-                f = f if _simple(f) else "_f"
-            add(f"{pad}{p} = {ptr}[{f}]\n{pad}{end} = {ptr}[{1 if f == '0' else f + ' + 1'}]\n"
-                f"{pad}_seg += {end} - {p}\n{pad}for {p} in range({p}, {end}):")
-            self.scoped(s.body, pad + _IND, fingers, self.ends)
-            return
-        lo, hi = self.region(s.range_slot, s.range_name)
-        stop, r = f"{self.var(s.curr_slot, s.curr_name)}_hi", f"_{p}_stop"
-        self.slots[s.curr_slot] = (lo, stop)
-        i = pad + 2 * _IND
-        add(f"{pad}if not {lo} > {hi}:\n"
-            f"{pad}{_IND}{end} = {ptr}[{1 if f == '0' else f + ' + 1'}]\n"
-            f"{pad}{_IND}for {p} in range(_seek({t}_table, {f}, {lo}, 0.0), {end}):\n"
-            f"{i}_seg += 1\n{i}{stop} = {hi}\n"
-            f"{i}{r} = {t}_stops[{p}]\n{i}if {r} < {stop}:\n{i}{_IND}{stop} = {r}")
-        self.scoped(s.body, i, fingers, self.ends)
-        # the stop is the range's own once the piece reaches it
-        add(f"{i}if {stop} is {hi}:\n{i}{_IND}break")
+        t, f, end = self.level(st.tensor, st.level), self.pexpr(st.fiber), f"_{p}_end"
+        if self.can_miss(st.fiber, f):
+            add(f"{pad}if {f if _simple(f) else f'(_f := {f})'} >= 0:")
+            pad += _IND
+            f = f if _simple(f) else "_f"
+        add(f"{pad}{p} = {t}_ptr[{f}]\n{pad}{end} = {_end(t, f)}\n"
+            f"{pad}_seg += {end} - {p}\n{pad}for {p} in range({p}, {end}):")
+        self.scoped(s.body, pad + _IND, self.fingers | {p}, self.ends)
 
     def write(self, s, pad: str):
         add = self.lines.append

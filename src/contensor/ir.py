@@ -282,11 +282,11 @@ class WhileCoiter:
     # the loop's shape, which lowering decides: "walk" over the segments
     # between consecutive stops, gaps included, where a stepper runs out
     # or is shifted; "pieces", one stepper's pieces by position, where it
-    # is the only stepper, annihilates and is unshifted; "fingers" over
-    # the pieces alone otherwise
+    # is the only stepper, annihilates, is unshifted and the loop runs over
+    # the whole line; "fingers" over the pieces alone otherwise
     shape: str
-    # the range, cursor and current segment; a pieces loop over its whole
-    # fiber has none: every piece lies in the range, and is the region
+    # the range, cursor and current segment; a pieces loop has none: its
+    # fiber is the range, and each piece the region
     range_slot: Optional[int] = None
     range_name: Optional[str] = None
     cursor_slot: Optional[int] = None

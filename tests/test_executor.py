@@ -548,7 +548,7 @@ def test_an_intersection_renders_a_finger_loop():
     # no cursor, no advance check, and steppers start at their fiber
     assert "co-iteration failed to advance" not in src
     assert "_seek(" not in src and "cur_" not in src
-    assert re.search(r"\bp_A0_\d+ = _A_0_table\.ptr\[0\]", src)
+    assert re.search(r"\bp_A0_\d+ = _A_0_ptr\[0\]", src)
     assert "while True:" in src and re.search(r"if seg_\d+_hi is iv_\d+_hi:", src)
     # the steppers are always in a piece, so their reads are unguarded
     assert ">= 0" not in src and "_PAST" not in src
@@ -567,21 +567,21 @@ end
 UNION_WALK = """\
 def kernel(_b):
     _A_0_table = _b['A'].levels[0]
-    _A_0_starts, _A_0_stops = _A_0_table.starts, _A_0_table.stops
+    _A_0_starts, _A_0_stops, _A_0_ptr = _A_0_table.starts, _A_0_table.stops, _A_0_table.ptr
     _B_0_table = _b['B'].levels[0]
-    _B_0_starts, _B_0_stops = _B_0_table.starts, _B_0_table.stops
+    _B_0_starts, _B_0_stops, _B_0_ptr = _B_0_table.starts, _B_0_table.stops, _B_0_table.ptr
     _A_vals = _b['A'].values
     _B_vals = _b['B'].values
     _out = []
     _add = _out.append
     _seg = _mul = _emit = 0
     iv_0_lo = ((-_INF), 1)
-    iv_0_hi = max(_A_0_table.last_stop(0), _B_0_table.last_stop(0))
+    iv_0_hi = max((_A_0_stops[_q - 1] if _A_0_ptr[0] < (_q := _A_0_ptr[1]) else _NO_STOP), (_B_0_stops[_q - 1] if _B_0_ptr[0] < (_q := _B_0_ptr[1]) else _NO_STOP))
     if not iv_0_lo > iv_0_hi:
         p_A0_3 = _seek(_A_0_table, 0, iv_0_lo, 0.0)
-        _p_A0_3_end = _A_0_table.ptr[1]
+        _p_A0_3_end = _A_0_ptr[1]
         p_B0_4 = _seek(_B_0_table, 0, iv_0_lo, 0.0)
-        _p_B0_4_end = _B_0_table.ptr[1]
+        _p_B0_4_end = _B_0_ptr[1]
         cur_1 = iv_0_lo
         while cur_1 <= iv_0_hi:
             _seg += 1
@@ -683,8 +683,8 @@ def test_a_shift_that_rounds_a_start_onto_the_previous_stop():
 
 # ---------------------------------------------------------------------------
 # pieces loops: a lone stepper that annihilates and is unshifted steps its
-# pieces by position. Each case's segments_visited is the one the finger
-# loop it replaces counted, one per piece visited
+# pieces by position over the whole line. Each case's segments_visited is
+# the one the finger loop it replaces counted, one per piece visited
 
 
 def test_a_lone_stepper_renders_a_pieces_loop():
@@ -721,10 +721,9 @@ P_FIVE = tensor_1d("P", [(0.0, 1.0), (0.5, 2.0), (1.0, 3.0), (2.5, 4.0), (3.0, 5
     ("for i = 1.0:2.5\n  s += P[i]\nend\n", {"P": P_FIVE}, 2),
     ("for i = 0.5:0.5\n  Out[i] = P[i]\nend\n", {"P": P_FIVE}, 1),
 ], ids=["straddle", "integral", "to_2.5", "from_0.5", "past", "points", "sum", "one_point"])
-def test_a_pieces_loop_over_a_range_clips_each_piece(src, binds, segments):
-    plan = compile_program(parse(src), binds)
-    assert "coiterate cur over iv (pieces):" in pretty(plan)
-    assert "_seek(" in kernel_source(plan)
+def test_a_lone_stepper_over_a_range_clips_each_piece(src, binds, segments):
+    # over a range the lone stepper keeps the finger loop
+    assert "coiterate cur over iv (fingers):" in pretty(compile_program(parse(src), binds))
     res = against_oracle(src, binds)
     assert res.stats.segments_visited == segments
 

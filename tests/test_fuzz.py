@@ -6,7 +6,8 @@ shifts ``i + j + c``, right-hand sides joined by ``*``, ``+`` and ``-``
 (numeric, an operand negated or divided by a nonzero constant) or ``&&``
 and ``||`` (boolean, an operand negated or ``true``/``false`` joined in),
 every assignment operator, and inputs with pinpoint, interval, regular
-and dense levels, fills and off-pitch float endpoints. A program the
+and dense levels (a dense one now and then narrower than its loop),
+fills and off-pitch float endpoints. A program the
 compiler rejects with a ``CompileError`` (a ``ValidityError`` among
 them) is skipped; one it accepts must not reach the internal errors
 (``UnloweredError``, ``ExecError``) and must agree with
@@ -85,7 +86,13 @@ def level_spec(draw):
 def programs(draw):
     """(source, bindings) of a random program over random inputs."""
     loops = []
-    for var in ["i", "j"][: draw(st.integers(1, 2))]:
+    # a dense rank over an unshifted continuous one under the whole line: a
+    # lone stepper there runs over a fiber a dense index picks, -1 past the
+    # rank's size
+    dense_fiber = draw(st.integers(0, 7)) == 0
+    if dense_fiber:
+        loops = [("i", False, 0, draw(st.integers(0, 2))), ("j", True, -INF, INF)]
+    for var in ["i", "j"][: 0 if dense_fiber else draw(st.integers(1, 2))]:
         if draw(st.integers(0, 3)):
             lo, hi = draw(st.sampled_from(CONT_BOUNDS))
             loops.append((var, True, lo, hi))
@@ -105,7 +112,9 @@ def programs(draw):
 
     binds, accesses = {}, []
     for name in ["A", "B", "C"][: draw(st.integers(1, 3))]:
-        used = [l for l in loops if draw(st.booleans())] or [draw(st.sampled_from(loops))]
+        first = dense_fiber and not accesses
+        used = loops if first else ([l for l in loops if draw(st.booleans())]
+                                    or [draw(st.sampled_from(loops))])
         indices, specs = [], []
         for l in used:
             ix = l[0]
@@ -114,12 +123,12 @@ def programs(draw):
                 other = [c for c in cont if c is not l]
                 if other and draw(st.integers(0, 3)) == 0:
                     ix += f" + {other[0][0]}"
-                c = draw(st.sampled_from(SHIFTS))
+                c = 0.0 if first else draw(st.sampled_from(SHIFTS))
                 if c:
                     ix += f" + {c}"
                 specs.append(draw(level_spec()))
             else:
-                specs.append(("dense", l[3] + 1))
+                specs.append(("dense", draw(st.integers(1, l[3] + 1)) if first else l[3] + 1))
             indices.append(ix)
         if boolean:
             fill = draw(st.booleans())
