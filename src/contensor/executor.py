@@ -75,7 +75,7 @@ from .ir import (
     Num, Or, OutputDecl, PDense, PRoot, PVar, Pin, Plan, Probe, Sub, Var, WhileCoiter,
     Write, render,
 )
-from .storage import _NO_STOP, OverlapError, build_tensor
+from .storage import OverlapError, build_tensor
 
 
 class ExecError(RuntimeError):
@@ -104,6 +104,9 @@ _NEG_OPEN = (-math.inf, ABOVE)
 _POS_OPEN = (math.inf, BELOW)
 # every end a stepper past its fiber's last piece reads: above any loop's stop
 _PAST = (math.inf, ABOVE)
+# the last stop of a fiber with no pieces, or of a missing one: just below
+# -inf, so a loop range that ends there is empty
+_NO_STOP = (-math.inf, BELOW)
 
 
 def _seek(lv, f: int, lo: tuple, sh) -> int:

@@ -8,7 +8,6 @@ there is no separate empty representation to normalize.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .limits import ABOVE, BELOW, EPS, EXACT, Limit, as_limit, lim_cmp
@@ -39,10 +38,6 @@ class Interval(NamedTuple):
     def pinpoint(x) -> "Interval":
         lx = as_limit(x)
         return Interval(lx, lx)
-
-    @staticmethod
-    def full() -> "Interval":
-        return Interval(Limit(-math.inf), Limit(math.inf))
 
     @staticmethod
     def from_kind(a, b, kind: str) -> "Interval":

@@ -13,9 +13,12 @@ positions index ``values``.
 
 Each continuous rank stores one ``SparseLevel``: ptr plus a start and a
 stop column, whose entries are plain ``(val, eps)`` tuples that order
-exactly as the ``Limit``s they stand for; ``fiber_entries`` and
-``pieces`` hand out ``Interval``s of ``Limit``s. Point lookups, fiber
-walks and the executor's seeks and probes all search those columns.
+exactly as the ``Limit``s they stand for. Callers read a tensor through
+``fiber_entries`` and ``pieces``, which hand out ``Interval``s of
+``Limit``s, and ``at``, the value at one point. Generated kernels call a
+level's ``seek`` and ``probe``, binary searches of its stop column, and
+read its columns directly.
+
 ``PinpointLevel``, ``IntervalLevel`` and ``RegularLevel`` are input
 descriptors in the shape of the JSON schema: a ``ContTensor`` decodes
 each once, with its level index, into the ``SparseLevel`` it keeps, and
@@ -37,7 +40,7 @@ from operator import add, ge, itemgetter, le, mul, truth
 from typing import Iterator, Optional, Sequence, Union
 
 from .intervals import Interval
-from .limits import ABOVE, BELOW, EPS, EXACT, Limit, as_limit
+from .limits import ABOVE, BELOW, EXACT, Limit, as_limit
 
 
 class StorageError(ValueError):
@@ -68,9 +71,6 @@ class OverlapError(StorageError):
 
 class InvalidPieceError(StorageError):
     pass
-
-
-FILL = None  # payload marker for gap pieces in covers
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +165,6 @@ class SparseLevel:
             return p
         return -1
 
-    def last_stop(self, f: int) -> tuple:
-        """Stop of fiber f's last piece; just below -inf when f has none,
-        so a loop range that ends there is empty."""
-        if f < 0 or self.ptr[f] == self.ptr[f + 1]:
-            return _NO_STOP
-        return self.stops[self.ptr[f + 1] - 1]
-
-
-_NO_STOP = (-math.inf, BELOW)
 
 # a (val, eps) tuple as a Limit, and a pair of Limits as an Interval
 _limit_of = functools.partial(tuple.__new__, Limit)
@@ -358,42 +349,6 @@ class ContTensor:
         stops = map(_limit_of, lv.stops[lo:hi])
         return list(zip(map(_interval_of, zip(starts, stops)), range(lo, hi)))
 
-    def fiber_cover(self, level: int, fiber: int):
-        """Entries plus reconstructed fill gaps, tiling the whole line.
-
-        A fiber index of None (missing subtree) yields one full-line gap.
-        """
-        if fiber is FILL:
-            return [(Interval.full(), FILL)]
-        entries = self.fiber_entries(level, fiber)
-        out = []
-        cursor = Limit(-math.inf)
-        for iv, p in entries:
-            if cursor <= iv.start - EPS:
-                gap = Interval(cursor, iv.start - EPS)
-                if not gap.is_empty:
-                    out.append((gap, FILL))
-            out.append((iv, p))
-            cursor = iv.stop + EPS
-        tail = Interval(cursor, Limit(math.inf))
-        if not tail.is_empty and (not entries or entries[-1][0].stop < Limit(math.inf)):
-            out.append((tail, FILL))
-        return out
-
-    def locate(self, level: int, fiber: int, x) -> Optional[int]:
-        """Position of the stored piece containing x, or None."""
-        if fiber is FILL:
-            return FILL
-        lv = self.levels[level]
-        if isinstance(lv, DenseLevel):
-            raise TypeError("dense levels have no piece entries")
-        lx = as_limit(x)
-        if math.isnan(lx.val):
-            raise ValueError(f"tensor {self.name} level {level}: coordinate {x!r} is NaN")
-        lv.span(fiber)  # IndexError for a fiber out of range
-        p = lv.probe(fiber, lx)
-        return FILL if p < 0 else p
-
     def at(self, *coords):
         """Evaluate the tensor at one point; fill where nothing is stored."""
         if len(coords) != self.ndim:
@@ -405,21 +360,23 @@ class ContTensor:
                     raise IndexError(f"coordinate {c!r} outside dense rank of size {lv.size}")
                 pos = pos * lv.size + int(c)
             else:
-                pos = self.locate(level, pos, c)
-                if pos is FILL:
+                x = as_limit(c)
+                if math.isnan(x.val):
+                    raise ValueError(f"tensor {self.name} level {level}: coordinate {c!r} is NaN")
+                pos = lv.probe(pos, x)
+                if pos < 0:
                     return self.fill
         return self.values[pos]
 
-    def pieces(self, include_fill: bool = False) -> Iterator[tuple]:
-        """Yield (coordinate path, value) over the whole tensor.
+    def pieces(self) -> Iterator[tuple]:
+        """Yield (coordinate path, value) for every stored leaf, in order.
 
         Paths hold ints for dense ranks and Intervals for continuous
-        ranks. With include_fill, gap pieces appear with the fill value
-        and full-line / None wildcards below them.
+        ranks.
         """
-        yield from self._walk(0, 0, (), include_fill)
+        yield from self._walk(0, 0, ())
 
-    def _walk(self, level: int, fiber: int, path: tuple, include_fill: bool):
+    def _walk(self, level: int, fiber: int, path: tuple):
         if level == self.ndim:
             yield path, self.values[fiber]
             return
@@ -427,19 +384,10 @@ class ContTensor:
         if isinstance(lv, DenseLevel):
             base = fiber * lv.size
             for c in range(lv.size):
-                yield from self._walk(level + 1, base + c, path + (c,), include_fill)
+                yield from self._walk(level + 1, base + c, path + (c,))
             return
-        source = self.fiber_cover(level, fiber) if include_fill else self.fiber_entries(level, fiber)
-        for iv, p in source:
-            if p is FILL:
-                yield path + (iv,) + self._fill_tail(level + 1), self.fill
-            else:
-                yield from self._walk(level + 1, p, path + (iv,), include_fill)
-
-    def _fill_tail(self, level: int) -> tuple:
-        return tuple(
-            Interval.full() if lv.continuous else None for lv in self.levels[level:]
-        )
+        for iv, p in self.fiber_entries(level, fiber):
+            yield from self._walk(level + 1, p, path + (iv,))
 
 
 # ---------------------------------------------------------------------------

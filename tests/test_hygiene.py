@@ -156,7 +156,7 @@ def test_scan_flags_an_unpassed_option():
 # what a lowering that reads the format alone may not touch: a tensor's or
 # level's lookups (called) and its data columns (read as attributes; a
 # call such as a dict's .values() is not a column)
-DATA_CALLS = {"n_entries", "n_fibers", "last_stop", "seek", "probe"}
+DATA_CALLS = {"n_entries", "n_fibers", "span", "seek", "probe", "fiber_entries", "at", "pieces"}
 DATA_COLUMNS = {"values", "ptr", "starts", "stops"}
 
 

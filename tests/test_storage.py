@@ -10,7 +10,6 @@ from contensor.intervals import Interval
 from contensor.kernels import KERNELS, build_genomic_grid, random_genomic
 from contensor.limits import Limit
 from contensor.storage import (
-    FILL,
     ContTensor,
     DenseLevel,
     IntervalLevel,
@@ -97,45 +96,6 @@ def fx():
 )
 def test_fx_point_eval(x, want):
     assert fx().at(x) == want
-
-
-def test_fx_cover_has_five_pieces():
-    cover = fx().fiber_cover(0, 0)
-    assert len(cover) == 5
-    ivs = [iv for iv, _ in cover]
-    assert str(ivs[0]) == "[-inf, 1)"
-    assert str(ivs[1]) == "[1, 3]"
-    assert str(ivs[2]) == "(3, 4.1)"
-    assert str(ivs[3]) == "[4.1, 5.1]"
-    assert str(ivs[4]) == "(5.1, inf]"
-    # payloads alternate gap / stored
-    assert [p is FILL for _, p in cover] == [True, False, True, False, True]
-
-
-def test_cover_tiles_the_line():
-    rng = random.Random(13)
-    tensors = [fx()] + [random_tensor(rng, kind) for kind in KINDS * 40]
-    tensors.append(build_tensor("g", [("dense", 2), ("interval",)], [[((0.0, 1.0), 5.0)], []]))
-    for t in tensors:
-        for f in range(t.n_fibers(t.ndim - 1)):
-            cover = t.fiber_cover(t.ndim - 1, f)
-            assert cover[0][0].start == Limit(-math.inf)
-            assert cover[-1][0].stop == Limit(math.inf)
-            for (a, pa), (b, pb) in zip(cover, cover[1:]):
-                assert b.start == a.stop + Limit(0.0, 1)
-                assert not (pa is FILL and pb is FILL)
-            stored = [p for _, p in cover if p is not FILL]
-            assert stored == [p for _, p in t.fiber_entries(t.ndim - 1, f)]
-
-
-def test_pieces_with_fill_match_eval():
-    t = fx()
-    got = list(t.pieces(include_fill=True))
-    assert len(got) == 5
-    for (iv,), v in got:
-        mid = (max(iv.start.val, -1e6) + min(iv.stop.val, 1e6)) / 2
-        if iv.contains(mid):
-            assert t.at(mid) == v
 
 
 def test_overlap_rejected():
@@ -268,18 +228,15 @@ def test_values_length_checked():
         ContTensor("a", (DenseLevel(3),), (1.0, 2.0))
 
 
-def test_eval_matches_cover_scan_randomized():
+def test_eval_matches_entry_scan_randomized():
     rng = random.Random(17)
     for kind in KINDS * 30:
         t = random_tensor(rng, kind)
         for x in probe_points(rng, t):
             for f in range(2):
-                by_cover = next(
-                    (t.values[p] if p is not FILL else t.fill)
-                    for iv, p in t.fiber_cover(1, f)
-                    if iv.contains(x)
-                )
-                assert t.at(f, x) == by_cover
+                by_scan = next((t.values[p] for iv, p in t.fiber_entries(1, f) if iv.contains(x)),
+                               t.fill)
+                assert t.at(f, x) == by_scan
 
 
 @pytest.mark.parametrize("level,want", [
@@ -314,18 +271,6 @@ def test_table_seek():
         assert linear_seek(t, 0, 0, target) == want
 
 
-def test_table_last_stop():
-    assert fx().levels[0].last_stop(0) == Limit(5.1)
-    u = tensor_1d("u", [((0.0, 2.0, "right_open"), 1.0)], kind="interval")
-    assert u.levels[0].last_stop(0) == Limit(2.0, -1)
-    e = tensor_1d("e", [], kind="interval")
-    assert e.levels[0].last_stop(0) == Limit(-math.inf, -1)
-    assert e.fiber_cover(0, 0) == [(Interval.full(), FILL)]
-    g = build_tensor("g", [("dense", 2), ("interval",)], [[((0.0, 1.0), 5.0)], []])
-    assert g.levels[1].last_stop(1) == Limit(-math.inf, -1)
-    assert g.levels[1].last_stop(-1) == Limit(-math.inf, -1)
-
-
 @pytest.mark.parametrize("x", [math.inf, -math.inf, float("nan"), 2.5])
 def test_regular_xs_must_be_finite_integers(x):
     with pytest.raises(InvalidPieceError):
@@ -339,14 +284,10 @@ def test_nan_coordinate_rejected(kind):
     t = random_tensor(random.Random(5), kind)
     with pytest.raises(ValueError, match="nan"):
         t.at(0, float("nan"))
-    with pytest.raises(ValueError, match="nan"):
-        t.locate(1, 0, float("nan"))
 
 
-def test_locate_on_dense_level_is_a_type_error():
+def test_fiber_entries_on_dense_level_is_a_type_error():
     t = build_tensor("d", [("dense", 2)], [1.0, 2.0])
-    with pytest.raises(TypeError, match="dense levels have no piece entries"):
-        t.locate(0, 0, 1.0)
     with pytest.raises(TypeError, match="dense levels have no piece entries"):
         t.fiber_entries(0, 0)
 
@@ -359,9 +300,8 @@ def test_locate_probe_seek_match_linear_scan():
         for x in probe_points(rng, t):
             for f in range(2):
                 entries = t.fiber_entries(1, f)
-                want = next((p for iv, p in entries if iv.contains(x)), FILL)
-                assert t.locate(1, f, x) == want
-                assert table.probe(f, x) == (-1 if want is FILL else want)
+                want = next((p for iv, p in entries if iv.contains(x)), -1)
+                assert table.probe(f, x) == want
                 assert table.seek(f, x) == linear_seek(t, 1, f, x)
             assert table.probe(-1, x) == -1
 
