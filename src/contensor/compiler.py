@@ -52,6 +52,14 @@ unread binders are dropped that needs an index no stored points pin is
 R-PIN, and one that divides by a divisor that folds to 0 (a literal 0,
 or the fill 0 of an access where it misses) is R-DIV (``ValidityError``,
 its diagnostics in source order).
+
+An ``|=`` or ``&=`` write whose path has no interval rank is marked with
+the number of plan loops between it and the loop one iteration of which
+fixes every index of its path (``Write.exits``): every write inside that
+iteration is into the same cell, so once the cell is absorbing the
+executor ends them. The loop is the deepest that binds a path index, a
+discrete loop or a co-iteration whose region pins it; at rank 0 it is
+the whole kernel. This reads the program and the operator only.
 """
 
 from __future__ import annotations
@@ -119,12 +127,16 @@ class _Ctx:
         # value everywhere, so they share one stepper or probe
         self.accesses = {}
         self.pending = {}  # var -> (iv_slot, iv_name)
+        self.depth = 0  # plan loops around what is lowered here
+        self.fixed = {}  # scalar loop index -> depth of the plan loop that fixes it
 
     def fork(self):
         c = _Ctx(self.namer, self.difs, self.loops, self.paths, self.marks, self.keys)
         c.scalars = dict(self.scalars)
         c.accesses = dict(self.accesses)
         c.pending = dict(self.pending)
+        c.depth = self.depth
+        c.fixed = dict(self.fixed)
         return c
 
 
@@ -373,6 +385,8 @@ def _lower_disc(s: SFor, ctx):
     slot, name = ctx.namer.slot(s.var)
     c2 = ctx.fork()
     c2.scalars[s.var] = Var(slot, name)
+    c2.depth += 1
+    c2.fixed[s.var] = c2.depth
     probes = []
     _advance(c2, probes)
     body = _lower_block(s.body, c2)
@@ -452,6 +466,7 @@ def _lower_cont(s: SFor, ctx):
     # where an annihilating access misses, nothing is written
     for sub in product(*[(True,) if k in annihilating else (True, False) for k in steppers]):
         c3 = ctx.fork()
+        c3.depth += 1  # inside the co-iteration
         s3 = [] if whole else [IvStart(seg_slot, seg_name)]
         t3 = [] if whole else [IvStop(seg_slot, seg_name)]
         pinflag = False
@@ -506,6 +521,7 @@ def _finish_region(s: SFor, region, ctx, pin=None):
             return []  # a d(var) factor makes a zero-length region contribute 0
         slot, name = ctx.namer.slot(var)
         ctx.scalars[var] = Var(slot, name)
+        ctx.fixed[var] = ctx.depth
         stmts = [Pin(slot, name, pin)]
         _advance(ctx, stmts)
         body = _lower_block(s.body, ctx)
@@ -566,8 +582,14 @@ def _lower_assign(s: SAssign, ctx):
             )])
     value = simplify_expr(value)
 
+    exits = 0
+    if s.op in ("|=", "&=") and all(c[0] != "iv" for c in path):
+        # within one iteration of the loop that fixes the path's last-bound
+        # index (the whole kernel at rank 0) every write is into this cell,
+        # and once it is absorbing none of them changes it
+        exits = ctx.depth - max((ctx.fixed[v] for v in outs), default=0)
     ctx.paths.append(path)
-    return [Write(s.target, tuple(path), s.op, value, nleaves >= 2)]
+    return [Write(s.target, tuple(path), s.op, value, nleaves >= 2, exits)]
 
 
 # ---------------------------------------------------------------------------

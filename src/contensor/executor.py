@@ -41,7 +41,23 @@ kernel is rendered. Walks and finger loops end each iteration at the
 same least stop, so ``segments_visited`` counts their iterations, a
 walk's final all-gap segment included; in a pieces loop it counts the
 pieces visited, which is what a finger loop over the same stepper
-iterates.
+iterates. A dense position whose indices read only discrete loop
+indices is bound to a local (``_pos<n>``) once, at the start of the
+innermost of those loops (at the kernel's start when it reads none),
+and every use reads that local.
+
+An ``|=`` or ``&=`` write that lowering marked (``Write.exits`` = n)
+tests its cell's combined value after it writes: once the cell is
+absorbing (truthy under ``|=``, falsy under ``&=``, which ``_REDUCE``'s
+``or``/``and`` leave as they are), it breaks out of its n innermost
+loops, all of which lie inside the loop that fixed the cell. With no
+labelled break in Python, a write that ends more than one loop sets
+``_hit`` and breaks; after each of those loops, the one around it tests
+``_hit`` and breaks in turn, and the outermost of them clears it. Where
+n is every loop around the write (a rank-0 output), the kernel returns
+at once. The counters count only the work done: segments, multiplies
+and pieces emitted stop with the loops, and a pieces loop that ends
+early takes back the pieces it counted up front but did not visit.
 
 Writes are rendered for the plan's one assignment operator. A path is
 a tuple with an int per dense rank, the pinned coordinate per pinpoint
@@ -65,7 +81,8 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .intervals import Interval
 from .limits import ABOVE, BELOW, Limit
@@ -195,6 +212,61 @@ def _end(t: str, f: str) -> str:
 _IND = "    "
 # the start of a loop that runs from -inf
 _OPEN_START = LimC(Limit(-math.inf, ABOVE))
+_RETURN = "return _seg, _mul, _emit, _out"
+
+
+@dataclass
+class _Loop:
+    """A plan loop being rendered, as a write that ends it early sees it."""
+
+    # before a break out of it: a pieces loop, which counted all its pieces
+    # up front, takes back those it will not visit
+    uncount: tuple = ()
+    # rendered right after it, in the loop around it: the break out of that
+    # loop too, once an inner write has set _hit
+    after: tuple = ()
+
+
+def _dense_homes(plan: Plan) -> dict:
+    """The dense positions to bind once, by their home: the slot of the
+    discrete loop at the start of which they are bound, or None for the
+    kernel's start. A position qualifies when its parents are dense ones
+    that qualify and its index reads only constants and the indices of
+    discrete loops around it (lowering builds it as a sum of those); its
+    home is the innermost of those loops. Each list is in order of first
+    use, a parent before its child."""
+    homes = {}
+
+    def home(p, scope):
+        """p's home, once it is registered there; False where p does not qualify."""
+        if type(p) is PRoot:
+            return None
+        if type(p) is not PDense:
+            return False
+        terms = p.index.args if type(p.index) is Add else (p.index,)
+        up = home(p.parent, scope)
+        if up is False or not all(type(a) is Num or type(a) is Var and a.slot in scope
+                                  for a in terms):
+            return False
+        slots = [a.slot for a in terms if type(a) is Var] + ([up] if up is not None else [])
+        h = max(slots, key=scope.index, default=None)
+        homes.setdefault(h, {})[p] = None
+        return h
+
+    def visit(x, scope):
+        if type(x) is PDense:
+            home(x, scope)
+        elif type(x) is DiscLoop:
+            scope = [*scope, x.slot]
+        if isinstance(x, tuple):
+            for y in x:
+                visit(y, scope)
+        elif is_dataclass(x):
+            for f in fields(x):
+                visit(getattr(x, f.name), scope)
+
+    visit(plan.body, [])
+    return {h: list(ps) for h, ps in homes.items()}
 
 
 class _Source:
@@ -222,10 +294,15 @@ class _Source:
         self.fingers = frozenset()  # position locals of the annihilating steppers in scope
         self.ends = {}  # position local of a stepper in scope that runs out -> its fiber's end
         self.probed = set()  # position locals a probe sets: -1 where it misses
+        self.homes = _dense_homes(plan)  # discrete loop slot or None -> dense positions
+        self.bound = {}  # dense position -> the local it is bound to
+        self.loops = []  # _Loop per plan loop around what is rendered
+        self.hit = False  # whether a write ends more than one loop, through _hit
         self.op = None  # a plan writes with one operator
         self.lines = []
 
     def source(self) -> str:
+        self.bind_dense(None, _IND)
         self.stmt(self.plan.body, _IND)
         self.op = self.op or "="
         head = ["def kernel(_b):"]
@@ -242,7 +319,9 @@ class _Source:
         else:
             head.append(f"    _out = {_lit(self.plan.output.fill)}")
         head.append("    _seg = _mul = _emit = 0")
-        return "\n".join([*head, *self.lines, "    return _seg, _mul, _emit, _out", ""])
+        if self.hit:
+            head.append("    _hit = False")
+        return "\n".join([*head, *self.lines, _IND + _RETURN, ""])
 
     # ---- names: a slot's local is "<name>_<slot>" (or "v_<slot>" for a
     # name that is not plain ASCII), so the slot number keeps it unique
@@ -283,6 +362,9 @@ class _Source:
         if type(p) is PRoot:
             return "0"
         if type(p) is PDense:
+            local = self.bound.get(p)
+            if local is not None:
+                return local
             # own temporaries: the index may itself read a dense position
             parent = self.pexpr(p.parent)
             self.dense += 1
@@ -436,7 +518,29 @@ class _Source:
         self.nested(f"if {self.expr(s.test)}:", s.body, pad)
 
     def disc_loop(self, s: DiscLoop, pad: str):
-        self.nested(f"for {self.var(s.slot, s.name)} in range({s.lo}, {s.hi + 1}):", s.body, pad)
+        with self.loop(pad):
+            self.lines.append(f"{pad}for {self.var(s.slot, s.name)} in range({s.lo}, {s.hi + 1}):")
+            self.bind_dense(s.slot, pad + _IND)
+            self.stmt(s.body, pad + _IND)
+
+    def bind_dense(self, home, pad: str):
+        """Bind each dense position that is fixed from here on to a local,
+        so it is evaluated once per iteration of its discrete loop (once
+        per kernel at home None), not at each of its uses."""
+        for p in self.homes.get(home, ()):
+            code = self.pexpr(p)
+            local = self.bound[p] = f"_pos{len(self.bound) + 1}"
+            self.lines.append(f"{pad}{local} = {code}")
+
+    @contextmanager
+    def loop(self, pad: str, uncount=()):
+        """Render a plan loop's lines inside this; a write inside may end it
+        early, and what it asks for after the loop is rendered at pad."""
+        frame = _Loop(tuple(uncount))
+        self.loops.append(frame)
+        yield
+        self.loops.pop()
+        self.lines.extend(pad + line for line in frame.after)
 
     def let(self, s: LetScalar, pad: str):
         self.lines.append(f"{pad}{self.var(s.slot, s.name)} = {self.expr(s.expr)}")
@@ -500,6 +604,10 @@ class _Source:
         if s.shape == "pieces":
             self.pieces(s, pad)
             return
+        with self.loop(pad):
+            self.walk_or_fingers(s, pad)
+
+    def walk_or_fingers(self, s: WhileCoiter, pad: str):
         walk = s.shape == "walk"
         lo, hi = self.region(s.range_slot, s.range_name)
         if walk:
@@ -581,7 +689,9 @@ class _Source:
             f = f if _simple(f) else "_f"
         add(f"{pad}{p} = {t}_ptr[{f}]\n{pad}{end} = {_end(t, f)}\n"
             f"{pad}_seg += {end} - {p}\n{pad}for {p} in range({p}, {end}):")
-        self.scoped(s.body, pad + _IND, self.fingers | {p}, self.ends)
+        # a write that ends the loop at p has visited the pieces up to p
+        with self.loop(pad, [f"_seg -= {end} - {p} - 1"]):
+            self.scoped(s.body, pad + _IND, self.fingers | {p}, self.ends)
 
     def write(self, s, pad: str):
         add = self.lines.append
@@ -630,10 +740,38 @@ class _Source:
         combine = _REDUCE[s.op][0]
         add(f"{pad}_val = {value}")
         if comps:
+            # a write that may end loops keeps the cell's combined value
             add(f"{pad}_key = ({', '.join(comps)},)\n"
-                f"{pad}_out[_key] = {combine.format(f'_get(_key, {fill})', '_val')}")
+                f"{pad}_out[_key] = {'_val = ' if s.exits else ''}"
+                f"{combine.format(f'_get(_key, {fill})', '_val')}")
         else:
             add(f"{pad}_out = {combine.format('_out', '_val')}")
+        if s.exits:
+            self.exit(s, "_val" if comps else "_out", pad)
+
+    def exit(self, s: Write, cell: str, pad: str):
+        """End the write's loops once its cell is absorbing: break out of
+        the innermost, and set _hit for each loop around it that ends too;
+        return at once when they are all the kernel's loops."""
+        n, loops = s.exits, self.loops
+        if n > len(loops):
+            raise ExecError(f"a write ends {n} loops inside {len(loops)}")
+        i = pad + _IND
+        lines = [f"{pad}if {'' if s.op == '|=' else 'not '}{cell}:"]
+        if n == len(loops):
+            lines += [i + u for f in loops for u in f.uncount] + [i + _RETURN]
+        else:
+            if n > 1:
+                self.hit = True
+                lines.append(f"{i}_hit = True")
+                for k in range(len(loops) - n + 1, len(loops)):
+                    # after an inner loop ends on a hit, the loop around it
+                    # breaks; the outermost of them clears the flag
+                    reset = ("    _hit = False",) if k == len(loops) - n + 1 else ()
+                    loops[k].after = ("if _hit:", *reset,
+                                      *("    " + u for u in loops[k - 1].uncount), "    break")
+            lines += [i + u for u in loops[-1].uncount] + [i + "break"]
+        self.lines.append("\n".join(lines))
 
 
 _EXPR = {

@@ -308,6 +308,11 @@ class Write:
     op: str  # = += |= &= max= min=
     value: SExpr
     two_tensor: bool = False
+    # under |= and &=, how many of the loops around the write end once it
+    # leaves its cell absorbing (true under |=, false under &=): those
+    # inside the loop one iteration of which fixes the whole path, or all
+    # of them for a rank-0 output; 0 where nothing ends early
+    exits: int = 0
 
     @property
     def emits(self) -> bool:
@@ -500,7 +505,11 @@ def pretty(stmt, indent: int = 0) -> str:
     if isinstance(stmt, Write):
         path = ", ".join(_emit_comp(c) for c in stmt.path)
         emit = "emit " if stmt.emits else ""
-        return f"{pad}{emit}{stmt.output}[{path}] {stmt.op} {render(stmt.value)}"
+        line = f"{pad}{emit}{stmt.output}[{path}] {stmt.op} {render(stmt.value)}"
+        if stmt.exits:
+            absorbing = "true" if stmt.op == "|=" else "false"
+            line += f", then once {absorbing} exit {stmt.exits} loop{'s' * (stmt.exits > 1)}"
+        return line
     raise TypeError(f"cannot pretty-print {stmt!r}")
 
 

@@ -702,7 +702,12 @@ def test_a_lone_stepper_renders_a_pieces_loop():
     # the id is read off the stored point, with no region to check
     assert re.search(r"id_\d+ = _Query_1_starts\[p_Query1_\d+\]\[0\]", src)
     assert "_pin_error" not in src and ".last_stop(" not in src
-    assert run(plan).stats == ExecStats(multiplies=4, segments_visited=22, pieces_emitted=4)
+    # chr 1 holds queries 1 ([0, 2]) and 2 ([4, 7]): 2 pieces. Query 1 meets
+    # data 1 ([0.5, 1.5]) in its first segment and stops there: 1 jd piece
+    # and 1 segment. Query 2 visits data 1 and 2 (one segment each, no
+    # overlap) and meets data 3 ([3.5, 5]) in its first: 3 jd pieces and 3
+    # segments. 2 + 2 + 6 = 10 segments, and one write per query
+    assert run(plan).stats == ExecStats(multiplies=2, segments_visited=10, pieces_emitted=2)
 
 
 A_TWO = tensor_1d("A", [((0.0, 1.0), 2.0), ((2.0, 3.0), 5.0)], 0.0, kind="interval")
@@ -751,10 +756,9 @@ D_TWO = build_tensor("D", [("dense", 2), ("interval",)],
      r"if q_M0_(\d+) >= 0 and _M_1_ptr\[q_M0_\1\] <", (4, 2, 2)),
     # k = 2 is past D's dense rank: the guarded index gives -1
     ("for k = 0:2\n  for j = -inf:inf\n    Out[k, j] = D[k, j]\n  end\nend\n",
-     {"D": D_TWO}, r"if \(_f := \(_i\d+ if 0 <= ", (2, 0, 2)),
+     {"D": D_TWO}, r"(_pos\d+) = \(_i\d+ if 0 <= .*\n\s+if \1 >= 0:", (2, 0, 2)),
     ("for k = 0:2\n  for j = -inf:inf\n    Out[k, j] = D[k, j] * A[j]\n  end\nend\n",
-     {"D": D_TWO, "A": A_TWO}, r"if \(_f := \(_i\d+ if 0 <= .* >= 0 and _D_1_ptr\[_f\] <",
-     (3, 3, 3)),
+     {"D": D_TWO, "A": A_TWO}, r"if (_pos\d+) >= 0 and _D_1_ptr\[\1\] <", (3, 3, 3)),
 ], ids=["empty_root", "empty_child", "missed_probe", "missed_probe_fingers", "dense_past",
         "dense_past_fingers"])
 def test_an_empty_or_missing_fiber_runs_no_piece(src, binds, guard, stats):
@@ -878,3 +882,138 @@ def test_a_shifted_loop_start_that_rounds_onto_a_stored_stop(lo, sh, stop, step)
         assert first == ((Interval.closed(lo, lo),), 2.0)
     else:
         assert first[1] == 1.0  # B alone
+
+
+# ---------------------------------------------------------------------------
+# absorbing writes: once an |= or &= write leaves its cell true (false), the
+# loops inside the one that fixed the cell end; the counters count only
+# the work done. A holds three columns j over the pieces [0, 1], [2, 3] and
+# [4, 5] of i, and B is true on [0.5, 4.5], so a co-iteration of both ends
+# at 4.5 and meets three segments
+
+
+def absorbing_inputs(rows, fill, dense_first=True):
+    """A from rows, one per piece of i, each a value per j; B as above."""
+    pieces = ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0))
+    if dense_first:
+        A = build_tensor("A", [("dense", 3), ("interval",)],
+                         [[(iv, row[j]) for iv, row in zip(pieces, rows)] for j in range(3)],
+                         fill=fill)
+    else:
+        A = build_tensor("A", [("interval",), ("dense", 3)], list(zip(pieces, rows)),
+                         fill=fill)
+    B = tensor_1d("B", [((0.5, 4.5), True)], False, kind="interval")
+    return {"A": A, "B": B}
+
+
+OR_ROWS = ([True, False, False], [True, False, False], [False, True, False])
+
+
+def test_an_absorbing_write_ends_the_loops_inside_the_one_that_fixed_its_cell():
+    # j fixes the cell, so the first true write under a j ends the i loop:
+    # j = 0 hits in its first segment, j = 1 in its third, j = 2 never
+    src = "for j = 0:2\n  for i = -inf:inf\n    Out[j] |= A[j, i] && B[i]\n  end\nend\n"
+    binds = absorbing_inputs(OR_ROWS, False)
+    plan = compile_program(parse(src), binds)
+    assert "then once true exit 1 loop" in pretty(plan) and "exits=1" in plan.key
+    res = against_oracle(src, binds)
+    assert list(res.output.values) == [True, True, False]
+    assert res.stats == ExecStats(multiplies=7, segments_visited=7, pieces_emitted=0)
+
+
+def test_a_cell_fixed_by_the_innermost_loop_ends_nothing():
+    # the loops swapped: each write of a segment is into another cell, so
+    # every segment writes all three
+    src = "for i = -inf:inf\n  for j = 0:2\n    Out[j] |= A[i, j] && B[i]\n  end\nend\n"
+    binds = absorbing_inputs(OR_ROWS, False, dense_first=False)
+    plan = compile_program(parse(src), binds)
+    assert "exit" not in pretty(plan) and "exits=1" not in plan.key
+    assert "_hit" not in kernel_source(plan) and "if _val:" not in kernel_source(plan)
+    res = against_oracle(src, binds)
+    assert list(res.output.values) == [True, True, False]
+    assert res.stats == ExecStats(multiplies=9, segments_visited=3, pieces_emitted=0)
+
+
+def test_a_stored_false_ends_an_and_reduction_and_its_pieces_loop():
+    # A alone annihilates under &= (fill true): a pieces loop, which counts
+    # its 3 pieces up front and takes back those a false leaves unvisited.
+    # j = 0 meets false at its third piece, j = 1 at its first: 3 + 1 + 3
+    src = "for j = 0:2\n  for i = -inf:inf\n    Out[j] &= A[j, i]\n  end\nend\n"
+    rows = ([True, False, True], [True, True, True], [False, True, True])
+    binds = {"A": absorbing_inputs(rows, True)["A"]}
+    plan = compile_program(parse(src), binds)
+    assert "coiterate over its fiber (pieces):" in pretty(plan)
+    assert "then once false exit 1 loop" in pretty(plan)
+    assert re.search(r"if not _val:\n\s+_seg -= _p_A1_\d+_end - p_A1_\d+ - 1\n\s+break",
+                     kernel_source(plan))
+    res = against_oracle(src, binds)
+    assert list(res.output.values) == [False, False, True]
+    assert res.stats == ExecStats(multiplies=0, segments_visited=7, pieces_emitted=0)
+
+
+@pytest.mark.parametrize("src, stats", [
+    # the second segment, [2, 3], is the first true one
+    ("for i = -inf:inf\n  Out |= A[0, i] && B[i]\nend\n", ExecStats(2, 2, 0)),
+    # a pieces loop: 3 pieces counted, the third never visited
+    ("for i = -inf:inf\n  Out |= A[1, i]\nend\n", ExecStats(0, 2, 0)),
+], ids=["fingers", "pieces"])
+def test_a_rank0_absorbing_write_returns_at_once(src, stats):
+    binds = absorbing_inputs(([False, False, False], [True, True, False],
+                              [True, True, False]), False)
+    binds = {name: binds[name] for name in ("A", "B") if f"{name}[" in src}
+    source = kernel_source(compile_program(parse(src), binds))
+    assert source.count("return _seg, _mul, _emit, _out") == 2
+    res = against_oracle(src, binds)
+    assert res.output is True and res.stats == stats
+
+
+# an |= into an interval rank: the write's cell is the region it writes,
+# which no loop fixes, so the kernel is the one it was before writes could
+# end loops, byte for byte
+INTERVAL_OR = """\
+def kernel(_b):
+    _A_0_table = _b['A'].levels[0]
+    _A_0_starts, _A_0_stops, _A_0_ptr = _A_0_table.starts, _A_0_table.stops, _A_0_table.ptr
+    _A_1_table = _b['A'].levels[1]
+    _A_1_starts, _A_1_stops, _A_1_ptr = _A_1_table.starts, _A_1_table.stops, _A_1_table.ptr
+    _A_vals = _b['A'].values
+    _out = {}
+    _get = _out.get
+    _seg = _mul = _emit = 0
+    p_A0_0 = _A_0_ptr[0]
+    _p_A0_0_end = _A_0_ptr[1]
+    _seg += _p_A0_0_end - p_A0_0
+    for p_A0_0 in range(p_A0_0, _p_A0_0_end):
+        r_1_lo = _A_0_starts[p_A0_0]
+        r_1_hi = _A_0_stops[p_A0_0]
+        p_A1_2 = _A_1_ptr[p_A0_0]
+        _p_A1_2_end = _A_1_ptr[p_A0_0 + 1]
+        _seg += _p_A1_2_end - p_A1_2
+        for p_A1_2 in range(p_A1_2, _p_A1_2_end):
+            _emit += 1
+            if (_lo0 := _NEG_OPEN if r_1_lo < _NEG_OPEN else r_1_lo) <= (_hi0 := _POS_OPEN if r_1_hi > _POS_OPEN else r_1_hi):
+                _val = _A_vals[p_A1_2]
+                _key = ((_lo0, _hi0),)
+                _out[_key] = _get(_key, False) or _val
+    return _seg, _mul, _emit, _out
+"""
+
+
+def test_an_absorbing_write_into_an_interval_rank_ends_nothing():
+    A = build_tensor("A", [("interval",), ("interval",)],
+                     [((0.0, 1.0), [((0.0, 1.0), False), ((2.0, 3.0), True)]),
+                      ((2.0, 3.0), [((1.0, 2.0), True)])], fill=False)
+    src = "for i = -inf:inf\n  for j = -inf:inf\n    Out[i] |= A[i, j]\n  end\nend\n"
+    assert kernel_source(compile_program(parse(src), {"A": A})) == INTERVAL_OR
+    res = against_oracle(src, {"A": A})
+    assert res.stats == ExecStats(multiplies=0, segments_visited=5, pieces_emitted=3)
+
+
+def test_a_dense_position_is_bound_once_per_iteration_of_its_loop():
+    # the grid kernel reads chr's fiber in two stepper loops, a range's last
+    # stop and two probes, all through the one local bound under chr's loop
+    k = kernels.get("genomic_overlap_grid")
+    src = kernel_source(compile_program(k.program(), k.canonical()))
+    assert src.count(" if 0 <= ") == 1
+    assert re.search(r"for chr_0 in range\(0, 2\):\n\s+_pos1 = \(_i1 if 0 <= ", src)
+    assert src.count("probe(_pos1, ") == 2

@@ -1,7 +1,8 @@
 """Differential fuzzing: random programs, compiled and run, against the oracle.
 
 The strategy draws programs of the shape the validator accepts: one or
-two nested loops (continuous or discrete), accesses whose indices are
+two nested loops (continuous or discrete), or three (a dense one over two
+continuous ones) for an ``|=`` or ``&=`` into a cell the outer one fixes, accesses whose indices are
 shifts ``i + j + c``, right-hand sides joined by ``*``, ``+`` and ``-``
 (numeric, an operand negated or divided by a nonzero constant) or ``&&``
 and ``||`` (boolean, an operand negated or ``true``/``false`` joined in),
@@ -92,27 +93,35 @@ def programs(draw):
     dense_fiber = draw(st.integers(0, 7)) == 0
     if dense_fiber:
         loops = [("i", False, 0, draw(st.integers(0, 2))), ("j", True, -INF, INF)]
-    for var in ["i", "j"][: 0 if dense_fiber else draw(st.integers(1, 2))]:
+    # an |= or &= into a cell only a dense outer loop fixes, over two
+    # continuous loops inside it: a write that leaves the cell absorbing
+    # ends both
+    absorbing = not dense_fiber and draw(st.integers(0, 7)) == 0
+    if absorbing:
+        loops = [("i", False, 0, draw(st.integers(0, 2))),
+                 ("j", True, *draw(st.sampled_from(CONT_BOUNDS))),
+                 ("k", True, *draw(st.sampled_from(CONT_BOUNDS)))]
+    for var in ["i", "j"][: 0 if dense_fiber or absorbing else draw(st.integers(1, 2))]:
         if draw(st.integers(0, 3)):
             lo, hi = draw(st.sampled_from(CONT_BOUNDS))
             loops.append((var, True, lo, hi))
         else:
             loops.append((var, False, 0, draw(st.integers(0, 2))))
     cont = [l for l in loops if l[1]]
-    boolean = draw(st.booleans())
+    boolean = absorbing or draw(st.booleans())
     if boolean:
-        op = draw(st.sampled_from(["=", "|=", "&="]))
+        op = draw(st.sampled_from(["|=", "&="] if absorbing else ["=", "|=", "&="]))
         joins, values = ["&&", "||"], st.booleans()
     else:
         op = draw(st.sampled_from(["=", "+=", "max=", "min="]))
         joins, values = ["*", "+", "-"], st.sampled_from(NUM_VALUES)
-    out_vars = [l for l in loops if draw(st.booleans())]
+    out_vars = loops[:1] if absorbing else [l for l in loops if draw(st.booleans())]
     integral = op == "+=" and any(l[1] and l not in out_vars and INF in (-l[2], l[3])
                                   for l in loops)
 
     binds, accesses = {}, []
     for name in ["A", "B", "C"][: draw(st.integers(1, 3))]:
-        first = dense_fiber and not accesses
+        first = (dense_fiber or absorbing) and not accesses
         used = loops if first else ([l for l in loops if draw(st.booleans())]
                                     or [draw(st.sampled_from(loops))])
         indices, specs = [], []
