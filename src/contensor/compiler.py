@@ -500,7 +500,8 @@ def _lower_cont(s: SFor, ctx):
         elif u and not any(p for k, p in zip(steppers, sub) if k not in annihilating):
             # where every stepper that runs out is a gap nothing is written,
             # so the loop also ends where the last of them does
-            stops.append(MaxOf(tuple(last(k) for k in steppers if k not in annihilating)))
+            ends = tuple(last(k) for k in steppers if k not in annihilating)
+            stops.append(MaxOf(ends) if len(ends) > 1 else ends[0])
     if not sub_stmts:
         return []
     if whole:
@@ -523,11 +524,12 @@ def _finish_region(s: SFor, region, ctx, pin=None):
         ctx.scalars[var] = Var(slot, name)
         ctx.fixed[var] = ctx.depth
         stmts = [Pin(slot, name, pin)]
-        _advance(ctx, stmts)
-        body = _lower_block(s.body, ctx)
-        return stmts + body if body else []
-    ctx.pending[var] = region
-    return _lower_block(s.body, ctx)
+    else:
+        ctx.pending[var] = region
+        stmts = []
+    _advance(ctx, stmts)
+    body = _lower_block(s.body, ctx)
+    return stmts + body if body else []
 
 
 def _op_fill(op, value):

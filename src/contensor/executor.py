@@ -973,7 +973,7 @@ class _Store:
     def _overlay(self, recs, depth) -> list:
         """recs with their pieces at depth split into the elementary pieces
         all their ends cut the line into, combined through the operator in
-        the order of recs."""
+        the order of recs; a piece combined to the fill is not stored."""
         # a cut is the first endpoint of what follows it
         cuts = sorted({c for r in recs for c in (r[depth][0], _above(r[depth][1]))})
         combine = _REDUCE[self.op][1]
@@ -984,7 +984,7 @@ class _Store:
             for k in range(bisect_left(cuts, start), bisect_left(cuts, _above(stop))):
                 sub = (*r[:depth], (cuts[k], _below(cuts[k + 1])), *r[depth + 1:-1])
                 out[sub] = v if sub not in out else combine(out[sub], v)
-        return [(*path, v) for path, v in out.items()]
+        return [(*path, v) for path, v in out.items() if v != self.decl.fill]
 
 
 def _groups(recs, depth) -> dict:

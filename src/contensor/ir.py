@@ -168,7 +168,7 @@ class LastStop:
 
 @dataclass(frozen=True)
 class MaxOf:
-    """The greatest of several endpoints."""
+    """The greatest of two or more endpoints."""
 
     ends: tuple  # tuple[LExpr]
 

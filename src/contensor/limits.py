@@ -24,6 +24,8 @@ def _clamp(e: int) -> int:
 
 
 def _fmt(v: float) -> str:
+    if v != v:
+        return "nan"
     if v == math.inf:
         return "inf"
     if v == -math.inf:

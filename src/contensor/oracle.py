@@ -17,7 +17,7 @@ from .lang import (
     EAccess, EBin, EBool, EDif, ENum, EUn, EVar, Program, SAssign, SFor,
     SIf, SLet,
 )
-from .limits import ABOVE, BELOW, Limit
+from .limits import ABOVE, BELOW, EPS, Limit
 from .storage import ContTensor, DenseLevel, OverlapError, build_tensor
 
 
@@ -381,8 +381,7 @@ class _OStore:
         return []
 
     def _fiber(self, cells, depth, specs):
-        nd = len(specs)
-        if depth == nd:
+        if depth == len(specs):
             (v,) = cells.values()
             return v
         groups = {}
@@ -395,6 +394,10 @@ class _OStore:
                 for i in range(specs[depth][1])
             ]
         entries = sorted(groups, key=lambda iv: (iv.start, iv.stop))
+        if self.op != "=" and any(b.start <= a.stop for a, b in zip(entries, entries[1:])):
+            # loops outside this rank cut it differently: the reduction
+            # combines its pieces where they overlap
+            return self._fiber(self._split(cells, depth), depth, specs)
         out = []
         for iv in entries:
             node = self._fiber(groups[iv], depth + 1, specs)
@@ -403,11 +406,25 @@ class _OStore:
                 if iv.start <= piv.stop:
                     raise OverlapError(
                         f"output pieces {piv} and {iv} overlap")
-                if depth == nd - 1 and pnode == node and piv.touches_below(iv):
+                if pnode == node and piv.touches_below(iv):
                     out[-1] = (Interval(piv.start, iv.stop), pnode)
                     continue
             out.append((iv, node))
         return out
+
+    def _split(self, cells, depth):
+        """cells with their pieces at depth cut at every end of the others,
+        the parts with one path combined; a part combined to the fill is
+        not stored."""
+        cuts = sorted({x for key in cells for x in (key[depth].start, key[depth].stop + EPS)})
+        parts = {}
+        for key, v in cells.items():
+            iv = key[depth]
+            for a, b in zip(cuts, cuts[1:]):
+                if iv.start <= a and b <= iv.stop + EPS:
+                    k = (*key[:depth], Interval(a, b - EPS), *key[depth + 1:])
+                    parts[k] = _op_combine(self.op, parts[k], v, k) if k in parts else v
+        return {k: v for k, v in parts.items() if v != self.fill}
 
 
 class _Eval:

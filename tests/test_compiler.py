@@ -436,3 +436,13 @@ def test_an_access_written_twice_is_stepped_once(src, steppers, probes):
     assert steppers_of(plan) == steppers
     assert len(collect(plan.body, Probe)) == probes
     assert outputs_match(run(plan).output, evaluate(program, binds))
+
+
+def test_a_dense_rank_after_a_stepped_rank_is_resolved_in_its_region():
+    # once the stepper over A's rank 0 is in a piece, A's dense rank is read
+    # at j, a scalar there
+    A = build_tensor("A", [("interval",), ("dense", 3)], [((0.0, 1.0), [1.0, 2.0, 3.0])])
+    program = parse("for j = 0:2\n  for i = -inf:inf\n    Out[j] += A[i, j] * d(i)\n  end\nend\n")
+    got = run(compile_program(program, {"A": A})).output
+    assert outputs_match(got, evaluate(program, {"A": A}))
+    assert [v for _, v in got.pieces()] == [1.0, 2.0, 3.0]

@@ -511,6 +511,22 @@ end
         ((Interval.closed(0.0, 2.0), 0), 1.0), ((Interval.closed(0.0, 2.0), 1), 1.0)]
 
 
+@pytest.mark.parametrize("src, pieces", [
+    ("for i = 0:1\n  for j = -inf:inf\n    Out[j] += -A[i, j] * B[i]\n  end\nend\n",
+     [((Interval.right_open(0.0, 1.0),), -1.0), ((Interval.left_open(2.0, 3.0),), 1.0)]),
+    ("for k = 0:1\n  for i = -inf:inf\n    for c = 0:0\n      Out[i, c] += A[k, i] * B[k]\n"
+     "    end\n  end\nend\n",
+     [((Interval.right_open(0.0, 1.0), 0), 1.0), ((Interval.left_open(2.0, 3.0), 0), -1.0)]),
+], ids=["last_rank", "above_the_last_rank"])
+def test_overlapping_pieces_that_combine_to_the_fill_are_not_stored(src, pieces):
+    # on [1, 2] the two rows' pieces cancel: 1 * 1 + 1 * -1 is the fill 0
+    A = build_tensor("A", [("dense", 2), ("interval",)],
+                     [[((0.0, 2.0), 1.0)], [((1.0, 3.0), 1.0)]])
+    B = build_tensor("B", [("dense", 2)], [1.0, -1.0])
+    res = against_oracle(src, {"A": A, "B": B})
+    assert list(res.output.pieces()) == pieces
+
+
 def test_plan_names_cannot_shadow_generated_ones():
     # slot 0 is the loop over _A; its local must not be tensor A's table,
     # which the probe at each point of P reads
@@ -844,6 +860,16 @@ def test_a_shift_that_moves_the_last_piece_past_the_loop_end():
     res = against_oracle("for i = 0.0:2.0\n  Out[i] = A[i - 3.0] + B[i]\nend\n",
                          {"A": A, "B": B})
     assert [v for _, v in res.output.pieces()] == [5.0, 6.0, 5.0, 1.0]
+
+
+@pytest.mark.parametrize("a, b", [([(0.25, 1.0)], [(0.5, 2.0)]), ([], [])])
+def test_a_lone_stepper_that_runs_out_ends_the_loop_at_its_last_stop(a, b):
+    # where B is a gap nothing is written, and B alone runs out: the loop
+    # ends at B's last stop, not at the greatest of several
+    A, B = tensor_1d("A", a, 0.0), tensor_1d("B", b, 0.0)
+    res = against_oracle("for i = -inf:inf\n  for j = 0.0:2.0\n"
+                         "    Out[i] += (-A[i] + -B[j]) * d(j)\n  end\nend\n", {"A": A, "B": B})
+    assert [v for _, v in res.output.pieces()] == ([-2.0] if a else [])
 
 
 @pytest.mark.parametrize("a, segments", [

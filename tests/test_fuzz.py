@@ -11,14 +11,12 @@ and dense levels (a dense one now and then narrower than its loop),
 fills and off-pitch float endpoints. A program the
 compiler rejects with a ``CompileError`` (a ``ValidityError`` among
 them) is skipped; one it accepts must not reach the internal errors
-(``UnloweredError``, ``ExecError``) and must agree with
-``oracle.evaluate``, apart from the known oracle faults that the strict
-xfail tests below pin.
+(``UnloweredError``, ``ExecError``), and its whole output must equal the
+one reference, ``oracle.evaluate``: the same shape, fill and piece list,
+values within a relative 1e-9. The oracle builds the canonical output the
+executor builds, so no difference is excused.
 """
 
-import collections
-import dataclasses
-import itertools
 import math
 
 import pytest
@@ -189,93 +187,26 @@ def outcome(fn):
         return type(e)
 
 
-def samples(ts, rank):
-    """Coordinates that tell piecewise-constant functions apart along a
-    rank: every finite piece end, a point between neighbouring ends and
-    one beyond each side."""
-    if not ts[0].levels[rank].continuous:
-        return range(ts[0].levels[rank].size)
-    ends = sorted({x for t in ts for path, _ in t.pieces() for x in (path[rank].start.val,
-                   path[rank].stop.val) if math.isfinite(x)})
-    if not ends:
-        return [0.0]
-    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
-    return sorted({ends[0] - 1.0, *ends, *mids, ends[-1] + 1.0})
+def same_output(got, want) -> bool:
+    """Whole outputs equal: the same shape, fill and piece list, each
+    value within rel 1e-9 or NaN on both sides (a divergent integral,
+    inf - inf)."""
+    def close(g, w):
+        return outputs_match(g, w, rel=1e-9) or g != g and w != w
 
-
-def pairs(got, want):
-    """(got, want) values at every sample point of both outputs."""
     if not (hasattr(got, "levels") and hasattr(want, "levels")):
-        return [(got, want)]
-    grid = [samples((got, want), r) for r in range(got.ndim)]
-    return [(got.at(*pt), want.at(*pt)) for pt in itertools.product(*grid)]
-
-
-def same_function(got, want, rel=1e-9):
-    """Outputs agree as functions: at every sample of every rank.
-
-    The oracle writes pieces above the last rank unmerged, so equal
-    functions can have different piece lists (see the xfail below)."""
-    if hasattr(got, "levels") and hasattr(want, "levels"):
-        if got.ndim != want.ndim or got.fill != want.fill:
-            return False
-    return all(outputs_match(g, w, rel=rel) for g, w in pairs(got, want))
-
-
-def pinned(program, point: dict):
-    """The program with each continuous loop named in point run over that
-    one point: its output there, written by pieces that cannot overlap."""
-    def visit(s):
-        if not hasattr(s, "var"):
-            return s
-        body = tuple(visit(b) for b in s.body)
-        if s.var in point:
-            return dataclasses.replace(s, lo=point[s.var], hi=point[s.var], body=body)
-        return dataclasses.replace(s, body=body)
-    return dataclasses.replace(program, body=tuple(visit(s) for s in program.body))
-
-
-def pointwise_reference(got, program, binds):
-    """got against the oracle run once per sample point, with the
-    continuous output indices pinned there; False where that run fails.
-    The points are got's samples, the inputs' piece ends and those ends
-    moved by each constant shift."""
-    loops, s = {}, program.body[0]
-    while hasattr(s, "var"):
-        loops[s.var] = s
-        s = s.body[0]
-    names = [ix.name for ix in s.indices]
-    ends = {x - c for t in binds.values() for path, _ in t.pieces() for r in range(t.ndim)
-            if t.levels[r].continuous for x in (path[r].start.val, path[r].stop.val)
-            if math.isfinite(x) for c in SHIFTS}
-    grid = [samples((got,), r) if not got.levels[r].continuous
-            else sorted({*samples((got,), r), *ends}) for r in range(got.ndim)]
-    for pt in itertools.product(*grid):
-        point = {v: x for v, x in zip(names, pt) if loops[v].continuous}
-        if not all(loops[v].lo <= x <= loops[v].hi for v, x in point.items()):
-            want = got.fill  # outside the loop nothing is written
-        else:
-            try:
-                ref = evaluate(pinned(program, point), binds)
-            except (OracleError, OverlapError):
-                return False
-            want = ref.at(*pt)
-        assert outputs_match(got.at(*pt), want, rel=1e-9), (pt, got.at(*pt), want)
-    return True
+        return close(got, want)
+    pg, pw = list(got.pieces()), list(want.pieces())
+    return ((got.ndim, got.fill) == (want.ndim, want.fill) and len(pg) == len(pw)
+            and all(kg == kw and close(g, w) for (kg, g), (kw, w) in zip(pg, pw)))
 
 
 def test_random_programs_agree_with_the_oracle():
-    """Every valid program the strategy draws agrees with the oracle, and
-    compiles to the same output with bound pruning; the kernel it ran is
-    the one a fresh render of its plan gives.
-
-    A known oracle fault (xfail below) changes what agreeing means: a
-    reduction whose pieces overlap, which the oracle cannot combine, is
-    checked against the oracle at each sample point instead. What that
-    check does not cover is counted and must stay rare. A draw already
-    checked in this run (the same source over the same inputs) is
-    skipped, so the budget goes to new programs."""
-    tally = collections.Counter()
+    """Every valid program the strategy draws gives the oracle's whole
+    output, or raises the error the oracle raises, and compiles to the same
+    output with bound pruning; the kernel it ran is the one a fresh render
+    of its plan gives. A draw already checked in this run (the same source
+    over the same inputs) is skipped, so the budget goes to new programs."""
     seen = set()
 
     @settings(max_examples=1000, deadline=None, derandomize=True,
@@ -300,34 +231,15 @@ def test_random_programs_agree_with_the_oracle():
         # bound pruning deletes only guards and operands that change nothing
         pruned = outcome(lambda: run(compile_program(program, binds, opt_bounds=True)).output)
         assert repr(pruned) == repr(got), src
-        if want is OverlapError and _op(program) != "=":
-            assert hasattr(got, "levels"), src
-            tally["pointwise" if pointwise_reference(got, program, binds) else "unchecked"] += 1
-        elif isinstance(want, type) or isinstance(got, type):
+        if isinstance(want, type) or isinstance(got, type):
             assert got is want, src
-            tally["compared"] += 1
         else:
-            if hasattr(got, "levels") and hasattr(want, "levels"):
-                assert (got.ndim, got.fill) == (want.ndim, want.fill), src
-            # a divergent integral (inf - inf) is NaN on both sides
-            wrong = [(g, w) for g, w in pairs(got, want)
-                     if not (outputs_match(g, w, rel=1e-9) or g != g and w != w)]
-            assert not wrong, (src, wrong)
-            tally["compared"] += 1
+            assert same_output(got, want), (src, got, want)
         # only once it passed: a failing draw must fail again when replayed
         seen.add(key)
 
     check()
-    checked = tally["compared"] + tally["pointwise"]
-    assert checked >= 100, tally
-    assert tally["unchecked"] <= checked // 50, tally
-
-
-def _op(program):
-    s = program.body[0]
-    while not hasattr(s, "op"):
-        s = s.body[0]
-    return s.op
+    assert len(seen) >= 100, len(seen)
 
 
 def both(src, binds):
@@ -411,23 +323,22 @@ def test_an_empty_point_input_pins_nothing():
                     {"A": A, "C": C}) == ["R-SUM"]
 
 
-@pytest.mark.xfail(strict=True, reason="the oracle does not merge pieces above the last rank")
-def test_known_fault_oracle_pieces_above_the_last_rank():
+def test_the_oracle_merges_pieces_above_the_last_rank():
+    # the regions [0.25], (0.25, 0.75) and [0.75] of i each write one
+    # piece, and equal touching pieces merge at every rank
     A = build_tensor("A", [("interval",)], [((0.25, 0.75), 1.0)])
     got, want = both("for i = -inf:inf\n  for j = 0:0\n    Out[i, j] = A[i]\n  end\nend\n",
                      {"A": A})
-    assert same_function(got, want)
     assert outputs_match(got, want)
 
 
-@pytest.mark.xfail(strict=True, raises=OverlapError,
-                   reason="the oracle cannot combine overlapping pieces of a reduction")
-def test_known_fault_oracle_overlapping_reduction():
+def test_the_oracle_combines_overlapping_pieces_of_a_reduction():
     # each point of P shifts A's pieces along j differently
     A = build_tensor("A", [("interval",)], [((0.0, 2.0), 3.0)], fill=1.0)
     P = build_tensor("P", [("pinpoint",)], [(0.0, True), (1.0, True)], fill=False)
-    both("for i = -inf:inf\n  if P[i]\n    for j = -inf:inf\n      Out[j] max= A[j + i]\n"
-         "    end\n  end\nend\n", {"A": A, "P": P})
+    got, want = both("for i = -inf:inf\n  if P[i]\n    for j = -inf:inf\n      Out[j] max= A[j + i]\n"
+                     "    end\n  end\nend\n", {"A": A, "P": P})
+    assert outputs_match(got, want)
 
 
 def test_a_point_adds_nothing_to_an_integral_over_an_infinite_region():
@@ -439,21 +350,19 @@ def test_a_point_adds_nothing_to_an_integral_over_an_infinite_region():
     assert want == 0.0
 
 
-def test_overlapping_reduction_pieces_agree_with_the_oracle_pointwise():
-    # the oracle cannot combine the first program's pieces (the fault the
-    # xfail above pins); run once per sample point with j pinned, it can
+def test_overlapping_reduction_pieces_agree_with_the_oracle():
+    # each point of P, and each i of C, cuts Out's pieces differently
     A = build_tensor("A", [("interval",)], [((0.0, 2.0), 3.0)], fill=1.0)
     P = build_tensor("P", [("pinpoint",)], [(0.0, 1.0), (1.0, 2.0)], fill=0.0)
-    program = parse("for i = -inf:inf\n  for j = -inf:inf\n    Out[j] += P[i] * A[j + i]\n"
-                    "  end\nend\n")
-    got = run(compile_program(program, {"A": A, "P": P})).output
-    assert pointwise_reference(got, program, {"A": A, "P": P})
+    got, want = both("for i = -inf:inf\n  for j = -inf:inf\n    Out[j] += P[i] * A[j + i]\n"
+                     "  end\nend\n", {"A": A, "P": P})
+    assert outputs_match(got, want)
     assert [v for _, v in got.pieces()] == [3.0, 7.0, 9.0, 5.0, 3.0]
     C = build_tensor("C", [("dense", 2), ("interval",)],
                      [[((-INF, 2.0, "left_open"), 1.0)], [((1.0, INF, "right_open"), 5.0)]])
-    program = parse("for i = 0:1\n  for j = -inf:inf\n    Out[j] min= C[i, j]\n  end\nend\n")
-    got = run(compile_program(program, {"C": C})).output
-    assert pointwise_reference(got, program, {"C": C})
+    got, want = both("for i = 0:1\n  for j = -inf:inf\n    Out[j] min= C[i, j]\n  end\nend\n",
+                     {"C": C})
+    assert outputs_match(got, want)
     assert [v for _, v in got.pieces()] == [0.0, 1.0, 0.0]
 
 
@@ -479,14 +388,13 @@ def test_reductions_over_an_outer_loop_combine_overlapping_pieces():
 def test_reductions_combine_overlapping_pieces_above_the_last_rank():
     # each k cuts i differently, so the pieces of Out's outer rank overlap:
     # they are split where any of them ends and combined before the rank
-    # below is built; the oracle cuts i at every k's ends and does not merge
-    # pieces above the last rank (xfail above), so it agrees as a function
+    # below is built
     A = build_tensor("A", [("dense", 2), ("interval",)],
                      [[((0.0, 2.0), 1.0)], [((1.0, 3.0), 5.0)]])
     B = build_tensor("B", [("dense", 2)], [1.0, 2.0])
     got, want = both("for k = 0:1\n  for i = -inf:inf\n    for c = 0:1\n"
                      "      Out[i, c] += A[k, i] * B[c]\n    end\n  end\nend\n", {"A": A, "B": B})
-    assert same_function(got, want)
+    assert outputs_match(got, want)
     assert [(tuple(i.start), tuple(i.stop), c, v) for (i, c), v in got.pieces()] == [
         ((0.0, 0), (1.0, -1), 0, 1.0), ((0.0, 0), (1.0, -1), 1, 2.0),
         ((1.0, 0), (2.0, 0), 0, 6.0), ((1.0, 0), (2.0, 0), 1, 12.0),

@@ -49,6 +49,8 @@ def test_rendering():
     assert str(Limit(3.0, ABOVE)) == "3+eps"
     assert str(Limit(4.1, BELOW)) == "4.1-eps"
     assert str(Limit(-math.inf)) == "-inf"
+    # opposite infinities sum to a NaN val
+    assert str(Limit(math.inf, -1) + Limit(-math.inf, -1)) == "nan-eps"
 
 
 def test_nan_comparison_rejected():

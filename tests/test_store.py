@@ -98,7 +98,7 @@ def disjoint(comp, a, b) -> bool:
     return a != b
 
 
-def samples(shape, writes, rank):
+def sample_points(shape, writes, rank):
     """Every finite end written along the rank, a point between each two
     neighbours and one beyond each side; every dense position."""
     if shape[rank] is DENSE:
@@ -165,7 +165,7 @@ def test_finalized_output_is_the_fold_of_the_writes(case):
     assert out.fill == fill
     if shape[-1] is not DENSE:
         assert canonical(out), out
-    grid = [samples(shape, writes, r) for r in range(len(shape))]
+    grid = [sample_points(shape, writes, r) for r in range(len(shape))]
     points = [()]
     for axis in grid:
         points = [(*p, x) for p in points for x in axis]
