@@ -603,8 +603,9 @@ def compile_program(program: Program, bindings, *, opt_bounds=False,
     """Lower a program against concrete tensors.
 
     stages, if given, is a dict filled with the plan as lowered under
-    "plan" and the final plan, with unread binders dropped (and bounds
-    pruned under opt_bounds), under "post-simplify".
+    "plan" and the final plan, with unread binders dropped, under
+    "post-simplify". opt_bounds is accepted and ignored: perfbench's
+    traced run still passes it.
     """
     for name, t in bindings.items():
         if not isinstance(t, ContTensor):
@@ -643,10 +644,6 @@ def compile_program(program: Program, bindings, *, opt_bounds=False,
         # in source order, whatever order lowering met them in
         raise ValidityError(sorted((d for slot, d in ctx.marks.values() if slot in unpinned),
                                    key=lambda d: (d.line, d.col)))
-    if opt_bounds:
-        from .bounds import prune_bounds
-
-        plan = simplify_plan(prune_bounds(plan))
     if stages is not None:
         stages["post-simplify"] = plan
     return plan

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Union
 
-from .limits import Limit
+from .limits import Limit, fmt_num
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +383,13 @@ class Namer:
 # rendering
 
 
-def _fmt_num(v: float) -> str:
-    if v != v:
-        return "nan"
-    if v == float("inf"):
-        return "inf"
-    if v == float("-inf"):
-        return "-inf"
-    if v == int(v):
-        return str(int(v))
-    return repr(v)
-
-
 _CHAIN = {Add: " + ", Mul: "*", And: " and ", Or: " or "}
 
 
 def render(e) -> str:
     """Deterministic one-line form of any expression."""
     if isinstance(e, Num):
-        return _fmt_num(e.value)
+        return fmt_num(e.value)
     if isinstance(e, BoolC):
         return "true" if e.value else "false"
     if isinstance(e, Var):

@@ -1,4 +1,4 @@
-"""Surface language: parsing, printing, and validity checking.
+"""Surface language: parsing and validity checking.
 
 Programs are small loop nests over tensors indexed by real or integer
 coordinates, with a single assignment at the core:
@@ -430,88 +430,6 @@ def parse(src: str) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# printer
-
-
-def _fmt_bound(v: float, continuous: bool) -> str:
-    if v == float("inf"):
-        return "inf"
-    if v == float("-inf"):
-        return "-inf"
-    if not continuous:
-        return str(int(v))
-    if v == int(v):
-        return f"{v:.1f}"
-    return repr(v)
-
-
-def _fmt_num(v: float) -> str:
-    if v == float("inf"):
-        return "inf"
-    if v == float("-inf"):
-        return "-inf"
-    if v == int(v):
-        return str(int(v))
-    return repr(v)
-
-
-_PREC = {
-    "||": 1, "&&": 2,
-    "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
-    "+": 4, "-": 4, "*": 5, "/": 5,
-}
-
-
-def _pexpr(e, parent_prec: int = 0) -> str:
-    if isinstance(e, ENum):
-        return _fmt_num(e.value)
-    if isinstance(e, EBool):
-        return "true" if e.value else "false"
-    if isinstance(e, EVar):
-        return e.name
-    if isinstance(e, EAccess):
-        return f"{e.tensor}[" + ", ".join(_pexpr(i) for i in e.indices) + "]"
-    if isinstance(e, EDif):
-        return f"d({e.index})"
-    if isinstance(e, ECall):
-        return f"{e.name}(" + ", ".join(_pexpr(a) for a in e.args) + ")"
-    if isinstance(e, EUn):
-        s = f"{e.op}{_pexpr(e.a, 6)}"
-        return f"({s})" if parent_prec > 6 else s
-    if isinstance(e, EBin):
-        p = _PREC[e.op]
-        s = f"{_pexpr(e.a, p)} {e.op} {_pexpr(e.b, p + 1)}"
-        return f"({s})" if parent_prec > p else s
-    raise TypeError(f"cannot print {e!r}")
-
-
-def _pstmt(s, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(s, SFor):
-        head = (
-            f"{pad}for {s.var} = {_fmt_bound(s.lo, s.continuous)}"
-            f":{_fmt_bound(s.hi, s.continuous)}"
-        )
-        inner = "".join(_pstmt(b, indent + 1) for b in s.body)
-        return f"{head}\n{inner}{pad}end\n"
-    if isinstance(s, SIf):
-        inner = "".join(_pstmt(b, indent + 1) for b in s.body)
-        return f"{pad}if {_pexpr(s.cond)}\n{inner}{pad}end\n"
-    if isinstance(s, SLet):
-        return f"{pad}let {s.name} = {_pexpr(s.expr)}\n"
-    if isinstance(s, SAssign):
-        tgt = s.target
-        if s.indices:
-            tgt += "[" + ", ".join(_pexpr(i) for i in s.indices) + "]"
-        return f"{pad}{tgt} {s.op} {_pexpr(s.rhs)}\n"
-    raise TypeError(f"cannot print {s!r}")
-
-
-def to_source(p: Program) -> str:
-    return "".join(_pstmt(s, 0) for s in p.body)
-
-
-# ---------------------------------------------------------------------------
 # validity
 
 
@@ -772,6 +690,6 @@ __all__ = [
     "ENum", "EBool", "EVar", "EAccess", "EBin", "EUn", "EDif", "ECall",
     "SFor", "SIf", "SLet", "SAssign", "Program", "Expr", "Stmt",
     "ASSIGN_OPS", "IDEMPOTENT_OPS",
-    "LangError", "Diag", "tokenize", "parse", "to_source", "validate",
+    "LangError", "Diag", "tokenize", "parse", "validate",
     "affine_terms",
 ]

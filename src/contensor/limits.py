@@ -23,7 +23,8 @@ def _clamp(e: int) -> int:
     return -1 if e < -1 else (1 if e > 1 else e)
 
 
-def _fmt(v: float) -> str:
+def fmt_num(v: float) -> str:
+    """A float as plans and limits print it: integers without a point."""
     if v != v:
         return "nan"
     if v == math.inf:
@@ -79,10 +80,10 @@ class Limit(NamedTuple):
 
     def __str__(self) -> str:
         if self.eps == ABOVE:
-            return f"{_fmt(self.val)}+eps"
+            return f"{fmt_num(self.val)}+eps"
         if self.eps == BELOW:
-            return f"{_fmt(self.val)}-eps"
-        return _fmt(self.val)
+            return f"{fmt_num(self.val)}-eps"
+        return fmt_num(self.val)
 
 
 EPS = Limit(0.0, ABOVE)

@@ -4,7 +4,7 @@ Lowering folds every expression it builds with ``simplify_expr`` and
 leaves out the writes ``_write_is_noop`` finds to be no-ops, so the
 plans it emits hold only live regions. ``simplify_plan`` then drops the
 binders nothing reads: pins of loop indices that no access or write
-uses, and whatever ``bounds.prune_bounds`` leaves unread.
+uses.
 """
 
 from __future__ import annotations

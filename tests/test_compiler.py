@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from time import perf_counter
 
@@ -8,7 +9,8 @@ from contensor.compiler import MAX_REGIONS, CompileError, ValidityError, compile
 from contensor.executor import run
 from contensor.intervals import Interval
 from contensor.ir import (
-    Block, IntersectLet, LenOf, Namer, Pin, Plan, Probe, WhileCoiter, Write, pretty,
+    Block, EndRef, Guard, IntersectLet, LenOf, Namer, Pin, Plan, Probe, PVar, WhileCoiter,
+    Write, pretty,
 )
 from contensor.kernels import KERNELS
 from contensor.lang import parse
@@ -247,6 +249,69 @@ end
     plan = compile_program(prog, {"A": A})
     text = pretty(plan.body)
     assert "max(0" in text and "min(10" in text
+
+
+MASS = """
+for i = -inf:inf
+  s += x[i] * d(i)
+end
+"""
+
+
+def mass_x():
+    return tensor_1d("x", [((1.0, 3.0), 1.0), ((4.1, 5.1), 2.0)], 0.0, kind="interval")
+
+
+def test_a_whole_line_integral_has_no_guard():
+    # over the whole line lowering emits each stored piece unguarded;
+    # shifted, the loop walks and guards its region
+    assert collect(compile_program(parse(MASS), {"x": mass_x()}).body, Guard) == []
+    plan = compile_program(parse(MASS.replace("x[i]", "x[i + 1.0]")), {"x": mass_x()})
+    assert len(collect(plan.body, Guard)) == 1
+    assert run(plan).output == 4.0
+
+
+@pytest.mark.parametrize("rng, want", [("0.0:2.0", 1.0), ("-9.0:-8.0", 0.0)],
+                         ids=["overlapping", "disjoint"])
+def test_an_integral_over_a_finite_range(rng, want):
+    # a stored piece may lie past the range's ends, so the region is guarded
+    plan = compile_program(parse(MASS.replace("-inf:inf", rng)), {"x": mass_x()})
+    assert len(collect(plan.body, Guard)) == 1
+    assert run(plan).output == want
+
+
+def test_a_dot_integral_keeps_its_guard():
+    # nothing orders A's left ends against B's right ends
+    B = tensor_1d("B", [((2.0, 5.1), 1.0)], 0.0, kind="interval")
+    plan = compile_program(parse(DOT_INTEGRAL), {"A": mass_x(), "B": B})
+    assert len(collect(plan.body, Guard)) == 1
+    assert run(plan).output == 3.0
+
+
+def test_a_masked_convolution_pins_i_at_the_mask():
+    Mask = tensor_1d("Mask", [(0.5, True), (2.0, True)], False)
+    A = tensor_1d("A", [((0.0, 4.0), 1.0)], 0.0, kind="interval")
+    B = tensor_1d("B", [((-0.5, 0.5), 1.0)], 0.0, kind="interval")
+    binds = {"Mask": Mask, "A": A, "B": B}
+    # over the whole line lowering pins i to Mask's coordinate, with no
+    # point region and no guard of its own
+    plan = compile_program(parse(MASKED_CONV), binds)
+    assert [p.at for p in collect(plan.body, Pin)] == [EndRef("Mask", 0, "C", PVar(0, "p_Mask0"))]
+    assert len(collect(plan.body, Guard)) == 1
+    # shifted, Mask's loop walks and guards its point region too
+    program = parse(MASKED_CONV.replace("Mask[i]", "Mask[i + 1.0]"))
+    plan = compile_program(program, binds)
+    assert len(collect(plan.body, Guard)) == 2
+    assert outputs_match(run(plan).output, evaluate(program, binds))
+
+
+def test_a_shifted_existence_write_over_a_finite_range_agrees_with_the_oracle():
+    # the tail region past A's last stop may be empty, so its start keeps
+    # the loop's lower bound 0.15
+    A = build_tensor("A", [("interval",)], [((-math.inf, 0.9547, "right_open"), False)], fill=True)
+    program = parse("for i = 0.15:1.6\n  Out[i] |= A[i + 2.0]\nend\n")
+    got = run(compile_program(program, {"A": A})).output
+    assert list(got.pieces()) == list(evaluate(program, {"A": A}).pieces())
 
 
 def _old_slot(self, base):

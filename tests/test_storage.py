@@ -228,6 +228,22 @@ def test_values_length_checked():
         ContTensor("a", (DenseLevel(3),), (1.0, 2.0))
 
 
+@pytest.mark.parametrize("make, error, msg", [
+    (lambda: ContTensor("a", (DenseLevel(0),), ()),
+     InvalidPieceError, "level 0: dense size must be positive"),
+    (lambda: ContTensor("a", (IntervalLevel(ptr=(0, 1), left=(0.0,), right=(1.0, 2.0)),), (1.0,)),
+     InvalidPieceError, "level 0: left/right length mismatch"),
+    (lambda: ContTensor("a", (RegularLevel(stride=0.0, length=0.5, rclose=False, xs=(0,)),), (1.0,)),
+     InvalidPieceError, "level 0: regular stride must be positive and finite"),
+    (lambda: tensor_1d("a", [(0.5, 1.0)]).at(0.5, 0.5),
+     TypeError, "tensor a has 1 ranks, got 2 coords"),
+], ids=["dense_size_0", "left_right_lengths", "regular_stride_0", "at_arity"])
+def test_a_malformed_level_or_read_is_rejected(make, error, msg):
+    with pytest.raises(error) as e:
+        make()
+    assert (type(e.value), str(e.value)) == (error, msg)
+
+
 def test_eval_matches_entry_scan_randomized():
     rng = random.Random(17)
     for kind in KINDS * 30:

@@ -79,6 +79,26 @@ def test_error_paths_name_the_spot():
     assert "$.levels[0].kind" in str(e2.value)
 
 
+def dense_json(**changes):
+    return {"name": "t", "fill": 0.0, "levels": [{"kind": "dense", "size": 2}],
+            "values": [1.0, 2.0], **changes}
+
+
+@pytest.mark.parametrize("changes, msg", [
+    ({"levels": [3]}, "$.levels[0]: expected an object, got 3"),
+    ({"name": 3}, "$.name: expected a string"),
+    ({"fill": "0"}, "$.fill: expected a number or boolean, got '0'"),
+    ({"values": {}}, "$.values: expected an array"),
+    ({"levels": [{"kind": "dense", "size": 2.0}]}, "$.levels[0].size: expected an integer, got 2.0"),
+], ids=["level_not_an_object", "name_not_a_string", "string_fill", "values_not_an_array",
+        "float_dense_size"])
+def test_a_malformed_field_is_a_schema_error(changes, msg):
+    assert tensor_from_json(dense_json()).values == (1.0, 2.0)
+    with pytest.raises(SchemaError) as e:
+        tensor_from_json(dense_json(**changes))
+    assert str(e.value) == msg
+
+
 def test_backwards_interval_is_a_load_error():
     obj = tensor_to_json(fx())
     obj["levels"][0]["left"][0] = 9.0
