@@ -19,32 +19,38 @@ A co-iteration renders in the loop shape lowering chose
 (``WhileCoiter.shape``); the renderer decides nothing again. A finger
 loop (no stepper runs out or is shifted) writes only where all its
 steppers are in a piece: each iteration is the overlap of the current
-pieces, the fingers at the least stop move on, and the loop ends when
-that stop is the range's. It keeps no cursor, and starts each finger at
-its fiber's first piece when the range starts at the open -inf. A pieces
-loop is the finger loop of a lone stepper over the whole line, run as
-``for p in range(...)`` over its positions: its fiber is the range, each
-piece the region, and its segments are counted once, before the loop. A
-walk steps the segments between consecutive stops, gaps included, with
-a cursor that must advance each step. A fiber's ends are read inline
-from the ``ptr`` column (and its last stop from the stop column), with
-an ``f >= 0`` test only where the fiber can be -1: a probe's result or a
-guarded dense index. A stepper's reads follow its kind, in every shape.
-One that annihilates, in its loop or an enclosing one, is read
-unguarded: the range ends at its last stop, so it never leaves its
-fiber. One that runs out (``StepperRT.runs_out``) reads every end as
-inf + eps at its fiber's end (an empty or missing fiber, or a range or
-step past its last piece): its piece is empty and its gap reaches past
-the range. An endpoint of
-any other position is a plan fault, raised as ``ExecError`` when the
-kernel is rendered. Walks and finger loops end each iteration at the
-same least stop, so ``segments_visited`` counts their iterations, a
-walk's final all-gap segment included; in a pieces loop it counts the
-pieces visited, which is what a finger loop over the same stepper
-iterates. A dense position whose indices read only discrete loop
-indices is bound to a local (``_pos<n>``) once, at the start of the
-innermost of those loops (at the kernel's start when it reads none),
-and every use reads that local.
+pieces, and the fingers at the least stop move on. Each finger keeps its
+current stop in a local, read again when it moves on. Where the range
+ends at the fingers' own last stops (a loop to inf), the least stop is
+the fingers' alone, and the loop ends when a finger that moves on
+reaches its fiber's end; with a finite end it is the least of the
+range's stop and theirs, and the loop ends when it is the range's. It
+keeps no cursor, and when the range starts at the open -inf it starts
+each finger at its fiber's first piece and takes each region's start
+from the fingers' starts alone. A pieces loop is the finger loop of a
+lone stepper over the whole line, run as ``for p in range(...)`` over
+its positions: its fiber is the range, each piece the region, and its
+segments are counted once, before the loop. A walk steps the segments
+between consecutive stops, gaps included, with a cursor that must
+advance each step. A fiber's ends are read inline from the ``ptr``
+column (and its last stop from the stop column), with an ``f >= 0`` test
+only where the fiber can be -1: a probe's result or a guarded dense
+index. A probe at shift 0 is inline too: a ``bisect_left`` of the stop
+column between the fiber's ends, then the start's check. A stepper's
+reads follow its kind, in every shape. One that annihilates, in its loop
+or an enclosing one, is read unguarded: the range ends at its last stop,
+so it never leaves its fiber. One that runs out (``StepperRT.runs_out``)
+reads every end as inf + eps at its fiber's end (an empty or missing
+fiber, or a range or step past its last piece): its piece is empty and
+its gap reaches past the range. An endpoint of any other position is a
+plan fault, raised as ``ExecError`` when the kernel is rendered. Walks
+and finger loops end each iteration at the same least stop, so
+``segments_visited`` counts their iterations, a walk's final all-gap
+segment included; in a pieces loop it counts the pieces visited, which
+is what a finger loop over the same stepper iterates. A dense position
+whose indices read only discrete loop indices is bound to a local
+(``_pos<n>``) once, at the start of the innermost of those loops (at the
+kernel's start when it reads none), and every use reads that local.
 
 An ``|=`` or ``&=`` write that lowering marked (``Write.exits`` = n)
 tests its cell's combined value after it writes: once the cell is
@@ -157,7 +163,7 @@ def _pin_error(a, b):
 
 
 _GLOBALS = {
-    "_seek": _seek, "_probe": _probe, "_pin_error": _pin_error,
+    "_seek": _seek, "_probe": _probe, "_pin_error": _pin_error, "bisect_left": bisect_left,
     "_ExecError": ExecError, "_INF": math.inf, "_NAN": math.nan,
     "_NEG_OPEN": _NEG_OPEN, "_POS_OPEN": _POS_OPEN, "_PAST": _PAST, "_NO_STOP": _NO_STOP,
 }
@@ -291,6 +297,7 @@ class _Source:
         self.dense = 0  # dense positions rendered so far
         self.leaf_pos = None  # positions of the leaves of the value being written
         self.open_lo = set()  # region slots whose start is the open -inf
+        self.stops = {}  # region slot -> the stops of its IntersectLet
         self.fingers = frozenset()  # position locals of the annihilating steppers in scope
         self.ends = {}  # position local of a stepper in scope that runs out -> its fiber's end
         self.probed = set()  # position locals a probe sets: -1 where it misses
@@ -468,14 +475,19 @@ class _Source:
     def last_stop(self, e: LastStop) -> str:
         """The stop of a fiber's last piece, or _NO_STOP when it has none
         (or f = -1), read inline."""
-        t, f = self.level(e.tensor, e.level), self.pexpr(e.fiber)
-        test = ""
-        if self.can_miss(e.fiber, f):
-            if _simple(f):
-                test = f"{f} >= 0 and "
-            else:
-                test, f = f"(_f := {f}) >= 0 and ", "_f"
+        t = self.level(e.tensor, e.level)
+        test, f = self.fiber_test(e.fiber)
         return f"({t}_stops[_q - 1] if {test}{t}_ptr[{f}] < (_q := {_end(t, f)}) else _NO_STOP)"
+
+    def fiber_test(self, fiber) -> tuple:
+        """The test, ending in " and ", that a fiber position is not -1 (""
+        where it cannot be), and the code that reads the position after it."""
+        f = self.pexpr(fiber)
+        if not self.can_miss(fiber, f):
+            return "", f
+        if _simple(f):
+            return f"{f} >= 0 and ", f
+        return f"(_f := {f}) >= 0 and ", "_f"
 
     def can_miss(self, fiber, f: str) -> bool:
         """Whether a fiber position can be -1: a guarded dense index or a
@@ -556,14 +568,17 @@ class _Source:
             self.lines.append(f"{pad}{x} = {self.lexpr(s.at)}[0]")
 
     def probe(self, s: Probe, pad: str):
-        t, f, x = self.level(s.tensor, s.level), self.pexpr(s.parent), self.expr(s.coord)
+        t = self.level(s.tensor, s.level)
         if s.shift == Num(0.0):
-            # at shift 0 the level's own probe finds the same position without
-            # _probe's shifted comparisons (genomic's grid kernel ran 8% slower
-            # with every probe through _probe)
-            find = f"{t}_table.probe({f}, ({x}, 0))"
+            # at shift 0, SparseLevel.probe inline: the first piece whose stop
+            # is at or past x holds x if its start is at or below it
+            test, f = self.fiber_test(s.parent)
+            x = self.expr(s.coord)
+            find = (f"(_p if {test}(_p := bisect_left({t}_stops, (_t := ({x}, 0)), {t}_ptr[{f}], "
+                    f"(_q := {_end(t, f)}))) < _q and {t}_starts[_p] <= _t else -1)")
         else:
-            find = f"_probe({t}_table, {f}, {x}, {self.expr(s.shift)})"
+            find = (f"_probe({t}_table, {self.pexpr(s.parent)}, {self.expr(s.coord)}, "
+                    f"{self.expr(s.shift)})")
         q = self.var(s.slot, s.name)
         self.probed.add(q)
         self.lines.append(f"{pad}{q} = {find}")
@@ -573,11 +588,21 @@ class _Source:
         if not s.starts or not s.stops:
             raise ExecError(f"region {s.name} has no start or no stop")
         lo, hi = self.region(s.slot, s.name)
-        if s.starts == (_OPEN_START,):
+        starts = s.starts
+        if starts == (_OPEN_START,):
             self.open_lo.add(s.slot)
+        elif (len(starts) > 1 and type(starts[0]) is IvStart and starts[0].slot in self.open_lo
+              and all(type(a) is EndRef and a.shift is None and not a.eps_off
+                      for a in starts[1:])):
+            # the open -inf adds nothing to the max: no stored start lies
+            # below it but the closed -inf, which every use of a region reads
+            # as the open one (a write makes it canonical, a length reads its
+            # value, and a guard compares it with a stop, above both)
+            starts = starts[1:]
+        self.stops[s.slot] = s.stops
         lexpr = self.lexpr
         out = []
-        for target, ops, cmp in ((lo, s.starts, ">"), (hi, s.stops, "<")):
+        for target, ops, cmp in ((lo, starts, ">"), (hi, s.stops, "<")):
             out.append(f"{pad}{target} = {lexpr(ops[0])}")
             tail = f"\n{pad}if _e {cmp} {target}:\n{pad}{_IND}{target} = _e"
             out.extend(f"{pad}_e = {lexpr(a)}{tail}" for a in ops[1:])
@@ -592,31 +617,19 @@ class _Source:
 
     def coiter(self, s: WhileCoiter, pad: str):
         """One co-iteration, in the shape lowering chose (see the module
-        notes); a pieces loop is ``pieces``'s.
-
-        A walk's segment starts at the cursor, just past the last stop. A
-        finger loop's starts at the range's start: a finger that moved on
-        starts past the stop it left, so max(range start, starts) is the
-        walk's max(cursor, starts). A finger at an open -inf start begins
-        at its fiber's first piece: no stored stop is -inf, and the range
-        is empty for an empty or missing fiber, as its last stop is.
-        """
+        notes); a pieces loop is ``pieces``'s."""
         if s.shape == "pieces":
             self.pieces(s, pad)
             return
         with self.loop(pad):
-            self.walk_or_fingers(s, pad)
+            (self.walk_loop if s.shape == "walk" else self.finger_loop)(s, pad)
 
-    def walk_or_fingers(self, s: WhileCoiter, pad: str):
-        walk = s.shape == "walk"
+    def walk_loop(self, s: WhileCoiter, pad: str):
+        """A walk: its segment starts at the cursor, just past the last
+        stop, and ends at the least of the range's stop and the steppers'."""
         lo, hi = self.region(s.range_slot, s.range_name)
-        if walk:
-            cur = self.var(s.cursor_slot, s.cursor_name)
-            seg_lo, stop = self.region(s.curr_slot, s.curr_name)
-        else:
-            cur, stop = lo, f"{self.var(s.curr_slot, s.curr_name)}_hi"
-            self.slots[s.curr_slot] = (cur, stop)
-        from_fiber = not walk and s.range_slot in self.open_lo
+        cur = self.var(s.cursor_slot, s.cursor_name)
+        seg_lo, stop = self.region(s.curr_slot, s.curr_name)
         add = self.lines.append
         add(f"{pad}if not {lo} > {hi}:")
         pad += _IND
@@ -631,10 +644,7 @@ class _Source:
                 sh = f"_{p}_sh"
                 shift = f"({sh} := {self.expr(st.shift)})"
             f = self.pexpr(st.fiber)
-            if from_fiber:
-                add(f"{pad}{p} = {t}_ptr[{f}]")
-            else:
-                add(f"{pad}{p} = _seek({t}_table, {f}, {lo}, {shift})")
+            add(f"{pad}{p} = _seek({t}_table, {f}, {lo}, {shift})")
             read = f"{t}_stops[{p}]"
             if st.runs_out:
                 e = ends[p] = f"_{p}_end"
@@ -643,37 +653,82 @@ class _Source:
             else:
                 fingers.add(p)
             steppers.append((p, read, sh, f"_{p}_stop"))
-        if walk:
-            add(f"{pad}{cur} = {lo}\n{pad}while {cur} <= {hi}:")
-        else:
-            add(f"{pad}while True:")
+        add(f"{pad}{cur} = {lo}\n{pad}while {cur} <= {hi}:")
         add(f"{i}_seg += 1\n{i}{stop} = {hi}")
         pad, i = i, i + _IND
         for p, read, sh, r in steppers:
             if sh is not None:
                 add(f"{pad}{r} = {read}\n{pad}{r} = ({r}[0] - {sh}, {r}[1])\n"
                     f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
-            elif walk:
+            else:
                 # the stored stop in value; subtracting 0.0 gives it the
                 # type a shifted stop has
                 add(f"{pad}{r} = {read}\n{pad}if {r} < {stop}:\n"
                     f"{i}{stop} = ({r}[0] - 0.0, {r}[1])")
-            else:
-                add(f"{pad}{r} = {read}\n{pad}if {r} < {stop}:\n{i}{stop} = {r}")
-        if walk:
-            add(f"{pad}{seg_lo} = {cur}")
+        add(f"{pad}{seg_lo} = {cur}")
         self.scoped(s.body, pad, fingers, ends)
-        if not walk:
-            # the stop is the range's own until a stepper's falls below it
-            add(f"{pad}if {stop} is {hi}:\n{i}break")
         for p, _, _, r in steppers:
             add(f"{pad}if {r} == {stop}:\n{i}{p} += 1")
-        if walk:
-            # the cursor moves to stop + EPS, the first endpoint past the segment
-            add(f"{pad}_n = ({stop}[0] + 0.0, {stop}[1] + 1 if {stop}[1] < 1 else 1)\n"
-                f"{pad}if not _n > {cur}:\n"
-                f'{i}raise _ExecError("co-iteration failed to advance")\n'
-                f"{pad}{cur} = _n")
+        # the cursor moves to stop + EPS, the first endpoint past the segment
+        add(f"{pad}_n = ({stop}[0] + 0.0, {stop}[1] + 1 if {stop}[1] < 1 else 1)\n"
+            f"{pad}if not _n > {cur}:\n"
+            f'{i}raise _ExecError("co-iteration failed to advance")\n'
+            f"{pad}{cur} = _n")
+
+    def finger_loop(self, s: WhileCoiter, pad: str):
+        """A finger loop (see the module notes). Its segment starts at the
+        range's start: a finger that moved on starts past the stop it left,
+        so max(range start, starts) is a walk's max(cursor, starts). From the
+        open -inf a finger begins at its fiber's first piece: no stored stop
+        is -inf, and the range is empty for an empty or missing fiber. Ending
+        on positions is exact: within a fiber stops strictly increase, so
+        the least stop is the range's exactly when a finger that holds it
+        is at its last piece."""
+        lo, hi = self.region(s.range_slot, s.range_name)
+        stop = f"{self.var(s.curr_slot, s.curr_name)}_hi"
+        self.slots[s.curr_slot] = (lo, stop)
+        from_fiber = s.range_slot in self.open_lo
+        if from_fiber:
+            self.open_lo.add(s.curr_slot)
+        lasts = {LastStop(st.tensor, st.level, st.fiber) for st in s.steppers}
+        on_positions = set(self.stops[s.range_slot]) <= lasts
+        add = self.lines.append
+        add(f"{pad}if not {lo} > {hi}:")
+        pad += _IND
+        i = pad + _IND
+        steppers = []
+        for st in s.steppers:
+            if st.shift is not None or st.runs_out:
+                raise ExecError(f"finger {st.pos_name} is shifted or runs out")
+            p = self.var(st.pos_slot, st.pos_name)
+            t = self.level(st.tensor, st.level)
+            f = self.pexpr(st.fiber)
+            end, r = f"_{p}_end", f"_{p}_stop"
+            if on_positions and not _simple(f):
+                add(f"{pad}_f = {f}")
+                f = "_f"
+            if from_fiber:
+                add(f"{pad}{p} = {t}_ptr[{f}]")
+            else:
+                add(f"{pad}{p} = _seek({t}_table, {f}, {lo}, 0.0)")
+            if on_positions:
+                add(f"{pad}{end} = {_end(t, f)}")
+            add(f"{pad}{r} = {t}_stops[{p}]")
+            steppers.append((p, t, end, r))
+        add(f"{pad}while True:\n{i}_seg += 1")
+        pad, i = i, i + _IND
+        least = [r for *_, r in steppers]
+        if not on_positions:
+            least.insert(0, hi)
+        add(f"{pad}{stop} = {least[0]}")
+        for r in least[1:]:
+            add(f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
+        self.scoped(s.body, pad, self.fingers | {p for p, *_ in steppers}, self.ends)
+        if not on_positions:
+            add(f"{pad}if {stop} is {hi}:\n{i}break")
+        for p, t, end, r in steppers:
+            last = f"{i}if {p} == {end}:\n{i}{_IND}break\n" if on_positions else ""
+            add(f"{pad}if {r} == {stop}:\n{i}{p} += 1\n{last}{i}{r} = {t}_stops[{p}]")
 
     def pieces(self, s: WhileCoiter, pad: str):
         """A pieces loop: the lone stepper's positions, in a for loop. Every

@@ -16,8 +16,8 @@ stop column, whose entries are plain ``(val, eps)`` tuples that order
 exactly as the ``Limit``s they stand for. Callers read a tensor through
 ``fiber_entries`` and ``pieces``, which hand out ``Interval``s of
 ``Limit``s, and ``at``, the value at one point. Generated kernels call a
-level's ``seek`` and ``probe``, binary searches of its stop column, and
-read its columns directly.
+level's ``seek``, a binary search of its stop column, and read its
+columns directly.
 
 ``PinpointLevel``, ``IntervalLevel`` and ``RegularLevel`` are input
 descriptors in the shape of the JSON schema: a ``ContTensor`` decodes

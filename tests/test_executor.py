@@ -543,13 +543,23 @@ end
 
 
 def test_an_unshifted_probe_is_the_tables_probe():
-    # the kernel renders a probe at shift 0 as SparseLevel.probe
-    t = build_tensor("A", [("interval",)], [
+    # the kernel renders a probe at shift 0 as SparseLevel.probe inline: it
+    # finds the position _probe finds, and -1 for a missing fiber
+    A = build_tensor("A", [("interval",)], [
         ((0.0, 1.0, "right_open"), 1.0), ((1.0, 2.0, "left_open"), 2.0),
-        ((2.5, 2.5, "closed"), 3.0), ((3.0, math.inf, "open"), 4.0)]).levels[0]
+        ((2.5, 2.5, "closed"), 3.0), ((3.0, math.inf, "open"), 4.0)])
+    t = A.levels[0]
     for x in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.25, 2.5, 3.0, 7.0):
         for f in (0, -1):
             assert executor._probe(t, f, x, 0.0) == t.probe(f, Limit(x))
+    P = tensor_1d("P", [(x, 1.0) for x in (-1.0, 0.5, 1.0, 2.0, 2.25, 2.5, 7.0)], 0.0)
+    src = "for x = -inf:inf\n  Out[x] = P[x] * A[x]\nend\n"
+    plan = compile_program(parse(src), {"P": P, "A": A})
+    assert re.search(r"q_A0_\d+ = \(_p if \(_p := bisect_left\(_A_0_stops, \(_t := \(x_\d+, 0\)\), "
+                     r"_A_0_ptr\[0\], \(_q := _A_0_ptr\[1\]\)\)\) < _q and _A_0_starts\[_p\] <= _t "
+                     r"else -1\)", kernel_source(plan))
+    res = against_oracle(src, {"P": P, "A": A})
+    assert [v for _, v in res.output.pieces()] == [1.0, 2.0, 3.0, 4.0]
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +575,76 @@ def test_an_intersection_renders_a_finger_loop():
     assert "co-iteration failed to advance" not in src
     assert "_seek(" not in src and "cur_" not in src
     assert re.search(r"\bp_A0_\d+ = _A_0_ptr\[0\]", src)
-    assert "while True:" in src and re.search(r"if seg_\d+_hi is iv_\d+_hi:", src)
+    # the range ends at the fingers' own last stops: the segment's stop is
+    # the least of theirs, and the loop ends when an advancing finger
+    # reaches its fiber's end
+    assert "while True:" in src and " is iv_" not in src
+    assert re.search(r"seg_(\d+)_hi = (_p_A0_\d+_stop)\n\s+if _p_B0_\d+_stop < seg_\1_hi:", src)
+    assert re.search(r"p_A0_(\d+) \+= 1\n\s+if p_A0_\1 == _p_A0_\1_end:\n\s+break\n"
+                     r"\s+_p_A0_\1_stop = _A_0_stops\[p_A0_\1\]", src)
+    # from the open -inf, the region's start is the fingers' alone
+    assert re.search(r"r_\d+_lo = _A_0_starts\[p_A0_\d+\]", src) and "= iv_0_lo\n" not in src
     # the steppers are always in a piece, so their reads are unguarded
     assert ">= 0" not in src and "_PAST" not in src
+
+
+def test_a_finite_range_end_stays_in_the_least_stop():
+    program = parse("for i = -inf:0.9\n  s += A[i] * B[i] * d(i)\nend\n")
+    src = kernel_source(compile_program(program, kernels.get("dot_integral").canonical()))
+    assert re.search(r"seg_(\d+)_hi = (iv_\d+_hi)\n(.*\n)*\s+if seg_\1_hi is \2:\n\s+break", src)
+    # the fingers still carry their stops, but no fiber's end
+    assert "_end" not in src
+    assert re.search(r"_p_B0_(\d+)_stop = _B_0_stops\[p_B0_\1\]\n\s+while", src)
+
+
+def _ivs(name, keys, fill=0.0):
+    """An interval input whose pieces, from (lo, hi[, kind]) keys, hold 1, 2, 3, ..."""
+    return build_tensor(name, [("interval",)], [(k, float(j + 1)) for j, k in enumerate(keys)],
+                        fill=fill)
+
+
+# A and B share the stop 1 and the start 4; 3 ends A's second piece closed
+# and B's open; A's last stop, 5, is B's third, and B goes on to 7.
+# C starts at the open -inf, D and E at the closed one, and C's stop 1 is A's
+FA = _ivs("A", [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0, "left_open")])
+FB = _ivs("B", [(0.0, 1.0), (1.5, 3.0, "right_open"), (4.0, 5.0), (6.0, 7.0)])
+FC = _ivs("C", [(-math.inf, 1.0, "left_open"), (1.0, 3.0, "open"), (3.0, 5.0)])
+FD = _ivs("D", [(-math.inf, 0.5), (2.5, 3.0, "left_open"), (4.5, 9.0)])
+FE = _ivs("E", [(-math.inf, 2.75), (4.0, 4.75)])
+FINGERS = {"A": FA, "B": FB, "C": FC, "D": FD, "E": FE}
+# seven inputs whose stops tie at 1 and 3, and whose last stops differ
+SEVEN = {f"A{k}": _ivs(f"A{k}", [(-0.25 * k, 1.0), (1.0 + 0.1 * k, 3.0, "left_open"),
+                                 (3.5, 4.0 + 0.25 * k)]) for k in range(1, 8)}
+# under |=, A and B first overlap where both are false, then where both are true
+OR_A = build_tensor("A", [("interval",)], [((0.0, 1.0), False), ((2.0, 3.0), True),
+                                           ((4.0, 5.0), True)], fill=False)
+OR_B = build_tensor("B", [("interval",)], [((0.0, 1.0), False), ((2.5, 5.0), True)], fill=False)
+
+
+@pytest.mark.parametrize("src, binds, stats", [
+    ("for i = -inf:inf\n  s += A[i] * B[i] * d(i)\nend\n", FINGERS, ExecStats(3, 4, 0)),
+    # B is tested first: its stop 5 is A's last, so A ends the loop after B moved on
+    ("for i = -inf:inf\n  s += B[i] * A[i] * d(i)\nend\n", FINGERS, ExecStats(3, 4, 0)),
+    ("for i = -inf:inf\n  s += A[i] * B[i] * C[i] * d(i)\nend\n", FINGERS, ExecStats(3, 4, 0)),
+    ("for i = -inf:inf\n  Out[i] = A[i] * B[i] * C[i]\nend\n", FINGERS, ExecStats(3, 4, 3)),
+    ("for i = -inf:inf\n  Out[i] = C[i] * D[i]\nend\n", FINGERS, ExecStats(4, 5, 4)),
+    ("for i = -inf:inf\n  Out[i] = D[i] * E[i]\nend\n", FINGERS, ExecStats(3, 4, 3)),
+    ("for i = -inf:inf\n  Out[i] = D[i] * C[i] * A[i]\nend\n", FINGERS, ExecStats(4, 5, 4)),
+    ("for i = -inf:0.9\n  Out[i] = A[i] * B[i] * C[i]\nend\n", FINGERS, ExecStats(1, 1, 1)),
+    ("for i = -0.4:inf\n  Out[i] = A[i] * B[i] * D[i]\nend\n", FINGERS, ExecStats(3, 5, 3)),
+    ("for i = 0.15:1.6\n  Out[i] = B[i] * C[i]\nend\n", FINGERS, ExecStats(2, 2, 2)),
+    ("for i = -inf:inf\n  s += " + " * ".join(f"A{k}[i]" for k in range(1, 8)) + " * d(i)\nend\n",
+     SEVEN, ExecStats(3, 3, 0)),
+    ("for i = -inf:inf\n  Out |= A[i] && B[i]\nend\n", {"A": OR_A, "B": OR_B},
+     ExecStats(2, 2, 0)),
+], ids=["tied_2", "tied_2_other_order", "tied_3", "tied_3_written", "open_and_closed_-inf",
+        "closed_-inf", "-inf_starts_and_a_tie", "to_0.9", "from_-0.4", "0.15_to_1.6",
+        "seven_way", "or_exit"])
+def test_a_finger_loop_over_ties_agrees_with_the_oracle(src, binds, stats):
+    binds = {name: t for name, t in binds.items() if f"{name}[" in src}
+    assert "(fingers):" in pretty(compile_program(parse(src), binds))
+    res = against_oracle(src, binds)
+    assert res.stats == stats
 
 
 UNION = """
@@ -1042,4 +1119,4 @@ def test_a_dense_position_is_bound_once_per_iteration_of_its_loop():
     src = kernel_source(compile_program(k.program(), k.canonical()))
     assert src.count(" if 0 <= ") == 1
     assert re.search(r"for chr_0 in range\(0, 2\):\n\s+_pos1 = \(_i1 if 0 <= ", src)
-    assert src.count("probe(_pos1, ") == 2
+    assert src.count("if _pos1 >= 0 and (_p := bisect_left(") == 2

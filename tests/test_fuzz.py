@@ -1,20 +1,24 @@
 """Differential fuzzing: random programs, compiled and run, against the oracle.
 
 The strategy draws programs of the shape the validator accepts: one or
-two nested loops (continuous or discrete), or three (a dense one over two
-continuous ones) for an ``|=`` or ``&=`` into a cell the outer one fixes, accesses whose indices are
-shifts ``i + j + c``, right-hand sides joined by ``*``, ``+`` and ``-``
-(numeric, an operand negated or divided by a nonzero constant) or ``&&``
-and ``||`` (boolean, an operand negated or ``true``/``false`` joined in),
-every assignment operator, and inputs with pinpoint, interval, regular
-and dense levels (a dense one now and then narrower than its loop),
-fills and off-pitch float endpoints. A program the
-compiler rejects with a ``CompileError`` (a ``ValidityError`` among
-them) is skipped; one it accepts must not reach the internal errors
-(``UnloweredError``, ``ExecError``), and its whole output must equal the
-one reference, ``oracle.evaluate``: the same shape, fill and piece list,
-values within a relative 1e-9. The oracle builds the canonical output the
-executor builds, so no difference is excused.
+two nested loops (continuous or discrete), or three (a dense one over
+two continuous ones) for an ``|=`` or ``&=`` into a cell the outer one
+fixes, accesses whose indices are shifts ``i + j + c`` (now and then two
+or three unshifted ones whose fills annihilate, joined by ``*`` or
+``&&``: an intersection, which a finger loop co-iterates), right-hand
+sides joined by ``*``, ``+`` and ``-`` (numeric, an operand negated or
+divided by a nonzero constant) or ``&&`` and ``||`` (boolean, an operand
+negated or ``true``/``false`` joined in), every assignment operator, and
+inputs with pinpoint, interval, regular and dense levels (a dense one
+now and then narrower than its loop), fills and off-pitch float
+endpoints, now and then from a coarse grid all inputs of a program
+share, so that their pieces tie. A program the compiler rejects with a
+``CompileError`` (a ``ValidityError`` among them) is skipped; one it
+accepts must not reach the internal errors (``UnloweredError``,
+``ExecError``), and its whole output must equal the one reference,
+``oracle.evaluate``: the same shape, fill and piece list, values within
+a relative 1e-9. The oracle builds the canonical output the executor
+builds, so no difference is excused.
 """
 
 import math
@@ -39,16 +43,20 @@ DIVISORS = [2.0, -0.5, 3.0]  # never 0: "/" by 0 raises ZeroDivisionError on bot
 INTERVAL_KINDS = ["closed", "open", "left_open", "right_open"]
 # finite, off the 0.05 pitch the shipped generators use
 ENDPOINTS = st.integers(-3000, 3000).map(lambda k: k / 1000 + 0.0007)
+# a grid every input of a program draws from now and then, so that inputs
+# share endpoints: stops that tie across inputs, and one value closed in
+# one input and open in another
+TIED_ENDPOINTS = st.integers(-12, 12).map(lambda k: k / 4 + 0.0007)
 
 
 @st.composite
-def sparse_keys(draw, kind):
+def sparse_keys(draw, kind, ends):
     n = draw(st.integers(0, 4))
     if kind[0] == "regular":
         return draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n, unique=True).map(sorted))
     if kind[0] == "pinpoint":
-        return draw(st.lists(ENDPOINTS, min_size=n, max_size=n, unique=True).map(sorted))
-    cuts = draw(st.lists(ENDPOINTS, min_size=2 * n, max_size=2 * n, unique=True).map(sorted))
+        return draw(st.lists(ends, min_size=n, max_size=n, unique=True).map(sorted))
+    cuts = draw(st.lists(ends, min_size=2 * n, max_size=2 * n, unique=True).map(sorted))
     # ends at -inf and inf, where an open and a closed end hold the same set
     if cuts and draw(st.booleans()):
         cuts[0] = -INF
@@ -59,14 +67,15 @@ def sparse_keys(draw, kind):
 
 
 @st.composite
-def fiber(draw, specs, values):
-    """Nested build_tensor input for the levels in specs."""
+def fiber(draw, specs, values, ends):
+    """Nested build_tensor input for the levels in specs, its sparse keys
+    drawn from ends."""
     if not specs:
         return draw(values)
     spec, rest = specs[0], specs[1:]
     if spec[0] == "dense":
-        return [draw(fiber(rest, values)) for _ in range(spec[1])]
-    return [(k, draw(fiber(rest, values))) for k in draw(sparse_keys(spec))]
+        return [draw(fiber(rest, values, ends)) for _ in range(spec[1])]
+    return [(k, draw(fiber(rest, values, ends))) for k in draw(sparse_keys(spec, ends))]
 
 
 @st.composite
@@ -99,7 +108,14 @@ def programs(draw):
         loops = [("i", False, 0, draw(st.integers(0, 2))),
                  ("j", True, *draw(st.sampled_from(CONT_BOUNDS))),
                  ("k", True, *draw(st.sampled_from(CONT_BOUNDS)))]
-    for var in ["i", "j"][: 0 if dense_fiber or absorbing else draw(st.integers(1, 2))]:
+    # an intersection: one continuous loop over two or three unshifted
+    # interval accesses whose fills annihilate, joined by * or &&, which a
+    # finger loop co-iterates
+    meet = not dense_fiber and not absorbing and draw(st.integers(0, 5)) == 0
+    if meet:
+        loops = [("i", True, *draw(st.sampled_from(CONT_BOUNDS)))]
+    for var in ["i", "j"][: 0 if dense_fiber or absorbing or meet
+                          else draw(st.integers(1, 2))]:
         if draw(st.integers(0, 3)):
             lo, hi = draw(st.sampled_from(CONT_BOUNDS))
             loops.append((var, True, lo, hi))
@@ -109,19 +125,20 @@ def programs(draw):
     boolean = absorbing or draw(st.booleans())
     if boolean:
         op = draw(st.sampled_from(["|=", "&="] if absorbing else ["=", "|=", "&="]))
-        joins, values = ["&&", "||"], st.booleans()
+        joins, values = ["&&"] if meet else ["&&", "||"], st.booleans()
     else:
         op = draw(st.sampled_from(["=", "+=", "max=", "min="]))
-        joins, values = ["*", "+", "-"], st.sampled_from(NUM_VALUES)
+        joins, values = ["*"] if meet else ["*", "+", "-"], st.sampled_from(NUM_VALUES)
     out_vars = loops[:1] if absorbing else [l for l in loops if draw(st.booleans())]
     integral = op == "+=" and any(l[1] and l not in out_vars and INF in (-l[2], l[3])
                                   for l in loops)
 
+    ends = TIED_ENDPOINTS if draw(st.integers(0, 2)) == 0 else ENDPOINTS
     binds, accesses = {}, []
-    for name in ["A", "B", "C"][: draw(st.integers(1, 3))]:
+    for name in ["A", "B", "C"][: draw(st.integers(2 if meet else 1, 3))]:
         first = (dense_fiber or absorbing) and not accesses
-        used = loops if first else ([l for l in loops if draw(st.booleans())]
-                                    or [draw(st.sampled_from(loops))])
+        used = loops if first or meet else ([l for l in loops if draw(st.booleans())]
+                                            or [draw(st.sampled_from(loops))])
         indices, specs = [], []
         for l in used:
             ix = l[0]
@@ -130,27 +147,29 @@ def programs(draw):
                 other = [c for c in cont if c is not l]
                 if other and draw(st.integers(0, 3)) == 0:
                     ix += f" + {other[0][0]}"
-                c = 0.0 if first else draw(st.sampled_from(SHIFTS))
+                c = 0.0 if first or meet else draw(st.sampled_from(SHIFTS))
                 if c:
                     ix += f" + {c}"
-                specs.append(draw(level_spec()))
+                specs.append(("interval",) if meet else draw(level_spec()))
             else:
                 specs.append(("dense", draw(st.integers(1, l[3] + 1)) if first else l[3] + 1))
             indices.append(ix)
-        if boolean:
+        if meet:
+            fill = False if boolean else 0.0
+        elif boolean:
             fill = draw(st.booleans())
         else:
             # an integral over the whole line is only finite with fill 0
             fill = 0.0 if integral else draw(st.sampled_from([0.0, 0.0, 1.0, -2.0]))
-        binds[name] = build_tensor(name, specs, draw(fiber(specs, values)), fill=fill)
+        binds[name] = build_tensor(name, specs, draw(fiber(specs, values, ends)), fill=fill)
         access = f"{name}[{', '.join(indices)}]"
-        form = draw(st.integers(0, 5))
+        form = 5 if meet else draw(st.integers(0, 5))
         if form == 0:
             access = ("!" if boolean else "-") + access
         elif form == 1 and not boolean:
             access = f"({access} / {draw(st.sampled_from(DIVISORS))})"
         accesses.append(access)
-    if boolean and draw(st.integers(0, 3)) == 0:
+    if boolean and not meet and draw(st.integers(0, 3)) == 0:
         accesses.append(draw(st.sampled_from(["true", "false"])))
 
     rhs = accesses[0]

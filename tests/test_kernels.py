@@ -83,6 +83,33 @@ def test_random_instances_match_oracle(name):
         assert outputs_match(ex, orc, rel=k.rel), (name, seed)
 
 
+# per kernel, the sums of (multiplies, segments_visited, pieces_emitted)
+# over the canonical instance and random instances 0..29: a change to how
+# kernels are rendered that keeps these keeps the work they count
+COUNTER_SUMS = {
+    "box_search": (160, 284, 0),
+    "dot_integral": (102, 190, 0),
+    "dot_sum": (5, 115, 0),
+    "genomic_overlap": (68, 1018, 68),
+    "genomic_overlap_grid": (68, 777, 68),
+    "masked_conv": (61, 207, 61),
+    "radius_count": (0, 145, 0),
+    "radius_search": (0, 144, 0),
+    "trilinear": (0, 868, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_the_shipped_kernels_counters_are_pinned(name):
+    k = get(name)
+    prog, sums = k.program(), [0, 0, 0]
+    for binds in [k.canonical(), *(k.random_instance(Random(seed)) for seed in range(30))]:
+        s = run(compile_program(prog, binds)).stats
+        for j, n in enumerate((s.multiplies, s.segments_visited, s.pieces_emitted)):
+            sums[j] += n
+    assert tuple(sums) == COUNTER_SUMS[name]
+
+
 def test_grid_builder_covers_every_data_interval():
     rng = Random(7)
     binds = random_genomic(rng, nchr=3, per_chr=8)
