@@ -17,27 +17,25 @@ The strategy, per continuous loop:
    past its last piece; where all of those are gaps and nothing is
    written, the range ends where the last of their fibers does too. A
    lone stepper over the whole line needs no range: its fiber is one.
-3. Each participant that runs out splits every segment of the
-   co-iteration into its piece and the gap before it, so u of them lower
-   2**u regions; an annihilating one only has its piece.
+3. Lower the body once, in one region per co-iteration. A walk also cuts
+   segments at the starts of the participants that run out, which read
+   -1 (and their fill) in their gaps, as a missed probe does.
 4. A region known to be a single point pins the index to a scalar,
    which unlocks probes into the remaining accesses; otherwise the index
    stays regional and the assignment collapses it (an emitted piece, a
-   length factor for d(idx), or nothing for idempotent ops).
+   length factor for d(idx), or nothing for idempotent ops). So is a
+   segment in a piece of a participant that runs out and stores points.
 
-So an intersection lowers to one region, and only unions (``+``, ``||``)
-pay for every combination. Where some annihilating participants store
-only isolated points, one of those alone is stepped and the others are
-probed after pinning; its gaps write nothing, so the others are never
-needed there. The format picks it: the deepest rank, then the first in program
-order (so write the sparser of two tied point inputs first). Lowering
-picks each co-iteration's shape (``WhileCoiter.shape``): a walk over the
-segments between consecutive stops when a stepper runs out or is
-shifted; pieces, the lone stepper's pieces by position, when one stepper
-annihilates, is unshifted and the loop runs over the whole line; fingers
-over the pieces alone otherwise. A pieces loop emits each stored piece
-as its region, unclipped and unguarded, as no stored piece is empty; a
-stored point pins the index to its coordinate, with no region at all.
+So an intersection and a union (``+``, ``||``) lower in a size linear in
+their width. Where some annihilating participants store only isolated
+points, one of those alone is stepped and the others are probed after
+pinning; its gaps write nothing, so the others are never needed there.
+The format picks it: the deepest rank, then the first in program order
+(so write the sparser of two tied point inputs first). Lowering picks
+each co-iteration's shape (``WhileCoiter.shape``) from its steppers and
+range. A pieces loop emits each stored piece as its region, unclipped
+and unguarded, as no stored piece is empty; a stored point pins the
+index to its coordinate, with no region at all.
 A stepper's reads follow its kind (``StepperRT.runs_out``): an
 annihilating one never leaves its fiber inside the range.
 
@@ -50,8 +48,8 @@ decides: a collapse of a continuous index that no d() factor, idempotent
 operator or pinning makes finite is R-SUM, a value still read once
 unread binders are dropped that needs an index no stored points pin is
 R-PIN, and one that divides by a divisor that folds to 0 (a literal 0,
-or the fill 0 of an access where it misses) is R-DIV (``ValidityError``,
-its diagnostics in source order).
+or the fill 0 of an access where it misses, or is in its gap) is R-DIV
+(``ValidityError``, its diagnostics in source order).
 
 An ``|=`` or ``&=`` write whose path has no interval rank is marked with
 the number of plan loops between it and the loop one iteration of which
@@ -65,8 +63,7 @@ the whole kernel. This reads the program and the operator only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
-from itertools import product
+from dataclasses import astuple, dataclass, replace as dc_replace
 
 from .lang import (
     Diag, EAccess, EBin, EBool, EDif, ENum, EUn, EVar, IDEMPOTENT_OPS, Program,
@@ -97,14 +94,6 @@ class UnloweredError(RuntimeError):
     """Internal invariant breach: the plan would not be finite/faithful."""
 
 
-# The most regions one continuous loop may lower. Each of u steppers that
-# do not annihilate splits every segment of the loop's co-iteration into
-# piece and gap, so a union of u such accesses lowers 2**u regions. This
-# admits an 11-way union (2048 regions; C[i] = A0[i] + ... + A10[i] is a
-# plan of 6155 lines) and stops a 12-way one (4096) before lowering starts.
-MAX_REGIONS = 2048
-
-
 @dataclass(frozen=True)
 class _Access:
     tensor: ContTensor
@@ -112,6 +101,7 @@ class _Access:
     pos: object = PRoot()
     rank: int = 0
     miss: bool = False
+    gap: bool = False  # stepped by a walk that runs out: its position is -1 in its gap
 
 
 class _Ctx:
@@ -254,9 +244,11 @@ def _build_value(e, ctx, leaves):
         if e.op == "-":
             return Sub(a, b)
         if e.op == "/":
-            zero = simplify_expr(b)
+            # R-DIV where 0 with each access in its gap read as its fill; b keeps its R-PIN marks
+            gaps = [k for k, x in ctx.accesses.items() if x.gap and not x.miss]
+            zero = simplify_expr(_build_value(e.b, _missing(ctx, gaps), []) if gaps else b)
             if isinstance(zero, (Num, BoolC)) and zero.value == 0:
-                b = Var(_mark(e, ctx), "zero")
+                b = Add((b, Var(_mark(e, ctx), "zero")))
             return Div(a, b)
         return Cmp(e.op, a, b)
     if isinstance(e, EUn):
@@ -306,11 +298,12 @@ def _writes_nothing(stmts, ctx) -> bool:
     return True
 
 
-def _annihilates(s: SFor, key, ctx) -> bool:
-    """Whether the loop body writes nothing wherever this access misses."""
+def _missing(ctx, keys):
+    """A fork of ctx in which these accesses miss."""
     c = ctx.fork()
-    c.accesses[key] = dc_replace(c.accesses[key], miss=True)
-    return _writes_nothing(s.body, c)
+    for key in keys:
+        c.accesses[key] = dc_replace(c.accesses[key], miss=True)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +405,15 @@ def _lower_cont(s: SFor, ctx):
     lo = Limit(float(s.lo), ABOVE if s.lo == -math.inf else EXACT)
     hi = Limit(float(s.hi), BELOW if s.hi == math.inf else EXACT)
     cands = _participants(ctx, var)
-    annihilating = {k for k in cands if _annihilates(s, k, ctx)}
+    # those that annihilate: where one misses, the loop body writes nothing
+    annihilating = {k for k in cands if _writes_nothing(s.body, _missing(ctx, [k]))}
     pinlike = [k for k in cands if k in annihilating
                and ctx.accesses[k].tensor.levels[ctx.accesses[k].rank].pinpoint]
     # one point-stepper pins the index; the rest get probed after the pin,
     # and are never needed in its gaps, where nothing is written. The format
     # alone picks it: the deepest rank, then the first in program order
     steppers = [max(pinlike, key=lambda k: ctx.accesses[k].rank)] if pinlike else cands
-    # each stepper that does not annihilate splits every segment into
-    # piece and gap: 2**u regions
-    u = sum(1 for k in steppers if k not in annihilating)
-    if 2 ** u > MAX_REGIONS:
-        raise CompileError(
-            f"loop over {var!r} would lower {2 ** u} regions, more than "
-            f"MAX_REGIONS = {MAX_REGIONS}: a union of {u} accesses that do not annihilate"
-        )
+    runs_out = [k for k in steppers if k not in annihilating]
 
     def last(key):
         a = ctx.accesses[key]
@@ -448,7 +435,7 @@ def _lower_cont(s: SFor, ctx):
     # shift rounds a piece's start onto the previous piece's stop. A lone
     # stepper over the whole line steps its pieces by position: its fiber
     # is the range, and each piece the region
-    shape = ("walk" if u or any(sh is not None for sh in shifts.values())
+    shape = ("walk" if runs_out or any(sh is not None for sh in shifts.values())
              else "pieces" if len(steppers) == 1 and s.lo == -math.inf and s.hi == math.inf
              else "fingers")
     whole = shape == "pieces"
@@ -462,54 +449,71 @@ def _lower_cont(s: SFor, ctx):
         rts[key] = StepperRT(*ctx.namer.slot(f"p_{a.tensor.name}{a.rank}"), a.tensor.name,
                              a.rank, a.pos, shifts[key], runs_out=key not in annihilating)
 
-    sub_stmts = []
-    # where an annihilating access misses, nothing is written
-    for sub in product(*[(True,) if k in annihilating else (True, False) for k in steppers]):
-        c3 = ctx.fork()
-        c3.depth += 1  # inside the co-iteration
-        s3 = [] if whole else [IvStart(seg_slot, seg_name)]
-        t3 = [] if whole else [IvStop(seg_slot, seg_name)]
-        pinflag = False
-        for key, in_piece in zip(steppers, sub):
-            a, rt = c3.accesses[key], rts[key]
-            pv = PVar(rt.pos_slot, rt.pos_name)
-            pp = a.tensor.levels[a.rank].pinpoint
-            end = EndRef(a.tensor.name, a.rank, "C" if pp else "L", pv, 0, rt.shift)
-            if in_piece:
-                s3.append(end)
-                if whole:
-                    t3.append(dc_replace(end, side="C" if pp else "R"))
-                pinflag = pinflag or pp
-                c3.accesses[key] = dc_replace(a, pos=pv, rank=a.rank + 1)
-            else:
-                t3.append(dc_replace(end, eps_off=-1))
-                c3.accesses[key] = dc_replace(a, miss=True)
-        if whole and pinflag:
-            # a stored point is its own region: the pin reads its coordinate
-            sub_stmts += _finish_region(s, None, c3, pin=s3[0])
+    c3 = ctx.fork()
+    c3.depth += 1  # inside the co-iteration
+    starts = [] if whole else [IvStart(seg_slot, seg_name)]
+    ends = [] if whole else [IvStop(seg_slot, seg_name)]
+    pinflag, points = False, []  # points: the steppers that run out and store points
+    for key in steppers:
+        a, rt = c3.accesses[key], rts[key]
+        pv = PVar(rt.pos_slot, rt.pos_name)
+        pp = a.tensor.levels[a.rank].pinpoint
+        # one that runs out reads -1 in its gap, which lasts a whole segment
+        c3.accesses[key] = dc_replace(a, pos=pv, rank=a.rank + 1, gap=rt.runs_out)
+        if rt.runs_out:
+            points += [key] if pp else []
             continue
+        end = EndRef(a.tensor.name, a.rank, "C" if pp else "L", pv, rt.shift)
+        starts.append(end)
+        if whole:
+            ends.append(dc_replace(end, side="C" if pp else "R"))
+        pinflag = pinflag or pp
+    if whole and pinflag:
+        # a stored point is its own region: the pin reads its coordinate
+        body = _finish_region(s, None, c3, pin=starts[0])
+    else:
         sslot, sname = ctx.namer.slot("r")
-        inner = _finish_region(s, (sslot, sname), c3,
-                               pin=IvStart(sslot, sname) if pinflag else None)
-        region = IntersectLet(sslot, sname, tuple(s3), tuple(t3), pinflag)
-        if inner and whole:
-            # a stored piece is never empty
-            sub_stmts += [region, *inner]
-        elif inner:
-            sub_stmts += [region, Guard(sslot, sname, Block(tuple(inner)))]
-        elif u and not any(p for k, p in zip(steppers, sub) if k not in annihilating):
-            # where every stepper that runs out is a gap nothing is written,
-            # so the loop also ends where the last of them does
-            ends = tuple(last(k) for k in steppers if k not in annihilating)
-            stops.append(MaxOf(ends) if len(ends) > 1 else ends[0])
-    if not sub_stmts:
+        inner, silent = _region_body(s, (sslot, sname), c3, runs_out, points, pinflag)
+        if silent:  # all in their gaps write nothing: end at the last of their stops
+            lasts = tuple(last(k) for k in runs_out)
+            stops.append(MaxOf(lasts) if len(lasts) > 1 else lasts[0])
+        region = IntersectLet(sslot, sname, tuple(starts), tuple(ends))
+        # a stored piece is never empty
+        body = ([] if not inner else [region, *inner] if whole
+                else [region, Guard(sslot, sname, Block(tuple(inner)))])
+    if not body:
         return []
     if whole:
-        return [WhileCoiter(tuple(rts.values()), Block(tuple(sub_stmts)), shape)]
+        return [WhileCoiter(tuple(rts.values()), Block(tuple(body)), shape)]
     return [IntersectLet(rslot, rname, (LimC(lo),), tuple(stops or [LimC(hi)])), WhileCoiter(
-        tuple(rts.values()), Block(tuple(sub_stmts)), shape,
+        tuple(rts.values()), Block(tuple(body)), shape,
         rslot, rname, cur_slot, cur_name, seg_slot, seg_name,
     )]
+
+
+def _region_body(s: SFor, region, ctx, runs_out, points, pinned):
+    """The body of a co-iteration's region, pinned if pinned, and whether the
+    loop body writes nothing where all of runs_out are in their gaps (then a
+    test that one is in its piece guards it). Where one of points is in its
+    piece the segment is that point, pinned; elsewhere points read fills."""
+    silent = bool(runs_out) and _writes_nothing(s.body, _missing(ctx, runs_out))
+
+    def some(keys):  # whether one of them is in its piece: a position is -1 in its gap
+        return Or(tuple(Cmp(">=", Var(*astuple(ctx.accesses[k].pos)), Num(0)) for k in keys))
+
+    tests = [Not(some(points))] if points else []
+    tests += [some([k for k in runs_out if k not in points])] if silent else []
+    out = []
+    if points:
+        inner = _finish_region(s, region, ctx.fork(), pin=IvStart(*region))
+        out += [Cond(simplify_expr(some(points)), Block(tuple(inner)))] if inner else []
+        ctx = _missing(ctx, points)
+    test = simplify_expr(And(tuple(tests)))
+    inner = [] if test == BoolC(False) else _finish_region(
+        s, region, ctx, pin=IvStart(*region) if pinned else None)
+    if inner and tests:
+        inner = [Cond(test, Block(tuple(inner)))]
+    return out + inner, silent
 
 
 def _finish_region(s: SFor, region, ctx, pin=None):

@@ -32,23 +32,24 @@ lone stepper over the whole line, run as ``for p in range(...)`` over
 its positions: its fiber is the range, each piece the region, and its
 segments are counted once, before the loop. A walk steps the segments
 between consecutive stops, gaps included, with a cursor that must
-advance each step. A fiber's ends are read inline from the ``ptr``
-column (and its last stop from the stop column), with an ``f >= 0`` test
-only where the fiber can be -1: a probe's result or a guarded dense
-index. A probe at shift 0 is inline too: a ``bisect_left`` of the stop
-column between the fiber's ends, then the start's check. A stepper's
-reads follow its kind, in every shape. One that annihilates, in its loop
-or an enclosing one, is read unguarded: the range ends at its last stop,
-so it never leaves its fiber. One that runs out (``StepperRT.runs_out``)
-reads every end as inf + eps at its fiber's end (an empty or missing
-fiber, or a range or step past its last piece): its piece is empty and
-its gap reaches past the range. An endpoint of any other position is a
-plan fault, raised as ``ExecError`` when the kernel is rendered. Walks
-and finger loops end each iteration at the same least stop, so
-``segments_visited`` counts their iterations, a walk's final all-gap
-segment included; in a pieces loop it counts the pieces visited, which
-is what a finger loop over the same stepper iterates. A dense position
-whose indices read only discrete loop indices is bound to a local
+advance each step; a stepper that runs out also ends one just before
+its start, so the body, which reads its position as -1 in its gap, sees
+it in one state for the whole segment. A fiber's ends are read inline
+from the ``ptr`` column (and its last stop from the stop column), with
+an ``f >= 0`` test only where the fiber can be -1: a probe's result, a
+guarded dense index or such a position. A probe at shift 0 is inline
+too: a ``bisect_left`` of the stop column between the fiber's ends, then
+the start's check. A stepper that annihilates, in its loop or an
+enclosing one, is read unguarded: the range ends at its last stop, so
+it never leaves its fiber. A walk reads every end of one that runs out
+as inf + eps at its fiber's end (an empty or missing fiber, or a range
+or step past its last piece). An endpoint of any other position is a
+plan fault, raised as ``ExecError`` when the kernel is rendered.
+``segments_visited`` counts the iterations of walks (one more for each
+start a walk cuts at) and finger loops, a walk's final all-gap segment
+included; in a pieces loop it counts the pieces visited, which is what
+a finger loop over the same stepper iterates. A dense position whose
+indices read only discrete loop indices is bound to a local
 (``_pos<n>``) once, at the start of the innermost of those loops (at the
 kernel's start when it reads none), and every use reads that local.
 
@@ -175,7 +176,7 @@ _GLOBALS = {
 # The output is _out: a record list under "=" (appended through _add), a
 # dict by path under a reduction (read through _get), or the value itself
 # for a rank-0 reduction.
-_CLAMP = {-1: "(_v[1] - 1 if _v[1] > -1 else -1)"}
+
 # A reduction's combine of the value already in a cell with a new one:
 # rendered inline where a kernel writes, and called where finalize
 # combines overlapping pieces. The first write combines with the fill,
@@ -299,8 +300,7 @@ class _Source:
         self.open_lo = set()  # region slots whose start is the open -inf
         self.stops = {}  # region slot -> the stops of its IntersectLet
         self.fingers = frozenset()  # position locals of the annihilating steppers in scope
-        self.ends = {}  # position local of a stepper in scope that runs out -> its fiber's end
-        self.probed = set()  # position locals a probe sets: -1 where it misses
+        self.missable = set()  # position locals that can be -1 (see can_miss)
         self.homes = _dense_homes(plan)  # discrete loop slot or None -> dense positions
         self.bound = {}  # dense position -> the local it is bound to
         self.loops = []  # _Loop per plan loop around what is rendered
@@ -401,7 +401,7 @@ class _Source:
         p = self.pexpr(e.pos)
         if self.leaf_pos is not None:
             self.leaf_pos.append(p)
-        if p == "0" or p in self.fingers or p in self.ends:
+        if p == "0" or p in self.fingers:
             # a stepper's value is read only where it is in a piece
             return f"{vals}[{p}]"
         if _simple(p):
@@ -453,13 +453,9 @@ class _Source:
         if t is EndRef:
             col = self.level(e.tensor, e.level) + ("_starts" if e.side in ("L", "C") else "_stops")
             p = self.pexpr(e.pos)
-            if p in self.ends:
-                base = f"({col}[{p}] if {p} < {self.ends[p]} else _PAST)"
-            elif p in self.fingers:
-                base = f"{col}[{p}]"
-            else:
+            if p not in self.fingers:
                 raise ExecError(f"endpoint {render(e)}: {p} is not a stepper in scope")
-            return self.adjust(base, e.shift, e.eps_off)
+            return self.adjust(f"{col}[{p}]", e.shift)
         if t is IvStart:
             return self.region(e.slot, e.name)[0]
         if t is IvStop:
@@ -490,19 +486,15 @@ class _Source:
         return f"(_f := {f}) >= 0 and ", "_f"
 
     def can_miss(self, fiber, f: str) -> bool:
-        """Whether a fiber position can be -1: a guarded dense index or a
-        probe's result; a stepper's position is always in its fiber."""
-        return type(fiber) is PDense or f in self.probed
+        """Whether a fiber position can be -1: a guarded dense index, a probe's
+        result or a stepper that runs out; an annihilating one's never is."""
+        return type(fiber) is PDense or f in self.missable
 
-    def adjust(self, base: str, shift, off: int = 0) -> str:
-        """Shift an endpoint back through the access map, then nudge its eps."""
-        if shift is None and not off:
+    def adjust(self, base: str, shift) -> str:
+        """Shift an endpoint back through the access map."""
+        if shift is None:
             return base
-        val = f"(_v := {base})[0]"
-        if shift is not None:
-            val += f" - {self.expr(shift)}"
-        eps = _CLAMP.get(off) or (f"max(-1, min(1, _v[1] + {off}))" if off else "_v[1]")
-        return f"({val}, {eps})"
+        return f"((_v := {base})[0] - {self.expr(shift)}, _v[1])"
 
     # ---- statements; pad is the indentation of the statement
 
@@ -580,7 +572,7 @@ class _Source:
             find = (f"_probe({t}_table, {self.pexpr(s.parent)}, {self.expr(s.coord)}, "
                     f"{self.expr(s.shift)})")
         q = self.var(s.slot, s.name)
-        self.probed.add(q)
+        self.missable.add(q)
         self.lines.append(f"{pad}{q} = {find}")
 
     def intersect(self, s: IntersectLet, pad: str):
@@ -592,8 +584,7 @@ class _Source:
         if starts == (_OPEN_START,):
             self.open_lo.add(s.slot)
         elif (len(starts) > 1 and type(starts[0]) is IvStart and starts[0].slot in self.open_lo
-              and all(type(a) is EndRef and a.shift is None and not a.eps_off
-                      for a in starts[1:])):
+              and all(type(a) is EndRef and a.shift is None for a in starts[1:])):
             # the open -inf adds nothing to the max: no stored start lies
             # below it but the closed -inf, which every use of a region reads
             # as the open one (a write makes it canonical, a length reads its
@@ -608,12 +599,11 @@ class _Source:
             out.extend(f"{pad}_e = {lexpr(a)}{tail}" for a in ops[1:])
         self.lines.append("\n".join(out))
 
-    def scoped(self, body, pad: str, fingers, ends):
-        """Render body with these steppers in scope."""
-        outer = self.fingers, self.ends
-        self.fingers, self.ends = fingers, ends
+    def scoped(self, body, pad: str, fingers):
+        """Render body with these annihilating steppers in scope."""
+        outer, self.fingers = self.fingers, fingers
         self.stmt(body, pad)
-        self.fingers, self.ends = outer
+        self.fingers = outer
 
     def coiter(self, s: WhileCoiter, pad: str):
         """One co-iteration, in the shape lowering chose (see the module
@@ -635,7 +625,7 @@ class _Source:
         pad += _IND
         i = pad + _IND
         steppers = []
-        fingers, ends = set(self.fingers), dict(self.ends)
+        fingers = set(self.fingers)
         for st in s.steppers:
             p = self.var(st.pos_slot, st.pos_name)
             t = self.level(st.tensor, st.level)
@@ -644,19 +634,23 @@ class _Source:
                 sh = f"_{p}_sh"
                 shift = f"({sh} := {self.expr(st.shift)})"
             f = self.pexpr(st.fiber)
-            add(f"{pad}{p} = _seek({t}_table, {f}, {lo}, {shift})")
-            read = f"{t}_stops[{p}]"
+            at, start = p, None
             if st.runs_out:
-                e = ends[p] = f"_{p}_end"
-                add(f"{pad}{e} = {_end(t, f)}")
-                read = f"{read} if {p} < {e} else _PAST"
+                at = f"_{p}_at"
+                start = f"{t}_starts[{at}] if {at} < _{p}_end else _PAST"
+            add(f"{pad}{at} = _seek({t}_table, {f}, {lo}, {shift})")
+            read = f"{t}_stops[{at}]"
+            if st.runs_out:
+                add(f"{pad}_{p}_end = {_end(t, f)}")
+                read = f"{read} if {at} < _{p}_end else _PAST"
+                self.missable.add(p)
             else:
                 fingers.add(p)
-            steppers.append((p, read, sh, f"_{p}_stop"))
+            steppers.append((p, at, read, sh, f"_{p}_stop", start))
         add(f"{pad}{cur} = {lo}\n{pad}while {cur} <= {hi}:")
         add(f"{i}_seg += 1\n{i}{stop} = {hi}")
         pad, i = i, i + _IND
-        for p, read, sh, r in steppers:
+        for p, at, read, sh, r, start in steppers:
             if sh is not None:
                 add(f"{pad}{r} = {read}\n{pad}{r} = ({r}[0] - {sh}, {r}[1])\n"
                     f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
@@ -665,10 +659,17 @@ class _Source:
                 # type a shifted stop has
                 add(f"{pad}{r} = {read}\n{pad}if {r} < {stop}:\n"
                     f"{i}{stop} = ({r}[0] - 0.0, {r}[1])")
+        for p, at, read, sh, r, start in steppers:
+            if start is not None:
+                # one that runs out steps _<p>_at; the body reads p, -1 in its
+                # gap, which ends at start - EPS: no stored start is below its value
+                add(f"{pad}_t = {start}\n" + (f"{pad}_t = (_t[0] - {sh}, _t[1])\n" if sh else "")
+                    + f"{pad}if _t <= {cur}:\n{i}{p} = {at}\n{pad}else:\n{i}{p} = -1\n"
+                    f"{i}if _t <= {stop}:\n{i}{_IND}{stop} = (_t[0] - 0.0, _t[1] - 1)")
         add(f"{pad}{seg_lo} = {cur}")
-        self.scoped(s.body, pad, fingers, ends)
-        for p, _, _, r in steppers:
-            add(f"{pad}if {r} == {stop}:\n{i}{p} += 1")
+        self.scoped(s.body, pad, fingers)
+        for _, at, _, _, r, _ in steppers:
+            add(f"{pad}if {r} == {stop}:\n{i}{at} += 1")
         # the cursor moves to stop + EPS, the first endpoint past the segment
         add(f"{pad}_n = ({stop}[0] + 0.0, {stop}[1] + 1 if {stop}[1] < 1 else 1)\n"
             f"{pad}if not _n > {cur}:\n"
@@ -723,7 +724,7 @@ class _Source:
         add(f"{pad}{stop} = {least[0]}")
         for r in least[1:]:
             add(f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
-        self.scoped(s.body, pad, self.fingers | {p for p, *_ in steppers}, self.ends)
+        self.scoped(s.body, pad, self.fingers | {p for p, *_ in steppers})
         if not on_positions:
             add(f"{pad}if {stop} is {hi}:\n{i}break")
         for p, t, end, r in steppers:
@@ -746,7 +747,7 @@ class _Source:
             f"{pad}_seg += {end} - {p}\n{pad}for {p} in range({p}, {end}):")
         # a write that ends the loop at p has visited the pieces up to p
         with self.loop(pad, [f"_seg -= {end} - {p} - 1"]):
-            self.scoped(s.body, pad + _IND, self.fingers | {p}, self.ends)
+            self.scoped(s.body, pad + _IND, self.fingers | {p})
 
     def write(self, s, pad: str):
         add = self.lines.append
@@ -777,7 +778,7 @@ class _Source:
             # a multiply is counted where every leaf is stored, not fill;
             # an access written twice reads one position
             tests = " and ".join(f"{p} >= 0" for p in dict.fromkeys(leaves)
-                                 if p != "0" and p not in self.fingers and p not in self.ends)
+                                 if p != "0" and p not in self.fingers)
             add(f"{pad}if {tests}:\n{pad}{_IND}_mul += 1" if tests else f"{pad}_mul += 1")
         if s.emits:
             add(f"{pad}_emit += 1")

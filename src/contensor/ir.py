@@ -152,7 +152,6 @@ class EndRef:
     level: int
     side: str  # "L" | "R"
     pos: PExpr
-    eps_off: int = 0
     shift: Optional[SExpr] = None
 
 
@@ -236,7 +235,6 @@ class IntersectLet:
     name: str
     starts: tuple  # tuple[LExpr]
     stops: tuple
-    pinpoint: bool = False
 
 
 @dataclass(frozen=True)
@@ -272,7 +270,7 @@ class StepperRT:
     level: int
     fiber: PExpr
     shift: Optional[SExpr] = None
-    runs_out: bool = False  # not annihilating: past its last piece, a gap to +inf
+    runs_out: bool = False  # a gap to +inf past its last piece; -1 in a gap in a walk's body
 
 
 @dataclass(frozen=True)
@@ -280,10 +278,10 @@ class WhileCoiter:
     steppers: tuple  # tuple[StepperRT]
     body: "Stmt"
     # the loop's shape, which lowering decides: "walk" over the segments
-    # between consecutive stops, gaps included, where a stepper runs out
-    # or is shifted; "pieces", one stepper's pieces by position, where it
-    # is the only stepper, annihilates, is unshifted and the loop runs over
-    # the whole line; "fingers" over the pieces alone otherwise
+    # between consecutive stops (and starts of steppers that run out) where
+    # a stepper runs out or is shifted; "pieces", one stepper's pieces by
+    # position, where it is the only stepper, annihilates, is unshifted and
+    # the loop runs over the whole line; "fingers" over the pieces otherwise
     shape: str
     # the range, cursor and current segment; a pieces loop has none: its
     # fiber is the range, and each piece the region
@@ -416,9 +414,7 @@ def render(e) -> str:
     if isinstance(e, EndRef):
         side = {"L": "left", "R": "right", "C": "crd"}[e.side]
         s = f"{e.tensor}.{side}[{e.pos.render()}]"
-        if e.shift is not None:
-            s = f"({s} - {render(e.shift)})"
-        return s + ("+eps" if e.eps_off > 0 else "-eps") * abs(e.eps_off)
+        return s if e.shift is None else f"({s} - {render(e.shift)})"
     if isinstance(e, LastStop):
         s = f"{e.tensor}.last_stop(lvl{e.level}, {e.fiber.render()})"
         if e.shift is not None:
@@ -467,8 +463,7 @@ def pretty(stmt, indent: int = 0) -> str:
     if isinstance(stmt, IntersectLet):
         starts = ", ".join(render(a) for a in stmt.starts)
         stops = ", ".join(render(a) for a in stmt.stops)
-        tag = " (pinpoint)" if stmt.pinpoint else ""
-        return f"{pad}{stmt.name} = [max({starts}), min({stops})]{tag}"
+        return f"{pad}{stmt.name} = [max({starts}), min({stops})]"
     if isinstance(stmt, Guard):
         return f"{pad}guard {stmt.name}.start <= {stmt.name}.stop:\n" + pretty(stmt.body, indent + 1)
     if isinstance(stmt, Cond):

@@ -655,8 +655,11 @@ end
 
 
 # a union keeps the segment walk: its source, pinned byte for byte. Both
-# summands run out, and where both are gaps nothing is written, so the
-# walk ends at the later of their last stops
+# summands run out, so each segment also ends just before the start of
+# one in its gap, and reads each as its value or, in its gap (-1), its
+# fill; where both are gaps nothing is written, so the walk ends at the
+# later of their last stops, and a segment is written where either is in
+# its piece
 UNION_WALK = """\
 def kernel(_b):
     _A_0_table = _b['A'].levels[0]
@@ -671,65 +674,49 @@ def kernel(_b):
     iv_0_lo = ((-_INF), 1)
     iv_0_hi = max((_A_0_stops[_q - 1] if _A_0_ptr[0] < (_q := _A_0_ptr[1]) else _NO_STOP), (_B_0_stops[_q - 1] if _B_0_ptr[0] < (_q := _B_0_ptr[1]) else _NO_STOP))
     if not iv_0_lo > iv_0_hi:
-        p_A0_3 = _seek(_A_0_table, 0, iv_0_lo, 0.0)
+        _p_A0_3_at = _seek(_A_0_table, 0, iv_0_lo, 0.0)
         _p_A0_3_end = _A_0_ptr[1]
-        p_B0_4 = _seek(_B_0_table, 0, iv_0_lo, 0.0)
+        _p_B0_4_at = _seek(_B_0_table, 0, iv_0_lo, 0.0)
         _p_B0_4_end = _B_0_ptr[1]
         cur_1 = iv_0_lo
         while cur_1 <= iv_0_hi:
             _seg += 1
             seg_2_hi = iv_0_hi
-            _p_A0_3_stop = _A_0_stops[p_A0_3] if p_A0_3 < _p_A0_3_end else _PAST
+            _p_A0_3_stop = _A_0_stops[_p_A0_3_at] if _p_A0_3_at < _p_A0_3_end else _PAST
             if _p_A0_3_stop < seg_2_hi:
                 seg_2_hi = (_p_A0_3_stop[0] - 0.0, _p_A0_3_stop[1])
-            _p_B0_4_stop = _B_0_stops[p_B0_4] if p_B0_4 < _p_B0_4_end else _PAST
+            _p_B0_4_stop = _B_0_stops[_p_B0_4_at] if _p_B0_4_at < _p_B0_4_end else _PAST
             if _p_B0_4_stop < seg_2_hi:
                 seg_2_hi = (_p_B0_4_stop[0] - 0.0, _p_B0_4_stop[1])
+            _t = _A_0_starts[_p_A0_3_at] if _p_A0_3_at < _p_A0_3_end else _PAST
+            if _t <= cur_1:
+                p_A0_3 = _p_A0_3_at
+            else:
+                p_A0_3 = -1
+                if _t <= seg_2_hi:
+                    seg_2_hi = (_t[0] - 0.0, _t[1] - 1)
+            _t = _B_0_starts[_p_B0_4_at] if _p_B0_4_at < _p_B0_4_end else _PAST
+            if _t <= cur_1:
+                p_B0_4 = _p_B0_4_at
+            else:
+                p_B0_4 = -1
+                if _t <= seg_2_hi:
+                    seg_2_hi = (_t[0] - 0.0, _t[1] - 1)
             seg_2_lo = cur_1
             r_5_lo = seg_2_lo
-            _e = (_A_0_starts[p_A0_3] if p_A0_3 < _p_A0_3_end else _PAST)
-            if _e > r_5_lo:
-                r_5_lo = _e
-            _e = (_B_0_starts[p_B0_4] if p_B0_4 < _p_B0_4_end else _PAST)
-            if _e > r_5_lo:
-                r_5_lo = _e
             r_5_hi = seg_2_hi
             if r_5_lo <= r_5_hi:
-                _mul += 1
-                _emit += 1
-                if (_lo0 := _NEG_OPEN if r_5_lo < _NEG_OPEN else r_5_lo) <= (_hi0 := _POS_OPEN if r_5_hi > _POS_OPEN else r_5_hi):
-                    if (_val := sum((_A_vals[p_A0_3], _B_vals[p_B0_4],))) != 0.0:
-                        _add(((_lo0, _hi0), _val,))
-            r1_6_lo = seg_2_lo
-            _e = (_A_0_starts[p_A0_3] if p_A0_3 < _p_A0_3_end else _PAST)
-            if _e > r1_6_lo:
-                r1_6_lo = _e
-            r1_6_hi = seg_2_hi
-            _e = ((_v := (_B_0_starts[p_B0_4] if p_B0_4 < _p_B0_4_end else _PAST))[0], (_v[1] - 1 if _v[1] > -1 else -1))
-            if _e < r1_6_hi:
-                r1_6_hi = _e
-            if r1_6_lo <= r1_6_hi:
-                _emit += 1
-                if (_lo0 := _NEG_OPEN if r1_6_lo < _NEG_OPEN else r1_6_lo) <= (_hi0 := _POS_OPEN if r1_6_hi > _POS_OPEN else r1_6_hi):
-                    if (_val := _A_vals[p_A0_3]) != 0.0:
-                        _add(((_lo0, _hi0), _val,))
-            r2_7_lo = seg_2_lo
-            _e = (_B_0_starts[p_B0_4] if p_B0_4 < _p_B0_4_end else _PAST)
-            if _e > r2_7_lo:
-                r2_7_lo = _e
-            r2_7_hi = seg_2_hi
-            _e = ((_v := (_A_0_starts[p_A0_3] if p_A0_3 < _p_A0_3_end else _PAST))[0], (_v[1] - 1 if _v[1] > -1 else -1))
-            if _e < r2_7_hi:
-                r2_7_hi = _e
-            if r2_7_lo <= r2_7_hi:
-                _emit += 1
-                if (_lo0 := _NEG_OPEN if r2_7_lo < _NEG_OPEN else r2_7_lo) <= (_hi0 := _POS_OPEN if r2_7_hi > _POS_OPEN else r2_7_hi):
-                    if (_val := _B_vals[p_B0_4]) != 0.0:
-                        _add(((_lo0, _hi0), _val,))
+                if (True if (p_A0_3 >= 0) or (p_B0_4 >= 0) else False):
+                    if p_A0_3 >= 0 and p_B0_4 >= 0:
+                        _mul += 1
+                    _emit += 1
+                    if (_lo0 := _NEG_OPEN if r_5_lo < _NEG_OPEN else r_5_lo) <= (_hi0 := _POS_OPEN if r_5_hi > _POS_OPEN else r_5_hi):
+                        if (_val := sum(((_A_vals[p_A0_3] if p_A0_3 >= 0 else 0.0), (_B_vals[p_B0_4] if p_B0_4 >= 0 else 0.0),))) != 0.0:
+                            _add(((_lo0, _hi0), _val,))
             if _p_A0_3_stop == seg_2_hi:
-                p_A0_3 += 1
+                _p_A0_3_at += 1
             if _p_B0_4_stop == seg_2_hi:
-                p_B0_4 += 1
+                _p_B0_4_at += 1
             _n = (seg_2_hi[0] + 0.0, seg_2_hi[1] + 1 if seg_2_hi[1] < 1 else 1)
             if not _n > cur_1:
                 raise _ExecError("co-iteration failed to advance")
@@ -885,8 +872,9 @@ def test_a_union_whose_fibers_end_apart_writes_past_both():
     B = tensor_1d("B", [((0.5, 3.0), 4.0)], 1.0, kind="interval")
     res = against_oracle(UNION, {"A": A, "B": B})
     assert [v for _, v in res.output.pieces()] == [2.0, 3.0, 6.0, 5.0, 2.0]
-    # up to A's stop, up to B's, then the final segment, where both are gaps
-    assert res.stats.segments_visited == 3
+    # up to A's start, B's start, A's stop and B's stop, then the final
+    # segment, where both are gaps
+    assert res.stats.segments_visited == 5
 
 
 @pytest.mark.parametrize("fill", [0.0, 1.0])
@@ -930,6 +918,57 @@ def test_a_missed_probe_is_a_fiber_that_runs_out_at_once(fill):
     assert at_two == ([2.0] if fill == 0 else [2.0, 3.0, 2.0])
 
 
+P_PTS = tensor_1d("P", [(0.5, 1.0), (1.5, 2.0), (3.0, 4.0)], 0.0)
+Q_PTS = tensor_1d("Q", [(1.5, 3.0), (2.0, 5.0)], 0.0)
+
+
+def test_a_union_of_point_inputs_keeps_a_point_output():
+    # where either is stored the segment is that point, which pins i, and
+    # where both are gaps nothing is written: every write is at a point
+    src = "for i = -inf:inf\n  Out[i] = P[i] + Q[i]\nend\n"
+    plan = compile_program(parse(src), {"P": P_PTS, "Q": Q_PTS})
+    assert plan.output.comps == (("pinpoint",),)
+    res = against_oracle(src, {"P": P_PTS, "Q": Q_PTS})
+    assert [(x.start.val, v) for (x,), v in res.output.pieces()] == [
+        (0.5, 1.0), (1.5, 5.0), (2.0, 5.0), (3.0, 4.0)]
+
+
+@pytest.mark.parametrize("src, want", [
+    # P's points are point pieces of the interval output, 3.0 ending A's
+    # second piece
+    ("for i = -inf:inf\n  Out[i] = A[i] + P[i]\nend\n",
+     [((0.0, 0), (0.5, -1), 2.0), ((0.5, 0), (0.5, 0), 3.0), ((0.5, 1), (1.0, 0), 2.0),
+      ((1.5, 0), (1.5, 0), 2.0), ((2.0, 0), (3.0, -1), 5.0), ((3.0, 0), (3.0, 0), 9.0)]),
+    # a point adds nothing to an integral
+    ("for i = -inf:inf\n  s += (A[i] + P[i]) * d(i)\nend\n", 7.0),
+], ids=["assign", "integral"])
+def test_a_union_of_an_interval_and_a_point_input(src, want):
+    A = tensor_1d("A", [((0.0, 1.0), 2.0), ((2.0, 3.0), 5.0)], 0.0, kind="interval")
+    res = against_oracle(src, {"A": A, "P": P_PTS})
+    if isinstance(want, float):
+        assert res.output == want
+    else:
+        assert [(tuple(x.start), tuple(x.stop), v) for (x,), v in res.output.pieces()] == want
+
+
+def test_a_union_under_or_ends_its_loops_once_its_cell_is_true():
+    # Out[k] is fixed by the k loop: once a write leaves it true, the walk
+    # over i ends. Row 0 is true from its first piece on; row 1 never is
+    rows = [[((0.0, 1.0), True), ((2.0, 3.0), True)], [((0.0, 1.0), False), ((2.0, 3.0), False)]]
+    A = build_tensor("A", [("dense", 2), ("interval",)], rows, fill=False)
+    B = build_tensor("B", [("interval",)], [((0.5, 2.5), False)], fill=False)
+    src = "for k = 0:1\n  for i = -inf:inf\n    Out[k] |= A[k, i] || B[i]\n  end\nend\n"
+    plan = compile_program(parse(src), {"A": A, "B": B})
+    writes = [line for line in pretty(plan).splitlines() if "|=" in line]
+    assert writes and all(line.endswith("then once true exit 1 loop") for line in writes)
+    res = against_oracle(src, {"A": A, "B": B})
+    assert list(res.output.pieces()) == [((0,), True), ((1,), False)]
+    # row 1 walks every segment; row 0 stops in its first written one
+    never = build_tensor("A", [("dense", 2), ("interval",)], [rows[1], rows[1]], fill=False)
+    full = run(compile_program(parse(src), {"A": never, "B": B})).stats.segments_visited
+    assert res.stats.segments_visited < full
+
+
 def test_a_shift_that_moves_the_last_piece_past_the_loop_end():
     # in the loop's space A's pieces are [0.5, 1] and [3, 4]: the last lies past hi
     A = tensor_1d("A", [((-2.5, -2.0), 2.0), ((0.0, 1.0), 3.0)], 1.0, kind="interval")
@@ -950,11 +989,13 @@ def test_a_lone_stepper_that_runs_out_ends_the_loop_at_its_last_stop(a, b):
 
 
 @pytest.mark.parametrize("a, segments", [
-    # the annihilating A ends before B and C do, and so does the loop
-    ([((0.0, 1.0), 2.0)], 1),
+    # the annihilating A ends before B and C do, and so does the loop: up to
+    # C's start, B's start, and A's stop
+    ([((0.0, 1.0), 2.0)], 3),
     # A runs on past both; where B and C are gaps nothing is written, so the
-    # loop ends at C's last stop, 2, and visits none of A's pieces past it
-    ([((k, k + 0.5), 2.0) for k in range(10)], 4),
+    # loop ends at C's last stop, 2, and visits none of A's pieces past it:
+    # up to C's start, B's start, then the stops 0.5, 1, 1.5 and 2
+    ([((k, k + 0.5), 2.0) for k in range(10)], 6),
 ])
 def test_an_annihilating_factor_over_a_union(a, segments):
     A = tensor_1d("A", a, 0.0, kind="interval")

@@ -5,7 +5,9 @@ two nested loops (continuous or discrete), or three (a dense one over
 two continuous ones) for an ``|=`` or ``&=`` into a cell the outer one
 fixes, accesses whose indices are shifts ``i + j + c`` (now and then two
 or three unshifted ones whose fills annihilate, joined by ``*`` or
-``&&``: an intersection, which a finger loop co-iterates), right-hand
+``&&``: an intersection, which a finger loop co-iterates; or three to
+five in one loop joined by ``+``, ``-`` or ``||``, now and then all of
+them points: a union, whose accesses all run out), right-hand
 sides joined by ``*``, ``+`` and ``-`` (numeric, an operand negated or
 divided by a nonzero constant) or ``&&`` and ``||`` (boolean, an operand
 negated or ``true``/``false`` joined in), every assignment operator, and
@@ -112,9 +114,13 @@ def programs(draw):
     # interval accesses whose fills annihilate, joined by * or &&, which a
     # finger loop co-iterates
     meet = not dense_fiber and not absorbing and draw(st.integers(0, 5)) == 0
-    if meet:
+    # a union: one continuous loop over three to five accesses joined by
+    # +, - or ||, none of which annihilates; now and then all of them points
+    union = not dense_fiber and not absorbing and not meet and draw(st.integers(0, 5)) == 0
+    points = union and draw(st.booleans())
+    if meet or union:
         loops = [("i", True, *draw(st.sampled_from(CONT_BOUNDS)))]
-    for var in ["i", "j"][: 0 if dense_fiber or absorbing or meet
+    for var in ["i", "j"][: 0 if dense_fiber or absorbing or meet or union
                           else draw(st.integers(1, 2))]:
         if draw(st.integers(0, 3)):
             lo, hi = draw(st.sampled_from(CONT_BOUNDS))
@@ -125,17 +131,19 @@ def programs(draw):
     boolean = absorbing or draw(st.booleans())
     if boolean:
         op = draw(st.sampled_from(["|=", "&="] if absorbing else ["=", "|=", "&="]))
-        joins, values = ["&&"] if meet else ["&&", "||"], st.booleans()
+        joins = ["&&"] if meet else ["||"] if union else ["&&", "||"]
+        values = st.booleans()
     else:
         op = draw(st.sampled_from(["=", "+=", "max=", "min="]))
-        joins, values = ["*"] if meet else ["*", "+", "-"], st.sampled_from(NUM_VALUES)
+        joins = ["*"] if meet else ["+", "-"] if union else ["*", "+", "-"]
+        values = st.sampled_from(NUM_VALUES)
     out_vars = loops[:1] if absorbing else [l for l in loops if draw(st.booleans())]
     integral = op == "+=" and any(l[1] and l not in out_vars and INF in (-l[2], l[3])
                                   for l in loops)
 
     ends = TIED_ENDPOINTS if draw(st.integers(0, 2)) == 0 else ENDPOINTS
     binds, accesses = {}, []
-    for name in ["A", "B", "C"][: draw(st.integers(2 if meet else 1, 3))]:
+    for name in "ABCDE"[: draw(st.integers(3, 5) if union else st.integers(2 if meet else 1, 3))]:
         first = (dense_fiber or absorbing) and not accesses
         used = loops if first or meet else ([l for l in loops if draw(st.booleans())]
                                             or [draw(st.sampled_from(loops))])
@@ -150,7 +158,8 @@ def programs(draw):
                 c = 0.0 if first or meet else draw(st.sampled_from(SHIFTS))
                 if c:
                     ix += f" + {c}"
-                specs.append(("interval",) if meet else draw(level_spec()))
+                specs.append(("interval",) if meet else ("pinpoint",) if points
+                             else draw(level_spec()))
             else:
                 specs.append(("dense", draw(st.integers(1, l[3] + 1)) if first else l[3] + 1))
             indices.append(ix)
