@@ -10,34 +10,33 @@ The strategy, per continuous loop:
 1. Find the accesses the loop index drives next (its participants), and
    which of them annihilate: wherever such an access misses, its fill
    makes every write of the loop body a no-op (0 under ``*``, false
-   under ``&&``).
+   under ``&&``). Every other one runs out (``StepperRT.runs_out``): a
+   gap out to +inf past its last piece.
 2. Lower the loop to one range and one co-iteration of the participants'
-   pieces over it. The range ends where the first annihilating one's
-   fiber does. Every other one runs out: it reads as a gap out to +inf
-   past its last piece; where all of those are gaps and nothing is
-   written, the range ends where the last of their fibers does too. A
-   lone stepper over the whole line needs no range: its fiber is one.
-3. Lower the body once, in one region per co-iteration. A walk also cuts
-   segments at the starts of the participants that run out, which read
-   -1 (and their fill) in their gaps, as a missed probe does.
-4. A region known to be a single point pins the index to a scalar,
-   which unlocks probes into the remaining accesses; otherwise the index
-   stays regional and the assignment collapses it (an emitted piece, a
-   length factor for d(idx), or nothing for idempotent ops). So is a
-   segment in a piece of a participant that runs out and stores points.
+   pieces over it, and the body once, in its one region. The range ends
+   where the first annihilating participant's fiber does, and, where
+   nothing is written with all those that run out in their gaps, where
+   the last of their fibers does too. A walk also ends a segment just
+   before the start of one that runs out, which reads -1 (and its fill)
+   in its gap, as a missed probe does. So an intersection and a union
+   (``+``, ``||``) lower in a size linear in their width. A lone stepper
+   over the whole line needs no range: its fiber is one.
+3. A region known to be a single point pins the index to a scalar, which
+   unlocks probes into the remaining accesses (so does a segment in a
+   piece of a participant that runs out and stores points); otherwise
+   the index stays regional and the assignment collapses it (an emitted
+   piece, a length factor for d(idx), or nothing for idempotent ops).
 
-So an intersection and a union (``+``, ``||``) lower in a size linear in
-their width. Where some annihilating participants store only isolated
-points, one of those alone is stepped and the others are probed after
-pinning; its gaps write nothing, so the others are never needed there.
-The format picks it: the deepest rank, then the first in program order
-(so write the sparser of two tied point inputs first). Lowering picks
-each co-iteration's shape (``WhileCoiter.shape``) from its steppers and
-range. A pieces loop emits each stored piece as its region, unclipped
-and unguarded, as no stored piece is empty; a stored point pins the
-index to its coordinate, with no region at all.
-A stepper's reads follow its kind (``StepperRT.runs_out``): an
-annihilating one never leaves its fiber inside the range.
+Where some annihilating participants store only isolated points, one of
+those alone is stepped and the others are probed after pinning; its gaps
+write nothing, so the others are never needed there. The format picks
+it: the deepest rank, then the first in program order (so write the
+sparser of two tied point inputs first). Lowering picks each
+co-iteration's shape (``WhileCoiter.shape``) from its steppers and range.
+A pieces loop emits each stored piece as its region, unclipped and
+unguarded, as no stored piece is empty; a stored point pins the index to
+its coordinate, with no region at all. An annihilating stepper never
+leaves its fiber inside the range.
 
 Every lowering function emits a statement only when a write lies below
 it, and folds constants as it builds each expression, so the plan needs
@@ -47,8 +46,9 @@ path, and the output's form is decided once from all of them
 decides: a collapse of a continuous index that no d() factor, idempotent
 operator or pinning makes finite is R-SUM, a value still read once
 unread binders are dropped that needs an index no stored points pin is
-R-PIN, and one that divides by a divisor that folds to 0 (a literal 0,
-or the fill 0 of an access where it misses, or is in its gap) is R-DIV
+R-PIN, and a division whose divisor folds to 0 where the kernel reads it
+is R-DIV: a literal 0, the fill 0 of an access where it misses, or fills
+of accesses in their gaps where no test or walk skips the segment
 (``ValidityError``, its diagnostics in source order).
 
 An ``|=`` or ``&=`` write whose path has no interval rank is marked with
@@ -112,6 +112,9 @@ class _Ctx:
         self.paths = paths  # the path of every write lowered, shared by forks
         self.marks = marks  # id(expr) -> (negative slot, R-PIN or R-DIV Diag), shared by forks
         self.keys = keys  # id(EAccess) -> its access's key, shared by forks
+        # an if's test, or the steppers of a walk that skips its segments where
+        # all of them are in their gaps, around here; None in _zero_divisor's test
+        self.guards = ()
         self.scalars = {}  # var -> Var
         # (tensor, index maps) -> _Access: equal accesses read the same
         # value everywhere, so they share one stepper or probe
@@ -122,6 +125,7 @@ class _Ctx:
 
     def fork(self):
         c = _Ctx(self.namer, self.difs, self.loops, self.paths, self.marks, self.keys)
+        c.guards = self.guards
         c.scalars = dict(self.scalars)
         c.accesses = dict(self.accesses)
         c.pending = dict(self.pending)
@@ -199,6 +203,7 @@ def _fill_const(t: ContTensor):
 
 
 _BIN = {"+": Add, "*": Mul, "&&": And, "||": Or}
+_ZEROS = (Num(0.0), BoolC(False))  # a folded divisor that is 0
 
 
 def _mark(e, ctx):
@@ -244,10 +249,7 @@ def _build_value(e, ctx, leaves):
         if e.op == "-":
             return Sub(a, b)
         if e.op == "/":
-            # R-DIV where 0 with each access in its gap read as its fill; b keeps its R-PIN marks
-            gaps = [k for k, x in ctx.accesses.items() if x.gap and not x.miss]
-            zero = simplify_expr(_build_value(e.b, _missing(ctx, gaps), []) if gaps else b)
-            if isinstance(zero, (Num, BoolC)) and zero.value == 0:
+            if _zero_divisor(e.b, b, ctx):  # R-DIV; b keeps its R-PIN marks
                 b = Add((b, Var(_mark(e, ctx), "zero")))
             return Div(a, b)
         return Cmp(e.op, a, b)
@@ -255,6 +257,28 @@ def _build_value(e, ctx, leaves):
         a = _build_value(e.a, ctx, leaves)
         return Neg(a) if e.op == "-" else Not(a)
     raise UnloweredError(f"cannot lower {e!r} to a value")
+
+
+def _zero_divisor(e, b, ctx) -> bool:
+    """Whether divisor e, built as b, is 0 where the kernel reads it: b folds
+    to 0, or e does with some of the accesses in their gaps that it reads
+    read as their fills, where no guard skips the segment; where one does,
+    fewer are tried while e still folds to 0."""
+    found, tried = [], set()
+    _walk_lang_exprs(e, found)
+    keys = (ctx.keys[id(x)] for x in found if isinstance(x, EAccess))
+
+    def zero_in(gaps):
+        tried.add(gaps)
+        test = _missing(ctx, gaps)
+        test.guards = None
+        less = (gaps[:i] + gaps[i + 1:] for i in range(len(gaps)))
+        return simplify_expr(_build_value(e, test, [])) in _ZEROS and (
+            all(not g <= set(gaps) if isinstance(g, frozenset) else _test(g, test) is not False
+                for g in ctx.guards) or any(zero_in(x) for x in less if x and x not in tried))
+
+    gaps = tuple(dict.fromkeys(k for k in keys if ctx.accesses[k].gap and not ctx.accesses[k].miss))
+    return simplify_expr(b) in _ZEROS or ctx.guards is not None and bool(gaps) and zero_in(gaps)
 
 
 def _flatten_mul(e):
@@ -353,6 +377,7 @@ def _lower_block(stmts, ctx):
         elif isinstance(s, SIf):
             c2 = ctx.fork()
             test = _test(s.cond, c2)
+            c2.guards += (s.cond,)
             if test is False:
                 continue  # this region misses the condition's tensor entirely
             inner = _lower_block(s.body, c2)
@@ -472,15 +497,17 @@ def _lower_cont(s: SFor, ctx):
         # a stored point is its own region: the pin reads its coordinate
         body = _finish_region(s, None, c3, pin=starts[0])
     else:
-        sslot, sname = ctx.namer.slot("r")
-        inner, silent = _region_body(s, (sslot, sname), c3, runs_out, points, pinflag)
+        # where every stepper runs out, the region is the segment, never empty
+        bare = len(starts) == 1 and not whole
+        region = (seg_slot, seg_name) if bare else ctx.namer.slot("r")
+        inner, silent = _region_body(s, region, c3, runs_out, points, pinflag)
         if silent:  # all in their gaps write nothing: end at the last of their stops
             lasts = tuple(last(k) for k in runs_out)
             stops.append(MaxOf(lasts) if len(lasts) > 1 else lasts[0])
-        region = IntersectLet(sslot, sname, tuple(starts), tuple(ends))
+        let = IntersectLet(*region, tuple(starts), tuple(ends))
         # a stored piece is never empty
-        body = ([] if not inner else [region, *inner] if whole
-                else [region, Guard(sslot, sname, Block(tuple(inner)))])
+        body = ([] if not inner else inner if bare else [let, *inner] if whole
+                else [let, Guard(*region, Block(tuple(inner)))])
     if not body:
         return []
     if whole:
@@ -501,13 +528,17 @@ def _region_body(s: SFor, region, ctx, runs_out, points, pinned):
     def some(keys):  # whether one of them is in its piece: a position is -1 in its gap
         return Or(tuple(Cmp(">=", Var(*astuple(ctx.accesses[k].pos)), Num(0)) for k in keys))
 
+    rest = [k for k in runs_out if k not in points]
     tests = [Not(some(points))] if points else []
-    tests += [some([k for k in runs_out if k not in points])] if silent else []
+    tests += [some(rest)] if silent else []
     out = []
     if points:
-        inner = _finish_region(s, region, ctx.fork(), pin=IvStart(*region))
+        c = ctx.fork()
+        c.guards += (frozenset(points),)
+        inner = _finish_region(s, region, c, pin=IvStart(*region))
         out += [Cond(simplify_expr(some(points)), Block(tuple(inner)))] if inner else []
         ctx = _missing(ctx, points)
+    ctx.guards += (frozenset(rest),) if silent else ()
     test = simplify_expr(And(tuple(tests)))
     inner = [] if test == BoolC(False) else _finish_region(
         s, region, ctx, pin=IvStart(*region) if pinned else None)

@@ -32,26 +32,25 @@ lone stepper over the whole line, run as ``for p in range(...)`` over
 its positions: its fiber is the range, each piece the region, and its
 segments are counted once, before the loop. A walk steps the segments
 between consecutive stops, gaps included, with a cursor that must
-advance each step; a stepper that runs out also ends one just before
-its start, so the body, which reads its position as -1 in its gap, sees
-it in one state for the whole segment. A fiber's ends are read inline
-from the ``ptr`` column (and its last stop from the stop column), with
-an ``f >= 0`` test only where the fiber can be -1: a probe's result, a
-guarded dense index or such a position. A probe at shift 0 is inline
-too: a ``bisect_left`` of the stop column between the fiber's ends, then
-the start's check. A stepper that annihilates, in its loop or an
-enclosing one, is read unguarded: the range ends at its last stop, so
-it never leaves its fiber. A walk reads every end of one that runs out
-as inf + eps at its fiber's end (an empty or missing fiber, or a range
-or step past its last piece). An endpoint of any other position is a
-plan fault, raised as ``ExecError`` when the kernel is rendered.
-``segments_visited`` counts the iterations of walks (one more for each
-start a walk cuts at) and finger loops, a walk's final all-gap segment
-included; in a pieces loop it counts the pieces visited, which is what
-a finger loop over the same stepper iterates. A dense position whose
-indices read only discrete loop indices is bound to a local
-(``_pos<n>``) once, at the start of the innermost of those loops (at the
-kernel's start when it reads none), and every use reads that local.
+advance each step. A stepper that runs out keeps its piece's start and
+stop in locals, read again as it moves on (inf + eps past its fiber's
+end), and also ends a segment just before its start, so the body, which
+reads its position as -1 in its gap, sees it in one state for the whole
+segment. One that annihilates, in its loop or an enclosing one, is read
+unguarded: the range ends at its last stop, so it never leaves its
+fiber. An endpoint of any other position is a plan fault, raised as
+``ExecError`` when the kernel is rendered. A fiber's ends are read
+inline from the ``ptr`` column (and its last stop from the stop
+column), with an ``f >= 0`` test only where the fiber can be -1: a
+probe's result, a guarded dense index or such a position. A probe at
+shift 0 is inline too: a ``bisect_left`` of the stop column between the
+fiber's ends, then the start's check. ``segments_visited`` counts the
+iterations of walks (one more for each start a walk cuts at) and finger
+loops, a walk's final all-gap segment included; in a pieces loop it
+counts the pieces visited, which is what a finger loop iterates. A
+dense position whose indices read only discrete loop indices is bound
+to a local (``_pos<n>``) once, at the start of the innermost of those
+loops (at the kernel's start when it reads none), and every use reads it.
 
 An ``|=`` or ``&=`` write that lowering marked (``Write.exits`` = n)
 tests its cell's combined value after it writes: once the cell is
@@ -176,7 +175,6 @@ _GLOBALS = {
 # The output is _out: a record list under "=" (appended through _add), a
 # dict by path under a reduction (read through _get), or the value itself
 # for a rank-0 reduction.
-
 # A reduction's combine of the value already in a cell with a new one:
 # rendered inline where a kernel writes, and called where finalize
 # combines overlapping pieces. The first write combines with the fill,
@@ -616,7 +614,10 @@ class _Source:
 
     def walk_loop(self, s: WhileCoiter, pad: str):
         """A walk: its segment starts at the cursor, just past the last
-        stop, and ends at the least of the range's stop and the steppers'."""
+        stop, and ends at the least of the range's stop and the steppers'.
+        One that runs out keeps its piece's ends, shifted back, in locals
+        read again as it moves on; it ends a segment at its stop in its
+        piece, and just before its start in its gap."""
         lo, hi = self.region(s.range_slot, s.range_name)
         cur = self.var(s.cursor_slot, s.cursor_name)
         seg_lo, stop = self.region(s.curr_slot, s.curr_name)
@@ -634,42 +635,39 @@ class _Source:
                 sh = f"_{p}_sh"
                 shift = f"({sh} := {self.expr(st.shift)})"
             f = self.pexpr(st.fiber)
-            at, start = p, None
-            if st.runs_out:
-                at = f"_{p}_at"
-                start = f"{t}_starts[{at}] if {at} < _{p}_end else _PAST"
+            at, load = f"_{p}_at" if st.runs_out else p, None
             add(f"{pad}{at} = _seek({t}_table, {f}, {lo}, {shift})")
-            read = f"{t}_stops[{at}]"
             if st.runs_out:
-                add(f"{pad}_{p}_end = {_end(t, f)}")
-                read = f"{read} if {at} < _{p}_end else _PAST"
+                # its piece's ends, shifted back; past its fiber's end both are _PAST
+                a, b = (f"((_v := {t}_{c}[{at}])[0] - {sh}, _v[1])" if sh else f"{t}_{c}[{at}]"
+                        for c in ("starts", "stops"))
+                load = f"_{p}_start, _{p}_stop = ({a}, {b}) if {at} < _{p}_end else (_PAST, _PAST)"
+                add(f"{pad}_{p}_end = {_end(t, f)}\n{pad}{load}")
                 self.missable.add(p)
             else:
                 fingers.add(p)
-            steppers.append((p, at, read, sh, f"_{p}_stop", start))
+            steppers.append((p, at, f"{t}_stops[{at}]", sh, f"_{p}_stop", load))
         add(f"{pad}{cur} = {lo}\n{pad}while {cur} <= {hi}:")
         add(f"{i}_seg += 1\n{i}{stop} = {hi}")
         pad, i = i, i + _IND
-        for p, at, read, sh, r, start in steppers:
-            if sh is not None:
-                add(f"{pad}{r} = {read}\n{pad}{r} = ({r}[0] - {sh}, {r}[1])\n"
-                    f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
+        for p, at, read, sh, r, load in steppers:
+            # the stored stop in value; subtracting 0.0 gives it the type a
+            # shifted stop has
+            least = f"if {r} < {stop}:\n{i}{stop} = {r if sh else f'({r}[0] - 0.0, {r}[1])'}"
+            if load is not None:
+                # the body reads p, -1 in its gap
+                least = least.replace("\n", f"\n{_IND}")
+                add(f"{pad}if _{p}_start <= {cur}:\n{i}{p} = {at}\n{i}{least}\n{pad}else:\n"
+                    f"{i}{p} = -1\n{i}if _{p}_start <= {stop}:\n"
+                    f"{i}{_IND}{stop} = (_{p}_start[0] - 0.0, _{p}_start[1] - 1)")
+            elif sh is not None:
+                add(f"{pad}{r} = {read}\n{pad}{r} = ({r}[0] - {sh}, {r}[1])\n{pad}{least}")
             else:
-                # the stored stop in value; subtracting 0.0 gives it the
-                # type a shifted stop has
-                add(f"{pad}{r} = {read}\n{pad}if {r} < {stop}:\n"
-                    f"{i}{stop} = ({r}[0] - 0.0, {r}[1])")
-        for p, at, read, sh, r, start in steppers:
-            if start is not None:
-                # one that runs out steps _<p>_at; the body reads p, -1 in its
-                # gap, which ends at start - EPS: no stored start is below its value
-                add(f"{pad}_t = {start}\n" + (f"{pad}_t = (_t[0] - {sh}, _t[1])\n" if sh else "")
-                    + f"{pad}if _t <= {cur}:\n{i}{p} = {at}\n{pad}else:\n{i}{p} = -1\n"
-                    f"{i}if _t <= {stop}:\n{i}{_IND}{stop} = (_t[0] - 0.0, _t[1] - 1)")
+                add(f"{pad}{r} = {read}\n{pad}{least}")
         add(f"{pad}{seg_lo} = {cur}")
         self.scoped(s.body, pad, fingers)
-        for _, at, _, _, r, _ in steppers:
-            add(f"{pad}if {r} == {stop}:\n{i}{at} += 1")
+        for _, at, _, _, r, load in steppers:
+            add(f"{pad}if {r} == {stop}:\n{i}{at} += 1" + (f"\n{i}{load}" if load else ""))
         # the cursor moves to stop + EPS, the first endpoint past the segment
         add(f"{pad}_n = ({stop}[0] + 0.0, {stop}[1] + 1 if {stop}[1] < 1 else 1)\n"
             f"{pad}if not _n > {cur}:\n"
@@ -906,7 +904,7 @@ class _Store:
 
     def __init__(self, decl: OutputDecl, op: str):
         self.decl, self.op = decl, op
-        self.records = []  # as written, for the error of a cell assigned twice
+        self.records = []  # sorted, for the error of a cell assigned twice
         self.nan = False  # whether a NaN reached a leaf
 
     def finalize(self, out):
@@ -918,25 +916,22 @@ class _Store:
                 return out
             recs = [(*path, v) for path, v in out.items() if v != decl.fill]
         else:
-            self.records = out
+            recs = self.records = sorted(out)
             if not decl.comps:
                 if len(out) > 1:
                     self._assigned_twice()
                 value = out[0][0] if out else decl.fill
                 self.nan = value != value
                 return value
-            recs = sorted(out)
         specs = [("dense", c[1]) if c[0] == "dense" else (c[0],) for c in decl.comps]
         return build_tensor(decl.name, specs, self._fiber(recs, 0), fill=decl.fill)
 
     def _assigned_twice(self):
-        """Raise OverlapError for the first cell written twice, if any."""
-        seen = set()
-        for r in self.records:
-            path = r[:-1]
-            if path in seen:
-                raise OverlapError(f"output cell {self._shown(path)} assigned twice")
-            seen.add(path)
+        """Raise OverlapError for the least cell written twice, if any: the
+        message reads the output alone, not the order of its writes."""
+        paths = [r[:-1] for r in self.records]
+        for path in (a for a, b in zip(paths, paths[1:]) if a == b):
+            raise OverlapError(f"output cell {self._shown(path)} assigned twice")
 
     def _overlap(self, message: str):
         # a cell written twice is reported first, as the kernel's own

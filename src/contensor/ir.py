@@ -482,7 +482,8 @@ def pretty(stmt, indent: int = 0) -> str:
                 f"[{s.fiber.render()}]{shift}{tail}"
             )
         if stmt.curr_slot is not None:
-            lines.append(f"{pad}  {stmt.curr_name} = [{stmt.cursor_name}, min stops]")
+            cut = ", starts - eps in gaps" if any(s.runs_out for s in stmt.steppers) else ""
+            lines.append(f"{pad}  {stmt.curr_name} = [{stmt.cursor_name}, min stops{cut}]")
         lines.append(pretty(stmt.body, indent + 1))
         return "\n".join(lines)
     if isinstance(stmt, Write):

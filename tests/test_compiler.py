@@ -378,17 +378,18 @@ def kway_union(k):
 def test_a_union_lowers_one_region_per_coiteration(k):
     # no summand annihilates: one co-iteration of all k steppers, which cuts
     # its segments at their starts as well as their stops, so that each is
-    # in its piece or in its gap for a whole segment; one region reads them
-    # all, and where all k are gaps the summand is 0 and nothing is written
+    # in its piece or in its gap for a whole segment; the segment is the one
+    # region that reads them all (no IntersectLet of its own), and where all
+    # k are gaps the summand is 0 and nothing is written
     stages = {}
     compile_program(*kway_union(k), stages=stages)
     plan = stages["plan"].body
     [coiter] = collect(plan, WhileCoiter)
     assert len(coiter.steppers) == k and all(st.runs_out for st in coiter.steppers)
-    assert len(collect(coiter.body, IntersectLet)) == 1
-    # the range, the co-iteration (header, k steppers, segment), the region,
-    # its guard, the test that some summand is stored, and the accumulate
-    assert len(pretty(stages["plan"].body).splitlines()) == k + 7
+    assert collect(coiter.body, IntersectLet) == []
+    # the range, the co-iteration (header, k steppers, segment), the test
+    # that some summand is stored, and the accumulate
+    assert len(pretty(stages["plan"].body).splitlines()) == k + 5
 
 
 def test_a_twelve_way_union_compiles_and_agrees_with_the_oracle():
@@ -443,6 +444,36 @@ def test_a_divisor_that_folds_to_zero_is_rejected(src):
     B = tensor_1d("B", [((0.5, 2.0), 4.0)], 1.0, kind="interval")
     with pytest.raises(ValidityError, match="R-DIV"):
         compile_program(parse(src), {"A": DIV_A, "B": B})
+
+
+UNION_B = tensor_1d("B", [((0.5, 2.0), 4.0), ((3.0, 4.0), 1.0)], 0.0, kind="interval")
+
+
+def test_a_guarded_union_divisor_compiles_and_agrees_with_the_oracle():
+    # A + B folds to 0 only where both are in their gaps, where the test
+    # is false and nothing is written
+    program = parse("for i = -inf:inf\n  if A[i] + B[i] > 0\n"
+                    "    Out[i] = 1 / (A[i] + B[i])\n  end\nend\n")
+    binds = {"A": DIV_A, "B": UNION_B}
+    got = run(compile_program(program, binds)).output
+    assert outputs_match(got, evaluate(program, binds))
+    assert [v for _, v in got.pieces()] == [0.5, 1 / 6, 0.25, 1.0]
+
+
+def test_a_union_divisor_that_is_0_only_where_its_write_is_0_compiles():
+    # where A and B are both in their gaps the value is 0 * (1 / 0), folded
+    # to the fill 0 and not written; the oracle divides there and raises
+    program = parse("for i = -inf:inf\n  Out[i] = (A[i] + B[i]) * (1 / (A[i] + B[i]))\nend\n")
+    got = run(compile_program(program, {"A": DIV_A, "B": UNION_B})).output
+    assert [(str(iv), v) for (iv,), v in got.pieces()] == [("[0, 2]", 1.0), ("[3, 4]", 1.0)]
+
+
+def test_a_union_divisor_that_is_0_where_one_access_is_in_its_gap_is_rejected():
+    # where A is in its piece the test holds, and B may be in its gap
+    src = "for i = -inf:inf\n  if A[i] > 0\n    Out[i] = 1 / (A[i] * B[i])\n  end\nend\n"
+    with pytest.raises(ValidityError) as err:
+        compile_program(parse(src), {"A": DIV_A, "B": UNION_B})
+    assert [(d.code, d.line, d.col) for d in err.value.diags] == [("R-DIV", 3, 16)]
 
 
 def test_a_validity_error_lists_its_diagnostics_in_source_order():

@@ -676,47 +676,44 @@ def kernel(_b):
     if not iv_0_lo > iv_0_hi:
         _p_A0_3_at = _seek(_A_0_table, 0, iv_0_lo, 0.0)
         _p_A0_3_end = _A_0_ptr[1]
+        _p_A0_3_start, _p_A0_3_stop = (_A_0_starts[_p_A0_3_at], _A_0_stops[_p_A0_3_at]) if _p_A0_3_at < _p_A0_3_end else (_PAST, _PAST)
         _p_B0_4_at = _seek(_B_0_table, 0, iv_0_lo, 0.0)
         _p_B0_4_end = _B_0_ptr[1]
+        _p_B0_4_start, _p_B0_4_stop = (_B_0_starts[_p_B0_4_at], _B_0_stops[_p_B0_4_at]) if _p_B0_4_at < _p_B0_4_end else (_PAST, _PAST)
         cur_1 = iv_0_lo
         while cur_1 <= iv_0_hi:
             _seg += 1
             seg_2_hi = iv_0_hi
-            _p_A0_3_stop = _A_0_stops[_p_A0_3_at] if _p_A0_3_at < _p_A0_3_end else _PAST
-            if _p_A0_3_stop < seg_2_hi:
-                seg_2_hi = (_p_A0_3_stop[0] - 0.0, _p_A0_3_stop[1])
-            _p_B0_4_stop = _B_0_stops[_p_B0_4_at] if _p_B0_4_at < _p_B0_4_end else _PAST
-            if _p_B0_4_stop < seg_2_hi:
-                seg_2_hi = (_p_B0_4_stop[0] - 0.0, _p_B0_4_stop[1])
-            _t = _A_0_starts[_p_A0_3_at] if _p_A0_3_at < _p_A0_3_end else _PAST
-            if _t <= cur_1:
+            if _p_A0_3_start <= cur_1:
                 p_A0_3 = _p_A0_3_at
+                if _p_A0_3_stop < seg_2_hi:
+                    seg_2_hi = (_p_A0_3_stop[0] - 0.0, _p_A0_3_stop[1])
             else:
                 p_A0_3 = -1
-                if _t <= seg_2_hi:
-                    seg_2_hi = (_t[0] - 0.0, _t[1] - 1)
-            _t = _B_0_starts[_p_B0_4_at] if _p_B0_4_at < _p_B0_4_end else _PAST
-            if _t <= cur_1:
+                if _p_A0_3_start <= seg_2_hi:
+                    seg_2_hi = (_p_A0_3_start[0] - 0.0, _p_A0_3_start[1] - 1)
+            if _p_B0_4_start <= cur_1:
                 p_B0_4 = _p_B0_4_at
+                if _p_B0_4_stop < seg_2_hi:
+                    seg_2_hi = (_p_B0_4_stop[0] - 0.0, _p_B0_4_stop[1])
             else:
                 p_B0_4 = -1
-                if _t <= seg_2_hi:
-                    seg_2_hi = (_t[0] - 0.0, _t[1] - 1)
+                if _p_B0_4_start <= seg_2_hi:
+                    seg_2_hi = (_p_B0_4_start[0] - 0.0, _p_B0_4_start[1] - 1)
             seg_2_lo = cur_1
-            r_5_lo = seg_2_lo
-            r_5_hi = seg_2_hi
-            if r_5_lo <= r_5_hi:
-                if (True if (p_A0_3 >= 0) or (p_B0_4 >= 0) else False):
-                    if p_A0_3 >= 0 and p_B0_4 >= 0:
-                        _mul += 1
-                    _emit += 1
-                    if (_lo0 := _NEG_OPEN if r_5_lo < _NEG_OPEN else r_5_lo) <= (_hi0 := _POS_OPEN if r_5_hi > _POS_OPEN else r_5_hi):
-                        if (_val := sum(((_A_vals[p_A0_3] if p_A0_3 >= 0 else 0.0), (_B_vals[p_B0_4] if p_B0_4 >= 0 else 0.0),))) != 0.0:
-                            _add(((_lo0, _hi0), _val,))
+            if (True if (p_A0_3 >= 0) or (p_B0_4 >= 0) else False):
+                if p_A0_3 >= 0 and p_B0_4 >= 0:
+                    _mul += 1
+                _emit += 1
+                if (_lo0 := _NEG_OPEN if seg_2_lo < _NEG_OPEN else seg_2_lo) <= (_hi0 := _POS_OPEN if seg_2_hi > _POS_OPEN else seg_2_hi):
+                    if (_val := sum(((_A_vals[p_A0_3] if p_A0_3 >= 0 else 0.0), (_B_vals[p_B0_4] if p_B0_4 >= 0 else 0.0),))) != 0.0:
+                        _add(((_lo0, _hi0), _val,))
             if _p_A0_3_stop == seg_2_hi:
                 _p_A0_3_at += 1
+                _p_A0_3_start, _p_A0_3_stop = (_A_0_starts[_p_A0_3_at], _A_0_stops[_p_A0_3_at]) if _p_A0_3_at < _p_A0_3_end else (_PAST, _PAST)
             if _p_B0_4_stop == seg_2_hi:
                 _p_B0_4_at += 1
+                _p_B0_4_start, _p_B0_4_stop = (_B_0_starts[_p_B0_4_at], _B_0_stops[_p_B0_4_at]) if _p_B0_4_at < _p_B0_4_end else (_PAST, _PAST)
             _n = (seg_2_hi[0] + 0.0, seg_2_hi[1] + 1 if seg_2_hi[1] < 1 else 1)
             if not _n > cur_1:
                 raise _ExecError("co-iteration failed to advance")

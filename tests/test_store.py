@@ -191,3 +191,11 @@ def test_assigning_a_cell_twice_or_overlapping_pieces_raises():
     # a fill write changes nothing, so it cannot collide
     out = run(plan_of((INTERVAL,), "=", 0.0, [((piece,), 1.0), ((piece,), 0.0)])).output
     assert out.at(0.5) == 1.0
+
+
+def test_a_cell_assigned_twice_is_named_whatever_the_order_of_the_writes():
+    # cells 2 and 1 are each written twice; the least of them is named
+    writes = [((2,), 1.0), ((2,), 2.0), ((1,), 1.0), ((1,), 2.0)]
+    for order in (writes, writes[::-1]):
+        with pytest.raises(OverlapError, match=r"cell \(1,\) assigned twice"):
+            run(plan_of((DENSE,), "=", 0.0, order))
