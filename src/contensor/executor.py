@@ -74,12 +74,22 @@ written into an interval rank (where other writes leave the index a
 region) is the closed point piece ``((x, 0), (x, 0))``. Under ``=`` the
 kernel appends one ``(*path, value)`` record per write that is not the fill;
 a reduction combines where it writes, into a dict by path (or a local
-for a rank-0 output). ``_Store.finalize`` sorts the records once and
-builds the tensor in one pass per rank: it raises ``OverlapError`` for a
-cell assigned twice or overlapping pieces under ``=``, splits and
+for a rank-0 output). ``_Store.finalize`` puts the records in order
+and builds the tensor in one pass per rank: it raises ``OverlapError``
+for a cell assigned twice or overlapping pieces under ``=``, splits and
 combines a reduction's overlapping pieces, merges touching pieces with
 equal contents at every rank, and hands ``build_tensor`` the nested
 fibers, an interval piece keyed by its pair of ``(val, eps)`` ends.
+Records a loop wrote in order are not sorted: where the first rank is
+an interval rank and one pass finds each record's piece there stopping
+below the next record's start, the records are in order as written and
+that rank is disjoint; other records are sorted, once. Finalize makes
+whole-column passes, as storage's validation does, and walks records
+one at a time only once a pass finds something: the NaN test compares
+the values with themselves, an interval fiber's pieces are tested for
+overlap (unless known disjoint) and only neighbours with equal values
+have their ends compared for a merge, and a fiber with no overlap and
+no merge is handed on as it is.
 """
 
 from __future__ import annotations
@@ -89,6 +99,8 @@ import operator
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import compress, islice
+from operator import eq, itemgetter, lt, ne
 
 from .intervals import Interval
 from .limits import ABOVE, BELOW, Limit
@@ -891,20 +903,27 @@ def _below(t) -> tuple:
 class _Store:
     """Builds the output from what a kernel wrote (see the module notes).
 
-    Records are ``(*path, value)`` tuples. Under ``=`` they are sorted
-    once, so every fiber's records are contiguous and in order; equal
-    paths are a cell assigned twice and overlapping pieces a layout
-    fault. A reduction's cells keep their first-write order, the order
-    in which overlapping pieces combine: a loop outside a continuous
-    output rank cuts each iteration's pieces differently, and they are
-    split where any of them ends and combined through the operator.
+    Records are ``(*path, value)`` tuples. Under ``=`` they are put in
+    sorted() order, so every fiber's records are contiguous and in
+    order: records whose first rank is an interval rank and whose first
+    pieces each stop below the next one's start are in that order as
+    written, with that rank disjoint, and any others are sorted once.
+    Equal paths are a cell assigned twice and overlapping pieces a
+    layout fault. A reduction's cells keep their first-write order, the
+    order in which overlapping pieces combine: a loop outside a
+    continuous output rank cuts each iteration's pieces differently, and
+    they are split where any of them ends and combined through the
+    operator.
     Touching pieces with equal contents merge at every rank, as the
     oracle's do.
     """
 
     def __init__(self, decl: OutputDecl, op: str):
         self.decl, self.op = decl, op
-        self.records = []  # sorted, for the error of a cell assigned twice
+        # under "=", the records in sorted() order (as written, or sorted),
+        # for the error of a cell assigned twice
+        self.records = []
+        self.disjoint = False  # whether rank 0's pieces were shown disjoint
         self.nan = False  # whether a NaN reached a leaf
 
     def finalize(self, out):
@@ -916,7 +935,12 @@ class _Store:
                 return out
             recs = [(*path, v) for path, v in out.items() if v != decl.fill]
         else:
-            recs = self.records = sorted(out)
+            # a written piece starts at or below its stop, so records whose
+            # first pieces each stop below the next one's start are in
+            # sorted() order already, no two equal, and that rank disjoint
+            self.disjoint = (bool(decl.comps) and decl.comps[0][0] == "interval"
+                             and _disjoint(list(map(_START, out))))
+            recs = self.records = out if self.disjoint else sorted(out)
             if not decl.comps:
                 if len(out) > 1:
                     self._assigned_twice()
@@ -971,49 +995,66 @@ class _Store:
                 out[k] = self._fiber(groups[k], depth + 1)
             return out
         keys = sorted(groups)
-        if kind == "interval" and self.op != "=" and _overlaps(keys):
+        if kind == "interval" and self.op != "=" and not _disjoint(keys):
             groups = _groups(self._overlay(recs, depth), depth)
             keys = sorted(groups)
-        pairs = ((k, self._fiber(groups[k], depth + 1)) for k in keys)
-        return self._line(pairs, 0) if kind == "interval" else list(pairs)
+        nodes = [self._fiber(groups[k], depth + 1) for k in keys]
+        pairs = list(zip(keys, nodes))
+        if kind == "interval":
+            return self._line(pairs, 0, nodes, depth == 0 and self.disjoint)
+        return pairs
 
     def _leaves(self, kind, recs, depth):
         """The last rank: one record per key, its value the leaf."""
         if self.op != "=":
             # cells in first-write order, which overlapping pieces combine in
             ordered = sorted(recs)
-            if kind == "interval" and _overlaps([r[depth] for r in ordered]):
+            if kind == "interval" and not _disjoint(list(map(itemgetter(depth), ordered))):
                 ordered = sorted(self._overlay(recs, depth))
             recs = ordered
-        if any(r[-1] != r[-1] for r in recs):
+        vals = list(map(itemgetter(-1), recs))
+        if any(map(ne, vals, vals)):
             self.nan = True  # a NaN is never merged away, so it reaches a leaf
         if kind == "interval":
-            return self._line(recs, depth)
+            return self._line(recs, depth, vals, depth == 0 and self.disjoint)
         keys = [r[depth] for r in recs]
         if any(a == b for a, b in zip(keys, keys[1:])):
             self._assigned_twice()
         if kind == "pinpoint":
-            return [(k, r[-1]) for k, r in zip(keys, recs)]
+            return list(zip(keys, vals))
         out = self._default(depth)
-        for k, r in zip(keys, recs):
-            out[k] = r[-1]
+        for k, v in zip(keys, vals):
+            out[k] = v
         return out
 
-    def _line(self, items, at: int) -> list:
-        """One interval fiber from items sorted by their piece, item[at];
-        item[-1] is its node. Equal touching pieces merge, and an overlap
-        under "=" is raised."""
+    def _line(self, items: list, at: int, nodes: list, disjoint: bool) -> list:
+        """One interval fiber from items sorted by their piece, item[at],
+        and their nodes. Equal touching pieces merge, and an overlap under
+        "=" is raised.
+
+        Whole-column passes come first: unless the pieces are known
+        disjoint, each must stop below the next one's start, and only
+        neighbours with equal nodes have their ends compared. When no
+        piece overlaps and no equal neighbours touch, the fiber is the
+        items' (piece, node) pairs, items itself when at is 0; otherwise
+        the walk below finds the merges and the first overlap."""
+        if not disjoint:
+            disjoint = _disjoint(list(map(itemgetter(at), items)))
+        if disjoint:
+            equal = compress(range(1, len(nodes)), map(eq, islice(nodes, 1, None), nodes))
+            if not any(_touching(items[p - 1][at][1], items[p][at][0]) for p in equal):
+                return items if at == 0 else [(r[at], n) for r, n in zip(items, nodes)]
         out = []  # (piece, node) pairs
         hi = None  # the stop of the last piece in out
-        for r in items:
-            piece, node = r[at], r[-1]
+        for r, node in zip(items, nodes):
+            piece = r[at]
             lo2 = piece[0]
             if hi is not None:
                 if lo2 <= hi:
                     self._overlap(
                         f"output pieces {Interval(Limit(*out[-1][0][0]), Limit(*hi))} and "
                         f"{Interval(Limit(*lo2), Limit(*piece[1]))} overlap on {self.decl.name}")
-                if lo2[0] == hi[0] and lo2[1] == hi[1] + 1 and node == out[-1][1]:
+                if _touching(hi, lo2) and node == out[-1][1]:
                     hi = piece[1]  # lo2 is hi + EPS: one piece
                     out[-1] = ((out[-1][0][0], hi), node)
                     continue
@@ -1050,9 +1091,20 @@ def _groups(recs, depth) -> dict:
     return groups
 
 
-def _overlaps(pieces) -> bool:
-    """Whether any of these sorted (start, stop) pieces overlaps the next."""
-    return any(b[0] <= a[1] for a, b in zip(pieces, pieces[1:]))
+_START = itemgetter(0)  # of a (start, stop) piece
+_STOP = itemgetter(1)
+
+
+def _touching(hi: tuple, lo: tuple) -> bool:
+    """Whether a piece that starts at lo follows one that stops at hi with
+    nothing between: lo is hi + EPS."""
+    return lo[0] == hi[0] and lo[1] == hi[1] + 1
+
+
+def _disjoint(pieces: list) -> bool:
+    """Whether each of these (start, stop) pieces stops below the next
+    one's start."""
+    return all(map(lt, map(_STOP, pieces), map(_START, islice(pieces, 1, None))))
 
 
 def run(plan: Plan) -> ExecResult:

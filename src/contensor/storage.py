@@ -169,8 +169,8 @@ class SparseLevel:
 # a (val, eps) tuple as a Limit, and a pair of Limits as an Interval
 _limit_of = functools.partial(tuple.__new__, Limit)
 _interval_of = functools.partial(tuple.__new__, Interval)
-_START = _VAL = itemgetter(0)  # of an Interval, of an endpoint
-_STOP = _EPS = itemgetter(1)
+_START = _VAL = _KEY = itemgetter(0)  # of an Interval, of an endpoint, of a (key, child) pair
+_STOP = _EPS = _CHILD = itemgetter(1)
 
 
 def _first_fault(level: int, ptr, starts, stops):
@@ -477,8 +477,8 @@ def build_tensor(name: str, specs: Sequence, root, fill=0.0) -> ContTensor:
         else:
             keys = []
             for f in fibers:
-                keys.append([k for k, _ in f])
-                next_fibers.extend(sub for _, sub in f)
+                keys.append(list(map(_KEY, f)))
+                next_fibers.extend(map(_CHILD, f))
             levels.append(build_level(spec, keys))
         fibers = next_fibers
     values = tuple(fibers)

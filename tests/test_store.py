@@ -56,7 +56,32 @@ def components(comp):
 
 
 @st.composite
+def overlapping(draw):
+    """A piece that holds (0.25, 1), so any two of them overlap."""
+    a = draw(st.sampled_from([-1.0, 0.0, 0.25]))
+    b = draw(st.sampled_from([1.0, 2.5]))
+    return (a, draw(st.sampled_from([0, 1]))), (b, draw(st.sampled_from([-1, 0])))
+
+
+@st.composite
+def overlays(draw):
+    """Interval writes under a reduction that overlap, so that finalize
+    splits and combines them: under "+=" with 1.0 and -1.0 many combine
+    to the fill, which must not be stored."""
+    shape = draw(st.sampled_from([(INTERVAL,), (DENSE, INTERVAL), (INTERVAL, PINPOINT)]))
+    op, values = draw(st.sampled_from([("+=", [1.0, -1.0]), ("|=", [False, True])]))
+    comps = [overlapping() if comp is INTERVAL else components(comp) for comp in shape]
+    # every path written, each with its own value, some twice
+    paths = draw(st.lists(st.tuples(*comps), min_size=2, max_size=4, unique=True))
+    again = draw(st.lists(st.sampled_from(paths), max_size=2))
+    writes = [(path, draw(st.sampled_from(values))) for path in draw(st.permutations(paths + again))]
+    return shape, op, OPS[op][0], writes
+
+
+@st.composite
 def cases(draw):
+    if draw(st.integers(0, 2)) == 0:
+        return draw(overlays())
     shape = draw(st.sampled_from(SHAPES))
     op = draw(st.sampled_from(sorted(OPS)))
     fill, values = OPS[op]
@@ -135,12 +160,15 @@ def expected(shape, op, fill, writes, point):
 
 def canonical(out) -> bool:
     """At the last rank every piece holds a real number (an end at -inf or
-    inf is open), and no two touching pieces of a fiber hold equal values."""
+    inf is open), no stored leaf equals the fill, and no two touching
+    pieces of a fiber hold equal values."""
     last = out.ndim - 1
     for f in range(out.n_fibers(last)):
         entries = out.fiber_entries(last, f)
-        for iv, _ in entries:
+        for iv, p in entries:
             if iv.start < Limit(-INF, 1) or iv.stop > Limit(INF, -1) or iv.is_empty:
+                return False
+            if out.values[p] == out.fill:
                 return False
         for (a, p), (b, q) in zip(entries, entries[1:]):
             if a.touches_below(b) and out.values[p] == out.values[q]:
@@ -199,3 +227,87 @@ def test_a_cell_assigned_twice_is_named_whatever_the_order_of_the_writes():
     for order in (writes, writes[::-1]):
         with pytest.raises(OverlapError, match=r"cell \(1,\) assigned twice"):
             run(plan_of((DENSE,), "=", 0.0, order))
+
+
+def in_order_writes(n: int, merges: bool) -> list:
+    """About n rank-1 interval writes, in order, on integer ends: runs of
+    equal touching pieces, NaN beside NaN, 0.0 beside -0.0, equal values
+    with a point between them, and neighbours that meet at one value
+    closed on one side and open on the other. Without merges every value
+    differs from its neighbours', and no zero is written."""
+    pattern = [
+        # (start, stop) as (val, eps) offsets from the block's origin, value
+        (((0, 0), (1, -1)), 1.0), (((1, 0), (2, 0)), 1.0), (((2, 1), (3, 0)), 1.0),  # one piece
+        (((3, 1), (4, -1)), math.nan), (((4, 0), (5, -1)), math.nan),
+        (((5, 0), (6, 0)), 0.0), (((6, 1), (7, 0)), -0.0),  # one piece
+        (((8, 0), (9, -1)), 2.0), (((9, 1), (10, 0)), 2.0),  # 9 itself is the fill
+        (((10, 1), (11, 0)), -1.5), (((11, 1), (11, 0)), 0.5),  # empty: not written
+        (((12, 0), (12, 0)), 0.5), (((12, 1), (13, -1)), 0.5),  # a point, then one piece
+    ]
+    writes, k, block = [], 0, 0
+    while len(writes) < n:
+        for (lo, hi), v in pattern:
+            if merges:
+                v = v + block % 3 if v == v and v != 0 else v
+            else:
+                k += 1
+                v = math.nan if v != v else float(k)
+            piece = ((float(lo[0] + 14 * block), lo[1]), (float(hi[0] + 14 * block), hi[1]))
+            writes.append(((piece,), v))
+        block += 1
+    return writes
+
+
+def fold_at(writes, fill, x):
+    """The value the last write holding x gave it, or the fill."""
+    got = fill
+    for (piece,), v in writes:
+        if piece[0] <= (x, 0) <= piece[1]:
+            got = v
+    return got
+
+
+@pytest.mark.parametrize("merges", [True, False])
+def test_thousands_of_pieces_in_either_order_give_one_output(merges):
+    fill = -9.0
+    writes = in_order_writes(3000, merges)
+    out = run(plan_of((INTERVAL,), "=", fill, writes)).output
+    backwards = run(plan_of((INTERVAL,), "=", fill, writes[::-1])).output
+    assert repr(out) == repr(backwards)
+    assert canonical(out)
+    live = [w for w in writes if w[0][0][0] <= w[0][0][1]]
+    if not merges:
+        assert len(out.values) == len(live)
+    # every end, every midpoint, and the point past each piece; the
+    # writes are disjoint, so only those of the same block are folded
+    for block in range(0, len(writes), 13):
+        near = writes[block:block + 13]
+        for (piece,), _ in near:
+            for x in (piece[0][0], (piece[0][0] + piece[1][0]) / 2, piece[1][0], piece[1][0] + 0.5):
+                got, want = out.at(x), fold_at(near, fill, x)
+                assert got == want or got != got and want != want, (x, got, want)
+
+
+def test_the_overlap_messages_read_the_output_alone():
+    first, second = ((((0.0, 0), (1.0, 0)),), 1.0), ((((0.5, 1), (2.5, -1)),), 2.0)
+    for writes in ([first, second], [second, first]):
+        with pytest.raises(OverlapError) as err:
+            run(plan_of((INTERVAL,), "=", 0.0, writes))
+        assert str(err.value) == "output pieces [0, 1] and (0.5, 2.5) overlap on Out"
+    # meeting at 1.0, closed in both
+    with pytest.raises(OverlapError) as err:
+        run(plan_of((INTERVAL,), "=", 0.0, [first, ((((1.0, 0), (2.5, -1)),), 2.0)]))
+    assert str(err.value) == "output pieces [0, 1] and [1, 2.5) overlap on Out"
+    # a cell assigned twice is named before a piece that overlaps it
+    cell = ((((-INF, 1), (1.0, -1)),), 1.0)
+    with pytest.raises(OverlapError) as err:
+        run(plan_of((INTERVAL,), "=", 0.0, [cell, ((((0.25, 0), (0.25, 0)),), 2.0), cell]))
+    assert str(err.value) == (
+        "output cell ((Limit(val=-inf, eps=1), Limit(val=1.0, eps=-1)),) assigned twice")
+    # at scale: a piece written after thousands in order overlaps the last of them
+    writes = in_order_writes(3000, False)
+    (last,), _ = writes[-1]
+    writes.append(((((last[0][0] + 0.5, 0), (last[1][0] + 1, 0)),), 1.5))
+    with pytest.raises(OverlapError) as err:
+        run(plan_of((INTERVAL,), "=", 0.0, writes))
+    assert str(err.value) == "output pieces (3232, 3233) and [3232.5, 3234] overlap on Out"
