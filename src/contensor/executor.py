@@ -70,26 +70,21 @@ a tuple with an int per dense rank, the pinned coordinate per pinpoint
 rank and a ``(start, stop)`` pair of ``(val, eps)`` tuples per interval
 rank, made canonical where it is written: an end at -inf or inf is open,
 and a set holding no real number is not written. A pinned coordinate x
-written into an interval rank (where other writes leave the index a
-region) is the closed point piece ``((x, 0), (x, 0))``. Under ``=`` the
-kernel appends one ``(*path, value)`` record per write that is not the fill;
-a reduction combines where it writes, into a dict by path (or a local
-for a rank-0 output). ``_Store.finalize`` puts the records in order
-and builds the tensor in one pass per rank: it raises ``OverlapError``
-for a cell assigned twice or overlapping pieces under ``=``, splits and
-combines a reduction's overlapping pieces, merges touching pieces with
-equal contents at every rank, and hands ``build_tensor`` the nested
-fibers, an interval piece keyed by its pair of ``(val, eps)`` ends.
-Records a loop wrote in order are not sorted: where the first rank is
-an interval rank and one pass finds each record's piece there stopping
-below the next record's start, the records are in order as written and
-that rank is disjoint; other records are sorted, once. Finalize makes
-whole-column passes, as storage's validation does, and walks records
-one at a time only once a pass finds something: the NaN test compares
-the values with themselves, an interval fiber's pieces are tested for
-overlap (unless known disjoint) and only neighbours with equal values
-have their ends compared for a merge, and a fiber with no overlap and
-no merge is handed on as it is.
+written into an interval rank is the closed point piece ``((x, 0), (x,
+0))``. Under ``=`` the kernel appends each write that is not the fill to
+columns: one per dense or pinpoint rank, a start and a stop column per
+interval rank, and the values. A reduction combines where it writes,
+into a dict by path (or a local for a rank-0 output). ``_Store.finalize``
+makes whole-column passes, as storage's validation does. A one-rank
+interval output whose pieces each stop below the next one's start, and
+whose equal neighbours do not touch, is stored as its columns, which
+``ContTensor`` checks as it checks any level. Other outputs are zipped
+once into ``(*path, value)`` records, sorted unless that pass showed
+them in order, and built in one pass per rank: a cell assigned twice or
+overlapping pieces under ``=`` raise ``OverlapError``, a reduction's
+overlapping pieces are split and combined, and touching pieces with
+equal contents merge at every rank. Records are walked one at a time
+only where a NaN, overlap or equal-neighbour pass finds something.
 """
 
 from __future__ import annotations
@@ -103,6 +98,7 @@ from itertools import compress, islice
 from operator import eq, itemgetter, lt, ne
 
 from .intervals import Interval
+from .lang import DivisionByZeroError
 from .limits import ABOVE, BELOW, Limit
 from .ir import (
     Add, And, Block, BoolC, Cmp, Cond, DiscLoop, Div, EndRef, Guard, IntersectLet,
@@ -110,7 +106,7 @@ from .ir import (
     Num, Or, OutputDecl, PDense, PRoot, PVar, Pin, Plan, Probe, Sub, Var, WhileCoiter,
     Write, render,
 )
-from .storage import OverlapError, build_tensor
+from .storage import ContTensor, OverlapError, SparseLevel, build_tensor
 
 
 class ExecError(RuntimeError):
@@ -184,9 +180,9 @@ _GLOBALS = {
 # _d, _p, _t, _v, _f, _q, _val, _key, and _lo<n>/_hi<n> for the n-th region
 # in a write's path) are each consumed right after they are set, before any
 # other use of the same name can run, so one of each serves the kernel.
-# The output is _out: a record list under "=" (appended through _add), a
-# dict by path under a reduction (read through _get), or the value itself
-# for a rank-0 reduction.
+# The output is _out: a tuple of columns under "=" (column k appended
+# through _put<k>), a dict by path under a reduction (read through _get),
+# or the value itself for a rank-0 reduction.
 # A reduction's combine of the value already in a cell with a new one:
 # rendered inline where a kernel writes, and called where finalize
 # combines overlapping pieces. The first write combines with the fill,
@@ -330,7 +326,10 @@ class _Source:
         for tensor, vals in self.values.items():
             head.append(f"    {vals} = _b[{tensor!r}].values")
         if self.op == "=":
-            head.append("    _out = []\n    _add = _out.append")
+            n = sum(2 if c[0] == "interval" else 1 for c in self.plan.output.comps) + 1
+            head.append(f"    _out = ({', '.join(['[]'] * n)},)\n    "
+                        + ", ".join(f"_put{k}" for k in range(n)) + " = "
+                        + ", ".join(f"_out[{k}].append" for k in range(n)))
         elif self.plan.output.comps:
             head.append("    _out = {}\n    _get = _out.get")
         else:
@@ -765,22 +764,23 @@ class _Source:
             raise ExecError(f"plan writes with both {self.op!r} and {s.op!r}")
         self.op = s.op
         # a region's ends are made canonical where it is written, and a
-        # write whose set is empty is dropped, after it is counted
-        comps, present = [], []
+        # write whose set is empty is dropped, after it is counted; each
+        # rank's code per column: a start and a stop at an interval rank
+        cols, present = [], []
         for c, kind in zip(s.path, self.plan.output.comps):
             if c[0] == "d":
-                comps.append(f"int({self.expr(c[1])})")
+                cols.append([f"int({self.expr(c[1])})"])
             elif c[0] == "p":
                 # a pinned coordinate is a local; at an interval rank it is
                 # the closed point piece
                 x = self.expr(c[1])
-                comps.append(x if kind[0] == "pinpoint" else f"(({x}, 0), ({x}, 0))")
+                cols.append([x] if kind[0] == "pinpoint" else [f"({x}, 0)"] * 2)
             else:
                 n = len(present)
                 lo, hi = self.region(c[1], c[2])
                 present.append(f"(_lo{n} := _NEG_OPEN if {lo} < _NEG_OPEN else {lo}) <= "
                                f"(_hi{n} := _POS_OPEN if {hi} > _POS_OPEN else {hi})")
-                comps.append(f"(_lo{n}, _hi{n})")
+                cols.append([f"_lo{n}", f"_hi{n}"])
         self.leaf_pos = []
         value = self.expr(s.value)
         leaves, self.leaf_pos = self.leaf_pos, None
@@ -798,22 +798,24 @@ class _Source:
         fill = _lit(self.plan.output.fill)
         if s.op == "=":
             # assigning the fill leaves the cell as it is
-            add(f"{pad}if (_val := {value}) != {fill}:\n"
-                f"{pad}{_IND}_add(({', '.join([*comps, '_val'])},))")
+            puts = [*(code for rank in cols for code in rank), "_val"]
+            add(f"{pad}if (_val := {value}) != {fill}:"
+                + "".join(f"\n{pad}{_IND}_put{k}({code})" for k, code in enumerate(puts)))
             return
         if s.op not in _REDUCE:
             raise ExecError(f"bad assignment operator {s.op!r}")
         combine = _REDUCE[s.op][0]
         add(f"{pad}_val = {value}")
-        if comps:
+        if cols:
             # a write that may end loops keeps the cell's combined value
+            comps = (f"({r[0]}, {r[1]})" if len(r) == 2 else r[0] for r in cols)
             add(f"{pad}_key = ({', '.join(comps)},)\n"
                 f"{pad}_out[_key] = {'_val = ' if s.exits else ''}"
                 f"{combine.format(f'_get(_key, {fill})', '_val')}")
         else:
             add(f"{pad}_out = {combine.format('_out', '_val')}")
         if s.exits:
-            self.exit(s, "_val" if comps else "_out", pad)
+            self.exit(s, "_val" if cols else "_out", pad)
 
     def exit(self, s: Write, cell: str, pad: str):
         """End the write's loops once its cell is absorbing: break out of
@@ -903,31 +905,26 @@ def _below(t) -> tuple:
 class _Store:
     """Builds the output from what a kernel wrote (see the module notes).
 
-    Records are ``(*path, value)`` tuples. Under ``=`` they are put in
-    sorted() order, so every fiber's records are contiguous and in
-    order: records whose first rank is an interval rank and whose first
-    pieces each stop below the next one's start are in that order as
-    written, with that rank disjoint, and any others are sorted once.
-    Equal paths are a cell assigned twice and overlapping pieces a
-    layout fault. A reduction's cells keep their first-write order, the
-    order in which overlapping pieces combine: a loop outside a
-    continuous output rank cuts each iteration's pieces differently, and
-    they are split where any of them ends and combined through the
-    operator.
-    Touching pieces with equal contents merge at every rank, as the
-    oracle's do.
+    Under ``=`` the kernel's columns are stored as they are where they
+    can be, and else zipped into ``(*path, value)`` records in sorted()
+    order, so every fiber's records are contiguous and in order; equal
+    paths are a cell assigned twice and overlapping pieces a layout
+    fault. A reduction's cells keep their first-write order, the order in
+    which overlapping pieces combine: a loop outside a continuous output
+    rank cuts each iteration's pieces differently, and they are split
+    where any of them ends and combined through the operator. Touching
+    pieces with equal contents merge at every rank, as the oracle's do.
     """
 
     def __init__(self, decl: OutputDecl, op: str):
         self.decl, self.op = decl, op
-        # under "=", the records in sorted() order (as written, or sorted),
-        # for the error of a cell assigned twice
+        # under "=", the records zipped from the columns, in sorted() order
+        # (as written, or sorted), for the error of a cell assigned twice
         self.records = []
-        self.disjoint = False  # whether rank 0's pieces were shown disjoint
         self.nan = False  # whether a NaN reached a leaf
 
     def finalize(self, out):
-        """The output from the kernel's record list, cell dict or value."""
+        """The output from the kernel's columns, cell dict or value."""
         decl = self.decl
         if self.op != "=":
             if not decl.comps:
@@ -935,16 +932,31 @@ class _Store:
                 return out
             recs = [(*path, v) for path, v in out.items() if v != decl.fill]
         else:
-            # a written piece starts at or below its stop, so records whose
-            # first pieces each stop below the next one's start are in
-            # sorted() order already, no two equal, and that rank disjoint
-            self.disjoint = (bool(decl.comps) and decl.comps[0][0] == "interval"
-                             and _disjoint(list(map(_START, out))))
-            recs = self.records = out if self.disjoint else sorted(out)
+            *cols, vals = out
+            ordered = False
+            if decl.comps and decl.comps[0][0] == "interval":
+                # a written piece starts at or below its stop, so pieces that
+                # each stop below the next one's start are in sorted() order
+                # already, no two equal, and that rank disjoint
+                starts, stops = cols[0], cols[1]
+                ordered = all(map(lt, stops, islice(starts, 1, None)))
+                equal = compress(range(1, len(vals)), map(eq, islice(vals, 1, None), vals))
+                if (ordered and len(decl.comps) == 1
+                        and not any(_touching(stops[p - 1], starts[p]) for p in equal)):
+                    # nothing to sort, raise or merge: the columns are the level
+                    self.nan = any(map(ne, vals, vals))
+                    level = SparseLevel((0, len(vals)), tuple(starts), tuple(stops))
+                    return ContTensor(decl.name, (level,), tuple(vals), decl.fill)
+            # each rank's column, or an interval rank's (start, stop) pairs
+            it = iter(cols)
+            ranks = [zip(c, next(it)) if comp[0] == "interval" else c
+                     for comp, c in zip(decl.comps, it)]
+            recs = list(zip(*ranks, vals))
+            recs = self.records = recs if ordered else sorted(recs)
             if not decl.comps:
-                if len(out) > 1:
+                if len(recs) > 1:
                     self._assigned_twice()
-                value = out[0][0] if out else decl.fill
+                value = vals[0] if vals else decl.fill
                 self.nan = value != value
                 return value
         specs = [("dense", c[1]) if c[0] == "dense" else (c[0],) for c in decl.comps]
@@ -957,22 +969,11 @@ class _Store:
         for path in (a for a, b in zip(paths, paths[1:]) if a == b):
             raise OverlapError(f"output cell {self._shown(path)} assigned twice")
 
-    def _overlap(self, message: str):
-        # a cell written twice is reported first, as the kernel's own
-        # check would have stopped there
-        self._assigned_twice()
-        raise OverlapError(message)
-
     def _shown(self, path) -> tuple:
         """A path with its continuous components as Limit pairs."""
-        out = []
-        for comp, c in zip(self.decl.comps, path):
-            if comp[0] == "interval":
-                c = (Limit(*c[0]), Limit(*c[1]))
-            elif comp[0] == "pinpoint":
-                c = (Limit(c), Limit(c))
-            out.append(c)
-        return tuple(out)
+        return tuple((Limit(*c[0]), Limit(*c[1])) if comp[0] == "interval"
+                     else (Limit(c), Limit(c)) if comp[0] == "pinpoint" else c
+                     for comp, c in zip(self.decl.comps, path))
 
     def _default(self, depth):
         """Shape of an untouched subtree at this depth."""
@@ -1001,7 +1002,7 @@ class _Store:
         nodes = [self._fiber(groups[k], depth + 1) for k in keys]
         pairs = list(zip(keys, nodes))
         if kind == "interval":
-            return self._line(pairs, 0, nodes, depth == 0 and self.disjoint)
+            return self._line(pairs, 0, nodes)
         return pairs
 
     def _leaves(self, kind, recs, depth):
@@ -1016,7 +1017,7 @@ class _Store:
         if any(map(ne, vals, vals)):
             self.nan = True  # a NaN is never merged away, so it reaches a leaf
         if kind == "interval":
-            return self._line(recs, depth, vals, depth == 0 and self.disjoint)
+            return self._line(recs, depth, vals)
         keys = [r[depth] for r in recs]
         if any(a == b for a, b in zip(keys, keys[1:])):
             self._assigned_twice()
@@ -1027,20 +1028,18 @@ class _Store:
             out[k] = v
         return out
 
-    def _line(self, items: list, at: int, nodes: list, disjoint: bool) -> list:
+    def _line(self, items: list, at: int, nodes: list) -> list:
         """One interval fiber from items sorted by their piece, item[at],
         and their nodes. Equal touching pieces merge, and an overlap under
         "=" is raised.
 
-        Whole-column passes come first: unless the pieces are known
-        disjoint, each must stop below the next one's start, and only
-        neighbours with equal nodes have their ends compared. When no
-        piece overlaps and no equal neighbours touch, the fiber is the
-        items' (piece, node) pairs, items itself when at is 0; otherwise
-        the walk below finds the merges and the first overlap."""
-        if not disjoint:
-            disjoint = _disjoint(list(map(itemgetter(at), items)))
-        if disjoint:
+        Whole-column passes come first: each piece must stop below the
+        next one's start, and only neighbours with equal nodes have their
+        ends compared. When no piece overlaps and no equal neighbours
+        touch, the fiber is the items' (piece, node) pairs, items itself
+        when at is 0; otherwise the walk below finds the merges and the
+        first overlap."""
+        if _disjoint(list(map(itemgetter(at), items))):
             equal = compress(range(1, len(nodes)), map(eq, islice(nodes, 1, None), nodes))
             if not any(_touching(items[p - 1][at][1], items[p][at][0]) for p in equal):
                 return items if at == 0 else [(r[at], n) for r, n in zip(items, nodes)]
@@ -1051,7 +1050,8 @@ class _Store:
             lo2 = piece[0]
             if hi is not None:
                 if lo2 <= hi:
-                    self._overlap(
+                    self._assigned_twice()  # a cell written twice is named first
+                    raise OverlapError(
                         f"output pieces {Interval(Limit(*out[-1][0][0]), Limit(*hi))} and "
                         f"{Interval(Limit(*lo2), Limit(*piece[1]))} overlap on {self.decl.name}")
                 if _touching(hi, lo2) and node == out[-1][1]:
@@ -1083,11 +1083,7 @@ def _groups(recs, depth) -> dict:
     """recs by their component at depth, each group in the order of recs."""
     groups = {}
     for r in recs:
-        g = groups.get(r[depth])
-        if g is None:
-            groups[r[depth]] = [r]
-        else:
-            g.append(r)
+        groups.setdefault(r[depth], []).append(r)
     return groups
 
 
@@ -1109,7 +1105,11 @@ def _disjoint(pieces: list) -> bool:
 
 def run(plan: Plan) -> ExecResult:
     kernel = _kernel(plan)
-    segments, multiplies, emitted, out = kernel.fn(plan.bindings)
+    try:
+        segments, multiplies, emitted, out = kernel.fn(plan.bindings)
+    except ZeroDivisionError as err:
+        # only a "/" divides; R-DIV has ruled out a constant 0 divisor
+        raise DivisionByZeroError(plan.output.name) from err
     stats = ExecStats(multiplies=multiplies, segments_visited=segments,
                       pieces_emitted=emitted)
     store = _Store(plan.output, kernel.op)

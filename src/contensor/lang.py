@@ -50,6 +50,16 @@ class LangError(ValueError):
         self.line, self.col = line, col
 
 
+class DivisionByZeroError(ZeroDivisionError):
+    """Raised where a program divides by a stored 0 while computing its
+    output, which the message names. R-DIV rejects a divisor that is 0 in
+    the text or by a fill; a stored 0 shows only when the program runs."""
+
+    def __init__(self, output: str):
+        super().__init__(f"division by zero while computing {output}")
+        self.output = output
+
+
 # ---------------------------------------------------------------------------
 # tokens
 
@@ -690,6 +700,6 @@ __all__ = [
     "ENum", "EBool", "EVar", "EAccess", "EBin", "EUn", "EDif", "ECall",
     "SFor", "SIf", "SLet", "SAssign", "Program", "Expr", "Stmt",
     "ASSIGN_OPS", "IDEMPOTENT_OPS",
-    "LangError", "Diag", "tokenize", "parse", "validate",
+    "LangError", "DivisionByZeroError", "Diag", "tokenize", "parse", "validate",
     "affine_terms",
 ]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .intervals import Interval
 from .lang import (
-    EAccess, EBin, EBool, EDif, ENum, EUn, EVar, Program, SAssign, SFor,
-    SIf, SLet,
+    DivisionByZeroError, EAccess, EBin, EBool, EDif, ENum, EUn, EVar, Program,
+    SAssign, SFor, SIf, SLet,
 )
 from .limits import ABOVE, BELOW, EPS, Limit
 from .storage import ContTensor, DenseLevel, OverlapError, build_tensor
@@ -623,7 +623,10 @@ class _Eval:
 def evaluate(program: Program, bindings):
     """Reference result: a bare scalar, or a tensor of output pieces."""
     ev = _Eval(program, bindings)
-    return ev.run(program)
+    try:
+        return ev.run(program)
+    except ZeroDivisionError as err:
+        raise DivisionByZeroError(ev.assign.target) from err
 
 
 def outputs_match(a, b, *, rel=0.0):

@@ -13,7 +13,7 @@ from contensor.ir import (
     Write, pretty,
 )
 from contensor.kernels import KERNELS
-from contensor.lang import parse
+from contensor.lang import DivisionByZeroError, parse
 from contensor.oracle import evaluate, outputs_match
 from contensor.simplify import used_slots
 from contensor.storage import build_tensor, tensor_1d
@@ -497,6 +497,36 @@ def test_dividing_by_a_nonzero_fill_compiles():
     got = run(compile_program(program, {"A": DIV_A, "B": B})).output
     assert outputs_match(got, evaluate(program, {"A": DIV_A, "B": B}))
     assert [v for _, v in got.pieces()] == [1.0, 0.5]
+
+
+# B stores 0.0 on [0.5, 2], which meets A's piece: the divisor is 0 only at run time
+ZERO_B = tensor_1d("B", [((0.5, 2.0), 0.0)], 2.0, kind="interval")
+
+
+@pytest.mark.parametrize("src, output", [
+    ("for i = -inf:inf\n  Out[i] = A[i] / B[i]\nend\n", "Out"),
+    ("for i = -inf:inf\n  s += A[i] / B[i] * d(i)\nend\n", "s"),
+])
+def test_dividing_by_a_stored_zero_raises_one_error_on_both_sides(src, output):
+    program = parse(src)
+    binds = {"A": DIV_A, "B": ZERO_B}
+    messages = []
+    for side in (lambda: run(compile_program(program, binds)), lambda: evaluate(program, binds)):
+        with pytest.raises(DivisionByZeroError) as err:
+            side()
+        messages.append(str(err.value))
+    assert messages == [f"division by zero while computing {output}"] * 2
+
+
+def test_an_early_exit_skips_a_division_by_a_stored_zero():
+    # the first segment makes Out true and the kernel returns; the
+    # oracle evaluates every write, so it reaches B's stored 0 and raises
+    A = tensor_1d("A", [((0.0, 1.0), 4.0), ((2.0, 3.0), 1.0)], 0.0, kind="interval")
+    B = tensor_1d("B", [((0.0, 1.0), 2.0), ((2.0, 3.0), 0.0)], 1.0, kind="interval")
+    program = parse("for i = -inf:inf\n  Out |= A[i] / B[i] > 1\nend\n")
+    assert run(compile_program(program, {"A": A, "B": B})).output is True
+    with pytest.raises(DivisionByZeroError, match="computing Out"):
+        evaluate(program, {"A": A, "B": B})
 
 
 def steppers_of(plan) -> list:

@@ -659,7 +659,7 @@ end
 # one in its gap, and reads each as its value or, in its gap (-1), its
 # fill; where both are gaps nothing is written, so the walk ends at the
 # later of their last stops, and a segment is written where either is in
-# its piece
+# its piece: its start, stop and value, each appended to its own column
 UNION_WALK = """\
 def kernel(_b):
     _A_0_table = _b['A'].levels[0]
@@ -668,8 +668,8 @@ def kernel(_b):
     _B_0_starts, _B_0_stops, _B_0_ptr = _B_0_table.starts, _B_0_table.stops, _B_0_table.ptr
     _A_vals = _b['A'].values
     _B_vals = _b['B'].values
-    _out = []
-    _add = _out.append
+    _out = ([], [], [],)
+    _put0, _put1, _put2 = _out[0].append, _out[1].append, _out[2].append
     _seg = _mul = _emit = 0
     iv_0_lo = ((-_INF), 1)
     iv_0_hi = max((_A_0_stops[_q - 1] if _A_0_ptr[0] < (_q := _A_0_ptr[1]) else _NO_STOP), (_B_0_stops[_q - 1] if _B_0_ptr[0] < (_q := _B_0_ptr[1]) else _NO_STOP))
@@ -707,7 +707,9 @@ def kernel(_b):
                 _emit += 1
                 if (_lo0 := _NEG_OPEN if seg_2_lo < _NEG_OPEN else seg_2_lo) <= (_hi0 := _POS_OPEN if seg_2_hi > _POS_OPEN else seg_2_hi):
                     if (_val := sum(((_A_vals[p_A0_3] if p_A0_3 >= 0 else 0.0), (_B_vals[p_B0_4] if p_B0_4 >= 0 else 0.0),))) != 0.0:
-                        _add(((_lo0, _hi0), _val,))
+                        _put0(_lo0)
+                        _put1(_hi0)
+                        _put2(_val)
             if _p_A0_3_stop == seg_2_hi:
                 _p_A0_3_at += 1
                 _p_A0_3_start, _p_A0_3_stop = (_A_0_starts[_p_A0_3_at], _A_0_stops[_p_A0_3_at]) if _p_A0_3_at < _p_A0_3_end else (_PAST, _PAST)

@@ -41,7 +41,7 @@ CONT_BOUNDS = [(-INF, INF), (-INF, INF), (-INF, 0.9), (-0.4, INF),
                (-1.3, 2.7), (0.15, 1.6), (-2.25, 0.61)]
 SHIFTS = [0.0, 0.0, 0.37, -1.1, 2.0]
 NUM_VALUES = [1.0, 2.0, -1.5, 0.5, 3.0, 0.0]
-DIVISORS = [2.0, -0.5, 3.0]  # never 0: "/" by 0 raises ZeroDivisionError on both sides
+DIVISORS = [2.0, -0.5, 3.0]  # never 0: "/" by 0 raises DivisionByZeroError on both sides
 INTERVAL_KINDS = ["closed", "open", "left_open", "right_open"]
 # finite, off the 0.05 pitch the shipped generators use
 ENDPOINTS = st.integers(-3000, 3000).map(lambda k: k / 1000 + 0.0007)

@@ -12,10 +12,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contensor import executor
+from contensor.compiler import compile_program
 from contensor.executor import run
 from contensor.ir import Block, BoolC, IntersectLet, LimC, Num, OutputDecl, Plan, Write
+from contensor.lang import parse
 from contensor.limits import Limit
-from contensor.storage import OverlapError
+from contensor.storage import OverlapError, build_tensor
 
 INF = math.inf
 INTERVAL, PINPOINT, DENSE = ("interval",), ("pinpoint",), ("dense", 3)
@@ -311,3 +314,88 @@ def test_the_overlap_messages_read_the_output_alone():
     with pytest.raises(OverlapError) as err:
         run(plan_of((INTERVAL,), "=", 0.0, writes))
     assert str(err.value) == "output pieces (3232, 3233) and [3232.5, 3234] overlap on Out"
+
+
+# ---------------------------------------------------------------------------
+# finalize's exits under "=": a one-rank interval output written in order,
+# with no equal touching neighbours, is stored as the kernel's columns;
+# every other output is zipped into records and built through build_tensor
+
+
+def piece(a, b, ea=0, eb=0):
+    return ((a, ea), (b, eb))
+
+
+def point_between_pieces() -> Plan:
+    """[0, 0.5) = 1, then the point 0.5 = 2 written as a pinned coordinate
+    into the interval rank, then (0.5, 1] = 3."""
+    stmts = (IntersectLet(0, "r", (LimC(Limit(0.0)),), (LimC(Limit(0.5, -1)),)),
+             Write("Out", (("iv", 0, "r"),), "=", Num(1.0)),
+             Write("Out", (("p", Num(0.5)),), "=", Num(2.0)),
+             IntersectLet(1, "r", (LimC(Limit(0.5, 1)),), (LimC(Limit(1.0)),)),
+             Write("Out", (("iv", 1, "r"),), "=", Num(3.0)))
+    return Plan(Block(stmts), OutputDecl("Out", (INTERVAL,), 0.0), 2)
+
+
+def closed_neg_inf_start() -> Plan:
+    """Out[i] = A[i] over a stored closed -inf start, which the kernel
+    writes as the open one."""
+    A = build_tensor("A", [("interval",)], [(piece(-INF, 1.0), 2.0), (piece(2.0, INF), 3.0)])
+    return compile_program(parse("for i = -inf:inf\n  Out[i] = A[i]\nend\n"), {"A": A})
+
+
+@pytest.mark.parametrize("plan, columns, want", [
+    (plan_of((INTERVAL,), "=", 0.0, [((piece(0.0, 1.0),), 1.0), ((piece(1.0, 2.0, 1),), 2.0),
+                                     ((piece(3.0, INF),), 3.0)]),
+     True, [(piece(0.0, 1.0), 1.0), (piece(1.0, 2.0, 1), 2.0), (piece(3.0, INF, 0, -1), 3.0)]),
+    (plan_of((INTERVAL,), "=", 0.0, [((piece(0.0, 1.0, 0, -1),), 1.0), ((piece(1.0, 2.0),), 1.0),
+                                     ((piece(3.0, 4.0),), 2.0)]),
+     False, [(piece(0.0, 2.0), 1.0), (piece(3.0, 4.0), 2.0)]),
+    (plan_of((INTERVAL,), "=", 0.0, [((piece(3.0, 4.0),), 2.0), ((piece(1.0, 2.0),), 1.5),
+                                     ((piece(-INF, 1.0, 0, -1),), 1.0)]),
+     False, [(piece(-INF, 1.0, 1, -1), 1.0), (piece(1.0, 2.0), 1.5), (piece(3.0, 4.0), 2.0)]),
+    (plan_of((INTERVAL,), "=", 0.0, [((piece(0.0, 1.0),), math.nan),
+                                     ((piece(1.0, 2.0, 1),), math.nan),
+                                     ((piece(2.0, 3.0, 1),), 1.0)]),
+     True, [(piece(0.0, 1.0), math.nan), (piece(1.0, 2.0, 1), math.nan),
+            (piece(2.0, 3.0, 1), 1.0)]),
+    (point_between_pieces(),
+     True, [(piece(0.0, 0.5, 0, -1), 1.0), (piece(0.5, 0.5), 2.0), (piece(0.5, 1.0, 1), 3.0)]),
+    (closed_neg_inf_start(), True, [(piece(-INF, 1.0, 1), 2.0), (piece(2.0, INF, 0, -1), 3.0)]),
+    (plan_of((DENSE, INTERVAL), "=", 0.0, [((1, piece(0.0, 1.0)), 1.0), ((0, piece(0.0, 1.0)), 2.0),
+                                           ((1, piece(1.0, 2.0, 1)), 1.0)]),
+     False, [((0, piece(0.0, 1.0)), 2.0), ((1, piece(0.0, 2.0)), 1.0)]),
+], ids=["in_order", "merge", "reverse", "nan", "point", "closed_-inf", "dense_interval"])
+def test_each_exit_of_finalize(monkeypatch, plan, columns, want):
+    built = []
+    monkeypatch.setattr(executor, "build_tensor",
+                        lambda *args, **kw: built.append(args) or build_tensor(*args, **kw))
+    res = run(plan)
+    assert bool(built) is not columns
+    out = res.output
+    got = [(path[0] if len(path) == 1 else path, v) for path, v in out.pieces()]
+    assert len(got) == len(want)
+    for (path, v), (wpath, wv) in zip(got, want):
+        if out.ndim == 1:
+            assert (tuple(path.start), tuple(path.stop)) == wpath
+        else:
+            assert (path[0], (tuple(path[1].start), tuple(path[1].stop))) == wpath
+        assert v == wv or v != v and wv != wv
+    nan = any(v != v for _, v in want)
+    assert res.diagnostics == (["output Out contains NaN values"] if nan else [])
+    if columns:
+        # the level's columns are tuples, as every stored level's are
+        level = out.levels[0]
+        assert type(level.starts) is type(level.stops) is type(out.values) is tuple
+
+
+@pytest.mark.parametrize("writes, message", [
+    ([((piece(0.0, 1.0),), 1.0), ((piece(1.0, 2.0),), 2.0)],
+     "output pieces [0, 1] and [1, 2] overlap on Out"),
+    ([((piece(2.0, 3.0),), 1.0), ((piece(0.0, 2.5, 1, -1),), 2.0)],
+     "output pieces (0, 2.5) and [2, 3] overlap on Out"),
+], ids=["in_order", "reverse"])
+def test_overlapping_pieces_take_the_record_path_and_raise(writes, message):
+    with pytest.raises(OverlapError) as err:
+        run(plan_of((INTERVAL,), "=", 0.0, writes))
+    assert str(err.value) == message
