@@ -32,14 +32,20 @@ lone stepper over the whole line, run as ``for p in range(...)`` over
 its positions: its fiber is the range, each piece the region, and its
 segments are counted once, before the loop. A walk steps the segments
 between consecutive stops, gaps included, with a cursor that must
-advance each step. A stepper that runs out keeps its piece's start and
-stop in locals, read again as it moves on (inf + eps past its fiber's
-end), and also ends a segment just before its start, so the body, which
-reads its position as -1 in its gap, sees it in one state for the whole
-segment. One that annihilates, in its loop or an enclosing one, is read
-unguarded: the range ends at its last stop, so it never leaves its
-fiber. An endpoint of any other position is a plan fault, raised as
-``ExecError`` when the kernel is rendered. A fiber's ends are read
+advance each step. Every stepper in it keeps one state in locals: its
+position, its fiber's end, and its piece's start and stop, shifted back
+once, loaded where it enters and again only where it moves on, and
+``_PAST`` (inf + eps) past its fiber's end. A segment compares only
+those locals, and the body reads a stepper's ends from them; one that
+ends at the range's stop is the last, so no stepper moves on after it.
+A stepper that runs out also ends a segment just before its start, so
+the body, which reads its position as -1 in its gap, sees it in one
+state for the whole segment. One that annihilates, in its loop or an
+enclosing one, is read unguarded: the range ends at its last stop, so
+it never leaves its fiber. An endpoint of any other position is a plan fault, raised as
+``ExecError`` when the kernel is rendered. An end a kernel copies from a
+level, or moves by an infinitesimal, keeps the numeric type it is
+stored in; a shifted end is computed in floats. A fiber's ends are read
 inline from the ``ptr`` column (and its last stop from the stop
 column), with an ``f >= 0`` test only where the fiber can be -1: a
 probe's result, a guarded dense index or such a position. A probe at
@@ -79,12 +85,10 @@ makes whole-column passes, as storage's validation does. A one-rank
 interval output whose pieces each stop below the next one's start, and
 whose equal neighbours do not touch, is stored as its columns, which
 ``ContTensor`` checks as it checks any level. Other outputs are zipped
-once into ``(*path, value)`` records, sorted unless that pass showed
-them in order, and built in one pass per rank: a cell assigned twice or
-overlapping pieces under ``=`` raise ``OverlapError``, a reduction's
-overlapping pieces are split and combined, and touching pieces with
-equal contents merge at every rank. Records are walked one at a time
-only where a NaN, overlap or equal-neighbour pass finds something.
+once into ``(*path, value)`` records, sorted, and built in one pass per
+rank: a cell assigned twice or overlapping pieces under ``=`` raise
+``OverlapError``, a reduction's overlapping pieces are split and
+combined, and touching pieces with equal contents merge at every rank.
 """
 
 from __future__ import annotations
@@ -306,6 +310,7 @@ class _Source:
         self.open_lo = set()  # region slots whose start is the open -inf
         self.stops = {}  # region slot -> the stops of its IntersectLet
         self.fingers = frozenset()  # position locals of the annihilating steppers in scope
+        self.ends = {}  # a walk's annihilating stepper -> (its access, start and stop locals)
         self.missable = set()  # position locals that can be -1 (see can_miss)
         self.homes = _dense_homes(plan)  # discrete loop slot or None -> dense positions
         self.bound = {}  # dense position -> the local it is bound to
@@ -460,10 +465,14 @@ class _Source:
     def lexpr(self, e) -> str:
         t = type(e)
         if t is EndRef:
-            col = self.level(e.tensor, e.level) + ("_starts" if e.side in ("L", "C") else "_stops")
+            start = e.side in ("L", "C")
             p = self.pexpr(e.pos)
             if p not in self.fingers:
                 raise ExecError(f"endpoint {render(e)}: {p} is not a stepper in scope")
+            local = self.ends.get(p)
+            if local is not None and local[0] == (e.tensor, e.level, e.shift):
+                return local[1 if start else 2]
+            col = self.level(e.tensor, e.level) + ("_starts" if start else "_stops")
             return self.adjust(f"{col}[{p}]", e.shift)
         if t is IvStart:
             return self.region(e.slot, e.name)[0]
@@ -626,9 +635,14 @@ class _Source:
     def walk_loop(self, s: WhileCoiter, pad: str):
         """A walk: its segment starts at the cursor, just past the last
         stop, and ends at the least of the range's stop and the steppers'.
-        One that runs out keeps its piece's ends, shifted back, in locals
-        read again as it moves on; it ends a segment at its stop in its
-        piece, and just before its start in its gap."""
+        Every stepper keeps one state: its position, its fiber's end, and
+        its piece's start and stop, shifted back once, in locals loaded
+        where it enters and again only where it moves on (_PAST past its
+        fiber's end); the body reads an annihilating stepper's ends from
+        them. Each ends a segment at its stop in its piece; one that runs
+        out also ends it just before its start in its gap. The walk ends
+        after a segment that ends at the range's stop, before the steppers
+        move on."""
         lo, hi = self.region(s.range_slot, s.range_name)
         cur = self.var(s.cursor_slot, s.cursor_name)
         seg_lo, stop = self.region(s.curr_slot, s.curr_name)
@@ -641,46 +655,40 @@ class _Source:
         for st in s.steppers:
             p = self.var(st.pos_slot, st.pos_name)
             t = self.level(st.tensor, st.level)
-            sh, shift = None, "0.0"
-            if st.shift is not None:
-                sh = f"_{p}_sh"
-                shift = f"({sh} := {self.expr(st.shift)})"
             f = self.pexpr(st.fiber)
-            at, load = f"_{p}_at" if st.runs_out else p, None
-            add(f"{pad}{at} = _seek({t}_table, {f}, {lo}, {shift})")
+            at, ends = f"_{p}_at" if st.runs_out else p, (f"_{p}_start", f"_{p}_stop")
+            a, b = (self.adjust(f"{t}_{c}[{at}]", st.shift) for c in ("starts", "stops"))
+            load = f"{ends[0]}, {ends[1]} = ({a}, {b}) if {at} < _{p}_end else (_PAST, _PAST)"
+            shift = "0.0" if st.shift is None else self.expr(st.shift)
+            add(f"{pad}{at} = _seek({t}_table, {f}, {lo}, {shift})\n"
+                f"{pad}_{p}_end = {_end(t, f)}\n{pad}{load}")
             if st.runs_out:
-                # its piece's ends, shifted back; past its fiber's end both are _PAST
-                a, b = (f"((_v := {t}_{c}[{at}])[0] - {sh}, _v[1])" if sh else f"{t}_{c}[{at}]"
-                        for c in ("starts", "stops"))
-                load = f"_{p}_start, _{p}_stop = ({a}, {b}) if {at} < _{p}_end else (_PAST, _PAST)"
-                add(f"{pad}_{p}_end = {_end(t, f)}\n{pad}{load}")
                 self.missable.add(p)
             else:
                 fingers.add(p)
-            steppers.append((p, at, f"{t}_stops[{at}]", sh, f"_{p}_stop", load))
+                self.ends[p] = ((st.tensor, st.level, st.shift), *ends)
+            steppers.append((p, at, *ends, load, st.runs_out))
         add(f"{pad}{cur} = {lo}\n{pad}while {cur} <= {hi}:")
         add(f"{i}_seg += 1\n{i}{stop} = {hi}")
         pad, i = i, i + _IND
-        for p, at, read, sh, r, load in steppers:
-            # the stored stop in value; subtracting 0.0 gives it the type a
-            # shifted stop has
-            least = f"if {r} < {stop}:\n{i}{stop} = {r if sh else f'({r}[0] - 0.0, {r}[1])'}"
-            if load is not None:
+        for p, at, start, r, _, runs_out in steppers:
+            if runs_out:
                 # the body reads p, -1 in its gap
-                least = least.replace("\n", f"\n{_IND}")
-                add(f"{pad}if _{p}_start <= {cur}:\n{i}{p} = {at}\n{i}{least}\n{pad}else:\n"
-                    f"{i}{p} = -1\n{i}if _{p}_start <= {stop}:\n"
-                    f"{i}{_IND}{stop} = (_{p}_start[0] - 0.0, _{p}_start[1] - 1)")
-            elif sh is not None:
-                add(f"{pad}{r} = {read}\n{pad}{r} = ({r}[0] - {sh}, {r}[1])\n{pad}{least}")
+                add(f"{pad}if {start} <= {cur}:\n{i}{p} = {at}\n{i}if {r} < {stop}:\n"
+                    f"{i}{_IND}{stop} = {r}\n{pad}else:\n{i}{p} = -1\n"
+                    f"{i}if {start} <= {stop}:\n{i}{_IND}{stop} = ({start}[0], {start}[1] - 1)")
             else:
-                add(f"{pad}{r} = {read}\n{pad}{least}")
+                add(f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
         add(f"{pad}{seg_lo} = {cur}")
         self.scoped(s.body, pad, fingers)
-        for _, at, _, _, r, load in steppers:
-            add(f"{pad}if {r} == {stop}:\n{i}{at} += 1" + (f"\n{i}{load}" if load else ""))
-        # the cursor moves to stop + EPS, the first endpoint past the segment
-        add(f"{pad}_n = ({stop}[0] + 0.0, {stop}[1] + 1 if {stop}[1] < 1 else 1)\n"
+        # a segment that ends at the range's stop is the last
+        add(f"{pad}if {stop} is {hi}:\n{i}break")
+        for _, at, _, r, load, _ in steppers:
+            add(f"{pad}if {r} == {stop}:\n{i}{at} += 1\n{i}{load}")
+        # the cursor moves to stop + EPS, the first endpoint past the segment;
+        # adding the int 0 turns -0.0 into 0.0, as Limit arithmetic does, and
+        # leaves an int-valued stop an int
+        add(f"{pad}_n = ({stop}[0] + 0, {stop}[1] + 1 if {stop}[1] < 1 else 1)\n"
             f"{pad}if not _n > {cur}:\n"
             f'{i}raise _ExecError("co-iteration failed to advance")\n'
             f"{pad}{cur} = _n")
@@ -918,8 +926,8 @@ class _Store:
 
     def __init__(self, decl: OutputDecl, op: str):
         self.decl, self.op = decl, op
-        # under "=", the records zipped from the columns, in sorted() order
-        # (as written, or sorted), for the error of a cell assigned twice
+        # under "=", the records zipped from the columns, in sorted()
+        # order, for the error of a cell assigned twice
         self.records = []
         self.nan = False  # whether a NaN reached a leaf
 
@@ -933,15 +941,13 @@ class _Store:
             recs = [(*path, v) for path, v in out.items() if v != decl.fill]
         else:
             *cols, vals = out
-            ordered = False
-            if decl.comps and decl.comps[0][0] == "interval":
+            if len(decl.comps) == 1 and decl.comps[0][0] == "interval":
                 # a written piece starts at or below its stop, so pieces that
-                # each stop below the next one's start are in sorted() order
-                # already, no two equal, and that rank disjoint
-                starts, stops = cols[0], cols[1]
-                ordered = all(map(lt, stops, islice(starts, 1, None)))
+                # each stop below the next one's start are in order already,
+                # and disjoint
+                starts, stops = cols
                 equal = compress(range(1, len(vals)), map(eq, islice(vals, 1, None), vals))
-                if (ordered and len(decl.comps) == 1
+                if (all(map(lt, stops, islice(starts, 1, None)))
                         and not any(_touching(stops[p - 1], starts[p]) for p in equal)):
                     # nothing to sort, raise or merge: the columns are the level
                     self.nan = any(map(ne, vals, vals))
@@ -951,8 +957,7 @@ class _Store:
             it = iter(cols)
             ranks = [zip(c, next(it)) if comp[0] == "interval" else c
                      for comp, c in zip(decl.comps, it)]
-            recs = list(zip(*ranks, vals))
-            recs = self.records = recs if ordered else sorted(recs)
+            recs = self.records = sorted(zip(*ranks, vals))
             if not decl.comps:
                 if len(recs) > 1:
                     self._assigned_twice()
@@ -1031,18 +1036,7 @@ class _Store:
     def _line(self, items: list, at: int, nodes: list) -> list:
         """One interval fiber from items sorted by their piece, item[at],
         and their nodes. Equal touching pieces merge, and an overlap under
-        "=" is raised.
-
-        Whole-column passes come first: each piece must stop below the
-        next one's start, and only neighbours with equal nodes have their
-        ends compared. When no piece overlaps and no equal neighbours
-        touch, the fiber is the items' (piece, node) pairs, items itself
-        when at is 0; otherwise the walk below finds the merges and the
-        first overlap."""
-        if _disjoint(list(map(itemgetter(at), items))):
-            equal = compress(range(1, len(nodes)), map(eq, islice(nodes, 1, None), nodes))
-            if not any(_touching(items[p - 1][at][1], items[p][at][0]) for p in equal):
-                return items if at == 0 else [(r[at], n) for r, n in zip(items, nodes)]
+        "=" is raised."""
         out = []  # (piece, node) pairs
         hi = None  # the stop of the last piece in out
         for r, node in zip(items, nodes):

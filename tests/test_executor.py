@@ -16,7 +16,7 @@ from contensor.ir import (
 )
 from contensor.lang import parse
 from contensor.limits import Limit
-from contensor.storage import OverlapError, build_tensor, tensor_1d
+from contensor.storage import ContTensor, OverlapError, SparseLevel, build_tensor, tensor_1d
 
 
 def compile_run(src, bindings):
@@ -687,19 +687,19 @@ def kernel(_b):
             if _p_A0_3_start <= cur_1:
                 p_A0_3 = _p_A0_3_at
                 if _p_A0_3_stop < seg_2_hi:
-                    seg_2_hi = (_p_A0_3_stop[0] - 0.0, _p_A0_3_stop[1])
+                    seg_2_hi = _p_A0_3_stop
             else:
                 p_A0_3 = -1
                 if _p_A0_3_start <= seg_2_hi:
-                    seg_2_hi = (_p_A0_3_start[0] - 0.0, _p_A0_3_start[1] - 1)
+                    seg_2_hi = (_p_A0_3_start[0], _p_A0_3_start[1] - 1)
             if _p_B0_4_start <= cur_1:
                 p_B0_4 = _p_B0_4_at
                 if _p_B0_4_stop < seg_2_hi:
-                    seg_2_hi = (_p_B0_4_stop[0] - 0.0, _p_B0_4_stop[1])
+                    seg_2_hi = _p_B0_4_stop
             else:
                 p_B0_4 = -1
                 if _p_B0_4_start <= seg_2_hi:
-                    seg_2_hi = (_p_B0_4_start[0] - 0.0, _p_B0_4_start[1] - 1)
+                    seg_2_hi = (_p_B0_4_start[0], _p_B0_4_start[1] - 1)
             seg_2_lo = cur_1
             if (True if (p_A0_3 >= 0) or (p_B0_4 >= 0) else False):
                 if p_A0_3 >= 0 and p_B0_4 >= 0:
@@ -710,13 +710,15 @@ def kernel(_b):
                         _put0(_lo0)
                         _put1(_hi0)
                         _put2(_val)
+            if seg_2_hi is iv_0_hi:
+                break
             if _p_A0_3_stop == seg_2_hi:
                 _p_A0_3_at += 1
                 _p_A0_3_start, _p_A0_3_stop = (_A_0_starts[_p_A0_3_at], _A_0_stops[_p_A0_3_at]) if _p_A0_3_at < _p_A0_3_end else (_PAST, _PAST)
             if _p_B0_4_stop == seg_2_hi:
                 _p_B0_4_at += 1
                 _p_B0_4_start, _p_B0_4_stop = (_B_0_starts[_p_B0_4_at], _B_0_stops[_p_B0_4_at]) if _p_B0_4_at < _p_B0_4_end else (_PAST, _PAST)
-            _n = (seg_2_hi[0] + 0.0, seg_2_hi[1] + 1 if seg_2_hi[1] < 1 else 1)
+            _n = (seg_2_hi[0] + 0, seg_2_hi[1] + 1 if seg_2_hi[1] < 1 else 1)
             if not _n > cur_1:
                 raise _ExecError("co-iteration failed to advance")
             cur_1 = _n
@@ -731,6 +733,114 @@ def test_a_union_keeps_the_segment_walk():
     plan = compile_program(parse(UNION), {"A": A, "B": B})
     assert "coiterate cur over iv (walk):" in pretty(plan)
     assert kernel_source(plan) == UNION_WALK
+
+
+# an intersection with a shifted stepper walks too: its source, pinned byte
+# for byte. Each stepper keeps its piece's start and stop, shifted back
+# once, in locals loaded where it enters and again where it moves on (_PAST
+# past its fiber's end); a segment compares only those, and the region's
+# start reads them
+SHIFTED_WALK = """\
+def kernel(_b):
+    _A_0_table = _b['A'].levels[0]
+    _A_0_starts, _A_0_stops, _A_0_ptr = _A_0_table.starts, _A_0_table.stops, _A_0_table.ptr
+    _B_0_table = _b['B'].levels[0]
+    _B_0_starts, _B_0_stops, _B_0_ptr = _B_0_table.starts, _B_0_table.stops, _B_0_table.ptr
+    _A_vals = _b['A'].values
+    _B_vals = _b['B'].values
+    _out = ([], [], [],)
+    _put0, _put1, _put2 = _out[0].append, _out[1].append, _out[2].append
+    _seg = _mul = _emit = 0
+    iv_0_lo = ((-_INF), 1)
+    iv_0_hi = ((_v := (_A_0_stops[_q - 1] if _A_0_ptr[0] < (_q := _A_0_ptr[1]) else _NO_STOP))[0] - 1000.0, _v[1])
+    _e = (_B_0_stops[_q - 1] if _B_0_ptr[0] < (_q := _B_0_ptr[1]) else _NO_STOP)
+    if _e < iv_0_hi:
+        iv_0_hi = _e
+    if not iv_0_lo > iv_0_hi:
+        p_A0_3 = _seek(_A_0_table, 0, iv_0_lo, 1000.0)
+        _p_A0_3_end = _A_0_ptr[1]
+        _p_A0_3_start, _p_A0_3_stop = (((_v := _A_0_starts[p_A0_3])[0] - 1000.0, _v[1]), ((_v := _A_0_stops[p_A0_3])[0] - 1000.0, _v[1])) if p_A0_3 < _p_A0_3_end else (_PAST, _PAST)
+        p_B0_4 = _seek(_B_0_table, 0, iv_0_lo, 0.0)
+        _p_B0_4_end = _B_0_ptr[1]
+        _p_B0_4_start, _p_B0_4_stop = (_B_0_starts[p_B0_4], _B_0_stops[p_B0_4]) if p_B0_4 < _p_B0_4_end else (_PAST, _PAST)
+        cur_1 = iv_0_lo
+        while cur_1 <= iv_0_hi:
+            _seg += 1
+            seg_2_hi = iv_0_hi
+            if _p_A0_3_stop < seg_2_hi:
+                seg_2_hi = _p_A0_3_stop
+            if _p_B0_4_stop < seg_2_hi:
+                seg_2_hi = _p_B0_4_stop
+            seg_2_lo = cur_1
+            r_5_lo = seg_2_lo
+            _e = _p_A0_3_start
+            if _e > r_5_lo:
+                r_5_lo = _e
+            _e = _p_B0_4_start
+            if _e > r_5_lo:
+                r_5_lo = _e
+            r_5_hi = seg_2_hi
+            if r_5_lo <= r_5_hi:
+                _mul += 1
+                _emit += 1
+                if (_lo0 := _NEG_OPEN if r_5_lo < _NEG_OPEN else r_5_lo) <= (_hi0 := _POS_OPEN if r_5_hi > _POS_OPEN else r_5_hi):
+                    if (_val := (1.0 * _A_vals[p_A0_3] * _B_vals[p_B0_4])) != 0.0:
+                        _put0(_lo0)
+                        _put1(_hi0)
+                        _put2(_val)
+            if seg_2_hi is iv_0_hi:
+                break
+            if _p_A0_3_stop == seg_2_hi:
+                p_A0_3 += 1
+                _p_A0_3_start, _p_A0_3_stop = (((_v := _A_0_starts[p_A0_3])[0] - 1000.0, _v[1]), ((_v := _A_0_stops[p_A0_3])[0] - 1000.0, _v[1])) if p_A0_3 < _p_A0_3_end else (_PAST, _PAST)
+            if _p_B0_4_stop == seg_2_hi:
+                p_B0_4 += 1
+                _p_B0_4_start, _p_B0_4_stop = (_B_0_starts[p_B0_4], _B_0_stops[p_B0_4]) if p_B0_4 < _p_B0_4_end else (_PAST, _PAST)
+            _n = (seg_2_hi[0] + 0, seg_2_hi[1] + 1 if seg_2_hi[1] < 1 else 1)
+            if not _n > cur_1:
+                raise _ExecError("co-iteration failed to advance")
+            cur_1 = _n
+    return _seg, _mul, _emit, _out
+"""
+
+
+@pytest.mark.parametrize("src", [UNION_WALK, SHIFTED_WALK], ids=["union", "shifted"])
+def test_a_walk_reads_stored_ends_only_where_a_stepper_enters_or_moves_on(src):
+    walk = src[src.index("    if not iv_0_lo > iv_0_hi:"):]
+    loads = [line for line in walk.splitlines() if "_starts[" in line or "_stops[" in line]
+    assert loads and all(re.fullmatch(r"\s+_(p_\w+)_start, _\1_stop = .* else \(_PAST, _PAST\)",
+                                      line) for line in loads)
+    # one load where each stepper enters, one where it moves on
+    assert len(loads) == 2 * walk.count(" = _seek(")
+    assert "- 0.0" not in walk
+
+
+# A hand-built level may store int-valued ends; A_FLOAT is A_INT's float twin
+A_INT = ContTensor("A", (SparseLevel((0, 2), ((1, 0), (3, 0)), ((2, 0), (4, 0))),), (5.0, 7.0))
+A_FLOAT = ContTensor("A", (SparseLevel((0, 2), ((1.0, 0), (3.0, 0)), ((2.0, 0), (4.0, 0))),),
+                     (5.0, 7.0))
+B_OFF = tensor_1d("B", [((1.25, 3.75), 2.0)], 0.0, kind="interval")
+
+
+@pytest.mark.parametrize("src, shape, copied", [
+    ("for i = -inf:inf\n  Out[i] = A[i] + B[i]\nend\n", "walk", True),
+    ("for i = -inf:inf\n  Out[i] = A[i] * B[i + 0.5]\nend\n", "walk", True),
+    ("for i = -inf:inf\n  Out[i] = A[i + 0.5] * B[i]\nend\n", "walk", False),
+    ("for i = -inf:inf\n  Out[i] = A[i] * B[i]\nend\n", "fingers", True),
+], ids=["union_walk", "shifted_walk", "shifted_A", "finger_loop"])
+def test_a_written_end_keeps_the_type_it_is_stored_in(src, shape, copied):
+    plans = [compile_program(parse(src), {"A": a, "B": B_OFF}) for a in (A_INT, A_FLOAT)]
+    assert f"({shape}):" in pretty(plans[0])
+    got, want = map(run, plans)
+    assert got.stats == want.stats
+    # equal up to each end's numeric type: (2, 0) == (2.0, 0)
+    assert list(got.output.pieces()) == list(want.output.pieces())
+    # an end copied from A, or moved off one by an infinitesimal, is an int;
+    # B's, a shifted end and the loop's own are floats
+    ends = [end for (x,), _ in got.output.pieces() for end in (x.start, x.stop)]
+    assert [type(e.val) for e in ends] == [int if copied and e.val in (1, 2, 3, 4) else float
+                                           for e in ends]
+    assert (int in map(type, (e.val for e in ends))) is copied
 
 
 def test_a_shift_that_rounds_a_start_onto_the_previous_stop():
@@ -750,9 +860,7 @@ def test_a_shift_that_rounds_a_start_onto_the_previous_stop():
     # an intersection with a shifted stepper keeps the walk, and reads
     # its annihilating steppers unguarded, as the range ends with them
     assert "coiterate cur over iv (walk):" in pretty(plan)
-    src = kernel_source(plan)
-    assert "co-iteration failed to advance" in src
-    assert ">= 0" not in src and "_PAST" not in src
+    assert kernel_source(plan) == SHIFTED_WALK
     res = run(plan)
     assert list(res.output.pieces()) == [((first,), 10.0), ((second,), 14.0)]
     assert (res.stats.segments_visited, res.stats.multiplies) == (2, 2)

@@ -1,6 +1,6 @@
 """Source hygiene, checked by AST scans since no linter ships with the project.
 
-- No module under src/, tests/ or perfbench/ imports a name it never uses. A name
+- No module under src/, tests/, perfbench/ or tools/ imports a name it never uses. A name
   counts as used when the module reads it anywhere (including inside
   string annotations) or lists it in ``__all__``.
 - No top-level ``_``-prefixed function or class in src/contensor goes
@@ -22,7 +22,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")),
-                *(ROOT / "perfbench").glob("*.py")])
+                *(p for d in ("perfbench", "tools") for p in (ROOT / d).glob("*.py"))])
 SRC = sorted((ROOT / "src" / "contensor").rglob("*.py"))
 CALLERS = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
