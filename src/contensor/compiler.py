@@ -120,6 +120,7 @@ class _Ctx:
         # value everywhere, so they share one stepper or probe
         self.accesses = {}
         self.pending = {}  # var -> (iv_slot, iv_name)
+        self.pins = {}  # var -> StepperRT of the pinpoint stepper that pinned it
         self.depth = 0  # plan loops around what is lowered here
         self.fixed = {}  # scalar loop index -> depth of the plan loop that fixes it
 
@@ -129,6 +130,7 @@ class _Ctx:
         c.scalars = dict(self.scalars)
         c.accesses = dict(self.accesses)
         c.pending = dict(self.pending)
+        c.pins = dict(self.pins)
         c.depth = self.depth
         c.fixed = dict(self.fixed)
         return c
@@ -347,7 +349,7 @@ def _advance(ctx, out):
             lv = a.tensor.levels[a.rank]
             if isinstance(lv, DenseLevel):
                 pos = PDense(a.pos, lv.size, _affine_expr(const, vars, ctx))
-            else:
+            elif (pos := _pinned_at(ctx, a)) is None:
                 # a pinned loop index is looked up in its own space, with
                 # the stored ends shifted back, as steppers compare them
                 pinned = [v for v in ctx.scalars if v in vars and v in ctx.loops
@@ -362,6 +364,17 @@ def _advance(ctx, out):
                 pos = PVar(slot, name)
             ctx.accesses[key] = dc_replace(a, pos=pos, rank=a.rank + 1)
             changed = True
+
+
+def _pinned_at(ctx, a):
+    """Where a reads, unshifted, the fiber of the pinpoint stepper whose
+    stored point pinned a's index: that stepper's position, which a probe
+    would find. Else None."""
+    const, vars = a.idx[a.rank]
+    rt = ctx.pins.get(vars[0]) if const == 0.0 and len(vars) == 1 else None
+    if rt is None or (rt.tensor, rt.level, rt.fiber) != (a.tensor.name, a.rank, a.pos):
+        return None
+    return PVar(rt.pos_slot, rt.pos_name)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +508,7 @@ def _lower_cont(s: SFor, ctx):
         pinflag = pinflag or pp
     if whole and pinflag:
         # a stored point is its own region: the pin reads its coordinate
+        c3.pins[var] = rts[steppers[0]]
         body = _finish_region(s, None, c3, pin=starts[0])
     else:
         # where every stepper runs out, the region is the segment, never empty

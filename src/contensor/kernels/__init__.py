@@ -11,16 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import itemgetter, truth
 from pathlib import Path
 from random import Random
 
 from ..lang import parse
-from ..storage import ContTensor, build_tensor, tensor_1d
+from ..limits import BELOW, EXACT
+from ..storage import ContTensor, StorageError, build_tensor, tensor_1d
 
 _HERE = Path(__file__).parent
 PITCH = 0.05
 
 _VALS = (0.5, 1.0, 1.5, 2.0, 3.0, -1.0, -2.0)
+_VAL = itemgetter(0)  # of a stored (val, eps) end
 
 
 @dataclass(frozen=True)
@@ -263,32 +267,47 @@ def build_genomic_grid(data: ContTensor, cells: int = 0) -> ContTensor:
     Uniform right-open cells per chromosome; a data id is listed in every
     cell its interval touches. Empty cells are simply not stored. Cell
     count defaults to about the square root of the largest per-chromosome
-    id count, which balances cells scanned against ids per cell.
+    count of stored pieces with a true value, which balances cells scanned
+    against ids per cell.
+
+    Reads Data's columns as a kernel does: each id is a start of the
+    pinpoint level, each piece an entry of the interval level under it,
+    its value in ``values``. A piece with a true value must be bounded.
     """
     nchr = data.levels[0].size
-    per_chr = [[] for _ in range(nchr)]
-    hi = 0.0
-    for path, v in data.pieces():
-        if not v:
-            continue
-        chrno, jd, iv = path[0], path[1].start.val, path[2]
-        per_chr[chrno].append((jd, iv.start.val, iv.stop.val))
-        hi = max(hi, iv.stop.val)
+    id_ptr, id_crd = data.levels[1].ptr, data.levels[1].starts
+    ptr, starts, stops = data.levels[2].ptr, data.levels[2].starts, data.levels[2].stops
+    vals = data.values
+    his = list(compress(map(_VAL, stops), vals))
+    if math.inf in his or -math.inf in compress(map(_VAL, starts), vals):
+        c, jd, iv = next(path for path, v in data.pieces() if v and not (
+            -math.inf < path[2].start.val and path[2].stop.val < math.inf))
+        raise StorageError(f"tensor {data.name} chromosome {c} id {jd.start}: piece {iv} is "
+                           "unbounded, and the grid's cells cover only finite intervals")
+    hi = max(chain((0.0,), his))
     if cells <= 0:
-        biggest = max((len(r) for r in per_chr), default=0)
+        # chromosome c's ids are id_ptr[c]..id_ptr[c+1], its pieces leaf[c]..leaf[c+1]
+        leaf = [ptr[q] for q in id_ptr]
+        biggest = max(sum(map(truth, vals[a:b])) for a, b in zip(leaf, leaf[1:]))
         cells = max(1, math.ceil(math.sqrt(biggest)))
     cw = (hi / cells) if hi > 0 else 1.0
     fibers = []
-    for rows in per_chr:
+    for c in range(nchr):
         members = {}
-        for jd, a, b in rows:
-            for k in range(int(a // cw), int(b // cw) + 1):
-                members.setdefault(k, set()).add(jd)
-        fibers.append([
-            ((k * cw, (k + 1) * cw, "right_open"),
-             [(jd, True) for jd in sorted(members[k])])
-            for k in sorted(members)
-        ])
+        for q in range(id_ptr[c], id_ptr[c + 1]):
+            # ids arrive in ascending order, so each member list is sorted
+            # and an id already listed in a cell is its last entry
+            jd = id_crd[q][0]
+            for p in range(ptr[q], ptr[q + 1]):
+                if vals[p]:
+                    for k in range(int(starts[p][0] // cw), int(stops[p][0] // cw) + 1):
+                        m = members.get(k)
+                        if m is None:
+                            members[k] = [jd]
+                        elif m[-1] != jd:
+                            m.append(jd)
+        fibers.append([(((k * cw, EXACT), ((k + 1) * cw, BELOW)),
+                        list(zip(members[k], repeat(True)))) for k in sorted(members)])
     return build_tensor("Grid", [("dense", nchr), ("interval",), ("pinpoint",)],
                         fibers, fill=False)
 

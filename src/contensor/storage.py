@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, ge, itemgetter, le, mul, truth
+from operator import add, ge, itemgetter, le, mul, sub, truth
 from typing import Iterator, Optional, Sequence, Union
 
 from .intervals import Interval
@@ -369,25 +369,25 @@ class ContTensor:
         return self.values[pos]
 
     def pieces(self) -> Iterator[tuple]:
-        """Yield (coordinate path, value) for every stored leaf, in order.
+        """(coordinate path, value) for every stored leaf, in order.
 
         Paths hold ints for dense ranks and Intervals for continuous
-        ranks.
+        ranks. Built level by level, one path per position: a dense
+        level extends each parent path by each rank, a sparse one repeats
+        each parent path over its fiber and adds the pieces' Intervals.
         """
-        yield from self._walk(0, 0, ())
-
-    def _walk(self, level: int, fiber: int, path: tuple):
-        if level == self.ndim:
-            yield path, self.values[fiber]
-            return
-        lv = self.levels[level]
-        if isinstance(lv, DenseLevel):
-            base = fiber * lv.size
-            for c in range(lv.size):
-                yield from self._walk(level + 1, base + c, path + (c,))
-            return
-        for iv, p in self.fiber_entries(level, fiber):
-            yield from self._walk(level + 1, p, path + (iv,))
+        paths = [()]
+        for lv in self.levels:
+            if isinstance(lv, DenseLevel):
+                ranks = list(zip(range(lv.size)))
+                paths = [path + c for path in paths for c in ranks]
+            else:
+                ptr = lv.ptr
+                sizes = map(sub, islice(ptr, 1, None), ptr)
+                parents = chain.from_iterable(map(repeat, paths, sizes))
+                ivs = map(_interval_of, zip(map(_limit_of, lv.starts), map(_limit_of, lv.stops)))
+                paths = list(map(add, parents, zip(ivs)))
+        return zip(paths, self.values)
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,27 @@ def test_an_access_written_twice_is_stepped_once(src, steppers, probes):
     assert outputs_match(run(plan).output, evaluate(program, binds))
 
 
+PIN_P = build_tensor("P", [("pinpoint",), ("interval",)],
+                     [(1.0, [((0.0, 1.0), 2.0), ((2.0, 3.0), 3.0)]), (2.5, [((1.0, 4.0), -1.0)])])
+PIN_Q = build_tensor("Q", [("pinpoint",), ("interval",)], [(2.5, [((0.0, 2.0), 5.0)])])
+
+
+@pytest.mark.parametrize("factor, probes", [
+    # the fiber the stepper over P's rank 0 pinned i in: its position
+    ("P[i, y]", 0),
+    ("P[i + 1.5, y]", 1),  # shifted
+    ("Q[i, y]", 1),  # another tensor
+])
+def test_a_pinned_point_is_probed_only_off_its_own_stepper(factor, probes):
+    program = parse(f"for i = -inf:inf\n  for x = -inf:inf\n    for y = -inf:inf\n"
+                    f"      Out[i] += P[i, x] * {factor} * d(x) * d(y)\n    end\n  end\nend\n")
+    binds = {"P": PIN_P, "Q": PIN_Q}
+    plan = compile_program(program, binds)
+    assert len(collect(plan.body, Pin)) == 1
+    assert len(collect(plan.body, Probe)) == probes
+    assert outputs_match(run(plan).output, evaluate(program, binds))
+
+
 def test_a_dense_rank_after_a_stepped_rank_is_resolved_in_its_region():
     # once the stepper over A's rank 0 is in a piece, A's dense rank is read
     # at j, a scalar there

@@ -1262,9 +1262,9 @@ def test_an_absorbing_write_into_an_interval_rank_ends_nothing():
 
 def test_a_dense_position_is_bound_once_per_iteration_of_its_loop():
     # the grid kernel reads chr's fiber in two stepper loops, a range's last
-    # stop and two probes, all through the one local bound under chr's loop
+    # stop and a probe, all through the one local bound under chr's loop
     k = kernels.get("genomic_overlap_grid")
     src = kernel_source(compile_program(k.program(), k.canonical()))
     assert src.count(" if 0 <= ") == 1
     assert re.search(r"for chr_0 in range\(0, 2\):\n\s+_pos1 = \(_i1 if 0 <= ", src)
-    assert src.count("if _pos1 >= 0 and (_p := bisect_left(") == 2
+    assert src.count("if _pos1 >= 0 and (_p := bisect_left(") == 1

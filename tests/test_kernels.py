@@ -2,16 +2,19 @@
 
 import dataclasses
 import math
+import re
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contensor.compiler import compile_program
 from contensor.executor import ExecStats, run
+from contensor.intervals import Interval
 from contensor.kernels import KERNELS, build_genomic_grid, get, random_genomic
 from contensor.lang import validate
 from contensor.oracle import evaluate, outputs_match
-from contensor.storage import ContTensor
+from contensor.storage import ContTensor, StorageError, build_tensor
 
 
 def run_kernel(name, binds, **kw):
@@ -135,6 +138,90 @@ def test_grid_builder_accelerated_equivalence_on_random_datasets():
         naive = run_kernel("genomic_overlap", {k: binds[k] for k in ("Query", "Data")})
         grid = run_kernel("genomic_overlap_grid", binds)
         assert list(naive.output.pieces()) == list(grid.output.pieces()), seed
+
+
+def reference_grid(data, cells=0):
+    """build_genomic_grid as a walk of Data.pieces(): a set of member ids
+    per cell, and each cell key an Interval."""
+    nchr = data.levels[0].size
+    per_chr = [[] for _ in range(nchr)]
+    hi = 0.0
+    for path, v in data.pieces():
+        if v:
+            per_chr[path[0]].append((path[1].start.val, path[2].start.val, path[2].stop.val))
+            hi = max(hi, path[2].stop.val)
+    if cells <= 0:
+        cells = max(1, math.ceil(math.sqrt(max(len(r) for r in per_chr))))
+    cw = (hi / cells) if hi > 0 else 1.0
+    fibers = []
+    for rows in per_chr:
+        members = {}
+        for jd, a, b in rows:
+            for k in range(int(a // cw), int(b // cw) + 1):
+                members.setdefault(k, set()).add(jd)
+        fibers.append([(Interval.right_open(k * cw, (k + 1) * cw),
+                        [(jd, True) for jd in sorted(members[k])]) for k in sorted(members)])
+    return build_tensor("Grid", [("dense", nchr), ("interval",), ("pinpoint",)],
+                        fibers, fill=False)
+
+
+def genomic_data(fibers):
+    return build_tensor("Data", [("dense", len(fibers)), ("pinpoint",), ("interval",)],
+                        fibers, fill=False)
+
+
+@st.composite
+def genomic_fibers(draw):
+    """Per chromosome, ascending ids each holding 0-3 pieces on a 0.25 pitch
+    around 0, some of them with a false value."""
+    fibers = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for jd in sorted(draw(st.sets(st.integers(-2, 9), max_size=5))):
+            cuts = sorted(draw(st.sets(st.integers(-20, 40), max_size=6)))
+            rows.append((float(jd), [((cuts[j] * 0.25, cuts[j + 1] * 0.25),
+                                      draw(st.sampled_from([True, True, False, 2.0, 0.0])))
+                                     for j in range(0, len(cuts) - 1, 2)]))
+        fibers.append(rows)
+    return fibers
+
+
+def random_genomic_data(seed):
+    return random_genomic(Random(seed), nchr=3, per_chr=40)["Data"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(genomic_fibers().map(genomic_data), st.integers(0, 999).map(random_genomic_data)),
+       st.integers(0, 4))
+# id 1's two pieces share the one cell, and id 2 lies between them
+@example(genomic_data([[(1.0, [((0.0, 1.0), True), ((2.0, 3.0), True)]),
+                        (2.0, [((0.5, 4.0), True)])]]), 1)
+@example(genomic_data([[(1.0, [((0.0, 1.0), False)]), (2.0, [((2.0, 5.0), 0.0)]),
+                        (3.0, [((1.0, 2.0), True), ((3.0, 4.0), 0)])]]), 0)
+@example(genomic_data([[(1.0, [((0.0, 2.0), True)])], [], [(4.0, [((1.0, 6.0), True)])]]), 0)
+@example(genomic_data([[(1.0, [((-5.0, -3.0), True)]), (2.0, [((-2.5, -0.5), True)])]]), 0)
+@example(genomic_data([[(float(j), [((j * 0.5, j * 0.5 + 1.5), True)]) for j in range(9)],
+                       [(3.0, [((0.25, 0.75), True)])]]), 7)
+def test_the_grid_read_from_columns_is_the_grid_of_the_pieces(data, cells):
+    assert repr(build_genomic_grid(data, cells)) == repr(reference_grid(data, cells))
+
+
+def test_the_grid_of_random_genomic_data_is_the_grid_of_its_pieces():
+    for seed in range(30):
+        data = random_genomic(Random(seed))["Data"]
+        assert repr(build_genomic_grid(data)) == repr(reference_grid(data)), seed
+
+
+@pytest.mark.parametrize("key, shown", [((3.0, math.inf), "[3, inf]"),
+                                        ((-math.inf, -1.5), "[-inf, -1.5]")])
+def test_the_grid_rejects_an_unbounded_piece_by_name(key, shown):
+    data = genomic_data([[(1.0, [((0.0, 1.0), True)])],
+                         [(1.0, [((0.0, 1.0), True)]), (2.0, [(key, True)])]])
+    with pytest.raises(StorageError, match=re.escape(f"chromosome 1 id 2: piece {shown} ")):
+        build_genomic_grid(data)
+    # a piece with a false value is not indexed, so it may be unbounded
+    data = genomic_data([[(1.0, [((0.0, 1.0), True)]), (2.0, [(key, False)])]])
+    assert repr(build_genomic_grid(data)) == repr(reference_grid(data))
 
 
 def format_signature(binds):

@@ -589,3 +589,65 @@ def test_a_stored_level_keeps_only_its_columns():
                 "ptr", "starts", "stops", "pinpoint", "regular"]
             assert isinstance(lv.pinpoint, bool)
             assert lv.regular is None or len(lv.regular) == 3
+
+
+# --- pieces() walks the columns level by level, in the order of a depth-first walk
+
+
+def walked(t, level=0, fiber=0, path=()):
+    """(path, value) of every stored leaf, depth first, fiber by fiber."""
+    if level == t.ndim:
+        yield path, t.values[fiber]
+        return
+    lv = t.levels[level]
+    if isinstance(lv, DenseLevel):
+        for c in range(lv.size):
+            yield from walked(t, level + 1, fiber * lv.size + c, path + (c,))
+        return
+    for p in range(lv.ptr[fiber], lv.ptr[fiber + 1]):
+        iv = Interval(Limit(*lv.starts[p]), Limit(*lv.stops[p]))
+        yield from walked(t, level + 1, p, path + (iv,))
+
+
+def typed(pieces):
+    """Each piece's element types, an Interval's with its ends'."""
+    return [(tuple((type(c), *map(type, c)) if isinstance(c, Interval) else (type(c),)
+                   for c in path), type(v)) for path, v in pieces]
+
+
+def shipped_tensors():
+    """Every shipped kernel's canonical and random inputs, and the outputs
+    its plan makes of them that are tensors."""
+    from contensor.compiler import compile_program
+    from contensor.executor import run
+
+    for k in KERNELS.values():
+        program = k.program()
+        for binds in [k.canonical(), *(k.random_instance(random.Random(s)) for s in range(30))]:
+            yield from binds.values()
+            out = run(compile_program(program, binds)).output
+            if isinstance(out, ContTensor):
+                yield out
+
+
+def test_pieces_is_the_depth_first_walk_of_every_stored_leaf():
+    dense_after_sparse = build_tensor("D", [("interval",), ("dense", 2), ("pinpoint",)], [
+        ((0.0, 1.0), [[(0.5, 1.0)], []]), ((2.0, 3.0), [[], [(2.0, 2.0), (2.5, 3.0)]])])
+    empty_fibers = build_tensor("E", [("dense", 3), ("pinpoint",), ("dense", 2)],
+                                [[], [(1.0, [4.0, 5.0])], []])
+    tensors = [
+        *shipped_tensors(), dense_after_sparse, empty_fibers,
+        ContTensor("s", (), (2.5,)), ContTensor("b", (), (False,), fill=False),
+        build_tensor("DD", [("dense", 2), ("dense", 3)], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        big_tensor(big_level("regular")), big_tensor(big_level("interval")),
+        *(random_tensor(random.Random(s), kind) for s in range(5) for kind in KINDS),
+    ]
+    kinds = set()
+    for t in tensors:
+        got, want = list(t.pieces()), list(walked(t))
+        assert got == want, t.name
+        assert typed(got) == typed(want), t.name
+        kinds.add(tuple("regular" if getattr(lv, "regular", None) else type(lv).__name__
+                        for lv in t.levels))
+    assert {(), ("SparseLevel", "DenseLevel", "SparseLevel"), ("regular",) * 3 + ("DenseLevel",),
+            ("DenseLevel", "SparseLevel", "DenseLevel")} <= kinds

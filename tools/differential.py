@@ -13,18 +13,21 @@ and ``perfbench/``, so both trees see the same ones:
 - ``store``: as many derandomized draws of ``tests/test_store.py::cases()``,
   plans of constant writes that reach the output store with no lowering;
 - ``workloads``: every plan of perfbench's four workloads at their small
-  size (``--full`` adds the full size), seeds 1-3.
+  size (``--full`` adds the full size), seeds 1-3, and before them the
+  tensors each workload's setup binds (its ``Grid`` among them).
 
 Each plan is compiled once and run twice, the second time from the
 kernel cache. A record holds the compile error, or the sha256 of the
 kernel's source and whether the plan walks, and for each run the output
 (``repr`` of its pieces and its fill, or of a scalar; a sha256 past 4 kB),
 the ``ExecStats``, the diagnostics, or the class and message of the error
-raised. The report gives, per category, the records compared, how many
-plans walk, how many raised, and how many differ in their source (a
-walking plan's apart from the others') and in their results; then, for
-each of those, the first record that differs, from both trees. The exit
-status is 1 if any result differs.
+raised. A setup record holds the sha256 of the ``repr`` of each bound
+tensor, so a change to how inputs are built shows here and not only in
+the outputs downstream of it. The report gives, per category, the
+records compared, how many plans walk, how many raised, and how many
+differ in their source (a walking plan's apart from the others') and in
+their results; then, for each of those, the first record that differs,
+from both trees. The exit status is 1 if any result differs.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -43,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(30)
 WORKLOAD_SEEDS = (1, 2, 3)
 LONG = 4096  # a repr longer than this is recorded by its sha256
-RESULT = ("walks", "compile", "runs")  # what a record holds besides its source
+RESULT = ("walks", "compile", "runs", "setup")  # what a record holds besides its source
 
 
 def _sha(text: str) -> str:
@@ -86,6 +90,10 @@ def _record(case_id: str, compile_plan) -> dict:
     return rec
 
 
+def _setup_record(case_id: str, binds: dict) -> dict:
+    return {"id": case_id, "setup": {name: _sha(repr(t)) for name, t in sorted(binds.items())}}
+
+
 def _draws(strategy, n: int) -> list:
     """The first n derandomized draws of a hypothesis strategy."""
     from hypothesis import HealthCheck, Phase, given, settings
@@ -103,30 +111,35 @@ def _draws(strategy, n: int) -> list:
 
 
 def _cases(draws: int, full: bool):
-    """(category, id, compile thunk) of every case, in one fixed order."""
+    """(category, thunk making the record) of every case, in one fixed order."""
     sys.path[1:1] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
     from contensor import kernels
     from contensor.compiler import compile_program
     from contensor.lang import parse
 
+    def plan(category, case_id, compile_plan):
+        return category, partial(_record, case_id, compile_plan)
+
     for name in sorted(kernels.KERNELS):
         k = kernels.get(name)
         program = k.program()
-        yield "kernels", f"{name}/canonical", lambda p=program, b=k.canonical(): \
-            compile_program(p, b)
+        yield plan("kernels", f"{name}/canonical", lambda p=program, b=k.canonical():
+                   compile_program(p, b))
         for seed in SEEDS:
             binds = k.random_instance(Random(seed))
-            yield "kernels", f"{name}/{seed}", lambda p=program, b=binds: compile_program(p, b)
+            yield plan("kernels", f"{name}/{seed}", lambda p=program, b=binds:
+                       compile_program(p, b))
 
     import test_fuzz
 
     for j, (src, binds) in enumerate(_draws(test_fuzz.programs(), draws) if draws else ()):
-        yield "fuzz", f"draw {j}: {src!r}", lambda s=src, b=binds: compile_program(parse(s), b)
+        yield plan("fuzz", f"draw {j}: {src!r}", lambda s=src, b=binds:
+                   compile_program(parse(s), b))
 
     import test_store
 
     for j, case in enumerate(_draws(test_store.cases(), draws) if draws else ()):
-        yield "store", f"draw {j}: {case!r}", lambda c=case: test_store.plan_of(*c)
+        yield plan("store", f"draw {j}: {case!r}", lambda c=case: test_store.plan_of(*c))
 
     import workloads
 
@@ -138,10 +151,11 @@ def _cases(draws: int, full: bool):
             for seed in WORKLOAD_SEEDS:
                 w = workloads.make(name, seed, small)
                 binds = w.setup(null_span)
+                size = "small" if small else "full"
+                yield "workloads", partial(_setup_record, f"{name}/{size}/{seed}/setup", binds)
                 for p in w.programs:
-                    size = "small" if small else "full"
-                    yield "workloads", f"{name}/{size}/{seed}/{p.label}", \
-                        lambda p=p, b=binds: compile_program(p.program, p.bind(b))
+                    yield plan("workloads", f"{name}/{size}/{seed}/{p.label}",
+                               lambda p=p, b=binds: compile_program(p.program, p.bind(b)))
 
 
 def collect(draws: int, full: bool):
@@ -149,8 +163,8 @@ def collect(draws: int, full: bool):
     import contensor
 
     print(json.dumps({"tree": str(Path(contensor.__file__).resolve().parent)}), flush=True)
-    for category, case_id, thunk in _cases(draws, full):
-        rec = _record(case_id, thunk)
+    for category, record in _cases(draws, full):
+        rec = record()
         rec["category"] = category
         print(json.dumps(rec), flush=True)
 
