@@ -53,10 +53,20 @@ shift 0 is inline too: a ``bisect_left`` of the stop column between the
 fiber's ends, then the start's check. ``segments_visited`` counts the
 iterations of walks (one more for each start a walk cuts at) and finger
 loops, a walk's final all-gap segment included; in a pieces loop it
-counts the pieces visited, which is what a finger loop iterates. A
-dense position whose indices read only discrete loop indices is bound
-to a local (``_pos<n>``) once, at the start of the innermost of those
-loops (at the kernel's start when it reads none), and every use reads it.
+counts the pieces visited, which is what a finger loop iterates.
+
+A value that only an outer loop changes is bound to a local once, at
+the start of its home's body: the innermost loop that binds a slot it
+reads (a discrete loop its index, a stepper loop its positions and the
+pins at its body's start), or the kernel's start for none. Every dense
+position whose index reads only discrete loop indices is bound there
+(``_pos<n>``); so are, where they would otherwise be read inside a loop
+nested in their home, a fiber's ends ``ptr[f]`` and ``ptr[f + 1]`` for a
+pieces or finger loop that enters it from the open -inf (those of a
+fiber that can be -1 tested there, and an empty fiber's where it is -1),
+its last stop, a finger's first stop (read only where the fiber has a
+piece), a constant endpoint, and a reduction's workspace row and key. A
+``_seek`` entry depends on the range's start and stays where it is.
 
 An ``|=`` or ``&=`` write that lowering marked (``Write.exits`` = n)
 tests its cell's combined value after it writes: once the cell is
@@ -79,16 +89,23 @@ and a set holding no real number is not written. A pinned coordinate x
 written into an interval rank is the closed point piece ``((x, 0), (x,
 0))``. Under ``=`` the kernel appends each write that is not the fill to
 columns: one per dense or pinpoint rank, a start and a stop column per
-interval rank, and the values. A reduction combines where it writes,
-into a dict by path (or a local for a rank-0 output). ``_Store.finalize``
-makes whole-column passes, as storage's validation does. A one-rank
-interval output whose pieces each stop below the next one's start, and
-whose equal neighbours do not touch, is stored as its columns, which
-``ContTensor`` checks as it checks any level. Other outputs are zipped
-once into ``(*path, value)`` records, sorted, and built in one pass per
-rank: a cell assigned twice or overlapping pieces under ``=`` raise
-``OverlapError``, a reduction's overlapping pieces are split and
-combined, and touching pieces with equal contents merge at every rank.
+interval rank, and the values. A reduction combines where it writes:
+into a local for a rank-0 output; into a workspace over the output's
+leading dense ranks, nested lists indexed by their loop indices (which
+run from 0, as lowering requires), holding the leaves themselves,
+initialised to the fill, where every rank is dense, else a dict per
+cell keyed by the rest of the path (bare where one rank remains); and
+into a dict by path otherwise. ``_Store.finalize`` makes whole-column
+passes, as storage's validation does. A one-rank interval output whose
+pieces each stop below the next one's start, and whose equal neighbours
+do not touch, is stored as its columns, which ``ContTensor`` checks as
+it checks any level. Other outputs are zipped once into ``(*path,
+value)`` records, sorted, and built in one pass per rank; a workspace's
+cells each give theirs, fill dropped, at the first continuous rank, and
+an all-dense one's leaves are the output's: a cell assigned twice or
+overlapping pieces under ``=`` raise ``OverlapError``, a reduction's
+overlapping pieces are split and combined, and touching pieces with
+equal contents merge at every rank.
 """
 
 from __future__ import annotations
@@ -97,8 +114,8 @@ import math
 import operator
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import compress, islice
+from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
 from operator import eq, itemgetter, lt, ne
 
 from .intervals import Interval
@@ -181,12 +198,13 @@ _GLOBALS = {
 }
 # Every name the generator makes ends in a suffix no other kind of name
 # has, and slot locals end in "_<slot>". The kernel's temporaries (_e, _n,
-# _d, _p, _t, _v, _f, _q, _val, _key, and _lo<n>/_hi<n> for the n-th region
-# in a write's path) are each consumed right after they are set, before any
-# other use of the same name can run, so one of each serves the kernel.
-# The output is _out: a tuple of columns under "=" (column k appended
-# through _put<k>), a dict by path under a reduction (read through _get),
-# or the value itself for a rank-0 reduction.
+# _d, _p, _t, _v, _f, _q, _val, _key, _ws, and _lo<n>/_hi<n> for the n-th
+# region in a write's path) are each consumed right after they are set,
+# before any other use of the same name can run, so one of each serves the
+# kernel. The output is _out: a tuple of columns under "=" (column k
+# appended through _put<k>), the workspace of a reduction whose output
+# leads with dense ranks, a dict by path under any other reduction (read
+# through _get), or the value itself for a rank-0 reduction.
 # A reduction's combine of the value already in a cell with a new one:
 # rendered inline where a kernel writes, and called where finalize
 # combines overlapping pieces. The first write combines with the fill,
@@ -234,7 +252,9 @@ _RETURN = "return _seg, _mul, _emit, _out"
 
 @dataclass
 class _Loop:
-    """A plan loop being rendered, as a write that ends it early sees it."""
+    """A plan loop being rendered, or the kernel around them all: what a
+    write that ends it early sees, and the values bound once at the start
+    of its body."""
 
     # before a break out of it: a pieces loop, which counted all its pieces
     # up front, takes back those it will not visit
@@ -242,48 +262,15 @@ class _Loop:
     # rendered right after it, in the loop around it: the break out of that
     # loop too, once an inner write has set _hit
     after: tuple = ()
-
-
-def _dense_homes(plan: Plan) -> dict:
-    """The dense positions to bind once, by their home: the slot of the
-    discrete loop at the start of which they are bound, or None for the
-    kernel's start. A position qualifies when its parents are dense ones
-    that qualify and its index reads only constants and the indices of
-    discrete loops around it (lowering builds it as a sum of those); its
-    home is the innermost of those loops. Each list is in order of first
-    use, a parent before its child."""
-    homes = {}
-
-    def home(p, scope):
-        """p's home, once it is registered there; False where p does not qualify."""
-        if type(p) is PRoot:
-            return None
-        if type(p) is not PDense:
-            return False
-        terms = p.index.args if type(p.index) is Add else (p.index,)
-        up = home(p.parent, scope)
-        if up is False or not all(type(a) is Num or type(a) is Var and a.slot in scope
-                                  for a in terms):
-            return False
-        slots = [a.slot for a in terms if type(a) is Var] + ([up] if up is not None else [])
-        h = max(slots, key=scope.index, default=None)
-        homes.setdefault(h, {})[p] = None
-        return h
-
-    def visit(x, scope):
-        if type(x) is PDense:
-            home(x, scope)
-        elif type(x) is DiscLoop:
-            scope = [*scope, x.slot]
-        if isinstance(x, tuple):
-            for y in x:
-                visit(y, scope)
-        elif is_dataclass(x):
-            for f in fields(x):
-                visit(getattr(x, f.name), scope)
-
-    visit(plan.body, [])
-    return {h: list(ps) for h, ps in homes.items()}
+    # the slots an iteration binds: its index or its steppers' positions,
+    # and the pins at the start of its body; empty until the body starts
+    slots: frozenset = frozenset()
+    at: int = 0  # where its body starts in the lines, and its indentation
+    pad: str = _IND
+    # the bindings made at its body's start, in order of first use, and
+    # the local of each value (a dense position, or its code) bound there
+    binds: list = field(default_factory=list)
+    bound: dict = field(default_factory=dict)
 
 
 class _Source:
@@ -312,16 +299,17 @@ class _Source:
         self.fingers = frozenset()  # position locals of the annihilating steppers in scope
         self.ends = {}  # a walk's annihilating stepper -> (its access, start and stop locals)
         self.missable = set()  # position locals that can be -1 (see can_miss)
-        self.homes = _dense_homes(plan)  # discrete loop slot or None -> dense positions
-        self.bound = {}  # dense position -> the local it is bound to
+        self.disc = set()  # slots of the discrete loops rendered so far
+        self.top = _Loop()  # the kernel, whose values are bound at its start
         self.loops = []  # _Loop per plan loop around what is rendered
+        self.names = {}  # prefix -> locals of that prefix bound so far
         self.hit = False  # whether a write ends more than one loop, through _hit
         self.op = None  # a plan writes with one operator
         self.lines = []
 
     def source(self) -> str:
-        self.bind_dense(None, _IND)
         self.stmt(self.plan.body, _IND)
+        self.lines[:0] = (_IND + b for b in self.top.binds)
         self.op = self.op or "="
         head = ["def kernel(_b):"]
         for (tensor, level), t in self.levels.items():
@@ -335,6 +323,8 @@ class _Source:
             head.append(f"    _out = ({', '.join(['[]'] * n)},)\n    "
                         + ", ".join(f"_put{k}" for k in range(n)) + " = "
                         + ", ".join(f"_out[{k}].append" for k in range(n)))
+        elif self.dense_lead():
+            head.append(f"    _out = {self.workspace()}")
         elif self.plan.output.comps:
             head.append("    _out = {}\n    _get = _out.get")
         else:
@@ -375,6 +365,83 @@ class _Source:
             v = self.values[tensor] = f"_{_ident(tensor, len(self.values))}_vals"
         return v
 
+    def dense_lead(self) -> int:
+        """How many dense ranks lead the output: a reduction's workspace's."""
+        comps = self.plan.output.comps
+        return next((k for k, c in enumerate(comps) if c[0] != "dense"), len(comps))
+
+    def workspace(self) -> str:
+        """A reduction's _out over the output's leading dense ranks: nested
+        lists of the fill where every rank is dense, else of a dict per cell."""
+        comps = self.plan.output.comps
+        sizes = [c[1] for c in comps[:self.dense_lead()]]
+        code = "{}"
+        if len(sizes) == len(comps):
+            code = f"[{_lit(self.plan.output.fill)}] * {sizes.pop()}"
+        for n in reversed(sizes):
+            code = f"[{code} for _ in range({n})]"
+        return code
+
+    # ---- values bound once, at the start of their home: the innermost
+    # loop that binds a slot they read
+
+    def home(self, slots, always=False):
+        """The _Loop at whose body's start a value reading these slots is
+        bound (the kernel for none), or None where it stays where it is
+        used: it reads a slot no loop around binds, or, unless always, its
+        home is the innermost loop around the use."""
+        if slots is None or not slots <= frozenset().union(*(f.slots for f in self.loops)):
+            return None
+        home = next((f for f in reversed(self.loops) if f.slots & slots), self.top)
+        inner = next((f for f in reversed(self.loops) if f.slots), self.top)
+        return home if always or home is not inner else None
+
+    def bind(self, home: _Loop, key, code: str, prefix: str) -> str:
+        """The local that code (known as key) is bound to at home's start."""
+        local = home.bound.get(key)
+        if local is None:
+            n = self.names[prefix] = self.names.get(prefix, 0) + 1
+            local = home.bound[key] = f"{prefix}{n}"
+            home.binds.append(f"{local} = {code}")
+        return local
+
+    def reads(self, x):
+        """The slots a position, or a path component of constants and loop
+        indices, reads; None where it reads anything else. A dense
+        position's index reads only constants and discrete loop indices
+        (lowering builds it as a sum of those)."""
+        t = type(x)
+        if t is PRoot or t is Num:
+            return frozenset()
+        if t is PVar or t is Var:
+            return frozenset((x.slot,))
+        if t is not PDense:
+            return None
+        up = self.reads(x.parent)
+        terms = x.index.args if type(x.index) is Add else (x.index,)
+        if up is None or not all(type(a) is Num or type(a) is Var and a.slot in self.disc
+                                 for a in terms):
+            return None
+        return up.union(a.slot for a in terms if type(a) is Var)
+
+    def index(self, e) -> str:
+        """A dense index as an int: a discrete loop's index is one already."""
+        if type(e) is Var and e.slot in self.disc:
+            return self.var(e.slot, e.name)
+        return f"int({self.expr(e)})"
+
+    def entry(self, t: str, fiber):
+        """The ends of a fiber of level prefix t, ptr[f] and ptr[f + 1], as
+        locals bound at its home with that home (a missing fiber's are an
+        empty one's); None where they stay inline."""
+        home = self.home(self.reads(fiber))
+        if home is None:
+            return None
+        f = self.pexpr(fiber)
+        miss = f" if {f} >= 0 else 0" if self.can_miss(fiber, f) else ""
+        return (home, self.bind(home, f"{t}_ptr[{f}]", f"{t}_ptr[{f}]{miss}", "_beg"),
+                self.bind(home, _end(t, f), _end(t, f) + miss, "_end"))
+
     # ---- position expressions: an int, -1 for a miss
 
     def pexpr(self, p) -> str:
@@ -383,17 +450,20 @@ class _Source:
         if type(p) is PRoot:
             return "0"
         if type(p) is PDense:
-            local = self.bound.get(p)
-            if local is not None:
-                return local
+            # bound at its home, evaluated once per iteration of that loop
+            home = self.home(self.reads(p), always=True)
+            if home is not None and p in home.bound:
+                return home.bound[p]
             # own temporaries: the index may itself read a dense position
             parent = self.pexpr(p.parent)
             self.dense += 1
             i, f = f"_i{self.dense}", f"_f{self.dense}"
-            idx = f"0 <= ({i} := int({self.expr(p.index)})) < {p.size}"
+            idx = f"0 <= ({i} := {self.index(p.index)}) < {p.size}"
             if parent == "0":
-                return f"({i} if {idx} else -1)"
-            return f"({f} * {p.size} + {i} if ({f} := {parent}) >= 0 and {idx} else -1)"
+                code = f"({i} if {idx} else -1)"
+            else:
+                code = f"({f} * {p.size} + {i} if ({f} := {parent}) >= 0 and {idx} else -1)"
+            return code if home is None else self.bind(home, p, code, "_pos")
         raise ExecError(f"bad position {p!r}")
 
     # ---- scalar expressions
@@ -483,13 +553,21 @@ class _Source:
         if t is MaxOf:
             return f"max({', '.join(map(self.lexpr, e.ends))})"
         if t is LimC:
-            return f"({_lit(e.value.val)}, {e.value.eps})"
+            # a constant: made once, at the kernel's start, for a use in a loop
+            code = f"({_lit(e.value.val)}, {e.value.eps})"
+            home = self.home(frozenset())
+            return code if home is None else self.bind(home, code, code, "_lim")
         raise ExecError(f"bad endpoint {e!r}")
 
     def last_stop(self, e: LastStop) -> str:
         """The stop of a fiber's last piece, or _NO_STOP when it has none
         (or f = -1), read inline."""
         t = self.level(e.tensor, e.level)
+        ends = self.entry(t, e.fiber)
+        if ends is not None:
+            home, beg, end = ends
+            return self.bind(home, (t, "last", beg), f"{t}_stops[{end} - 1] if {beg} < {end} "
+                             "else _NO_STOP", "_last")
         test, f = self.fiber_test(e.fiber)
         return f"({t}_stops[_q - 1] if {test}{t}_ptr[{f}] < (_q := {_end(t, f)}) else _NO_STOP)"
 
@@ -540,19 +618,10 @@ class _Source:
         self.nested(f"if {self.expr(s.test)}:", s.body, pad)
 
     def disc_loop(self, s: DiscLoop, pad: str):
+        self.disc.add(s.slot)
         with self.loop(pad):
             self.lines.append(f"{pad}for {self.var(s.slot, s.name)} in range({s.lo}, {s.hi + 1}):")
-            self.bind_dense(s.slot, pad + _IND)
-            self.stmt(s.body, pad + _IND)
-
-    def bind_dense(self, home, pad: str):
-        """Bind each dense position that is fixed from here on to a local,
-        so it is evaluated once per iteration of its discrete loop (once
-        per kernel at home None), not at each of its uses."""
-        for p in self.homes.get(home, ()):
-            code = self.pexpr(p)
-            local = self.bound[p] = f"_pos{len(self.bound) + 1}"
-            self.lines.append(f"{pad}{local} = {code}")
+            self.scoped(s.body, pad + _IND, self.fingers, {s.slot})
 
     @contextmanager
     def loop(self, pad: str, uncount=()):
@@ -562,6 +631,7 @@ class _Source:
         self.loops.append(frame)
         yield
         self.loops.pop()
+        self.lines[frame.at:frame.at] = (frame.pad + b for b in frame.binds)
         self.lines.extend(pad + line for line in frame.after)
 
     def let(self, s: LetScalar, pad: str):
@@ -617,10 +687,19 @@ class _Source:
             out.extend(f"{pad}_e = {lexpr(a)}{tail}" for a in ops[1:])
         self.lines.append("\n".join(out))
 
-    def scoped(self, body, pad: str, fingers):
-        """Render body with these annihilating steppers in scope."""
+    def scoped(self, body, pad: str, fingers, slots):
+        """Render the innermost loop's body with these annihilating steppers
+        in scope. An iteration binds these slots and those of the pins at
+        the body's start; the loop's values are bound after those pins."""
         outer, self.fingers = self.fingers, fingers
-        self.stmt(body, pad)
+        stmts = body.stmts if type(body) is Block else ()
+        n = next((k for k, x in enumerate(stmts) if type(x) is not Pin), len(stmts))
+        for x in stmts[:n]:
+            self.pin(x, pad)
+        frame = self.loops[-1]
+        frame.slots = frozenset((*slots, *(x.slot for x in stmts[:n])))
+        frame.at, frame.pad = len(self.lines), pad
+        self.stmt(Block(stmts[n:]) if n else body, pad)
         self.fingers = outer
 
     def coiter(self, s: WhileCoiter, pad: str):
@@ -680,7 +759,7 @@ class _Source:
             else:
                 add(f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
         add(f"{pad}{seg_lo} = {cur}")
-        self.scoped(s.body, pad, fingers)
+        self.scoped(s.body, pad, fingers, [st.pos_slot for st in s.steppers])
         # a segment that ends at the range's stop is the last
         add(f"{pad}if {stop} is {hi}:\n{i}break")
         for _, at, _, r, load, _ in steppers:
@@ -722,6 +801,15 @@ class _Source:
             t = self.level(st.tensor, st.level)
             f = self.pexpr(st.fiber)
             end, r = f"_{p}_end", f"_{p}_stop"
+            ends = self.entry(t, st.fiber) if from_fiber else None
+            if ends is not None:
+                # its first stop, bound where its fiber may be empty
+                home, beg, end = ends
+                first = self.bind(home, (t, "first", beg),
+                                  f"{t}_stops[{beg}] if {beg} < {end} else _PAST", "_first")
+                add(f"{pad}{p} = {beg}\n{pad}{r} = {first}")
+                steppers.append((p, t, end, r))
+                continue
             if on_positions and not _simple(f):
                 add(f"{pad}_f = {f}")
                 f = "_f"
@@ -741,7 +829,8 @@ class _Source:
         add(f"{pad}{stop} = {least[0]}")
         for r in least[1:]:
             add(f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
-        self.scoped(s.body, pad, self.fingers | {p for p, *_ in steppers})
+        self.scoped(s.body, pad, self.fingers | {p for p, *_ in steppers},
+                    [st.pos_slot for st in s.steppers])
         if not on_positions:
             add(f"{pad}if {stop} is {hi}:\n{i}break")
         for p, t, end, r in steppers:
@@ -755,16 +844,21 @@ class _Source:
         (st,) = s.steppers
         add = self.lines.append
         p = self.var(st.pos_slot, st.pos_name)
-        t, f, end = self.level(st.tensor, st.level), self.pexpr(st.fiber), f"_{p}_end"
-        if self.can_miss(st.fiber, f):
-            add(f"{pad}if {f if _simple(f) else f'(_f := {f})'} >= 0:")
-            pad += _IND
-            f = f if _simple(f) else "_f"
-        add(f"{pad}{p} = {t}_ptr[{f}]\n{pad}{end} = {_end(t, f)}\n"
-            f"{pad}_seg += {end} - {p}\n{pad}for {p} in range({p}, {end}):")
+        t = self.level(st.tensor, st.level)
+        ends = self.entry(t, st.fiber)
+        if ends is not None:
+            _, beg, end = ends
+        else:
+            f, beg, end = self.pexpr(st.fiber), p, f"_{p}_end"
+            if self.can_miss(st.fiber, f):
+                add(f"{pad}if {f if _simple(f) else f'(_f := {f})'} >= 0:")
+                pad += _IND
+                f = f if _simple(f) else "_f"
+            add(f"{pad}{p} = {t}_ptr[{f}]\n{pad}{end} = {_end(t, f)}")
+        add(f"{pad}_seg += {end} - {beg}\n{pad}for {p} in range({beg}, {end}):")
         # a write that ends the loop at p has visited the pieces up to p
         with self.loop(pad, [f"_seg -= {end} - {p} - 1"]):
-            self.scoped(s.body, pad + _IND, self.fingers | {p})
+            self.scoped(s.body, pad + _IND, self.fingers | {p}, [st.pos_slot])
 
     def write(self, s, pad: str):
         add = self.lines.append
@@ -777,7 +871,7 @@ class _Source:
         cols, present = [], []
         for c, kind in zip(s.path, self.plan.output.comps):
             if c[0] == "d":
-                cols.append([f"int({self.expr(c[1])})"])
+                cols.append([self.index(c[1])])
             elif c[0] == "p":
                 # a pinned coordinate is a local; at an interval rank it is
                 # the closed point piece
@@ -816,14 +910,45 @@ class _Source:
         add(f"{pad}_val = {value}")
         if cols:
             # a write that may end loops keeps the cell's combined value
-            comps = (f"({r[0]}, {r[1]})" if len(r) == 2 else r[0] for r in cols)
-            add(f"{pad}_key = ({', '.join(comps)},)\n"
-                f"{pad}_out[_key] = {'_val = ' if s.exits else ''}"
-                f"{combine.format(f'_get(_key, {fill})', '_val')}")
+            cell, old = self.cell(s.path, cols, pad)
+            add(f"{pad}{cell} = {'_val = ' if s.exits else ''}{combine.format(old, '_val')}")
         else:
             add(f"{pad}_out = {combine.format('_out', '_val')}")
         if s.exits:
             self.exit(s, "_val" if cols else "_out", pad)
+
+    def cell(self, path, cols, pad: str) -> tuple:
+        """A reduction's cell and its value before the write (the fill until
+        it is written). The workspace row that the leading dense indices
+        select, and the key of the rest of the path, are bound at their
+        home where that is outside the innermost loop, else just before."""
+        comps = [f"({r[0]}, {r[1]})" if len(r) == 2 else r[0] for r in cols]
+        fill = _lit(self.plan.output.fill)
+        n = self.dense_lead()
+        if n == len(comps):
+            # every rank dense: the row's leaves start as the fill
+            row = self.local(path[:n - 1], "_out" + "".join(f"[{c}]" for c in comps[:n - 1]),
+                             "_ws", pad)
+            return f"{row}[{comps[-1]}]", f"{row}[{comps[-1]}]"
+        # the rest of the path, bare where one rank remains in a cell's dict
+        key = comps[n] if 0 < n == len(comps) - 1 else f"({', '.join(comps[n:])},)"
+        key = self.local(path[n:], key, "_key", pad)
+        if not n:
+            return f"_out[{key}]", f"_get({key}, {fill})"
+        row = self.local(path[:n], "_out" + "".join(f"[{c}]" for c in comps[:n]), "_ws", pad)
+        return f"{row}[{key}]", f"{row}.get({key}, {fill})"
+
+    def local(self, path, code: str, prefix: str, pad: str) -> str:
+        """code, of these path components, as it is or in a local: bound at
+        its home, or set just before its use (as the temporary prefix)."""
+        if _simple(code):
+            return code
+        slots = [self.reads(c[1]) if c[0] != "iv" else None for c in path]
+        home = None if None in slots else self.home(frozenset().union(*slots))
+        if home is not None:
+            return self.bind(home, code, code, prefix)
+        self.lines.append(f"{pad}{prefix} = {code}")
+        return prefix
 
     def exit(self, s: Write, cell: str, pad: str):
         """End the write's loops once its cell is absorbing: break out of
@@ -932,12 +1057,15 @@ class _Store:
         self.nan = False  # whether a NaN reached a leaf
 
     def finalize(self, out):
-        """The output from the kernel's columns, cell dict or value."""
+        """The output from the kernel's columns, workspace, cell dict or value."""
         decl = self.decl
+        specs = [("dense", c[1]) if c[0] == "dense" else (c[0],) for c in decl.comps]
         if self.op != "=":
             if not decl.comps:
                 self.nan = out != out
                 return out
+            if decl.comps[0][0] == "dense":
+                return build_tensor(decl.name, specs, self._workspace(out, 0, ()), fill=decl.fill)
             recs = [(*path, v) for path, v in out.items() if v != decl.fill]
         else:
             *cols, vals = out
@@ -964,8 +1092,25 @@ class _Store:
                 value = vals[0] if vals else decl.fill
                 self.nan = value != value
                 return value
-        specs = [("dense", c[1]) if c[0] == "dense" else (c[0],) for c in decl.comps]
         return build_tensor(decl.name, specs, self._fiber(recs, 0), fill=decl.fill)
+
+    def _workspace(self, out, depth, cell):
+        """The fiber of a reduction's workspace at a dense rank, the cell
+        at which it is out: an all-dense output's leaves, the fill for each
+        equal to it, or each cell's records by the rest of the path, fill
+        dropped, through _fiber in their first-write order."""
+        comps, fill = self.decl.comps, self.decl.fill
+        if depth == len(comps) - 1 and comps[depth][0] == "dense":
+            if any(map(ne, out, out)):
+                self.nan = True
+            return [fill if v == fill else v for v in out]
+        if comps[depth][0] == "dense":
+            return [self._workspace(x, depth + 1, (*cell, k)) for k, x in enumerate(out)]
+        # a column per rank of the keys, each bare where one rank remains
+        cols = (out,) if depth == len(comps) - 1 else zip(*out)
+        vals = out.values()
+        recs = list(compress(zip(*map(repeat, cell), *cols, vals), map(ne, vals, repeat(fill))))
+        return self._fiber(recs, depth) if recs else []
 
     def _assigned_twice(self):
         """Raise OverlapError for the least cell written twice, if any: the
@@ -1023,8 +1168,8 @@ class _Store:
             self.nan = True  # a NaN is never merged away, so it reaches a leaf
         if kind == "interval":
             return self._line(recs, depth, vals)
-        keys = [r[depth] for r in recs]
-        if any(a == b for a, b in zip(keys, keys[1:])):
+        keys = list(map(itemgetter(depth), recs))
+        if self.op == "=" and any(map(eq, keys, islice(keys, 1, None))):
             self._assigned_twice()
         if kind == "pinpoint":
             return list(zip(keys, vals))

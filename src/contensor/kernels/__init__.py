@@ -274,6 +274,11 @@ def build_genomic_grid(data: ContTensor, cells: int = 0) -> ContTensor:
     pinpoint level, each piece an entry of the interval level under it,
     its value in ``values``. A piece with a true value must be bounded.
     """
+    kinds = [("interval", "pinpoint")[lv.pinpoint] if lv.continuous else "dense"
+             for lv in data.levels]
+    if kinds != ["dense", "pinpoint", "interval"]:
+        raise StorageError(f"tensor {data.name} has levels [{', '.join(kinds)}]; the grid "
+                           "indexes a [dense, pinpoint, interval] tensor")
     nchr = data.levels[0].size
     id_ptr, id_crd = data.levels[1].ptr, data.levels[1].starts
     ptr, starts, stops = data.levels[2].ptr, data.levels[2].starts, data.levels[2].stops

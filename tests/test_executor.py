@@ -11,8 +11,8 @@ from contensor.compiler import compile_program
 from contensor.executor import ExecError, ExecStats, kernel_source, run
 from contensor.intervals import Interval
 from contensor.ir import (
-    Block, EndRef, IntersectLet, IvStart, LetScalar, LimC, Num, OutputDecl, Pin, Plan,
-    Probe, PRoot, PVar, pretty,
+    Block, BoolC, EndRef, IntersectLet, IvStart, LetScalar, LimC, Num, OutputDecl, Pin, Plan,
+    Probe, PRoot, PVar, Write, pretty,
 )
 from contensor.lang import parse
 from contensor.limits import Limit
@@ -884,7 +884,10 @@ def test_a_lone_stepper_renders_a_pieces_loop():
     assert "guard r.start" in text and text.count("guard") == 1
     src = kernel_source(plan)
     assert re.search(r"for p_Query1_\d+ in range\(p_Query1_\d+, _p_Query1_\d+_end\):", src)
-    assert re.search(r"for p_Data1_\d+ in range\(p_Data1_\d+, _p_Data1_\d+_end\):", src)
+    # the jd loop's fiber is chr's: its ends are bound once per chr, outside the id loop
+    jd = re.search(r"for p_Data1_\d+ in range\((_beg\d+), (_end\d+)\):", src)
+    assert jd and re.search(rf"for chr_0 in range\(0, 2\):\n(\s+_\w+ = .*\n)*?"
+                            rf"\s+{jd[1]} = _Data_1_ptr\[.*\n\s+{jd[2]} = _Data_1_ptr\[", src)
     assert src.count("while True:") == 1 and "_seek(" not in src
     # the id is read off the stored point, with no region to check
     assert re.search(r"id_\d+ = _Query_1_starts\[p_Query1_\d+\]\[0\]", src)
@@ -1268,3 +1271,143 @@ def test_a_dense_position_is_bound_once_per_iteration_of_its_loop():
     assert src.count(" if 0 <= ") == 1
     assert re.search(r"for chr_0 in range\(0, 2\):\n\s+_pos1 = \(_i1 if 0 <= ", src)
     assert src.count("if _pos1 >= 0 and (_p := bisect_left(") == 1
+
+
+# ---------------------------------------------------------------------------
+# loop-invariant values bound at their home, and a reduction's workspace
+# over its output's leading dense ranks
+
+
+def genomic_side(name, per_chr):
+    return build_tensor(name, [("dense", 2), ("pinpoint",), ("interval",)], per_chr, fill=False)
+
+
+def test_the_naive_genomic_kernel_enters_a_query_fiber_once_per_id():
+    k = kernels.get("genomic_overlap")
+    lines = kernel_source(compile_program(k.program(), k.canonical())).splitlines()
+    jd = next(n for n, line in enumerate(lines) if line.lstrip().startswith("for p_Data1_"))
+    # the query fiber's ends and last stop are bound in the id loop, before
+    # the jd loop, and read nowhere inside it
+    at = [n for n, line in enumerate(lines) if "_Query_2_ptr[" in line or "_Query_2_stops[_end" in line]
+    assert len(at) == 3 and max(at) < jd
+    # the write's row is chr's, bound under chr's loop, and its key the bare id
+    assert "        _ws1 = _out[chr_0]" in lines
+    assert lines.count(" " * 32 + "_ws1[id_2] = _val = _ws1.get(id_2, False) or _val") == 1
+
+
+def test_an_empty_query_fiber_at_a_hoisted_entry():
+    # chr 0 id 1 and chr 1 id 1 have no pieces: their hoisted last stop is
+    # the empty fiber's, so no jd enters the x loop; the first stop, bound
+    # with them, is never read. chr 0: 2 ids, 2 + 2 jd pieces, and id 2
+    # meets jd 1 in its first segment (the second jd taken back); chr 1:
+    # 1 id and 1 jd piece
+    Query = genomic_side("Query", [[(1.0, []), (2.0, [((0.0, 1.0), True)])], [(1.0, [])]])
+    Data = genomic_side("Data", [[(1.0, [((0.5, 2.0), True)]), (2.0, [((3.0, 4.0), True)])],
+                                 [(1.0, [((0.0, 1.0), True)])]])
+    res = against_oracle(kernels.get("genomic_overlap").source(), {"Query": Query, "Data": Data})
+    assert list(res.output.pieces()) == [((0, Interval.closed(2.0, 2.0)), True)]
+    assert res.stats == ExecStats(multiplies=1, segments_visited=8, pieces_emitted=1)
+
+
+def test_a_missed_probe_under_a_hoisted_entry_ends_its_range():
+    # the grid lists id 5, which Data lacks: its probe gives -1, and the x2
+    # range, which reads the id's query fiber from the locals bound per id,
+    # ends at the missing fiber's last stop. Query id 2 then meets Data id 1
+    Query = genomic_side("Query", [[(1.0, [((0.0, 1.0), True)]), (2.0, [((3.5, 3.8), True)])],
+                                   []])
+    Data = genomic_side("Data", [[(1.0, [((3.0, 4.0), True)])], []])
+    Grid = build_tensor("Grid", [("dense", 2), ("interval",), ("pinpoint",)],
+                        [[(((0.0, 0), (4.0, -1)), [(1.0, True), (5.0, True)])], []], fill=False)
+    binds = {"Query": Query, "Data": Data, "Grid": Grid}
+    k = kernels.get("genomic_overlap_grid")
+    src = kernel_source(compile_program(k.program(), binds))
+    assert re.search(r"iv1_\d+_hi = _last\d+\n", src)
+    res = against_oracle(k.source(), binds)
+    assert list(res.output.pieces()) == [((0, Interval.closed(2.0, 2.0)), True)]
+    assert res.stats == ExecStats(multiplies=1, segments_visited=9, pieces_emitted=1)
+
+
+def test_a_dense_fiber_past_its_rank_is_an_empty_one_where_it_is_hoisted():
+    # k = 2 is past D's dense rank: D's fiber, bound under k's loop and read
+    # in the x loop inside, keeps its test there and reads as empty
+    src = ("for k = 0:2\n  for x = -inf:inf\n    for y = -inf:inf\n"
+           "      Out[k] += D[k, y] * A[x] * d(x) * d(y)\n    end\n  end\nend\n")
+    binds = {"D": D_TWO, "A": A_TWO}
+    source = kernel_source(compile_program(parse(src), binds))
+    assert re.search(r"_beg\d+ = _D_1_ptr\[(_pos\d+)\] if \1 >= 0 else 0\n", source)
+    res = against_oracle(src, binds)
+    assert list(res.output.values) == [7.0, 14.0, 0.0]
+    assert res.stats == ExecStats(multiplies=4, segments_visited=10, pieces_emitted=0)
+
+
+def test_an_absorbing_write_ends_three_loops():
+    # i = 0: x's first piece, y's second and z's first make the first true
+    # write, which ends the z, y and x loops; i = 1 is false everywhere
+    A = build_tensor("A", [("dense", 2), ("interval",)],
+                     [[((0.0, 1.0), True), ((2.0, 3.0), True)], [((0.0, 1.0), False)]], fill=False)
+    B = tensor_1d("B", [((0.0, 1.0), False), ((2.0, 3.0), True)], False, kind="interval")
+    C = tensor_1d("C", [((0.0, 1.0), True), ((5.0, 6.0), True)], False, kind="interval")
+    src = ("for i = 0:1\n  for x = -inf:inf\n    for y = -inf:inf\n      for z = -inf:inf\n"
+           "        Out[i] |= A[i, x] && B[y] && C[z]\n      end\n    end\n  end\nend\n")
+    binds = {"A": A, "B": B, "C": C}
+    plan = compile_program(parse(src), binds)
+    assert "then once true exit 3 loops" in pretty(plan)
+    assert kernel_source(plan).count("if _hit:") == 2
+    res = against_oracle(src, binds)
+    assert list(res.output.values) == [True, False]
+    assert res.stats == ExecStats(multiplies=7, segments_visited=13, pieces_emitted=0)
+
+
+def test_overlapping_pieces_in_one_dense_cell_combine_in_first_write_order():
+    # cell 0 is written [1, 3] = 1, [0, 2] = 1e16, [1, 2] = -1e16 in that
+    # order: on [1, 2], (1 + 1e16) - 1e16 is 0, the fill, and not stored,
+    # where the reverse order would leave 1. Cell 1's pieces add on [0.5, 1]
+    A = build_tensor("A", [("dense", 2), ("dense", 3), ("interval",)],
+                     [[[((1.0, 3.0), 1.0)], [((0.0, 2.0), 1e16)], [((1.0, 2.0), -1e16)]],
+                      [[((0.0, 1.0), 2.0)], [((0.5, 1.0), 3.0)], []]], fill=0.0)
+    src = "for i = 0:1\n  for j = 0:2\n    for x = -inf:inf\n      Out[i, x] += A[i, j, x]\n    end\n  end\nend\n"
+    source = kernel_source(compile_program(parse(src), {"A": A}))
+    assert "_out = [{} for _ in range(2)]" in source
+    res = against_oracle(src, {"A": A})
+    assert list(res.output.pieces()) == [
+        ((0, Interval.right_open(0.0, 1.0)), 1e16), ((0, Interval.left_open(2.0, 3.0)), 1.0),
+        ((1, Interval.right_open(0.0, 0.5)), 2.0), ((1, Interval.closed(0.5, 1.0)), 5.0)]
+    assert res.stats == ExecStats(multiplies=0, segments_visited=5, pieces_emitted=5)
+
+
+def test_a_nan_in_an_all_dense_workspace_is_diagnosed():
+    # inf + -inf in cell 0; the workspace is a list of the fill, combined in place
+    A = build_tensor("A", [("dense", 2), ("interval",)],
+                     [[((0.0, 1.0), math.inf), ((2.0, 3.0), -math.inf)], [((0.0, 1.0), 2.0)]],
+                     fill=0.0)
+    src = "for i = 0:1\n  for x = -inf:inf\n    Out[i] += A[i, x] * d(x)\n  end\nend\n"
+    plan = compile_program(parse(src), {"A": A})
+    assert "_out = [0.0] * 2" in kernel_source(plan)
+    res = run(plan)
+    want = oracle.evaluate(parse(src), {"A": A})
+    got, expect = list(res.output.values), list(want.values)
+    assert got[0] != got[0] and expect[0] != expect[0] and got[1] == expect[1] == 2.0
+    assert res.diagnostics == ["output Out contains NaN values"]
+    assert res.stats == ExecStats(multiplies=0, segments_visited=3, pieces_emitted=0)
+
+
+def test_a_dense_cell_written_only_with_the_fill_holds_the_fill():
+    # cell 1 sums to 0.0 and cell 2 is written 0.0: both are the fill.
+    # Dense output indices run from 0 (a negative start is a CompileError,
+    # see test_negative_dense_output_range_rejected), so each indexes the
+    # workspace directly
+    A = build_tensor("A", [("dense", 3), ("interval",)],
+                     [[((0.0, 1.0), 3.0)], [((0.0, 1.0), 1.0), ((2.0, 3.0), -1.0)],
+                      [((0.0, 1.0), 0.0)]], fill=0.0)
+    src = "for i = 0:2\n  for x = -inf:inf\n    Out[i] += A[i, x] * d(x)\n  end\nend\n"
+    source = kernel_source(compile_program(parse(src), {"A": A}))
+    assert re.search(r"_out\[i_0\] = _out\[i_0\] \+ _val", source) and "int(" not in source
+    res = against_oracle(src, {"A": A})
+    assert [(v, type(v)) for v in res.output.values] == [(3.0, float), (0.0, float), (0.0, float)]
+    assert res.stats == ExecStats(multiplies=0, segments_visited=4, pieces_emitted=0)
+    # a value equal to the fill but not the fill itself: the cell holds the
+    # fill, as a record path drops a record equal to it
+    writes = (Write("Out", (("d", Num(0)),), "|=", Num(0.0)),
+              Write("Out", (("d", Num(1)),), "|=", BoolC(True)))
+    out = run(Plan(Block(writes), OutputDecl("Out", (("dense", 2),), False), 0)).output
+    assert [(v, type(v)) for v in out.values] == [(False, bool), (True, bool)]

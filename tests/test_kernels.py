@@ -224,6 +224,18 @@ def test_the_grid_rejects_an_unbounded_piece_by_name(key, shown):
     assert repr(build_genomic_grid(data)) == repr(reference_grid(data))
 
 
+@pytest.mark.parametrize("data, shown", [
+    (build_tensor("D", [("interval",)], [((0.0, 1.0), True)], fill=False), "[interval]"),
+    (build_tensor("D", [("dense", 2), ("pinpoint",)], [[(1.0, True)], []], fill=False),
+     "[dense, pinpoint]"),
+], ids=["one_interval_rank", "dense_pinpoint"])
+def test_the_grid_rejects_a_tensor_of_another_shape_by_name(data, shown):
+    with pytest.raises(StorageError) as err:
+        build_genomic_grid(data)
+    assert str(err.value) == (f"tensor D has levels {shown}; the grid indexes a "
+                              "[dense, pinpoint, interval] tensor")
+
+
 def format_signature(binds):
     """Per tensor: its level kinds with the dense sizes, and its fill with
     the fill's type; what lowering may read."""

@@ -26,7 +26,8 @@ tensor, so a change to how inputs are built shows here and not only in
 the outputs downstream of it. The report gives, per category, the
 records compared, how many plans walk, how many raised, and how many
 differ in their source (a walking plan's apart from the others') and in
-their results; then, for each of those, the first record that differs,
+their results; then the label of every record whose kernel source
+differs, and for each kind of difference the first record that differs,
 from both trees. The exit status is 1 if any result differs.
 """
 
@@ -184,11 +185,12 @@ def _run_tree(src: Path, args) -> list:
 
 
 def compare(old: list, new: list) -> int:
-    """Print the counts and first differences; 1 if any result differs."""
+    """Print the counts, the records whose source differs and the first
+    difference of each kind; 1 if any result differs."""
     if [r["id"] for r in old] != [r["id"] for r in new]:
         print("the two trees ran different cases")
         return 1
-    counts, first = {}, {}
+    counts, first, sources = {}, {}, []
     for a, b in zip(old, new):
         c = counts.setdefault(a["category"], dict.fromkeys(
             ("records", "walk", "compile errors", "run errors", "walk sources differ",
@@ -199,6 +201,7 @@ def compare(old: list, new: list) -> int:
         c["run errors"] += any("error" in r for r in b.get("runs", ()))
         kinds = []
         if a.get("kernel") != b.get("kernel"):
+            sources.append(a["id"])
             kinds.append("walk sources differ" if a.get("walks") or b.get("walks")
                          else "other sources differ")
         if [a.get(k) for k in RESULT] != [b.get(k) for k in RESULT]:
@@ -208,6 +211,9 @@ def compare(old: list, new: list) -> int:
             first.setdefault(kind, (a, b))
     for category, c in counts.items():
         print(f"{category:>9}: " + ", ".join(f"{v} {k}" for k, v in c.items()))
+    if sources:
+        print("records whose kernel source differs:")
+        print("".join(f"  {case_id}\n" for case_id in sources), end="")
     for kind, pair in first.items():
         print(f"first of the records whose {kind}:")
         for side, rec in zip(("old", "new"), pair):
