@@ -1059,14 +1059,13 @@ class _Store:
     def finalize(self, out):
         """The output from the kernel's columns, workspace, cell dict or value."""
         decl = self.decl
-        specs = [("dense", c[1]) if c[0] == "dense" else (c[0],) for c in decl.comps]
+        recs = None
         if self.op != "=":
             if not decl.comps:
                 self.nan = out != out
                 return out
-            if decl.comps[0][0] == "dense":
-                return build_tensor(decl.name, specs, self._workspace(out, 0, ()), fill=decl.fill)
-            recs = [(*path, v) for path, v in out.items() if v != decl.fill]
+            if decl.comps[0][0] != "dense":
+                recs = [(*path, v) for path, v in out.items() if v != decl.fill]
         else:
             *cols, vals = out
             if len(decl.comps) == 1 and decl.comps[0][0] == "interval":
@@ -1092,7 +1091,9 @@ class _Store:
                 value = vals[0] if vals else decl.fill
                 self.nan = value != value
                 return value
-        return build_tensor(decl.name, specs, self._fiber(recs, 0), fill=decl.fill)
+        root = self._workspace(out, 0, ()) if recs is None else self._fiber(recs, 0)
+        specs = [("dense", c[1]) if c[0] == "dense" else (c[0],) for c in decl.comps]
+        return build_tensor(decl.name, specs, root, fill=decl.fill)
 
     def _workspace(self, out, depth, cell):
         """The fiber of a reduction's workspace at a dense rank, the cell
