@@ -90,19 +90,17 @@ written into an interval rank is the closed point piece ``((x, 0), (x,
 0))``. Under ``=`` the kernel appends each write that is not the fill to
 columns: one per dense or pinpoint rank, a start and a stop column per
 interval rank, and the values. A reduction combines where it writes:
-into a local for a rank-0 output; into a workspace over the output's
-leading dense ranks, nested lists indexed by their loop indices (which
-run from 0, as lowering requires), holding the leaves themselves,
-initialised to the fill, where every rank is dense, else a dict per
-cell keyed by the rest of the path (bare where one rank remains); and
-into a dict by path otherwise. ``_Store.finalize`` makes whole-column
+into a local for a rank-0 output; into a workspace over the dense ranks
+that lead a continuous one, nested lists indexed by their loop indices
+(which run from 0, as lowering requires) of a dict per cell keyed by the
+rest of the path (bare where one rank remains); and into a dict by path
+otherwise. ``_Store.finalize`` makes whole-column
 passes, as storage's validation does. A one-rank interval output whose
 pieces each stop below the next one's start, and whose equal neighbours
 do not touch, is stored as its columns, which ``ContTensor`` checks as
 it checks any level. Other outputs are zipped once into ``(*path,
 value)`` records, sorted, and built in one pass per rank; a workspace's
-cells each give theirs, fill dropped, at the first continuous rank, and
-an all-dense one's leaves are the output's: a cell assigned twice or
+cells each give theirs, fill dropped, at the first continuous rank: a cell assigned twice or
 overlapping pieces under ``=`` raise ``OverlapError``, a reduction's
 overlapping pieces are split and combined, and touching pieces with
 equal contents merge at every rank.
@@ -203,8 +201,8 @@ _GLOBALS = {
 # before any other use of the same name can run, so one of each serves the
 # kernel. The output is _out: a tuple of columns under "=" (column k
 # appended through _put<k>), the workspace of a reduction whose output
-# leads with dense ranks, a dict by path under any other reduction (read
-# through _get), or the value itself for a rank-0 reduction.
+# leads a continuous rank with dense ones, a dict by path under any other
+# reduction (read through _get), or the value itself for a rank-0 one.
 # A reduction's combine of the value already in a cell with a new one:
 # rendered inline where a kernel writes, and called where finalize
 # combines overlapping pieces. The first write combines with the fill,
@@ -366,20 +364,17 @@ class _Source:
         return v
 
     def dense_lead(self) -> int:
-        """How many dense ranks lead the output: a reduction's workspace's."""
+        """How many dense ranks lead the output ahead of a continuous one: a
+        reduction's workspace's (0 for an output with no continuous rank)."""
         comps = self.plan.output.comps
-        return next((k for k, c in enumerate(comps) if c[0] != "dense"), len(comps))
+        return next((k for k, c in enumerate(comps) if c[0] != "dense"), 0)
 
     def workspace(self) -> str:
         """A reduction's _out over the output's leading dense ranks: nested
-        lists of the fill where every rank is dense, else of a dict per cell."""
-        comps = self.plan.output.comps
-        sizes = [c[1] for c in comps[:self.dense_lead()]]
+        lists of a dict per cell."""
         code = "{}"
-        if len(sizes) == len(comps):
-            code = f"[{_lit(self.plan.output.fill)}] * {sizes.pop()}"
-        for n in reversed(sizes):
-            code = f"[{code} for _ in range({n})]"
+        for c in reversed(self.plan.output.comps[:self.dense_lead()]):
+            code = f"[{code} for _ in range({c[1]})]"
         return code
 
     # ---- values bound once, at the start of their home: the innermost
@@ -925,11 +920,6 @@ class _Source:
         comps = [f"({r[0]}, {r[1]})" if len(r) == 2 else r[0] for r in cols]
         fill = _lit(self.plan.output.fill)
         n = self.dense_lead()
-        if n == len(comps):
-            # every rank dense: the row's leaves start as the fill
-            row = self.local(path[:n - 1], "_out" + "".join(f"[{c}]" for c in comps[:n - 1]),
-                             "_ws", pad)
-            return f"{row}[{comps[-1]}]", f"{row}[{comps[-1]}]"
         # the rest of the path, bare where one rank remains in a cell's dict
         key = comps[n] if 0 < n == len(comps) - 1 else f"({', '.join(comps[n:])},)"
         key = self.local(path[n:], key, "_key", pad)
@@ -1064,7 +1054,7 @@ class _Store:
             if not decl.comps:
                 self.nan = out != out
                 return out
-            if decl.comps[0][0] != "dense":
+            if isinstance(out, dict):  # not a workspace
                 recs = [(*path, v) for path, v in out.items() if v != decl.fill]
         else:
             *cols, vals = out
@@ -1097,14 +1087,9 @@ class _Store:
 
     def _workspace(self, out, depth, cell):
         """The fiber of a reduction's workspace at a dense rank, the cell
-        at which it is out: an all-dense output's leaves, the fill for each
-        equal to it, or each cell's records by the rest of the path, fill
-        dropped, through _fiber in their first-write order."""
+        at which it is out: each cell's records by the rest of the path,
+        fill dropped, through _fiber in their first-write order."""
         comps, fill = self.decl.comps, self.decl.fill
-        if depth == len(comps) - 1 and comps[depth][0] == "dense":
-            if any(map(ne, out, out)):
-                self.nan = True
-            return [fill if v == fill else v for v in out]
         if comps[depth][0] == "dense":
             return [self._workspace(x, depth + 1, (*cell, k)) for k, x in enumerate(out)]
         # a column per rank of the keys, each bare where one rank remains

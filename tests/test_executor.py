@@ -1375,14 +1375,39 @@ def test_overlapping_pieces_in_one_dense_cell_combine_in_first_write_order():
     assert res.stats == ExecStats(multiplies=0, segments_visited=5, pieces_emitted=5)
 
 
-def test_a_nan_in_an_all_dense_workspace_is_diagnosed():
-    # inf + -inf in cell 0; the workspace is a list of the fill, combined in place
+def test_a_finger_entered_two_loops_inside_its_fiber_s_home():
+    # D's fiber is fixed by k, two loops outside the y fingers: its ends and
+    # first stop are bound under k's loop. k = 1's fiber is empty and k = 2
+    # is past D's dense rank (fiber -1); both give an empty y range. k = 0:
+    # D * C is 1 * 3 on [0.5, 1] and 4 * 3 on [2, 2.5], times A's integral 7
+    D = build_tensor("D", [("dense", 2), ("interval",)],
+                     [[((0.0, 1.0), 1.0), ((2.0, 3.0), 4.0)], []], fill=0.0)
+    C = tensor_1d("C", [((0.5, 2.5), 3.0)], 0.0, kind="interval")
+    src = ("for k = 0:2\n  for x = -inf:inf\n    for y = -inf:inf\n"
+           "      Out[k] += D[k, y] * C[y] * A[x] * d(x) * d(y)\n    end\n  end\nend\n")
+    binds = {"D": D, "C": C, "A": A_TWO}
+    source = kernel_source(compile_program(parse(src), binds))
+    beg, end, first = re.search(
+        r"for k_0 in range\(0, 3\):\n\s+(_pos\d+) = .*\n"
+        r"\s+(_beg\d+) = _D_1_ptr\[\1\] if \1 >= 0 else 0\n"
+        r"\s+(_end\d+) = _D_1_ptr\[\1 \+ 1\] if \1 >= 0 else 0\n(?:\s+_last\d+ = .*\n)?"
+        r"\s+(_first\d+) = _D_1_stops\[\2\] if \2 < \3 else _PAST\n", source).groups()[1:]
+    assert re.search(rf"p_D1_(\d+) = {beg}\n\s+_p_D1_\1_stop = {first}\n", source)
+    assert re.search(rf"if p_D1_\d+ == {end}:", source)
+    res = against_oracle(src, binds)
+    assert list(res.output.values) == [52.5, 0.0, 0.0]
+    assert res.stats == ExecStats(multiplies=4, segments_visited=10, pieces_emitted=0)
+
+
+def test_a_nan_in_an_all_dense_output_is_diagnosed():
+    # inf + -inf in cell 0. With no continuous rank, the output has no
+    # workspace: its cells are a dict by path
     A = build_tensor("A", [("dense", 2), ("interval",)],
                      [[((0.0, 1.0), math.inf), ((2.0, 3.0), -math.inf)], [((0.0, 1.0), 2.0)]],
                      fill=0.0)
     src = "for i = 0:1\n  for x = -inf:inf\n    Out[i] += A[i, x] * d(x)\n  end\nend\n"
     plan = compile_program(parse(src), {"A": A})
-    assert "_out = [0.0] * 2" in kernel_source(plan)
+    assert "_out = {}" in kernel_source(plan)
     res = run(plan)
     want = oracle.evaluate(parse(src), {"A": A})
     got, expect = list(res.output.values), list(want.values)
@@ -1391,23 +1416,25 @@ def test_a_nan_in_an_all_dense_workspace_is_diagnosed():
     assert res.stats == ExecStats(multiplies=0, segments_visited=3, pieces_emitted=0)
 
 
-def test_a_dense_cell_written_only_with_the_fill_holds_the_fill():
-    # cell 1 sums to 0.0 and cell 2 is written 0.0: both are the fill.
-    # Dense output indices run from 0 (a negative start is a CompileError,
-    # see test_negative_dense_output_range_rejected), so each indexes the
-    # workspace directly
-    A = build_tensor("A", [("dense", 3), ("interval",)],
-                     [[((0.0, 1.0), 3.0)], [((0.0, 1.0), 1.0), ((2.0, 3.0), -1.0)],
-                      [((0.0, 1.0), 0.0)]], fill=0.0)
-    src = "for i = 0:2\n  for x = -inf:inf\n    Out[i] += A[i, x] * d(x)\n  end\nend\n"
+def test_a_dense_cell_written_only_with_the_fill_holds_an_empty_fiber():
+    # cell 1's pieces sum to 0.0 and cell 2's is 0.0: both are the fill, and
+    # dropped from their cells. Dense output indices run from 0 (a negative
+    # start is a CompileError, see test_negative_dense_output_range_rejected),
+    # so each indexes the workspace directly
+    A = build_tensor("A", [("dense", 3), ("dense", 2), ("interval",)],
+                     [[[((0.0, 1.0), 3.0)], []], [[((0.0, 1.0), 1.0)], [((0.0, 1.0), -1.0)]],
+                      [[((0.0, 1.0), 0.0)], []]], fill=0.0)
+    src = ("for i = 0:2\n  for j = 0:1\n    for x = -inf:inf\n"
+           "      Out[i, x] += A[i, j, x]\n    end\n  end\nend\n")
     source = kernel_source(compile_program(parse(src), {"A": A}))
-    assert re.search(r"_out\[i_0\] = _out\[i_0\] \+ _val", source) and "int(" not in source
+    assert re.search(r"_ws\d+ = _out\[i_0\]\n", source) and "int(" not in source
     res = against_oracle(src, {"A": A})
-    assert [(v, type(v)) for v in res.output.values] == [(3.0, float), (0.0, float), (0.0, float)]
-    assert res.stats == ExecStats(multiplies=0, segments_visited=4, pieces_emitted=0)
-    # a value equal to the fill but not the fill itself: the cell holds the
-    # fill, as a record path drops a record equal to it
-    writes = (Write("Out", (("d", Num(0)),), "|=", Num(0.0)),
-              Write("Out", (("d", Num(1)),), "|=", BoolC(True)))
-    out = run(Plan(Block(writes), OutputDecl("Out", (("dense", 2),), False), 0)).output
-    assert [(v, type(v)) for v in out.values] == [(False, bool), (True, bool)]
+    assert list(res.output.pieces()) == [((0, Interval.closed(0.0, 1.0)), 3.0)]
+    assert res.output.levels[1].ptr == (0, 1, 1, 1)
+    assert res.stats == ExecStats(multiplies=0, segments_visited=4, pieces_emitted=4)
+    # a value equal to the fill but not the fill itself is dropped from its
+    # cell too, as a record path drops a record equal to it
+    writes = (Write("Out", (("d", Num(0)), ("p", Num(1.0))), "|=", Num(0.0)),
+              Write("Out", (("d", Num(1)), ("p", Num(2.0))), "|=", BoolC(True)))
+    out = run(Plan(Block(writes), OutputDecl("Out", (("dense", 2), ("pinpoint",)), False), 0)).output
+    assert out.levels[1].ptr == (0, 0, 1) and out.values == (True,)
