@@ -1375,7 +1375,7 @@ def test_overlapping_pieces_in_one_dense_cell_combine_in_first_write_order():
     assert res.stats == ExecStats(multiplies=0, segments_visited=5, pieces_emitted=5)
 
 
-def test_a_finger_entered_two_loops_inside_its_fiber_s_home():
+def test_a_finger_entered_two_loops_inside_the_home_of_its_fiber():
     # D's fiber is fixed by k, two loops outside the y fingers: its ends and
     # first stop are bound under k's loop. k = 1's fiber is empty and k = 2
     # is past D's dense rank (fiber -1); both give an empty y range. k = 0:
