@@ -84,23 +84,34 @@ early takes back the pieces it counted up front but did not visit.
 Writes are rendered for the plan's one assignment operator. A path is
 a tuple with an int per dense rank, the pinned coordinate per pinpoint
 rank and a ``(start, stop)`` pair of ``(val, eps)`` tuples per interval
-rank, made canonical where it is written: an end at -inf or inf is open,
-and a set holding no real number is not written. A pinned coordinate x
-written into an interval rank is the closed point piece ``((x, 0), (x,
-0))``. Under ``=`` the kernel appends each write that is not the fill to
-columns: one per dense or pinpoint rank, a start and a stop column per
-interval rank, and the values. A reduction combines where it writes:
-into a local for a rank-0 output; into a workspace over the dense ranks
-that lead a continuous one, nested lists indexed by their loop indices
-(which run from 0, as lowering requires) of a dict per cell keyed by the
-rest of the path (bare where one rank remains); and into a dict by path
-otherwise. ``_Store.finalize`` makes whole-column
-passes, as storage's validation does. A one-rank interval output whose
-pieces each stop below the next one's start, and whose equal neighbours
-do not touch, is stored as its columns, which ``ContTensor`` checks as
-it checks any level. Other outputs are zipped once into ``(*path,
-value)`` records, sorted, and built in one pass per rank; a workspace's
-cells each give theirs, fill dropped, at the first continuous rank: a cell assigned twice or
+rank, and a set holding no real number is not written. An end at -inf
+or inf is stored open, and a stored level keeps every end between the
+open -inf and the open inf, so a write copies a region's ends as they
+are where each end the region is made of is canonical (``canon``): an
+unshifted stored end, a constant that is finite or the open -inf or inf,
+or the start or stop of a canonical region. Such a write tests only
+that its region is not empty, and not even that inside a ``Guard`` on
+the same region, which has tested it. Every other write clamps its ends
+to the open -inf and inf: a shifted end can overflow to a closed
+infinite one, and a walk's cursor and gap stops are a stored end moved
+by an infinitesimal. A pinned coordinate x written into an interval rank
+is the closed point piece ``((x, 0), (x, 0))``. Under ``|=`` and ``&=``
+a value that is not a bool already is made one, as the oracle combines
+truth values. Under ``=`` the kernel appends each write that is not the
+fill to columns: one per dense or pinpoint rank, a start and a stop
+column per interval rank, and the values. A reduction combines where it
+writes: into a local for a rank-0 output; into a workspace over the
+dense ranks that lead a continuous one, nested lists indexed by their
+loop indices (which run from 0, as lowering requires) of a dict per cell
+keyed by the rest of the path (bare where one rank remains); and into a
+dict by path otherwise. ``_Store.finalize`` makes whole-column passes,
+as storage's validation does. A one-rank interval output whose equal
+neighbours do not touch is handed to ``ContTensor`` as its columns,
+which checks them once, as it checks any level. Where that check fails
+(pieces out of order, or overlapping), and for every other output, the
+writes are zipped once into ``(*path, value)`` records, sorted, and
+built in one pass per rank; a workspace's cells each give theirs, fill
+dropped, at the first continuous rank: a cell assigned twice or
 overlapping pieces under ``=`` raise ``OverlapError``, a reduction's
 overlapping pieces are split and combined, and touching pieces with
 equal contents merge at every rank.
@@ -125,7 +136,7 @@ from .ir import (
     Num, Or, OutputDecl, PDense, PRoot, PVar, Pin, Plan, Probe, Sub, Var, WhileCoiter,
     Write, render,
 )
-from .storage import ContTensor, OverlapError, SparseLevel, build_tensor
+from .storage import ContTensor, OverlapError, SparseLevel, StorageError, build_tensor
 
 
 class ExecError(RuntimeError):
@@ -293,6 +304,8 @@ class _Source:
         self.dense = 0  # dense positions rendered so far
         self.leaf_pos = None  # positions of the leaves of the value being written
         self.open_lo = set()  # region slots whose start is the open -inf
+        self.canonical = set()  # region slots a write copies as they are (see canon)
+        self.guarded = set()  # region slots whose Guard encloses what is rendered
         self.stops = {}  # region slot -> the stops of its IntersectLet
         self.fingers = frozenset()  # position locals of the annihilating steppers in scope
         self.ends = {}  # a walk's annihilating stepper -> (its access, start and stop locals)
@@ -607,7 +620,9 @@ class _Source:
 
     def guard(self, s: Guard, pad: str):
         lo, hi = self.region(s.slot, s.name)
+        self.guarded.add(s.slot)
         self.nested(f"if {lo} <= {hi}:", s.body, pad)
+        self.guarded.discard(s.slot)
 
     def cond(self, s: Cond, pad: str):
         self.nested(f"if {self.expr(s.test)}:", s.body, pad)
@@ -664,14 +679,14 @@ class _Source:
             raise ExecError(f"region {s.name} has no start or no stop")
         lo, hi = self.region(s.slot, s.name)
         starts = s.starts
+        if all(self.canon(a, True) for a in starts) and all(self.canon(a, False) for a in s.stops):
+            self.canonical.add(s.slot)
         if starts == (_OPEN_START,):
             self.open_lo.add(s.slot)
         elif (len(starts) > 1 and type(starts[0]) is IvStart and starts[0].slot in self.open_lo
               and all(type(a) is EndRef and a.shift is None for a in starts[1:])):
-            # the open -inf adds nothing to the max: no stored start lies
-            # below it but the closed -inf, which every use of a region reads
-            # as the open one (a write makes it canonical, a length reads its
-            # value, and a guard compares it with a stop, above both)
+            # the open -inf adds nothing to the max: no stored start lies below
+            # it, since a level stores a closed -inf as the open one
             starts = starts[1:]
         self.stops[s.slot] = s.stops
         lexpr = self.lexpr
@@ -681,6 +696,23 @@ class _Source:
             tail = f"\n{pad}if _e {cmp} {target}:\n{pad}{_IND}{target} = _e"
             out.extend(f"{pad}_e = {lexpr(a)}{tail}" for a in ops[1:])
         self.lines.append("\n".join(out))
+
+    def canon(self, e, start: bool) -> bool:
+        """Whether a region's end, among its starts or among its stops, never
+        lies past the open -inf or inf, so a write need not clamp it: an
+        unshifted stored end, which a level keeps between them; a constant
+        that is finite or one of them; the start or stop of a canonical
+        region; a MaxOf of such. A last stop, and so a region's stop, can be
+        an empty fiber's, just below -inf: it counts only among stops, where
+        it leaves the region empty."""
+        t = type(e)
+        if t is EndRef or t is LastStop:
+            return e.shift is None and (t is EndRef or not start)
+        if t is LimC:
+            return math.isfinite(e.value.val) or e.value in (_NEG_OPEN, _POS_OPEN)
+        if t is IvStart or t is IvStop:
+            return e.slot in self.canonical and (t is IvStart or not start)
+        return t is MaxOf and all(self.canon(a, start) for a in e.ends)
 
     def scoped(self, body, pad: str, fingers, slots):
         """Render the innermost loop's body with these annihilating steppers
@@ -782,6 +814,9 @@ class _Source:
         from_fiber = s.range_slot in self.open_lo
         if from_fiber:
             self.open_lo.add(s.curr_slot)
+        if s.range_slot in self.canonical:
+            # a segment ends at the range's ends or at the fingers' stops
+            self.canonical.add(s.curr_slot)
         lasts = {LastStop(st.tensor, st.level, st.fiber) for st in s.steppers}
         on_positions = set(self.stops[s.range_slot]) <= lasts
         add = self.lines.append
@@ -860,9 +895,10 @@ class _Source:
         if self.op not in (None, s.op):
             raise ExecError(f"plan writes with both {self.op!r} and {s.op!r}")
         self.op = s.op
-        # a region's ends are made canonical where it is written, and a
-        # write whose set is empty is dropped, after it is counted; each
-        # rank's code per column: a start and a stop at an interval rank
+        # a write whose set is empty is dropped, after it is counted; each
+        # rank's code per column: a start and a stop at an interval rank, as
+        # the region holds them where its ends are canonical, else clamped
+        # to the open -inf and inf
         cols, present = [], []
         for c, kind in zip(s.path, self.plan.output.comps):
             if c[0] == "d":
@@ -872,6 +908,11 @@ class _Source:
                 # the closed point piece
                 x = self.expr(c[1])
                 cols.append([x] if kind[0] == "pinpoint" else [f"({x}, 0)"] * 2)
+            elif c[1] in self.canonical:
+                lo, hi = self.region(c[1], c[2])
+                if c[1] not in self.guarded:
+                    present.append(f"{lo} <= {hi}")
+                cols.append([lo, hi])
             else:
                 n = len(present)
                 lo, hi = self.region(c[1], c[2])
@@ -881,6 +922,8 @@ class _Source:
         self.leaf_pos = []
         value = self.expr(s.value)
         leaves, self.leaf_pos = self.leaf_pos, None
+        if s.op in ("|=", "&=") and type(s.value) not in (And, Or, Not, Cmp, BoolC):
+            value = f"(True if {value} else False)"  # the cell holds a bool
         if s.two_tensor and leaves:
             # a multiply is counted where every leaf is stored, not fill;
             # an access written twice reads one position
@@ -1059,17 +1102,20 @@ class _Store:
         else:
             *cols, vals = out
             if len(decl.comps) == 1 and decl.comps[0][0] == "interval":
-                # a written piece starts at or below its stop, so pieces that
-                # each stop below the next one's start are in order already,
-                # and disjoint
+                # with no equal neighbours to merge, the columns are the level
+                # if ContTensor finds them in order and disjoint; pieces out of
+                # order are sorted below, and an overlap raised there
                 starts, stops = cols
                 equal = compress(range(1, len(vals)), map(eq, islice(vals, 1, None), vals))
-                if (all(map(lt, stops, islice(starts, 1, None)))
-                        and not any(_touching(stops[p - 1], starts[p]) for p in equal)):
-                    # nothing to sort, raise or merge: the columns are the level
-                    self.nan = any(map(ne, vals, vals))
+                if not any(_touching(stops[p - 1], starts[p]) for p in equal):
                     level = SparseLevel((0, len(vals)), tuple(starts), tuple(stops))
-                    return ContTensor(decl.name, (level,), tuple(vals), decl.fill)
+                    try:
+                        tensor = ContTensor(decl.name, (level,), tuple(vals), decl.fill)
+                    except StorageError:
+                        pass
+                    else:
+                        self.nan = any(map(ne, vals, vals))
+                        return tensor
             # each rank's column, or an interval rank's (start, stop) pairs
             it = iter(cols)
             ranks = [zip(c, next(it)) if comp[0] == "interval" else c

@@ -26,7 +26,13 @@ a ``SparseLevel`` given directly must also have the ends they make.
 
 Validation makes whole-column passes (``map``, ``zip``, ``all``) and
 looks at single elements only once one of them fails, to name the first
-bad element in the error.
+bad element in the error. A closed end at -inf or inf holds the same
+reals as the open one, so a level that passes stores it open (a regular
+level excepted, which saves its ends as its format says): every stored
+end lies between the open -inf and the open inf, and a kernel copies a
+stored end into its output as it is. Only a level with an infinite end
+pays for the pass that opens them, after its checks, so its errors name
+the pieces as given.
 """
 
 from __future__ import annotations
@@ -127,7 +133,9 @@ class SparseLevel:
         """Check the columns and return the level: every end a number, no
         piece starting at inf or stopping at -inf (it holds no real number),
         and each fiber's pieces non-empty, sorted and pairwise disjoint,
-        which lets ``seek`` binary-search the stops."""
+        which lets ``seek`` binary-search the stops. A level that passes
+        with a closed end at -inf or inf comes back with it open, which
+        holds the same reals; a regular level keeps the ends it saves as."""
         ptr, starts, stops = self.ptr, self.starts, self.stops
         if len(stops) != len(starts):
             raise InvalidPieceError(f"level {level}: starts/stops length mismatch")
@@ -145,6 +153,9 @@ class SparseLevel:
                 or not finite and (math.inf in map(_VAL, starts)
                                    or -math.inf in map(_VAL, stops))):
             _first_fault(level, ptr, starts, stops)
+        if not finite and self.regular is None:
+            return SparseLevel(ptr, tuple(map(_OPEN.get, starts, starts)),
+                               tuple(map(_OPEN.get, stops, stops)))
         return self
 
     def span(self, f: int) -> tuple:
@@ -171,6 +182,9 @@ _limit_of = functools.partial(tuple.__new__, Limit)
 _interval_of = functools.partial(tuple.__new__, Interval)
 _START = _VAL = _KEY = itemgetter(0)  # of an Interval, of an endpoint, of a (key, child) pair
 _STOP = _EPS = _CHILD = itemgetter(1)
+# a closed end at -inf or inf as the open one: a start there is at -inf and
+# a stop at inf, since checked rejects the others
+_OPEN = {(-math.inf, EXACT): (-math.inf, ABOVE), (math.inf, EXACT): (math.inf, BELOW)}
 
 
 def _first_fault(level: int, ptr, starts, stops):

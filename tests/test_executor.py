@@ -1245,9 +1245,9 @@ def kernel(_b):
         _seg += _p_A1_2_end - p_A1_2
         for p_A1_2 in range(p_A1_2, _p_A1_2_end):
             _emit += 1
-            if (_lo0 := _NEG_OPEN if r_1_lo < _NEG_OPEN else r_1_lo) <= (_hi0 := _POS_OPEN if r_1_hi > _POS_OPEN else r_1_hi):
-                _val = _A_vals[p_A1_2]
-                _key = ((_lo0, _hi0),)
+            if r_1_lo <= r_1_hi:
+                _val = (True if _A_vals[p_A1_2] else False)
+                _key = ((r_1_lo, r_1_hi),)
                 _out[_key] = _get(_key, False) or _val
     return _seg, _mul, _emit, _out
 """
@@ -1438,3 +1438,51 @@ def test_a_dense_cell_written_only_with_the_fill_holds_an_empty_fiber():
               Write("Out", (("d", Num(1)), ("p", Num(2.0))), "|=", BoolC(True)))
     out = run(Plan(Block(writes), OutputDecl("Out", (("dense", 2), ("pinpoint",)), False), 0)).output
     assert out.levels[1].ptr == (0, 0, 1) and out.values == (True,)
+
+
+# ---------------------------------------------------------------------------
+# a write copies a region's ends as they are where no end needs the open
+# -inf or inf: every stored end lies between them
+
+
+INF_ENDS = {"A": tensor_1d("A", [((-math.inf, 0.0), 2.0), ((1.0, math.inf), 3.0)]),
+            "B": tensor_1d("B", [((-1.0, 0.5), 5.0), ((0.75, math.inf), 7.0)])}
+
+
+def test_a_finger_write_appends_its_region_ends_unclamped():
+    src = "for i = -inf:inf\n  C[i] = A[i] * B[i]\nend\n"
+    source = kernel_source(compile_program(parse(src), INF_ENDS))
+    assert "_NEG_OPEN" not in source and "_POS_OPEN" not in source
+    r = re.search(r"_put0\((r_\d+)_lo\)\n\s+_put1\(\1_hi\)", source).group(1)
+    # the guard's test is the write's: it is rendered once
+    assert source.count(f"if {r}_lo <= {r}_hi:") == 1
+    res = against_oracle(src, INF_ENDS)
+    assert list(res.output.pieces()) == [
+        ((Interval(Limit(-1.0), Limit(0.0)),), 10.0),
+        ((Interval(Limit(1.0), Limit(math.inf, -1)),), 21.0)]
+
+
+def test_a_shifted_walk_write_keeps_the_clamp():
+    src = "for i = -inf:inf\n  Out[i] = A[i + 1.0]\nend\n"
+    assert "_NEG_OPEN if" in kernel_source(compile_program(parse(src), INF_ENDS))
+    res = against_oracle(src, INF_ENDS)
+    assert list(res.output.pieces()) == [
+        ((Interval(Limit(-math.inf, 1), Limit(-1.0)),), 2.0),
+        ((Interval(Limit(0.0), Limit(math.inf, -1)),), 3.0)]
+
+
+def test_a_write_over_a_finite_range_is_unclamped():
+    src = "for i = 0.5:2.5\n  Out[i] = A[i]\nend\n"
+    source = kernel_source(compile_program(parse(src), INF_ENDS))
+    assert "_NEG_OPEN" not in source and "_POS_OPEN" not in source
+    res = against_oracle(src, INF_ENDS)
+    assert list(res.output.pieces()) == [((Interval.closed(1.0, 2.5),), 3.0)]
+
+
+@pytest.mark.parametrize("op", ["|=", "&="])
+def test_a_logical_reduction_of_numbers_stores_bools(op):
+    A = build_tensor("A", [("dense", 3)], [0.0, 2.0, 0.0])
+    src = f"for i = 0:2\n  Out[i] {op} A[i]\nend\n"
+    res = against_oracle(src, {"A": A})
+    assert list(res.output.pieces()) == [((0,), False), ((1,), True), ((2,), False)]
+    assert all(type(v) is bool for v in res.output.values)

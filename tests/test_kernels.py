@@ -212,8 +212,9 @@ def test_the_grid_of_random_genomic_data_is_the_grid_of_its_pieces():
         assert repr(build_genomic_grid(data)) == repr(reference_grid(data)), seed
 
 
-@pytest.mark.parametrize("key, shown", [((3.0, math.inf), "[3, inf]"),
-                                        ((-math.inf, -1.5), "[-inf, -1.5]")])
+# the message shows the stored piece, whose end at inf or -inf is open
+@pytest.mark.parametrize("key, shown", [((3.0, math.inf), "[3, inf)"),
+                                        ((-math.inf, -1.5), "(-inf, -1.5]")])
 def test_the_grid_rejects_an_unbounded_piece_by_name(key, shown):
     data = genomic_data([[(1.0, [((0.0, 1.0), True)])],
                          [(1.0, [((0.0, 1.0), True)]), (2.0, [(key, True)])]])

@@ -504,6 +504,46 @@ def test_a_piece_reaching_to_infinity_stays_legal():
     assert tensor_from_json(tensor_to_json(t)) == t
 
 
+# --- a closed end at -inf or inf is stored as the open one
+
+
+def test_a_closed_infinite_end_from_json_is_stored_and_saved_open():
+    text = ('{"name": "A", "fill": 0.0, "values": [2.0, 5.0], "levels": [{"kind": "interval", '
+            '"ptr": [0, 2], "left": [-1e309, 1.0], "right": [0.0, 1e309], '
+            '"lclose": true, "rclose": true}]}')
+    t = tensor_from_json(json.loads(text))
+    lv = t.levels[0]
+    assert lv.starts == ((-math.inf, 1), (1.0, 0)) and lv.stops == ((0.0, 0), (math.inf, -1))
+    saved = tensor_to_json(t)["levels"][0]
+    assert saved["lclose"] == [False, True] and saved["rclose"] == [True, False]
+    assert tensor_from_json(tensor_to_json(t)) == t
+    assert_round_trips(t)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: tensor_1d("A", [((0.0, 1.0), 1.0), ((x, x), 5.0)]),
+    lambda x: ContTensor("A", (IntervalLevel(ptr=(0, 2), left=(0.0, x), right=(1.0, x)),),
+                         (1.0, 5.0)),
+    lambda x: ContTensor("A", (SparseLevel((0, 2), ((0.0, 0), (x, 0)), ((1.0, 0), (x, 0))),),
+                         (1.0, 5.0)),
+], ids=["build_tensor", "IntervalLevel", "SparseLevel"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_a_closed_point_at_infinity_holds_no_real_number(make, x):
+    # opened first, [inf, inf] would read as (inf, inf): "is empty"
+    with pytest.raises(InvalidPieceError,
+                       match=re.escape(f"piece at position 1 holds no real number ([{x}, {x}])")):
+        make(x)
+
+
+def test_at_reads_the_fill_at_an_end_given_closed_at_infinity():
+    t = tensor_1d("A", [((-math.inf, 0.0), 2.0), ((1.0, math.inf), 5.0)], fill=-1.0)
+    # no real number lies at -inf or inf: the pieces hold neither point
+    assert t.at(-math.inf) == t.at(math.inf) == -1.0
+    assert t.at(-1e308) == 2.0 and t.at(1e308) == 5.0
+    assert [iv for iv, _ in t.fiber_entries(0, 0)] == [
+        Interval(Limit(-math.inf, 1), Limit(0.0)), Interval(Limit(1.0), Limit(math.inf, -1))]
+
+
 # --- save/load symmetry
 
 

@@ -23,12 +23,19 @@ kernel's source and whether the plan walks, and for each run the output
 the ``ExecStats``, the diagnostics, or the class and message of the error
 raised. A setup record holds the sha256 of the ``repr`` of each bound
 tensor, so a change to how inputs are built shows here and not only in
-the outputs downstream of it. The report gives, per category, the
-records compared, how many plans walk, how many raised, and how many
-differ in their source (a walking plan's apart from the others') and in
-their results; then the label of every record whose kernel source
-differs, and for each kind of difference the first record that differs,
-from both trees. The exit status is 1 if any result differs.
+the outputs downstream of it. A record's results differ in three kinds:
+
+- ``outputs``: an output, the error a compile or run raised, a setup's
+  tensors, or whether the plan walks;
+- ``stats``: the ``ExecStats`` of a run;
+- ``diagnostics``: the diagnostics of a run.
+
+The report gives, per category, the records compared, how many plans
+walk, how many raised, and how many differ in their source (a walking
+plan's apart from the others') and in each kind of result; then, for
+the source and for each kind of result, the label of every record that
+differs, and the first such record from both trees. The exit status is
+1 if any result differs.
 """
 
 from __future__ import annotations
@@ -48,7 +55,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(30)
 WORKLOAD_SEEDS = (1, 2, 3)
 LONG = 4096  # a repr longer than this is recorded by its sha256
-RESULT = ("walks", "compile", "runs", "setup")  # what a record holds besides its source
+# each kind of result a record holds besides its source: the record's keys
+# and, within each run, the keys of that kind
+RESULTS = {"outputs": (("walks", "compile", "setup"), ("output", "error")),
+           "stats": ((), ("stats",)), "diagnostics": ((), ("diagnostics",))}
 
 
 def _sha(text: str) -> str:
@@ -184,41 +194,49 @@ def _run_tree(src: Path, args) -> list:
     return recs
 
 
+def _result(rec: dict, kind: str) -> list:
+    """What a record holds of one kind of result."""
+    keys, run_keys = RESULTS[kind]
+    return [*(rec.get(k) for k in keys),
+            *([r.get(k) for k in run_keys] for r in rec.get("runs", ()))]
+
+
 def compare(old: list, new: list) -> int:
-    """Print the counts, the records whose source differs and the first
-    difference of each kind; 1 if any result differs."""
+    """Print the counts, then per kind of difference the records that
+    differ and the first of them; 1 if any result differs."""
     if [r["id"] for r in old] != [r["id"] for r in new]:
         print("the two trees ran different cases")
         return 1
-    counts, first, sources = {}, {}, []
+    counts, differ = {}, {}
     for a, b in zip(old, new):
         c = counts.setdefault(a["category"], dict.fromkeys(
             ("records", "walk", "compile errors", "run errors", "walk sources differ",
-             "other sources differ", "results differ"), 0))
+             "other sources differ", *(f"{k} differ" for k in RESULTS)), 0))
         c["records"] += 1
         c["walk"] += bool(b.get("walks"))
         c["compile errors"] += "compile" in b
         c["run errors"] += any("error" in r for r in b.get("runs", ()))
         kinds = []
         if a.get("kernel") != b.get("kernel"):
-            sources.append(a["id"])
-            kinds.append("walk sources differ" if a.get("walks") or b.get("walks")
-                         else "other sources differ")
-        if [a.get(k) for k in RESULT] != [b.get(k) for k in RESULT]:
-            kinds.append("results differ")
+            c["walk sources differ" if a.get("walks") or b.get("walks")
+              else "other sources differ"] += 1
+            kinds.append("kernel source")
+        for kind in RESULTS:
+            if _result(a, kind) != _result(b, kind):
+                c[f"{kind} differ"] += 1
+                kinds.append(kind)
         for kind in kinds:
-            c[kind] += 1
-            first.setdefault(kind, (a, b))
+            differ.setdefault(kind, []).append((a, b))
     for category, c in counts.items():
         print(f"{category:>9}: " + ", ".join(f"{v} {k}" for k, v in c.items()))
-    if sources:
-        print("records whose kernel source differs:")
-        print("".join(f"  {case_id}\n" for case_id in sources), end="")
-    for kind, pair in first.items():
-        print(f"first of the records whose {kind}:")
-        for side, rec in zip(("old", "new"), pair):
+    for kind, pairs in differ.items():
+        print(f"records whose {kind} differs:")
+        print("".join(f"  {a['id']}\n" for a, _ in pairs), end="")
+    for kind, pairs in differ.items():
+        print(f"first of the records whose {kind} differs:")
+        for side, rec in zip(("old", "new"), pairs[0]):
             print(f"  {side}: {json.dumps(rec, indent=2)}")
-    return 1 if "results differ" in first else 0
+    return 1 if differ.keys() - {"kernel source"} else 0
 
 
 def main(argv=None) -> int:
