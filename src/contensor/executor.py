@@ -86,20 +86,21 @@ a tuple with an int per dense rank, the pinned coordinate per pinpoint
 rank and a ``(start, stop)`` pair of ``(val, eps)`` tuples per interval
 rank, and a set holding no real number is not written. An end at -inf
 or inf is stored open, and a stored level keeps every end between the
-open -inf and the open inf, so a write copies a region's ends as they
-are where each end the region is made of is canonical (``canon``): an
-unshifted stored end, a constant that is finite or the open -inf or inf,
-or the start or stop of a canonical region. Such a write tests only
-that its region is not empty, and not even that inside a ``Guard`` on
-the same region, which has tested it. Every other write clamps its ends
-to the open -inf and inf: a shifted end can overflow to a closed
-infinite one, and a walk's cursor and gap stops are a stored end moved
-by an infinitesimal. A pinned coordinate x written into an interval rank
-is the closed point piece ``((x, 0), (x, 0))``. Under ``|=`` and ``&=``
-a value that is not a bool already is made one, as the oracle combines
-truth values. Under ``=`` the kernel appends each write that is not the
-fill to columns: one per dense or pinpoint rank, a start and a stop
-column per interval rank, and the values. A reduction combines where it
+open -inf and the open inf (a regular stop that overflows to inf stays
+closed, and the output's level opens it), so a write copies a region's
+ends as they are where each end the region is made of is canonical
+(``canon``): an unshifted stored end, a constant that is finite or the
+open -inf or inf, or the start or stop of a canonical region. Such a
+write tests only that its region is not empty, and not even that inside
+a ``Guard`` on the same region, which has tested it. Every other write
+clamps its ends to the open -inf and inf: a shifted end can overflow to
+a closed infinite one, and a walk's cursor and gap stops are a stored
+end moved by an infinitesimal. A pinned coordinate x written into an
+interval rank is the closed point piece ``((x, 0), (x, 0))``. Under
+``|=`` and ``&=`` a value that is not a bool already is made one, as the
+oracle combines truth values. Under ``=`` the kernel appends each write
+that is not the fill to columns: one per dense or pinpoint rank, a start
+and a stop column per interval rank, and the values. A reduction combines where it
 writes: into a local for a rank-0 output; into a workspace over the
 dense ranks that lead a continuous one, nested lists indexed by their
 loop indices (which run from 0, as lowering requires) of a dict per cell

@@ -230,10 +230,10 @@ def compare(old: list, new: list) -> int:
     for category, c in counts.items():
         print(f"{category:>9}: " + ", ".join(f"{v} {k}" for k, v in c.items()))
     for kind, pairs in differ.items():
-        print(f"records whose {kind} differs:")
+        print(f"records that differ in {kind}:")
         print("".join(f"  {a['id']}\n" for a, _ in pairs), end="")
     for kind, pairs in differ.items():
-        print(f"first of the records whose {kind} differs:")
+        print(f"first of the records that differ in {kind}:")
         for side, rec in zip(("old", "new"), pairs[0]):
             print(f"  {side}: {json.dumps(rec, indent=2)}")
     return 1 if differ.keys() - {"kernel source"} else 0
