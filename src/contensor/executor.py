@@ -58,15 +58,18 @@ counts the pieces visited, which is what a finger loop iterates.
 A value that only an outer loop changes is bound to a local once, at
 the start of its home's body: the innermost loop that binds a slot it
 reads (a discrete loop its index, a stepper loop its positions and the
-pins at its body's start), or the kernel's start for none. Every dense
-position whose index reads only discrete loop indices is bound there
-(``_pos<n>``); so are, where they would otherwise be read inside a loop
-nested in their home, a fiber's ends ``ptr[f]`` and ``ptr[f + 1]`` for a
-pieces or finger loop that enters it from the open -inf (those of a
-fiber that can be -1 tested there, and an empty fiber's where it is -1),
-its last stop, a finger's first stop (read only where the fiber has a
-piece), a constant endpoint, and a reduction's workspace row and key. A
-``_seek`` entry depends on the range's start and stays where it is.
+pins at its body's start, and a region there that is a pieces loop's
+stored piece, which reads only that loop's position), or the kernel's
+start for none. Every dense position whose index reads only discrete
+loop indices is bound there (``_pos<n>``); so are, where they would
+otherwise be read inside a loop nested in their home, a fiber's ends
+``ptr[f]`` and ``ptr[f + 1]`` for a pieces or finger loop that enters it
+from the open -inf (those of a fiber that can be -1 tested there, and an
+empty fiber's where it is -1), its last stop, a finger's first stop
+(read only where the fiber has a piece), a constant endpoint, and a
+reduction's workspace row and key (a key on such a stored piece among
+them). A ``_seek`` entry depends on the range's start and stays where
+it is.
 
 An ``|=`` or ``&=`` write that lowering marked (``Write.exits`` = n)
 tests its cell's combined value after it writes: once the cell is
@@ -92,7 +95,9 @@ ends as they are where each end the region is made of is canonical
 (``canon``): an unshifted stored end, a constant that is finite or the
 open -inf or inf, or the start or stop of a canonical region. Such a
 write tests only that its region is not empty, and not even that inside
-a ``Guard`` on the same region, which has tested it. Every other write
+a ``Guard`` on the same region, which has tested it, or where the region
+is the piece at a pieces loop's position, which its level's checks keep
+non-empty. Every other write
 clamps its ends to the open -inf and inf: a shifted end can overflow to
 a closed infinite one, and a walk's cursor and gap stops are a stored
 end moved by an infinitesimal. A pinned coordinate x written into an
@@ -306,7 +311,8 @@ class _Source:
         self.leaf_pos = None  # positions of the leaves of the value being written
         self.open_lo = set()  # region slots whose start is the open -inf
         self.canonical = set()  # region slots a write copies as they are (see canon)
-        self.guarded = set()  # region slots whose Guard encloses what is rendered
+        self.guarded = set()  # region slots known not empty: a Guard's, a stored piece's
+        self.piece_pos = set()  # position slots of the pieces loops
         self.stops = {}  # region slot -> the stops of its IntersectLet
         self.fingers = frozenset()  # position locals of the annihilating steppers in scope
         self.ends = {}  # a walk's annihilating stepper -> (its access, start and stop locals)
@@ -682,6 +688,10 @@ class _Source:
         starts = s.starts
         if all(self.canon(a, True) for a in starts) and all(self.canon(a, False) for a in s.stops):
             self.canonical.add(s.slot)
+        piece = self.stored_piece(s)
+        if piece:
+            # never empty, as its level was checked
+            self.guarded.add(s.slot)
         if starts == (_OPEN_START,):
             self.open_lo.add(s.slot)
         elif (len(starts) > 1 and type(starts[0]) is IvStart and starts[0].slot in self.open_lo
@@ -696,7 +706,22 @@ class _Source:
             out.append(f"{pad}{target} = {lexpr(ops[0])}")
             tail = f"\n{pad}if _e {cmp} {target}:\n{pad}{_IND}{target} = _e"
             out.extend(f"{pad}_e = {lexpr(a)}{tail}" for a in ops[1:])
+        if piece and self.loops[-1].at == len(self.lines):
+            # at the start of a loop's body, it reads only its pieces loop's
+            # position: the region is bound with the loop's slots
+            self.loops[-1].slots |= {s.slot}
+            self.loops[-1].at += 1
         self.lines.append("\n".join(out))
+
+    def stored_piece(self, s: IntersectLet) -> bool:
+        """Whether a region is the piece at a pieces loop's position: its
+        one start and one stop are that piece's, unshifted."""
+        if len(s.starts) != 1 or len(s.stops) != 1:
+            return False
+        (a,), (b,) = s.starts, s.stops
+        return (type(a) is EndRef and type(b) is EndRef and a.shift is None and b.shift is None
+                and (a.tensor, a.level, a.pos, a.side, b.side) == (b.tensor, b.level, b.pos, "L", "R")
+                and type(a.pos) is PVar and a.pos.slot in self.piece_pos)
 
     def canon(self, e, start: bool) -> bool:
         """Whether a region's end, among its starts or among its stops, never
@@ -875,6 +900,7 @@ class _Source:
         (st,) = s.steppers
         add = self.lines.append
         p = self.var(st.pos_slot, st.pos_name)
+        self.piece_pos.add(st.pos_slot)
         t = self.level(st.tensor, st.level)
         ends = self.entry(t, st.fiber)
         if ends is not None:
@@ -977,7 +1003,9 @@ class _Source:
         its home, or set just before its use (as the temporary prefix)."""
         if _simple(code):
             return code
-        slots = [self.reads(c[1]) if c[0] != "iv" else None for c in path]
+        # a region's component reads its slot, bound only where a pieces
+        # loop's body starts with it (see intersect)
+        slots = [self.reads(c[1]) if c[0] != "iv" else frozenset((c[1],)) for c in path]
         home = None if None in slots else self.home(frozenset().union(*slots))
         if home is not None:
             return self.bind(home, code, code, prefix)

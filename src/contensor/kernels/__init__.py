@@ -18,7 +18,7 @@ from random import Random
 
 from ..lang import parse
 from ..limits import BELOW, EXACT
-from ..storage import ContTensor, StorageError, build_tensor, tensor_1d
+from ..storage import ContTensor, DenseLevel, SparseLevel, StorageError, build_tensor, tensor_1d
 
 _HERE = Path(__file__).parent
 PITCH = 0.05
@@ -273,6 +273,9 @@ def build_genomic_grid(data: ContTensor, cells: int = 0) -> ContTensor:
     Reads Data's columns as a kernel does: each id is a start of the
     pinpoint level, each piece an entry of the interval level under it,
     its value in ``values``. A piece with a true value must be bounded.
+    Writes the Grid's columns the same way, cells and member ids appended
+    in order, and hands them to ``ContTensor``, which checks each level
+    once.
     """
     kinds = [("interval", "pinpoint")[lv.pinpoint] if lv.continuous else "dense"
              for lv in data.levels]
@@ -296,13 +299,16 @@ def build_genomic_grid(data: ContTensor, cells: int = 0) -> ContTensor:
         biggest = max(sum(map(truth, vals[a:b])) for a, b in zip(leaf, leaf[1:]))
         cells = max(1, math.ceil(math.sqrt(biggest)))
     cw = (hi / cells) if hi > 0 else 1.0
-    fibers = []
+    # the Grid's columns: per chromosome its cells, right-open pieces in
+    # ascending order, and under each cell its member ids as points
+    cell_ptr, cell_lo, cell_hi, member_ptr, member_ids = [0], [], [], [0], []
     for c in range(nchr):
         members = {}
         for q in range(id_ptr[c], id_ptr[c + 1]):
             # ids arrive in ascending order, so each member list is sorted
-            # and an id already listed in a cell is its last entry
-            jd = id_crd[q][0]
+            # and an id already listed in a cell is its last entry; a
+            # member is a float, as a pinpoint level's coordinates are
+            jd = float(id_crd[q][0])
             for p in range(ptr[q], ptr[q + 1]):
                 if vals[p]:
                     for k in range(int(starts[p][0] // cw), int(stops[p][0] // cw) + 1):
@@ -311,10 +317,16 @@ def build_genomic_grid(data: ContTensor, cells: int = 0) -> ContTensor:
                             members[k] = [jd]
                         elif m[-1] != jd:
                             m.append(jd)
-        fibers.append([(((k * cw, EXACT), ((k + 1) * cw, BELOW)),
-                        list(zip(members[k], repeat(True)))) for k in sorted(members)])
-    return build_tensor("Grid", [("dense", nchr), ("interval",), ("pinpoint",)],
-                        fibers, fill=False)
+        for k in sorted(members):
+            cell_lo.append((k * cw, EXACT))
+            cell_hi.append(((k + 1) * cw, BELOW))
+            member_ids.extend(zip(members[k], repeat(EXACT)))
+            member_ptr.append(len(member_ids))
+        cell_ptr.append(len(cell_lo))
+    points = tuple(member_ids)
+    levels = (DenseLevel(nchr), SparseLevel(tuple(cell_ptr), tuple(cell_lo), tuple(cell_hi)),
+              SparseLevel(tuple(member_ptr), points, points, pinpoint=True))
+    return ContTensor("Grid", levels, (True,) * len(points), False)
 
 
 def _rand_genomic(rng):

@@ -26,7 +26,11 @@ a ``SparseLevel`` given directly must also have the ends they make.
 
 Validation makes whole-column passes (``map``, ``zip``, ``all``) and
 looks at single elements only once one of them fails, to name the first
-bad element in the error. A closed end at -inf or inf holds the same
+bad element in the error. ``SparseLevel.checked`` takes each value
+column once and orders the pieces by those floats, comparing the
+``(val, eps)`` tuples only where two values tie: a level the system
+builds itself (an output, the genomic grid) is checked once, there,
+like any other. A closed end at -inf or inf holds the same
 reals as the open one, so a level that passes stores it open (a regular
 level excepted, which saves its ends as its format says): every stored
 end lies between the open -inf and the open inf, and a kernel copies a
@@ -42,7 +46,7 @@ import math
 from dataclasses import dataclass
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, ge, itemgetter, le, mul, sub, truth
+from operator import add, ge, itemgetter, le, lt, mul, sub, truth
 from typing import Iterator, Optional, Sequence, Union
 
 from .intervals import Interval
@@ -120,7 +124,9 @@ class SparseLevel:
         and its stops exact or open below, the only ends the descriptors
         make and the executor handles; then the column checks."""
         starts, stops = self.starts, self.stops
-        if not (set(map(_EPS, starts)) <= {EXACT, ABOVE}
+        # a shared column holds both ends of each point: exact ones only
+        if not (set(map(_EPS, starts)) <= {EXACT} if stops is starts else
+                set(map(_EPS, starts)) <= {EXACT, ABOVE}
                 and set(map(_EPS, stops)) <= {EXACT, BELOW}):
             p = next(p for p, (a, b) in enumerate(zip(starts, stops))
                      if a[1] not in (EXACT, ABOVE) or b[1] not in (EXACT, BELOW))
@@ -135,23 +141,44 @@ class SparseLevel:
         and each fiber's pieces non-empty, sorted and pairwise disjoint,
         which lets ``seek`` binary-search the stops. A level that passes
         with a closed end at -inf or inf comes back with it open, which
-        holds the same reals; a regular level keeps the ends it saves as."""
+        holds the same reals; a regular level keeps the ends it saves as.
+
+        Each value column is taken once (a pinpoint level's shared column
+        once for both ends), and the order passes compare its floats: a
+        tuple's value decides how it orders unless two values tie, so the
+        ``(val, eps)`` tuples are compared only where a float test fails."""
         ptr, starts, stops = self.ptr, self.starts, self.stops
         if len(stops) != len(starts):
             raise InvalidPieceError(f"level {level}: starts/stops length mismatch")
+        los = list(map(_VAL, starts))
+        his = los if stops is starts else list(map(_VAL, stops))
         # a finite sum rules out NaN and infinite ends in one pass
-        finite = math.isfinite(sum(map(_VAL, starts))) and (
-            stops is starts or math.isfinite(sum(map(_VAL, stops))))
-        if not finite and any(map(math.isnan, map(_VAL, chain(starts, stops)))):
+        finite = math.isfinite(sum(los)) and (his is los or math.isfinite(sum(his)))
+        if not finite and (any(map(math.isnan, los)) or any(map(math.isnan, his))):
             raise InvalidPieceError(f"level {level}: NaN endpoint")
         _check_ptr(ptr, level, n_fibers, len(starts))
         # every piece non-empty and real, and below the next one except
         # where a fiber begins: non-empty and disjoint imply sorted, so
-        # this accepts exactly what _first_fault's scan accepts
-        not_below_next = compress(range(1, len(starts)), map(ge, stops, islice(starts, 1, None)))
-        if (not all(map(le, starts, stops)) or not set(not_below_next) <= set(ptr)
-                or not finite and (math.inf in map(_VAL, starts)
-                                   or -math.inf in map(_VAL, stops))):
+        # this accepts exactly what _first_fault's scan accepts. A point
+        # is never empty. Where a start's value is not below its stop's,
+        # or a stop's not below the next start's, the tuples decide
+        fault = not finite and (math.inf in los or -math.inf in his)
+        if his is not los and not all(map(lt, los, his)):
+            at = list(map(ge, los, his))
+            fault = fault or not all(map(le, compress(starts, at), compress(stops, at)))
+        nxt = islice(los, 1, None)
+        if len(ptr) > 2:
+            # a fiber's pieces need not lie above those of the fiber before
+            # it: the start after each fiber's last piece reads as inf
+            nxt = los[1:]
+            nxt.append(math.inf)
+            for q in ptr:
+                nxt[q - 1] = math.inf
+        if not all(map(lt, his, nxt)):
+            at = list(map(ge, his, islice(los, 1, None)))
+            reach = map(ge, compress(stops, at), compress(islice(starts, 1, None), at))
+            fault = fault or not set(compress(compress(range(1, len(los)), at), reach)) <= set(ptr)
+        if fault:
             _first_fault(level, ptr, starts, stops)
         if not finite and self.regular is None:
             return SparseLevel(ptr, tuple(map(_OPEN.get, starts, starts)),

@@ -1222,8 +1222,9 @@ def test_a_rank0_absorbing_write_returns_at_once(src, stats):
 
 
 # an |= into an interval rank: the write's cell is the region it writes,
-# which no loop fixes, so the kernel is the one it was before writes could
-# end loops, byte for byte
+# which no loop fixes, so no write ends a loop. The region is the outer
+# pieces loop's stored piece, never empty: the write does not test it, and
+# its key is bound once per outer piece
 INTERVAL_OR = """\
 def kernel(_b):
     _A_0_table = _b['A'].levels[0]
@@ -1240,15 +1241,14 @@ def kernel(_b):
     for p_A0_0 in range(p_A0_0, _p_A0_0_end):
         r_1_lo = _A_0_starts[p_A0_0]
         r_1_hi = _A_0_stops[p_A0_0]
+        _key1 = ((r_1_lo, r_1_hi),)
         p_A1_2 = _A_1_ptr[p_A0_0]
         _p_A1_2_end = _A_1_ptr[p_A0_0 + 1]
         _seg += _p_A1_2_end - p_A1_2
         for p_A1_2 in range(p_A1_2, _p_A1_2_end):
             _emit += 1
-            if r_1_lo <= r_1_hi:
-                _val = (True if _A_vals[p_A1_2] else False)
-                _key = ((r_1_lo, r_1_hi),)
-                _out[_key] = _get(_key, False) or _val
+            _val = (True if _A_vals[p_A1_2] else False)
+            _out[_key1] = _get(_key1, False) or _val
     return _seg, _mul, _emit, _out
 """
 
@@ -1261,6 +1261,30 @@ def test_an_absorbing_write_into_an_interval_rank_ends_nothing():
     assert kernel_source(compile_program(parse(src), {"A": A})) == INTERVAL_OR
     res = against_oracle(src, {"A": A})
     assert res.stats == ExecStats(multiplies=0, segments_visited=5, pieces_emitted=3)
+
+
+A_ROWS = build_tensor("A", [("interval",), ("interval",)],
+                     [((0.0, 1.0), [((0.0, 1.0), 1.5), ((2.0, 3.0), 2.0)]),
+                      ((2.0, 3.0), [((1.0, 2.0), 3.0)])], fill=0.0)
+B_ONE = tensor_1d("B", [((0.5, 2.5), 2.0)], 0.0, kind="interval")
+
+
+@pytest.mark.parametrize("src, keyed", [
+    ("for i = -inf:inf\n  for j = -inf:inf\n    Out[i, j] = A[i, j] * 2\n  end\nend\n", False),
+    ("for i = -inf:inf\n  for j = -inf:inf\n    Out[i] += A[i, j] * B[j] * d(j)\n  end\nend\n",
+     True),
+], ids=["pieces_in_pieces", "fingers_in_pieces"])
+def test_a_write_into_a_stored_piece_does_not_test_it(src, keyed):
+    binds = {"A": A_ROWS, "B": B_ONE}
+    code = kernel_source(compile_program(parse(src), binds))
+    # a pieces loop's region is its stored piece, never empty; the finger
+    # loop's segment region is still tested
+    assert not re.search(r"if r_\d+_lo <= r_\d+_hi", code)
+    assert ("if r1_7_lo <= r1_7_hi:" in code) is keyed
+    # a key on the outer piece is bound once per piece, where its region is
+    assert ("        r_1_hi = _A_0_stops[p_A0_0]\n        _key1 = ((r_1_lo, r_1_hi),)\n"
+            in code) is keyed
+    against_oracle(src, binds)
 
 
 def test_a_dense_position_is_bound_once_per_iteration_of_its_loop():

@@ -8,13 +8,14 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from contensor import kernels, storage
 from contensor.compiler import compile_program
 from contensor.executor import ExecStats, run
 from contensor.intervals import Interval
 from contensor.kernels import KERNELS, build_genomic_grid, get, random_genomic
 from contensor.lang import validate
 from contensor.oracle import evaluate, outputs_match
-from contensor.storage import ContTensor, StorageError, build_tensor
+from contensor.storage import ContTensor, SparseLevel, StorageError, build_tensor
 
 
 def run_kernel(name, binds, **kw):
@@ -210,6 +211,27 @@ def test_the_grid_of_random_genomic_data_is_the_grid_of_its_pieces():
     for seed in range(30):
         data = random_genomic(Random(seed))["Data"]
         assert repr(build_genomic_grid(data)) == repr(reference_grid(data)), seed
+
+
+def test_the_grid_checks_each_of_its_levels_once(monkeypatch):
+    # the builder makes the Grid's columns itself: ContTensor checks each
+    # continuous level once, and nothing goes through build_tensor
+    data = random_genomic(Random(3))["Data"]
+    want = repr(reference_grid(data))
+    checked, calls = SparseLevel.checked, []
+
+    def counted(level, index, n_fibers):
+        calls.append(index)
+        return checked(level, index, n_fibers)
+
+    def refused(*args, **kw):
+        raise AssertionError("build_tensor called")
+
+    monkeypatch.setattr(SparseLevel, "checked", counted)
+    monkeypatch.setattr(kernels, "build_tensor", refused)
+    monkeypatch.setattr(storage, "build_tensor", refused)
+    assert repr(build_genomic_grid(data)) == want
+    assert calls == [1, 2]
 
 
 # the message shows the stored piece, whose end at inf or -inf is open

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+import operator
 import random
 import re
 
@@ -8,7 +10,7 @@ import pytest
 
 from contensor.intervals import Interval
 from contensor.kernels import KERNELS, build_genomic_grid, random_genomic
-from contensor.limits import Limit
+from contensor.limits import ABOVE, BELOW, EXACT, Limit
 from contensor.storage import (
     ContTensor,
     DenseLevel,
@@ -20,6 +22,11 @@ from contensor.storage import (
     SparseLevel,
     StorageError,
     UnsortedError,
+    _EPS,
+    _OPEN,
+    _VAL,
+    _check_ptr,
+    _first_fault,
     build_level,
     build_tensor,
     tensor_1d,
@@ -441,6 +448,206 @@ def test_pieces_may_descend_across_a_fiber_boundary(kind):
     assert t.fiber_entries(1, 0) == [(iv, p - 100) for iv, p in entries(1, 1)]
     assert t.fiber_entries(1, 1) == [(iv, p + 100) for iv, p in entries(1, 0)]
     assert t.fiber_entries(1, 2) == []
+
+
+# --- the float passes of SparseLevel.checked accept, reject and return
+# exactly what the tuple-only passes they replaced do; those passes are
+# kept here as the spec
+
+
+def tuple_decode(self, level, n_fibers):
+    """SparseLevel.decode with each end column's eps set tested on its own."""
+    starts, stops = self.starts, self.stops
+    if not (set(map(_EPS, starts)) <= {EXACT, ABOVE} and set(map(_EPS, stops)) <= {EXACT, BELOW}):
+        p = next(p for p, (a, b) in enumerate(zip(starts, stops))
+                 if a[1] not in (EXACT, ABOVE) or b[1] not in (EXACT, BELOW))
+        piece = Interval(Limit(*starts[p]), Limit(*stops[p]))
+        raise InvalidPieceError(f"level {level}: cannot store piece {p} {piece} in "
+                                f"{'a pinpoint' if self.pinpoint else 'an interval'} level")
+    return self.checked(level, n_fibers)
+
+
+def tuple_checked(self, level, n_fibers):
+    """SparseLevel.checked comparing every neighbour as a (val, eps) tuple."""
+    ptr, starts, stops = self.ptr, self.starts, self.stops
+    if len(stops) != len(starts):
+        raise InvalidPieceError(f"level {level}: starts/stops length mismatch")
+    finite = math.isfinite(sum(map(_VAL, starts))) and (
+        stops is starts or math.isfinite(sum(map(_VAL, stops))))
+    if not finite and any(map(math.isnan, map(_VAL, itertools.chain(starts, stops)))):
+        raise InvalidPieceError(f"level {level}: NaN endpoint")
+    _check_ptr(ptr, level, n_fibers, len(starts))
+    not_below_next = itertools.compress(
+        range(1, len(starts)), map(operator.ge, stops, itertools.islice(starts, 1, None)))
+    if (not all(map(operator.le, starts, stops)) or not set(not_below_next) <= set(ptr)
+            or not finite and (math.inf in map(_VAL, starts) or -math.inf in map(_VAL, stops))):
+        _first_fault(level, ptr, starts, stops)
+    if not finite and self.regular is None:
+        return SparseLevel(ptr, tuple(map(_OPEN.get, starts, starts)),
+                           tuple(map(_OPEN.get, stops, stops)))
+    return self
+
+
+NAN, INF = math.nan, math.inf
+# (ptr, left, right, lclose, rclose): an interval level's columns, whose
+# lefts are also a pinpoint level's coordinates
+HAND_COLUMNS = [
+    ((0, 2), (0.0, 1.0), (1.0, 2.0), True, (False, True)),  # [0, 1) touches [1, 2]
+    ((0, 2), (0.0, 1.0), (1.0, 2.0), True, True),  # [0, 1] and [1, 2] share 1
+    ((0, 2), (0.0, 1.0), (1.0, 2.0), (True, False), True),  # [0, 1] touches (1, 2]
+    ((0, 2), (0.0, 1.0), (1.0, 1.0), True, (False, True)),  # [0, 1) then the point [1, 1]
+    ((0, 2), (1.0, 1.0), (1.0, 2.0), True, True),  # the point [1, 1] then [1, 2]
+    ((0, 2), (1.0, 1.0), (1.0, 2.0), (True, False), True),  # [1, 1] then (1, 2]
+    ((0, 1), (1.0,), (1.0,), True, False),  # [1, 1) is empty
+    ((0, 1), (1.0,), (0.0,), True, True),  # [1, 0] is empty
+    ((0, 2), (-1.0, 0.0), (-0.0, 1.0), True, (False, True)),  # [-1, -0.0) touches [0.0, 1]
+    ((0, 2), (-1.0, 0.0), (-0.0, 1.0), True, True),  # [-1, -0.0] and [0.0, 1] share 0
+    ((0, 2), (-1.0, -0.0), (0.0, 1.0), (True, False), True),  # [-1, 0.0] touches (-0.0, 1]
+    ((0, 2), (0, 1), (1, 2), True, (False, True)),  # int ends
+    ((0, 2), (0, 1), (1, 2), True, True),
+    ((0, 2), (0, 1.0), (1, 2), True, True),  # an int against a float
+    ((0, 2), (-INF, 0.0), (0.0, INF), (True, False), True),  # closed infinite ends
+    ((0, 2), (-INF, -INF), (0.0, 1.0), True, True),  # two pieces from -inf
+    ((0, 1), (INF,), (INF,), True, True),  # [inf, inf] holds no real number
+    ((0, 1), (-INF,), (-INF,), True, True),  # and nor does [-inf, -inf]
+    ((0, 1), (2.0,), (INF,), (False,), False),  # (2, inf)
+    ((0, 1), (NAN,), (1.0,), True, True),
+    ((0, 2), (0.0, 1.0), (NAN, 2.0), True, True),
+    ((0, 1, 2), (2.0, 0.0), (3.0, 1.0), True, True),  # unsorted across a fiber start
+    ((0, 1, 2), (0.0, 1.0), (1.0, 2.0), True, True),  # shared end across a fiber start
+    ((0, 2, 2), (2.0, 0.0), (3.0, 1.0), True, True),  # unsorted inside a fiber
+    ((0, 2, 3), (0.0, 2.0, 1.0), (1.0, 3.0, 5.0), True, True),
+    ((0, 0, 3), (0.0, 2.0, 2.0), (1.0, 2.0, 3.0), True, (True, False, True)),
+    ((0, 3, 2, 3), (0.0, 1.0, 2.0), (0.5, 1.5, 2.5), True, True),  # ptr runs backwards
+    ((0, 2), (0.0,), (1.0,), True, True),  # ptr past the columns
+]
+# (stride, length, rclose, xs, ptr) of a regular level
+HAND_REGULAR = [
+    (1.0, 1.0, False, (0, 1, 2), None),  # [0, 1) touches [1, 2)
+    (1.0, 1.0, True, (0, 1), None),  # [0, 1] and [1, 2] share 1
+    (0.5, 0.0, True, (0, 0), None),  # one point twice
+    (0.5, 0.0, True, (1, 0), None),
+    (1.0, 2.0, False, (0, 3, 1), (0, 2, 3)),  # unsorted across a fiber start
+    (1.0, 2.0, False, (3, 0), (0, 2)),
+    (1e308, 1.0, False, (-1, 1), None),  # stops near the largest float
+    (1e308, 1.0, True, (1, 2), None),  # 2e308 overflows to inf
+    (1e308, 1e308, True, (1,), None),  # a stop that overflows to inf
+]
+VALUES = (-INF, -2.0, -1, -0.0, 0.0, 0, 0.5, 1, 1.0, 2.0, INF, NAN)
+
+
+def drawn_columns(rng):
+    """Columns of 1-3 fibers drawn from few values, so ends often tie;
+    sorted within each fiber in most draws, so many levels are valid."""
+    pool = VALUES if rng.random() < 0.3 else VALUES[1:-2]
+    sizes = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
+    left, right = [], []
+    for n in sizes:
+        ends = [rng.choice(pool) for _ in range(2 * n)]
+        if rng.random() < 0.8:
+            ends.sort()
+        left += ends[0::2]
+        right += ends[1::2]
+    def flags():
+        return rng.random() < 0.5 if rng.random() < 0.3 else tuple(
+            rng.random() < 0.5 for _ in left)
+    return tuple(itertools.accumulate(sizes, initial=0)), tuple(left), tuple(right), flags(), flags()
+
+
+def drawn_regular(rng):
+    sizes = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+    xs = []
+    for n in sizes:
+        col = [rng.randint(-3, 3) for _ in range(n)]
+        if rng.random() < 0.8:
+            col.sort()
+        xs += col
+    ptr = tuple(itertools.accumulate(sizes, initial=0))
+    return (rng.choice((0.5, 1.0, 1e308)), rng.choice((0.0, 0.5, 1.0, 2.0)),
+            rng.random() < 0.5, tuple(xs), None if len(sizes) == 1 and rng.random() < 0.5 else ptr)
+
+
+def tensor_of(level, n_fibers, n):
+    """A tensor of the level under a dense rank of n_fibers (none for one)."""
+    levels = (level,) if n_fibers == 1 else (DenseLevel(n_fibers), level)
+    return ContTensor("t", levels, (1.0,) * n)
+
+
+def json_of(level, n_fibers, n):
+    levels = [level] if n_fibers == 1 else [{"kind": "dense", "size": n_fibers}, level]
+    return {"name": "t", "fill": 0.0, "levels": levels, "values": [1.0] * n}
+
+
+def ends(vals, flags, open_eps):
+    flags = (flags,) * len(vals) if isinstance(flags, bool) else flags
+    return tuple((v, EXACT if f else open_eps) for v, f in zip(vals, flags))
+
+
+def level_builds(columns, regular):
+    """(label, thunk) per way to store each level: directly as a
+    SparseLevel, through its descriptor, and from JSON."""
+    ptr, left, right, lclose, rclose = columns
+    nf, n = len(ptr) - 1, ptr[-1]
+    points = ends(left, True, ABOVE)
+    # a direct pinpoint level whose last point is open: decode rejects it
+    opened = points[:-1] + ((left[-1], ABOVE),) if left else points
+    json_flags = [c if isinstance(c, bool) else list(c) for c in (lclose, rclose)]
+    yield "direct interval", lambda: tensor_of(
+        SparseLevel(ptr, ends(left, lclose, ABOVE), ends(right, rclose, BELOW)), nf, n)
+    yield "descriptor interval", lambda: tensor_of(
+        IntervalLevel(ptr, left, right, lclose, rclose), nf, n)
+    yield "json interval", lambda: tensor_from_json(json_of(
+        {"kind": "interval", "ptr": list(ptr), "left": list(left), "right": list(right),
+         "lclose": json_flags[0], "rclose": json_flags[1]}, nf, n))
+    yield "direct pinpoint", lambda: tensor_of(
+        SparseLevel(ptr, points, points, pinpoint=True), nf, n)
+    yield "direct pinpoint, an open end", lambda: tensor_of(
+        SparseLevel(ptr, opened, opened, pinpoint=True), nf, n)
+    yield "descriptor pinpoint", lambda: tensor_of(PinpointLevel(ptr, left), nf, n)
+    yield "json pinpoint", lambda: tensor_from_json(json_of(
+        {"kind": "pinpoint", "ptr": list(ptr), "crd": list(left)}, nf, n))
+    stride, length, rc, xs, rptr = regular
+    rnf, rn = (1, len(xs)) if rptr is None else (len(rptr) - 1, rptr[-1])
+    yield "descriptor regular", lambda: tensor_of(
+        RegularLevel(stride, length, rc, xs, rptr), rnf, rn)
+    reg = {"kind": "regular", "stride": stride, "len": length, "rclose": rc, "xs": list(xs)}
+    if rptr is not None:
+        reg["ptr"] = list(rptr)
+    yield "json regular", lambda: tensor_from_json(json_of(reg, rnf, rn))
+
+
+def level_cases(draws=400):
+    """(label, thunk) of every way to store the hand-built columns, then
+    of as many seeded draws; tools/differential.py runs them too."""
+    rng = random.Random(28)
+    cases = list(zip(HAND_COLUMNS, itertools.cycle(HAND_REGULAR)))
+    cases += [(drawn_columns(rng), drawn_regular(rng)) for _ in range(draws)]
+    return [(f"case {i} {label}", build) for i, case in enumerate(cases)
+            for label, build in level_builds(*case)]
+
+
+def outcome(build):
+    """The tensor's repr, or the class and message of the error raised."""
+    try:
+        return repr(build())
+    except ValueError as err:  # StorageError and SchemaError
+        return type(err).__name__, str(err)
+
+
+def test_the_float_passes_decide_as_the_tuple_passes(monkeypatch):
+    builds = level_cases()
+    got = [outcome(build) for _, build in builds]
+    monkeypatch.setattr(SparseLevel, "decode", tuple_decode)
+    monkeypatch.setattr(SparseLevel, "checked", tuple_checked)
+    want = [outcome(build) for _, build in builds]
+    assert [label for (label, _), a, b in zip(builds, got, want) if a != b] == []
+    # the draws reach every verdict: valid levels, some with an end opened
+    # at infinity, and each fault the checks name
+    shown = "\n".join(map(str, got))
+    for text in ("ContTensor(", "inf, -1)", "-inf, 1)", "is empty", "holds no real number",
+                 "out of order", "overlap", "NaN endpoint", "cannot store piece",
+                 "ptr not monotone", "ptr must run"):
+        assert text in shown, text
 
 
 def test_interval_keys_as_endpoint_pairs_build_the_same_level():

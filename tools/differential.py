@@ -7,14 +7,19 @@ that tree; the programs and inputs come from this checkout's ``tests/``
 and ``perfbench/``, so both trees see the same ones:
 
 - ``kernels``: the 9 shipped kernels on their canonical fixture and on
-  random instances from seeds 0-29;
+  random instances from seeds 0-29, and before each instance of a kernel
+  whose inputs the system builds (``genomic_overlap_grid``'s ``Grid``)
+  the tensors it binds;
 - ``fuzz``: the first ``--draws`` derandomized draws of
   ``tests/test_fuzz.py::programs()``;
 - ``store``: as many derandomized draws of ``tests/test_store.py::cases()``,
   plans of constant writes that reach the output store with no lowering;
 - ``workloads``: every plan of perfbench's four workloads at their small
   size (``--full`` adds the full size), seeds 1-3, and before them the
-  tensors each workload's setup binds (its ``Grid`` among them).
+  tensors each workload's setup binds (its ``Grid`` among them);
+- ``levels``: ``tests/test_storage.py::level_cases()``, hand-built and
+  seeded level columns stored directly, through their descriptors and
+  from JSON.
 
 Each plan is compiled once and run twice, the second time from the
 kernel cache. A record holds the compile error, or the sha256 of the
@@ -23,10 +28,12 @@ kernel's source and whether the plan walks, and for each run the output
 the ``ExecStats``, the diagnostics, or the class and message of the error
 raised. A setup record holds the sha256 of the ``repr`` of each bound
 tensor, so a change to how inputs are built shows here and not only in
-the outputs downstream of it. A record's results differ in three kinds:
+the outputs downstream of it. A level record holds the tensor's ``repr``
+(a sha256 past 4 kB) or the class and message of the error raised. A
+record's results differ in three kinds:
 
 - ``outputs``: an output, the error a compile or run raised, a setup's
-  tensors, or whether the plan walks;
+  tensors, a level's tensor or error, or whether the plan walks;
 - ``stats``: the ``ExecStats`` of a run;
 - ``diagnostics``: the diagnostics of a run.
 
@@ -53,11 +60,12 @@ from random import Random
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(30)
+BUILT = ("genomic_overlap_grid",)  # kernels whose random instances bind a built tensor
 WORKLOAD_SEEDS = (1, 2, 3)
 LONG = 4096  # a repr longer than this is recorded by its sha256
 # each kind of result a record holds besides its source: the record's keys
 # and, within each run, the keys of that kind
-RESULTS = {"outputs": (("walks", "compile", "setup"), ("output", "error")),
+RESULTS = {"outputs": (("walks", "compile", "setup", "level"), ("output", "error")),
            "stats": ((), ("stats",)), "diagnostics": ((), ("diagnostics",))}
 
 
@@ -69,12 +77,14 @@ def _error(err: Exception) -> str:
     return f"{type(err).__name__}: {err}"
 
 
+def _short(text: str) -> str:
+    return text if len(text) <= LONG else f"sha256:{_sha(text)} ({len(text)} chars)"
+
+
 def _shown(out) -> str:
     if hasattr(out, "pieces"):
-        text = f"{type(out).__name__} fill={out.fill!r} pieces={list(out.pieces())!r}"
-    else:
-        text = f"{type(out).__name__} {out!r}"
-    return text if len(text) <= LONG else f"sha256:{_sha(text)} ({len(text)} chars)"
+        return _short(f"{type(out).__name__} fill={out.fill!r} pieces={list(out.pieces())!r}")
+    return _short(f"{type(out).__name__} {out!r}")
 
 
 def _record(case_id: str, compile_plan) -> dict:
@@ -103,6 +113,13 @@ def _record(case_id: str, compile_plan) -> dict:
 
 def _setup_record(case_id: str, binds: dict) -> dict:
     return {"id": case_id, "setup": {name: _sha(repr(t)) for name, t in sorted(binds.items())}}
+
+
+def _level_record(case_id: str, build) -> dict:
+    try:
+        return {"id": case_id, "level": _short(repr(build()))}
+    except Exception as err:  # noqa: BLE001 - the class and message are the record
+        return {"id": case_id, "level": _error(err)}
 
 
 def _draws(strategy, n: int) -> list:
@@ -138,6 +155,8 @@ def _cases(draws: int, full: bool):
                    compile_program(p, b))
         for seed in SEEDS:
             binds = k.random_instance(Random(seed))
+            if name in BUILT:
+                yield "kernels", partial(_setup_record, f"{name}/{seed}/setup", binds)
             yield plan("kernels", f"{name}/{seed}", lambda p=program, b=binds:
                        compile_program(p, b))
 
@@ -167,6 +186,11 @@ def _cases(draws: int, full: bool):
                 for p in w.programs:
                     yield plan("workloads", f"{name}/{size}/{seed}/{p.label}",
                                lambda p=p, b=binds: compile_program(p.program, p.bind(b)))
+
+    import test_storage
+
+    for label, build in test_storage.level_cases():
+        yield "levels", partial(_level_record, label, build)
 
 
 def collect(draws: int, full: bool):
