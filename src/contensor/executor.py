@@ -4,7 +4,9 @@
 every plan slot is a local, every co-iteration one ``while`` or ``for``
 loop with its steppers written out as int locals, and endpoints are compared
 inline as ``(val, eps)`` tuples, the form in which each ``SparseLevel``
-stores them and which orders exactly as ``Limit`` does. The function
+stores them and which orders exactly as ``Limit`` does; a finger or pieces
+loop compares the floats of its levels' value columns (``los``, ``his``)
+first, and those tuples only where two floats tie. The function
 reads those levels and the leaf values from the bindings and keeps the
 ``ExecStats`` counters in local ints. Compiled kernels are cached by
 ``Plan.key``, the plan without its bindings, before anything is
@@ -20,7 +22,25 @@ A co-iteration renders in the loop shape lowering chose
 loop (no stepper runs out or is shifted) writes only where all its
 steppers are in a piece: each iteration is the overlap of the current
 pieces, and the fingers at the least stop move on. Each finger keeps its
-current stop in a local, read again when it moves on. Where the range
+current stop in a local, read again when it moves on, with a float twin
+read from the ``his`` column; the segment's stop has one too, and so
+have a range's ends where a segment reads them (``lo[0]``, ``hi[0]``).
+A region that such a loop's iteration makes of its fingers' stored ends
+and the segment's ends has float twins for its start and stop. Each
+compare of two ends is float-first: the least stop is ``xv < hv or xv
+== hv and x < hi``, a region's start the largest of its starts' floats
+(a stop the least, with the same tie test), a ``Guard`` ``lv < hv or lv
+== hv and lo <= hi``, a finger moves on where ``rv == hv and (r is hi or
+r == hi)``, and a ``d()`` length is ``hv - lv``. A tuple orders by its
+float first, so wherever two floats differ they give the tuple order,
+and only ties reach the tuples (``_PAST``, ``_NO_STOP`` and the open
+-inf read as inf and -inf). A region keeps the tuple of an end only
+where the plan reads it as a tuple (a write, a pin, another region, a
+loop range); a ``Guard`` at a tie then takes its start as the ``max`` of
+the start tuples, and a region's lone end that is a local (the segment's
+stop) is that local. A write thus stores the tuple it stored before. A
+pin reads a stored point from its value column. Walks, probes and
+``_seek`` compare tuples. Where the range
 ends at the fingers' own last stops (a loop to inf), the least stop is
 the fingers' alone, and the loop ends when a finger that moves on
 reaches its fiber's end; with a finite end it is the least of the
@@ -64,9 +84,10 @@ start for none. Every dense position whose index reads only discrete
 loop indices is bound there (``_pos<n>``); so are, where they would
 otherwise be read inside a loop nested in their home, a fiber's ends
 ``ptr[f]`` and ``ptr[f + 1]`` for a pieces or finger loop that enters it
-from the open -inf (those of a fiber that can be -1 tested there, and an
-empty fiber's where it is -1), its last stop, a finger's first stop
-(read only where the fiber has a piece), a constant endpoint, and a
+from the open -inf or a shift-0 probe of it (those of a fiber that can
+be -1 tested there, and an empty fiber's where it is -1), its last
+stop, a finger's first stop and its float twin (read only where the
+fiber has a piece), a constant endpoint, and a
 reduction's workspace row and key (a key on such a stored piece among
 them). A ``_seek`` entry depends on the range's start and stays where
 it is.
@@ -129,7 +150,7 @@ import math
 import operator
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import compress, islice, repeat
 from operator import eq, itemgetter, lt, ne
 
@@ -212,8 +233,8 @@ _GLOBALS = {
     "_NEG_OPEN": _NEG_OPEN, "_POS_OPEN": _POS_OPEN, "_PAST": _PAST, "_NO_STOP": _NO_STOP,
 }
 # Every name the generator makes ends in a suffix no other kind of name
-# has, and slot locals end in "_<slot>". The kernel's temporaries (_e, _n,
-# _d, _p, _t, _v, _f, _q, _val, _key, _ws, and _lo<n>/_hi<n> for the n-th
+# has, and slot locals end in "_<slot>". The kernel's temporaries (_e, _ev,
+# _n, _d, _p, _t, _v, _f, _q, _val, _key, _ws, and _lo<n>/_hi<n> for the n-th
 # region in a write's path) are each consumed right after they are set,
 # before any other use of the same name can run, so one of each serves the
 # kernel. The output is _out: a tuple of columns under "=" (column k
@@ -257,6 +278,33 @@ def _simple(code: str) -> bool:
 def _end(t: str, f: str) -> str:
     """The position just past the last piece of fiber f of level prefix t."""
     return f"{t}_ptr[{1 if f == '0' else f + ' + 1'}]"
+
+
+def _end_reads(node, starts: set, stops: set, floats: set):
+    """Add the slots of the regions whose start, or whose stop, a plan
+    node reads as a ``(val, eps)`` tuple (as an end of another region, a
+    pin or a loop range, or in a write's path), and of those whose ends it
+    reads as floats: a ``Guard``, a ``d()`` length and another region's
+    ends, which compare the floats first and the tuples only at a tie."""
+    t = type(node)
+    if t is IvStart or t is IvStop:
+        (starts if t is IvStart else stops).add(node.slot)
+        floats.add(node.slot)
+    elif t is LenOf or t is Guard:
+        floats.add(node.slot)
+    elif t is Write:
+        slots = [c[1] for c in node.path if c[0] == "iv"]
+        starts.update(slots)
+        stops.update(slots)
+    elif t is WhileCoiter and node.range_slot is not None:
+        starts.add(node.range_slot)
+        stops.add(node.range_slot)
+    if t is tuple:
+        for x in node:
+            _end_reads(x, starts, stops, floats)
+    elif is_dataclass(node):
+        for f in fields(node):
+            _end_reads(getattr(node, f.name), starts, stops, floats)
 
 
 _IND = "    "
@@ -314,6 +362,13 @@ class _Source:
         self.guarded = set()  # region slots known not empty: a Guard's, a stored piece's
         self.piece_pos = set()  # position slots of the pieces loops
         self.stops = {}  # region slot -> the stops of its IntersectLet
+        # the region slots whose start, and whose stop, the plan reads as a
+        # tuple somewhere, and those whose ends it reads as floats (see
+        # _end_reads): a region compared in floats keeps only those tuples
+        self.tuple_starts, self.tuple_stops, self.float_reads = set(), set(), set()
+        _end_reads(plan.body, self.tuple_starts, self.tuple_stops, self.float_reads)
+        self.twins = {}  # region slot -> the float twins of its start and stop
+        self.floats = set()  # level prefixes whose value columns a kernel reads
         self.fingers = frozenset()  # position locals of the annihilating steppers in scope
         self.ends = {}  # a walk's annihilating stepper -> (its access, start and stop locals)
         self.missable = set()  # position locals that can be -1 (see can_miss)
@@ -334,6 +389,8 @@ class _Source:
             head.append(f"    {t}_table = _b[{tensor!r}].levels[{level}]\n"
                         f"    {t}_starts, {t}_stops, {t}_ptr = "
                         f"{t}_table.starts, {t}_table.stops, {t}_table.ptr")
+            if t in self.floats:
+                head.append(f"    {t}_los, {t}_his = {t}_table.los, {t}_table.his")
         for tensor, vals in self.values.items():
             head.append(f"    {vals} = _b[{tensor!r}].values")
         if self.op == "=":
@@ -508,8 +565,11 @@ class _Source:
         return f"({vals}[_t] if (_t := {p}) >= 0 else {_lit(e.fill)})"
 
     def length(self, e: LenOf) -> str:
-        lo, hi = self.region(e.slot, e.name)
-        return f"(_d if (_d := {hi}[0] - {lo}[0]) > 0.0 else 0.0)"
+        twins = self.twins.get(e.slot)
+        if twins is None:
+            twins = (f"{x}[0]" for x in self.region(e.slot, e.name))
+        lv, hv = twins
+        return f"(_d if (_d := {hv} - {lv}) > 0.0 else 0.0)"
 
     def mul(self, e: Mul) -> str:
         args = [self.expr(a) for a in e.args]
@@ -627,8 +687,13 @@ class _Source:
 
     def guard(self, s: Guard, pad: str):
         lo, hi = self.region(s.slot, s.name)
+        test = f"{lo} <= {hi}"
+        if s.slot in self.twins:
+            # the tuples decide only where the floats tie
+            lv, hv = self.twins[s.slot]
+            test = f"{lv} < {hv} or {lv} == {hv} and {test}"
         self.guarded.add(s.slot)
-        self.nested(f"if {lo} <= {hi}:", s.body, pad)
+        self.nested(f"if {test}:", s.body, pad)
         self.guarded.discard(s.slot)
 
     def cond(self, s: Cond, pad: str):
@@ -661,18 +726,29 @@ class _Source:
             self.lines.append(f"{pad}if {lo} != {hi}:\n{pad}{_IND}_pin_error({lo}, {hi})\n"
                               f"{pad}{x} = {lo}[0]")
         else:
-            # a stored point's coordinate
-            self.lines.append(f"{pad}{x} = {self.lexpr(s.at)}[0]")
+            # a stored point's coordinate, from its value column where it
+            # is a stepper's in its own loop
+            used = set()
+            at = self.float_end(s.at, used) or f"{self.lexpr(s.at)}[0]"
+            self.floats |= used
+            self.lines.append(f"{pad}{x} = {at}")
 
     def probe(self, s: Probe, pad: str):
         t = self.level(s.tensor, s.level)
         if s.shift == Num(0.0):
             # at shift 0, SparseLevel.probe inline: the first piece whose stop
-            # is at or past x holds x if its start is at or below it
-            test, f = self.fiber_test(s.parent)
+            # is at or past x holds x if its start is at or below it. The
+            # fiber's ends are read inline, or bound at their home
+            ends = self.entry(t, s.parent)
+            if ends is None:
+                test, f = self.fiber_test(s.parent)
+                beg, end = f"{t}_ptr[{f}]", f"(_q := {_end(t, f)})"
+            else:
+                test, (_, beg, end) = "", ends
             x = self.expr(s.coord)
-            find = (f"(_p if {test}(_p := bisect_left({t}_stops, (_t := ({x}, 0)), {t}_ptr[{f}], "
-                    f"(_q := {_end(t, f)}))) < _q and {t}_starts[_p] <= _t else -1)")
+            q = "_q" if ends is None else end
+            find = (f"(_p if {test}(_p := bisect_left({t}_stops, (_t := ({x}, 0)), {beg}, "
+                    f"{end})) < {q} and {t}_starts[_p] <= _t else -1)")
         else:
             find = (f"_probe({t}_table, {self.pexpr(s.parent)}, {self.expr(s.coord)}, "
                     f"{self.expr(s.shift)})")
@@ -700,18 +776,85 @@ class _Source:
             # it, since a level stores a closed -inf as the open one
             starts = starts[1:]
         self.stops[s.slot] = s.stops
-        lexpr = self.lexpr
-        out = []
-        for target, ops, cmp in ((lo, starts, ">"), (hi, s.stops, "<")):
-            out.append(f"{pad}{target} = {lexpr(ops[0])}")
-            tail = f"\n{pad}if _e {cmp} {target}:\n{pad}{_IND}{target} = _e"
-            out.extend(f"{pad}_e = {lexpr(a)}{tail}" for a in ops[1:])
-        if piece and self.loops[-1].at == len(self.lines):
+        # compared in floats where the plan reads its floats and each of its
+        # ends has one
+        fstarts, fstops, used = [None], [None], set()
+        if s.slot in self.float_reads:
+            fstarts, fstops = ([self.float_end(a, used) for a in ops] for ops in (starts, s.stops))
+        if None in fstarts or None in fstops:
+            out = self.tuple_region(lo, hi, starts, s.stops, pad)
+        else:
+            self.floats |= used
+            out = self.float_region(s, starts, fstarts, fstops, pad)
+        if out and piece and self.loops[-1].at == len(self.lines):
             # at the start of a loop's body, it reads only its pieces loop's
             # position: the region is bound with the loop's slots
             self.loops[-1].slots |= {s.slot}
             self.loops[-1].at += 1
-        self.lines.append("\n".join(out))
+        if out:
+            self.lines.append("\n".join(out))
+
+    def tuple_region(self, lo: str, hi: str, starts, stops, pad: str) -> list:
+        """A region's lines that compare its ends as tuples."""
+        out = []
+        for target, ops, cmp in ((lo, starts, ">"), (hi, stops, "<")):
+            out.append(f"{pad}{target} = {self.lexpr(ops[0])}")
+            tail = f"\n{pad}if _e {cmp} {target}:\n{pad}{_IND}{target} = _e"
+            out.extend(f"{pad}_e = {self.lexpr(a)}{tail}" for a in ops[1:])
+        return out
+
+    def float_region(self, s: IntersectLet, starts, fstarts, fstops, pad: str) -> list:
+        """A region's lines that compare the floats of its ends first, and
+        the tuples only where two floats tie: the region gets float twins
+        for its start and stop. Where the plan reads an end of it only in a
+        Guard, that end's tuple is not kept: the Guard, at a float tie,
+        takes it as the max of the starts (the min of the stops). A lone
+        end that is a local is used as it is."""
+        twins, ends, out = [], [], []
+        i = pad + _IND
+        sides = ((starts, fstarts, ">", "max", s.slot in self.tuple_starts),
+                 (s.stops, fstops, "<", "min", s.slot in self.tuple_stops))
+        for end, (ops, fl, cmp, pick, keep) in zip(self.region(s.slot, s.name), sides):
+            codes = [self.lexpr(a) for a in ops]
+            twin = end[:-1] + "v"  # r_lo -> r_lv, r_hi -> r_hv
+            if len(ops) == 1 and _simple(fl[0]):
+                twin = fl[0]
+            else:
+                out.append(f"{pad}{twin} = {fl[0]}")
+            if not keep:
+                end = codes[0] if len(ops) == 1 else f"{pick}({', '.join(codes)})"
+            elif len(ops) == 1 and _simple(codes[0]):
+                end = codes[0]
+            else:
+                out.append(f"{pad}{end} = {codes[0]}")
+            for code, f in zip(codes[1:], fl[1:]):
+                tie = f" or _ev == {twin} and {code} {cmp} {end}" if keep else ""
+                out.append(f"{pad}_ev = {f}\n{pad}if _ev {cmp} {twin}{tie}:\n{i}{twin} = _ev"
+                           + (f"\n{i}{end} = {code}" if keep else ""))
+            twins.append(twin)
+            ends.append(end)
+        self.slots[s.slot] = tuple(ends)
+        self.twins[s.slot] = tuple(twins)
+        return out
+
+    def float_end(self, e, used: set):
+        """The float of an end that a region made in a finger or pieces
+        loop's iteration reads, or None where there is none: a stepper's
+        unshifted stored end, read from its level's value column (whose
+        level prefix is added to used), or a float twin of such a region's
+        end, the finger loop's segment among them."""
+        t = type(e)
+        if t is IvStart or t is IvStop:
+            twins = self.twins.get(e.slot)
+            return None if twins is None else twins[t is IvStop]
+        if t is not EndRef or e.shift is not None or type(e.pos) is not PVar:
+            return None
+        p = self.var(e.pos.slot, e.pos.name)
+        if p not in self.fingers or p in self.ends:
+            return None
+        level = self.level(e.tensor, e.level)
+        used.add(level)
+        return f"{level}_{'los' if e.side in ('L', 'C') else 'his'}[{p}]"
 
     def stored_piece(self, s: IntersectLet) -> bool:
         """Whether a region is the piece at a pieces loop's position: its
@@ -833,9 +976,12 @@ class _Source:
         is -inf, and the range is empty for an empty or missing fiber. Ending
         on positions is exact: within a fiber stops strictly increase, so
         the least stop is the range's exactly when a finger that holds it
-        is at its last piece."""
+        is at its last piece. Each finger's stop, and the segment's, has a
+        float twin, and the loop compares those first (see the module
+        notes)."""
         lo, hi = self.region(s.range_slot, s.range_name)
         stop = f"{self.var(s.curr_slot, s.curr_name)}_hi"
+        stopv = stop[:-1] + "v"
         self.slots[s.curr_slot] = (lo, stop)
         from_fiber = s.range_slot in self.open_lo
         if from_fiber:
@@ -855,16 +1001,19 @@ class _Source:
                 raise ExecError(f"finger {st.pos_name} is shifted or runs out")
             p = self.var(st.pos_slot, st.pos_name)
             t = self.level(st.tensor, st.level)
+            self.floats.add(t)
             f = self.pexpr(st.fiber)
-            end, r = f"_{p}_end", f"_{p}_stop"
+            end, r, rv = f"_{p}_end", f"_{p}_stop", f"_{p}_stopv"
             ends = self.entry(t, st.fiber) if from_fiber else None
             if ends is not None:
                 # its first stop, bound where its fiber may be empty
                 home, beg, end = ends
                 first = self.bind(home, (t, "first", beg),
                                   f"{t}_stops[{beg}] if {beg} < {end} else _PAST", "_first")
-                add(f"{pad}{p} = {beg}\n{pad}{r} = {first}")
-                steppers.append((p, t, end, r))
+                firstv = self.bind(home, (t, "firstv", beg),
+                                   f"{t}_his[{beg}] if {beg} < {end} else _INF", "_firstv")
+                add(f"{pad}{p} = {beg}\n{pad}{r} = {first}\n{pad}{rv} = {firstv}")
+                steppers.append((p, t, end, r, rv))
                 continue
             if on_positions and not _simple(f):
                 add(f"{pad}_f = {f}")
@@ -875,23 +1024,32 @@ class _Source:
                 add(f"{pad}{p} = _seek({t}_table, {f}, {lo}, 0.0)")
             if on_positions:
                 add(f"{pad}{end} = {_end(t, f)}")
-            add(f"{pad}{r} = {t}_stops[{p}]")
-            steppers.append((p, t, end, r))
+            add(f"{pad}{r} = {t}_stops[{p}]\n{pad}{rv} = {t}_his[{p}]")
+            steppers.append((p, t, end, r, rv))
+        # the range's float twins, where a segment reads them
+        lv, hv = "(-_INF)" if from_fiber else lo[:-1] + "v", hi[:-1] + "v"
+        if not from_fiber:
+            add(f"{pad}{lv} = {lo}[0]")
+        if not on_positions:
+            add(f"{pad}{hv} = {hi}[0]")
+        self.twins[s.curr_slot] = (lv, stopv)
         add(f"{pad}while True:\n{i}_seg += 1")
         pad, i = i, i + _IND
-        least = [r for *_, r in steppers]
+        least = [(r, rv) for *_, r, rv in steppers]
         if not on_positions:
-            least.insert(0, hi)
-        add(f"{pad}{stop} = {least[0]}")
-        for r in least[1:]:
-            add(f"{pad}if {r} < {stop}:\n{i}{stop} = {r}")
+            least.insert(0, (hi, hv))
+        add(f"{pad}{stop} = {least[0][0]}\n{pad}{stopv} = {least[0][1]}")
+        for r, rv in least[1:]:
+            add(f"{pad}if {rv} < {stopv} or {rv} == {stopv} and {r} < {stop}:\n"
+                f"{i}{stop} = {r}\n{i}{stopv} = {rv}")
         self.scoped(s.body, pad, self.fingers | {p for p, *_ in steppers},
                     [st.pos_slot for st in s.steppers])
         if not on_positions:
             add(f"{pad}if {stop} is {hi}:\n{i}break")
-        for p, t, end, r in steppers:
+        for p, t, end, r, rv in steppers:
             last = f"{i}if {p} == {end}:\n{i}{_IND}break\n" if on_positions else ""
-            add(f"{pad}if {r} == {stop}:\n{i}{p} += 1\n{last}{i}{r} = {t}_stops[{p}]")
+            add(f"{pad}if {rv} == {stopv} and ({r} is {stop} or {r} == {stop}):\n{i}{p} += 1\n"
+                f"{last}{i}{r} = {t}_stops[{p}]\n{i}{rv} = {t}_his[{p}]")
 
     def pieces(self, s: WhileCoiter, pad: str):
         """A pieces loop: the lone stepper's positions, in a for loop. Every

@@ -13,7 +13,10 @@ positions index ``values``.
 
 Each continuous rank stores one ``SparseLevel``: ptr plus a start and a
 stop column, whose entries are plain ``(val, eps)`` tuples that order
-exactly as the ``Limit``s they stand for. Callers read a tensor through
+exactly as the ``Limit``s they stand for, and the level's value columns,
+``los`` and ``his``, the floats of those ends, which generated kernels
+compare before the tuples and which take no part in ``==``, ``repr`` or
+the hash. Callers read a tensor through
 ``fiber_entries`` and ``pieces``, which hand out ``Interval``s of
 ``Limit``s, and ``at``, the value at one point. Generated kernels call a
 level's ``seek``, a binary search of its stop column, and read its
@@ -27,10 +30,12 @@ a ``SparseLevel`` given directly must also have the ends they make.
 Validation makes whole-column passes (``map``, ``zip``, ``all``) and
 looks at single elements only once one of them fails, to name the first
 bad element in the error. ``SparseLevel.checked`` takes each value
-column once and orders the pieces by those floats, comparing the
-``(val, eps)`` tuples only where two values tie: a level the system
-builds itself (an output, the genomic grid) is checked once, there,
-like any other. A closed end at -inf or inf holds the same
+column once, or the floats a descriptor has just decoded, keeps it on
+the level it returns, and orders the pieces by those floats, comparing
+the ``(val, eps)`` tuples only from the first place where a float test
+fails, so a level whose neighbours all touch costs one tuple pass: a
+level the system builds itself (an output, the genomic grid) is checked
+once, there, like any other. A closed end at -inf or inf holds the same
 reals as the open one, so a level that passes stores it open (a regular
 level excepted, which saves its ends as its format says): every stored
 end lies between the open -inf and the open inf, and a kernel copies a
@@ -43,10 +48,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, ge, itemgetter, le, lt, mul, sub, truth
+from operator import add, ge, indexOf, itemgetter, le, lt, mul, sub, truth
 from typing import Iterator, Optional, Sequence, Union
 
 from .intervals import Interval
@@ -109,6 +114,11 @@ class SparseLevel:
     pinpoint level shares one tuple for both). The format fields say that
     every piece is a point (``pinpoint``) and, for a level declared
     regular, give its ``(stride, length, rclose)``, which it saves as.
+    A level ``checked`` returns also keeps its value columns: ``los[p]``
+    equals ``starts[p][0]`` and ``his[p]`` equals ``stops[p][0]``, of the
+    same type (one column for a pinpoint level), which generated kernels
+    compare before the tuples. They hold what the tuples hold, so they
+    take no part in ``==``, ``repr`` or the hash.
     """
 
     ptr: tuple
@@ -116,13 +126,16 @@ class SparseLevel:
     stops: tuple
     pinpoint: bool = False
     regular: Optional[tuple] = None
+    los: Optional[Sequence] = field(default=None, compare=False, repr=False)
+    his: Optional[Sequence] = field(default=None, compare=False, repr=False)
 
     continuous = True
 
     def decode(self, level: int, n_fibers: int) -> "SparseLevel":
         """A level given directly: its starts must be exact or open above
         and its stops exact or open below, the only ends the descriptors
-        make and the executor handles; then the column checks."""
+        make and the executor handles; then the column checks, which take
+        its value columns afresh."""
         starts, stops = self.starts, self.stops
         # a shared column holds both ends of each point: exact ones only
         if not (set(map(_EPS, starts)) <= {EXACT} if stops is starts else
@@ -133,25 +146,31 @@ class SparseLevel:
             piece = Interval(Limit(*starts[p]), Limit(*stops[p]))
             raise InvalidPieceError(f"level {level}: cannot store piece {p} {piece} in "
                                     f"{'a pinpoint' if self.pinpoint else 'an interval'} level")
-        return self.checked(level, n_fibers)
+        bare = self if self.los is None else SparseLevel(
+            self.ptr, starts, stops, self.pinpoint, self.regular)
+        return bare.checked(level, n_fibers)
 
     def checked(self, level: int, n_fibers: int) -> "SparseLevel":
-        """Check the columns and return the level: every end a number, no
-        piece starting at inf or stopping at -inf (it holds no real number),
-        and each fiber's pieces non-empty, sorted and pairwise disjoint,
-        which lets ``seek`` binary-search the stops. A level that passes
-        with a closed end at -inf or inf comes back with it open, which
-        holds the same reals; a regular level keeps the ends it saves as.
+        """Check the columns and return the level with its value columns:
+        every end a number, no piece starting at inf or stopping at -inf
+        (it holds no real number), and each fiber's pieces non-empty,
+        sorted and pairwise disjoint, which lets ``seek`` binary-search the
+        stops. A level that passes with a closed end at -inf or inf comes
+        back with it open, which holds the same reals; a regular level
+        keeps the ends it saves as.
 
-        Each value column is taken once (a pinpoint level's shared column
-        once for both ends), and the order passes compare its floats: a
+        The value columns are the ones a descriptor decoded, where it set
+        them, else each is taken once (a pinpoint level's shared column
+        once for both ends), and the order passes compare their floats: a
         tuple's value decides how it orders unless two values tie, so the
-        ``(val, eps)`` tuples are compared only where a float test fails."""
+        ``(val, eps)`` tuples are compared only from the first place where
+        a float test fails."""
         ptr, starts, stops = self.ptr, self.starts, self.stops
         if len(stops) != len(starts):
             raise InvalidPieceError(f"level {level}: starts/stops length mismatch")
-        los = list(map(_VAL, starts))
-        his = los if stops is starts else list(map(_VAL, stops))
+        los = self.los if self.los is not None else list(map(_VAL, starts))
+        his = (self.his if self.his is not None else
+               los if stops is starts else list(map(_VAL, stops)))
         # a finite sum rules out NaN and infinite ends in one pass
         finite = math.isfinite(sum(los)) and (his is los or math.isfinite(sum(his)))
         if not finite and (any(map(math.isnan, los)) or any(map(math.isnan, his))):
@@ -160,29 +179,35 @@ class SparseLevel:
         # every piece non-empty and real, and below the next one except
         # where a fiber begins: non-empty and disjoint imply sorted, so
         # this accepts exactly what _first_fault's scan accepts. A point
-        # is never empty. Where a start's value is not below its stop's,
-        # or a stop's not below the next start's, the tuples decide
+        # is never empty. From the first start whose value is not below
+        # its stop's, or stop whose value is not below the next start's,
+        # the tuples decide: touching neighbours tie everywhere, and then
+        # one tuple pass is all the check costs
         fault = not finite and (math.inf in los or -math.inf in his)
-        if his is not los and not all(map(lt, los, his)):
-            at = list(map(ge, los, his))
-            fault = fault or not all(map(le, compress(starts, at), compress(stops, at)))
+        if stops is not starts and not all(map(lt, los, his)):
+            k = indexOf(map(lt, los, his), False)
+            fault = fault or not all(map(le, islice(starts, k, None), islice(stops, k, None)))
         nxt = islice(los, 1, None)
         if len(ptr) > 2:
             # a fiber's pieces need not lie above those of the fiber before
             # it: the start after each fiber's last piece reads as inf
-            nxt = los[1:]
+            nxt = list(islice(los, 1, None))
             nxt.append(math.inf)
             for q in ptr:
                 nxt[q - 1] = math.inf
         if not all(map(lt, his, nxt)):
-            at = list(map(ge, his, islice(los, 1, None)))
-            reach = map(ge, compress(stops, at), compress(islice(starts, 1, None), at))
-            fault = fault or not set(compress(compress(range(1, len(los)), at), reach)) <= set(ptr)
+            k = indexOf(map(lt, his, nxt if len(ptr) > 2 else islice(los, 1, None)), False)
+            reach = map(ge, islice(stops, k, None), islice(starts, k + 1, None))
+            fault = fault or not set(compress(range(k + 1, len(los)), reach)) <= set(ptr)
         if fault:
             _first_fault(level, ptr, starts, stops)
         if not finite and self.regular is None:
             return SparseLevel(ptr, tuple(map(_OPEN.get, starts, starts)),
-                               tuple(map(_OPEN.get, stops, stops)))
+                               tuple(map(_OPEN.get, stops, stops)), los=los, his=his)
+        if self.los is None:
+            # derived from the level's own ends, so set on it in place
+            object.__setattr__(self, "los", los)
+            object.__setattr__(self, "his", his)
         return self
 
     def span(self, f: int) -> tuple:
@@ -248,10 +273,10 @@ class PinpointLevel:
         if not all(map(math.isfinite, crd)):
             c = next(c for c in crd if not math.isfinite(c))
             raise InvalidPieceError(f"level {level}: bad coordinate {c!r}")
-        if not set(map(type, crd)) <= {float}:
-            crd = tuple(map(float, crd))
+        crd = tuple(crd) if set(map(type, crd)) <= {float} else tuple(map(float, crd))
         points = tuple(zip(crd, repeat(EXACT)))
-        return SparseLevel(self.ptr, points, points, pinpoint=True).checked(level, n_fibers)
+        return SparseLevel(self.ptr, points, points, pinpoint=True,
+                           los=crd, his=crd).checked(level, n_fibers)
 
 
 @dataclass(frozen=True)
@@ -269,9 +294,10 @@ class IntervalLevel:
         for flags in (self.lclose, self.rclose):
             if not isinstance(flags, bool) and len(flags) != n:
                 raise InvalidPieceError(f"level {level}: inclusiveness flag length mismatch")
-        starts = _column(self.left, self.lclose, ABOVE)
-        stops = _column(self.right, self.rclose, BELOW)
-        return SparseLevel(self.ptr, starts, stops).checked(level, n_fibers)
+        left, right = tuple(self.left), tuple(self.right)
+        starts = _column(left, self.lclose, ABOVE)
+        stops = _column(right, self.rclose, BELOW)
+        return SparseLevel(self.ptr, starts, stops, los=left, his=right).checked(level, n_fibers)
 
 
 def _column(vals, flags, open_eps: int) -> tuple:
@@ -306,13 +332,13 @@ class RegularLevel:
         ptr = self.ptr if self.ptr is not None else (0, len(self.xs))
         lows = tuple(map(mul, repeat(self.stride), _int_xs(self.xs, f"level {level}")))
         starts = tuple(zip(lows, repeat(EXACT)))
-        stops = starts
+        stops, highs = starts, lows
         if self.length != 0:
-            highs = map(add, lows, repeat(self.length))
+            highs = tuple(map(add, lows, repeat(self.length)))
             stops = tuple(zip(highs, repeat(EXACT if self.rclose else BELOW)))
         fmt = (self.stride, self.length, self.rclose)
-        return SparseLevel(ptr, starts, stops, pinpoint=self.length == 0,
-                           regular=fmt).checked(level, n_fibers)
+        return SparseLevel(ptr, starts, stops, pinpoint=self.length == 0, regular=fmt,
+                           los=lows, his=highs).checked(level, n_fibers)
 
 
 def _integral(x) -> bool:

@@ -555,9 +555,10 @@ def test_an_unshifted_probe_is_the_tables_probe():
     P = tensor_1d("P", [(x, 1.0) for x in (-1.0, 0.5, 1.0, 2.0, 2.25, 2.5, 7.0)], 0.0)
     src = "for x = -inf:inf\n  Out[x] = P[x] * A[x]\nend\n"
     plan = compile_program(parse(src), {"P": P, "A": A})
-    assert re.search(r"q_A0_\d+ = \(_p if \(_p := bisect_left\(_A_0_stops, \(_t := \(x_\d+, 0\)\), "
-                     r"_A_0_ptr\[0\], \(_q := _A_0_ptr\[1\]\)\)\) < _q and _A_0_starts\[_p\] <= _t "
-                     r"else -1\)", kernel_source(plan))
+    # the fiber's ends are bound once, at the kernel's start
+    assert re.search(r"(_beg\d+) = _A_0_ptr\[0\]\n\s+(_end\d+) = _A_0_ptr\[1\]\n(.*\n)*"
+                     r"\s+q_A0_\d+ = \(_p if \(_p := bisect_left\(_A_0_stops, \(_t := \(x_\d+, 0\)\), "
+                     r"\1, \2\)\) < \2 and _A_0_starts\[_p\] <= _t else -1\)", kernel_source(plan))
     res = against_oracle(src, {"P": P, "A": A})
     assert [v for _, v in res.output.pieces()] == [1.0, 2.0, 3.0, 4.0]
 
@@ -579,11 +580,22 @@ def test_an_intersection_renders_a_finger_loop():
     # the least of theirs, and the loop ends when an advancing finger
     # reaches its fiber's end
     assert "while True:" in src and " is iv_" not in src
-    assert re.search(r"seg_(\d+)_hi = (_p_A0_\d+_stop)\n\s+if _p_B0_\d+_stop < seg_\1_hi:", src)
-    assert re.search(r"p_A0_(\d+) \+= 1\n\s+if p_A0_\1 == _p_A0_\1_end:\n\s+break\n"
-                     r"\s+_p_A0_\1_stop = _A_0_stops\[p_A0_\1\]", src)
-    # from the open -inf, the region's start is the fingers' alone
-    assert re.search(r"r_\d+_lo = _A_0_starts\[p_A0_\d+\]", src) and "= iv_0_lo\n" not in src
+    # each stop has a float twin, compared first: the tuples decide at a tie
+    assert re.search(r"seg_(\d+)_hi = (_p_A0_\d+_stop)\n\s+seg_\1_hv = \2v\n"
+                     r"\s+if (_p_B0_\d+_stop)v < seg_\1_hv or \3v == seg_\1_hv and \3 < seg_\1_hi:\n"
+                     r"\s+seg_\1_hi = \3\n\s+seg_\1_hv = \3v\n", src)
+    assert re.search(r"if _p_A0_(\d+)_stopv == (seg_\d+)_hv and \(_p_A0_\1_stop is \2_hi or "
+                     r"_p_A0_\1_stop == \2_hi\):\n\s+p_A0_\1 \+= 1\n\s+if p_A0_\1 == _p_A0_\1_end:\n"
+                     r"\s+break\n\s+_p_A0_\1_stop = _A_0_stops\[p_A0_\1\]\n"
+                     r"\s+_p_A0_\1_stopv = _A_0_his\[p_A0_\1\]", src)
+    # from the open -inf, the region's start is the fingers' alone, the
+    # largest of their values; its tuple is read only where the guard's
+    # floats tie, and d(i) is the difference of the floats
+    assert re.search(r"(r_\d+)_lv = _A_0_los\[p_A0_\d+\]\n\s+_ev = _B_0_los\[p_B0_\d+\]\n"
+                     r"\s+if _ev > \1_lv:\n\s+\1_lv = _ev\n\s+if \1_lv < (seg_\d+)_hv or \1_lv == \2_hv "
+                     r"and max\(_A_0_starts\[p_A0_\d+\], _B_0_starts\[p_B0_\d+\]\) <= \2_hi:\n"
+                     r"(.*\n)*.*\(_d := \2_hv - \1_lv\)", src)
+    assert "= iv_0_lo\n" not in src and "_lo = " not in src.split("while True:")[1]
     # the steppers are always in a piece, so their reads are unguarded
     assert ">= 0" not in src and "_PAST" not in src
 
@@ -592,9 +604,12 @@ def test_a_finite_range_end_stays_in_the_least_stop():
     program = parse("for i = -inf:0.9\n  s += A[i] * B[i] * d(i)\nend\n")
     src = kernel_source(compile_program(program, kernels.get("dot_integral").canonical()))
     assert re.search(r"seg_(\d+)_hi = (iv_\d+_hi)\n(.*\n)*\s+if seg_\1_hi is \2:\n\s+break", src)
-    # the fingers still carry their stops, but no fiber's end
+    # the fingers still carry their stops, but no fiber's end; the range's
+    # stop enters the least stop with its float twin
     assert "_end" not in src
-    assert re.search(r"_p_B0_(\d+)_stop = _B_0_stops\[p_B0_\1\]\n\s+while", src)
+    assert re.search(r"_p_B0_(\d+)_stop = _B_0_stops\[p_B0_\1\]\n\s+_p_B0_\1_stopv = "
+                     r"_B_0_his\[p_B0_\1\]\n\s+(iv_\d+)_hv = \2_hi\[0\]\n\s+while", src)
+    assert re.search(r"seg_(\d+)_hi = (iv_\d+)_hi\n\s+seg_\1_hv = \2_hv\n", src)
 
 
 def _ivs(name, keys, fill=0.0):
@@ -619,6 +634,31 @@ SEVEN = {f"A{k}": _ivs(f"A{k}", [(-0.25 * k, 1.0), (1.0 + 0.1 * k, 3.0, "left_op
 OR_A = build_tensor("A", [("interval",)], [((0.0, 1.0), False), ((2.0, 3.0), True),
                                            ((4.0, 5.0), True)], fill=False)
 OR_B = build_tensor("B", [("interval",)], [((0.0, 1.0), False), ((2.5, 5.0), True)], fill=False)
+# ends whose values tie and whose eps differ, which the kernels compare as
+# floats first and as tuples only at the tie. Stops at 1: closed in B,
+# open in A and C; starts at 1: open in C, closed in A's second piece and D's
+STOPS = {"A": _ivs("A", [(0.0, 1.0, "right_open"), (1.0, 3.0)]),
+         "B": _ivs("B", [(0.5, 1.0), (1.5, 3.0, "right_open")]),
+         "C": _ivs("C", [(0.25, 1.0, "right_open"), (1.0, 3.0, "left_open")]),
+         "D": _ivs("D", [(-1.0, 0.5), (1.0, 2.0)])}
+# a start at the least stop: B's closed 1 and 3 on A's closed 1 and 3, and
+# B's and C's open starts on a closed stop
+AT_STOP = {"A": _ivs("A", [(0.0, 1.0), (2.0, 3.0)]),
+           "B": _ivs("B", [(1.0, 2.0), (3.0, 4.0, "left_open")]),
+           "C": _ivs("C", [(1.0, 2.5, "left_open")])}
+# -0.0 against 0.0: A stops at -0.0, where B starts at 0.0, C opens at 0.0
+# and D is the point [-0.0, 0.0]
+ZEROS = {"A": _ivs("A", [(-1.0, -0.0), (0.5, 1.0)]), "B": _ivs("B", [(0.0, 1.0)]),
+         "C": _ivs("C", [(0.0, 2.0, "left_open")]), "D": _ivs("D", [(-0.0, 0.0), (0.75, 1.0)])}
+# ends at -inf and inf, given closed in A and stored open
+INFS = {"A": _ivs("A", [(-math.inf, 0.0), (1.0, math.inf)]),
+        "B": _ivs("B", [(-math.inf, -1.0, "left_open"), (0.0, math.inf, "right_open")]),
+        "C": _ivs("C", [(-math.inf, math.inf)])}
+# rows whose fibers are empty in A (row 0) and in B (row 1)
+EMPTY = {"A": build_tensor("A", [("dense", 3), ("interval",)], [
+             [], [((0.0, 1.0), 2.0)], [((0.5, 2.0), 3.0), ((3.0, 4.0), 4.0)]]),
+         "B": build_tensor("B", [("dense", 3), ("interval",)], [
+             [((0.0, 1.0), 5.0)], [], [((1.0, 3.5), 6.0)]])}
 
 
 @pytest.mark.parametrize("src, binds, stats", [
@@ -637,9 +677,40 @@ OR_B = build_tensor("B", [("interval",)], [((0.0, 1.0), False), ((2.5, 5.0), Tru
      SEVEN, ExecStats(3, 3, 0)),
     ("for i = -inf:inf\n  Out |= A[i] && B[i]\nend\n", {"A": OR_A, "B": OR_B},
      ExecStats(2, 2, 0)),
+    ("for i = -inf:inf\n  s += A[i] * B[i] * d(i)\nend\n", STOPS, ExecStats(3, 3, 0)),
+    ("for i = -inf:inf\n  Out[i] = A[i] * B[i] * C[i]\nend\n", STOPS, ExecStats(2, 3, 2)),
+    ("for i = -inf:inf\n  Out[i] = C[i] * B[i] * A[i]\nend\n", STOPS, ExecStats(2, 3, 2)),
+    ("for i = -inf:inf\n  Out[i] = B[i] * D[i]\nend\n", STOPS, ExecStats(3, 3, 3)),
+    ("for i = 0.5:2.0\n  Out[i] = A[i] * C[i] * D[i]\nend\n", STOPS, ExecStats(2, 3, 2)),
+    ("for i = -inf:inf\n  Out[i] = A[i] * B[i]\nend\n", AT_STOP, ExecStats(2, 3, 2)),
+    ("for i = -inf:inf\n  s += A[i] * B[i] * d(i)\nend\n", AT_STOP, ExecStats(2, 3, 0)),
+    ("for i = -inf:inf\n  Out[i] = A[i] * C[i]\nend\n", AT_STOP, ExecStats(1, 2, 1)),
+    ("for i = 1.0:3.0\n  Out[i] = A[i] * B[i]\nend\n", AT_STOP, ExecStats(2, 3, 2)),
+    ("for i = -inf:inf\n  Out[i] = A[i] * B[i]\nend\n", ZEROS, ExecStats(2, 2, 2)),
+    ("for i = -inf:inf\n  Out[i] = B[i] * A[i]\nend\n", ZEROS, ExecStats(2, 2, 2)),
+    ("for i = -inf:inf\n  Out[i] = A[i] * C[i]\nend\n", ZEROS, ExecStats(1, 2, 1)),
+    ("for i = -inf:inf\n  Out[i] = A[i] * D[i]\nend\n", ZEROS, ExecStats(2, 2, 2)),
+    ("for i = -inf:inf\n  Out[i] = A[i] * B[i]\nend\n", INFS, ExecStats(3, 3, 3)),
+    ("for i = -inf:inf\n  Out[i] = A[i] * B[i] * C[i]\nend\n", INFS, ExecStats(3, 3, 3)),
+    ("for i = -inf:inf\n  s += A[i] * C[i] * d(i)\nend\n", INFS, ExecStats(2, 2, 0)),
+    ("for i = -1.0:inf\n  Out[i] = A[i] * B[i]\nend\n", INFS, ExecStats(3, 3, 3)),
+    ("for j = 0:2\n  for i = -inf:inf\n    Out[j, i] = A[j, i] * B[j, i]\n  end\nend\n", EMPTY,
+     ExecStats(2, 2, 2)),
+    ("for j = 0:2\n  for i = -inf:inf\n    s += A[j, i] * B[j, i] * d(i)\n  end\nend\n", EMPTY,
+     ExecStats(2, 2, 0)),
+    # the fibers' entries and first stops, _PAST and inf where empty, bound under j
+    ("for j = 0:2\n  for k = 0:1\n    for i = -inf:inf\n      s += A[j, i] * B[j, i] * d(i)\n"
+     "    end\n  end\nend\n", EMPTY, ExecStats(4, 4, 0)),
 ], ids=["tied_2", "tied_2_other_order", "tied_3", "tied_3_written", "open_and_closed_-inf",
         "closed_-inf", "-inf_starts_and_a_tie", "to_0.9", "from_-0.4", "0.15_to_1.6",
-        "seven_way", "or_exit"])
+        "seven_way", "or_exit", "open_and_closed_stops_2", "open_and_closed_stops_3",
+        "open_and_closed_stops_3_other_order", "closed_stop_on_closed_start",
+        "open_and_closed_from_0.5", "start_at_stop_closed", "start_at_stop_closed_d",
+        "start_at_stop_open", "start_at_stop_from_1", "-0.0_stop_on_0.0_start",
+        "-0.0_stop_on_0.0_start_other_order", "-0.0_stop_on_open_0.0_start", "-0.0_point",
+        "ends_at_infinity", "ends_at_infinity_3", "infinite_length", "infinity_from_-1",
+        "empty_fibers", "empty_fibers_d",
+        "empty_fibers_bound_entries"])
 def test_a_finger_loop_over_ties_agrees_with_the_oracle(src, binds, stats):
     binds = {name: t for name, t in binds.items() if f"{name}[" in src}
     assert "(fingers):" in pretty(compile_program(parse(src), binds))
@@ -889,8 +960,8 @@ def test_a_lone_stepper_renders_a_pieces_loop():
     assert jd and re.search(rf"for chr_0 in range\(0, 2\):\n(\s+_\w+ = .*\n)*?"
                             rf"\s+{jd[1]} = _Data_1_ptr\[.*\n\s+{jd[2]} = _Data_1_ptr\[", src)
     assert src.count("while True:") == 1 and "_seek(" not in src
-    # the id is read off the stored point, with no region to check
-    assert re.search(r"id_\d+ = _Query_1_starts\[p_Query1_\d+\]\[0\]", src)
+    # the id is read off the stored point's value column, with no region to check
+    assert re.search(r"id_\d+ = _Query_1_los\[p_Query1_\d+\]\n", src)
     assert "_pin_error" not in src and ".last_stop(" not in src
     # chr 1 holds queries 1 ([0, 2]) and 2 ([4, 7]): 2 pieces. Query 1 meets
     # data 1 ([0.5, 1.5]) in its first segment and stops there: 1 jd piece
@@ -1279,8 +1350,9 @@ def test_a_write_into_a_stored_piece_does_not_test_it(src, keyed):
     code = kernel_source(compile_program(parse(src), binds))
     # a pieces loop's region is its stored piece, never empty; the finger
     # loop's segment region is still tested
-    assert not re.search(r"if r_\d+_lo <= r_\d+_hi", code)
-    assert ("if r1_7_lo <= r1_7_hi:" in code) is keyed
+    assert not re.search(r"if r_\d+_l[ov] ", code)
+    assert bool(re.search(r"if r1_7_lv < (seg_\d+)_hv or r1_7_lv == \1_hv and .* <= \1_hi:\n",
+                          code)) is keyed
     # a key on the outer piece is bound once per piece, where its region is
     assert ("        r_1_hi = _A_0_stops[p_A0_0]\n        _key1 = ((r_1_lo, r_1_hi),)\n"
             in code) is keyed
@@ -1294,7 +1366,15 @@ def test_a_dense_position_is_bound_once_per_iteration_of_its_loop():
     src = kernel_source(compile_program(k.program(), k.canonical()))
     assert src.count(" if 0 <= ") == 1
     assert re.search(r"for chr_0 in range\(0, 2\):\n\s+_pos1 = \(_i1 if 0 <= ", src)
-    assert src.count("if _pos1 >= 0 and (_p := bisect_left(") == 1
+    # the probe of every grid member reads the data fiber's ends, bound
+    # under chr's loop with its test that chr's position is not -1
+    at = re.search(r"for chr_0 in range\(0, 2\):\n(\s+.*\n)*?"
+                   r"\s+(_beg\d+) = _Data_1_ptr\[_pos1\] if _pos1 >= 0 else 0\n"
+                   r"\s+(_end\d+) = _Data_1_ptr\[_pos1 \+ 1\] if _pos1 >= 0 else 0\n", src)
+    assert at and src.count(f"(_p := bisect_left(_Data_1_stops, (_t := (jd_") == 1
+    assert re.search(rf"\(_p := bisect_left\(_Data_1_stops, \(_t := \(jd_\d+, 0\)\), {at[2]}, "
+                     rf"{at[3]}\)\) < {at[3]} and _Data_1_starts\[_p\] <= _t else -1\)", src)
+    assert "_pos1 >= 0 and" not in src and src.count("_Data_1_ptr[") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1477,9 +1557,11 @@ def test_a_finger_write_appends_its_region_ends_unclamped():
     src = "for i = -inf:inf\n  C[i] = A[i] * B[i]\nend\n"
     source = kernel_source(compile_program(parse(src), INF_ENDS))
     assert "_NEG_OPEN" not in source and "_POS_OPEN" not in source
-    r = re.search(r"_put0\((r_\d+)_lo\)\n\s+_put1\(\1_hi\)", source).group(1)
+    # the region's stop is the segment's
+    r, seg = re.search(r"_put0\((r_\d+)_lo\)\n\s+_put1\((seg_\d+)_hi\)", source).groups()
     # the guard's test is the write's: it is rendered once
-    assert source.count(f"if {r}_lo <= {r}_hi:") == 1
+    assert source.count(f"if {r}_lv < {seg}_hv or {r}_lv == {seg}_hv and {r}_lo <= {seg}_hi:") == 1
+    assert source.count(f"{r}_lo <= ") == 1
     res = against_oracle(src, INF_ENDS)
     assert list(res.output.pieces()) == [
         ((Interval(Limit(-1.0), Limit(0.0)),), 10.0),

@@ -157,7 +157,7 @@ def test_scan_flags_an_unpassed_option():
 # level's lookups (called) and its data columns (read as attributes; a
 # call such as a dict's .values() is not a column)
 DATA_CALLS = {"n_entries", "n_fibers", "span", "seek", "probe", "fiber_entries", "at", "pieces"}
-DATA_COLUMNS = {"values", "ptr", "starts", "stops"}
+DATA_COLUMNS = {"values", "ptr", "starts", "stops", "los", "his"}
 
 
 def data_reads(source: str) -> list:
@@ -187,6 +187,7 @@ def test_scan_flags_a_read_of_stored_data():
            "    return n / max(1, a.tensor.n_fibers(a.rank))\n"
            "acc = _Access(tensor=t, idx=idx, miss=not t.values)\n"
            "names = [str(v) for v in marks.values()]\n"
-           "first = lv.starts[lv.ptr[f]]\n")
+           "first = lv.starts[lv.ptr[f]]\n"
+           "width = lv.his[p] - lv.los[p]\n")
     assert data_reads(src) == [("n_entries", 2), ("n_fibers", 3), ("values", 4),
-                               ("starts", 6), ("ptr", 6)]
+                               ("starts", 6), ("ptr", 6), ("his", 7), ("los", 7)]

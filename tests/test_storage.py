@@ -31,6 +31,9 @@ from contensor.storage import (
     build_tensor,
     tensor_1d,
 )
+from contensor.compiler import compile_program
+from contensor.executor import run
+from contensor.lang import parse
 from contensor.tensorio import SchemaError, dumps_tensor, tensor_from_json, tensor_to_json
 
 
@@ -815,7 +818,8 @@ def test_an_end_the_format_cannot_save_does_not_save(level, message):
         tensor_to_json(t)
 
 
-# --- a stored sparse level keeps only ptr, starts and stops per piece
+# --- a stored sparse level keeps only ptr, starts and stops per piece, and
+# their value columns, which take no part in ==, repr or the hash
 
 
 def stored_levels(t):
@@ -833,9 +837,61 @@ def test_a_stored_level_keeps_only_its_columns():
             assert type(lv) is SparseLevel
             assert not hasattr(lv, "__dict__")
             assert [f.name for f in dataclasses.fields(lv)] == [
+                "ptr", "starts", "stops", "pinpoint", "regular", "los", "his"]
+            assert [f.name for f in dataclasses.fields(lv) if f.compare or f.repr] == [
                 "ptr", "starts", "stops", "pinpoint", "regular"]
             assert isinstance(lv.pinpoint, bool)
             assert lv.regular is None or len(lv.regular) == 3
+
+
+def value_column_tensors():
+    """(label, tensor) of every way a level comes to be stored."""
+    rng = random.Random(29)
+    for kind in KINDS:
+        t = random_tensor(rng, kind)
+        yield f"descriptor {kind}", t
+        yield f"json {kind}", tensor_from_json(tensor_to_json(t))
+        yield f"direct {kind}", ContTensor("t", t.levels, t.values, t.fill)
+    # a closed end at -inf or inf, stored open
+    yield "opened", tensor_1d("A", [((-math.inf, 0.0), 2.0), ((1.0, math.inf), 5.0)])
+    yield "opened json", tensor_from_json(json.loads(
+        '{"name": "A", "fill": 0.0, "values": [2.0, 5.0], "levels": [{"kind": "interval", '
+        '"ptr": [0, 2], "left": [-1e309, 1.0], "right": [0.0, 1e309]}]}'))
+    yield "int ends", ContTensor("A", (SparseLevel((0, 2), ((1, 0), (3, 0)), ((2, 0), (4, 0))),),
+                                 (5.0, 7.0))
+    yield "grid", build_genomic_grid(random_genomic(random.Random(4))["Data"])
+    A = tensor_1d("A", [((0.0, 2.0), 1.0), ((3.0, 5.0), 2.0)])
+    B = tensor_1d("B", [((1.0, 4.0), 3.0)])
+    for label, src in (("intersection", "Out[i] = A[i] * B[i]"), ("union", "Out[i] = A[i] + B[i]")):
+        yield f"{label} output", run(compile_program(
+            parse(f"for i = -inf:inf\n  {src}\nend\n"), {"A": A, "B": B})).output
+
+
+VALUE_COLUMN_TENSORS = list(value_column_tensors())
+
+
+@pytest.mark.parametrize("label, t", VALUE_COLUMN_TENSORS,
+                         ids=[label for label, _ in VALUE_COLUMN_TENSORS])
+def test_a_stored_level_keeps_its_value_columns_out_of_eq_and_repr(label, t):
+    for lv in stored_levels(t):
+        # each value the one its tuple holds, of its type and sign, and a
+        # pinpoint level's column shared
+        assert list(map(repr, lv.los)) == list(map(repr, map(_VAL, lv.starts)))
+        assert list(map(repr, lv.his)) == list(map(repr, map(_VAL, lv.stops)))
+        assert list(map(type, lv.los)) == list(map(type, map(_VAL, lv.starts)))
+        assert list(map(type, lv.his)) == list(map(type, map(_VAL, lv.stops)))
+        assert (lv.his is lv.los) is (lv.stops is lv.starts)
+        # other columns, or none, make an equal level with the same repr
+        bare = SparseLevel(lv.ptr, lv.starts, lv.stops, lv.pinpoint, lv.regular)
+        zeros = [0.0] * len(lv.starts)
+        wrong = dataclasses.replace(lv, los=zeros, his=zeros)
+        assert bare == lv == wrong and hash(bare) == hash(lv) == hash(wrong)
+        assert repr(bare) == repr(lv) == repr(wrong)
+        assert "los" not in repr(lv) and "his" not in repr(lv)
+        if len(lv.ptr) == 2:
+            # a level given directly takes its value columns afresh
+            (again,) = ContTensor("t", (wrong,), (1.0,) * len(lv.starts)).levels
+            assert list(again.los) == list(lv.los) and list(again.his) == list(lv.his)
 
 
 # --- pieces() walks the columns level by level, in the order of a depth-first walk
