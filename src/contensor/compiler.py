@@ -19,8 +19,11 @@ The strategy, per continuous loop:
    the last of their fibers does too. A walk also ends a segment just
    before the start of one that runs out, which reads -1 (and its fill)
    in its gap, as a missed probe does. So an intersection and a union
-   (``+``, ``||``) lower in a size linear in their width. A lone stepper
-   over the whole line needs no range: its fiber is one.
+   (``+``, ``||``) lower in a size linear in their width. A loop over
+   the whole line that does not walk (no stepper runs out or is shifted)
+   needs no range: its steppers' fibers bound it, one fiber for a lone
+   stepper (a pieces loop) and all of them for an intersection (a finger
+   loop, which runs until one of them ends). Only a walk has a cursor.
 3. A region known to be a single point pins the index to a scalar, which
    unlocks probes into the remaining accesses (so does a segment in a
    piece of a participant that runs out and stores points); otherwise
@@ -472,15 +475,17 @@ def _lower_cont(s: SFor, ctx):
     # only a cursor steps past a gap, or keeps a point in one piece where a
     # shift rounds a piece's start onto the previous piece's stop. A lone
     # stepper over the whole line steps its pieces by position: its fiber
-    # is the range, and each piece the region
+    # bounds it, and each piece is the region
     shape = ("walk" if runs_out or any(sh is not None for sh in shifts.values())
              else "pieces" if len(steppers) == 1 and s.lo == -math.inf and s.hi == math.inf
              else "fingers")
     whole = shape == "pieces"
-    if not whole:
-        rslot, rname = ctx.namer.slot("iv")
-        cur_slot, cur_name = ctx.namer.slot("cur")
-        seg_slot, seg_name = ctx.namer.slot("seg")
+    # a loop over the whole line that does not walk needs no range: its
+    # fibers bound it. Only a walk keeps a cursor
+    ranged = shape == "walk" or s.lo != -math.inf or s.hi != math.inf
+    rslot, rname = ctx.namer.slot("iv") if ranged else (None, None)
+    cur_slot, cur_name = ctx.namer.slot("cur") if shape == "walk" else (None, None)
+    seg_slot, seg_name = (None, None) if whole else ctx.namer.slot("seg")
     rts = {}
     for key in steppers:
         a = ctx.accesses[key]
@@ -489,7 +494,7 @@ def _lower_cont(s: SFor, ctx):
 
     c3 = ctx.fork()
     c3.depth += 1  # inside the co-iteration
-    starts = [] if whole else [IvStart(seg_slot, seg_name)]
+    starts = [IvStart(seg_slot, seg_name)] if ranged else []
     ends = [] if whole else [IvStop(seg_slot, seg_name)]
     pinflag, points = False, []  # points: the steppers that run out and store points
     for key in steppers:
@@ -524,12 +529,11 @@ def _lower_cont(s: SFor, ctx):
                 else [let, Guard(*region, Block(tuple(inner)))])
     if not body:
         return []
-    if whole:
-        return [WhileCoiter(tuple(rts.values()), Block(tuple(body)), shape)]
-    return [IntersectLet(rslot, rname, (LimC(lo),), tuple(stops or [LimC(hi)])), WhileCoiter(
-        tuple(rts.values()), Block(tuple(body)), shape,
-        rslot, rname, cur_slot, cur_name, seg_slot, seg_name,
-    )]
+    loop = WhileCoiter(tuple(rts.values()), Block(tuple(body)), shape,
+                       rslot, rname, cur_slot, cur_name, seg_slot, seg_name)
+    if not ranged:
+        return [loop]
+    return [IntersectLet(rslot, rname, (LimC(lo),), tuple(stops or [LimC(hi)])), loop]
 
 
 def _region_body(s: SFor, region, ctx, runs_out, points, pinned):

@@ -40,17 +40,19 @@ loop range); a ``Guard`` at a tie then takes its start as the ``max`` of
 the start tuples, and a region's lone end that is a local (the segment's
 stop) is that local. A write thus stores the tuple it stored before. A
 pin reads a stored point from its value column. Walks, probes and
-``_seek`` compare tuples. Where the range
-ends at the fingers' own last stops (a loop to inf), the least stop is
-the fingers' alone, and the loop ends when a finger that moves on
-reaches its fiber's end; with a finite end it is the least of the
-range's stop and theirs, and the loop ends when it is the range's. It
-keeps no cursor, and when the range starts at the open -inf it starts
-each finger at its fiber's first piece and takes each region's start
-from the fingers' starts alone. A pieces loop is the finger loop of a
-lone stepper over the whole line, run as ``for p in range(...)`` over
-its positions: its fiber is the range, each piece the region, and its
-segments are counted once, before the loop. A walk steps the segments
+``_seek`` compare tuples. A finger loop keeps no cursor, and takes
+one of two forms. Over the whole line it has no range, as its fibers
+bound it: each finger starts at its fiber's first piece, the loop runs
+only where every fiber has one (one ``p < end`` test per finger), the
+least stop is the fingers' alone, each region's start is the fingers'
+starts alone, and the loop ends when a finger that moves on reaches its
+fiber's end. With a finite end (``a:b``, ``a:inf`` or ``-inf:b``) each
+finger starts at its ``_seek`` of the range's start, the least stop is
+that of the range's stop and theirs, and the loop ends when it is the
+range's. A pieces loop is the finger loop of a lone stepper over the
+whole line, run as ``for p in range(...)`` over its positions: its
+fiber bounds it, each piece is the region, and its segments are counted
+once, before the loop. A walk steps the segments
 between consecutive stops, gaps included, with a cursor that must
 advance each step. Every stepper in it keeps one state in locals: its
 position, its fiber's end, and its piece's start and stop, shifted back
@@ -68,7 +70,8 @@ level, or moves by an infinitesimal, keeps the numeric type it is
 stored in; a shifted end is computed in floats. A fiber's ends are read
 inline from the ``ptr`` column (and its last stop from the stop
 column), with an ``f >= 0`` test only where the fiber can be -1: a
-probe's result, a guarded dense index or such a position. A probe at
+probe's result, a guarded dense index or such a position, whose fiber
+a pieces or rangeless finger loop then reads as an empty one. A probe at
 shift 0 is inline too: a ``bisect_left`` of the stop column between the
 fiber's ends, then the start's check. ``segments_visited`` counts the
 iterations of walks (one more for each start a walk cuts at) and finger
@@ -83,14 +86,16 @@ stored piece, which reads only that loop's position), or the kernel's
 start for none. Every dense position whose index reads only discrete
 loop indices is bound there (``_pos<n>``); so are, where they would
 otherwise be read inside a loop nested in their home, a fiber's ends
-``ptr[f]`` and ``ptr[f + 1]`` for a pieces or finger loop that enters it
-from the open -inf or a shift-0 probe of it (those of a fiber that can
-be -1 tested there, and an empty fiber's where it is -1), its last
-stop, a finger's first stop and its float twin (read only where the
-fiber has a piece), a constant endpoint, and a
+``ptr[f]`` and ``ptr[f + 1]`` for a pieces or rangeless finger loop that
+enters it or a shift-0 probe of it (those of a fiber that can be -1
+tested there, and an empty fiber's where it is -1), its last stop, a
+finger's first stop and its float twin (read only where the fiber has
+a piece), a constant endpoint, and a
 reduction's workspace row and key (a key on such a stored piece among
-them). A ``_seek`` entry depends on the range's start and stays where
-it is.
+them). A pieces or rangeless finger loop in the home itself reads a
+fiber's ends, and a finger's first stop, from there too where a loop
+inside it enters the same fiber, so the two share one binding. A
+``_seek`` entry depends on the range's start and stays where it is.
 
 An ``|=`` or ``&=`` write that lowering marked (``Write.exits`` = n)
 tests its cell's combined value after it writes: once the cell is
@@ -307,9 +312,19 @@ def _end_reads(node, starts: set, stops: set, floats: set):
             _end_reads(getattr(node, f.name), starts, stops, floats)
 
 
+def _enters(node, st) -> bool:
+    """Whether a co-iteration in a plan statement steps the fiber that
+    stepper st steps."""
+    t = type(node)
+    if t is Block:
+        return any(_enters(x, st) for x in node.stmts)
+    if t is WhileCoiter and any((x.tensor, x.level, x.fiber) == (st.tensor, st.level, st.fiber)
+                                for x in node.steppers):
+        return True
+    return t in (WhileCoiter, DiscLoop, Guard, Cond) and _enters(node.body, st)
+
+
 _IND = "    "
-# the start of a loop that runs from -inf
-_OPEN_START = LimC(Limit(-math.inf, ABOVE))
 _RETURN = "return _seg, _mul, _emit, _out"
 
 
@@ -357,11 +372,9 @@ class _Source:
         self.values = {}  # tensor -> "_<tag>_vals"
         self.dense = 0  # dense positions rendered so far
         self.leaf_pos = None  # positions of the leaves of the value being written
-        self.open_lo = set()  # region slots whose start is the open -inf
         self.canonical = set()  # region slots a write copies as they are (see canon)
         self.guarded = set()  # region slots known not empty: a Guard's, a stored piece's
         self.piece_pos = set()  # position slots of the pieces loops
-        self.stops = {}  # region slot -> the stops of its IntersectLet
         # the region slots whose start, and whose stop, the plan reads as a
         # tuple somewhere, and those whose ends it reads as floats (see
         # _end_reads): a region compared in floats keeps only those tuples
@@ -502,11 +515,11 @@ class _Source:
             return self.var(e.slot, e.name)
         return f"int({self.expr(e)})"
 
-    def entry(self, t: str, fiber):
+    def entry(self, t: str, fiber, always=False):
         """The ends of a fiber of level prefix t, ptr[f] and ptr[f + 1], as
         locals bound at its home with that home (a missing fiber's are an
-        empty one's); None where they stay inline."""
-        home = self.home(self.reads(fiber))
+        empty one's); None where they stay inline (see home)."""
+        home = self.home(self.reads(fiber), always)
         if home is None:
             return None
         f = self.pexpr(fiber)
@@ -761,31 +774,24 @@ class _Source:
         if not s.starts or not s.stops:
             raise ExecError(f"region {s.name} has no start or no stop")
         lo, hi = self.region(s.slot, s.name)
-        starts = s.starts
-        if all(self.canon(a, True) for a in starts) and all(self.canon(a, False) for a in s.stops):
+        if (all(self.canon(a, True) for a in s.starts)
+                and all(self.canon(a, False) for a in s.stops)):
             self.canonical.add(s.slot)
         piece = self.stored_piece(s)
         if piece:
             # never empty, as its level was checked
             self.guarded.add(s.slot)
-        if starts == (_OPEN_START,):
-            self.open_lo.add(s.slot)
-        elif (len(starts) > 1 and type(starts[0]) is IvStart and starts[0].slot in self.open_lo
-              and all(type(a) is EndRef and a.shift is None for a in starts[1:])):
-            # the open -inf adds nothing to the max: no stored start lies below
-            # it, since a level stores a closed -inf as the open one
-            starts = starts[1:]
-        self.stops[s.slot] = s.stops
         # compared in floats where the plan reads its floats and each of its
         # ends has one
         fstarts, fstops, used = [None], [None], set()
         if s.slot in self.float_reads:
-            fstarts, fstops = ([self.float_end(a, used) for a in ops] for ops in (starts, s.stops))
+            fstarts, fstops = ([self.float_end(a, used) for a in ops]
+                               for ops in (s.starts, s.stops))
         if None in fstarts or None in fstops:
-            out = self.tuple_region(lo, hi, starts, s.stops, pad)
+            out = self.tuple_region(lo, hi, s.starts, s.stops, pad)
         else:
             self.floats |= used
-            out = self.float_region(s, starts, fstarts, fstops, pad)
+            out = self.float_region(s, fstarts, fstops, pad)
         if out and piece and self.loops[-1].at == len(self.lines):
             # at the start of a loop's body, it reads only its pieces loop's
             # position: the region is bound with the loop's slots
@@ -803,7 +809,7 @@ class _Source:
             out.extend(f"{pad}_e = {self.lexpr(a)}{tail}" for a in ops[1:])
         return out
 
-    def float_region(self, s: IntersectLet, starts, fstarts, fstops, pad: str) -> list:
+    def float_region(self, s: IntersectLet, fstarts, fstops, pad: str) -> list:
         """A region's lines that compare the floats of its ends first, and
         the tuples only where two floats tie: the region gets float twins
         for its start and stop. Where the plan reads an end of it only in a
@@ -812,7 +818,7 @@ class _Source:
         end that is a local is used as it is."""
         twins, ends, out = [], [], []
         i = pad + _IND
-        sides = ((starts, fstarts, ">", "max", s.slot in self.tuple_starts),
+        sides = ((s.starts, fstarts, ">", "max", s.slot in self.tuple_starts),
                  (s.stops, fstops, "<", "min", s.slot in self.tuple_stops))
         for end, (ops, fl, cmp, pick, keep) in zip(self.region(s.slot, s.name), sides):
             codes = [self.lexpr(a) for a in ops]
@@ -969,108 +975,110 @@ class _Source:
             f"{pad}{cur} = _n")
 
     def finger_loop(self, s: WhileCoiter, pad: str):
-        """A finger loop (see the module notes). Its segment starts at the
-        range's start: a finger that moved on starts past the stop it left,
-        so max(range start, starts) is a walk's max(cursor, starts). From the
-        open -inf a finger begins at its fiber's first piece: no stored stop
-        is -inf, and the range is empty for an empty or missing fiber. Ending
-        on positions is exact: within a fiber stops strictly increase, so
-        the least stop is the range's exactly when a finger that holds it
-        is at its last piece. Each finger's stop, and the segment's, has a
-        float twin, and the loop compares those first (see the module
-        notes)."""
-        lo, hi = self.region(s.range_slot, s.range_name)
-        stop = f"{self.var(s.curr_slot, s.curr_name)}_hi"
-        stopv = stop[:-1] + "v"
-        self.slots[s.curr_slot] = (lo, stop)
-        from_fiber = s.range_slot in self.open_lo
-        if from_fiber:
-            self.open_lo.add(s.curr_slot)
-        if s.range_slot in self.canonical:
+        """A finger loop (see the module notes), in one of two forms. With no
+        range, each finger enters at its fiber's first piece, the loop runs
+        only where every fiber has one, and it ends when a finger that moves
+        on reaches its fiber's end: within a fiber stops strictly increase.
+        With a range, each finger enters at the range's start, the range's
+        stop is the first of the stops, and the loop ends after a segment
+        that ends there, which no finger's last stop lies below. Its segment
+        starts at the range's start: a finger that moved on starts past the
+        stop it left, so max(range start, starts) is a walk's max(cursor,
+        starts). Each finger's stop, and the segment's, has a float twin,
+        and the loop compares those first (see the module notes)."""
+        ranged = s.range_slot is not None
+        _, stop = self.region(s.curr_slot, s.curr_name)
+        lv, stopv = None, stop[:-1] + "v"
+        add = self.lines.append
+        least = []
+        if ranged:
+            lo, hi = self.region(s.range_slot, s.range_name)
+            lv, hv = lo[:-1] + "v", hi[:-1] + "v"
+            self.slots[s.curr_slot] = (lo, stop)
+            least.append((hi, hv))
+            add(f"{pad}if not {lo} > {hi}:")
+            pad += _IND
+        self.twins[s.curr_slot] = (lv, stopv)
+        if not ranged or s.range_slot in self.canonical:
             # a segment ends at the range's ends or at the fingers' stops
             self.canonical.add(s.curr_slot)
-        lasts = {LastStop(st.tensor, st.level, st.fiber) for st in s.steppers}
-        on_positions = set(self.stops[s.range_slot]) <= lasts
-        add = self.lines.append
-        add(f"{pad}if not {lo} > {hi}:")
-        pad += _IND
-        i = pad + _IND
-        steppers = []
+        steppers, entered = [], []
         for st in s.steppers:
             if st.shift is not None or st.runs_out:
                 raise ExecError(f"finger {st.pos_name} is shifted or runs out")
             p = self.var(st.pos_slot, st.pos_name)
             t = self.level(st.tensor, st.level)
             self.floats.add(t)
-            f = self.pexpr(st.fiber)
-            end, r, rv = f"_{p}_end", f"_{p}_stop", f"_{p}_stopv"
-            ends = self.entry(t, st.fiber) if from_fiber else None
-            if ends is not None:
-                # its first stop, bound where its fiber may be empty
-                home, beg, end = ends
-                first = self.bind(home, (t, "first", beg),
-                                  f"{t}_stops[{beg}] if {beg} < {end} else _PAST", "_first")
-                firstv = self.bind(home, (t, "firstv", beg),
-                                   f"{t}_his[{beg}] if {beg} < {end} else _INF", "_firstv")
-                add(f"{pad}{p} = {beg}\n{pad}{r} = {first}\n{pad}{rv} = {firstv}")
-                steppers.append((p, t, end, r, rv))
-                continue
-            if on_positions and not _simple(f):
-                add(f"{pad}_f = {f}")
-                f = "_f"
-            if from_fiber:
-                add(f"{pad}{p} = {t}_ptr[{f}]")
+            r, rv = f"_{p}_stop", f"_{p}_stopv"
+            first = (f"{t}_stops[{p}]", f"{t}_his[{p}]")
+            end = None
+            if ranged:
+                add(f"{pad}{p} = _seek({t}_table, {self.pexpr(st.fiber)}, {lo}, 0.0)")
             else:
-                add(f"{pad}{p} = _seek({t}_table, {f}, {lo}, 0.0)")
-            if on_positions:
-                add(f"{pad}{end} = {_end(t, f)}")
-            add(f"{pad}{r} = {t}_stops[{p}]\n{pad}{rv} = {t}_his[{p}]")
-            steppers.append((p, t, end, r, rv))
-        # the range's float twins, where a segment reads them
-        lv, hv = "(-_INF)" if from_fiber else lo[:-1] + "v", hi[:-1] + "v"
-        if not from_fiber:
-            add(f"{pad}{lv} = {lo}[0]")
-        if not on_positions:
-            add(f"{pad}{hv} = {hi}[0]")
-        self.twins[s.curr_slot] = (lv, stopv)
+                home, beg, end = self.fiber(s, st, p, pad)
+                if home is not None:
+                    # its first stop, bound with its ends, where its fiber may be empty
+                    first = (self.bind(home, (t, "first", beg), f"{t}_stops[{beg}] if {beg} < "
+                                       f"{end} else _PAST", "_first"),
+                             self.bind(home, (t, "firstv", beg), f"{t}_his[{beg}] if {beg} < "
+                                       f"{end} else _INF", "_firstv"))
+                    add(f"{pad}{p} = {beg}")
+                entered.append(f"{p} < {end}")
+            steppers.append((p, t, end, r, rv, first))
+        if entered:
+            add(f"{pad}if {' and '.join(entered)}:")
+            pad += _IND
+        i = pad + _IND
+        for p, t, _, r, rv, (a, b) in steppers:
+            add(f"{pad}{r} = {a}\n{pad}{rv} = {b}")
+        if ranged:
+            add(f"{pad}{lv} = {lo}[0]\n{pad}{hv} = {hi}[0]")
         add(f"{pad}while True:\n{i}_seg += 1")
         pad, i = i, i + _IND
-        least = [(r, rv) for *_, r, rv in steppers]
-        if not on_positions:
-            least.insert(0, (hi, hv))
+        least += [(r, rv) for *_, r, rv, _ in steppers]
         add(f"{pad}{stop} = {least[0][0]}\n{pad}{stopv} = {least[0][1]}")
         for r, rv in least[1:]:
             add(f"{pad}if {rv} < {stopv} or {rv} == {stopv} and {r} < {stop}:\n"
                 f"{i}{stop} = {r}\n{i}{stopv} = {rv}")
         self.scoped(s.body, pad, self.fingers | {p for p, *_ in steppers},
                     [st.pos_slot for st in s.steppers])
-        if not on_positions:
+        if ranged:
             add(f"{pad}if {stop} is {hi}:\n{i}break")
-        for p, t, end, r, rv in steppers:
-            last = f"{i}if {p} == {end}:\n{i}{_IND}break\n" if on_positions else ""
+        for p, t, end, r, rv, _ in steppers:
+            last = "" if ranged else f"{i}if {p} == {end}:\n{i}{_IND}break\n"
             add(f"{pad}if {rv} == {stopv} and ({r} is {stop} or {r} == {stop}):\n{i}{p} += 1\n"
                 f"{last}{i}{r} = {t}_stops[{p}]\n{i}{rv} = {t}_his[{p}]")
+
+    def fiber(self, s: WhileCoiter, st, p: str, pad: str) -> tuple:
+        """Where a pieces or rangeless finger loop's stepper, position local
+        p, enters its fiber: the home of the fiber's ends and the locals of
+        its first position and its end, a missing fiber's those of an empty
+        one. The ends are read from locals bound at their home where a loop
+        nested in that home reads them (a loop inside s enters the fiber
+        again, or this loop is nested in the home), else here, into p and
+        _<p>_end, with no home."""
+        t = self.level(st.tensor, st.level)
+        ends = self.entry(t, st.fiber, always=_enters(s.body, st))
+        if ends is not None:
+            return ends
+        f, end = self.pexpr(st.fiber), f"_{p}_end"
+        if not self.can_miss(st.fiber, f):
+            self.lines.append(f"{pad}{p} = {t}_ptr[{f}]\n{pad}{end} = {_end(t, f)}")
+            return None, p, end
+        test, g = (f, f) if _simple(f) else (f"(_f := {f})", "_f")
+        self.lines.append(f"{pad}{p}, {end} = ({t}_ptr[{g}], {_end(t, g)}) if {test} >= 0 "
+                          "else (0, 0)")
+        return None, p, end
 
     def pieces(self, s: WhileCoiter, pad: str):
         """A pieces loop: the lone stepper's positions, in a for loop. Every
         piece is a region, so the segments are counted once, before the
-        loop; a fiber that can be -1 is tested first."""
+        loop."""
         (st,) = s.steppers
-        add = self.lines.append
         p = self.var(st.pos_slot, st.pos_name)
         self.piece_pos.add(st.pos_slot)
-        t = self.level(st.tensor, st.level)
-        ends = self.entry(t, st.fiber)
-        if ends is not None:
-            _, beg, end = ends
-        else:
-            f, beg, end = self.pexpr(st.fiber), p, f"_{p}_end"
-            if self.can_miss(st.fiber, f):
-                add(f"{pad}if {f if _simple(f) else f'(_f := {f})'} >= 0:")
-                pad += _IND
-                f = f if _simple(f) else "_f"
-            add(f"{pad}{p} = {t}_ptr[{f}]\n{pad}{end} = {_end(t, f)}")
-        add(f"{pad}_seg += {end} - {beg}\n{pad}for {p} in range({beg}, {end}):")
+        _, beg, end = self.fiber(s, st, p, pad)
+        self.lines.append(f"{pad}_seg += {end} - {beg}\n{pad}for {p} in range({beg}, {end}):")
         # a write that ends the loop at p has visited the pieces up to p
         with self.loop(pad, [f"_seg -= {end} - {p} - 1"]):
             self.scoped(s.body, pad + _IND, self.fingers | {p}, [st.pos_slot])

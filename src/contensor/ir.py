@@ -283,8 +283,10 @@ class WhileCoiter:
     # position, where it is the only stepper, annihilates, is unshifted and
     # the loop runs over the whole line; "fingers" over the pieces otherwise
     shape: str
-    # the range, cursor and current segment; a pieces loop has none: its
-    # fiber is the range, and each piece the region
+    # the range, cursor and current segment. A walk has all three, and a
+    # finger loop with a finite end a range and a segment; one over the
+    # whole line has only a segment (its stop), as its fibers bound it. A
+    # pieces loop has none: its fiber bounds it, and each piece is the region
     range_slot: Optional[int] = None
     range_name: Optional[str] = None
     cursor_slot: Optional[int] = None
@@ -471,8 +473,9 @@ def pretty(stmt, indent: int = 0) -> str:
     if isinstance(stmt, Pin):
         return f"{pad}pin {stmt.name} = {render(stmt.at)}"
     if isinstance(stmt, WhileCoiter):
-        over = ("over its fiber" if stmt.range_slot is None
-                else f"{stmt.cursor_name} over {stmt.range_name}")
+        rng, cur = stmt.range_name, stmt.cursor_name
+        over = (f"{cur} over {rng}" if cur else f"over {rng}" if rng
+                else "over its fiber" if len(stmt.steppers) == 1 else "over their fibers")
         lines = [f"{pad}coiterate {over} ({stmt.shape}):"]
         for s in stmt.steppers:
             shift = f" - {render(s.shift)}" if s.shift is not None else ""
@@ -481,9 +484,11 @@ def pretty(stmt, indent: int = 0) -> str:
                 f"{pad}  stepper {s.pos_name}: {s.tensor}.lvl{s.level}"
                 f"[{s.fiber.render()}]{shift}{tail}"
             )
-        if stmt.curr_slot is not None:
+        if stmt.curr_slot is not None and rng is None:
+            lines.append(f"{pad}  {stmt.curr_name}.stop = min stops")
+        elif stmt.curr_slot is not None:
             cut = ", starts - eps in gaps" if any(s.runs_out for s in stmt.steppers) else ""
-            lines.append(f"{pad}  {stmt.curr_name} = [{stmt.cursor_name}, min stops{cut}]")
+            lines.append(f"{pad}  {stmt.curr_name} = [{cur or rng + '.start'}, min stops{cut}]")
         lines.append(pretty(stmt.body, indent + 1))
         return "\n".join(lines)
     if isinstance(stmt, Write):

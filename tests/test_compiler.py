@@ -80,6 +80,23 @@ def test_dot_integral_collapses_to_one_region():
     assert any(isinstance(a, LenOf) for a in accs[0].value.args)
 
 
+@pytest.mark.parametrize("lo, hi, ranged", [
+    ("-inf", "inf", False), ("-inf", "2.5", True), ("1.5", "inf", True), ("1.5", "2.5", True),
+])
+def test_an_intersection_over_the_whole_line_has_no_range(lo, hi, ranged):
+    # its fibers bound a finger loop over the whole line; a finite end, even
+    # one of two, keeps the range. No finger loop has a cursor
+    A = tensor_1d("A", [((1.0, 3.0), 2.0)], 0.0, kind="interval")
+    B = tensor_1d("B", [((2.0, 5.0), 3.0)], 0.0, kind="interval")
+    src = f"for i = {lo}:{hi}\n  s += A[i] * B[i] * d(i)\nend\n"
+    body = compile_program(parse(src), {"A": A, "B": B}).body
+    (loop,) = collect(body, WhileCoiter)
+    assert loop.shape == "fingers" and loop.cursor_slot is None and loop.curr_slot is not None
+    assert (loop.range_slot is not None) is ranged
+    assert any(type(s) is IntersectLet for s in body.stmts) is ranged
+    assert len(body.stmts) == 1 + ranged
+
+
 def test_dot_sum_pins_one_side_and_probes_the_other():
     A = tensor_1d("A", [(1.5, 2.0), (4.0, 5.0)], 0.0)
     B = tensor_1d("B", [(1.5, 3.0)], 0.0)
@@ -358,12 +375,12 @@ def test_namer_fix_keeps_the_kway_plans(monkeypatch):
 
 def test_a_kway_product_lowers_to_one_region():
     # every factor annihilates, so lowering visits only where all are stored:
-    # the range, the co-iteration (header, k steppers, segment), one region,
-    # its guard and the accumulate
+    # the co-iteration (header, k steppers, segment), one region, its guard
+    # and the accumulate. Over the whole line the fibers bound it: no range
     k = 10
     stages = {}
     compile_program(*kway_product(k), stages=stages)
-    assert len(pretty(stages["plan"].body).splitlines()) == k + 6
+    assert len(pretty(stages["plan"].body).splitlines()) == k + 5
     assert stages["plan"] == stages["post-simplify"]
 
 

@@ -570,15 +570,18 @@ def test_an_unshifted_probe_is_the_tables_probe():
 def test_an_intersection_renders_a_finger_loop():
     k = kernels.get("dot_integral")
     plan = compile_program(k.program(), k.canonical())
-    assert "coiterate cur over iv (fingers):" in pretty(plan)
+    assert "coiterate over their fibers (fingers):" in pretty(plan)
+    assert "iv = " not in pretty(plan)
     src = kernel_source(plan)
-    # no cursor, no advance check, and steppers start at their fiber
+    # no range, no cursor, no advance check, and steppers start at their fiber
     assert "co-iteration failed to advance" not in src
-    assert "_seek(" not in src and "cur_" not in src
+    assert "_seek(" not in src and "cur_" not in src and "iv_" not in src
     assert re.search(r"\bp_A0_\d+ = _A_0_ptr\[0\]", src)
-    # the range ends at the fingers' own last stops: the segment's stop is
-    # the least of theirs, and the loop ends when an advancing finger
-    # reaches its fiber's end
+    # the fibers bound the loop: it runs where each has a piece, with no
+    # last stop read, the segment's stop is the least of the fingers', and
+    # the loop ends when an advancing finger reaches its fiber's end
+    assert re.search(r"if (p_A0_\d+) < _\1_end and (p_B0_\d+) < _\2_end:\n", src)
+    assert "_NO_STOP" not in src
     assert "while True:" in src and " is iv_" not in src
     # each stop has a float twin, compared first: the tuples decide at a tie
     assert re.search(r"seg_(\d+)_hi = (_p_A0_\d+_stop)\n\s+seg_\1_hv = \2v\n"
@@ -588,14 +591,14 @@ def test_an_intersection_renders_a_finger_loop():
                      r"_p_A0_\1_stop == \2_hi\):\n\s+p_A0_\1 \+= 1\n\s+if p_A0_\1 == _p_A0_\1_end:\n"
                      r"\s+break\n\s+_p_A0_\1_stop = _A_0_stops\[p_A0_\1\]\n"
                      r"\s+_p_A0_\1_stopv = _A_0_his\[p_A0_\1\]", src)
-    # from the open -inf, the region's start is the fingers' alone, the
-    # largest of their values; its tuple is read only where the guard's
-    # floats tie, and d(i) is the difference of the floats
+    # with no range, the region's start is the fingers' alone, the largest
+    # of their values; its tuple is read only where the guard's floats tie,
+    # and d(i) is the difference of the floats
     assert re.search(r"(r_\d+)_lv = _A_0_los\[p_A0_\d+\]\n\s+_ev = _B_0_los\[p_B0_\d+\]\n"
                      r"\s+if _ev > \1_lv:\n\s+\1_lv = _ev\n\s+if \1_lv < (seg_\d+)_hv or \1_lv == \2_hv "
                      r"and max\(_A_0_starts\[p_A0_\d+\], _B_0_starts\[p_B0_\d+\]\) <= \2_hi:\n"
                      r"(.*\n)*.*\(_d := \2_hv - \1_lv\)", src)
-    assert "= iv_0_lo\n" not in src and "_lo = " not in src.split("while True:")[1]
+    assert "_lo = " not in src.split("while True:")[1]
     # the steppers are always in a piece, so their reads are unguarded
     assert ">= 0" not in src and "_PAST" not in src
 
@@ -604,11 +607,15 @@ def test_a_finite_range_end_stays_in_the_least_stop():
     program = parse("for i = -inf:0.9\n  s += A[i] * B[i] * d(i)\nend\n")
     src = kernel_source(compile_program(program, kernels.get("dot_integral").canonical()))
     assert re.search(r"seg_(\d+)_hi = (iv_\d+_hi)\n(.*\n)*\s+if seg_\1_hi is \2:\n\s+break", src)
+    # a range takes the ranged form, from the open -inf too: each finger
+    # enters at the range's start
+    assert re.search(r"p_A0_\d+ = _seek\(_A_0_table, 0, (iv_\d+)_lo, 0\.0\)\n", src)
     # the fingers still carry their stops, but no fiber's end; the range's
-    # stop enters the least stop with its float twin
+    # ends have float twins, and its stop enters the least stop with its own
     assert "_end" not in src
     assert re.search(r"_p_B0_(\d+)_stop = _B_0_stops\[p_B0_\1\]\n\s+_p_B0_\1_stopv = "
-                     r"_B_0_his\[p_B0_\1\]\n\s+(iv_\d+)_hv = \2_hi\[0\]\n\s+while", src)
+                     r"_B_0_his\[p_B0_\1\]\n\s+(iv_\d+)_lv = \2_lo\[0\]\n"
+                     r"\s+\2_hv = \2_hi\[0\]\n\s+while", src)
     assert re.search(r"seg_(\d+)_hi = (iv_\d+)_hi\n\s+seg_\1_hv = \2_hv\n", src)
 
 
@@ -951,7 +958,7 @@ def test_a_lone_stepper_renders_a_pieces_loop():
     text = pretty(plan)
     # the id and jd loops run over their whole fibers; the x loop meets two
     assert text.count("coiterate over its fiber (pieces):") == 2
-    assert text.count("coiterate cur over iv (fingers):") == 1
+    assert text.count("coiterate over their fibers (fingers):") == 1
     assert "guard r.start" in text and text.count("guard") == 1
     src = kernel_source(plan)
     assert re.search(r"for p_Query1_\d+ in range\(p_Query1_\d+, _p_Query1_\d+_end\):", src)
@@ -988,8 +995,8 @@ P_FIVE = tensor_1d("P", [(0.0, 1.0), (0.5, 2.0), (1.0, 3.0), (2.5, 4.0), (3.0, 5
     ("for i = 0.5:0.5\n  Out[i] = P[i]\nend\n", {"P": P_FIVE}, 1),
 ], ids=["straddle", "integral", "to_2.5", "from_0.5", "past", "points", "sum", "one_point"])
 def test_a_lone_stepper_over_a_range_clips_each_piece(src, binds, segments):
-    # over a range the lone stepper keeps the finger loop
-    assert "coiterate cur over iv (fingers):" in pretty(compile_program(parse(src), binds))
+    # over a range the lone stepper keeps the finger loop, which has no cursor
+    assert "coiterate over iv (fingers):" in pretty(compile_program(parse(src), binds))
     res = against_oracle(src, binds)
     assert res.stats.segments_visited == segments
 
@@ -1008,18 +1015,23 @@ D_TWO = build_tensor("D", [("dense", 2), ("interval",)],
     ("for i = -inf:inf\n  Out[i] = E[i]\nend\n", {"E": E_EMPTY}, None, (0, 0, 0)),
     ("for i = -inf:inf\n  for j = -inf:inf\n    s += M[i, j] * d(i) * d(j)\n  end\nend\n",
      {"M": M_TWO}, None, (4, 0, 0)),
-    # Q's point 1.5 misses M's rank 0: the probe gives -1
+    # Q's point 1.5 misses M's rank 0: the probe gives -1, whose fiber is
+    # read as an empty one
     ("for i = -inf:inf\n  for j = -inf:inf\n    Out[i, j] = Q[i] * M[i, j]\n  end\nend\n",
-     {"Q": Q_TWO, "M": M_TWO}, r"if q_M0_\d+ >= 0:", (4, 2, 2)),
-    # ... and as one of two fingers, the range's inline last stop tests it
+     {"Q": Q_TWO, "M": M_TWO}, r"p_M1_\d+, _p_M1_\d+_end = \(_M_1_ptr\[(q_M0_\d+)\], "
+     r"_M_1_ptr\[\1 \+ 1\]\) if \1 >= 0 else \(0, 0\)\n", (4, 2, 2)),
+    # ... and as one of two fingers, whose loop runs only where both have a piece
     ("for i = -inf:inf\n  for j = -inf:inf\n    Out[i, j] = Q[i] * M[i, j] * A[j]\n  end\n"
      "end\n", {"Q": Q_TWO, "M": M_TWO, "A": A_TWO},
-     r"if q_M0_(\d+) >= 0 and _M_1_ptr\[q_M0_\1\] <", (4, 2, 2)),
+     r"(p_M1_\d+), (_p_M1_\d+_end) = \(_M_1_ptr\[(q_M0_\d+)\], _M_1_ptr\[\3 \+ 1\]\) "
+     r"if \3 >= 0 else \(0, 0\)\n(.*\n)*?\s+if \1 < \2 and ", (4, 2, 2)),
     # k = 2 is past D's dense rank: the guarded index gives -1
     ("for k = 0:2\n  for j = -inf:inf\n    Out[k, j] = D[k, j]\n  end\nend\n",
-     {"D": D_TWO}, r"(_pos\d+) = \(_i\d+ if 0 <= .*\n\s+if \1 >= 0:", (2, 0, 2)),
+     {"D": D_TWO}, r"(_pos\d+) = \(_i\d+ if 0 <= .*\n\s+p_D1_\d+, _p_D1_\d+_end = "
+     r"\(_D_1_ptr\[\1\], _D_1_ptr\[\1 \+ 1\]\) if \1 >= 0 else \(0, 0\)\n", (2, 0, 2)),
     ("for k = 0:2\n  for j = -inf:inf\n    Out[k, j] = D[k, j] * A[j]\n  end\nend\n",
-     {"D": D_TWO, "A": A_TWO}, r"if (_pos\d+) >= 0 and _D_1_ptr\[\1\] <", (3, 3, 3)),
+     {"D": D_TWO, "A": A_TWO}, r"(p_D1_\d+), (_p_D1_\d+_end) = \(_D_1_ptr\[(_pos\d+)\], "
+     r"_D_1_ptr\[\3 \+ 1\]\) if \3 >= 0 else \(0, 0\)\n(.*\n)*?\s+if \1 < \2 and ", (3, 3, 3)),
 ], ids=["empty_root", "empty_child", "missed_probe", "missed_probe_fingers", "dense_past",
         "dense_past_fingers"])
 def test_an_empty_or_missing_fiber_runs_no_piece(src, binds, guard, stats):
@@ -1351,7 +1363,7 @@ def test_a_write_into_a_stored_piece_does_not_test_it(src, keyed):
     # a pieces loop's region is its stored piece, never empty; the finger
     # loop's segment region is still tested
     assert not re.search(r"if r_\d+_l[ov] ", code)
-    assert bool(re.search(r"if r1_7_lv < (seg_\d+)_hv or r1_7_lv == \1_hv and .* <= \1_hi:\n",
+    assert bool(re.search(r"if r1_5_lv < (seg_\d+)_hv or r1_5_lv == \1_hv and .* <= \1_hi:\n",
                           code)) is keyed
     # a key on the outer piece is bound once per piece, where its region is
     assert ("        r_1_hi = _A_0_stops[p_A0_0]\n        _key1 = ((r_1_lo, r_1_hi),)\n"
@@ -1390,19 +1402,34 @@ def test_the_naive_genomic_kernel_enters_a_query_fiber_once_per_id():
     k = kernels.get("genomic_overlap")
     lines = kernel_source(compile_program(k.program(), k.canonical())).splitlines()
     jd = next(n for n, line in enumerate(lines) if line.lstrip().startswith("for p_Data1_"))
-    # the query fiber's ends and last stop are bound in the id loop, before
-    # the jd loop, and read nowhere inside it
-    at = [n for n, line in enumerate(lines) if "_Query_2_ptr[" in line or "_Query_2_stops[_end" in line]
+    # the query fiber's ends and first stop are bound in the id loop, before
+    # the jd loop, and read nowhere inside it; no last stop is read
+    at = [n for n, line in enumerate(lines) if "_Query_2_ptr[" in line or "_Query_2_stops[_beg" in line]
     assert len(at) == 3 and max(at) < jd
+    assert not any("_NO_STOP" in line for line in lines)
     # the write's row is chr's, bound under chr's loop, and its key the bare id
     assert "        _ws1 = _out[chr_0]" in lines
-    assert lines.count(" " * 32 + "_ws1[id_2] = _val = _ws1.get(id_2, False) or _val") == 1
+    assert lines.count(" " * 28 + "_ws1[id_2] = _val = _ws1.get(id_2, False) or _val") == 1
+
+
+def test_the_grid_genomic_kernel_enters_a_query_fiber_once_per_id():
+    k = kernels.get("genomic_overlap_grid")
+    src = kernel_source(compile_program(k.program(), k.canonical()))
+    lines = src.splitlines()
+    x1 = next(n for n, line in enumerate(lines) if line.lstrip() == "while True:")
+    # the x1 loop and the x2 loop inside it enter the query fiber from its
+    # ends and first stop, bound once in the id loop, before x1
+    at = [n for n, line in enumerate(lines) if "_Query_2_ptr[" in line or "_Query_2_stops[_beg" in line]
+    assert len(at) == 3 and max(at) < x1
+    beg, end = re.search(r"(_beg\d+) = _Query_2_ptr\[p_Query1_\d+\]\n\s+(_end\d+) = ", src).groups()
+    assert len(re.findall(rf"p_Query2\d*_\d+ = {beg}\n", src)) == 2
+    assert len(re.findall(rf"if p_Query2\d*_\d+ < {end} and ", src)) == 2
 
 
 def test_an_empty_query_fiber_at_a_hoisted_entry():
-    # chr 0 id 1 and chr 1 id 1 have no pieces: their hoisted last stop is
-    # the empty fiber's, so no jd enters the x loop; the first stop, bound
-    # with them, is never read. chr 0: 2 ids, 2 + 2 jd pieces, and id 2
+    # chr 0 id 1 and chr 1 id 1 have no pieces: their hoisted entry is an
+    # empty fiber's, so the x loop runs for no jd; the first stop, bound
+    # with it, is never read. chr 0: 2 ids, 2 + 2 jd pieces, and id 2
     # meets jd 1 in its first segment (the second jd taken back); chr 1:
     # 1 id and 1 jd piece
     Query = genomic_side("Query", [[(1.0, []), (2.0, [((0.0, 1.0), True)])], [(1.0, [])]])
@@ -1414,9 +1441,10 @@ def test_an_empty_query_fiber_at_a_hoisted_entry():
 
 
 def test_a_missed_probe_under_a_hoisted_entry_ends_its_range():
-    # the grid lists id 5, which Data lacks: its probe gives -1, and the x2
-    # range, which reads the id's query fiber from the locals bound per id,
-    # ends at the missing fiber's last stop. Query id 2 then meets Data id 1
+    # the grid lists id 5, which Data lacks: its probe gives -1, whose fiber
+    # the x2 loop, which reads the id's query fiber from the locals bound
+    # per id, reads as an empty one, so it runs no segment there. Query id 2
+    # then meets Data id 1
     Query = genomic_side("Query", [[(1.0, [((0.0, 1.0), True)]), (2.0, [((3.5, 3.8), True)])],
                                    []])
     Data = genomic_side("Data", [[(1.0, [((3.0, 4.0), True)])], []])
@@ -1425,7 +1453,9 @@ def test_a_missed_probe_under_a_hoisted_entry_ends_its_range():
     binds = {"Query": Query, "Data": Data, "Grid": Grid}
     k = kernels.get("genomic_overlap_grid")
     src = kernel_source(compile_program(k.program(), binds))
-    assert re.search(r"iv1_\d+_hi = _last\d+\n", src)
+    assert re.search(r"p_Data2_(\d+), _p_Data2_\1_end = \(_Data_2_ptr\[(q_Data1_\d+)\], "
+                     r"_Data_2_ptr\[\2 \+ 1\]\) if \2 >= 0 else \(0, 0\)\n(.*\n)*?"
+                     r"\s+if p_Query21_\d+ < _end\d+ and p_Data2_\1 < _p_Data2_\1_end:\n", src)
     res = against_oracle(k.source(), binds)
     assert list(res.output.pieces()) == [((0, Interval.closed(2.0, 2.0)), True)]
     assert res.stats == ExecStats(multiplies=1, segments_visited=9, pieces_emitted=1)
@@ -1494,9 +1524,11 @@ def test_a_finger_entered_two_loops_inside_the_home_of_its_fiber():
     beg, end, first = re.search(
         r"for k_0 in range\(0, 3\):\n\s+(_pos\d+) = .*\n"
         r"\s+(_beg\d+) = _D_1_ptr\[\1\] if \1 >= 0 else 0\n"
-        r"\s+(_end\d+) = _D_1_ptr\[\1 \+ 1\] if \1 >= 0 else 0\n(?:\s+_last\d+ = .*\n)?"
+        r"\s+(_end\d+) = _D_1_ptr\[\1 \+ 1\] if \1 >= 0 else 0\n"
         r"\s+(_first\d+) = _D_1_stops\[\2\] if \2 < \3 else _PAST\n", source).groups()[1:]
-    assert re.search(rf"p_D1_(\d+) = {beg}\n\s+_p_D1_\1_stop = {first}\n", source)
+    # it enters there, and takes the first stop once its loop tests that it has a piece
+    assert re.search(rf"p_D1_(\d+) = {beg}\n(.*\n)*?\s+if p_D1_\1 < {end} and .*:\n"
+                     rf"\s+_p_D1_\1_stop = {first}\n", source)
     assert re.search(rf"if p_D1_\d+ == {end}:", source)
     res = against_oracle(src, binds)
     assert list(res.output.values) == [52.5, 0.0, 0.0]

@@ -23,7 +23,9 @@ and ``perfbench/``, so both trees see the same ones:
 
 Each plan is compiled once and run twice, the second time from the
 kernel cache. A record holds the compile error, or the sha256 of the
-kernel's source and whether the plan walks, and for each run the output
+kernel's source, the plan's size (the lines of ``ir.pretty``, as
+perfbench's ``plan_lines`` counts them) and whether the plan walks, and
+for each run the output
 (``repr`` of its pieces and its fill, or of a scalar; a sha256 past 4 kB),
 the ``ExecStats``, the diagnostics, or the class and message of the error
 raised. A setup record holds the sha256 of the ``repr`` of each bound
@@ -39,10 +41,11 @@ record's results differ in three kinds:
 
 The report gives, per category, the records compared, how many plans
 walk, how many raised, and how many differ in their source (a walking
-plan's apart from the others') and in each kind of result; then, for
-the source and for each kind of result, the label of every record that
-differs, and the first such record from both trees. The exit status is
-1 if any result differs.
+plan's apart from the others'), in their plan's size and in each kind of
+result; then, for the source, the plan size (with both trees' line
+counts) and each kind of result, the label of every record that differs,
+and the first such record from both trees. The exit status is 1 if any
+result differs.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ def _record(case_id: str, compile_plan) -> dict:
     rec = {"id": case_id}
     try:
         plan = compile_plan()
-        rec["walks"] = "(walk):" in pretty(plan)
+        text = pretty(plan)
+        rec["walks"] = "(walk):" in text
+        rec["plan_lines"] = len(text.splitlines())
         rec["kernel"] = _sha(executor.kernel_source(plan))
     except Exception as err:  # noqa: BLE001 - the class and message are the record
         rec["compile"] = _error(err)
@@ -235,7 +240,7 @@ def compare(old: list, new: list) -> int:
     for a, b in zip(old, new):
         c = counts.setdefault(a["category"], dict.fromkeys(
             ("records", "walk", "compile errors", "run errors", "walk sources differ",
-             "other sources differ", *(f"{k} differ" for k in RESULTS)), 0))
+             "other sources differ", "plan sizes differ", *(f"{k} differ" for k in RESULTS)), 0))
         c["records"] += 1
         c["walk"] += bool(b.get("walks"))
         c["compile errors"] += "compile" in b
@@ -245,6 +250,9 @@ def compare(old: list, new: list) -> int:
             c["walk sources differ" if a.get("walks") or b.get("walks")
               else "other sources differ"] += 1
             kinds.append("kernel source")
+        if a.get("plan_lines") != b.get("plan_lines"):
+            c["plan sizes differ"] += 1
+            kinds.append("plan size")
         for kind in RESULTS:
             if _result(a, kind) != _result(b, kind):
                 c[f"{kind} differ"] += 1
@@ -255,12 +263,14 @@ def compare(old: list, new: list) -> int:
         print(f"{category:>9}: " + ", ".join(f"{v} {k}" for k, v in c.items()))
     for kind, pairs in differ.items():
         print(f"records that differ in {kind}:")
-        print("".join(f"  {a['id']}\n" for a, _ in pairs), end="")
+        for a, b in pairs:
+            size = f": {a.get('plan_lines')} -> {b.get('plan_lines')} lines"
+            print(f"  {a['id']}{size if kind == 'plan size' else ''}")
     for kind, pairs in differ.items():
         print(f"first of the records that differ in {kind}:")
         for side, rec in zip(("old", "new"), pairs[0]):
             print(f"  {side}: {json.dumps(rec, indent=2)}")
-    return 1 if differ.keys() - {"kernel source"} else 0
+    return 1 if differ.keys() - {"kernel source", "plan size"} else 0
 
 
 def main(argv=None) -> int:
